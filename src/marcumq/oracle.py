@@ -4,8 +4,7 @@ Q1(a, b) is the upper-tail integral of the Rice density
 
     R(x) = x exp(-(x^2 + a^2)/2) I0(a x),    Q1(a, b) = int_b^inf R(x) dx.
 
-Two independent methods are provided and cross-validated against each
-other:
+Three methods are provided; ``q1_reference`` cross-validates two of them:
 
   * ``q1_quadrature``: adaptive Gauss-Kronrod (G7/K15) integration of the
     Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x) so
@@ -17,11 +16,34 @@ other:
         Q1(a, b) = sum_k  Pois(k; a^2/2) * P[Pois(b^2/2) <= k],
 
     summed over a mode-centered window of each Poisson factor with
-    explicit geometric bounds on the discarded tails.  This route never
-    touches a Bessel function, so it shares no code with the quadrature.
+    explicit geometric bounds on the discarded tails.  Each window holds
+    about 17 max(a, b) entries, so cost grows as O(a) in time and memory;
+    windows above MAX_SERIES_WINDOW entries are refused.
+  * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
+    of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
+    Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
+    For b >= a, with rho = b/a and w = (b - a)/sqrt(2),
 
-``q1_reference`` runs both at tol 1e-12 and fails loudly if they
-disagree by more than 1e-10.
+        Q1 ~ sqrt(rho) erfc(w)/2 + rho sqrt(xi)/(2 sqrt(2 pi))
+             * sum_{n>=1} (-1)^n (alpha_n(0) - alpha_n(1)/rho) xi^-n G_n,
+
+    where alpha_n(nu) are the Hankel coefficients of I_nu and G_n follow
+    G_1 = 2(e^-w^2 - sqrt(pi) w erfc(w)), G_n = (e^-w^2 - w^2 G_{n-1})/(n - 1/2).
+    For b < a it uses Q1(a, b) = 1 + e^(-(a-b)^2/2) i0e(ab) - Q1(b, a),
+    with i0e from its own Hankel sum.  Its domain is large xi with
+    (b - a)^2 small against xi; there it needs 3-5 terms, O(1) time and
+    memory.  Outside, its terms grow before reaching double precision
+    and ConvergenceError is raised.
+
+Neither the series nor the expansion calls a Bessel function, so each
+shares no code with the quadrature.  ``q1_reference`` pairs the
+quadrature with the series for a < ASYMPTOTIC_MIN_A (every argument the
+paper's tables, figures and scans use) and with the expansion from
+there on, where the series window is already about 1.7k entries.  At
+a >= 100 the expansion covers every b: ab < 1e3 forces b < 10, where
+1 - Q1 underflows.  The quadrature and the series run at tol 1e-12, the
+expansion to 1e-17 of its sum, and ``q1_reference`` fails loudly if the
+pair disagrees by more than 1e-10.
 
 All operations are pure functions with call-local state only; they are
 safe to call from any number of threads.
@@ -37,8 +59,13 @@ from .errors import ConvergenceError, CrossValidationError, DomainError
 from .specfun import bessel_i0_scaled
 
 AGREEMENT_GATE = 1e-10
+ASYMPTOTIC_MIN_A = 100.0  # q1_reference uses q1_asymptotic, not q1_series, from here on
 DEFAULT_TOL = 1e-12
+MAX_SERIES_WINDOW = 2_000_000  # entries in one Poisson window; reached near a = 1.2e5
 _TAIL_SIGMAS = 40.0  # integration cutoff: integrand < 1e-300 of its peak
+_EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
+_SQRT_PI = math.sqrt(math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -50,7 +77,7 @@ class QArgs:
 
     def __post_init__(self) -> None:
         for name, v in (("a", self.a), ("b", self.b)):
-            if not isinstance(v, (int, float)) or math.isnan(v) or math.isinf(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v) or math.isinf(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
             if v < 0:
                 raise DomainError(f"{name} must be nonnegative, got {v!r}")
@@ -62,8 +89,9 @@ class OracleResult:
 
     value: float
     method_a_value: float  # quadrature
-    method_b_value: float  # series
+    method_b_value: float  # the method named by method_b
     agreement_gap: float
+    method_b: str  # "series" or "asymptotic"
 
 
 def rice_pdf(x: float, a: float) -> float:
@@ -177,6 +205,11 @@ def _poisson_window(mean: float, width_sigmas: float = 12.0):
     w = int(width_sigmas * math.sqrt(mean)) + 40
     m = int(mean)
     lo, hi = max(0, m - w), m + w
+    if hi - lo + 1 > MAX_SERIES_WINDOW:
+        raise DomainError(
+            f"series window of {hi - lo + 1} entries for Poisson mean {mean:g} "
+            f"exceeds the limit of {MAX_SERIES_WINDOW} entries (a or b above ~1.2e5)"
+        )
     pm = math.exp(-mean + m * math.log(mean) - math.lgamma(m + 1))
     pmf = [0.0] * (hi - lo + 1)
     pmf[m - lo] = pm
@@ -249,20 +282,105 @@ def q1_series(args: QArgs, tol: float = DEFAULT_TOL) -> float:
     return math.fsum(terms) / pmass
 
 
+def _asymptotic_sum(terms) -> float:
+    """Sum of an asymptotic series, up to its first term <= 1e-17 of the total.
+
+    Raises ConvergenceError if a term grows before that: the series has
+    passed its smallest term without reaching double precision.
+    """
+    total, prev = 0.0, math.inf
+    for n, t in enumerate(terms):
+        if abs(t) > prev:
+            raise ConvergenceError(
+                f"asymptotic series term {n} grows before reaching 1e-17 of the sum "
+                "(arguments outside the expansion's domain)"
+            )
+        total += t
+        if abs(t) <= 1e-17 * abs(total):
+            return total
+        prev = abs(t)
+
+
+def _i0e_hankel(x: float) -> float:
+    """e^-x I0(x) from the Hankel expansion sum_n (-1)^n alpha_n(0) x^-n / sqrt(2 pi x)."""
+
+    def terms():
+        c, n = 1.0, 0
+        while True:
+            yield c
+            n += 1
+            c *= (2 * n - 1) ** 2 / (8 * n * x)
+
+    return _asymptotic_sum(terms()) / (_SQRT_2PI * math.sqrt(x))
+
+
+def _q1_large_xi(a: float, b: float) -> float:
+    """Q1(a, b) for b >= a > 0 by the large-xi expansion (see module docstring)."""
+    xi, rho = a * b, b / a
+    w = (b - a) / math.sqrt(2.0)
+    ec, ew = math.erfc(w), math.exp(-w * w)
+    scale = rho * math.sqrt(xi) / (2.0 * _SQRT_2PI)
+
+    def terms():
+        # n = 0 in closed form: the product (1 - 1/rho) G_0 cancels near b = a
+        yield 0.5 * math.sqrt(rho) * ec
+        g = 2.0 * (ew - _SQRT_PI * w * ec)
+        c0 = c1 = scale  # scale * (-1)^n alpha_n(nu) xi^-n for nu = 0, 1
+        n = 1
+        while True:
+            k = (2 * n - 1) ** 2
+            c0 *= k / (8 * n * xi)
+            c1 *= (k - 4) / (8 * n * xi)
+            yield (c0 - c1 / rho) * g
+            g = (ew - w * w * g) / (n + 0.5)
+            n += 1
+
+    return _asymptotic_sum(terms())
+
+
+def q1_asymptotic(args: QArgs) -> float:
+    """Q1 by the large-xi expansion in erfc (GST 2014), O(1) time and memory.
+
+    Accurate to about 1e-15 where xi = ab is large and (b - a)^2 small
+    against it, which holds for every b once a >= ASYMPTOTIC_MIN_A.
+    Elsewhere the expansion's terms grow first and ConvergenceError is
+    raised.  No Bessel function is called.
+    """
+    a, b = args.a, args.b
+    if b == 0.0:
+        return 1.0
+    if a == 0.0:
+        return math.exp(-0.5 * b * b)
+    if b >= a:
+        return _q1_large_xi(a, b)
+    d = 0.5 * (a - b) ** 2
+    if d > _EXP_UNDERFLOW:
+        # 1 - Q1 <= e^-d / 2 (Simon-Alouini), which underflows here
+        return 1.0
+    return 1.0 + math.exp(-d) * _i0e_hankel(a * b) - _q1_large_xi(b, a)
+
+
 def q1_reference(args: QArgs) -> OracleResult:
     """Cross-validated reference Q1 value.
 
-    Runs both methods at tol 1e-12, returns their mean, and raises
-    CrossValidationError if they disagree by more than 1e-10 (which
-    would indicate a defect, not an input problem).
+    Runs the quadrature and, as the second method, the series for
+    a < ASYMPTOTIC_MIN_A or the large-xi expansion from there on.
+    Returns their mean, and raises CrossValidationError if they
+    disagree by more than 1e-10 (which would indicate a defect, not an
+    input problem).
     """
     qa = q1_quadrature(args, DEFAULT_TOL)
-    qb = q1_series(args, DEFAULT_TOL)
+    if args.a >= ASYMPTOTIC_MIN_A:
+        method_b, qb = "asymptotic", q1_asymptotic(args)
+    else:
+        method_b, qb = "series", q1_series(args, DEFAULT_TOL)
     gap = abs(qa - qb)
     if gap > AGREEMENT_GATE:
         raise CrossValidationError(
             f"reference methods disagree at (a={args.a:g}, b={args.b:g}): "
-            f"quadrature={qa!r}, series={qb!r}, gap={gap:.3e}"
+            f"quadrature={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
         )
     value = min(1.0, max(0.0, 0.5 * (qa + qb)))
-    return OracleResult(value=value, method_a_value=qa, method_b_value=qb, agreement_gap=gap)
+    return OracleResult(
+        value=value, method_a_value=qa, method_b_value=qb, agreement_gap=gap, method_b=method_b
+    )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -36,6 +37,13 @@ class TestEval:
         rc, _, err = run_cli(capsys, "eval", "--a", "-1", "--b", "1")
         assert rc == 2
         assert "error:" in err
+
+    def test_huge_arguments(self, capsys):
+        rc, out, _ = run_cli(capsys, "eval", "--a", "1e6", "--b", "1e6")
+        assert rc == 0
+        exact = float(out.splitlines()[1].split(",")[3])
+        assert math.isfinite(exact)
+        assert exact == pytest.approx(0.5, abs=1e-5)
 
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--a", "2", "--b", "1", "--format", "json")

@@ -1,12 +1,15 @@
-"""Tests for the dual-method Marcum Q oracle.
+"""Tests for the cross-validated Marcum Q oracle.
 
 Frozen values come from 50-digit mpmath quadrature of the defining
-integral; scipy's noncentral chi-square survival function provides an
+integral (``make_frozen_large_a.py`` regenerates the large-argument
+set); scipy's noncentral chi-square survival function provides an
 independent implementation for cross-checks (Q1(a, b) is the survival
 of ncx2(df=2, nc=a^2) at b^2).
 """
 
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from marcumq.errors import ConvergenceError, CrossValidationError, DomainError
 from marcumq.oracle import (
     QArgs,
     _adaptive_quad,
+    q1_asymptotic,
     q1_quadrature,
     q1_reference,
     q1_series,
@@ -41,6 +45,17 @@ Q1_FROZEN = {
     (600.0, 601.0): 0.15885681232410255,
 }
 
+# mpmath (50 dps) references at large a, from make_frozen_large_a.py
+Q1_FROZEN_LARGE_A = {
+    (600.0, 599.0): 0.8415464724968222,
+    (600.0, 601.0): 0.15885681232410254,
+    (1000.0, 997.0): 0.9986523195572946,
+    (1000.0, 1000.0): 0.5001994711651346,
+    (10000.0, 10003.0): 0.0013501196074340292,
+    (30000.0, 29997.0): 0.9986501758343568,
+    (100000.0, 100000.0): 0.500001994711402,
+}
+
 
 class TestQArgs:
     def test_accepts_zero(self):
@@ -48,6 +63,11 @@ class TestQArgs:
 
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
     def test_rejects_bad_args(self, a, b):
+        with pytest.raises(DomainError):
+            QArgs(a, b)
+
+    @pytest.mark.parametrize("a,b", [(True, 1.0), (1.0, False)])
+    def test_rejects_bools(self, a, b):
         with pytest.raises(DomainError):
             QArgs(a, b)
 
@@ -104,6 +124,39 @@ class TestSeries:
         with pytest.raises(DomainError):
             q1_series(QArgs(1.0, 1.0), tol=2.0)
 
+    def test_window_cap_raises_before_allocating(self):
+        # an uncapped window here would hold ~1.7e8 entries (gigabytes)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=str(oracle.MAX_SERIES_WINDOW)):
+            q1_series(QArgs(1e7, 1e7))
+        assert time.perf_counter() - start < 1.0
+
+
+class TestAsymptotic:
+    @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN_LARGE_A.items()))
+    def test_frozen_values(self, pair, expected):
+        assert q1_asymptotic(QArgs(*pair)) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("a,b", [(1e4, 0.05), (100.0, 9.9), (100.0, 1e-3)])
+    def test_complement_underflow_is_exactly_one(self, a, b):
+        assert q1_asymptotic(QArgs(a, b)) == 1.0
+        assert q1_reference(QArgs(a, b)).value == 1.0
+
+    def test_edges_match_series(self):
+        assert q1_asymptotic(QArgs(150.0, 0.0)) == 1.0
+        assert q1_asymptotic(QArgs(0.0, 1.5)) == q1_series(QArgs(0.0, 1.5))
+
+    def test_agrees_with_series(self):
+        for a in (100.0, 173.0, 300.0, 450.0, 600.0):
+            for db in (-40.0, -10.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 10.0, 40.0):
+                args = QArgs(a, a + db)
+                assert q1_asymptotic(args) == pytest.approx(q1_series(args), abs=1e-13)
+
+    def test_outside_domain_raises(self):
+        # at xi = ab = 1 the terms grow before reaching double precision
+        with pytest.raises(ConvergenceError):
+            q1_asymptotic(QArgs(1.0, 1.0))
+
 
 class TestReference:
     def test_published_value(self):
@@ -112,6 +165,7 @@ class TestReference:
 
     def test_result_fields(self):
         res = q1_reference(QArgs(2.0, 1.0))
+        assert res.method_b == "series"
         assert res.agreement_gap == abs(res.method_a_value - res.method_b_value)
         assert res.agreement_gap <= 1e-10
         assert 0.0 <= res.value <= 1.0
@@ -125,6 +179,32 @@ class TestReference:
         monkeypatch.setattr(oracle, "q1_series", lambda args, tol=1e-12: 0.5)
         with pytest.raises(CrossValidationError):
             q1_reference(QArgs(0.1, 2.0))
+
+    def test_disagreement_raises_on_asymptotic_route(self, monkeypatch):
+        monkeypatch.setattr(oracle, "q1_asymptotic", lambda args: 0.5)
+        with pytest.raises(CrossValidationError, match="asymptotic"):
+            q1_reference(QArgs(1e3, 1e3 + 3))
+
+    def test_routes_by_a(self, monkeypatch):
+        def no_series(args, tol=1e-12):
+            raise AssertionError("series called")
+
+        monkeypatch.setattr(oracle, "q1_series", no_series)
+        for a, b in [(100.0, 99.0), (1e3, 1e3), (1e4, 1e4 + 3)]:
+            res = q1_reference(QArgs(a, b))
+            assert res.method_b == "asymptotic"
+            assert res.method_b_value == q1_asymptotic(QArgs(a, b))
+        with pytest.raises(AssertionError, match="series called"):
+            q1_reference(QArgs(99.0, 99.0))
+
+    def test_large_a_memory_is_constant(self):
+        tracemalloc.start()
+        try:
+            q1_reference(QArgs(1e5, 1e5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_matches_scipy_ncx2(self):
         for (a, b) in [(0.5, 1.5), (2.0, 1.0), (4.0, 5.0), (10.0, 9.0), (20.0, 21.0)]:

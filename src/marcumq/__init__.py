@@ -13,12 +13,8 @@ from .bounds import (
     compute_zeta,
     eval_all,
     evaluate,
-    lb1jp,
-    lb2jp,
-    literature_bound,
+    lb2a_literal,
     regime_of,
-    ub1jp,
-    ub2jp,
 )
 from .errors import (
     ConvergenceError,
@@ -49,15 +45,11 @@ __all__ = [
     "compute_zeta",
     "eval_all",
     "evaluate",
-    "lb1jp",
-    "lb2jp",
-    "literature_bound",
+    "lb2a_literal",
     "q1_quadrature",
     "q1_reference",
     "q1_series",
     "regime_of",
     "rice_pdf",
-    "ub1jp",
-    "ub2jp",
     "__version__",
 ]

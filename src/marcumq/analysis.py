@@ -20,15 +20,20 @@ here is deterministic; point evaluations are independent of each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .bounds import BoundId, compute_zeta, eval_all, evaluate
+from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, evaluate
 from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
 from .oracle import QArgs, q1_reference, rice_pdf
 from .specfun import bessel_i0, bessel_i0_scaled, bessel_i1, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
 _G_PLAIN_MAX = 300.0
+
+# largest grid any table, figure or scan builds; bigger requests fail
+# before allocating instead of exhausting memory
+MAX_GRID_POINTS = 1_000_000
 
 DEFAULT_SANDWICH_A = (0.0, 0.1, 1.0, 2.0, 4.0, 10.0, 20.0)
 # Dominance is certifiable in doubles only while the JP-A gap is
@@ -75,9 +80,15 @@ class CurveTable:
     rows: list[tuple[float, ...]]
 
 
-def _lin_grid(lo: float, hi: float, n: int) -> list[float]:
+def _check_grid_size(n: int) -> None:
     if n < 2:
         raise DomainError(f"grid needs n >= 2, got {n}")
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"grid needs n <= {MAX_GRID_POINTS}, got {n}")
+
+
+def _lin_grid(lo: float, hi: float, n: int) -> list[float]:
+    _check_grid_size(n)
     step = (hi - lo) / (n - 1)
     xs = [lo + i * step for i in range(n)]
     xs[-1] = hi
@@ -87,8 +98,7 @@ def _lin_grid(lo: float, hi: float, n: int) -> list[float]:
 def log_grid(lo: float, hi: float, n: int) -> list[float]:
     if not (0.0 < lo < hi):
         raise DomainError(f"log grid needs 0 < lo < hi, got [{lo!r}, {hi!r}]")
-    if n < 2:
-        raise DomainError(f"grid needs n >= 2, got {n}")
+    _check_grid_size(n)
     lr = math.log(hi / lo)
     xs = [lo * math.exp(lr * i / (n - 1)) for i in range(n)]
     xs[-1] = hi
@@ -101,8 +111,7 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
     For a = 0 the grid spreads over (0, 3].  The tie point b = a is
     included so singular-at-the-tie formulas get exercised.
     """
-    if n < 2:
-        raise DomainError(f"grid needs n >= 2, got {n}")
+    _check_grid_size(n)
     if a == 0.0:
         return [3.0 * (i + 1) / n for i in range(n)]
     k = n // 2
@@ -112,7 +121,12 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
     return below + above
 
 
-def error_table(a: float, b_values: list[float], ids: list[BoundId]) -> list[ErrorRow]:
+def eps_pct(raw: float, exact: float) -> float:
+    """Tightness 100 |raw - exact| / exact in percent; inf when exact <= 0."""
+    return 100.0 * abs(raw - exact) / exact if exact > 0.0 else math.inf
+
+
+def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list[ErrorRow]:
     """Oracle-vs-bounds comparison rows, one per threshold b.
 
     Regime or singularity failures of individual ids mark the cell as
@@ -120,20 +134,32 @@ def error_table(a: float, b_values: list[float], ids: list[BoundId]) -> list[Err
     """
     rows = []
     for b in b_values:
-        res = q1_reference(QArgs(a, b))
-        exact = res.value
+        args = QArgs(a, b)
+        exact = q1_reference(args).value
         cells: dict[BoundId, BoundCell] = {}
         skipped: dict[BoundId, str] = {}
         for bid in ids:
             try:
-                ev = evaluate(bid, QArgs(a, b))
+                ev = evaluate(bid, args)
             except (RegimeError, SingularityError) as exc:
                 skipped[bid] = str(exc)
                 continue
-            eps = 100.0 * abs(ev.raw - exact) / exact if exact > 0.0 else math.inf
-            cells[bid] = BoundCell(raw=ev.raw, clamped=ev.clamped, epsilon_pct=eps)
+            cells[bid] = BoundCell(raw=ev.raw, clamped=ev.clamped, epsilon_pct=eps_pct(ev.raw, exact))
         rows.append(ErrorRow(b=b, exact=exact, cells=cells, skipped=skipped))
     return rows
+
+
+def _worst(candidates: Iterable[tuple[float, tuple]]) -> tuple[float, tuple]:
+    """First maximal (violation, witness) pair; (-inf, ()) when empty.
+
+    Ties keep the earlier witness and a NaN violation never wins.
+    """
+    worst = -math.inf
+    witness: tuple = ()
+    for v, w in candidates:
+        if v > worst:
+            worst, witness = v, w
+    return worst, witness
 
 
 def g_plain(x: float) -> float:
@@ -153,12 +179,9 @@ def scan_g_negative(x_lo: float, x_hi: float, n: int) -> ScanReport:
     the (e^x + 3)-ratio upper bounds rest on.  Values are plain g below
     x = 300 and e^(-2x)-scaled beyond (sign-preserving).
     """
-    worst = -math.inf
-    witness: tuple = ()
-    for x in log_grid(x_lo, x_hi, n):
-        v = g_plain(x) if x <= _G_PLAIN_MAX else g_scaled(x)
-        if v > worst:
-            worst, witness = v, (x,)
+    worst, witness = _worst(
+        (g_plain(x) if x <= _G_PLAIN_MAX else g_scaled(x), (x,)) for x in log_grid(x_lo, x_hi, n)
+    )
     return ScanReport(
         property_id="g_negative",
         grid=f"log-spaced x in [{x_lo:g}, {x_hi:g}], n={n}; plain g below x=300, e^(-2x)-scaled beyond",
@@ -168,16 +191,11 @@ def scan_g_negative(x_lo: float, x_hi: float, n: int) -> ScanReport:
     )
 
 
-def ratio_exp3(x: float) -> float:
-    """I0(x) / (e^x + 3), scaled evaluation; decreasing on x > 0."""
-    return bessel_i0_scaled(x) / (1.0 + 3.0 * math.exp(-x))
-
-
 def ratio_sinh(x: float) -> float:
     """x I0(x) / (e^x - e^-x); increasing on x > 0, limit 1/2 at x -> 0."""
     if x == 0.0:
         return 0.5
-    return x * bessel_i0_scaled(x) / (-math.expm1(-2.0 * x))
+    return _pref_sinh(1.0, x)
 
 
 def scan_f_ratio_monotone(kind: str, x_lo: float, x_hi: float, n: int) -> ScanReport:
@@ -196,13 +214,10 @@ def scan_f_ratio_monotone(kind: str, x_lo: float, x_hi: float, n: int) -> ScanRe
         raise DomainError(f"unknown ratio kind {kind!r}")
     xs = log_grid(x_lo, x_hi, n)
     vals = [f(x) for x in xs]
-    worst = -math.inf
-    witness: tuple = ()
-    for i in range(len(xs) - 1):
-        # violation: difference with the wrong sign
-        v = -sign * (vals[i + 1] - vals[i])
-        if v > worst:
-            worst, witness = v, (xs[i], xs[i + 1])
+    # violation: difference with the wrong sign
+    worst, witness = _worst(
+        (-sign * (vals[i + 1] - vals[i]), (xs[i], xs[i + 1])) for i in range(len(xs) - 1)
+    )
     return ScanReport(
         property_id=kind,
         grid=f"log-spaced x in [{x_lo:g}, {x_hi:g}], n={n}; successive differences",
@@ -231,18 +246,18 @@ def scan_shifted_exp_chain(b: float, m: float, x_values: list[float]) -> ScanRep
     if bad:
         raise DomainError(f"all x must exceed b={b:g}, got {bad[:3]}")
     eb, e2b = math.exp(-b), math.exp(-2.0 * b)
-    worst = -math.inf
-    witness: tuple = ()
-    for x in x_values:
-        ex, e2x = math.exp(-x), math.exp(-2.0 * x)
-        r_cosh = (1.0 + e2x) / (1.0 + e2b)
-        r_one = (1.0 + ex) / (1.0 + eb)
-        r_m = (1.0 + m * ex) / (1.0 + m * eb)
-        for label, v in (("cosh<plain", r_cosh - 1.0),
-                         ("one<cosh", r_one - r_cosh),
-                         ("m<one", r_m - r_one)):
-            if v > worst:
-                worst, witness = v, (x, label)
+
+    def links():
+        for x in x_values:
+            ex, e2x = math.exp(-x), math.exp(-2.0 * x)
+            r_cosh = (1.0 + e2x) / (1.0 + e2b)
+            r_one = (1.0 + ex) / (1.0 + eb)
+            r_m = (1.0 + m * ex) / (1.0 + m * eb)
+            yield r_cosh - 1.0, (x, "cosh<plain")
+            yield r_one - r_cosh, (x, "one<cosh")
+            yield r_m - r_one, (x, "m<one")
+
+    worst, witness = _worst(links())
     return ScanReport(
         property_id="chain_eq6",
         grid=f"b={b:g}, m={m:g}, {len(x_values)} x values in [{min(x_values):g}, {max(x_values):g}]",
@@ -257,9 +272,7 @@ def envelope_sinh(x: float, a: float, b: float) -> float:
 
         b I0(ab)/(e^ab - e^-ab) [e^(-(x-a)^2/2) - e^(-(x+a)^2/2)].
     """
-    ab = a * b
-    pref = b * bessel_i0_scaled(ab) / (-math.expm1(-2.0 * ab))
-    return pref * math.exp(-0.5 * (x - a) ** 2) * (-math.expm1(-2.0 * a * x))
+    return _pref_sinh(a, b) * math.exp(-0.5 * (x - a) ** 2) * (-math.expm1(-2.0 * a * x))
 
 
 def envelope_exp_rate(x: float, a: float, b: float) -> float:
@@ -293,19 +306,14 @@ def scan_envelope_ordering(
         raise DomainError(f"window [{lo!r}, {hi!r}] must lie inside [0, b]")
     margin = 1e-12
     xs = _lin_grid(lo, hi, n)
-    rice, e_sinh, e_rate = [], [], []
-    worst = -math.inf
-    witness: tuple = ()
-    for x in xs:
-        r = rice_pdf(x, a)
-        s = envelope_sinh(x, a, b)
-        t = envelope_exp_rate(x, a, b)
-        rice.append(r)
-        e_sinh.append(s)
-        e_rate.append(t)
-        for label, v in (("rice<=sinh", r - s), ("sinh<=exp_rate", s - t)):
-            if v > worst:
-                worst, witness = v, (x, label)
+    rice = [rice_pdf(x, a) for x in xs]
+    e_sinh = [envelope_sinh(x, a, b) for x in xs]
+    e_rate = [envelope_exp_rate(x, a, b) for x in xs]
+    worst, witness = _worst(
+        (v, (x, label))
+        for x, r, s, t in zip(xs, rice, e_sinh, e_rate)
+        for label, v in (("rice<=sinh", r - s), ("sinh<=exp_rate", s - t))
+    )
     return ScanReport(
         property_id="envelope",
         grid=f"a={a:g}, b={b:g}, {n} points on [{lo:g}, {hi:g}], margin {margin:g}",
@@ -326,25 +334,23 @@ def scan_sandwich(
     Every applicable id is checked at every grid point; singular ids at
     the tie b = a are skipped by eval_all.
     """
-    worst = -math.inf
-    witness: tuple = ()
-    checks = 0
+    checks = []
     for a in a_values:
         for b in two_sided_b_grid(a, b_per_a):
             exact = q1_reference(QArgs(a, b)).value
             evals, _ = eval_all(QArgs(a, b))
-            for ev in evals:
-                v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)
-                checks += 1
-                if v > worst:
-                    worst, witness = v, (ev.id.value, a, b)
+            checks += [
+                ((exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact), (ev.id.value, a, b))
+                for ev in evals
+            ]
+    worst, witness = _worst(checks)
     return ScanReport(
         property_id="sandwich",
         grid=f"a in {tuple(a_values)}, {b_per_a} b per a (two-sided), margin {margin:g}",
         worst_violation=worst,
         witness=witness,
         passed=worst <= margin,
-        details={"checks": checks},
+        details={"checks": len(checks)},
     )
 
 
@@ -360,9 +366,7 @@ def scan_jp_dominance(
     rounding; beyond that the families agree to within a couple ulp
     (a fact test suites assert separately).
     """
-    worst = -math.inf
-    witness: tuple = ()
-    strict = total = 0
+    checks = []
     for a in a_values:
         for b in two_sided_b_grid(a, b_per_a):
             args = QArgs(a, b)
@@ -375,13 +379,10 @@ def scan_jp_dominance(
                 pairs = (
                     ("UB2JP<=UB2A", evaluate(BoundId.UB2JP, args).raw - evaluate(BoundId.UB2A, args).raw),
                 )
-            for label, v in pairs:
-                total += 1
-                if v < 0.0:
-                    strict += 1
-                if v > worst:
-                    worst, witness = v, (label, a, b)
-    frac = strict / total if total else 0.0
+            checks += [(v, (label, a, b)) for label, v in pairs]
+    worst, witness = _worst(checks)
+    total = len(checks)
+    frac = sum(v < 0.0 for v, _ in checks) / total if total else 0.0
     return ScanReport(
         property_id="jp_dominance",
         grid=(
@@ -413,16 +414,10 @@ def _fig_envelopes() -> CurveTable:
 
 def _fig_bounds(a: float, bs: list[float], ids: tuple[BoundId, ...]) -> CurveTable:
     cols = ("b", "exact") + tuple(i.value for i in ids)
-    rows = []
-    for b in bs:
-        exact = q1_reference(QArgs(a, b)).value
-        vals = []
-        for bid in ids:
-            try:
-                vals.append(evaluate(bid, QArgs(a, b)).raw)
-            except (RegimeError, SingularityError):
-                vals.append(math.nan)
-        rows.append((b, exact, *vals))
+    rows = [
+        (row.b, row.exact, *(row.cells[bid].raw if bid in row.cells else math.nan for bid in ids))
+        for row in error_table(a, bs, ids)
+    ]
     return CurveTable(cols, rows)
 
 

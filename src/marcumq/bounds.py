@@ -8,6 +8,13 @@ complement 1 - Q1 is bounded instead and the *2* family applies
 integration boundary; the A/B/C/D families are the classical
 alternatives they are compared against.
 
+The catalog is one registry, ``_FORMULAS``, mapping each ``BoundId`` to a
+private ``_xxx(a, b) -> float`` that returns the raw formula value.
+``evaluate`` is its only reader: it checks the regime, calls the formula
+and clamps the result.  A formula that is singular at its excluded
+points raises ``SingularityError`` itself.  The uncorrected LB2A
+transcription stays outside the registry as ``lb2a_literal``.
+
 Every formula is evaluated in overflow-safe form: each occurrence of
 I0(ab) e^(-ab) is a single scaled Bessel call and the sinh prefactor
 b I0(ab)/(e^ab - e^-ab) becomes b i0e(ab)/(-expm1(-2ab)), so all bounds
@@ -91,10 +98,6 @@ def regime_of(args: QArgs) -> Regime:
     return Regime.BGeqA if args.b >= args.a else Regime.BLtA
 
 
-def _finish(bid: BoundId, raw: float) -> BoundEval:
-    return BoundEval(id=bid, raw=raw, clamped=min(1.0, max(0.0, raw)), side=bid.side)
-
-
 def _require_regime(bid: BoundId, args: QArgs) -> None:
     # the family boundary b = a is admitted on both sides: every formula
     # except the B pair is well defined and remains a valid bound there
@@ -105,7 +108,7 @@ def _require_regime(bid: BoundId, args: QArgs) -> None:
 
 
 def _pref_exp3(ab: float) -> float:
-    """I0(ab) / (e^ab + 3) in scaled form."""
+    """I0(ab) / (e^ab + 3) in scaled form; decreasing on ab > 0."""
     return bessel_i0_scaled(ab) / (1.0 + 3.0 * math.exp(-ab))
 
 
@@ -128,16 +131,14 @@ def compute_zeta(args: QArgs) -> float:
     return (ab + math.log(bessel_i0_scaled(ab))) / b
 
 
-def ub1jp(args: QArgs) -> BoundEval:
+def _ub1jp(a: float, b: float) -> float:
     """Upper bound for b >= a from the (e^x + 3)-ratio approximation of I0."""
-    _require_regime(BoundId.UB1JP, args)
-    a, b = args.a, args.b
     brace = (
         math.exp(-0.5 * (b - a) ** 2)
         + a * _SQRT_HALF_PI * erfc((b - a) / _SQRT2)
         + 3.0 * math.exp(-0.5 * (a * a + b * b))
     )
-    return _finish(BoundId.UB1JP, _pref_exp3(a * b) * brace)
+    return _pref_exp3(a * b) * brace
 
 
 def lb1jp_small_ab_limit(a: float, b: float) -> float:
@@ -150,49 +151,38 @@ def lb1jp_small_ab_limit(a: float, b: float) -> float:
     return 0.5 * (math.exp(-0.5 * (b - a) ** 2) + math.exp(-0.5 * (b + a) ** 2))
 
 
-def lb1jp(args: QArgs) -> BoundEval:
+def _lb1jp(a: float, b: float) -> float:
     """Lower bound for b >= a from the sinh-ratio approximation of I0."""
-    _require_regime(BoundId.LB1JP, args)
-    a, b = args.a, args.b
     if a * b < SMALL_AB_LIMIT:
-        return _finish(BoundId.LB1JP, lb1jp_small_ab_limit(a, b))
+        return lb1jp_small_ab_limit(a, b)
     # the erfc pair is centered at b/sqrt2 with exact width a*sqrt2, which
     # keeps full relative accuracy down to the small-ab branch threshold
-    raw = (
-        _SQRT_HALF_PI
-        * _pref_sinh(a, b)
-        * erfc_diff_centered(b / _SQRT2, a * _SQRT2)
-    )
-    return _finish(BoundId.LB1JP, raw)
+    return _SQRT_HALF_PI * _pref_sinh(a, b) * erfc_diff_centered(b / _SQRT2, a * _SQRT2)
 
 
-def ub2jp(args: QArgs) -> BoundEval:
+def _ub2jp(a: float, b: float) -> float:
     """Upper bound for b <= a via the complement of the (e^x + 3) form."""
-    _require_regime(BoundId.UB2JP, args)
-    a, b = args.a, args.b
     brace = (
         4.0 * math.exp(-0.5 * a * a)
         - math.exp(-0.5 * (b - a) ** 2)
         - 3.0 * math.exp(-0.5 * (a * a + b * b))
         + a * _SQRT_HALF_PI * erfc_diff(-a / _SQRT2, (b - a) / _SQRT2)
     )
-    return _finish(BoundId.UB2JP, 1.0 - _pref_exp3(a * b) * brace)
+    return 1.0 - _pref_exp3(a * b) * brace
 
 
-def lb2jp(args: QArgs) -> BoundEval:
+def _lb2jp(a: float, b: float) -> float:
     """Lower bound for b <= a via the complement of the sinh-ratio form."""
-    _require_regime(BoundId.LB2JP, args)
-    a, b = args.a, args.b
     if a * b == 0.0:
         # empty complement integral at b = 0; the product can also
         # underflow for subnormal b, where the bound is 1 to within 1e-300
-        return _finish(BoundId.LB2JP, 1.0)
+        return 1.0
     bracket = (
         erf(a / _SQRT2)
         - 0.5 * erf((a - b) / _SQRT2)
         - 0.5 * erf((a + b) / _SQRT2)
     )
-    return _finish(BoundId.LB2JP, 1.0 - _SQRT_TWO_PI * _pref_sinh(a, b) * bracket)
+    return 1.0 - _SQRT_TWO_PI * _pref_sinh(a, b) * bracket
 
 
 def _ub1a(a: float, b: float) -> float:
@@ -256,18 +246,35 @@ def _ub2d(a: float, b: float) -> float:
     return 1.0 - t * (math.exp(-((a * a - b * b) ** 2) / (2.0 * s)) - math.exp(-0.5 * s))
 
 
-def _lb2a(a: float, b: float, literal: bool) -> float:
+def _lb2a_terms(a: float, b: float) -> tuple[float, float, float, float]:
+    """LB2A = 1 - scale (head + zeta sqrt(pi/2) tail): (scale, zeta, head, tail)."""
     if b == 0.0:
         raise SingularityError("LB2A requires b > 0 (its rate zeta is undefined at b = 0)")
     z = compute_zeta(QArgs(a, b))
     scale = math.exp(-0.5 * (a * a - z * z))
+    head = math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2)
     tail = erfc_diff(-z / _SQRT2, (b - z) / _SQRT2)
+    return scale, z, head, tail
+
+
+def _lb2a(a: float, b: float) -> float:
     # as printed the erfc term lacks the zeta factor the derivation
     # produces; the corrected form is the one that matches the published
     # comparison data (see the regression tests)
-    rate = _SQRT_HALF_PI if literal else z * _SQRT_HALF_PI
-    brace = math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2) + rate * tail
-    return 1.0 - scale * brace
+    scale, z, head, tail = _lb2a_terms(a, b)
+    return 1.0 - scale * (head + z * _SQRT_HALF_PI * tail)
+
+
+def lb2a_literal(a: float, b: float) -> float:
+    """LB2A exactly as printed, without the zeta factor on its erfc term.
+
+    Kept only for documentation: for b <= a it exceeds 1 and does not
+    reproduce the published comparison values.  ``evaluate`` uses the
+    corrected form.
+    """
+    _require_regime(BoundId.LB2A, QArgs(a, b))
+    scale, _, head, tail = _lb2a_terms(a, b)
+    return 1.0 - scale * (head + _SQRT_HALF_PI * tail)
 
 
 def _lb2b(a: float, b: float) -> float:
@@ -285,53 +292,37 @@ def _lb2d(a: float, b: float) -> float:
     return 1.0 - s * (math.exp(-0.5 * (b - a) ** 2) - math.exp(-0.5 * (a + b) ** 2))
 
 
-_LITERATURE = {
+_FORMULAS = {
+    BoundId.UB1JP: _ub1jp,
     BoundId.UB1A: _ub1a,
     BoundId.UB1B: _ub1b,
     BoundId.UB1C: _ub1c,
     BoundId.UB1D: _ub1d,
+    BoundId.LB1JP: _lb1jp,
     BoundId.LB1A: _lb1a,
     BoundId.LB1B: _lb1b,
     BoundId.LB1C: _lb1c,
     BoundId.LB1D: _lb1d,
+    BoundId.UB2JP: _ub2jp,
     BoundId.UB2A: _ub2a,
     BoundId.UB2D: _ub2d,
+    BoundId.LB2JP: _lb2jp,
+    BoundId.LB2A: _lb2a,
     BoundId.LB2B: _lb2b,
     BoundId.LB2C: _lb2c,
     BoundId.LB2D: _lb2d,
 }
 
 
-def literature_bound(bid: BoundId, args: QArgs, *, lb2a_literal: bool = False) -> BoundEval:
-    """Evaluate one of the fourteen classical bounds exactly as cataloged.
+def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
+    """Evaluate any cataloged bound by id.
 
-    ``lb2a_literal`` switches LB2A to its uncorrected transcription,
-    kept only for documentation; it does not reproduce the published
-    comparison values.
+    Raises RegimeError outside the id's regime (b = a belongs to both)
+    and SingularityError at a formula's excluded points.
     """
     _require_regime(bid, args)
-    if bid is BoundId.LB2A:
-        return _finish(bid, _lb2a(args.a, args.b, lb2a_literal))
-    try:
-        fn = _LITERATURE[bid]
-    except KeyError:
-        raise DomainError(f"{bid.value} is not a literature bound") from None
-    return _finish(bid, fn(args.a, args.b))
-
-
-_JP = {
-    BoundId.UB1JP: ub1jp,
-    BoundId.LB1JP: lb1jp,
-    BoundId.UB2JP: ub2jp,
-    BoundId.LB2JP: lb2jp,
-}
-
-
-def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
-    """Evaluate any cataloged bound by id."""
-    if bid in _JP:
-        return _JP[bid](args)
-    return literature_bound(bid, args)
+    raw = _FORMULAS[bid](args.a, args.b)
+    return BoundEval(id=bid, raw=raw, clamped=min(1.0, max(0.0, raw)), side=bid.side)
 
 
 def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:

@@ -18,9 +18,11 @@ import math
 import sys
 
 from .analysis import (
+    MAX_GRID_POINTS,
     CurveTable,
     ErrorRow,
     ScanReport,
+    eps_pct,
     error_table,
     figure_data,
     scan_envelope_ordering,
@@ -48,15 +50,17 @@ _PRESETS = {
     "VIII": (20.0, 19.1, 20.0, 0.1, (BoundId.LB2JP, BoundId.LB2A)),
 }
 
-SCAN_PROPERTIES = (
-    "g_negative",
-    "f_dec_eq2",
-    "f_inc_sinh",
-    "chain_eq6",
-    "envelope",
-    "sandwich",
-    "jp_dominance",
-)
+# scan property -> default --n (grid points, or b values per a)
+_SCAN_DEFAULT_N = {
+    "g_negative": 10000,
+    "f_dec_eq2": 10000,
+    "f_inc_sinh": 10000,
+    "chain_eq6": 100,
+    "envelope": 500,
+    "sandwich": 50,
+    "jp_dominance": 50,
+}
+SCAN_PROPERTIES = tuple(_SCAN_DEFAULT_N)
 
 
 def _fmt(v: float) -> str:
@@ -79,7 +83,10 @@ def _b_grid(start: float, end: float, step: float) -> list[float]:
         raise DomainError(f"--b-step must be positive, got {step!r}")
     if end < start:
         raise DomainError(f"--b-end {end!r} below --b-start {start!r}")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
+    span = (end - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise DomainError(f"b grid needs at most {MAX_GRID_POINTS} points, got {span:.3g}")
+    count = int(math.floor(span)) + 1
     # snap accumulated floating drift (0.1 + 2*0.1 -> 0.30000000000000004)
     return [round(start + i * step, 10) for i in range(count)]
 
@@ -168,7 +175,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                     "side": ev.side,
                     "raw": ev.raw,
                     "clamped": ev.clamped,
-                    "eps_pct": 100.0 * abs(ev.raw - res.value) / res.value if res.value > 0 else math.inf,
+                    "eps_pct": eps_pct(ev.raw, res.value),
                 }
                 for ev in evals
             ],
@@ -183,8 +190,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     w.writerow([])
     w.writerow(["id", "side", "raw", "clamped", "eps_pct"])
     for ev in evals:
-        eps = 100.0 * abs(ev.raw - res.value) / res.value if res.value > 0 else math.inf
-        w.writerow([ev.id.value, ev.side, _fmt(ev.raw), _fmt(ev.clamped), _fmt(eps)])
+        w.writerow([ev.id.value, ev.side, _fmt(ev.raw), _fmt(ev.clamped), _fmt(eps_pct(ev.raw, res.value))])
     for bid, reason in skipped.items():
         w.writerow([bid.value, "skipped", "", "", reason])
     sys.stdout.write(buf.getvalue())
@@ -255,28 +261,25 @@ def _report_json(rep: ScanReport) -> str:
 
 def cmd_scan(ns: argparse.Namespace) -> int:
     prop = ns.property
-    if prop == "g_negative":
+    n = _SCAN_DEFAULT_N[prop] if ns.n is None else ns.n
+    if prop in ("g_negative", "f_dec_eq2", "f_inc_sinh"):
         lo = 1e-3 if ns.lo is None else ns.lo
         hi = 700.0 if ns.hi is None else ns.hi
-        rep = scan_g_negative(lo, hi, ns.n or 10000)
-    elif prop in ("f_dec_eq2", "f_inc_sinh"):
-        lo = 1e-3 if ns.lo is None else ns.lo
-        hi = 700.0 if ns.hi is None else ns.hi
-        rep = scan_f_ratio_monotone(prop, lo, hi, ns.n or 10000)
+        rep = scan_g_negative(lo, hi, n) if prop == "g_negative" else scan_f_ratio_monotone(prop, lo, hi, n)
     elif prop == "chain_eq6":
         b = 1.0 if ns.b is None else ns.b
         m = 3.0 if ns.m is None else ns.m
         lo = b + 0.5 if ns.lo is None else ns.lo
         hi = b + 50.0 if ns.hi is None else ns.hi
-        rep = scan_shifted_exp_chain(b, m, log_grid(lo, hi, ns.n or 100))
+        rep = scan_shifted_exp_chain(b, m, log_grid(lo, hi, n))
     elif prop == "envelope":
         a = 10.0 if ns.a is None else ns.a
         b = 8.0 if ns.b is None else ns.b
-        rep = scan_envelope_ordering(a, b, ns.n or 500)
+        rep = scan_envelope_ordering(a, b, n, x_lo=ns.lo, x_hi=ns.hi)
     elif prop == "sandwich":
-        rep = scan_sandwich(b_per_a=ns.n or 50)
+        rep = scan_sandwich(b_per_a=n)
     else:
-        rep = scan_jp_dominance(b_per_a=ns.n or 50)
+        rep = scan_jp_dominance(b_per_a=n)
     sys.stdout.write(_report_json(rep) if ns.format == "json" else _report_text(rep))
     return 0 if rep.passed else 1
 

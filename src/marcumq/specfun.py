@@ -183,6 +183,16 @@ def erfcx(x: float) -> float:
     return 2.0 * math.exp(x * x) - erfcx(-x)
 
 
+def _erfc_diff_midpoint(m: float, delta: float) -> float:
+    """erfc(m - delta/2) - erfc(m + delta/2) by the midpoint rule of
+    erfc_diff; used only where delta (1 + |m|) < 1e-4."""
+    mm = m * m
+    if mm > _LOG_DBL_MAX:
+        return 0.0
+    body = delta * math.exp(-mm) * (1.0 + delta * delta * (4.0 * mm - 2.0) / 24.0)
+    return max(0.0, 2.0 / math.sqrt(math.pi) * body)
+
+
 def erfc_diff(x: float, y: float) -> float:
     """erfc(x) - erfc(y) for x <= y, safe against cancellation.
 
@@ -205,11 +215,7 @@ def erfc_diff(x: float, y: float) -> float:
     delta = y - x
     m = 0.5 * (x + y)
     if delta * (1.0 + abs(m)) < 1e-4:
-        mm = m * m
-        if mm > _LOG_DBL_MAX:
-            return 0.0
-        body = delta * math.exp(-mm) * (1.0 + delta * delta * (4.0 * mm - 2.0) / 24.0)
-        return max(0.0, 2.0 / math.sqrt(math.pi) * body)
+        return _erfc_diff_midpoint(m, delta)
     if x > 5.0:
         # exponent difference via the product form: x^2 - y^2 = -delta (x + y)
         damped = math.exp(-delta * (x + y)) * erfcx(y)
@@ -234,9 +240,5 @@ def erfc_diff_centered(m: float, delta: float) -> float:
     if delta == 0.0:
         return 0.0
     if delta * (1.0 + abs(m)) < 1e-4:
-        mm = m * m
-        if mm > _LOG_DBL_MAX:
-            return 0.0
-        body = delta * math.exp(-mm) * (1.0 + delta * delta * (4.0 * mm - 2.0) / 24.0)
-        return max(0.0, 2.0 / math.sqrt(math.pi) * body)
+        return _erfc_diff_midpoint(m, delta)
     return erfc_diff(m - 0.5 * delta, m + 0.5 * delta)

@@ -24,7 +24,7 @@ from marcumq.analysis import (
     scan_sandwich,
     two_sided_b_grid,
 )
-from marcumq.bounds import BoundId, eval_all, lb1jp, lb1jp_small_ab_limit, literature_bound
+from marcumq.bounds import BoundId, eval_all, evaluate, lb1jp_small_ab_limit, lb2a_literal
 from marcumq.oracle import QArgs, q1_quadrature, q1_reference, q1_series
 
 from reference_tables import EPS_TOL, TABLE_V, TABLE_VI, TABLE_VII, TABLE_VIII, VALUE_TOL
@@ -82,9 +82,9 @@ def test_criterion_04_lower_bounds_a20_fixes_lb2a():
     bad = _check_table(20.0, TABLE_VIII, BoundId.LB2JP, BoundId.LB2A)
     # the uncorrected LB2A transcription must fail to reproduce the data:
     # above 1 at the first rows, far from every published value
-    literal_top = literature_bound(BoundId.LB2A, QArgs(20.0, 19.1), lb2a_literal=True).raw
+    literal_top = lb2a_literal(20.0, 19.1)
     literal_off = all(
-        abs(literature_bound(BoundId.LB2A, QArgs(20.0, b), lb2a_literal=True).raw - golden[3])
+        abs(lb2a_literal(20.0, b) - golden[3])
         > 1e-3
         for b, golden in TABLE_VIII.items()
     )
@@ -170,7 +170,7 @@ def test_criterion_10_limit_behavior():
     )
     worst_limit = 0.0
     for b in (0.5, 1.0, 2.0, 5.0):
-        direct = lb1jp(QArgs(1e-6, b)).raw
+        direct = evaluate(BoundId.LB1JP, QArgs(1e-6, b)).raw
         limit = lb1jp_small_ab_limit(1e-6, b)
         worst_limit = max(worst_limit, abs(direct - limit) / limit)
     ok = worst_oracle <= 1e-11 and worst_limit <= 1e-8

@@ -6,13 +6,16 @@ import pytest
 
 from marcumq.analysis import (
     DEFAULT_DOMINANCE_A,
+    MAX_GRID_POINTS,
     CurveTable,
+    _worst,
     envelope_exp_rate,
     envelope_sinh,
     error_table,
     figure_data,
     g_plain,
     g_scaled,
+    log_grid,
     ratio_exp3,
     ratio_sinh,
     scan_envelope_ordering,
@@ -190,6 +193,25 @@ class TestSandwichScan:
         assert 2.0 in bs
         assert any(b > 2.0 for b in bs)
         assert all(b > 0 for b in two_sided_b_grid(0.0, 10))
+
+    def test_grid_size_capped(self):
+        # rejected before any list is built
+        for build in (
+            lambda n: two_sided_b_grid(2.0, n),
+            lambda n: log_grid(1.0, 2.0, n),
+            lambda n: scan_envelope_ordering(10.0, 8.0, n),
+        ):
+            with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
+                build(MAX_GRID_POINTS + 1)
+
+
+class TestWorst:
+    def test_first_maximum_wins_and_nan_never_does(self):
+        cands = [(math.nan, ("nan",)), (1.0, ("first",)), (math.nan, ("nan",)), (1.0, ("second",))]
+        assert _worst(cands) == (1.0, ("first",))
+
+    def test_empty(self):
+        assert _worst([]) == (-math.inf, ())
 
 
 class TestDominanceScan:

@@ -13,18 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marcumq.bounds import (
+    _FORMULAS,
     BoundId,
     Regime,
     compute_zeta,
     eval_all,
     evaluate,
-    lb1jp,
     lb1jp_small_ab_limit,
-    lb2jp,
-    literature_bound,
+    lb2a_literal,
     regime_of,
-    ub1jp,
-    ub2jp,
 )
 from marcumq.errors import DomainError, RegimeError, SingularityError
 from marcumq.oracle import QArgs
@@ -65,81 +62,99 @@ class TestRegime:
 
 class TestUB1JP:
     def test_frozen(self):
-        assert ub1jp(QArgs(0.1, 0.1)).raw == pytest.approx(UB1JP_01_01, rel=1e-13)
-        assert ub1jp(QArgs(0.1, 1.0)).raw == pytest.approx(UB1JP_01_1, rel=1e-13)
+        assert evaluate(BoundId.UB1JP, QArgs(0.1, 0.1)).raw == pytest.approx(UB1JP_01_01, rel=1e-13)
+        assert evaluate(BoundId.UB1JP, QArgs(0.1, 1.0)).raw == pytest.approx(UB1JP_01_1, rel=1e-13)
 
     def test_clamped_at_one(self):
-        ev = ub1jp(QArgs(0.1, 0.1))
+        ev = evaluate(BoundId.UB1JP, QArgs(0.1, 0.1))
         assert ev.raw > 1.0
         assert ev.clamped == 1.0
         assert ev.side == "upper"
 
     def test_a_zero_collapses_to_exact(self):
         for b in (0.3, 1.0, 2.5):
-            assert ub1jp(QArgs(0.0, b)).raw == pytest.approx(math.exp(-b * b / 2), rel=1e-14)
+            assert evaluate(BoundId.UB1JP, QArgs(0.0, b)).raw == pytest.approx(math.exp(-b * b / 2), rel=1e-14)
 
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):
-            ub1jp(QArgs(2.0, 1.0))
+            evaluate(BoundId.UB1JP, QArgs(2.0, 1.0))
 
 
 class TestLB1JP:
     def test_frozen(self):
-        assert lb1jp(QArgs(0.1, 0.1)).raw == pytest.approx(LB1JP_01_01, rel=1e-13)
-        assert lb1jp(QArgs(0.1, 1.0)).raw == pytest.approx(LB1JP_01_1, rel=1e-13)
+        assert evaluate(BoundId.LB1JP, QArgs(0.1, 0.1)).raw == pytest.approx(LB1JP_01_01, rel=1e-13)
+        assert evaluate(BoundId.LB1JP, QArgs(0.1, 1.0)).raw == pytest.approx(LB1JP_01_1, rel=1e-13)
 
     def test_limit_branch_value(self):
         # ab = 2e-9 takes the analytic branch; direct reference 0.1353352832366127
-        assert lb1jp(QArgs(1e-9, 2.0)).raw == pytest.approx(math.exp(-2.0), rel=1e-9)
+        assert evaluate(BoundId.LB1JP, QArgs(1e-9, 2.0)).raw == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     def test_limit_matches_direct_formula(self):
         # direct evaluation at a = 1e-6 against the small-ab branch
-        direct = lb1jp(QArgs(1e-6, 2.0)).raw
+        direct = evaluate(BoundId.LB1JP, QArgs(1e-6, 2.0)).raw
         assert direct == pytest.approx(LB1JP_1EM6_2, rel=1e-12)
         limit = lb1jp_small_ab_limit(1e-6, 2.0)
         assert abs(direct - limit) / limit < 1e-8
 
     def test_a_zero_collapses_to_exact(self):
-        assert lb1jp(QArgs(0.0, 2.0)).raw == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert evaluate(BoundId.LB1JP, QArgs(0.0, 2.0)).raw == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 class TestUB2JP:
     def test_frozen(self):
-        assert ub2jp(QArgs(2.0, 1.0)).raw == pytest.approx(UB2JP_2_1, rel=1e-13)
-        assert ub2jp(QArgs(2.0, 1.5)).raw == pytest.approx(UB2JP_2_15, rel=1e-13)
+        assert evaluate(BoundId.UB2JP, QArgs(2.0, 1.0)).raw == pytest.approx(UB2JP_2_1, rel=1e-13)
+        assert evaluate(BoundId.UB2JP, QArgs(2.0, 1.5)).raw == pytest.approx(UB2JP_2_15, rel=1e-13)
 
     def test_boundary_tie_allowed(self):
-        assert ub2jp(QArgs(2.0, 2.0)).raw == pytest.approx(UB2JP_2_2, rel=1e-13)
+        assert evaluate(BoundId.UB2JP, QArgs(2.0, 2.0)).raw == pytest.approx(UB2JP_2_2, rel=1e-13)
 
     def test_continuous_at_tie(self):
-        assert ub2jp(QArgs(2.0, 2.0 - 1e-9)).raw == pytest.approx(UB2JP_2_2, abs=1e-6)
+        assert evaluate(BoundId.UB2JP, QArgs(2.0, 2.0 - 1e-9)).raw == pytest.approx(UB2JP_2_2, abs=1e-6)
 
     def test_family_gap_at_tie(self):
         # the two upper-bound families do not meet at b = a: at a = 2 the
         # b < a bound is tighter by a documented 6.75e-2
-        gap = ub1jp(QArgs(2.0, 2.0)).raw - ub2jp(QArgs(2.0, 2.0)).raw
+        gap = evaluate(BoundId.UB1JP, QArgs(2.0, 2.0)).raw - evaluate(BoundId.UB2JP, QArgs(2.0, 2.0)).raw
         assert gap == pytest.approx(UB1JP_2_2 - UB2JP_2_2, abs=1e-9)
         assert gap == pytest.approx(0.0675, abs=1e-3)
 
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):
-            ub2jp(QArgs(1.0, 2.0))
+            evaluate(BoundId.UB2JP, QArgs(1.0, 2.0))
 
 
 class TestLB2JP:
     def test_frozen(self):
-        assert lb2jp(QArgs(20.0, 19.1)).raw == pytest.approx(LB2JP_20_191, rel=1e-13)
-        assert lb2jp(QArgs(20.0, 20.0)).raw == pytest.approx(LB2JP_20_20, rel=1e-13)
+        assert evaluate(BoundId.LB2JP, QArgs(20.0, 19.1)).raw == pytest.approx(LB2JP_20_191, rel=1e-13)
+        assert evaluate(BoundId.LB2JP, QArgs(20.0, 20.0)).raw == pytest.approx(LB2JP_20_20, rel=1e-13)
 
     def test_published_boundary_row(self):
-        assert lb2jp(QArgs(20.0, 20.0)).raw == pytest.approx(0.49984, abs=1e-4)
+        assert evaluate(BoundId.LB2JP, QArgs(20.0, 20.0)).raw == pytest.approx(0.49984, abs=1e-4)
 
     def test_b_zero_is_one(self):
-        assert lb2jp(QArgs(3.0, 0.0)).raw == 1.0
+        assert evaluate(BoundId.LB2JP, QArgs(3.0, 0.0)).raw == 1.0
 
     def test_wrong_regime(self):
         with pytest.raises(RegimeError):
-            lb2jp(QArgs(1.0, 2.0))
+            evaluate(BoundId.LB2JP, QArgs(1.0, 2.0))
+
+
+class TestRegistry:
+    def test_every_id_has_one_formula(self):
+        assert set(_FORMULAS) == set(BoundId)
+
+    @pytest.mark.parametrize("bid", list(BoundId))
+    def test_evaluate_every_id(self, bid):
+        args = QArgs(1.0, 2.0) if bid.regime is Regime.BGeqA else QArgs(2.0, 1.0)
+        ev = evaluate(bid, args)
+        assert ev.id is bid
+        assert ev.side == bid.side
+        assert math.isfinite(ev.raw)
+        assert ev.clamped == min(1.0, max(0.0, ev.raw))
+
+    def test_lb2a_literal_regime(self):
+        with pytest.raises(RegimeError):
+            lb2a_literal(1.0, 2.0)
 
 
 class TestZeta:
@@ -170,41 +185,36 @@ class TestZeta:
 
 class TestLiterature:
     def test_frozen(self):
-        assert literature_bound(BoundId.UB1A, QArgs(0.1, 0.1)).raw == pytest.approx(UB1A_01_01, rel=1e-13)
-        assert literature_bound(BoundId.LB1A, QArgs(0.1, 1.0)).raw == pytest.approx(LB1A_01_1, rel=1e-13)
-        assert literature_bound(BoundId.LB2A, QArgs(20.0, 19.5)).raw == pytest.approx(LB2A_20_195, rel=1e-12)
-        assert literature_bound(BoundId.UB2A, QArgs(2.0, 1.9)).raw == pytest.approx(UB2A_2_19, rel=1e-13)
+        assert evaluate(BoundId.UB1A, QArgs(0.1, 0.1)).raw == pytest.approx(UB1A_01_01, rel=1e-13)
+        assert evaluate(BoundId.LB1A, QArgs(0.1, 1.0)).raw == pytest.approx(LB1A_01_1, rel=1e-13)
+        assert evaluate(BoundId.LB2A, QArgs(20.0, 19.5)).raw == pytest.approx(LB2A_20_195, rel=1e-12)
+        assert evaluate(BoundId.UB2A, QArgs(2.0, 1.9)).raw == pytest.approx(UB2A_2_19, rel=1e-13)
 
     def test_published_values(self):
-        assert literature_bound(BoundId.UB1A, QArgs(0.1, 0.1)).raw == pytest.approx(1.11416, abs=1e-4)
-        assert literature_bound(BoundId.LB2A, QArgs(20.0, 19.5)).raw == pytest.approx(0.66406, abs=1e-4)
+        assert evaluate(BoundId.UB1A, QArgs(0.1, 0.1)).raw == pytest.approx(1.11416, abs=1e-4)
+        assert evaluate(BoundId.LB2A, QArgs(20.0, 19.5)).raw == pytest.approx(0.66406, abs=1e-4)
 
     def test_lb2a_literal_transcription_is_broken(self):
         # the uncorrected form exceeds 1 and cannot be a useful lower bound
-        lit = literature_bound(BoundId.LB2A, QArgs(20.0, 19.1), lb2a_literal=True)
-        assert lit.raw > 1.0
+        assert lb2a_literal(20.0, 19.1) > 1.0
 
     def test_ub1b_singular_at_tie(self):
         with pytest.raises(SingularityError):
-            literature_bound(BoundId.UB1B, QArgs(1.0, 1.0))
+            evaluate(BoundId.UB1B, QArgs(1.0, 1.0))
 
     def test_lb2b_singular_at_tie(self):
         with pytest.raises(SingularityError):
-            literature_bound(BoundId.LB2B, QArgs(2.0, 2.0))
+            evaluate(BoundId.LB2B, QArgs(2.0, 2.0))
 
     def test_lb2a_singular_at_b_zero(self):
         with pytest.raises(SingularityError):
-            literature_bound(BoundId.LB2A, QArgs(2.0, 0.0))
+            evaluate(BoundId.LB2A, QArgs(2.0, 0.0))
 
     def test_regime_errors(self):
         with pytest.raises(RegimeError):
-            literature_bound(BoundId.UB1A, QArgs(2.0, 1.0))
+            evaluate(BoundId.UB1A, QArgs(2.0, 1.0))
         with pytest.raises(RegimeError):
-            literature_bound(BoundId.LB2C, QArgs(1.0, 2.0))
-
-    def test_jp_ids_rejected(self):
-        with pytest.raises(DomainError):
-            literature_bound(BoundId.UB1JP, QArgs(0.1, 1.0))
+            evaluate(BoundId.LB2C, QArgs(1.0, 2.0))
 
     # every remaining catalog formula pinned against a plain-form
     # evaluation at 50 digits; matching certifies the scaled rearrangement
@@ -234,7 +244,7 @@ class TestLiterature:
         ],
     )
     def test_catalog_frozen(self, bid, a, b, expected):
-        ev = literature_bound(bid, QArgs(a, b))
+        ev = evaluate(bid, QArgs(a, b))
         assert ev.raw == pytest.approx(expected, rel=1e-13)
         if expected < 0.0:
             assert ev.clamped == 0.0
@@ -272,10 +282,10 @@ class TestEvalAll:
 class TestStressPoints:
     def test_beyond_plain_overflow(self):
         # ab = 359400..360600, far past where e^(ab) is representable
-        assert ub1jp(QArgs(600.0, 601.0)).raw == pytest.approx(UB1JP_600_601, rel=1e-12)
-        assert lb1jp(QArgs(600.0, 601.0)).raw == pytest.approx(LB1JP_600_601, rel=1e-12)
-        assert ub2jp(QArgs(600.0, 599.0)).raw == pytest.approx(UB2JP_600_599, rel=1e-12)
-        assert lb2jp(QArgs(600.0, 599.0)).raw == pytest.approx(LB2JP_600_599, rel=1e-12)
+        assert evaluate(BoundId.UB1JP, QArgs(600.0, 601.0)).raw == pytest.approx(UB1JP_600_601, rel=1e-12)
+        assert evaluate(BoundId.LB1JP, QArgs(600.0, 601.0)).raw == pytest.approx(LB1JP_600_601, rel=1e-12)
+        assert evaluate(BoundId.UB2JP, QArgs(600.0, 599.0)).raw == pytest.approx(UB2JP_600_599, rel=1e-12)
+        assert evaluate(BoundId.LB2JP, QArgs(600.0, 599.0)).raw == pytest.approx(LB2JP_600_599, rel=1e-12)
 
     def test_all_bounds_finite(self):
         for (a, b) in [(600.0, 599.0), (600.0, 601.0)]:

@@ -114,6 +114,15 @@ class TestTable:
         assert rc == 2
         assert "unknown bound id" in err
 
+    def test_huge_grid_exit_2(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "table", "--a", "1", "--b-start", "1", "--b-end", "2",
+            "--b-step", "1e-12", "--ids", "UB1JP",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "1000000" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         rc, out, _ = run_cli(capsys, "table", "--preset", "V", "--out", str(path))
@@ -151,6 +160,27 @@ class TestScan:
     def test_envelope_default(self, capsys):
         rc, out, _ = run_cli(capsys, "scan", "--property", "envelope", "--n", "100")
         assert rc == 0
+
+    @pytest.mark.parametrize("prop", ["g_negative", "sandwich"])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_small_n_exit_2(self, capsys, prop, n):
+        rc, out, err = run_cli(capsys, "scan", "--property", prop, "--n", n)
+        assert rc == 2
+        assert out == ""
+        assert "grid needs n >= 2" in err
+
+    def test_huge_n_exit_2(self, capsys):
+        rc, _, err = run_cli(capsys, "scan", "--property", "g_negative", "--n", "1000000000")
+        assert rc == 2
+        assert "1000000" in err
+
+    def test_envelope_window(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "scan", "--property", "envelope", "--a", "10", "--b", "8",
+            "--lo", "7", "--hi", "8", "--n", "50",
+        )
+        assert rc == 0
+        assert "grid: a=10, b=8, 50 points on [7, 8]" in out
 
     def test_chain_bad_m_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "scan", "--property", "chain_eq6", "--m", "0.5")

@@ -22,6 +22,7 @@ from marcumq.specfun import (
     erf,
     erfc,
     erfc_diff,
+    erfc_diff_centered,
     erfcx,
 )
 
@@ -39,6 +40,7 @@ ERF_1_SQRT2 = 0.6826894921370859
 ERFCX_1 = 0.427583576155807
 ERFCX_40 = 0.014100335983377814
 ERFC_DIFF_13_13001 = 4.4776885048435334e-77
+ERFC_DIFF_CENTERED_3_1EM20 = 1.3925305194674785e-24  # mp.dps = 80
 
 
 class TestBesselI0:
@@ -223,3 +225,20 @@ class TestErfcDiff:
         # compare only where naive subtraction loses under ~2 digits
         if naive > 0.02 * math.erfc(x):
             assert got == pytest.approx(naive, rel=1e-10)
+
+
+class TestErfcDiffCentered:
+    # endpoints m -/+ delta/2 are exact doubles here, so both entry points
+    # see the same midpoint and width and must agree bit for bit
+    @pytest.mark.parametrize(
+        "m,delta",
+        [(3.0, 2.0**-20), (-1.0, 2.0**-24), (0.5, 1.0), (6.0, 0.5), (-2.0, 3.0)],
+    )
+    def test_matches_erfc_diff(self, m, delta):
+        assert erfc_diff_centered(m, delta) == erfc_diff(m - delta / 2, m + delta / 2)
+
+    def test_width_below_ulp_of_midpoint(self):
+        # 3 - 5e-21 and 3 + 5e-21 both round to 3.0; the explicit width keeps the value
+        got = erfc_diff_centered(3.0, 1e-20)
+        assert got > 0.0
+        assert got == pytest.approx(ERFC_DIFF_CENTERED_3_1EM20, rel=1e-13)

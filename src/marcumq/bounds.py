@@ -33,7 +33,7 @@ from enum import Enum
 
 from .errors import DomainError, RegimeError, SingularityError
 from .oracle import QArgs
-from .specfun import bessel_i0_scaled, erf, erfc, erfc_diff, erfc_diff_centered
+from .specfun import bessel_i0_scaled, erf, erfc, erfc_diff, erfc_diff_centered, log_bessel_i0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -119,16 +119,22 @@ def _pref_sinh(a: float, b: float) -> float:
 
 
 def compute_zeta(args: QArgs) -> float:
-    """Exponential rate zeta = log(I0(ab)) / b; satisfies 0 < zeta < a.
+    """Exponential rate zeta = log(I0(ab)) / b; satisfies 0 <= zeta < a.
 
-    Computed as (ab + log i0e(ab)) / b so it survives ab far beyond the
-    plain I0 overflow point.
+    log I0(ab) comes from ``log_bessel_i0``, which neither cancels as
+    ab -> 0 nor overflows at large ab.  Below ab = SMALL_AB_LIMIT,
+    log I0(ab) = y (1 - y/4 + ...) with y = (ab)^2/4 < 2.5e-17, so
+    zeta = y/b = a ab/4 to double precision; written that way it does not
+    underflow where y does.  Past ab ~ 1e16, a - zeta can fall below half
+    an ulp of a, and the rounded zeta is a itself.
     """
     a, b = args.a, args.b
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"zeta requires a > 0 and b > 0, got (a={a:g}, b={b:g})")
     ab = a * b
-    return (ab + math.log(bessel_i0_scaled(ab))) / b
+    if ab < SMALL_AB_LIMIT:
+        return 0.25 * a * ab
+    return log_bessel_i0(ab) / b
 
 
 def _ub1jp(a: float, b: float) -> float:

@@ -79,8 +79,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _b_grid(start: float, end: float, step: float) -> list[float]:
-    if step <= 0:
-        raise DomainError(f"--b-step must be positive, got {step!r}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"--b-step must be positive and finite, got {step!r}")
     if end < start:
         raise DomainError(f"--b-end {end!r} below --b-start {start!r}")
     span = (end - start) / step + 1e-9
@@ -88,7 +88,12 @@ def _b_grid(start: float, end: float, step: float) -> list[float]:
         raise DomainError(f"b grid needs at most {MAX_GRID_POINTS} points, got {span:.3g}")
     count = int(math.floor(span)) + 1
     # snap accumulated floating drift (0.1 + 2*0.1 -> 0.30000000000000004)
-    return [round(start + i * step, 10) for i in range(count)]
+    # to four decimals below the step's leading digit, never fewer than 10
+    decimals = max(10, 4 - math.floor(math.log10(step)))
+    bs = [round(start + i * step, decimals) for i in range(count)]
+    if any(u >= v for u, v in zip(bs, bs[1:])):
+        raise DomainError(f"--b-step {step!r} is below the resolution of a double near b = {end!r}")
+    return bs
 
 
 def _parse_ids(spec: str) -> list[BoundId]:

@@ -255,30 +255,22 @@ def q1_series(args: QArgs, tol: float = DEFAULT_TOL) -> float:
             "series windows too narrow for requested tol "
             f"(discarded mass bound {ptail_lo + ptail_hi + qtail_lo + qtail_hi:.3e})"
         )
-    # running CDF of Poisson(y) at k, Neumaier-compensated
+    # running CDF of Poisson(y) at k, Neumaier-compensated (0 below its
+    # window, 1 above it); the mixture terms run over klo..khi
     acc = comp = 0.0
-
-    def add(x: float) -> None:
-        nonlocal acc, comp
-        t = acc + x
-        if abs(acc) >= abs(x):
-            comp += (acc - t) + x
-        else:
-            comp += (x - t) + acc
-        acc = t
-
-    for j in range(jlo, min(klo, jhi + 1)):
-        add(q[j - jlo])
     terms = []
-    for k in range(klo, khi + 1):
+    for k in range(min(jlo, klo), khi + 1):
         if jlo <= k <= jhi:
-            add(q[k - jlo])
-            cdf = (acc + comp) / qmass
-        elif k > jhi:
-            cdf = 1.0
-        else:
-            cdf = 0.0
-        terms.append(p[k - klo] * cdf)
+            x = q[k - jlo]
+            t = acc + x
+            if abs(acc) >= abs(x):
+                comp += (acc - t) + x
+            else:
+                comp += (x - t) + acc
+            acc = t
+        if k >= klo:
+            cdf = 1.0 if k > jhi else (acc + comp) / qmass
+            terms.append(p[k - klo] * cdf)
     return math.fsum(terms) / pmass
 
 

@@ -5,11 +5,24 @@ Modified Bessel functions I0/I1 in plain and exponentially scaled form
 complement erfcx(x) = e^(x^2) erfc(x), and a cancellation-safe
 difference erfc(x) - erfc(y).
 
-Bessel evaluation strategy: ascending power series for |x| <= 15,
-asymptotic expansion of the scaled function beyond.  The two branches
-agree to better than 1e-13 at the seam.  Plain I0/I1 overflow a double
-past x ~ 713.9 (where x + log i0e(x) exceeds log DBL_MAX); callers in
-that range must use the scaled variants.
+Bessel evaluation: i0e and i1e are fixed-cost kernels.  Each evaluates
+one of four fixed-degree polynomials in straight-line Horner form, with
+no data-dependent loop, picked by x:
+
+  * x <= 8: I0(x) = 1 + y P(y) and I1(x) = (x/2) (1 + y Q(y)) with
+    y = x^2/4, times e^-x.  So i0e(0) = 1 and i1e(0) = 0 exactly, and
+    I0(x) - 1 carries no cancellation (``log_bessel_i0`` uses it);
+  * 8 < x <= 16 and 16 < x < 1000: Chebyshev interpolants of
+    sqrt(x) e^-x I_nu(x) in an affine map of 1/x;
+  * x >= 1000: the Hankel sum of e^-x I_nu(x) to 1/x^5, as in Gil,
+    Segura & Temme, ACM TOMS 40(3), 2014.
+
+The coefficients are generated with mpmath by tests/make_bessel_coeffs.py
+(the block between its markers below).  The largest relative error
+against 50-digit mpmath values is about 6e-16 on [0, 1e9].  Plain I0/I1
+are e^x times the scaled values and overflow a double past x ~ 713.9
+(where x + log i0e(x) exceeds log DBL_MAX); callers in that range must
+use the scaled variants.
 
 All functions are pure and thread-safe.
 """
@@ -20,82 +33,179 @@ import math
 
 from .errors import DomainError, OverflowDomainError
 
-SERIES_CUTOFF = 15.0
 # log(DBL_MAX); exp(t) overflows for t above this
 _LOG_DBL_MAX = 709.782712893384
 # erfcx(x) = 2 exp(x^2) - erfcx(-x) overflows below this
 ERFCX_NEG_LIMIT = -26.64
 
 
-def _i0_series(x: float) -> float:
-    """Ascending series sum_k (x^2/4)^k / (k!)^2, for |x| <= 15."""
-    t = x * x / 4.0
-    term = total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= t / (k * k)
-        total += term
-        if term <= 1e-17 * total:
-            return total
+# --- generated by tests/make_bessel_coeffs.py: do not edit by hand ---
+BESSEL_SMALL_X = 8.0
 
 
-def _i1_series(x: float) -> float:
-    """Ascending series sum_k (x/2)^(2k+1) / (k! (k+1)!), for |x| <= 15."""
-    if x == 0.0:
-        return 0.0
-    h = x / 2.0
-    t = h * h
-    term = total = h
-    k = 0
-    while True:
-        k += 1
-        term *= t / (k * (k + 1))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
+def _i0m1_small(x: float) -> float:
+    """I0(x) - 1 for 0 <= x <= 8, as y P(y) with y = x^2/4."""
+    y = 0.25 * x * x
+    return y * (1.0
+        + y * (0.24999999999999978
+        + y * (0.02777777777777875
+        + y * (0.0017361111111093212
+        + y * (6.944444444616768e-05
+        + y * (1.9290123446808463e-06
+        + y * (3.936759926835679e-08
+        + y * (6.151186352073215e-10
+        + y * (7.594076203674035e-12
+        + y * (7.593826261486644e-14
+        + y * (6.2782596125899935e-16
+        + y * (4.3438583592285594e-18
+        + y * (2.6459481729049967e-20
+        + y * (1.1142728859197163e-22
+        + y * 9.319037302519698e-25))))))))))))))
 
 
-def _ive_asym(nu: int, x: float) -> float:
-    """Asymptotic expansion of e^-x I_nu(x) for large x.
+def _i1_small(x: float) -> float:
+    """I1(x) for 0 <= x <= 8, as (x/2) (1 + y Q(y)) with y = x^2/4."""
+    y = 0.25 * x * x
+    return 0.5 * x * (1.0 + y * (0.5
+        + y * (0.08333333333333331
+        + y * (0.0069444444444445004
+        + y * (0.0003472222222221193
+        + y * (1.1574074074173187e-05
+        + y * (2.7557319218244207e-07
+        + y * (4.9209498831124465e-09
+        + y * (6.834652024432265e-11
+        + y * (7.594068659611249e-13
+        + y * (6.903555797446423e-15
+        + y * (5.231322675888681e-17
+        + y * (3.3442300506385306e-19
+        + y * (1.880771354951542e-21
+        + y * (7.606752944827284e-24
+        + y * 5.669579277854459e-26)))))))))))))))
 
-    e^-x I_nu(x) ~ (2 pi x)^(-1/2) sum_k c_k / x^k with
-    c_k = c_{k-1} ((2k-1)^2 - 4 nu^2) / (8k).  Terms are added while
-    they keep shrinking; the first omitted term bounds the error.
-    """
-    mu = 4 * nu * nu
-    c = total = 1.0
-    prev = math.inf
-    xk = 1.0
-    for k in range(1, 60):
-        c *= ((2 * k - 1) ** 2 - mu) / (8 * k)
-        xk *= x
-        term = c / xk
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
+
+def _i0e_large(x: float) -> float:
+    """e^-x I0(x) for x > 8, from fits of sqrt(x) e^-x I0(x)."""
+    if x <= 16.0:
+        s = 32.0 / x - 3.0
+        p = (0.4038923361468227
+            + s * (0.0017529912275184858
+            + s * (3.891150885367761e-05
+            + s * (1.899382571717517e-06
+            + s * (1.751654133819233e-07
+            + s * (2.6439051750225822e-08
+            + s * (3.5093955113755525e-09
+            + s * (-5.560821303019839e-10
+            + s * (-4.640612281528446e-10
+            + s * (-4.34232832048719e-11
+            + s * (3.646145225599437e-11
+            + s * (5.4716617440380314e-12
+            + s * (-3.3440985350408383e-12
+            + s * (-3.153001318717834e-13
+            + s * 2.5958979735025443e-13))))))))))))))
+    elif x < 1000.0:
+        s = 32.520325203252035 / x - 1.032520325203252
+        p = (0.4005548432089593
+            + s * (0.001591115800736088
+            + s * (2.944238175562129e-05
+            + s * (1.0464804180228862e-06
+            + s * (5.684228019269998e-08
+            + s * (4.255900794039752e-09
+            + s * (4.1472813641621137e-10
+            + s * (5.0807901068213236e-11
+            + s * (7.643768979991034e-12
+            + s * (1.3287245800509765e-12
+            + s * (2.826685495037492e-13
+            + s * (1.244107140435064e-13
+            + s * 4.2481565547833513e-14))))))))))))
+    else:
+        s = 1.0 / x
+        p = (0.3989422804014327
+            + s * (0.04986778505017909
+            + s * (0.028050629090725736
+            + s * (0.029219405302839306
+            + s * (0.04474221436997269
+            + s * 0.09060298409919469)))))
+    return p / math.sqrt(x)
+
+
+def _i1e_large(x: float) -> float:
+    """e^-x I1(x) for x > 8, from fits of sqrt(x) e^-x I1(x)."""
+    if x <= 16.0:
+        s = 32.0 / x - 3.0
+        p = (0.38446685410720083
+            + s * (-0.004990571567455471
+            + s * (-6.1278351778676e-05
+            + s * (-2.49507640116517e-06
+            + s * (-2.093444132319863e-07
+            + s * (-3.014164737287391e-08
+            + s * (-4.052582760484623e-09
+            + s * (5.312377994846011e-10
+            + s * (4.939598313973053e-10
+            + s * (5.229003455365202e-11
+            + s * (-3.752601693224544e-11
+            + s * (-6.24991056123452e-12
+            + s * (3.4189196945347765e-12
+            + s * (3.6562001917571385e-13
+            + s * -2.6700718323251184e-13))))))))))))))
+    elif x < 1000.0:
+        s = 32.520325203252035 / x - 1.032520325203252
+        p = (0.39414387428693964
+            + s * (-0.004695640121241645
+            + s * (-4.825733364322963e-05
+            + s * (-1.4403238109587724e-06
+            + s * (-7.182308326630745e-08
+            + s * (-5.110017824470259e-09
+            + s * (-4.812935395836058e-10
+            + s * (-5.7536992844513566e-11
+            + s * (-8.497477122598564e-12
+            + s * (-1.4582598231040485e-12
+            + s * (-3.0655023718540997e-13
+            + s * (-1.3257560002831204e-13
+            + s * -4.4993522259349745e-14))))))))))))
+    else:
+        s = 1.0 / x
+        p = (0.3989422804014327
+            + s * (-0.14960335515053724
+            + s * (-0.046751048484542895
+            + s * (-0.04090716742397503
+            + s * (-0.05752570418996489
+            + s * -0.1107369805656824)))))
+    return p / math.sqrt(x)
+
+
+# --- end of generated block ---
 
 
 def bessel_i0_scaled(x: float) -> float:
     """e^-x I0(x) for x >= 0; monotone decreasing from 1 toward 0."""
     if not (x >= 0.0) or math.isinf(x):
         raise DomainError(f"bessel_i0_scaled requires finite x >= 0, got {x!r}")
-    if x <= SERIES_CUTOFF:
-        return _i0_series(x) * math.exp(-x)
-    return _ive_asym(0, x)
+    if x <= BESSEL_SMALL_X:
+        return (1.0 + _i0m1_small(x)) * math.exp(-x)
+    return _i0e_large(x)
 
 
 def bessel_i1_scaled(x: float) -> float:
     """e^-x I1(x) for x >= 0."""
     if not (x >= 0.0) or math.isinf(x):
         raise DomainError(f"bessel_i1_scaled requires finite x >= 0, got {x!r}")
-    if x <= SERIES_CUTOFF:
-        return _i1_series(x) * math.exp(-x)
-    return _ive_asym(1, x)
+    if x <= BESSEL_SMALL_X:
+        return _i1_small(x) * math.exp(-x)
+    return _i1e_large(x)
+
+
+def log_bessel_i0(x: float) -> float:
+    """log I0(x) for x >= 0, accurate relative to its size.
+
+    log1p(I0 - 1) on the small-x piece, so the value keeps its digits as
+    x -> 0 where log I0(x) ~ x^2/4; x + log i0e(x) beyond, which no longer
+    cancels there and never overflows.
+    """
+    if not (x >= 0.0) or math.isinf(x):
+        raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
+    if x <= BESSEL_SMALL_X:
+        return math.log1p(_i0m1_small(x))
+    return x + math.log(_i0e_large(x))
 
 
 def _plain_from_scaled(x: float, scaled: float, name: str) -> float:
@@ -118,9 +228,7 @@ def bessel_i0(x: float) -> float:
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"bessel_i0 requires finite x, got {x!r}")
     ax = abs(x)
-    if ax <= SERIES_CUTOFF:
-        return _i0_series(ax)
-    return _plain_from_scaled(ax, _ive_asym(0, ax), "bessel_i0")
+    return _plain_from_scaled(ax, bessel_i0_scaled(ax), "bessel_i0")
 
 
 def bessel_i1(x: float) -> float:
@@ -128,10 +236,7 @@ def bessel_i1(x: float) -> float:
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"bessel_i1 requires finite x, got {x!r}")
     ax = abs(x)
-    if ax <= SERIES_CUTOFF:
-        v = _i1_series(ax)
-    else:
-        v = _plain_from_scaled(ax, _ive_asym(1, ax), "bessel_i1")
+    v = _plain_from_scaled(ax, bessel_i1_scaled(ax), "bessel_i1")
     return -v if x < 0.0 else v
 
 

@@ -40,6 +40,17 @@ LB2JP_20_191 = 0.82006995116439428
 LB2JP_20_20 = 0.49984352969903128
 ZETA_20_191 = 19.796265906654492
 ZETA_2_1 = 0.82399354148295628
+# zeta = log(besseli(0, a b)) / b at mpmath 1000 dps, enough digits for log I0 ~ 1e-400
+ZETA_SMALL_AB = {
+    (1e-05, 1e-05): 2.5000000000000007e-16,
+    (3.0, 1e-09): 2.2500000000000003e-09,
+    (0.001, 0.002): 4.99999999999875e-10,
+    (1.0, 1e-200): 2.5e-201,
+    (0.5, 1e-08): 6.25e-10,
+    (2.0, 4.0): 1.5145260638569535,
+    (4.0, 2.0): 3.029052127713907,
+    (1000.0, 1000.0): 999.9921733063128,
+}
 LB2A_20_195 = 0.66406637969246503
 UB1A_01_01 = 1.1141620326061982
 LB1A_01_1 = 0.41850943934458025
@@ -161,6 +172,22 @@ class TestZeta:
     def test_frozen(self):
         assert compute_zeta(QArgs(20.0, 19.1)) == pytest.approx(ZETA_20_191, rel=1e-13)
         assert compute_zeta(QArgs(2.0, 1.0)) == pytest.approx(ZETA_2_1, rel=1e-13)
+
+    @pytest.mark.parametrize("ab,expected", ZETA_SMALL_AB.items())
+    def test_frozen_small_ab(self, ab, expected):
+        # ab + log i0e(ab) cancels as ab -> 0; log1p(I0 - 1) does not
+        a, b = ab
+        z = compute_zeta(QArgs(a, b))
+        assert 0.0 <= z < a
+        assert z == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @given(
+        st.floats(min_value=1e-300, max_value=1e3),
+        st.floats(min_value=1e-300, max_value=1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_in_zero_to_a_at_any_scale(self, a, b):
+        assert 0.0 <= compute_zeta(QArgs(a, b)) < a
 
     def test_small_ab_quadratic(self):
         # log I0(x) ~ x^2/4 for small x, so zeta ~ (ab)^2 / (4b)

@@ -123,6 +123,28 @@ class TestTable:
         assert out == ""
         assert "1000000" in err
 
+    def test_fine_step_rows_distinct(self, capsys):
+        # a step below the old fixed 10-decimal snap used to print b = 1.0 five times
+        rc, out, _ = run_cli(
+            capsys, "table", "--a", "1", "--b-start", "1", "--b-end", "1.00000000005",
+            "--b-step", "1e-11", "--ids", "UB1JP",
+        )
+        assert rc == 0
+        bs = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert len(bs) == 6
+        assert len(set(bs)) == 6
+        assert bs[1] == "1.00000000001"
+
+    def test_unresolvable_step_exit_2(self, capsys):
+        for step in ("1e-16", "inf"):
+            rc, out, err = run_cli(
+                capsys, "table", "--a", "1", "--b-start", "1", "--b-end", "1.0000000000000005",
+                "--b-step", step, "--ids", "UB1JP",
+            )
+            assert rc == 2
+            assert out == ""
+            assert "--b-step" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         rc, out, _ = run_cli(capsys, "table", "--preset", "V", "--out", str(path))

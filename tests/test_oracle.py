@@ -108,6 +108,43 @@ class TestQuadrature:
             _adaptive_quad(lambda x: math.sin(1000.0 * x * x), 0.0, 10.0, 1e-12, max_panels=4)
 
 
+def _series_closure_form(a: float, b: float) -> float:
+    """q1_series with its running Poisson CDF summed through a Neumaier
+    closure in two loops, as it was written before the sum was inlined:
+    the reference for bit-identical results."""
+    lam, y = a * a / 2.0, b * b / 2.0
+    if lam == 0.0:
+        return math.exp(-y)
+    if y == 0.0:
+        return 1.0
+    klo, khi, p, pmass, _, _ = oracle._poisson_window(lam)
+    jlo, jhi, q, qmass, _, _ = oracle._poisson_window(y)
+    acc = comp = 0.0
+
+    def add(x):
+        nonlocal acc, comp
+        t = acc + x
+        if abs(acc) >= abs(x):
+            comp += (acc - t) + x
+        else:
+            comp += (x - t) + acc
+        acc = t
+
+    for j in range(jlo, min(klo, jhi + 1)):
+        add(q[j - jlo])
+    terms = []
+    for k in range(klo, khi + 1):
+        if jlo <= k <= jhi:
+            add(q[k - jlo])
+            cdf = (acc + comp) / qmass
+        elif k > jhi:
+            cdf = 1.0
+        else:
+            cdf = 0.0
+        terms.append(p[k - klo] * cdf)
+    return math.fsum(terms) / pmass
+
+
 class TestSeries:
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN.items()))
     def test_frozen_values(self, pair, expected):
@@ -115,6 +152,12 @@ class TestSeries:
 
     def test_empty_lower_tail(self):
         assert q1_series(QArgs(0.0, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 2.0, 4.0, 20.0, 60.0])
+    @pytest.mark.parametrize("b", [0.1, 1.0, 3.0, 19.1, 30.0, 70.0])
+    def test_bit_identical_to_closure_form(self, a, b):
+        assert q1_series(QArgs(a, b)) == _series_closure_form(a, b)
+
 
     def test_published_spot_values(self):
         assert q1_series(QArgs(2.0, 1.0)) == pytest.approx(0.91810, abs=1e-4)

@@ -1,20 +1,26 @@
 """Unit and property tests for the scaled special functions.
 
 Frozen expected values were computed with mpmath at 50 digits and
-pasted in full double precision; scipy serves as a second, independent
+pasted in full double precision (the Bessel table in frozen_bessel.py is
+printed by make_bessel_coeffs.py); scipy serves as a second, independent
 implementation in the cross-check tests.
 """
 
 import math
 
+import mpmath as mp
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_bessel
+from frozen_bessel import BESSEL_FROZEN
+from make_bessel_coeffs import LARGE_PIECES, SMALL_X, frozen_module, generated_block
+
+import marcumq.specfun as specfun
 from marcumq.errors import DomainError, OverflowDomainError
 from marcumq.specfun import (
-    SERIES_CUTOFF,
     bessel_i0,
     bessel_i0_scaled,
     bessel_i1,
@@ -24,6 +30,7 @@ from marcumq.specfun import (
     erfc_diff,
     erfc_diff_centered,
     erfcx,
+    log_bessel_i0,
 )
 
 # mpmath (50 dps) references
@@ -65,14 +72,6 @@ class TestBesselI0:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             bessel_i0(math.inf)
-
-    def test_seam_agreement(self):
-        # both branches evaluated at the switchover point itself
-        from marcumq.specfun import _i0_series, _i1_series, _ive_asym
-
-        x = SERIES_CUTOFF
-        assert math.exp(x) * _ive_asym(0, x) == pytest.approx(_i0_series(x), rel=1e-13)
-        assert math.exp(x) * _ive_asym(1, x) == pytest.approx(_i1_series(x), rel=1e-13)
 
 
 class TestBesselI1:
@@ -132,6 +131,65 @@ class TestScaledBessel:
     def test_matches_scipy(self, x):
         assert bessel_i0_scaled(x) == pytest.approx(sp.i0e(x), rel=5e-14)
         assert bessel_i1_scaled(x) == pytest.approx(sp.i1e(x), rel=5e-14)
+
+
+# every piece boundary of the scaled kernels
+BOUNDARIES = (SMALL_X, *(hi for _, hi, _ in LARGE_PIECES))
+
+
+class TestBesselKernels:
+    @pytest.mark.parametrize("x,i0e,i1e,i0,i1", BESSEL_FROZEN)
+    def test_frozen_mpmath(self, x, i0e, i1e, i0, i1):
+        assert bessel_i0_scaled(x) == pytest.approx(i0e, rel=1e-15, abs=0.0)
+        assert bessel_i1_scaled(x) == pytest.approx(i1e, rel=1e-15, abs=0.0)
+        if i0 is not None:
+            assert bessel_i0(x) == pytest.approx(i0, rel=1e-15, abs=0.0)
+            assert bessel_i1(x) == pytest.approx(i1, rel=1e-15, abs=0.0)
+
+    def test_exact_at_zero(self):
+        assert bessel_i0_scaled(0.0) == 1.0
+        assert bessel_i1_scaled(0.0) == 0.0
+
+    @pytest.mark.parametrize("b", BOUNDARIES)
+    def test_strictly_decreasing_across_boundary(self, b):
+        # steps of 1e-13 b change i0e by ~5e-14 relative, far above its rounding
+        xs = [b * (1.0 + 1e-13 * k) for k in range(-3, 4)]
+        vals = [bessel_i0_scaled(x) for x in xs]
+        assert all(u > v for u, v in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("b", BOUNDARIES)
+    def test_continuous_at_boundary(self, b):
+        # the two pieces meeting at b, each evaluated on its own side of it
+        below, above = math.nextafter(b, 0.0), math.nextafter(b, math.inf)
+        for f in (bessel_i0_scaled, bessel_i1_scaled):
+            assert f(above) == pytest.approx(f(below), rel=1e-15)
+            assert f(b) == pytest.approx(f(above), rel=1e-15)
+
+    def test_generated_code_and_data_regenerate(self):
+        # specfun's generated block and frozen_bessel.py are exactly what
+        # make_bessel_coeffs.py prints, so neither was edited by hand
+        with open(specfun.__file__, encoding="utf-8") as fh:
+            source = fh.read()
+        with open(frozen_bessel.__file__, encoding="utf-8") as fh:
+            frozen = fh.read()
+        with mp.workdps(50):
+            assert generated_block() in source
+            assert frozen_module() == frozen
+
+
+class TestLogBesselI0:
+    @pytest.mark.parametrize("x", [1e-150, 1e-10, 1e-4, 0.3, SMALL_X, 8.5, 50.0, 1e6])
+    def test_matches_mpmath(self, x):
+        with mp.workdps(400):  # log I0(1e-150) ~ 2.5e-301 needs 300+ digits of I0
+            expected = float(mp.log(mp.besseli(0, mp.mpf(x))))
+        assert log_bessel_i0(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_zero_and_domain(self):
+        assert log_bessel_i0(0.0) == 0.0
+        with pytest.raises(DomainError):
+            log_bessel_i0(-1.0)
+        with pytest.raises(DomainError):
+            log_bessel_i0(math.nan)
 
 
 class TestErf:

@@ -10,10 +10,12 @@ alternatives they are compared against.
 
 The catalog is one registry, ``_FORMULAS``, mapping each ``BoundId`` to a
 private ``_xxx(a, b) -> float`` that returns the raw formula value.
-``evaluate`` is its only reader: it checks the regime, calls the formula
-and clamps the result.  A formula that is singular at its excluded
-points raises ``SingularityError`` itself.  The uncorrected LB2A
-transcription stays outside the registry as ``lb2a_literal``.
+``_evaluate_in_regime`` is its only reader: it calls the formula and
+clamps the result.  ``evaluate`` checks the id's regime before it;
+``eval_all`` picks the regime's family once per point and needs no
+check.  A formula that is singular at its excluded points raises
+``SingularityError`` itself.  The uncorrected LB2A transcription stays
+outside the registry as ``lb2a_literal``.
 
 Every formula is evaluated in overflow-safe form: each occurrence of
 I0(ab) e^(-ab) is a single scaled Bessel call and the sinh prefactor
@@ -71,13 +73,10 @@ class BoundId(str, Enum):
     LB2C = "LB2C"
     LB2D = "LB2D"
 
-    @property
-    def side(self) -> str:
-        return "upper" if self.value.startswith("UB") else "lower"
-
-    @property
-    def regime(self) -> Regime:
-        return Regime.BGeqA if self.value[2] == "1" else Regime.BLtA
+    def __init__(self, value: str) -> None:
+        # read on every evaluation, so fixed once per member from its name
+        self.side = "upper" if value.startswith("UB") else "lower"
+        self.regime = Regime.BGeqA if value[2] == "1" else Regime.BLtA
 
 
 FAMILY_B_GE_A = tuple(i for i in BoundId if i.regime is Regime.BGeqA)
@@ -320,6 +319,12 @@ _FORMULAS = {
 }
 
 
+def _evaluate_in_regime(bid: BoundId, a: float, b: float) -> BoundEval:
+    """Formula call and clamp for an id whose regime admits (a, b)."""
+    raw = _FORMULAS[bid](a, b)
+    return BoundEval(bid, raw, min(1.0, max(0.0, raw)), bid.side)
+
+
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
     """Evaluate any cataloged bound by id.
 
@@ -327,8 +332,7 @@ def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
     and SingularityError at a formula's excluded points.
     """
     _require_regime(bid, args)
-    raw = _FORMULAS[bid](args.a, args.b)
-    return BoundEval(id=bid, raw=raw, clamped=min(1.0, max(0.0, raw)), side=bid.side)
+    return _evaluate_in_regime(bid, args.a, args.b)
 
 
 def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
@@ -338,12 +342,14 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
     reason (singular formulas at their excluded points are skipped, not
     raised).
     """
+    # the family is the regime's, so no id in it needs the regime check
     family = FAMILY_B_GE_A if regime_of(args) is Regime.BGeqA else FAMILY_B_LT_A
+    a, b = args.a, args.b
     evals: list[BoundEval] = []
     skipped: dict[BoundId, str] = {}
     for bid in family:
         try:
-            evals.append(evaluate(bid, args))
+            evals.append(_evaluate_in_regime(bid, a, b))
         except SingularityError as exc:
             skipped[bid] = str(exc)
     return evals, skipped

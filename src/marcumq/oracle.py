@@ -255,22 +255,23 @@ def q1_series(args: QArgs, tol: float = DEFAULT_TOL) -> float:
             "series windows too narrow for requested tol "
             f"(discarded mass bound {ptail_lo + ptail_hi + qtail_lo + qtail_hi:.3e})"
         )
-    # running CDF of Poisson(y) at k, Neumaier-compensated (0 below its
-    # window, 1 above it); the mixture terms run over klo..khi
+    # the mixture terms run over klo..khi with the running CDF of
+    # Poisson(y) at k, Neumaier-compensated; that CDF is 0 below its window
+    # (no term) and 1 above it (the bare outer pmf).  fsum is correctly
+    # rounded, so neither the dropped zeros nor the order change the sum.
     acc = comp = 0.0
     terms = []
-    for k in range(min(jlo, klo), khi + 1):
-        if jlo <= k <= jhi:
-            x = q[k - jlo]
-            t = acc + x
-            if abs(acc) >= abs(x):
-                comp += (acc - t) + x
-            else:
-                comp += (x - t) + acc
-            acc = t
+    for k in range(jlo, min(khi, jhi) + 1):
+        x = q[k - jlo]
+        t = acc + x
+        if abs(acc) >= abs(x):
+            comp += (acc - t) + x
+        else:
+            comp += (x - t) + acc
+        acc = t
         if k >= klo:
-            cdf = 1.0 if k > jhi else (acc + comp) / qmass
-            terms.append(p[k - klo] * cdf)
+            terms.append(p[k - klo] * ((acc + comp) / qmass))
+    terms += p[max(jhi + 1, klo) - klo:]
     return math.fsum(terms) / pmass
 
 

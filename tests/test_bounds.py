@@ -9,11 +9,13 @@ identical.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marcumq.bounds import (
     _FORMULAS,
+    FAMILY_B_GE_A,
+    FAMILY_B_LT_A,
     BoundId,
     Regime,
     compute_zeta,
@@ -156,12 +158,19 @@ class TestRegistry:
 
     @pytest.mark.parametrize("bid", list(BoundId))
     def test_evaluate_every_id(self, bid):
-        args = QArgs(1.0, 2.0) if bid.regime is Regime.BGeqA else QArgs(2.0, 1.0)
-        ev = evaluate(bid, args)
+        assert bid.side == ("upper" if bid.name.startswith("UB") else "lower")
+        assert bid.regime is (Regime.BGeqA if bid.name[2] == "1" else Regime.BLtA)
+        assert BoundId(bid.value) is bid and bid == bid.name
+        inside, outside = QArgs(1.0, 2.0), QArgs(2.0, 1.0)
+        if bid.regime is Regime.BLtA:
+            inside, outside = outside, inside
+        ev = evaluate(bid, inside)
         assert ev.id is bid
         assert ev.side == bid.side
         assert math.isfinite(ev.raw)
         assert ev.clamped == min(1.0, max(0.0, ev.raw))
+        with pytest.raises(RegimeError, match=bid.value):
+            evaluate(bid, outside)
 
     def test_lb2a_literal_regime(self):
         with pytest.raises(RegimeError):
@@ -277,7 +286,57 @@ class TestLiterature:
             assert ev.clamped == 0.0
 
 
+def _bits(ev):
+    return ev.id, ev.raw.hex(), ev.clamped.hex(), ev.side
+
+
+def _eval_all_by_evaluate(args):
+    """eval_all spelled as one ``evaluate`` per id of the point's family."""
+    family = FAMILY_B_GE_A if regime_of(args) is Regime.BGeqA else FAMILY_B_LT_A
+    evals, skipped = [], {}
+    for bid in family:
+        try:
+            evals.append(evaluate(bid, args))
+        except SingularityError as exc:
+            skipped[bid] = str(exc)
+    return evals, skipped
+
+
 class TestEvalAll:
+    # b = a (UB1B's singular tie), b = 0 (LB2A singular), a = 0, ab below
+    # SMALL_AB_LIMIT on both sides, and ab past the e^ab overflow at ~709
+    @given(
+        st.floats(min_value=0.0, max_value=800.0),
+        st.floats(min_value=0.0, max_value=800.0),
+    )
+    @example(1.0, 1.0)
+    @example(30.0, 30.0)
+    @example(2.0, 0.0)
+    @example(0.0, 0.0)
+    @example(0.0, 1.5)
+    @example(1e-5, 1e-5)
+    @example(1e-5, 2e-4)
+    @example(3.0, 1e-9)
+    @example(600.0, 601.0)
+    @example(600.0, 599.0)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_evaluate(self, a, b):
+        args = QArgs(a, b)
+        evals, skipped = eval_all(args)
+        ref_evals, ref_skipped = _eval_all_by_evaluate(args)
+        assert [_bits(ev) for ev in evals] == [_bits(ev) for ev in ref_evals]
+        assert skipped == ref_skipped
+
+    def test_skipped_messages(self):
+        # a tie belongs to the b >= a family, so LB2B's tie is reached
+        # only through evaluate
+        assert eval_all(QArgs(1.0, 1.0))[1] == {BoundId.UB1B: "UB1B is singular at b = a = 1"}
+        assert eval_all(QArgs(2.0, 0.0))[1] == {
+            BoundId.LB2A: "LB2A requires b > 0 (its rate zeta is undefined at b = 0)"
+        }
+        with pytest.raises(SingularityError, match="^LB2B is singular at a = b = 2$"):
+            evaluate(BoundId.LB2B, QArgs(2.0, 2.0))
+
     def test_count_b_ge_a(self):
         evals, skipped = eval_all(QArgs(0.1, 0.5))
         assert len(evals) == 10

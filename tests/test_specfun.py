@@ -203,9 +203,9 @@ class TestErf:
         assert erf(1 / math.sqrt(2)) == pytest.approx(ERF_1_SQRT2, rel=1e-13)
 
     def test_deep_tail_relative_accuracy(self):
-        assert erfc(5.0) == pytest.approx(1.5374597944280349e-12, rel=1e-13)
-        assert erfc(10.0) == pytest.approx(2.0884875837625448e-45, rel=1e-13)
-        assert erfc(20.0) == pytest.approx(5.3958656116079009e-176, rel=1e-13)
+        assert erfc(5.0) == pytest.approx(1.5374597944280349e-12, rel=1e-13, abs=0.0)
+        assert erfc(10.0) == pytest.approx(2.0884875837625448e-45, rel=1e-13, abs=0.0)
+        assert erfc(20.0) == pytest.approx(5.3958656116079009e-176, rel=1e-13, abs=0.0)
 
     def test_deep_tail_no_overflow(self):
         # erfc(26) is still a positive subnormal; erfc(40) underflows to 0
@@ -259,7 +259,7 @@ class TestErfcDiff:
         assert erfc_diff(0.0, 40.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_large_close_args(self):
-        assert erfc_diff(13.0, 13.001) == pytest.approx(ERFC_DIFF_13_13001, rel=1e-10)
+        assert erfc_diff(13.0, 13.001) == pytest.approx(ERFC_DIFF_13_13001, rel=1e-10, abs=0.0)
 
     def test_order_enforced(self):
         with pytest.raises(DomainError):
@@ -267,9 +267,11 @@ class TestErfcDiff:
 
     def test_tiny_separation_beats_naive(self):
         # naive subtraction returns 0 or a few noisy ulps here
+        # the width is the one x + d rounds to (9.992e-14), not the nominal d
         x, d = 3.0, 1e-13
-        expected = d * 2 / math.sqrt(math.pi) * math.exp(-x * x)
-        assert erfc_diff(x, x + d) == pytest.approx(expected, rel=1e-9)
+        w = (x + d) - x
+        expected = w * 2 / math.sqrt(math.pi) * math.exp(-x * x)
+        assert erfc_diff(x, x + d) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @given(
         st.floats(min_value=-8.0, max_value=8.0),
@@ -299,4 +301,4 @@ class TestErfcDiffCentered:
         # 3 - 5e-21 and 3 + 5e-21 both round to 3.0; the explicit width keeps the value
         got = erfc_diff_centered(3.0, 1e-20)
         assert got > 0.0
-        assert got == pytest.approx(ERFC_DIFF_CENTERED_3_1EM20, rel=1e-13)
+        assert got == pytest.approx(ERFC_DIFF_CENTERED_3_1EM20, rel=1e-13, abs=0.0)

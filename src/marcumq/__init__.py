@@ -20,7 +20,6 @@ from .errors import (
     ConvergenceError,
     CrossValidationError,
     DomainError,
-    OverflowDomainError,
     RegimeError,
     SingularityError,
     UnknownFigureError,
@@ -36,7 +35,6 @@ __all__ = [
     "CrossValidationError",
     "DomainError",
     "OracleResult",
-    "OverflowDomainError",
     "QArgs",
     "Regime",
     "RegimeError",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, evaluate
 from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
 from .oracle import QArgs, q1_reference, rice_pdf
-from .specfun import bessel_i0, bessel_i0_scaled, bessel_i1, bessel_i1_scaled
+from .specfun import bessel_i0_scaled, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
 _G_PLAIN_MAX = 300.0
@@ -121,6 +121,20 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
     return below + above
 
 
+def _two_sided_points(a_values: Sequence[float], b_per_a: int) -> Iterable[tuple[float, float]]:
+    """The (a, b) pairs of every a's two-sided b grid, in order.
+
+    The cap applies to the whole grid, so an oversized request fails here
+    before any point is evaluated.
+    """
+    total = len(a_values) * b_per_a
+    if total > MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid needs at most {MAX_GRID_POINTS} points, got {len(a_values)} a x {b_per_a} b = {total}"
+        )
+    return ((a, b) for a in a_values for b in two_sided_b_grid(a, b_per_a))
+
+
 def eps_pct(raw: float, exact: float) -> float:
     """Tightness 100 |raw - exact| / exact in percent; inf when exact <= 0."""
     return 100.0 * abs(raw - exact) / exact if exact > 0.0 else math.inf
@@ -163,8 +177,13 @@ def _worst(candidates: Iterable[tuple[float, tuple]]) -> tuple[float, tuple]:
 
 
 def g_plain(x: float) -> float:
-    """g(x) = e^x (I1(x) - I0(x)) + 3 I1(x), plain form for x <= 300."""
-    return math.exp(x) * (bessel_i1(x) - bessel_i0(x)) + 3.0 * bessel_i1(x)
+    """g(x) = e^x (I1(x) - I0(x)) + 3 I1(x) for 0 <= x <= 300.
+
+    I0 and I1 are e^x times the scaled kernels; e^(2x) stays finite here.
+    """
+    ex = math.exp(x)
+    i1 = ex * bessel_i1_scaled(x)
+    return ex * (i1 - ex * bessel_i0_scaled(x)) + 3.0 * i1
 
 
 def g_scaled(x: float) -> float:
@@ -332,25 +351,30 @@ def scan_sandwich(
     """Certify clamped lower <= oracle <= clamped upper for every bound.
 
     Every applicable id is checked at every grid point; singular ids at
-    the tie b = a are skipped by eval_all.
+    the tie b = a are skipped by eval_all.  Checks stream into the
+    verdict, so memory stays flat in the grid size.
     """
-    checks = []
-    for a in a_values:
-        for b in two_sided_b_grid(a, b_per_a):
-            exact = q1_reference(QArgs(a, b)).value
-            evals, _ = eval_all(QArgs(a, b))
-            checks += [
-                ((exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact), (ev.id.value, a, b))
-                for ev in evals
-            ]
-    worst, witness = _worst(checks)
+    count = 0
+
+    def checks():
+        nonlocal count
+        for a, b in _two_sided_points(a_values, b_per_a):
+            args = QArgs(a, b)
+            exact = q1_reference(args).value
+            evals, _ = eval_all(args)
+            count += len(evals)
+            for ev in evals:
+                v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)
+                yield v, (ev.id.value, a, b)
+
+    worst, witness = _worst(checks())
     return ScanReport(
         property_id="sandwich",
         grid=f"a in {tuple(a_values)}, {b_per_a} b per a (two-sided), margin {margin:g}",
         worst_violation=worst,
         witness=witness,
         passed=worst <= margin,
-        details={"checks": len(checks)},
+        details={"checks": count},
     )
 
 
@@ -366,9 +390,11 @@ def scan_jp_dominance(
     rounding; beyond that the families agree to within a couple ulp
     (a fact test suites assert separately).
     """
-    checks = []
-    for a in a_values:
-        for b in two_sided_b_grid(a, b_per_a):
+    total = strict = 0
+
+    def checks():
+        nonlocal total, strict
+        for a, b in _two_sided_points(a_values, b_per_a):
             args = QArgs(a, b)
             if b >= a:
                 pairs = (
@@ -379,10 +405,13 @@ def scan_jp_dominance(
                 pairs = (
                     ("UB2JP<=UB2A", evaluate(BoundId.UB2JP, args).raw - evaluate(BoundId.UB2A, args).raw),
                 )
-            checks += [(v, (label, a, b)) for label, v in pairs]
-    worst, witness = _worst(checks)
-    total = len(checks)
-    frac = sum(v < 0.0 for v, _ in checks) / total if total else 0.0
+            for label, v in pairs:
+                total += 1
+                strict += v < 0.0
+                yield v, (label, a, b)
+
+    worst, witness = _worst(checks())
+    frac = strict / total if total else 0.0
     return ScanReport(
         property_id="jp_dominance",
         grid=(

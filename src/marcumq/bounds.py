@@ -35,7 +35,7 @@ from enum import Enum
 
 from .errors import DomainError, RegimeError, SingularityError
 from .oracle import QArgs
-from .specfun import bessel_i0_scaled, erf, erfc, erfc_diff, erfc_diff_centered, log_bessel_i0
+from .specfun import bessel_i0_scaled, erfc_diff, erfc_diff_centered, log_bessel_i0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -140,7 +140,7 @@ def _ub1jp(a: float, b: float) -> float:
     """Upper bound for b >= a from the (e^x + 3)-ratio approximation of I0."""
     brace = (
         math.exp(-0.5 * (b - a) ** 2)
-        + a * _SQRT_HALF_PI * erfc((b - a) / _SQRT2)
+        + a * _SQRT_HALF_PI * math.erfc((b - a) / _SQRT2)
         + 3.0 * math.exp(-0.5 * (a * a + b * b))
     )
     return _pref_exp3(a * b) * brace
@@ -183,16 +183,16 @@ def _lb2jp(a: float, b: float) -> float:
         # underflow for subnormal b, where the bound is 1 to within 1e-300
         return 1.0
     bracket = (
-        erf(a / _SQRT2)
-        - 0.5 * erf((a - b) / _SQRT2)
-        - 0.5 * erf((a + b) / _SQRT2)
+        math.erf(a / _SQRT2)
+        - 0.5 * math.erf((a - b) / _SQRT2)
+        - 0.5 * math.erf((a + b) / _SQRT2)
     )
     return 1.0 - _SQRT_TWO_PI * _pref_sinh(a, b) * bracket
 
 
 def _ub1a(a: float, b: float) -> float:
     return bessel_i0_scaled(a * b) * (
-        math.exp(-0.5 * (b - a) ** 2) + a * _SQRT_HALF_PI * erfc((b - a) / _SQRT2)
+        math.exp(-0.5 * (b - a) ** 2) + a * _SQRT_HALF_PI * math.erfc((b - a) / _SQRT2)
     )
 
 
@@ -204,7 +204,7 @@ def _ub1b(a: float, b: float) -> float:
 
 def _ub1c(a: float, b: float) -> float:
     # e^(-(a^2+b^2)/2) I0(ab) == i0e(ab) e^(-(a-b)^2/2)
-    return bessel_i0_scaled(a * b) * math.exp(-0.5 * (a - b) ** 2) + a * _SQRT_PI_8 * erfc(
+    return bessel_i0_scaled(a * b) * math.exp(-0.5 * (a - b) ** 2) + a * _SQRT_PI_8 * math.erfc(
         (b - a) / _SQRT2
     )
 
@@ -215,7 +215,7 @@ def _ub1d(a: float, b: float) -> float:
 
 
 def _lb1a(a: float, b: float) -> float:
-    return _SQRT_HALF_PI * b * bessel_i0_scaled(a * b) * erfc((b - a) / _SQRT2)
+    return _SQRT_HALF_PI * b * bessel_i0_scaled(a * b) * math.erfc((b - a) / _SQRT2)
 
 
 def _lb1b(a: float, b: float) -> float:

@@ -34,13 +34,7 @@ from .analysis import (
     log_grid,
 )
 from .bounds import BoundId, Regime, eval_all, regime_of
-from .errors import (
-    DomainError,
-    OverflowDomainError,
-    RegimeError,
-    SingularityError,
-    UnknownFigureError,
-)
+from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
 from .oracle import QArgs, q1_reference
 
 _PRESETS = {
@@ -356,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (DomainError, RegimeError, SingularityError, UnknownFigureError, OverflowDomainError) as exc:
+    except (DomainError, RegimeError, SingularityError, UnknownFigureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,13 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class OverflowDomainError(OverflowError):
-    """A plain (unscaled) function value is not representable in a double.
-
-    The scaled variant of the function should be used instead.
-    """
-
-
 class ConvergenceError(RuntimeError):
     """An iterative method exhausted its refinement budget before reaching tol."""
 

@@ -41,9 +41,11 @@ quadrature with the series for a < ASYMPTOTIC_MIN_A (every argument the
 paper's tables, figures and scans use) and with the expansion from
 there on, where the series window is already about 1.7k entries.  At
 a >= 100 the expansion covers every b: ab < 1e3 forces b < 10, where
-1 - Q1 underflows.  The quadrature and the series run at tol 1e-12, the
-expansion to 1e-17 of its sum, and ``q1_reference`` fails loudly if the
-pair disagrees by more than 1e-10.
+1 - Q1 underflows.  The quadrature and the series run at an absolute
+tolerance of DEFAULT_TOL = 1e-12, the expansion to 1e-17 of its sum, and
+``q1_reference`` fails loudly if the pair disagrees by more than 1e-10.
+It refuses arguments above MAX_ORACLE_ARG = 1e6: past it the
+quadrature's rounding error grows with ulp(a) beyond that gate.
 
 All operations are pure functions with call-local state only; they are
 safe to call from any number of threads.
@@ -61,6 +63,7 @@ from .specfun import bessel_i0_scaled
 AGREEMENT_GATE = 1e-10
 ASYMPTOTIC_MIN_A = 100.0  # q1_reference uses q1_asymptotic, not q1_series, from here on
 DEFAULT_TOL = 1e-12
+MAX_ORACLE_ARG = 1e6  # q1_reference refuses a or b above this
 MAX_SERIES_WINDOW = 2_000_000  # entries in one Poisson window; reached near a = 1.2e5
 _TAIL_SIGMAS = 40.0  # integration cutoff: integrand < 1e-300 of its peak
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
@@ -162,20 +165,14 @@ def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000):
         n += 1
 
 
-def _check_tol(tol: float) -> None:
-    if not (0.0 < tol <= 1e-6):
-        raise DomainError(f"tol must lie in (0, 1e-6], got {tol!r}")
-
-
-def q1_quadrature(args: QArgs, tol: float = DEFAULT_TOL, form: str = "auto") -> float:
-    """Q1 by adaptive quadrature of the Rice density, absolute error <= tol.
+def q1_quadrature(args: QArgs, form: str = "auto") -> float:
+    """Q1 by adaptive quadrature of the Rice density, absolute error <= DEFAULT_TOL.
 
     ``form`` selects the integration route: "tail" integrates over
     [b, max(a, b) + 40] directly, "complement" integrates 1 - int_0^b,
     and "auto" picks tail for b >= a, complement for b < a.  Both forms
     are exposed so their agreement across b = a can be certified.
     """
-    _check_tol(tol)
     if form not in ("auto", "tail", "complement"):
         raise DomainError(f"unknown quadrature form {form!r}")
     a, b = args.a, args.b
@@ -186,10 +183,10 @@ def q1_quadrature(args: QArgs, tol: float = DEFAULT_TOL, form: str = "auto") -> 
     integrand = lambda x: rice_pdf(x, a)
     if form == "tail":
         hi = max(a, b) + _TAIL_SIGMAS
-        return _adaptive_quad(integrand, b, hi, tol, seeds)
+        return _adaptive_quad(integrand, b, hi, DEFAULT_TOL, seeds)
     if b == 0.0:
         return 1.0
-    return 1.0 - _adaptive_quad(integrand, 0.0, b, tol, seeds)
+    return 1.0 - _adaptive_quad(integrand, 0.0, b, DEFAULT_TOL, seeds)
 
 
 def _poisson_window(mean: float, width_sigmas: float = 12.0):
@@ -232,16 +229,15 @@ def _poisson_window(mean: float, width_sigmas: float = 12.0):
     return lo, hi, pmf, mass, tail_lo, tail_hi
 
 
-def q1_series(args: QArgs, tol: float = DEFAULT_TOL) -> float:
-    """Q1 by the noncentral chi-square Poisson mixture, absolute error <= tol.
+def q1_series(args: QArgs) -> float:
+    """Q1 by the noncentral chi-square Poisson mixture, absolute error <= DEFAULT_TOL.
 
     Both Poisson factors are restricted to mode-centered windows wide
     enough that the geometric bounds on the discarded mass stay below
-    tol/10; a ConvergenceError is raised otherwise.  Since the mixture
+    DEFAULT_TOL/10; a ConvergenceError is raised otherwise.  Since the mixture
     weights sum to 1 and the inner factor is a CDF in [0, 1], the
     discarded mass bounds the truncation error directly.
     """
-    _check_tol(tol)
     lam = args.a * args.a / 2.0
     y = args.b * args.b / 2.0
     if lam == 0.0:
@@ -250,9 +246,9 @@ def q1_series(args: QArgs, tol: float = DEFAULT_TOL) -> float:
         return 1.0
     klo, khi, p, pmass, ptail_lo, ptail_hi = _poisson_window(lam)
     jlo, jhi, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
-    if ptail_lo + ptail_hi + qtail_lo + qtail_hi > 0.1 * tol:
+    if ptail_lo + ptail_hi + qtail_lo + qtail_hi > 0.1 * DEFAULT_TOL:
         raise ConvergenceError(
-            "series windows too narrow for requested tol "
+            "series windows too narrow for DEFAULT_TOL "
             f"(discarded mass bound {ptail_lo + ptail_hi + qtail_lo + qtail_hi:.3e})"
         )
     # the mixture terms run over klo..khi with the running CDF of
@@ -279,10 +275,13 @@ def _asymptotic_sum(terms) -> float:
     """Sum of an asymptotic series, up to its first term <= 1e-17 of the total.
 
     Raises ConvergenceError if a term grows before that: the series has
-    passed its smallest term without reaching double precision.
+    passed its smallest term without reaching double precision.  So does
+    a non-finite term (xi = ab overflows), which no comparison would stop.
     """
     total, prev = 0.0, math.inf
     for n, t in enumerate(terms):
+        if not math.isfinite(t):
+            raise ConvergenceError(f"asymptotic series term {n} is {t!r} (xi = ab out of range)")
         if abs(t) > prev:
             raise ConvergenceError(
                 f"asymptotic series term {n} grows before reaching 1e-17 of the sum "
@@ -360,13 +359,18 @@ def q1_reference(args: QArgs) -> OracleResult:
     a < ASYMPTOTIC_MIN_A or the large-xi expansion from there on.
     Returns their mean, and raises CrossValidationError if they
     disagree by more than 1e-10 (which would indicate a defect, not an
-    input problem).
+    input problem).  Raises DomainError when a or b exceeds
+    MAX_ORACLE_ARG.
     """
-    qa = q1_quadrature(args, DEFAULT_TOL)
+    if max(args.a, args.b) > MAX_ORACLE_ARG:
+        raise DomainError(
+            f"the oracle covers a, b <= {MAX_ORACLE_ARG:g}, got (a={args.a:g}, b={args.b:g})"
+        )
+    qa = q1_quadrature(args)
     if args.a >= ASYMPTOTIC_MIN_A:
         method_b, qb = "asymptotic", q1_asymptotic(args)
     else:
-        method_b, qb = "series", q1_series(args, DEFAULT_TOL)
+        method_b, qb = "series", q1_series(args)
     gap = abs(qa - qb)
     if gap > AGREEMENT_GATE:
         raise CrossValidationError(

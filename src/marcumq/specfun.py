@@ -1,9 +1,11 @@
-"""Overflow-safe elementary special functions.
+"""Overflow-free elementary special functions.
 
-Modified Bessel functions I0/I1 in plain and exponentially scaled form
-(i0e(x) = e^-x I0(x)), the error functions erf/erfc, the scaled
-complement erfcx(x) = e^(x^2) erfc(x), and a cancellation-safe
-difference erfc(x) - erfc(y).
+The exponentially scaled modified Bessel functions i0e(x) = e^-x I0(x)
+and i1e(x) = e^-x I1(x) and log I0(x), the scaled complement
+erfcx(x) = e^(x^2) erfc(x), and a cancellation-safe difference
+erfc(x) - erfc(y).  Every value is finite for every accepted argument;
+there is no plain I0/I1 (e^x times the scaled value, which overflows a
+double past x ~ 713.9), and erf/erfc come from ``math`` directly.
 
 Bessel evaluation: i0e and i1e are fixed-cost kernels.  Each evaluates
 one of four fixed-degree polynomials in straight-line Horner form, with
@@ -19,10 +21,7 @@ no data-dependent loop, picked by x:
 
 The coefficients are generated with mpmath by tests/make_bessel_coeffs.py
 (the block between its markers below).  The largest relative error
-against 50-digit mpmath values is about 6e-16 on [0, 1e9].  Plain I0/I1
-are e^x times the scaled values and overflow a double past x ~ 713.9
-(where x + log i0e(x) exceeds log DBL_MAX); callers in that range must
-use the scaled variants.
+against 50-digit mpmath values is about 6e-16 on [0, 1e9].
 
 All functions are pure and thread-safe.
 """
@@ -31,12 +30,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, OverflowDomainError
+from .errors import DomainError
 
 # log(DBL_MAX); exp(t) overflows for t above this
 _LOG_DBL_MAX = 709.782712893384
-# erfcx(x) = 2 exp(x^2) - erfcx(-x) overflows below this
-ERFCX_NEG_LIMIT = -26.64
 
 
 # --- generated by tests/make_bessel_coeffs.py: do not edit by hand ---
@@ -208,48 +205,6 @@ def log_bessel_i0(x: float) -> float:
     return x + math.log(_i0e_large(x))
 
 
-def _plain_from_scaled(x: float, scaled: float, name: str) -> float:
-    if x <= _LOG_DBL_MAX:
-        return math.exp(x) * scaled
-    t = x + math.log(scaled)
-    if t >= _LOG_DBL_MAX:
-        raise OverflowDomainError(
-            f"{name}({x:g}) exceeds double range; use the scaled variant"
-        )
-    return math.exp(t)
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0(x); even in x.
-
-    Raises OverflowDomainError once the value exceeds double range
-    (|x| ~ 713.9).
-    """
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"bessel_i0 requires finite x, got {x!r}")
-    ax = abs(x)
-    return _plain_from_scaled(ax, bessel_i0_scaled(ax), "bessel_i0")
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function I1(x); odd in x."""
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"bessel_i1 requires finite x, got {x!r}")
-    ax = abs(x)
-    v = _plain_from_scaled(ax, bessel_i1_scaled(ax), "bessel_i1")
-    return -v if x < 0.0 else v
-
-
-def erf(x: float) -> float:
-    """Error function; odd, erf(x) = 1 - erfc(x)."""
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, accurate to a few ulp on all of R."""
-    return math.erfc(x)
-
-
 def _erfcx_cf(x: float) -> float:
     """Laplace continued fraction for erfcx, x >= 4 (modified Lentz)."""
     tiny = 1e-300
@@ -270,22 +225,12 @@ def _erfcx_cf(x: float) -> float:
 
 
 def erfcx(x: float) -> float:
-    """Scaled complement e^(x^2) erfc(x); strictly decreasing, erfcx(0) = 1.
-
-    Overflows for x below ERFCX_NEG_LIMIT (~ -26.64) where 2 e^(x^2)
-    exceeds double range.
-    """
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"erfcx requires finite x, got {x!r}")
+    """Scaled complement e^(x^2) erfc(x) for x >= 0; decreasing from erfcx(0) = 1."""
+    if not (x >= 0.0) or math.isinf(x):
+        raise DomainError(f"erfcx requires finite x >= 0, got {x!r}")
     if x >= 4.0:
         return _erfcx_cf(x)
-    if x >= 0.0:
-        return math.exp(x * x) * math.erfc(x)
-    if x < ERFCX_NEG_LIMIT:
-        raise OverflowDomainError(
-            f"erfcx({x:g}) exceeds double range (threshold {ERFCX_NEG_LIMIT})"
-        )
-    return 2.0 * math.exp(x * x) - erfcx(-x)
+    return math.exp(x * x) * math.erfc(x)
 
 
 def _erfc_diff_midpoint(m: float, delta: float) -> float:

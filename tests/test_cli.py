@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -44,6 +45,14 @@ class TestEval:
         exact = float(out.splitlines()[1].split(",")[3])
         assert math.isfinite(exact)
         assert exact == pytest.approx(0.5, abs=1e-5)
+
+    @pytest.mark.parametrize("x", ["1e9", "1e12", "1e308"])
+    def test_beyond_oracle_range_exit_2(self, capsys, x):
+        # beyond MAX_ORACLE_ARG = 1e6 the quadrature's rounding error exceeds the agreement gate
+        rc, out, err = run_cli(capsys, "eval", "--a", x, "--b", x)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "oracle" in err
 
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--a", "2", "--b", "1", "--format", "json")
@@ -195,6 +204,16 @@ class TestScan:
         rc, _, err = run_cli(capsys, "scan", "--property", "g_negative", "--n", "1000000000")
         assert rc == 2
         assert "1000000" in err
+
+    @pytest.mark.parametrize("prop", ["sandwich", "jp_dominance"])
+    def test_whole_grid_cap_exit_2(self, capsys, prop):
+        # --n is per a value: 1e6 b per a is several million points in all
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "scan", "--property", prop, "--n", "1000000")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "1000000" in err
 
     def test_envelope_window(self, capsys):
         rc, out, _ = run_cli(

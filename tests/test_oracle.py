@@ -92,12 +92,6 @@ class TestQuadrature:
                 c = q1_quadrature(args, form="complement")
                 assert t == pytest.approx(c, abs=1e-10)
 
-    def test_tol_validated(self):
-        with pytest.raises(DomainError):
-            q1_quadrature(QArgs(1.0, 1.0), tol=1e-5)
-        with pytest.raises(DomainError):
-            q1_quadrature(QArgs(1.0, 1.0), tol=0.0)
-
     def test_unknown_form(self):
         with pytest.raises(DomainError):
             q1_quadrature(QArgs(1.0, 1.0), form="midpoint")
@@ -163,10 +157,6 @@ class TestSeries:
         assert q1_series(QArgs(2.0, 1.0)) == pytest.approx(0.91810, abs=1e-4)
         assert q1_series(QArgs(20.0, 20.0)) == pytest.approx(0.50997, abs=1e-4)
 
-    def test_tol_validated(self):
-        with pytest.raises(DomainError):
-            q1_series(QArgs(1.0, 1.0), tol=2.0)
-
     def test_window_cap_raises_before_allocating(self):
         # an uncapped window here would hold ~1.7e8 entries (gigabytes)
         start = time.perf_counter()
@@ -200,6 +190,13 @@ class TestAsymptotic:
         with pytest.raises(ConvergenceError):
             q1_asymptotic(QArgs(1.0, 1.0))
 
+    def test_overflowing_xi_raises(self):
+        # ab = inf gives NaN terms, which no growth test would ever stop
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="nan"):
+            q1_asymptotic(QArgs(1e200, 1e200))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestReference:
     def test_published_value(self):
@@ -219,7 +216,7 @@ class TestReference:
             assert res.value == pytest.approx(math.exp(-b * b / 2), abs=1e-11)
 
     def test_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "q1_series", lambda args, tol=1e-12: 0.5)
+        monkeypatch.setattr(oracle, "q1_series", lambda args: 0.5)
         with pytest.raises(CrossValidationError):
             q1_reference(QArgs(0.1, 2.0))
 
@@ -229,7 +226,7 @@ class TestReference:
             q1_reference(QArgs(1e3, 1e3 + 3))
 
     def test_routes_by_a(self, monkeypatch):
-        def no_series(args, tol=1e-12):
+        def no_series(args):
             raise AssertionError("series called")
 
         monkeypatch.setattr(oracle, "q1_series", no_series)
@@ -239,6 +236,14 @@ class TestReference:
             assert res.method_b_value == q1_asymptotic(QArgs(a, b))
         with pytest.raises(AssertionError, match="series called"):
             q1_reference(QArgs(99.0, 99.0))
+
+    def test_range_limit_is_inclusive(self):
+        limit = oracle.MAX_ORACLE_ARG
+        assert q1_reference(QArgs(limit, limit)).value == pytest.approx(0.5, abs=1e-5)
+        above = math.nextafter(limit, math.inf)
+        for a, b in [(above, limit), (limit, above), (1e9, 1e9), (1e308, 1e308)]:
+            with pytest.raises(DomainError, match="oracle covers"):
+                q1_reference(QArgs(a, b))
 
     def test_large_a_memory_is_constant(self):
         tracemalloc.start()

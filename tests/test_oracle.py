@@ -8,6 +8,8 @@ of ncx2(df=2, nc=a^2) at b^2).
 """
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -25,6 +27,7 @@ from marcumq.oracle import (
     q1_quadrature,
     q1_reference,
     q1_series,
+    q1_sweep,
     rice_pdf,
 )
 
@@ -306,7 +309,124 @@ class TestRicePdf:
         total = q1_quadrature(QArgs(10.0, 0.0), form="tail")
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("x,a", [(0.5, 1e200), (1e200, 0.5), (1e300, 1e10), (1e155, 1.0)])
+    def test_zero_where_the_square_overflows(self, x, a):
+        # (x - a)^2 overflows a double; the density is 0 long before that
+        assert rice_pdf(x, a) == 0.0
+
     def test_scaled_form_never_overflows(self):
         v = rice_pdf(600.0, 600.0)
         assert math.isfinite(v)
         assert v == pytest.approx(600.0 / math.sqrt(2 * math.pi * 360000.0), rel=1e-3)
+
+
+def _bits(res):
+    return (
+        res.value.hex(), res.method_a_value.hex(), res.method_b_value.hex(),
+        res.agreement_gap.hex(), res.method_b,
+    )
+
+
+class TestSweep:
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.0, 30.0), st.floats(100.0, 400.0)),
+        st.lists(st.floats(0.0, 2.0), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_point_calls(self, a, us):
+        # b = 0, b = a, b on a seed (a + 1), b < a and random b, some repeated
+        bs = [0.0, a, a + 1.0, 0.5 * a, *(a * u + u for u in us), a]
+        swept = list(q1_sweep(a, (b for b in bs)))
+        assert [_bits(r) for r in swept] == [_bits(q1_reference(QArgs(a, b))) for b in bs]
+
+    def test_empty_sweep(self):
+        assert list(q1_sweep(1.0, [])) == []
+
+    def test_scope_set_only_while_a_point_runs(self, monkeypatch):
+        seen = []
+        series = oracle.q1_series
+
+        def spy(args):
+            seen.append(oracle._SWEEP.get())
+            return series(args)
+
+        monkeypatch.setattr(oracle, "q1_series", spy)
+        sweep = q1_sweep(2.0, [1.0, 3.0])
+        assert oracle._SWEEP.get() is None
+        next(sweep)
+        assert oracle._SWEEP.get() is None  # not held across the yield
+        list(sweep)
+        assert oracle._SWEEP.get() is None
+        assert len(seen) == 2 and seen[0] is seen[1] and seen[0].a == 2.0
+        # a point call outside any sweep runs without a scope
+        q1_reference(QArgs(2.0, 1.0))
+        assert seen[2] is None
+
+    def test_scope_unset_after_an_exception(self, monkeypatch):
+        def broken(args):
+            assert oracle._SWEEP.get() is not None
+            raise ConvergenceError("stub")
+
+        monkeypatch.setattr(oracle, "q1_series", broken)
+        with pytest.raises(ConvergenceError):
+            list(q1_sweep(1.0, [0.5, 2.0]))
+        assert oracle._SWEEP.get() is None
+        with pytest.raises(DomainError):  # b rejected by QArgs before its point
+            list(q1_sweep(1.0, [-1.0]))
+        assert oracle._SWEEP.get() is None
+
+    def test_other_a_ignores_the_scope(self, monkeypatch):
+        # a call for another a inside a sweep's point takes the point path
+        calls = []
+        point = oracle.q1_reference
+
+        def nested(args):
+            calls.append(_bits(point(QArgs(args.a + 1.0, args.b))))
+            return point(args)
+
+        monkeypatch.setattr(oracle, "q1_reference", nested)
+        list(q1_sweep(3.0, [2.0, 4.0]))
+        monkeypatch.setattr(oracle, "q1_reference", point)
+        assert calls == [_bits(q1_reference(QArgs(4.0, b))) for b in (2.0, 4.0)]
+
+    def test_threads_sweeping_different_a(self):
+        bs = [0.5 * i for i in range(12)]
+        a_values = (0.5, 2.0, 7.0, 150.0)
+        expected = {a: [_bits(q1_reference(QArgs(a, b))) for b in bs] for a in a_values}
+        got = {}
+
+        def work(a):
+            got[a] = [_bits(r) for r in q1_sweep(a, bs)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(a,)) for a in a_values]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    @pytest.mark.parametrize("a", [0.0, 4.0, 10.0, 20.0, 150.0])
+    def test_panel_memo_does_not_grow_with_the_sweep(self, monkeypatch, a):
+        # only panels fixed by a are kept: 9-19 of them at these a for any
+        # grid, so a sweep four times as long over the same b keeps no more
+        sizes = []
+        point = oracle.q1_reference
+
+        def spy(args):
+            res = point(args)
+            sizes.append(len(oracle._SWEEP.get().panels))
+            return res
+
+        monkeypatch.setattr(oracle, "q1_reference", spy)
+        grid = [(2.0 * a + 3.0) * i / 99 for i in range(100)]
+        list(q1_sweep(a, grid * 4))
+        assert 0 < sizes[len(grid) - 1] == sizes[-1] <= 32
+        sizes.clear()
+        list(q1_sweep(a, [(2.0 * a + 3.0) * i / 1599 for i in range(1600)]))
+        assert max(sizes) <= 32

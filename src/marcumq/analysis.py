@@ -108,6 +108,14 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     lr = math.log(ratio)
     xs = [lo * math.exp(lr * i / (n - 1)) for i in range(n)]
     xs[-1] = hi
+    # [lo, hi] may hold fewer than n doubles, and a repeated x would read
+    # as a zero difference in the monotonicity scans.  Each point is off by
+    # under 1e-12 relative for any finite ratio, so only a step below 1e-9
+    # can round away; coarser grids skip the pass over the points.
+    if lr < 1e-9 * (n - 1) and any(x >= y for x, y in zip(xs, xs[1:])):
+        raise DomainError(
+            f"log grid [{lo!r}, {hi!r}] with n={n} repeats a point: too few doubles between lo and hi"
+        )
     return xs
 
 
@@ -329,7 +337,9 @@ def scan_envelope_ordering(
     The window defaults to [0, b], where both envelopes are valid; all
     three curves coincide at x = b, so ordering is checked with a 1e-12
     absolute margin.  The sampled curves ride along in ``details`` for
-    plotting.
+    plotting.  When all three curves are 0.0 at every sample (they
+    underflow for huge a), nothing can be compared and DomainError is
+    raised rather than a vacuous pass.
     """
     if not (0.0 < b < a):
         raise DomainError(f"envelope scan requires 0 < b < a, got (a={a!r}, b={b!r})")
@@ -343,6 +353,11 @@ def scan_envelope_ordering(
     e_sinh = [envelope_sinh(x, a, b) for x in xs]
     zeta = compute_zeta(QArgs(a, b))
     e_rate = [_exp_rate_at(x, a, zeta) for x in xs]
+    if not any(rice) and not any(e_sinh) and not any(e_rate):
+        raise DomainError(
+            f"envelope ordering cannot be tested on this grid: the density and both envelopes "
+            f"are 0.0 at all {n} points of [{lo!r}, {hi!r}] (a={a!r}, b={b!r})"
+        )
     worst, witness = _worst(
         (v, (x, label))
         for x, r, s, t in zip(xs, rice, e_sinh, e_rate)

@@ -68,6 +68,7 @@ import math
 from collections.abc import Iterable, Iterator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .errors import ConvergenceError, CrossValidationError, DomainError
 from .specfun import bessel_i0_scaled
@@ -249,6 +250,14 @@ def _poisson_window(mean: float, width_sigmas: float = 12.0):
     exact pmf recurrence, so every entry carries the same (tiny) seed
     error, which cancels when sums are normalized by the window mass.
 
+    The mass is summed from the mode outward, largest entries first.
+    ``math.fsum`` walks its list of partials on every add, and an addend
+    larger than the running sum leaves its rounding error behind as one
+    more partial.  In index order the pmf climbs from its left tail to
+    the mode and the partials pile up; on falling input few stay alive
+    and the cost is linear.  fsum is correctly rounded, so the order
+    leaves the result unchanged.
+
     Returns (lo, hi, pmf, mass, tail_lo, tail_hi) where the tails are
     geometric-series bounds on the discarded mass on each side.
     """
@@ -271,7 +280,8 @@ def _poisson_window(mean: float, width_sigmas: float = 12.0):
     for k in range(m, hi):
         v *= mean / (k + 1)
         pmf[k + 1 - lo] = v
-    mass = math.fsum(pmf)
+    left = map(pmf.__getitem__, range(m - lo, -1, -1))
+    mass = math.fsum(chain(left, islice(pmf, m - lo + 1, None)))
     r = mean / (hi + 1)
     tail_hi = pmf[-1] * r / (1.0 - r) if r < 1.0 else math.inf
     if lo > 0:
@@ -313,21 +323,33 @@ def q1_series(args: QArgs) -> float:
         )
     # the mixture terms run over klo..khi with the running CDF of
     # Poisson(y) at k, Neumaier-compensated; that CDF is 0 below its window
-    # (no term) and 1 above it (the bare outer pmf).  fsum is correctly
-    # rounded, so neither the dropped zeros nor the order change the sum.
+    # (no term) and 1 above it (the bare outer pmf).  The CDF runs over
+    # q[:end], and terms start at q[s], the first k >= klo.  The sum and
+    # the pmf are >= 0, so the Neumaier branch compares them without abs().
+    # fsum is correctly rounded, so neither the dropped zeros nor the
+    # order change the sum; the terms go in largest first, where fsum
+    # keeps few partials and runs in linear time.
     acc = comp = 0.0
-    terms = []
-    for k in range(jlo, min(khi, jhi) + 1):
-        x = q[k - jlo]
+    end = max(min(khi, jhi) + 1 - jlo, 0)
+    s = min(max(klo - jlo, 0), end)
+    for x in islice(q, s):
         t = acc + x
-        if abs(acc) >= abs(x):
+        if acc >= x:
             comp += (acc - t) + x
         else:
             comp += (x - t) + acc
         acc = t
-        if k >= klo:
-            terms.append(p[k - klo] * ((acc + comp) / qmass))
+    terms = []
+    for x, pk in zip(islice(q, s, end), islice(p, max(jlo - klo, 0), None)):
+        t = acc + x
+        if acc >= x:
+            comp += (acc - t) + x
+        else:
+            comp += (x - t) + acc
+        acc = t
+        terms.append(pk * ((acc + comp) / qmass))
     terms += p[max(jhi + 1, klo) - klo:]
+    terms.sort(reverse=True)
     return math.fsum(terms) / pmass
 
 

@@ -106,6 +106,11 @@ class TestRatioScans:
         with pytest.raises(DomainError):
             scan_f_ratio_monotone("f_inc_eq2", 0.1, 1.0, 100)
 
+    def test_repeated_grid_points_raise_not_fail(self):
+        # too few doubles in [lo, hi]: repeated x would read as zero differences
+        with pytest.raises(DomainError, match="repeats a point"):
+            scan_f_ratio_monotone("f_dec_eq2", 1.0, 1.0000000000000004, 10)
+
 
 class TestChainScan:
     def test_reference_points(self):
@@ -185,10 +190,18 @@ class TestEnvelopeScan:
         assert [v.hex() for v in rep.details["exp_rate_envelope"]] == [v.hex() for v in pointwise]
 
     def test_zero_where_the_square_overflows(self):
-        # (x - a)^2 overflows a double at a = 1e160; every curve is 0 there
+        # (x - a)^2 overflows a double at a = 1e160; every curve is 0 there,
+        # so the scan has nothing to compare and refuses to pass
         assert envelope_sinh(0.5, 1e160, 1.0) == 0.0
-        rep = scan_envelope_ordering(1e160, 1.0, 50)
-        assert rep.details["rice_pdf"] == rep.details["sinh_envelope"] == [0.0] * 50
+        assert envelope_exp_rate(0.5, 1e160, 1.0) == 0.0
+        with pytest.raises(DomainError, match="cannot be tested on this grid"):
+            scan_envelope_ordering(1e160, 1.0, 50)
+
+    def test_a_few_nonzero_samples_are_enough(self):
+        # at a = 39.5, b = 1 only the two samples nearest x = b are nonzero
+        rep = scan_envelope_ordering(39.5, 1.0, 50)
+        assert sum(1 for v in rep.details["rice_pdf"] if v) == 2
+        assert rep.passed
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
@@ -226,6 +239,31 @@ class TestSandwichScan:
     def test_log_grid_ratio_must_be_finite(self, lo, hi):
         with pytest.raises(DomainError, match=r"log grid .* finite hi/lo"):
             log_grid(lo, hi, 10)
+
+    @pytest.mark.parametrize(
+        "lo,hi,n",
+        [
+            (1.0, 1.0000000000000004, 10),
+            (1.0, math.nextafter(1.0, 2.0), 3),
+            (1e300, math.nextafter(1e300, math.inf), 2000),
+        ],
+    )
+    def test_log_grid_rejects_repeated_points(self, lo, hi, n):
+        with pytest.raises(DomainError, match=rf"log grid .* n={n} repeats a point"):
+            log_grid(lo, hi, n)
+
+    def test_log_grid_strictly_increasing(self):
+        hi = math.nextafter(1.0, 2.0)
+        assert log_grid(1.0, hi, 2) == [1.0, hi]
+        # a grid checked point by point, and two whose log step is just
+        # past 1e-9, where log_grid stops checking
+        for lo, hi, n in [
+            (1.0, 1.0 + 64 * 2.0**-52, 32),
+            (1.0, math.exp(1.001e-6), 1001),
+            (1e-300, 1e-300 * math.exp(1.001e-3), MAX_GRID_POINTS),
+        ]:
+            xs = log_grid(lo, hi, n)
+            assert all(x < y for x, y in zip(xs, xs[1:]))
 
 
 class TestWorst:

@@ -239,10 +239,21 @@ class TestScan:
         assert err.startswith("error: log grid [") and "finite hi/lo" in err
 
     def test_envelope_huge_a_no_traceback(self, capsys):
-        # (x - a)^2 overflows at a = 1e160: every curve is 0, so it passes
+        # (x - a)^2 overflows at a = 1e160: every curve is 0, nothing to compare
         rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", "1e160", "--b", "1")
-        assert rc == 0
-        assert "passed: True" in out and err == ""
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: envelope ordering cannot be tested on this grid")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("prop", ["f_dec_eq2", "f_inc_sinh", "g_negative", "chain_eq6"])
+    def test_log_grid_repeats_exit_2(self, capsys, prop):
+        rc, out, err = run_cli(
+            capsys, "scan", "--property", prop, "--lo", "1", "--hi", "1.0000000000000004", "--n", "10"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: log grid [1.0, 1.0000000000000004] with n=10 repeats a point")
 
     def test_chain_bad_m_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "scan", "--property", "chain_eq6", "--m", "0.5")

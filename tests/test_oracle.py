@@ -105,17 +105,51 @@ class TestQuadrature:
             _adaptive_quad(lambda x: math.sin(1000.0 * x * x), 0.0, 10.0, 1e-12, max_panels=4)
 
 
+def _frozen_poisson_window(mean: float):
+    """_poisson_window as it was with its mass summed in index order by
+    fsum: a frozen copy, so a change to the library's window cannot move
+    the reference it is compared with."""
+    w = int(12.0 * math.sqrt(mean)) + 40
+    m = int(mean)
+    lo, hi = max(0, m - w), m + w
+    pm = math.exp(-mean + m * math.log(mean) - math.lgamma(m + 1))
+    pmf = [0.0] * (hi - lo + 1)
+    pmf[m - lo] = pm
+    v = pm
+    for k in range(m, lo, -1):
+        v *= k / mean
+        pmf[k - 1 - lo] = v
+    v = pm
+    for k in range(m, hi):
+        v *= mean / (k + 1)
+        pmf[k + 1 - lo] = v
+    mass = math.fsum(pmf)
+    r = mean / (hi + 1)
+    tail_hi = pmf[-1] * r / (1.0 - r) if r < 1.0 else math.inf
+    if lo > 0:
+        r = lo / mean
+        tail_lo = pmf[0] * r / (1.0 - r) if r < 1.0 else math.inf
+    else:
+        tail_lo = 0.0
+    return lo, hi, pmf, mass, tail_lo, tail_hi
+
+
+def _window_bits(window):
+    lo, hi, pmf, mass, tail_lo, tail_hi = window
+    return lo, hi, [v.hex() for v in pmf], mass.hex(), tail_lo.hex(), tail_hi.hex()
+
+
 def _series_closure_form(a: float, b: float) -> float:
     """q1_series with its running Poisson CDF summed through a Neumaier
-    closure in two loops, as it was written before the sum was inlined:
-    the reference for bit-identical results."""
+    closure in two loops, on the frozen window, with the mixture summed
+    in index order: the reference for bit-identical results."""
     lam, y = a * a / 2.0, b * b / 2.0
     if lam == 0.0:
         return math.exp(-y)
     if y == 0.0:
         return 1.0
-    klo, khi, p, pmass, _, _ = oracle._poisson_window(lam)
-    jlo, jhi, q, qmass, _, _ = oracle._poisson_window(y)
+    klo, khi, p, pmass, _, _ = _frozen_poisson_window(lam)
+    jlo, jhi, q, qmass, _, _ = _frozen_poisson_window(y)
     acc = comp = 0.0
 
     def add(x):
@@ -154,6 +188,29 @@ class TestSeries:
     @pytest.mark.parametrize("b", [0.1, 1.0, 3.0, 19.1, 30.0, 70.0])
     def test_bit_identical_to_closure_form(self, a, b):
         assert q1_series(QArgs(a, b)) == _series_closure_form(a, b)
+
+    @pytest.mark.parametrize("mean", [1e-3 * 10 ** (i / 4) for i in range(26)] + [5e3])
+    def test_window_bit_identical_to_frozen_form(self, mean):
+        # the mass is summed in another order; fsum rounds it correctly either way
+        assert _window_bits(oracle._poisson_window(mean)) == _window_bits(_frozen_poisson_window(mean))
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.0, 99.0)),
+        st.sampled_from(["zero", "tie", "below", "any"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 140.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_frozen_form(self, a, where, u, b_any):
+        b = {"zero": 0.0, "tie": a, "below": u * a, "any": b_any}[where]
+        assert q1_series(QArgs(a, b)).hex() == _series_closure_form(a, b).hex()
+
+    @pytest.mark.parametrize("a", [0.7, 6.0, 25.4, 60.0])
+    def test_sweep_bit_identical_to_frozen_form(self, a):
+        # b = 0, b < a, b = a and b > a, through the shared outer window
+        bs = [0.0, a, *(0.06 * i * (a + 5.0) for i in range(1, 49))]
+        swept = [r.method_b_value.hex() for r in q1_sweep(a, bs)]
+        assert swept == [_series_closure_form(a, b).hex() for b in bs]
 
 
     def test_published_spot_values(self):

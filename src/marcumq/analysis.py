@@ -20,8 +20,9 @@ here is deterministic; point evaluations are independent of each other.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, evaluate
 from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
@@ -45,9 +46,11 @@ DEFAULT_SANDWICH_A = (0.0, 0.1, 1.0, 2.0, 4.0, 10.0, 20.0)
 # is a tie (a = 0 degenerates the same way at any b).
 DEFAULT_DOMINANCE_A = (0.1, 0.5, 1.0, 2.0)
 
+# the default of the mapping fields below: read-only, so no caller can fill one shared dict
+_EMPTY = MappingProxyType({})
 
-@dataclass(frozen=True)
-class BoundCell:
+
+class BoundCell(NamedTuple):
     """One bound column of an error-table row."""
 
     raw: float
@@ -55,16 +58,14 @@ class BoundCell:
     epsilon_pct: float
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+class ErrorRow(NamedTuple):
     b: float
     exact: float
     cells: dict[BoundId, BoundCell]
-    skipped: dict[BoundId, str] = field(default_factory=dict)
+    skipped: Mapping[BoundId, str] = _EMPTY
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of one property scan over a documented grid."""
 
     property_id: str
@@ -72,11 +73,10 @@ class ScanReport:
     worst_violation: float
     witness: tuple
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: Mapping = _EMPTY
 
 
-@dataclass(frozen=True)
-class CurveTable:
+class CurveTable(NamedTuple):
     """Plottable curve data: named columns and float rows."""
 
     columns: tuple[str, ...]
@@ -173,8 +173,8 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
             except (RegimeError, SingularityError) as exc:
                 skipped[bid] = str(exc)
                 continue
-            cells[bid] = BoundCell(raw=ev.raw, clamped=ev.clamped, epsilon_pct=eps_pct(ev.raw, exact))
-        rows.append(ErrorRow(b=b, exact=exact, cells=cells, skipped=skipped))
+            cells[bid] = BoundCell(ev.raw, ev.clamped, eps_pct(ev.raw, exact))
+        rows.append(ErrorRow(b, exact, cells, skipped))
     return rows
 
 

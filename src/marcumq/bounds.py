@@ -30,8 +30,8 @@ Everything here is a pure function; no caching, no shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, RegimeError, SingularityError
 from .oracle import QArgs
@@ -83,8 +83,7 @@ FAMILY_B_GE_A = tuple(i for i in BoundId if i.regime is Regime.BGeqA)
 FAMILY_B_LT_A = tuple(i for i in BoundId if i.regime is Regime.BLtA)
 
 
-@dataclass(frozen=True)
-class BoundEval:
+class BoundEval(NamedTuple):
     """One evaluated bound: raw formula value and its [0, 1] clamp."""
 
     id: BoundId

@@ -67,8 +67,8 @@ import heapq
 import math
 from collections.abc import Iterable, Iterator
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import ConvergenceError, CrossValidationError, DomainError
 from .specfun import bessel_i0_scaled
@@ -82,25 +82,28 @@ _TAIL_SIGMAS = 40.0  # integration cutoff: integrand < 1e-300 of its peak
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MAX_DOUBLE = 1.7976931348623157e308
 
 
-@dataclass(frozen=True)
-class QArgs:
+class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):
     """Argument pair of Q1: noncentrality-like a >= 0 and threshold b >= 0."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, v in (("a", self.a), ("b", self.b)):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v) or math.isinf(v):
+    def __new__(cls, a: float, b: float) -> QArgs:
+        for name, v in (("a", a), ("b", b)):
+            # abs() <= the largest double also rejects NaN, +-inf and ints too big for a float
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _MAX_DOUBLE:
                 raise DomainError(f"{name} must be finite, got {v!r}")
             if v < 0:
                 raise DomainError(f"{name} must be nonnegative, got {v!r}")
+        return tuple.__new__(cls, (a, b))
+
+    # _replace builds through _make; route it through the checks above
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Cross-validated reference value with both method values."""
 
     value: float
@@ -110,13 +113,15 @@ class OracleResult:
     method_b: str  # "series" or "asymptotic"
 
 
-@dataclass
 class _Sweep:
     """Work shared by the points of one fixed-a sweep (see ``q1_sweep``)."""
 
-    a: float
-    panels: dict = field(default_factory=dict)  # (lo, hi) -> (value, error)
-    window: tuple | None = None  # _poisson_window(a * a / 2)
+    __slots__ = ("a", "panels", "window")
+
+    def __init__(self, a: float) -> None:
+        self.a = a
+        self.panels = {}  # (lo, hi) -> (value, error)
+        self.window = None  # _poisson_window(a * a / 2)
 
 
 _SWEEP: ContextVar[_Sweep | None] = ContextVar("marcumq_oracle_sweep", default=None)
@@ -228,6 +233,8 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     if form not in ("auto", "tail", "complement"):
         raise DomainError(f"unknown quadrature form {form!r}")
     a, b = args.a, args.b
+    if b == 0.0:  # Q1(a, 0) = 1 exactly; the tail form would reach it only to within tol
+        return 1.0
     if form == "auto":
         form = "tail" if b >= a else "complement"
     # panel seeds around the integrand peak at x ~ a
@@ -238,8 +245,6 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     if form == "tail":
         hi = max(a, b) + _TAIL_SIGMAS
         return _adaptive_quad(integrand, b, hi, DEFAULT_TOL, seeds, memo=memo)
-    if b == 0.0:
-        return 1.0
     return 1.0 - _adaptive_quad(integrand, 0.0, b, DEFAULT_TOL, seeds, memo=memo)
 
 
@@ -460,9 +465,7 @@ def q1_reference(args: QArgs) -> OracleResult:
             f"quadrature={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
         )
     value = min(1.0, max(0.0, 0.5 * (qa + qb)))
-    return OracleResult(
-        value=value, method_a_value=qa, method_b_value=qb, agreement_gap=gap, method_b=method_b
-    )
+    return OracleResult(value, qa, qb, gap, method_b)
 
 
 def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:

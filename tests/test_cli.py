@@ -34,6 +34,12 @@ class TestEval:
         exact = float(out.splitlines()[1].split(",")[3])
         assert exact == pytest.approx(0.6065306597126334, abs=1e-11)
 
+    @pytest.mark.parametrize("a", ["0", "3"])
+    def test_b_zero_is_exactly_one(self, capsys, a):
+        rc, out, _ = run_cli(capsys, "eval", "--a", a, "--b", "0")
+        assert rc == 0
+        assert out.splitlines()[1].split(",")[3:] == ["1.0", "0.0"]
+
     def test_domain_error_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "eval", "--a", "-1", "--b", "1")
         assert rc == 2

@@ -64,10 +64,20 @@ class TestQArgs:
     def test_accepts_zero(self):
         QArgs(0.0, 0.0)
 
-    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
+    @pytest.mark.parametrize(
+        "a,b",
+        [(-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+         pytest.param(10**400, 1.0, id="int-beyond-double"),
+         pytest.param(1.0, -(10**400), id="negative-int-beyond-double")],
+    )
     def test_rejects_bad_args(self, a, b):
         with pytest.raises(DomainError):
             QArgs(a, b)
+
+    def test_replace_is_checked(self):
+        assert QArgs(1.0, 2.0)._replace(b=3.0) == QArgs(1.0, 3.0)
+        with pytest.raises(DomainError):
+            QArgs(1.0, 2.0)._replace(a=-1.0)
 
     @pytest.mark.parametrize("a,b", [(True, 1.0), (1.0, False)])
     def test_rejects_bools(self, a, b):
@@ -84,7 +94,11 @@ class TestQuadrature:
         assert q1_quadrature(QArgs(0.0, 1.5)) == pytest.approx(math.exp(-1.125), abs=1e-13)
 
     def test_full_mass_b_zero(self):
-        assert q1_quadrature(QArgs(3.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        # exactly 1 in every form; the tail integral over [0, a + 40] is 1 only to within tol
+        for a in (0.0, 1e-300, 0.5, 3.0, 150.0):
+            for form in ("auto", "tail", "complement"):
+                assert q1_quadrature(QArgs(a, 0.0), form=form) == 1.0, (a, form)
+            assert q1_reference(QArgs(a, 0.0)).value == 1.0, a
 
     def test_forms_agree_across_tie(self):
         for a in (0.1, 1.0, 2.0, 10.0, 20.0):

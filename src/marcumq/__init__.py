@@ -12,6 +12,7 @@ from .bounds import (
     Regime,
     compute_zeta,
     eval_all,
+    eval_ids,
     evaluate,
     lb2a_literal,
     regime_of,
@@ -42,6 +43,7 @@ __all__ = [
     "UnknownFigureError",
     "compute_zeta",
     "eval_all",
+    "eval_ids",
     "evaluate",
     "lb2a_literal",
     "q1_quadrature",

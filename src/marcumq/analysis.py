@@ -24,8 +24,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, evaluate
-from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
+from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, eval_ids
+from .errors import DomainError, UnknownFigureError
 # q1_reference is not called here since the oracle work goes through
 # q1_sweep, but it stays bound: perfbench/tests checks that the tracer
 # wraps this module's binding of it
@@ -163,17 +163,9 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
     """
     rows = []
     for b, ref in _swept(a, b_values):
-        args = QArgs(a, b)
         exact = ref.value
-        cells: dict[BoundId, BoundCell] = {}
-        skipped: dict[BoundId, str] = {}
-        for bid in ids:
-            try:
-                ev = evaluate(bid, args)
-            except (RegimeError, SingularityError) as exc:
-                skipped[bid] = str(exc)
-                continue
-            cells[bid] = BoundCell(ev.raw, ev.clamped, eps_pct(ev.raw, exact))
+        evals, skipped = eval_ids(ids, QArgs(a, b))
+        cells = {ev.id: BoundCell(ev.raw, ev.clamped, eps_pct(ev.raw, exact)) for ev in evals}
         rows.append(ErrorRow(b, exact, cells, skipped))
     return rows
 
@@ -203,7 +195,8 @@ def g_plain(x: float) -> float:
 
 def g_scaled(x: float) -> float:
     """e^(-2x) g(x): same sign as g, finite for all x >= 0."""
-    return (bessel_i1_scaled(x) - bessel_i0_scaled(x)) + 3.0 * math.exp(-x) * bessel_i1_scaled(x)
+    i1 = bessel_i1_scaled(x)
+    return (i1 - bessel_i0_scaled(x)) + 3.0 * math.exp(-x) * i1
 
 
 def scan_g_negative(x_lo: float, x_hi: float, n: int) -> ScanReport:
@@ -410,6 +403,20 @@ def scan_sandwich(
     )
 
 
+_DOMINANCE_GE = (BoundId.UB1JP, BoundId.UB1A, BoundId.LB1JP, BoundId.LB1A)
+_DOMINANCE_LT = (BoundId.UB2JP, BoundId.UB2A)
+
+
+def _jp_dominance_pairs(a: float, b: float) -> tuple[tuple[str, float], ...]:
+    """(label, violation) of each JP-over-A check at one point; a check
+    holds strictly where its violation is negative."""
+    if b >= a:
+        ub_jp, ub_a, lb_jp, lb_a = (ev.raw for ev in eval_ids(_DOMINANCE_GE, QArgs(a, b))[0])
+        return ("UB1JP<=UB1A", ub_jp - ub_a), ("LB1JP>=LB1A", lb_a - lb_jp)
+    ub_jp, ub_a = (ev.raw for ev in eval_ids(_DOMINANCE_LT, QArgs(a, b))[0])
+    return (("UB2JP<=UB2A", ub_jp - ub_a),)
+
+
 def scan_jp_dominance(
     a_values: tuple[float, ...] = DEFAULT_DOMINANCE_A,
     b_per_a: int = 50,
@@ -429,17 +436,7 @@ def scan_jp_dominance(
         _check_two_sided_size(a_values, b_per_a)
         for a in a_values:
             for b in two_sided_b_grid(a, b_per_a):
-                args = QArgs(a, b)
-                if b >= a:
-                    pairs = (
-                        ("UB1JP<=UB1A", evaluate(BoundId.UB1JP, args).raw - evaluate(BoundId.UB1A, args).raw),
-                        ("LB1JP>=LB1A", evaluate(BoundId.LB1A, args).raw - evaluate(BoundId.LB1JP, args).raw),
-                    )
-                else:
-                    pairs = (
-                        ("UB2JP<=UB2A", evaluate(BoundId.UB2JP, args).raw - evaluate(BoundId.UB2A, args).raw),
-                    )
-                for label, v in pairs:
+                for label, v in _jp_dominance_pairs(a, b):
                     total += 1
                     strict += v < 0.0
                     yield v, (label, a, b)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -345,9 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main's parser, built on the first call (not at import) and reused: parsing
+# keeps no state in it, and building the tree costs about a millisecond
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (DomainError, RegimeError, SingularityError, UnknownFigureError) as exc:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import marcumq.bounds as bounds
+from marcumq.analysis import _jp_dominance_pairs, eps_pct, error_table
 from marcumq.bounds import (
     _FORMULAS,
     FAMILY_B_GE_A,
@@ -20,6 +22,7 @@ from marcumq.bounds import (
     Regime,
     compute_zeta,
     eval_all,
+    eval_ids,
     evaluate,
     lb1jp_small_ab_limit,
     lb2a_literal,
@@ -242,6 +245,11 @@ class TestLiterature:
         with pytest.raises(SingularityError):
             evaluate(BoundId.LB2B, QArgs(2.0, 2.0))
 
+    def test_lb2d_singular_at_zero(self):
+        # the tie a = b = 0 admits the b <= a family, where asin(b/a) is 0/0
+        with pytest.raises(SingularityError, match="^LB2D is singular at a = b = 0$"):
+            evaluate(BoundId.LB2D, QArgs(0.0, 0.0))
+
     def test_lb2a_singular_at_b_zero(self):
         with pytest.raises(SingularityError):
             evaluate(BoundId.LB2A, QArgs(2.0, 0.0))
@@ -290,21 +298,22 @@ def _bits(ev):
     return ev.id, ev.raw.hex(), ev.clamped.hex(), ev.side
 
 
-def _eval_all_by_evaluate(args):
-    """eval_all spelled as one ``evaluate`` per id of the point's family."""
-    family = FAMILY_B_GE_A if regime_of(args) is Regime.BGeqA else FAMILY_B_LT_A
+def _by_evaluate(ids, args):
+    """One ``evaluate`` per id: ([_bits of each value], {id: the message it raised})."""
     evals, skipped = [], {}
-    for bid in family:
+    for bid in ids:
         try:
-            evals.append(evaluate(bid, args))
-        except SingularityError as exc:
+            evals.append(_bits(evaluate(bid, args)))
+        except (RegimeError, SingularityError) as exc:
             skipped[bid] = str(exc)
     return evals, skipped
 
 
 class TestEvalAll:
-    # b = a (UB1B's singular tie), b = 0 (LB2A singular), a = 0, ab below
-    # SMALL_AB_LIMIT on both sides, and ab past the e^ab overflow at ~709
+    # b = a (UB1B's and LB2B's singular tie, both families admitted), b = 0
+    # (LB2A singular), a = 0, ab below SMALL_AB_LIMIT on both sides, ab past
+    # the e^ab overflow at ~709, and b - a > 7.07, where LB1JP's erfc
+    # difference takes the erfcx branch of erfc_diff
     @given(
         st.floats(min_value=0.0, max_value=800.0),
         st.floats(min_value=0.0, max_value=800.0),
@@ -317,15 +326,70 @@ class TestEvalAll:
     @example(1e-5, 1e-5)
     @example(1e-5, 2e-4)
     @example(3.0, 1e-9)
+    @example(1e-3, 8.0)
+    @example(1.0, 9.0)
+    @example(2.0, 40.0)
     @example(600.0, 601.0)
     @example(600.0, 599.0)
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_evaluate(self, a, b):
+        # eval_all, an error-table row over every id and the dominance
+        # pairs each share one kernel record per regime; every value must
+        # match one evaluate per id, bit for bit
+        args = QArgs(a, b)
+        family = FAMILY_B_GE_A if regime_of(args) is Regime.BGeqA else FAMILY_B_LT_A
+        evals, skipped = eval_all(args)
+        assert ([_bits(ev) for ev in evals], skipped) == _by_evaluate(family, args)
+
+        ids = list(BoundId)
+        ref_evals, ref_skipped = _by_evaluate(ids, args)
+        evals, skipped = eval_ids(ids, args)
+        assert ([_bits(ev) for ev in evals], skipped) == (ref_evals, ref_skipped)
+        (row,) = error_table(a, [b], ids)
+        assert list(row.cells) == [bid for bid, *_ in ref_evals] and row.skipped == ref_skipped
+        for (_, raw, clamped, _), cell in zip(ref_evals, row.cells.values()):
+            eps = eps_pct(float.fromhex(raw), row.exact)
+            assert (cell.raw.hex(), cell.clamped.hex(), cell.epsilon_pct.hex()) == (raw, clamped, eps.hex())
+
+        def raw_of(bid):
+            return evaluate(bid, args).raw
+
+        if b >= a:
+            ref_pairs = [
+                ("UB1JP<=UB1A", raw_of(BoundId.UB1JP) - raw_of(BoundId.UB1A)),
+                ("LB1JP>=LB1A", raw_of(BoundId.LB1A) - raw_of(BoundId.LB1JP)),
+            ]
+        else:
+            ref_pairs = [("UB2JP<=UB2A", raw_of(BoundId.UB2JP) - raw_of(BoundId.UB2A))]
+        pairs = _jp_dominance_pairs(a, b)
+        assert [(label, v.hex()) for label, v in pairs] == [(label, v.hex()) for label, v in ref_pairs]
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 1.0), (0.0, 3.0), (3.0, 0.0), (600.0, 601.0)])
+    def test_one_record_per_point(self, a, b, monkeypatch):
+        # a work count, not a time: every formula of a family reads i0e(ab)
+        # from the point's one record, and no bound builds a QArgs
+        i0e_calls, qargs_calls = [0], [0]
+        i0e, qargs = bounds.bessel_i0_scaled, bounds.QArgs
+
+        def counted_i0e(x):
+            i0e_calls[0] += 1
+            return i0e(x)
+
+        def counted_qargs(*fields):
+            qargs_calls[0] += 1
+            return qargs(*fields)
+
+        monkeypatch.setattr(bounds, "bessel_i0_scaled", counted_i0e)
+        monkeypatch.setattr(bounds, "QArgs", counted_qargs)
         args = QArgs(a, b)
         evals, skipped = eval_all(args)
-        ref_evals, ref_skipped = _eval_all_by_evaluate(args)
-        assert [_bits(ev) for ev in evals] == [_bits(ev) for ev in ref_evals]
-        assert skipped == ref_skipped
+        assert len(evals) + len(skipped) >= 8
+        assert (i0e_calls[0], qargs_calls[0]) == (1, 0)
+        # every id at the tie admits both families: one record each
+        i0e_calls[0] = 0
+        evals, skipped = eval_ids(list(BoundId), QArgs(a, a))
+        assert len(evals) + len(skipped) == len(BoundId)
+        assert (i0e_calls[0], qargs_calls[0]) == (2, 0)
 
     def test_skipped_messages(self):
         # a tie belongs to the b >= a family, so LB2B's tie is reached

@@ -292,6 +292,28 @@ class TestScan:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_reused_parser_keeps_no_state(self, capsys, tmp_path):
+        assert run_cli(capsys, "eval", "--a", "1", "--b", "2")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "eval", "--a", "one", "--b", "2")
+        assert exc.value.code == 2
+        # --out of one call must not carry over to the next
+        path = tmp_path / "v.csv"
+        assert run_cli(capsys, "table", "--preset", "V", "--out", str(path))[0] == 0
+        rc, out, _ = run_cli(capsys, "table", "--preset", "V")
+        assert rc == 0 and out.encode() == path.read_bytes()
+        # a fresh parser gives the same bytes as the reused one
+        rc, out, _ = run_cli(capsys, "figdata", "--figure", "2")
+        ns = cli.build_parser().parse_args(["figdata", "--figure", "2"])
+        assert rc == 0 and ns.func(ns) == 0
+        assert capsys.readouterr().out == out
+
+
 class TestFigdata:
     def test_fig3_three_series(self, capsys):
         rc, out, _ = run_cli(capsys, "figdata", "--figure", "3")

@@ -84,6 +84,22 @@ class TestQArgs:
         with pytest.raises(DomainError):
             QArgs(a, b)
 
+    @pytest.mark.parametrize(
+        "a,b,name",
+        [pytest.param(10**400, 1.0, "a", id="int-401-digits"),
+         # past 4300 digits repr() itself raises ValueError
+         pytest.param(1.0, 10**5000, "b", id="int-5001-digits"),
+         pytest.param(-(10**300), 1.0, "a", id="negative-int-301-digits"),
+         pytest.param("x" * 500, 1.0, "a", id="long-str"),
+         pytest.param(1.0, [1.0] * 300, "b", id="long-list")],
+    )
+    def test_message_stays_short_and_names_the_argument(self, a, b, name):
+        with pytest.raises(DomainError) as exc:
+            QArgs(a, b)
+        msg = str(exc.value)
+        assert msg.startswith(f"{name} must be ")
+        assert len(msg) <= 100, msg
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN.items()))

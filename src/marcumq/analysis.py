@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .bounds import BoundId, _pref_exp3 as ratio_exp3, _pref_sinh, compute_zeta, eval_all, eval_ids
+from .bounds import BoundId, compute_zeta, eval_all, eval_ids
 from .errors import DomainError, UnknownFigureError
 # q1_reference is not called here since the oracle work goes through
 # q1_sweep, but it stays bound: perfbench/tests checks that the tracer
@@ -216,6 +216,17 @@ def scan_g_negative(x_lo: float, x_hi: float, n: int) -> ScanReport:
         witness=witness,
         passed=worst < 0.0,
     )
+
+
+def ratio_exp3(x: float) -> float:
+    """I0(x) / (e^x + 3) in scaled form; decreasing on x > 0."""
+    return bessel_i0_scaled(x) / (1.0 + 3.0 * math.exp(-x))
+
+
+def _pref_sinh(a: float, b: float) -> float:
+    """b I0(ab) / (e^ab - e^-ab) in scaled form, stable down to ab -> 0."""
+    ab = a * b
+    return b * bessel_i0_scaled(ab) / (-math.expm1(-2.0 * ab))
 
 
 def ratio_sinh(x: float) -> float:

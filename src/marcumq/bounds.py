@@ -8,27 +8,24 @@ complement 1 - Q1 is bounded instead and the *2* family applies
 integration boundary; the A/B/C/D families are the classical
 alternatives they are compared against.
 
-The catalog is one registry, ``_FORMULAS``, mapping each ``BoundId`` to a
-private ``_xxx(k) -> float`` that returns the raw formula value from a
-kernel record ``k`` of its family at one point.  The record holds what
-two or more of the family's formulas share, computed once: ab, i0e(ab),
-e^(-(b-a)^2/2) and more for b >= a (``_KernelsGe``); ab, i0e(ab),
-e^(-(b-a)^2/2), e^(-a^2/2) and one erfc difference for b <= a
-(``_KernelsLt``).  A kernel only one formula uses stays in it.  Every
-value is bit-identical to the formula written out over (a, b): each
-kernel is the same expression, and each formula keeps its association
-order.  ``_evaluate_in_regime`` is the registry's only reader: it calls
-the formula and clamps the result.  ``evaluate`` checks the id's regime
-and builds its family's record; ``eval_ids`` builds at most one record
-per regime for a list of ids; ``eval_all`` picks the regime's family
-once per point and needs no check.  A formula that is singular at its
-excluded points raises ``SingularityError`` itself.  The uncorrected
-LB2A transcription stays outside the registry as ``lb2a_literal``.
+Each family is one function, ``_family_ge(a, b)`` for b >= a and
+``_family_lt(a, b)`` for b <= a.  It computes the kernels its formulas
+share (ab, i0e(ab), the Gaussian factors, erfc terms) once and returns
+every raw value of the family as one tuple, in ``FAMILY_B_GE_A`` or
+``FAMILY_B_LT_A`` order; a formula singular at the point holds its
+``SingularityError`` in its slot.  Each ``BoundId`` knows its family
+function and slot.  ``eval_ids`` is the one evaluation loop and computes
+each family at most once; ``eval_all`` runs it over the point's family,
+and ``evaluate`` is the regime check plus one slot.  Every expression
+keeps the association order of its formula written out over (a, b).
 
-Raw formula values may fall outside [0, 1] (some classical bounds are
-unbounded in corners); ``BoundEval.clamped`` restricts them to [0, 1].
-Everything here is pure: a record lives for one call, and nothing is
-kept across calls.
+The range is a, b <= sqrt(DBL_MAX) ~ 1.34e154, where a^2, b^2, ab and
+(b - a)^2 stay finite.  A Gaussian factor whose exponent still overflows
+there ((a + b)^2, (a^2 - b^2)^2) is 0.0; past the range ``DomainError``
+is raised.  Raw values may fall outside [0, 1] (some classical bounds
+are unbounded in corners); ``BoundEval.clamped`` restricts them to
+[0, 1].  ``lb2a_literal`` is the uncorrected LB2A transcription, kept
+outside the catalog.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -46,6 +43,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+# sqrt(DBL_MAX), the largest a or b the catalog takes
+_MAX_ARG = 1.3407807929942596e154
 
 # builds a NamedTuple from its fields in order without the Python frame
 # of the generated __new__, about half the cost of a record per call
@@ -105,24 +105,25 @@ def regime_of(args: QArgs) -> Regime:
     return Regime.BGeqA if args.b >= args.a else Regime.BLtA
 
 
-def _require_regime(bid: BoundId, args: QArgs) -> None:
-    # the family boundary b = a is admitted on both sides: every formula
-    # except the B pair is well defined and remains a valid bound there
-    if bid.regime is Regime.BGeqA and args.b < args.a:
-        raise RegimeError(f"{bid.value} requires b >= a, got (a={args.a:g}, b={args.b:g})")
-    if bid.regime is Regime.BLtA and args.b > args.a:
-        raise RegimeError(f"{bid.value} requires b <= a, got (a={args.a:g}, b={args.b:g})")
+def _regime_error(bid: BoundId, args: QArgs) -> RegimeError:
+    """What ``bid`` raises at a point outside its regime."""
+    need = "b >= a" if bid.regime is Regime.BGeqA else "b <= a"
+    return RegimeError(f"{bid.value} requires {need}, got (a={args.a:g}, b={args.b:g})")
 
 
-def _pref_exp3(ab: float) -> float:
-    """I0(ab) / (e^ab + 3) in scaled form; decreasing on ab > 0."""
-    return bessel_i0_scaled(ab) / (1.0 + 3.0 * math.exp(-ab))
+def _check_range(a: float, b: float) -> None:
+    if a > _MAX_ARG or b > _MAX_ARG:
+        raise DomainError(
+            f"the bound catalog takes a, b <= sqrt(DBL_MAX) = {_MAX_ARG!r}, got (a={a:g}, b={b:g})"
+        )
 
 
-def _pref_sinh(a: float, b: float) -> float:
-    """b I0(ab) / (e^ab - e^-ab) in scaled form, stable down to ab -> 0."""
-    ab = a * b
-    return b * bessel_i0_scaled(ab) / (-math.expm1(-2.0 * ab))
+def _gauss(x: float) -> float:
+    """e^(-x^2/2); 0.0 where x^2 overflows, as e^(-x^2/2) underflowed long before."""
+    try:
+        return math.exp(-0.5 * x ** 2)
+    except OverflowError:
+        return 0.0
 
 
 def _zeta(a: float, b: float) -> float:
@@ -130,88 +131,24 @@ def _zeta(a: float, b: float) -> float:
     ab = a * b
     if ab < SMALL_AB_LIMIT:
         return 0.25 * a * ab
-    return log_bessel_i0(ab) / b
+    return min(log_bessel_i0(ab) / b, a)
 
 
 def compute_zeta(args: QArgs) -> float:
-    """Exponential rate zeta = log(I0(ab)) / b; satisfies 0 <= zeta < a.
+    """Exponential rate zeta = log(I0(ab)) / b; satisfies 0 <= zeta <= a.
 
     log I0(ab) comes from ``log_bessel_i0``, which neither cancels as
     ab -> 0 nor overflows at large ab.  Below ab = SMALL_AB_LIMIT,
     log I0(ab) = y (1 - y/4 + ...) with y = (ab)^2/4 < 2.5e-17, so
     zeta = y/b = a ab/4 to double precision; written that way it does not
     underflow where y does.  Past ab ~ 1e16, a - zeta can fall below half
-    an ulp of a, and the rounded zeta is a itself.
+    an ulp of a, and the rounded quotient is a or (from a ~ 8e8) an ulp
+    above it; zeta is clamped to a there.
     """
     a, b = args.a, args.b
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"zeta requires a > 0 and b > 0, got (a={a:g}, b={b:g})")
     return _zeta(a, b)
-
-
-class _KernelsGe(NamedTuple):
-    """Kernels shared by the b >= a formulas at one point."""
-
-    a: float
-    b: float
-    ab: float
-    i0e: float  # i0e(ab) = e^-ab I0(ab)
-    g_diff: float  # e^(-(b-a)^2/2)
-    g_sq: float  # e^(-(a^2+b^2)/2)
-    g_sum: float  # e^(-(a+b)^2/2)
-    erfc: float  # erfc((b-a)/sqrt2)
-    t: float  # atan2(b, a)/pi
-
-
-class _KernelsLt(NamedTuple):
-    """Kernels shared by the b <= a formulas at one point."""
-
-    a: float
-    b: float
-    ab: float
-    i0e: float  # i0e(ab)
-    g_diff: float  # e^(-(b-a)^2/2)
-    g_a: float  # e^(-a^2/2)
-    erfc_diff: float  # erfc(-a/sqrt2) - erfc((b-a)/sqrt2)
-
-
-def _kernels_ge(a: float, b: float) -> _KernelsGe:
-    # computed in the order of UB1JP, the family's first formula, so that
-    # where a kernel overflows eval_all raises what the formulas raised
-    # when each computed its own
-    ab = a * b
-    g_diff = math.exp(-0.5 * (b - a) ** 2)
-    erfc = math.erfc((b - a) / _SQRT2)
-    g_sq = math.exp(-0.5 * (a * a + b * b))
-    i0e = bessel_i0_scaled(ab)
-    g_sum = math.exp(-0.5 * (a + b) ** 2)
-    return _new_record(_KernelsGe, (a, b, ab, i0e, g_diff, g_sq, g_sum, erfc, math.atan2(b, a) / math.pi))
-
-
-def _kernels_lt(a: float, b: float) -> _KernelsLt:
-    # in the order of UB2JP, as in _kernels_ge
-    ab = a * b
-    g_a = math.exp(-0.5 * a * a)
-    g_diff = math.exp(-0.5 * (b - a) ** 2)
-    tail = erfc_diff(-a / _SQRT2, (b - a) / _SQRT2)
-    return _new_record(_KernelsLt, (a, b, ab, bessel_i0_scaled(ab), g_diff, g_a, tail))
-
-
-def _kernels(regime: Regime, a: float, b: float) -> _KernelsGe | _KernelsLt:
-    """The kernel record of ``regime``'s family at (a, b)."""
-    return _kernels_ge(a, b) if regime is Regime.BGeqA else _kernels_lt(a, b)
-
-
-# Each formula below reads one family's kernel record.  A product or
-# quotient written inline keeps the association of the scaled prefactor
-# it spells out: i0e/(1 + 3e^-ab) is _pref_exp3 and b i0e/(-expm1(-2ab))
-# is _pref_sinh, each evaluated before the factor that follows it.
-
-
-def _ub1jp(k: _KernelsGe) -> float:
-    """Upper bound for b >= a from the (e^x + 3)-ratio approximation of I0."""
-    brace = k.g_diff + k.a * _SQRT_HALF_PI * k.erfc + 3.0 * k.g_sq
-    return k.i0e / (1.0 + 3.0 * math.exp(-k.ab)) * brace
 
 
 def lb1jp_small_ab_limit(a: float, b: float) -> float:
@@ -221,100 +158,7 @@ def lb1jp_small_ab_limit(a: float, b: float) -> float:
     prefactor, leaving (e^(-(b-a)^2/2) + e^(-(b+a)^2/2)) / 2, which tends
     to the exact value e^(-b^2/2).
     """
-    return 0.5 * (math.exp(-0.5 * (b - a) ** 2) + math.exp(-0.5 * (b + a) ** 2))
-
-
-def _lb1jp(k: _KernelsGe) -> float:
-    """Lower bound for b >= a from the sinh-ratio approximation of I0."""
-    if k.ab < SMALL_AB_LIMIT:
-        return lb1jp_small_ab_limit(k.a, k.b)
-    # the erfc pair is centered at b/sqrt2 with exact width a*sqrt2, which
-    # keeps full relative accuracy down to the small-ab branch threshold
-    pref = k.b * k.i0e / (-math.expm1(-2.0 * k.ab))
-    return _SQRT_HALF_PI * pref * erfc_diff_centered(k.b / _SQRT2, k.a * _SQRT2)
-
-
-def _ub2jp(k: _KernelsLt) -> float:
-    """Upper bound for b <= a via the complement of the (e^x + 3) form."""
-    a, b = k.a, k.b
-    brace = (
-        4.0 * k.g_a
-        - k.g_diff
-        - 3.0 * math.exp(-0.5 * (a * a + b * b))
-        + a * _SQRT_HALF_PI * k.erfc_diff
-    )
-    return 1.0 - k.i0e / (1.0 + 3.0 * math.exp(-k.ab)) * brace
-
-
-def _lb2jp(k: _KernelsLt) -> float:
-    """Lower bound for b <= a via the complement of the sinh-ratio form."""
-    if k.ab == 0.0:
-        # empty complement integral at b = 0; the product can also
-        # underflow for subnormal b, where the bound is 1 to within 1e-300
-        return 1.0
-    a, b = k.a, k.b
-    bracket = (
-        math.erf(a / _SQRT2)
-        - 0.5 * math.erf((a - b) / _SQRT2)
-        - 0.5 * math.erf((a + b) / _SQRT2)
-    )
-    pref = b * k.i0e / (-math.expm1(-2.0 * k.ab))
-    return 1.0 - _SQRT_TWO_PI * pref * bracket
-
-
-def _ub1a(k: _KernelsGe) -> float:
-    return k.i0e * (k.g_diff + k.a * _SQRT_HALF_PI * k.erfc)
-
-
-def _ub1b(k: _KernelsGe) -> float:
-    a, b = k.a, k.b
-    if b == a:
-        raise SingularityError(f"UB1B is singular at b = a = {a:g}")
-    return b / (b - a) * k.g_diff
-
-
-def _ub1c(k: _KernelsGe) -> float:
-    # e^(-(a^2+b^2)/2) I0(ab) == i0e(ab) e^(-(a-b)^2/2)
-    return k.i0e * k.g_diff + k.a * _SQRT_PI_8 * k.erfc
-
-
-def _ub1d(k: _KernelsGe) -> float:
-    return (1.0 - k.t) * k.g_diff + k.t * k.g_sq
-
-
-def _lb1a(k: _KernelsGe) -> float:
-    return _SQRT_HALF_PI * k.b * k.i0e * k.erfc
-
-
-def _lb1b(k: _KernelsGe) -> float:
-    a, b = k.a, k.b
-    if a == 0.0 and b == 0.0:
-        return 1.0  # limit of b/(b+a) e^(-(b+a)^2/2) along a = 0
-    return b / (b + a) * k.g_sum
-
-
-def _lbc(k: _KernelsGe | _KernelsLt) -> float:
-    """LB1C and LB2C: one expression, read from either family's record."""
-    return k.i0e * k.g_diff
-
-
-def _lb1d(k: _KernelsGe) -> float:
-    return (1.0 - k.t) * k.g_sq + k.t * k.g_sum
-
-
-def _ub2a(k: _KernelsLt) -> float:
-    brace = k.g_a - k.g_diff + k.a * _SQRT_HALF_PI * k.erfc_diff
-    return 1.0 - k.i0e * brace
-
-
-def _ub2d(k: _KernelsLt) -> float:
-    a, b = k.a, k.b
-    t = math.atan2(b, a) / math.pi
-    s = a * a + b * b
-    if s == 0.0:
-        # subnormal a, b: the exponent (a^2-b^2)^2/(2s) <= s/2 vanishes
-        return 1.0
-    return 1.0 - t * (math.exp(-((a * a - b * b) ** 2) / (2.0 * s)) - math.exp(-0.5 * s))
+    return 0.5 * (_gauss(b - a) + _gauss(b + a))
 
 
 def _lb2a_terms(a: float, b: float) -> tuple[float, float, float, float]:
@@ -328,14 +172,6 @@ def _lb2a_terms(a: float, b: float) -> tuple[float, float, float, float]:
     return scale, z, head, tail
 
 
-def _lb2a(k: _KernelsLt) -> float:
-    # as printed the erfc term lacks the zeta factor the derivation
-    # produces; the corrected form is the one that matches the published
-    # comparison data (see the regression tests)
-    scale, z, head, tail = _lb2a_terms(k.a, k.b)
-    return 1.0 - scale * (head + z * _SQRT_HALF_PI * tail)
-
-
 def lb2a_literal(a: float, b: float) -> float:
     """LB2A exactly as printed, without the zeta factor on its erfc term.
 
@@ -343,67 +179,129 @@ def lb2a_literal(a: float, b: float) -> float:
     reproduce the published comparison values.  ``evaluate`` uses the
     corrected form.
     """
-    _require_regime(BoundId.LB2A, QArgs(a, b))
+    args = QArgs(a, b)
+    if b > a:
+        raise _regime_error(BoundId.LB2A, args)
+    _check_range(a, b)
     scale, _, head, tail = _lb2a_terms(a, b)
     return 1.0 - scale * (head + _SQRT_HALF_PI * tail)
 
 
-def _lb2b(k: _KernelsLt) -> float:
-    a, b = k.a, k.b
-    if a == b:
-        raise SingularityError(f"LB2B is singular at a = b = {a:g}")
-    return 1.0 - a / (a - b) * k.g_diff
+# A product or quotient in the two families below keeps the association
+# of the scaled prefactor it spells out: i0e/(1 + 3e^-ab) is I0(ab)/(e^ab + 3)
+# and b i0e/(-expm1(-2ab)) is b I0(ab)/(e^ab - e^-ab), each evaluated
+# before the factor that follows it.
 
 
-def _lb2d(k: _KernelsLt) -> float:
-    a, b = k.a, k.b
+def _family_ge(a: float, b: float) -> tuple:
+    """Raw values of the b >= a family at (a, b), in FAMILY_B_GE_A order."""
+    _check_range(a, b)
+    ab = a * b
+    i0e = bessel_i0_scaled(ab)  # e^-ab I0(ab)
+    g_diff = math.exp(-0.5 * (b - a) ** 2)
+    g_sq = math.exp(-0.5 * (a * a + b * b))
+    g_sum = _gauss(a + b)
+    erfc = math.erfc((b - a) / _SQRT2)
+    t = math.atan2(b, a) / math.pi
+
+    # UB1A's brace, and UB1JP's up to its last term
+    brace_a = g_diff + a * _SQRT_HALF_PI * erfc
+    ub1jp = i0e / (1.0 + 3.0 * math.exp(-ab)) * (brace_a + 3.0 * g_sq)
+    ub1a = i0e * brace_a
+    ub1b = SingularityError(f"UB1B is singular at b = a = {a:g}") if b == a else b / (b - a) * g_diff
+    # e^(-(a^2+b^2)/2) I0(ab) == i0e(ab) e^(-(a-b)^2/2)
+    ub1c = i0e * g_diff + a * _SQRT_PI_8 * erfc
+    ub1d = (1.0 - t) * g_diff + t * g_sq
+
+    if ab < SMALL_AB_LIMIT:
+        lb1jp = lb1jp_small_ab_limit(a, b)
+    else:
+        # the erfc pair is centered at b/sqrt2 with exact width a*sqrt2, which
+        # keeps full relative accuracy down to the small-ab branch threshold
+        pref = b * i0e / (-math.expm1(-2.0 * ab))
+        lb1jp = _SQRT_HALF_PI * pref * erfc_diff_centered(b / _SQRT2, a * _SQRT2)
+    lb1a = _SQRT_HALF_PI * b * i0e * erfc
+    # at a = b = 0, the limit of b/(b+a) e^(-(b+a)^2/2) along a = 0
+    lb1b = 1.0 if a == 0.0 and b == 0.0 else b / (b + a) * g_sum
+    lb1c = i0e * g_diff
+    lb1d = (1.0 - t) * g_sq + t * g_sum
+    return ub1jp, ub1a, ub1b, ub1c, ub1d, lb1jp, lb1a, lb1b, lb1c, lb1d
+
+
+def _family_lt(a: float, b: float) -> tuple:
+    """Raw values of the b <= a family at (a, b), in FAMILY_B_LT_A order."""
+    _check_range(a, b)
+    ab = a * b
+    i0e = bessel_i0_scaled(ab)
+    g_a = math.exp(-0.5 * a * a)
+    g_diff = math.exp(-0.5 * (b - a) ** 2)
+    tail = erfc_diff(-a / _SQRT2, (b - a) / _SQRT2)  # erfc(-a/sqrt2) - erfc((b-a)/sqrt2)
+
+    brace = 4.0 * g_a - g_diff - 3.0 * math.exp(-0.5 * (a * a + b * b)) + a * _SQRT_HALF_PI * tail
+    ub2jp = 1.0 - i0e / (1.0 + 3.0 * math.exp(-ab)) * brace
+    ub2a = 1.0 - i0e * (g_a - g_diff + a * _SQRT_HALF_PI * tail)
+    s = a * a + b * b
+    if s == 0.0:
+        # subnormal a, b: the exponent (a^2-b^2)^2/(2s) <= s/2 vanishes
+        ub2d = 1.0
+    else:
+        try:
+            g_d = math.exp(-((a * a - b * b) ** 2) / (2.0 * s))
+        except OverflowError:  # (a^2-b^2)^2 > 1.8e308: the exponent then exceeds 1e137
+            g_d = 0.0
+        ub2d = 1.0 - math.atan2(b, a) / math.pi * (g_d - math.exp(-0.5 * s))
+
+    if ab == 0.0:
+        # empty complement integral at b = 0; the product can also
+        # underflow for subnormal b, where the bound is 1 to within 1e-300
+        lb2jp = 1.0
+    else:
+        bracket = math.erf(a / _SQRT2) - 0.5 * math.erf((a - b) / _SQRT2) - 0.5 * math.erf((a + b) / _SQRT2)
+        pref = b * i0e / (-math.expm1(-2.0 * ab))
+        lb2jp = 1.0 - _SQRT_TWO_PI * pref * bracket
+    try:
+        scale, z, head, z_tail = _lb2a_terms(a, b)
+    except SingularityError as exc:
+        lb2a = exc
+    else:
+        # as printed the erfc term lacks the zeta factor the derivation
+        # produces; the corrected form is the one that matches the published
+        # comparison data (see the regression tests)
+        lb2a = 1.0 - scale * (head + z * _SQRT_HALF_PI * z_tail)
+    lb2b = SingularityError(f"LB2B is singular at a = b = {a:g}") if a == b else 1.0 - a / (a - b) * g_diff
+    lb2c = i0e * g_diff
     if a == 0.0:
         # b <= a leaves only the tie a = b = 0, where asin(b/a) is 0/0
-        raise SingularityError(f"LB2D is singular at a = b = {a:g}")
-    s = math.asin(b / a) / math.pi
-    return 1.0 - s * (k.g_diff - math.exp(-0.5 * (a + b) ** 2))
+        lb2d = SingularityError(f"LB2D is singular at a = b = {a:g}")
+    else:
+        lb2d = 1.0 - math.asin(b / a) / math.pi * (g_diff - _gauss(a + b))
+    return ub2jp, ub2a, ub2d, lb2jp, lb2a, lb2b, lb2c, lb2d
 
 
-_FORMULAS = {
-    BoundId.UB1JP: _ub1jp,
-    BoundId.UB1A: _ub1a,
-    BoundId.UB1B: _ub1b,
-    BoundId.UB1C: _ub1c,
-    BoundId.UB1D: _ub1d,
-    BoundId.LB1JP: _lb1jp,
-    BoundId.LB1A: _lb1a,
-    BoundId.LB1B: _lb1b,
-    BoundId.LB1C: _lbc,
-    BoundId.LB1D: _lb1d,
-    BoundId.UB2JP: _ub2jp,
-    BoundId.UB2A: _ub2a,
-    BoundId.UB2D: _ub2d,
-    BoundId.LB2JP: _lb2jp,
-    BoundId.LB2A: _lb2a,
-    BoundId.LB2B: _lb2b,
-    BoundId.LB2C: _lbc,
-    BoundId.LB2D: _lb2d,
-}
-
-
-def _evaluate_in_regime(bid: BoundId, k: _KernelsGe | _KernelsLt) -> BoundEval:
-    """Formula call and clamp for an id whose family's record is ``k``."""
-    raw = _FORMULAS[bid](k)
-    return _new_record(BoundEval, (bid, raw, min(1.0, max(0.0, raw)), bid.side))
+# each id's family function and its slot in the tuple that returns, read
+# on every evaluation, so fixed once per member
+for _fn, _members in ((_family_ge, FAMILY_B_GE_A), (_family_lt, FAMILY_B_LT_A)):
+    for _i, _bid in enumerate(_members):
+        _bid._family, _bid._slot = _fn, _i
 
 
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
     """Evaluate any cataloged bound by id.
 
-    Raises RegimeError outside the id's regime (b = a belongs to both)
-    and SingularityError at a formula's excluded points.  Each call
-    builds the family's whole kernel record, so callers evaluating
-    several ids at one point use ``eval_ids`` or ``eval_all``.  A kernel
-    that overflows raises for every id of its family, where a + b
-    exceeds about 1.3e154.
+    Raises RegimeError outside the id's regime (b = a belongs to both),
+    SingularityError at a formula's excluded points and DomainError past
+    the catalog's range a, b <= sqrt(DBL_MAX).  Each call computes the
+    id's whole family, so callers evaluating several ids at one point use
+    ``eval_ids`` or ``eval_all``.
     """
-    _require_regime(bid, args)
-    return _evaluate_in_regime(bid, _kernels(bid.regime, args.a, args.b))
+    # the family boundary b = a is admitted on both sides: every formula
+    # except the B pair is well defined and remains a valid bound there
+    if bid.regime is not regime_of(args) and args.a != args.b:
+        raise _regime_error(bid, args)
+    raw = bid._family(args.a, args.b)[bid._slot]
+    if isinstance(raw, SingularityError):
+        raise raw
+    return _new_record(BoundEval, (bid, raw, min(1.0, max(0.0, raw)), bid.side))
 
 
 def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
@@ -411,22 +309,27 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
 
     Returns the successful evaluations plus a map of skipped ids to the
     message ``evaluate`` would raise: ids outside the point's regime and
-    formulas at their excluded points are skipped, not raised.  At most
-    one kernel record per regime is built.
+    formulas at their excluded points are skipped, not raised.  Each
+    family is computed at most once.
     """
     a, b = args.a, args.b
-    records: dict[Regime, _KernelsGe | _KernelsLt] = {}
+    regime = regime_of(args)
+    tie = a == b
+    families: dict = {}
     evals: list[BoundEval] = []
     skipped: dict[BoundId, str] = {}
     for bid in ids:
-        try:
-            _require_regime(bid, args)
-            k = records.get(bid.regime)
-            if k is None:
-                k = records[bid.regime] = _kernels(bid.regime, a, b)
-            evals.append(_evaluate_in_regime(bid, k))
-        except (RegimeError, SingularityError) as exc:
-            skipped[bid] = str(exc)
+        if bid.regime is not regime and not tie:
+            skipped[bid] = str(_regime_error(bid, args))
+            continue
+        values = families.get(bid._family)
+        if values is None:
+            values = families[bid._family] = bid._family(a, b)
+        raw = values[bid._slot]
+        if isinstance(raw, SingularityError):
+            skipped[bid] = str(raw)
+        else:
+            evals.append(_new_record(BoundEval, (bid, raw, min(1.0, max(0.0, raw)), bid.side)))
     return evals, skipped
 
 
@@ -437,14 +340,4 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
     reason (singular formulas at their excluded points are skipped, not
     raised).
     """
-    # the family is the regime's, so no id in it needs the regime check
-    regime = regime_of(args)
-    k = _kernels(regime, args.a, args.b)
-    evals: list[BoundEval] = []
-    skipped: dict[BoundId, str] = {}
-    for bid in FAMILY_B_GE_A if regime is Regime.BGeqA else FAMILY_B_LT_A:
-        try:
-            evals.append(_evaluate_in_regime(bid, k))
-        except SingularityError as exc:
-            skipped[bid] = str(exc)
-    return evals, skipped
+    return eval_ids(FAMILY_B_GE_A if args.b >= args.a else FAMILY_B_LT_A, args)

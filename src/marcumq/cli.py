@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 from .analysis import (
     MAX_GRID_POINTS,
@@ -45,17 +46,20 @@ _PRESETS = {
     "VIII": (20.0, 19.1, 20.0, 0.1, (BoundId.LB2JP, BoundId.LB2A)),
 }
 
-# scan property -> default --n (grid points, or b values per a)
-_SCAN_DEFAULT_N = {
-    "g_negative": 10000,
-    "f_dec_eq2": 10000,
-    "f_inc_sinh": 10000,
-    "chain_eq6": 100,
-    "envelope": 500,
-    "sandwich": 50,
-    "jp_dominance": 50,
+# scan property -> (default --n: grid points, or b values per a; the grid flags it reads)
+_SCANS = {
+    "g_negative": (10000, ("lo", "hi", "n")),
+    "f_dec_eq2": (10000, ("lo", "hi", "n")),
+    "f_inc_sinh": (10000, ("lo", "hi", "n")),
+    "chain_eq6": (100, ("b", "m", "lo", "hi", "n")),
+    "envelope": (500, ("a", "b", "lo", "hi", "n")),
+    "sandwich": (50, ("n",)),
+    "jp_dominance": (50, ("n",)),
 }
-SCAN_PROPERTIES = tuple(_SCAN_DEFAULT_N)
+SCAN_PROPERTIES = tuple(_SCANS)
+
+# a custom table's flags; a preset fixes all of them
+_TABLE_FLAGS = ("a", "b_start", "b_end", "b_step", "ids")
 
 
 def _fmt(v: float) -> str:
@@ -89,6 +93,13 @@ def _b_grid(start: float, end: float, step: float) -> list[float]:
     if any(u >= v for u, v in zip(bs, bs[1:])):
         raise DomainError(f"--b-step {step!r} is below the resolution of a double near b = {end!r}")
     return bs
+
+
+def _reject_flags(ns: argparse.Namespace, names: Iterable[str], why: str) -> None:
+    """DomainError naming each of ``names`` given on the command line."""
+    given = [f"--{f.replace('_', '-')}" for f in names if getattr(ns, f) is not None]
+    if given:
+        raise DomainError(f"{why}; drop {', '.join(given)}")
 
 
 def _parse_ids(spec: str) -> list[BoundId]:
@@ -199,11 +210,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 def cmd_table(ns: argparse.Namespace) -> int:
     if ns.preset:
+        _reject_flags(ns, _TABLE_FLAGS, f"--preset {ns.preset} fixes a, the b grid and the ids")
         a, start, end, step, ids = _PRESETS[ns.preset]
         ids = list(ids)
         echo = True
     else:
-        missing = [f for f in ("a", "b_start", "b_end", "b_step", "ids") if getattr(ns, f) is None]
+        missing = [f for f in _TABLE_FLAGS if getattr(ns, f) is None]
         if missing:
             raise DomainError(
                 "custom table needs --a, --b-start, --b-end, --b-step and --ids "
@@ -261,7 +273,10 @@ def _report_json(rep: ScanReport) -> str:
 
 def cmd_scan(ns: argparse.Namespace) -> int:
     prop = ns.property
-    n = _SCAN_DEFAULT_N[prop] if ns.n is None else ns.n
+    default_n, reads = _SCANS[prop]
+    unread = [f for f in ("lo", "hi", "n", "m", "a", "b") if f not in reads]
+    _reject_flags(ns, unread, f"--property {prop} reads only {', '.join('--' + f for f in reads)}")
+    n = default_n if ns.n is None else ns.n
     if prop in ("g_negative", "f_dec_eq2", "f_inc_sinh"):
         lo = 1e-3 if ns.lo is None else ns.lo
         hi = 700.0 if ns.hi is None else ns.hi

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import marcumq.bounds as bounds
 from marcumq.analysis import _jp_dominance_pairs, eps_pct, error_table
 from marcumq.bounds import (
-    _FORMULAS,
     FAMILY_B_GE_A,
     FAMILY_B_LT_A,
     BoundId,
@@ -157,7 +156,13 @@ class TestLB2JP:
 
 class TestRegistry:
     def test_every_id_has_one_formula(self):
-        assert set(_FORMULAS) == set(BoundId)
+        # each family function returns one slot per id of its family, and
+        # the ids' slots number 0..n-1 in family order
+        for family, fn in ((FAMILY_B_GE_A, bounds._family_ge), (FAMILY_B_LT_A, bounds._family_lt)):
+            assert len(fn(2.0, 2.0)) == len(family)
+            assert [bid._slot for bid in family] == list(range(len(family)))
+            assert all(bid._family is fn for bid in family)
+        assert set(FAMILY_B_GE_A) | set(FAMILY_B_LT_A) == set(BoundId)
 
     @pytest.mark.parametrize("bid", list(BoundId))
     def test_evaluate_every_id(self, bid):
@@ -220,6 +225,54 @@ class TestZeta:
     def test_bounded_by_a(self, a, b):
         z = compute_zeta(QArgs(a, b))
         assert 0.0 < z < a
+
+
+# the largest a or b the catalog takes
+SQRT_DBL_MAX = 1.3407807929942596e154
+
+
+class TestRange:
+    # past ~8e8 zeta rounded above a, and from ~2.9e9 LB2A's scale
+    # e^(-(a^2-zeta^2)/2) overflowed; (a^2-b^2)^2 in UB2D overflowed from
+    # ~1.2e77, and (a+b)^2 in LB2D and the b >= a family once a + b > 1.34e154
+    @given(
+        st.tuples(
+            st.floats(min_value=1e8, max_value=SQRT_DBL_MAX),
+            st.floats(min_value=1e-12, max_value=1.0),
+        ).map(lambda af: (af[0], af[0] * af[1]))
+    )
+    @example((2906189193.3407207, 466970117.5058383))
+    @example((1e78, 1.0))
+    @example((1e154, 5e153))
+    @example((5e153, 1e154))
+    @example((SQRT_DBL_MAX, SQRT_DBL_MAX))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_up_to_the_range(self, point):
+        a, b = point
+        args = QArgs(a, b)
+        assert 0.0 <= compute_zeta(args) <= a
+        evals, skipped = eval_ids(list(BoundId), args)
+        assert len(evals) + len(skipped) == len(BoundId)
+        assert all(math.isfinite(ev.raw) for ev in evals)
+        assert math.isfinite(lb1jp_small_ab_limit(a, b))
+
+    @pytest.mark.parametrize("a,b", [(1.35e154, 1.0), (1.0, 1.35e154), (1e300, 1e300)])
+    def test_domain_error_past_the_range(self, a, b):
+        args = QArgs(a, b)
+        match = "^the bound catalog takes a, b <= sqrt\\(DBL_MAX\\) = 1.3407807929942596e\\+154"
+        with pytest.raises(DomainError, match=match):
+            eval_all(args)
+        with pytest.raises(DomainError, match=match):
+            eval_ids(list(BoundId), args)
+        family = FAMILY_B_GE_A if regime_of(args) is Regime.BGeqA else FAMILY_B_LT_A
+        for bid in family:
+            with pytest.raises(DomainError, match=match):
+                evaluate(bid, args)
+        if b <= a:
+            with pytest.raises(DomainError, match=match):
+                lb2a_literal(a, b)
+        # the public ab -> 0 limit underflows instead
+        assert lb1jp_small_ab_limit(a, b) == (0.5 if a == b else 0.0)
 
 
 class TestLiterature:

@@ -113,6 +113,15 @@ class TestTable:
         assert rc == 2
         assert "custom table needs" in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--a", "5"), ("--b-start", "0.2"), ("--b-end", "2"), ("--b-step", "0.2"), ("--ids", "LB2A")]
+    )
+    def test_preset_rejects_custom_flags(self, capsys, flag, value):
+        # a preset fixes a, the b grid and the ids, so a custom flag would be ignored
+        rc, out, err = run_cli(capsys, "table", "--preset", "V", flag, value)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --preset V fixes a, the b grid and the ids; drop {flag}\n"
+
     def test_wrong_regime_ids(self, capsys):
         rc, _, err = run_cli(
             capsys, "table", "--a", "1", "--b-start", "2", "--b-end", "3",
@@ -260,6 +269,29 @@ class TestScan:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: log grid [1.0, 1.0000000000000004] with n=10 repeats a point")
+
+    @pytest.mark.parametrize(
+        "prop,flag",
+        [
+            (prop, flag)
+            for prop, reads in {
+                "g_negative": "lo hi n",
+                "f_dec_eq2": "lo hi n",
+                "f_inc_sinh": "lo hi n",
+                "chain_eq6": "b m lo hi n",
+                "envelope": "a b lo hi n",
+                "sandwich": "n",
+                "jp_dominance": "n",
+            }.items()
+            for flag in ("lo", "hi", "n", "m", "a", "b")
+            if flag not in reads.split()
+        ],
+    )
+    def test_unread_flag_exit_2(self, capsys, prop, flag):
+        # a grid flag the property does not read would be ignored
+        rc, out, err = run_cli(capsys, "scan", "--property", prop, f"--{flag}", "3")
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: --property {prop} reads only --") and err.endswith(f"; drop --{flag}\n")
 
     def test_chain_bad_m_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "scan", "--property", "chain_eq6", "--m", "0.5")

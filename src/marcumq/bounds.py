@@ -143,11 +143,13 @@ def compute_zeta(args: QArgs) -> float:
     zeta = y/b = a ab/4 to double precision; written that way it does not
     underflow where y does.  Past ab ~ 1e16, a - zeta can fall below half
     an ulp of a, and the rounded quotient is a or (from a ~ 8e8) an ulp
-    above it; zeta is clamped to a there.
+    above it; zeta is clamped to a there.  Past the catalog's range
+    a, b <= sqrt(DBL_MAX) ``DomainError`` is raised.
     """
     a, b = args.a, args.b
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"zeta requires a > 0 and b > 0, got (a={a:g}, b={b:g})")
+    _check_range(a, b)
     return _zeta(a, b)
 
 

@@ -10,7 +10,9 @@ Three methods are provided; ``q1_reference`` cross-validates two of them:
     Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x) so
     no intermediate overflows for any a.  For b < a the complement
     1 - int_0^b R is integrated instead (the complement integrand is the
-    same; the region [0, b] avoids the non-monotone tail split).
+    same; the region [0, b] avoids the non-monotone tail split).  Root
+    panels end at seeds a-30 ... a+30, and either range stops at the
+    last seed whose panel can move the resulting double.
   * ``q1_series``: the noncentral chi-square mixture representation
 
         Q1(a, b) = sum_k  Pois(k; a^2/2) * P[Pois(b^2/2) <= k],
@@ -78,7 +80,12 @@ ASYMPTOTIC_MIN_A = 100.0  # q1_reference uses q1_asymptotic, not q1_series, from
 DEFAULT_TOL = 1e-12
 MAX_ORACLE_ARG = 1e6  # q1_reference refuses a or b above this
 MAX_SERIES_WINDOW = 2_000_000  # entries in one Poisson window; reached near a = 1.2e5
-_TAIL_SIGMAS = 40.0  # integration cutoff: integrand < 1e-300 of its peak
+# The quadrature's range stops at a seed this far past max(a, b) (or below
+# min(a, b)).  Seeds there are 10 apart, so a panel left out holds about
+# e^-150 of the smallest panel kept, far below its ulp, and fsum returns
+# the double the full range gives.  At 10, a few values in thousands moved.
+_PANEL_SIGMAS = 15.0
+_TAIL_SIGMAS = 40.0  # tail end past the last seed (b > a + 15): integrand < 1e-300 of its peak
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -238,10 +245,13 @@ def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000, memo=None):
 def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     """Q1 by adaptive quadrature of the Rice density, absolute error <= DEFAULT_TOL.
 
-    ``form`` selects the integration route: "tail" integrates over
-    [b, max(a, b) + 40] directly, "complement" integrates 1 - int_0^b,
-    and "auto" picks tail for b >= a, complement for b < a.  Both forms
-    are exposed so their agreement across b = a can be certified.
+    ``form`` selects the integration route: "tail" integrates from b up
+    to the first seed >= max(a, b) + 15 (to max(a, b) + 40 when
+    b > a + 15), "complement" integrates 1 - int_lo^b with lo the last
+    seed <= min(a, b) - 15 (0 when no such seed is positive), and "auto"
+    picks tail for b >= a, complement for b < a.  The range left out
+    cannot move the result (see _PANEL_SIGMAS).  Both forms are exposed
+    so their agreement across b = a can be certified.
     """
     if form not in ("auto", "tail", "complement"):
         raise DomainError(f"unknown quadrature form {form!r}")
@@ -256,9 +266,12 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     scope = _sweep_for(a)
     memo = None if scope is None else scope.panels
     if form == "tail":
-        hi = max(a, b) + _TAIL_SIGMAS
+        top = max(a, b) + _PANEL_SIGMAS
+        hi = min((s for s in seeds if s >= top), default=max(a, b) + _TAIL_SIGMAS)
         return _adaptive_quad(integrand, b, hi, DEFAULT_TOL, seeds, memo=memo)
-    return 1.0 - _adaptive_quad(integrand, 0.0, b, DEFAULT_TOL, seeds, memo=memo)
+    bottom = min(a, b) - _PANEL_SIGMAS
+    lo = max((s for s in seeds if 0.0 < s <= bottom), default=0.0)
+    return 1.0 - _adaptive_quad(integrand, lo, b, DEFAULT_TOL, seeds, memo=memo)
 
 
 def _poisson_window(mean: float, width_sigmas: float = 12.0):

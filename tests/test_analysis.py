@@ -190,12 +190,17 @@ class TestEnvelopeScan:
         assert [v.hex() for v in rep.details["exp_rate_envelope"]] == [v.hex() for v in pointwise]
 
     def test_zero_where_the_square_overflows(self):
-        # (x - a)^2 overflows a double at a = 1e160; every curve is 0 there,
-        # so the scan has nothing to compare and refuses to pass
+        # (x - a)^2 overflows a double at a = 1e160, where the sinh envelope
+        # is 0; zeta refuses a past the catalog's range sqrt(DBL_MAX)
         assert envelope_sinh(0.5, 1e160, 1.0) == 0.0
-        assert envelope_exp_rate(0.5, 1e160, 1.0) == 0.0
+        for call in (lambda: envelope_exp_rate(0.5, 1e160, 1.0), lambda: scan_envelope_ordering(1e160, 1.0, 50)):
+            with pytest.raises(DomainError, match="sqrt\\(DBL_MAX\\)"):
+                call()
+        # at a = 1e154, in range, every curve underflows to 0, so the scan
+        # has nothing to compare and refuses to pass
+        assert envelope_exp_rate(0.5, 1e154, 1.0) == 0.0
         with pytest.raises(DomainError, match="cannot be tested on this grid"):
-            scan_envelope_ordering(1e160, 1.0, 50)
+            scan_envelope_ordering(1e154, 1.0, 50)
 
     def test_a_few_nonzero_samples_are_enough(self):
         # at a = 39.5, b = 1 only the two samples nearest x = b are nonzero

@@ -274,6 +274,15 @@ class TestRange:
         # the public ab -> 0 limit underflows instead
         assert lb1jp_small_ab_limit(a, b) == (0.5 if a == b else 0.0)
 
+    @pytest.mark.parametrize(
+        "a,b", [(1.35e154, 1.0), (1.0, 1.35e154), (1e200, 1e200), (1e300, 1.0)]
+    )
+    def test_zeta_domain_error_past_the_range(self, a, b):
+        # not "log_bessel_i0 ... got inf" where ab overflows, nor zeta = a where it does not
+        match = "^the bound catalog takes a, b <= sqrt\\(DBL_MAX\\) = 1.3407807929942596e\\+154"
+        with pytest.raises(DomainError, match=match):
+            compute_zeta(QArgs(a, b))
+
 
 class TestLiterature:
     def test_frozen(self):

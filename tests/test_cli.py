@@ -254,12 +254,20 @@ class TestScan:
         assert err.startswith("error: log grid [") and "finite hi/lo" in err
 
     def test_envelope_huge_a_no_traceback(self, capsys):
-        # (x - a)^2 overflows at a = 1e160: every curve is 0, nothing to compare
-        rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", "1e160", "--b", "1")
+        # every curve underflows to 0 at a = 1e154: nothing to compare
+        rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", "1e154", "--b", "1")
         assert rc == 2
         assert out == ""
         assert err.startswith("error: envelope ordering cannot be tested on this grid")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("a,b", [("1e200", "1e199"), ("1e160", "1")])
+    def test_envelope_past_the_catalog_range_exit_2(self, capsys, a, b):
+        # zeta names the range, not "log_bessel_i0 ... got inf" where ab overflows
+        rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", a, "--b", b)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: the bound catalog takes a, b <= sqrt(DBL_MAX)")
 
     @pytest.mark.parametrize("prop", ["f_dec_eq2", "f_inc_sinh", "g_negative", "chain_eq6"])
     def test_log_grid_repeats_exit_2(self, capsys, prop):

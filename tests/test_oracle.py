@@ -14,7 +14,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -101,7 +101,69 @@ class TestQArgs:
         assert len(msg) <= 100, msg
 
 
+def _frozen_full_range_quadrature(a: float, b: float, form: str) -> float:
+    """q1_quadrature as it was with the full range, [b, max(a, b) + 40] in
+    the tail form and [0, b] in the complement form: a frozen copy of the
+    range, so a change to the library's range cannot move the reference
+    it is compared with."""
+    if b == 0.0:
+        return 1.0
+    if form == "auto":
+        form = "tail" if b >= a else "complement"
+    seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
+    integrand = lambda x: rice_pdf(x, a)
+    if form == "tail":
+        return _adaptive_quad(integrand, b, max(a, b) + 40.0, oracle.DEFAULT_TOL, seeds)
+    return 1.0 - _adaptive_quad(integrand, 0.0, b, oracle.DEFAULT_TOL, seeds)
+
+
+# the large_arg points of the benchmark, points near the ends of the range,
+# and two at b ~ a + 10 whose last bit moves if the range ends 10, not 15, past b
+_RANGE_EXAMPLES = [
+    *((a, a + d) for a in (1e3, 3e3, 1e4, 3e4) for d in (-3.0, 0.0, 3.0)),
+    (0.0, 0.06), (25.0, 26.0), (29.8, 27.9), (1e6, 1e6 - 3.0),
+    (75.78739524077267, 85.77290710976206), (121.5929216884309, 131.38317917281515),
+]
+
+
+def _with_examples(test):
+    for point in _RANGE_EXAMPLES:
+        test = example(point)(test)
+    return test
+
+
 class TestQuadrature:
+    @given(
+        st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)).flatmap(
+            lambda a: st.tuples(
+                st.just(a),
+                st.one_of(
+                    st.floats(0.0, 40.0).map(lambda u: a + u),
+                    st.floats(0.0, 40.0).map(lambda u: max(a - u, 0.0)),
+                    st.floats(0.0, 1.0).map(lambda u: a * u),
+                ),
+            )
+        )
+    )
+    @_with_examples
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_full_range(self, point):
+        # panels past max(a, b) + 15 or below min(a, b) - 15 are left out
+        a, b = point
+        for form in ("auto", "tail", "complement"):
+            got = q1_quadrature(QArgs(a, b), form=form)
+            assert got == _frozen_full_range_quadrature(a, b, form), (a, b, form)
+
+    @pytest.mark.parametrize("b,panels", [(1e3, 9), (1e3 - 3.0, 5), (1e3 + 3.0, 5)])
+    def test_panel_count_at_large_a(self, monkeypatch, b, panels):
+        # the full range took 11 and 7: it also ran [a+20, a+30] and
+        # [a+30, b+40] above, or [0, a-30] and [a-30, a-20] below
+        calls = []
+        panel = oracle._gk15_panel
+        monkeypatch.setattr(oracle, "_gk15_panel", lambda *args: calls.append(args[1:3]) or panel(*args))
+        q1_quadrature(QArgs(1e3, b))
+        assert len(calls) == panels, calls
+
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN.items()))
     def test_frozen_values(self, pair, expected):
         assert q1_quadrature(QArgs(*pair)) == pytest.approx(expected, abs=1e-12)
@@ -500,7 +562,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("a", [0.0, 4.0, 10.0, 20.0, 150.0])
     def test_panel_memo_does_not_grow_with_the_sweep(self, monkeypatch, a):
-        # only panels fixed by a are kept: 9-19 of them at these a for any
+        # only panels fixed by a are kept: 8-17 of them at these a for any
         # grid, so a sweep four times as long over the same b keeps no more
         sizes = []
         point = oracle.q1_reference

@@ -18,9 +18,12 @@ Three methods are provided; ``q1_reference`` cross-validates two of them:
         Q1(a, b) = sum_k  Pois(k; a^2/2) * P[Pois(b^2/2) <= k],
 
     summed over a mode-centered window of each Poisson factor with
-    explicit geometric bounds on the discarded tails.  Each window holds
-    about 17 max(a, b) entries, so cost grows as O(a) in time and memory;
-    windows above MAX_SERIES_WINDOW entries are refused.
+    explicit geometric bounds on the discarded tails.  A window of mean m
+    holds about 17 sqrt(m) entries (17 a for a^2/2, 17 b for b^2/2), and
+    it is built only when the two windows overlap: the cost is then
+    O(sqrt(m)) per window in time and memory.  Windows that do not
+    overlap give an exact 0.0 or 1.0 in O(1).  Windows above
+    MAX_SERIES_WINDOW entries are refused either way.
   * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
     of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
     Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
@@ -54,9 +57,10 @@ of a fixed-a sweep.  Each point runs inside a sweep scope (a
 ContextVar, set and reset around the point, never held across a yield)
 that shares the work depending on a alone: the quadrature's panels whose
 root interval is bounded by two seeds (or by 0 and a seed), with their
-bisection children, and the series' outer Poisson window for a^2/2.  A
-panel is a pure function of (a, lo, hi), so every result is
-bit-identical to a point call; the scope dies with the sweep.
+bisection children, and the series' outer Poisson window for a^2/2,
+built at the first point whose windows overlap.  A panel is a pure
+function of (a, lo, hi), so every result is bit-identical to a point
+call; the scope dies with the sweep.
 
 Point calls keep call-local state only.  A sweep's scope is private to
 its generator and each ContextVar value to its thread, so every function
@@ -274,14 +278,54 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     return 1.0 - _adaptive_quad(integrand, lo, b, DEFAULT_TOL, seeds, memo=memo)
 
 
-def _poisson_window(mean: float, width_sigmas: float = 12.0):
-    """Poisson(mean) pmf on a mode-centered window.
+def _window_range(mean: float) -> tuple[int, int]:
+    """(lo, hi) of the mode-centered window of Poisson(mean): 12 sigma + 40 each side.
+
+    Raises DomainError when the window would hold more than
+    MAX_SERIES_WINDOW entries, before anything is allocated.
+    """
+    w = int(12.0 * math.sqrt(mean)) + 40
+    m = int(mean)
+    lo, hi = max(0, m - w), m + w
+    if hi - lo + 1 > MAX_SERIES_WINDOW:
+        raise DomainError(
+            f"series window of {hi - lo + 1} entries for Poisson mean {mean:g} "
+            f"exceeds the limit of {MAX_SERIES_WINDOW} entries (a or b above ~1.2e5)"
+        )
+    return lo, hi
+
+
+def _pmf(mean: float, k: int) -> float:
+    """Poisson(mean) pmf at k in lgamma form."""
+    return math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
+
+
+def _tail_bounds(mean: float, lo: int, hi: int, pmf_lo: float, pmf_hi: float) -> tuple[float, float]:
+    """Bounds on the Poisson(mean) mass below lo and above hi, from the pmf at lo and hi.
+
+    Past either end each pmf ratio is at most the one at the end (lo/mean
+    below, mean/(hi + 1) above), so the mass beyond is at most a
+    geometric series.
+    """
+    r = mean / (hi + 1)
+    tail_hi = pmf_hi * r / (1.0 - r) if r < 1.0 else math.inf
+    if lo > 0:
+        r = lo / mean
+        tail_lo = pmf_lo * r / (1.0 - r) if r < 1.0 else math.inf
+    else:
+        tail_lo = 0.0
+    return tail_lo, tail_hi
+
+
+def _poisson_window(mean: float):
+    """Poisson(mean) pmf on the window of ``_window_range``.
 
     The mode term is seeded through lgamma and neighbors follow from the
     exact pmf recurrence, so every entry carries the same (tiny) seed
     error, which cancels when sums are normalized by the window mass.
+    Each side is built from the mode outward by append.
 
-    The mass is summed from the mode outward, largest entries first.
+    The mass is summed in that order too, largest entries first.
     ``math.fsum`` walks its list of partials on every add, and an addend
     larger than the running sum leaves its rounding error behind as one
     more partial.  In index order the pmf climbs from its left tail to
@@ -292,35 +336,31 @@ def _poisson_window(mean: float, width_sigmas: float = 12.0):
     Returns (lo, hi, pmf, mass, tail_lo, tail_hi) where the tails are
     geometric-series bounds on the discarded mass on each side.
     """
-    w = int(width_sigmas * math.sqrt(mean)) + 40
+    lo, hi = _window_range(mean)
     m = int(mean)
-    lo, hi = max(0, m - w), m + w
-    if hi - lo + 1 > MAX_SERIES_WINDOW:
-        raise DomainError(
-            f"series window of {hi - lo + 1} entries for Poisson mean {mean:g} "
-            f"exceeds the limit of {MAX_SERIES_WINDOW} entries (a or b above ~1.2e5)"
-        )
-    pm = math.exp(-mean + m * math.log(mean) - math.lgamma(m + 1))
-    pmf = [0.0] * (hi - lo + 1)
-    pmf[m - lo] = pm
-    v = pm
+    v = _pmf(mean, m)
+    pmf = [v]  # m, m - 1, ..., lo until reversed
     for k in range(m, lo, -1):
         v *= k / mean
-        pmf[k - 1 - lo] = v
-    v = pm
-    for k in range(m, hi):
-        v *= mean / (k + 1)
-        pmf[k + 1 - lo] = v
-    left = map(pmf.__getitem__, range(m - lo, -1, -1))
-    mass = math.fsum(chain(left, islice(pmf, m - lo + 1, None)))
-    r = mean / (hi + 1)
-    tail_hi = pmf[-1] * r / (1.0 - r) if r < 1.0 else math.inf
-    if lo > 0:
-        r = lo / mean
-        tail_lo = pmf[0] * r / (1.0 - r) if r < 1.0 else math.inf
-    else:
-        tail_lo = 0.0
-    return lo, hi, pmf, mass, tail_lo, tail_hi
+        pmf.append(v)
+    v = pmf[0]
+    right = []  # m + 1, ..., hi
+    for k in range(m + 1, hi + 1):
+        v *= mean / k
+        right.append(v)
+    mass = math.fsum(chain(pmf, right))
+    pmf.reverse()
+    pmf += right
+    return (lo, hi, pmf, mass, *_tail_bounds(mean, lo, hi, pmf[0], pmf[-1]))
+
+
+def _check_tails(ptail_lo: float, ptail_hi: float, qtail_lo: float, qtail_hi: float) -> None:
+    """Raise ConvergenceError when the series windows discard more than DEFAULT_TOL/10."""
+    discarded = ptail_lo + ptail_hi + qtail_lo + qtail_hi
+    if discarded > 0.1 * DEFAULT_TOL:
+        raise ConvergenceError(
+            f"series windows too narrow for DEFAULT_TOL (discarded mass bound {discarded:.3e})"
+        )
 
 
 def q1_series(args: QArgs) -> float:
@@ -331,6 +371,10 @@ def q1_series(args: QArgs) -> float:
     DEFAULT_TOL/10; a ConvergenceError is raised otherwise.  Since the mixture
     weights sum to 1 and the inner factor is a CDF in [0, 1], the
     discarded mass bounds the truncation error directly.
+
+    Windows that overlap cost O(sqrt(mean)) time and memory each.  Windows
+    that do not overlap are never built: the result is exactly 0.0 (inner
+    window above the outer) or 1.0 (below it), in O(1).
     """
     lam = args.a * args.a / 2.0
     y = args.b * args.b / 2.0
@@ -338,6 +382,17 @@ def q1_series(args: QArgs) -> float:
         return math.exp(-y)
     if y == 0.0:
         return 1.0
+    klo, khi = _window_range(lam)
+    jlo, jhi = _window_range(y)
+    if jlo > khi or jhi < klo:
+        # Inner window above the outer: no k has a CDF term and the sum is
+        # fsum([]) / pmass = 0.0.  Below it: every CDF is 1, the terms are
+        # the outer pmf, and its correctly rounded fsum is pmass itself.
+        _check_tails(
+            *_tail_bounds(lam, klo, khi, _pmf(lam, klo), _pmf(lam, khi)),
+            *_tail_bounds(y, jlo, jhi, _pmf(y, jlo), _pmf(y, jhi)),
+        )
+        return 0.0 if jlo > khi else 1.0
     scope = _sweep_for(args.a)
     if scope is None:
         outer = _poisson_window(lam)
@@ -345,24 +400,20 @@ def q1_series(args: QArgs) -> float:
         if scope.window is None:
             scope.window = _poisson_window(lam)
         outer = scope.window
-    klo, khi, p, pmass, ptail_lo, ptail_hi = outer
-    jlo, jhi, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
-    if ptail_lo + ptail_hi + qtail_lo + qtail_hi > 0.1 * DEFAULT_TOL:
-        raise ConvergenceError(
-            "series windows too narrow for DEFAULT_TOL "
-            f"(discarded mass bound {ptail_lo + ptail_hi + qtail_lo + qtail_hi:.3e})"
-        )
+    _, _, p, pmass, ptail_lo, ptail_hi = outer
+    _, _, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
+    _check_tails(ptail_lo, ptail_hi, qtail_lo, qtail_hi)
     # the mixture terms run over klo..khi with the running CDF of
     # Poisson(y) at k, Neumaier-compensated; that CDF is 0 below its window
-    # (no term) and 1 above it (the bare outer pmf).  The CDF runs over
-    # q[:end], and terms start at q[s], the first k >= klo.  The sum and
-    # the pmf are >= 0, so the Neumaier branch compares them without abs().
-    # fsum is correctly rounded, so neither the dropped zeros nor the
-    # order change the sum; the terms go in largest first, where fsum
-    # keeps few partials and runs in linear time.
+    # (no term) and 1 above it (the bare outer pmf).  The windows overlap,
+    # so the CDF runs over q[:end], and terms start at q[s], the first
+    # k >= klo.  The sum and the pmf are >= 0, so the Neumaier branch
+    # compares them without abs().  fsum is correctly rounded, so neither
+    # the dropped zeros nor the order change the sum; the terms go in
+    # largest first, where fsum keeps few partials and runs in linear time.
     acc = comp = 0.0
-    end = max(min(khi, jhi) + 1 - jlo, 0)
-    s = min(max(klo - jlo, 0), end)
+    end = min(khi, jhi) + 1 - jlo
+    s = max(klo - jlo, 0)
     for x in islice(q, s):
         t = acc + x
         if acc >= x:
@@ -379,7 +430,7 @@ def q1_series(args: QArgs) -> float:
             comp += (x - t) + acc
         acc = t
         terms.append(pk * ((acc + comp) / qmass))
-    terms += p[max(jhi + 1, klo) - klo:]
+    terms += p[jhi + 1 - klo:]
     terms.sort(reverse=True)
     return math.fsum(terms) / pmass
 

@@ -222,6 +222,17 @@ class TestSandwichScan:
         assert rep.worst_violation <= 1e-9
         assert rep.details["checks"] > 300
 
+    def test_worst_default_violation_is_the_quadratures_error(self):
+        # the default scan's worst violation, LB1JP at (0, 0.06), is the
+        # oracle's: at a = 0 the bound, the series and Q1 = e^(-b^2/2) are
+        # one double, and the quadrature below it pulls the mean down
+        args = QArgs(0.0, 0.06)
+        exact = math.exp(-0.5 * 0.06**2)
+        assert evaluate(BoundId.LB1JP, args).clamped == oracle.q1_series(args) == exact
+        ref = q1_reference(args)
+        assert ref.method_a_value == oracle.q1_quadrature(args) < exact
+        assert exact - ref.value == pytest.approx(1.55e-15, rel=0.01)
+
     def test_grid_builder(self):
         bs = two_sided_b_grid(2.0, 10)
         assert all(b > 0 for b in bs)

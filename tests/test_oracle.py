@@ -8,6 +8,7 @@ of ncx2(df=2, nc=a^2) at b^2).
 """
 
 import math
+import re
 import sys
 import threading
 import time
@@ -268,6 +269,31 @@ def _series_closure_form(a: float, b: float) -> float:
     return math.fsum(terms) / pmass
 
 
+# (a, b, windows q1_series builds): points whose Poisson windows do not
+# overlap (0 windows: inner above the outer at (5, 30), (15, 40), (1, 30),
+# below it at (30, 8.9)), and points one window entry either side of the
+# edges: (5, 26.908) has jlo == khi and (30, 8.957) jhi == klo
+WINDOW_EDGE_POINTS = [
+    (5.0, 30.0, 0),
+    (15.0, 40.0, 0),
+    (1.0, 30.0, 0),
+    (30.0, 8.9, 0),
+    (5.0, 26.833, 2),
+    (5.0, 26.908, 2),
+    (5.0, 26.945, 0),
+    (30.0, 8.945, 0),
+    (30.0, 8.957, 2),
+    (30.0, 9.056, 2),
+]
+
+
+def _count_windows(monkeypatch) -> list:
+    """Patch oracle._poisson_window to record the mean of every window built."""
+    means, window = [], oracle._poisson_window
+    monkeypatch.setattr(oracle, "_poisson_window", lambda mean: means.append(mean) or window(mean))
+    return means
+
+
 class TestSeries:
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN.items()))
     def test_frozen_values(self, pair, expected):
@@ -292,10 +318,54 @@ class TestSeries:
         st.floats(0.0, 1.0),
         st.floats(0.0, 140.0),
     )
+    @example(a=5.0, where="any", u=0.0, b_any=30.0)
+    @example(a=15.0, where="any", u=0.0, b_any=40.0)
+    @example(a=1.0, where="any", u=0.0, b_any=30.0)
+    @example(a=30.0, where="any", u=0.0, b_any=8.9)
+    @example(a=5.0, where="any", u=0.0, b_any=26.833)
+    @example(a=5.0, where="any", u=0.0, b_any=26.908)
+    @example(a=5.0, where="any", u=0.0, b_any=26.945)
+    @example(a=30.0, where="any", u=0.0, b_any=8.945)
+    @example(a=30.0, where="any", u=0.0, b_any=8.957)
+    @example(a=30.0, where="any", u=0.0, b_any=9.056)
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_frozen_form(self, a, where, u, b_any):
         b = {"zero": 0.0, "tie": a, "below": u * a, "any": b_any}[where]
         assert q1_series(QArgs(a, b)).hex() == _series_closure_form(a, b).hex()
+
+    @pytest.mark.parametrize("a,b", [(a, b) for a, b, _ in WINDOW_EDGE_POINTS])
+    def test_disjoint_window_exits_bit_identical(self, a, b):
+        assert q1_series(QArgs(a, b)).hex() == _series_closure_form(a, b).hex()
+
+    @pytest.mark.parametrize("a,b,built", [*WINDOW_EDGE_POINTS, (1.0, 2.0, 2)])
+    def test_windows_built_only_where_they_overlap(self, a, b, built, monkeypatch):
+        # a work count, not a time: disjoint windows give an exact 0.0 or
+        # 1.0 without building either one
+        means = _count_windows(monkeypatch)
+        q1_series(QArgs(a, b))
+        assert means == [a * a / 2.0, b * b / 2.0][:built]
+
+    def test_sweep_builds_the_outer_window_once(self, monkeypatch):
+        means = _count_windows(monkeypatch)
+        a, below, overlapping, above = 30.0, [8.9, 8.945], [8.957, 20.0, 31.0, 48.97], [48.99, 60.0]
+        values = [r.method_b_value for r in q1_sweep(a, [*below, *overlapping, *above])]
+        assert values[:2] == [1.0, 1.0] and values[-2:] == [0.0, 0.0]
+        # the disjoint points build nothing, the outer window included
+        assert means == [a * a / 2.0, *(b * b / 2.0 for b in overlapping)]
+
+    @pytest.mark.parametrize("a,b", [(5.0, 30.0), (30.0, 8.9), (1.0, 2.0)])
+    def test_discarded_mass_checked_on_every_call(self, a, b, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_TOL", 0.0)
+        with pytest.raises(ConvergenceError, match="discarded mass bound"):
+            q1_series(QArgs(a, b))
+
+    @pytest.mark.parametrize("mean", [1e-3, 0.5, 12.5, 40.1, 450.0, 5e3])
+    def test_exit_tail_bounds_match_the_windows(self, mean):
+        # the exits bound the discarded mass from the lgamma-form pmf at the
+        # window's ends; the window takes it from the recurrence
+        lo, hi, _, _, tail_lo, tail_hi = oracle._poisson_window(mean)
+        bounds = oracle._tail_bounds(mean, lo, hi, oracle._pmf(mean, lo), oracle._pmf(mean, hi))
+        assert bounds == pytest.approx((tail_lo, tail_hi), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("a", [0.7, 6.0, 25.4, 60.0])
     def test_sweep_bit_identical_to_frozen_form(self, a):
@@ -315,6 +385,18 @@ class TestSeries:
         with pytest.raises(DomainError, match=str(oracle.MAX_SERIES_WINDOW)):
             q1_series(QArgs(1e7, 1e7))
         assert time.perf_counter() - start < 1.0
+
+    def test_window_cap_checked_before_the_disjoint_exit(self):
+        # the inner window (mean 2e10) lies above the outer one and over the
+        # cap: an exit taken before the check would return 0.0
+        message = re.escape(f"Poisson mean 2e+10 exceeds the limit of {oracle.MAX_SERIES_WINDOW}")
+        with pytest.raises(DomainError, match=message):
+            q1_series(QArgs(1.0, 2e5))
+        with pytest.raises(DomainError, match=message):
+            q1_reference(QArgs(1.0, 2e5))
+        # both windows over the cap: the outer one (mean a^2/2) is refused first
+        with pytest.raises(DomainError, match=message):
+            q1_series(QArgs(2e5, 3e5))
 
 
 class TestAsymptotic:

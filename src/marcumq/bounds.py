@@ -13,19 +13,23 @@ Each family is one function, ``_family_ge(a, b)`` for b >= a and
 share (ab, i0e(ab), the Gaussian factors, erfc terms) once and returns
 every raw value of the family as one tuple, in ``FAMILY_B_GE_A`` or
 ``FAMILY_B_LT_A`` order; a formula singular at the point holds its
-``SingularityError`` in its slot.  Each ``BoundId`` knows its family
-function and slot.  ``eval_ids`` is the one evaluation loop and computes
-each family at most once; ``eval_all`` runs it over the point's family,
-and ``evaluate`` is the regime check plus one slot.  Every expression
-keeps the association order of its formula written out over (a, b).
+``SingularityError`` in its slot.  Each ``BoundId`` carries one plan,
+(family function, slot, side, regime), read once per evaluation.
+``eval_ids`` is the one evaluation loop: per id it reads the plan,
+compares the id's regime with the point's, takes the slot of a family
+computed at most once per call and clamps it by two comparisons.
+``eval_all`` runs it over the point's family, and ``evaluate`` is the
+regime check plus one slot.  Every expression keeps the association
+order of its formula written out over (a, b).
 
 The range is a, b <= sqrt(DBL_MAX) ~ 1.34e154, where a^2, b^2, ab and
 (b - a)^2 stay finite.  A Gaussian factor whose exponent still overflows
 there ((a + b)^2, (a^2 - b^2)^2) is 0.0; past the range ``DomainError``
 is raised.  Raw values may fall outside [0, 1] (some classical bounds
 are unbounded in corners); ``BoundEval.clamped`` restricts them to
-[0, 1].  ``lb2a_literal`` is the uncorrected LB2A transcription, kept
-outside the catalog.  Nothing is kept across calls.
+[0, 1], the double ``min(1.0, max(0.0, raw))`` gives (NaN -> 0.0).
+``lb2a_literal`` is the uncorrected LB2A transcription, kept outside
+the catalog.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -91,6 +95,10 @@ class BoundId(str, Enum):
 FAMILY_B_GE_A = tuple(i for i in BoundId if i.regime is Regime.BGeqA)
 FAMILY_B_LT_A = tuple(i for i in BoundId if i.regime is Regime.BLtA)
 
+# the two regimes as module globals: an attribute of an Enum class costs
+# about 100 ns to read, a global about 10
+_B_GE_A, _B_LT_A = Regime.BGeqA, Regime.BLtA
+
 
 class BoundEval(NamedTuple):
     """One evaluated bound: raw formula value and its [0, 1] clamp."""
@@ -102,7 +110,7 @@ class BoundEval(NamedTuple):
 
 
 def regime_of(args: QArgs) -> Regime:
-    return Regime.BGeqA if args.b >= args.a else Regime.BLtA
+    return _B_GE_A if args.b >= args.a else _B_LT_A
 
 
 def _regime_error(bid: BoundId, args: QArgs) -> RegimeError:
@@ -280,11 +288,11 @@ def _family_lt(a: float, b: float) -> tuple:
     return ub2jp, ub2a, ub2d, lb2jp, lb2a, lb2b, lb2c, lb2d
 
 
-# each id's family function and its slot in the tuple that returns, read
-# on every evaluation, so fixed once per member
+# each id's plan, read once per evaluation: its family function, its slot
+# in the tuple that returns, its side and its regime
 for _fn, _members in ((_family_ge, FAMILY_B_GE_A), (_family_lt, FAMILY_B_LT_A)):
     for _i, _bid in enumerate(_members):
-        _bid._family, _bid._slot = _fn, _i
+        _bid._plan = (_fn, _i, _bid.side, _bid.regime)
 
 
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
@@ -296,14 +304,19 @@ def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
     id's whole family, so callers evaluating several ids at one point use
     ``eval_ids`` or ``eval_all``.
     """
+    family, slot, side, regime = bid._plan
+    a, b = args
     # the family boundary b = a is admitted on both sides: every formula
     # except the B pair is well defined and remains a valid bound there
-    if bid.regime is not regime_of(args) and args.a != args.b:
+    if regime is not (_B_GE_A if b >= a else _B_LT_A) and a != b:
         raise _regime_error(bid, args)
-    raw = bid._family(args.a, args.b)[bid._slot]
+    raw = family(a, b)[slot]
     if isinstance(raw, SingularityError):
         raise raw
-    return _new_record(BoundEval, (bid, raw, min(1.0, max(0.0, raw)), bid.side))
+    # min(1.0, max(0.0, raw)) as two comparisons: the same double for
+    # every float, NaN and -0.0 giving 0.0, at a tenth of the cost
+    clamped = raw if raw > 0.0 else 0.0
+    return _new_record(BoundEval, (bid, raw, clamped if clamped < 1.0 else 1.0, side))
 
 
 def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
@@ -314,24 +327,27 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
     formulas at their excluded points are skipped, not raised.  Each
     family is computed at most once.
     """
-    a, b = args.a, args.b
-    regime = regime_of(args)
-    tie = a == b
+    a, b = args
+    # the regime whose ids are skipped here: the other one than the
+    # point's, or none at the tie b = a, which both admit
+    foreign = None if a == b else _B_LT_A if b >= a else _B_GE_A
     families: dict = {}
     evals: list[BoundEval] = []
     skipped: dict[BoundId, str] = {}
     for bid in ids:
-        if bid.regime is not regime and not tie:
+        family, slot, side, regime = bid._plan
+        if regime is foreign:
             skipped[bid] = str(_regime_error(bid, args))
             continue
-        values = families.get(bid._family)
+        values = families.get(family)
         if values is None:
-            values = families[bid._family] = bid._family(a, b)
-        raw = values[bid._slot]
+            values = families[family] = family(a, b)
+        raw = values[slot]
         if isinstance(raw, SingularityError):
             skipped[bid] = str(raw)
         else:
-            evals.append(_new_record(BoundEval, (bid, raw, min(1.0, max(0.0, raw)), bid.side)))
+            clamped = raw if raw > 0.0 else 0.0  # as in evaluate
+            evals.append(_new_record(BoundEval, (bid, raw, clamped if clamped < 1.0 else 1.0, side)))
     return evals, skipped
 
 

@@ -23,7 +23,8 @@ Three methods are provided; ``q1_reference`` cross-validates two of them:
     it is built only when the two windows overlap: the cost is then
     O(sqrt(m)) per window in time and memory.  Windows that do not
     overlap give an exact 0.0 or 1.0 in O(1).  Windows above
-    MAX_SERIES_WINDOW entries are refused either way.
+    MAX_SERIES_WINDOW entries are refused either way, with a or b past
+    sqrt(DBL_MAX), where a^2/2 or b^2/2 is inf, among them.
   * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
     of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
     Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
@@ -49,8 +50,13 @@ a >= 100 the expansion covers every b: ab < 1e3 forces b < 10, where
 1 - Q1 underflows.  The quadrature and the series run at an absolute
 tolerance of DEFAULT_TOL = 1e-12, the expansion to 1e-17 of its sum, and
 ``q1_reference`` fails loudly if the pair disagrees by more than 1e-10.
-It refuses arguments above MAX_ORACLE_ARG = 1e6: past it the
-quadrature's rounding error grows with ulp(a) beyond that gate.
+It refuses arguments above MAX_ORACLE_ARG = 1e6, and ``q1_quadrature``
+called alone refuses a above it: past it the quadrature's rounding error
+grows with ulp(a) beyond that gate.
+
+Every method takes a ``QArgs``, the validated pair.  Two plain floats in
+[0, DBL_MAX] pass one chained comparison; ints, float subclasses, bools,
+NaN, inf and negatives take the per-field checks.
 
 ``q1_sweep(a, b_values)`` yields ``q1_reference(QArgs(a, b))`` for each b
 of a fixed-a sweep.  Each point runs inside a sweep scope (a
@@ -115,6 +121,11 @@ class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):
     __slots__ = ()
 
     def __new__(cls, a: float, b: float) -> QArgs:
+        # two exact floats in [0, DBL_MAX], the common case, pass one test;
+        # anything else (ints, float subclasses, NaN, inf, negatives) takes
+        # the checks below
+        if type(a) is float is type(b) and 0.0 <= a <= _MAX_DOUBLE >= b >= 0.0:
+            return tuple.__new__(cls, (a, b))
         for name, v in (("a", a), ("b", b)):
             # abs() <= the largest double also rejects NaN, +-inf and ints too big for a float
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _MAX_DOUBLE:
@@ -256,10 +267,17 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     picks tail for b >= a, complement for b < a.  The range left out
     cannot move the result (see _PANEL_SIGMAS).  Both forms are exposed
     so their agreement across b = a can be certified.
+
+    Raises DomainError for a above MAX_ORACLE_ARG, as ``q1_reference``
+    does: the peak and the seeds sit at a, and past it their rounding
+    grows with ulp(a) until the result is garbage (0.80 at a = b = 1e16,
+    0.0 at 1e20, against about 0.5).  b is not limited.
     """
     if form not in ("auto", "tail", "complement"):
         raise DomainError(f"unknown quadrature form {form!r}")
     a, b = args.a, args.b
+    if a > MAX_ORACLE_ARG:
+        raise DomainError(f"the quadrature covers a <= {MAX_ORACLE_ARG:g}, got a={a:g}")
     if b == 0.0:  # Q1(a, 0) = 1 exactly; the tail form would reach it only to within tol
         return 1.0
     if form == "auto":
@@ -282,17 +300,25 @@ def _window_range(mean: float) -> tuple[int, int]:
     """(lo, hi) of the mode-centered window of Poisson(mean): 12 sigma + 40 each side.
 
     Raises DomainError when the window would hold more than
-    MAX_SERIES_WINDOW entries, before anything is allocated.
+    MAX_SERIES_WINDOW entries, before anything is allocated.  The width is
+    compared as a float first, so a mean near DBL_MAX or inf (a or b past
+    ~1.34e154) is refused before ``int()`` meets it.
     """
-    w = int(12.0 * math.sqrt(mean)) + 40
-    m = int(mean)
-    lo, hi = max(0, m - w), m + w
-    if hi - lo + 1 > MAX_SERIES_WINDOW:
-        raise DomainError(
-            f"series window of {hi - lo + 1} entries for Poisson mean {mean:g} "
-            f"exceeds the limit of {MAX_SERIES_WINDOW} entries (a or b above ~1.2e5)"
-        )
-    return lo, hi
+    sd12 = 12.0 * math.sqrt(mean)
+    if sd12 < MAX_SERIES_WINDOW:
+        w = int(sd12) + 40
+        m = int(mean)
+        lo, hi = max(0, m - w), m + w
+        entries = hi - lo + 1
+        if entries <= MAX_SERIES_WINDOW:
+            return lo, hi
+    else:
+        # the mean is far above w here, so the window spans 2w + 1 entries
+        entries = 2.0 * sd12 + 81.0
+    raise DomainError(
+        f"series window of {entries:.3g} entries for Poisson mean {mean:g} "
+        f"exceeds the limit of {MAX_SERIES_WINDOW} entries (a or b above ~1.2e5)"
+    )
 
 
 def _pmf(mean: float, k: int) -> float:
@@ -509,7 +535,10 @@ def q1_asymptotic(args: QArgs) -> float:
         return math.exp(-0.5 * b * b)
     if b >= a:
         return _q1_large_xi(a, b)
-    d = 0.5 * (a - b) ** 2
+    try:
+        d = 0.5 * (a - b) ** 2
+    except OverflowError:  # (a - b)^2 > DBL_MAX: 1 - Q1 underflowed long before
+        d = math.inf
     if d > _EXP_UNDERFLOW:
         # 1 - Q1 <= e^-d / 2 (Simon-Alouini), which underflows here
         return 1.0

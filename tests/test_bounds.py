@@ -156,12 +156,14 @@ class TestLB2JP:
 
 class TestRegistry:
     def test_every_id_has_one_formula(self):
-        # each family function returns one slot per id of its family, and
-        # the ids' slots number 0..n-1 in family order
+        # each family function returns one slot per id of its family, the
+        # ids' slots number 0..n-1 in family order, and each plan repeats
+        # the id's side and regime
         for family, fn in ((FAMILY_B_GE_A, bounds._family_ge), (FAMILY_B_LT_A, bounds._family_lt)):
             assert len(fn(2.0, 2.0)) == len(family)
-            assert [bid._slot for bid in family] == list(range(len(family)))
-            assert all(bid._family is fn for bid in family)
+            assert [bid._plan[1] for bid in family] == list(range(len(family)))
+            assert all(bid._plan[0] is fn for bid in family)
+            assert all(bid._plan[2:] == (bid.side, bid.regime) for bid in family)
         assert set(FAMILY_B_GE_A) | set(FAMILY_B_LT_A) == set(BoundId)
 
     @pytest.mark.parametrize("bid", list(BoundId))
@@ -183,6 +185,50 @@ class TestRegistry:
     def test_lb2a_literal_regime(self):
         with pytest.raises(RegimeError):
             lb2a_literal(1.0, 2.0)
+
+
+# raw values at and around the ends of [0, 1], and those no comparison orders
+_SPECIAL_RAWS = [
+    math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0,
+    math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, -2.225073858507201e-308,
+    0.5, 1e308, -1e308,
+]
+
+
+class TestClamp:
+    """``clamped`` is the double ``min(1.0, max(0.0, raw))`` gives, for any raw."""
+
+    @pytest.fixture
+    def fake_family(self, monkeypatch):
+        # every slot of UB1A's family returns the raw under test
+        raws = []
+        plan = BoundId.UB1A._plan
+        monkeypatch.setattr(BoundId.UB1A, "_plan", (lambda a, b: raws * 10, *plan[1:]))
+        return raws
+
+    @pytest.mark.parametrize("raw", _SPECIAL_RAWS, ids=float.hex)
+    def test_special_raws(self, fake_family, raw):
+        fake_family.append(raw)
+        expected = min(1.0, max(0.0, raw)).hex()
+        (ev,), skipped = eval_ids([BoundId.UB1A], QArgs(1.0, 2.0))
+        assert not skipped
+        assert ev.raw is raw
+        assert ev.clamped.hex() == expected
+        assert evaluate(BoundId.UB1A, QArgs(1.0, 2.0)).clamped.hex() == expected
+
+    @given(raw=st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, raw):
+        # the fixture's monkeypatch does not mix with @given; patch by hand
+        plan = BoundId.UB1A._plan
+        BoundId.UB1A._plan = (lambda a, b: (raw,) * 10, *plan[1:])
+        try:
+            clamped = evaluate(BoundId.UB1A, QArgs(1.0, 2.0)).clamped
+            (ev,), _ = eval_ids([BoundId.UB1A], QArgs(1.0, 2.0))
+        finally:
+            BoundId.UB1A._plan = plan
+        assert clamped.hex() == ev.clamped.hex() == min(1.0, max(0.0, raw)).hex()
 
 
 class TestZeta:

@@ -102,6 +102,56 @@ class TestQArgs:
         assert len(msg) <= 100, msg
 
 
+def _frozen_qargs(a, b):
+    """QArgs's checks as they were before its one-test path for two floats
+    in [0, DBL_MAX]: a frozen copy, so the path cannot change what it
+    guards against."""
+    for name, v in (("a", a), ("b", b)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= 1.7976931348623157e308:
+            raise DomainError(f"{name} must be finite, got {oracle._brief(v)}")
+        if v < 0:
+            raise DomainError(f"{name} must be nonnegative, got {oracle._brief(v)}")
+    return a, b
+
+
+class _Float(float):
+    pass
+
+
+_QARG_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.sampled_from([2**1024 - 1, 2**1024, -(2**1024), 2**1023, True, False]),
+    st.floats().map(_Float),
+)
+
+
+def _outcome(make, a, b):
+    """What ``make(a, b)`` does, comparable across implementations: the stored
+    values by type and bits, or the exception by class and message."""
+    try:
+        got = make(a, b)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return type(exc), str(exc)
+    return tuple((type(v), v.hex() if isinstance(v, float) else v) for v in got)
+
+
+class TestQArgsFrozen:
+    @given(a=_QARG_VALUES, b=_QARG_VALUES)
+    @settings(max_examples=1000, deadline=None)
+    def test_same_outcome_as_the_frozen_checks(self, a, b):
+        assert _outcome(QArgs, a, b) == _outcome(_frozen_qargs, a, b)
+
+    def test_same_outcome_at_special_values(self):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                  -1.0, 3, 2**1024, True, _Float(2.0), _Float(math.nan), "1.0", None]
+        for a in values:
+            for b in values:
+                assert _outcome(QArgs, a, b) == _outcome(_frozen_qargs, a, b)
+
+
 def _frozen_full_range_quadrature(a: float, b: float, form: str) -> float:
     """q1_quadrature as it was with the full range, [b, max(a, b) + 40] in
     the tail form and [0, b] in the complement form: a frozen copy of the
@@ -191,6 +241,19 @@ class TestQuadrature:
     def test_unknown_form(self):
         with pytest.raises(DomainError):
             q1_quadrature(QArgs(1.0, 1.0), form="midpoint")
+
+    @pytest.mark.parametrize("a", [1e7, 1e16, 1e17, 1e20])
+    @pytest.mark.parametrize("form", ["auto", "tail", "complement"])
+    def test_refuses_a_above_oracle_range(self, a, form):
+        # past 1e6 the rounding of the peak and seeds at a moves the result:
+        # 0.798 at a = b = 1e16, 6.38 at 1e17 and 0.0 at 1e20, against ~0.5
+        with pytest.raises(DomainError, match=re.escape(f"a <= {oracle.MAX_ORACLE_ARG:g}")):
+            q1_quadrature(QArgs(a, a), form=form)
+
+    def test_range_limit_is_inclusive(self):
+        assert q1_quadrature(QArgs(1e6, 1e6)) == pytest.approx(0.5, abs=1e-6)
+        # only a places the peak and the seeds; b is not limited
+        assert q1_quadrature(QArgs(1.0, 1e20)) == 0.0
 
     def test_budget_exhaustion_raises(self):
         # highly oscillatory integrand with a tiny panel budget
@@ -398,6 +461,20 @@ class TestSeries:
         with pytest.raises(DomainError, match=message):
             q1_series(QArgs(2e5, 3e5))
 
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [(1.0, 1.3e154, "series window of 2.21e+155 entries for Poisson mean 8.45e+307 exceeds"),
+         (1.0, 1e200, "series window of inf entries for Poisson mean inf exceeds"),
+         (1e200, 1.0, "series window of inf entries for Poisson mean inf exceeds"),
+         (1e200, 1e200, "series window of inf entries for Poisson mean inf exceeds"),
+         (1e7, 1e7, "series window of 1.7e+08 entries for Poisson mean 5e+13 exceeds")],
+    )
+    def test_window_cap_past_the_double_range(self, a, b, message):
+        # a mean near DBL_MAX or inf is refused before int() sees it, and
+        # the entry count is printed in three digits, not as a 156-digit int
+        with pytest.raises(DomainError, match=re.escape(message)):
+            q1_series(QArgs(a, b))
+
 
 class TestAsymptotic:
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN_LARGE_A.items()))
@@ -408,6 +485,11 @@ class TestAsymptotic:
     def test_complement_underflow_is_exactly_one(self, a, b):
         assert q1_asymptotic(QArgs(a, b)) == 1.0
         assert q1_reference(QArgs(a, b)).value == 1.0
+
+    @pytest.mark.parametrize("a,b", [(1e200, 1.0), (2e154, 1.0), (1.7976931348623157e308, 0.5)])
+    def test_complement_past_the_double_range_is_exactly_one(self, a, b):
+        # (a - b)^2 overflows; 1 - Q1 underflowed long before
+        assert q1_asymptotic(QArgs(a, b)) == 1.0
 
     def test_edges_match_series(self):
         assert q1_asymptotic(QArgs(150.0, 0.0)) == 1.0

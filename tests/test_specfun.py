@@ -10,6 +10,7 @@ implementation in the cross-check tests.
 """
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -55,6 +56,26 @@ def i0(x):
 
 def i1(x):
     return math.exp(x) * bessel_i1_scaled(x)
+
+
+# the argument guards' old predicate, frozen: a guard refuses x exactly here
+def _refused_by_old_guard(x):
+    return not (x >= 0.0) or math.isinf(x)
+
+
+@pytest.mark.parametrize("fn", [bessel_i0_scaled, bessel_i1_scaled, log_bessel_i0, erfcx])
+@pytest.mark.parametrize(
+    "x",
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 8.0, 1e300, 1.7976931348623157e308,
+     -1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan, 0, 3, -2],
+    ids=repr,
+)
+def test_guard_refuses_what_it_refused(fn, x):
+    if _refused_by_old_guard(x):
+        with pytest.raises(DomainError, match=re.escape(f"{fn.__name__} requires finite x >= 0, got {x!r}")):
+            fn(x)
+    else:
+        assert math.isfinite(fn(x))
 
 
 class TestBesselI0:

@@ -1,11 +1,12 @@
 """The behaviour contract: every paper output, byte for byte.
 
 The 21 commands that reproduce the paper (4 table presets, 10 figures,
-7 scans) and the known-red envelope scan at a = 4, b = 3 run in-process.
-Tables and figures write their csv under a temporary directory, and
-scans print their report.  Each output's sha256 and the exit code must
-match GOLDEN.  A change that moves an output on purpose says why, and
-regenerates the dict from the repository root with
+7 scans) run in-process in csv and in json, and the known-red envelope
+scan at a = 4, b = 3 in csv.  Tables and figures write their csv under a
+temporary directory and print their json; scans print their report.
+``eval`` runs in both formats at (1, 2), (2, 1), the tie (2, 2) and the
+origin.  Each output's sha256 and the exit code must match GOLDEN.  A
+change that moves an output on purpose says why, and regenerates the dict from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,43 +26,80 @@ SCANS = ("g_negative", "f_dec_eq2", "f_inc_sinh", "chain_eq6", "envelope", "sand
 
 # label -> (exit code, sha256 of the output)
 GOLDEN = {
+    "eval_a0_b0": (0, "8dbcfcc526b84044fb04f2f05d75154020cc2c1308ce36c85d980deaaa5061f3"),
+    "eval_a0_b0_json": (0, "8f4882edbb4c5779b4f5e26fcb551ee1711549b752ecd24c98b3b9804207b762"),
+    "eval_a1_b2": (0, "b05cd82583ff0a5e6c3443eb9f534f6d0519ad4c9036f2706dbaca96f735c985"),
+    "eval_a1_b2_json": (0, "27243c8cf6f5346bd522b741055227eababe1543993a27f076612d7f38cec966"),
+    "eval_a2_b1": (0, "6854b89db21ae90cb4e62df613d845dffdf0bb0c6fe0c6b212f81dd27bb0e875"),
+    "eval_a2_b1_json": (0, "8d49b871770c1c586a683c41b0b53989e331b5a5408b0748c29c76196c19c13e"),
+    "eval_a2_b2": (0, "89ba452c0ef6a315c9623c9fee6fba383e03051135cde80e2acefb0b54359e13"),
+    "eval_a2_b2_json": (0, "ecea112de978069f1402b9d4400643074797fcd4490b291ceebb84a909bbf604"),
     "fig01": (0, "61ab07d1f48e3e426b108b5c17e95ea199aecfcb793464373173c3522ca07d03"),
+    "fig01_json": (0, "fc10f3c05de9f91c52ed4805721e1ab0639c767e51c6e906fb049886da1de138"),
     "fig02": (0, "4d60f35c110469307b22788d1cb2ba064c8f55d57541fdafa9c67c3f83dd0ccb"),
+    "fig02_json": (0, "176dacd2262f513c6993a4abc06e9e98a0b772805ed581a36d83be67c4b98ec6"),
     "fig03": (0, "51fd61a06b31ecd9c7c70f0b375ad701128ffb55f80bba842ac2d917c20a6099"),
+    "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
     "fig04": (0, "d6d0f10171463e41566b55e78be135dfd2aee91689cbe4f4d43f10c29115ba96"),
+    "fig04_json": (0, "1d69e7da0f8303dcd4889b4a7c3b1e7bd553b4f28e63f6b86a6f903e42c7f9a5"),
     "fig05": (0, "d5a19f4732a86d6f1375ab5245ca4ee30a3febbcb017125ad51d670ee197d5c0"),
+    "fig05_json": (0, "620052cfd559ed04bb13b94e56feb302e4b6bf601ea6bbbf8fe7203e70524010"),
     "fig06": (0, "c716a93d7a0a74afeefe3c97c60f3827c5e6f6ddfb92ba6d642a2392dda6ca5d"),
+    "fig06_json": (0, "fbf21521f49b2b1aee9a8bdcd57307e06312772434464d5b1af85854b0bb1b6e"),
     "fig07": (0, "62b381f69b4e40880da59ad1d6787fad0d19a12ad513597e980ea45188cd10ee"),
+    "fig07_json": (0, "000d31635f8c3a6ec13e725be9b0e75e06c63cffed927cfa6e72046fe3ede125"),
     "fig08": (0, "9cf25507279811c7269c4654067784ee54d3800538ec80197866b2de4903db89"),
+    "fig08_json": (0, "7c08cb9d0688caf8eaefd9d1baf781f2a3d7471698dc0c412e366b4bf0d601d7"),
     "fig09": (0, "de94d2dd871e7debc87b5da19c3f7414dcb8bc26cde73d40383865cf6b3adb12"),
+    "fig09_json": (0, "f0e7f790ee70251bf261ad1388195629b64b8a0a238a63fcf6d2cef83ecdfd4c"),
     "fig10": (0, "ad1aae7e328b755ec192d11abde105152583d92182df545c8ae9d9f5d6f232af"),
+    "fig10_json": (0, "83b41632ac1a7869c4be88223f0f45bf532932395e87c08a1b512b2b8d9c8528"),
     "scan_chain_eq6": (0, "79f97310ec0ba1059ecafd30b8a8c00203a58694941ab0bff7e09852b5cb21df"),
+    "scan_chain_eq6_json": (0, "746a4bbb6f456d219adf047304e3e42860fedc467f39d17589b6dd0d9d39f81f"),
     "scan_envelope": (0, "f02c69b492443236aacc542bb72646cdb97fafa620f512cf5e38310ccc69d238"),
     "scan_envelope_a4_b3": (1, "dd5669e80ac79380a57867f6f690ca072aa1107aaf6dc2325a0c9ce059f0d2fb"),
+    "scan_envelope_json": (0, "ff22db53691b5703b1949e83f59c9edb582a402a4326a91dfdd0cad441a723af"),
     "scan_f_dec_eq2": (0, "827bc7755bf816c1bda6c9baa0ca7f897f29fae452fd9f1f3cbc04ec36a1c51c"),
+    "scan_f_dec_eq2_json": (0, "477f7095f4566472632ff2157d893e5844a3334583d8b82773b0882dfe335d7c"),
     "scan_f_inc_sinh": (0, "ee39b17c2654f852f58b8978c4cfe3ca9920f08086c48811929fcdbec6076575"),
+    "scan_f_inc_sinh_json": (0, "963bc96ce1654b43a3032c84dc12989650c2261c500662b0c8f691834a414156"),
     "scan_g_negative": (0, "9dee13abc2287d4209be20a0d666cb3a4a24154e2a145d02c3e5ba2e0e96e0af"),
+    "scan_g_negative_json": (0, "5b1515e0e6b831298cd0aac6f5f4aa60121ecb512c34f34f68ab5109b2af87be"),
     "scan_jp_dominance": (0, "183217a43a0a85e9ecc25f1024f1a01ee6991e3dd732f6c9f6af0450ac26a2b1"),
+    "scan_jp_dominance_json": (0, "062a5eec826657db7b19aa2385fc595c6e0cef9c2d56220cc44ef2bf56126d45"),
     "scan_sandwich": (0, "0735ad1fc5ac7132aa132c2bc80f9c86adaca808ef2c669b6d8b7c36a8ce7b7f"),
+    "scan_sandwich_json": (0, "cf7d688765814de2fa58b1098db6889b64da2e4ce1312c115740b06195da23ed"),
     "table_V": (0, "25556c418894e500af75845961afe669492ec0ce04a1ff2cd9755cd50d52940f"),
     "table_VI": (0, "210ba2201405c2ffc99ccc4757e2319f2399f4fb86770211ca6da934b5af5968"),
     "table_VII": (0, "bc04dd5a1962b969029213e7be7db0d3f460296ba63861089ce9e80a4cc060d6"),
     "table_VIII": (0, "1b96b48a1cff2d12537a031923a2b22890e27dd446a7d95f75937c7d1cc7f5dc"),
+    "table_VIII_json": (0, "92ffb1fb008b65d02aa6c4e344b192f5b0c261298d8fb6d50f461aab99fb00f2"),
+    "table_VII_json": (0, "f55026ef68e0e3e8a96f903c25de1fc94227812fdd90c6a9561bd08604f35aec"),
+    "table_VI_json": (0, "0c037cb0d653866bc0a1b21938b285bc5ccca4cc0b7d3bd59ddf607a0ff5554a"),
+    "table_V_json": (0, "63373d98dcfcf02ec50c24d45f5eb2366c44cc65ca70f47463b541c2c15c1875"),
 }
 
 
 def commands(out_dir: str) -> dict[str, tuple[list[str], str | None]]:
     """label -> (argv, the file the output goes to, or None for stdout)."""
     cmds = {}
+    json = ["--format", "json"]
     for p in ("V", "VI", "VII", "VIII"):
         path = os.path.join(out_dir, f"table_{p}.csv")
         cmds[f"table_{p}"] = (["table", "--preset", p, "--out", path], path)
+        cmds[f"table_{p}_json"] = (["table", "--preset", p] + json, None)
     for f in range(1, 11):
         path = os.path.join(out_dir, f"fig{f:02d}.csv")
         cmds[f"fig{f:02d}"] = (["figdata", "--figure", str(f), "--out", path], path)
+        cmds[f"fig{f:02d}_json"] = (["figdata", "--figure", str(f)] + json, None)
     for s in SCANS:
         cmds[f"scan_{s}"] = (["scan", "--property", s], None)
+        cmds[f"scan_{s}_json"] = (["scan", "--property", s] + json, None)
     cmds["scan_envelope_a4_b3"] = (["scan", "--property", "envelope", "--a", "4", "--b", "3"], None)
+    for a, b in ((1, 2), (2, 1), (2, 2), (0, 0)):
+        argv = ["eval", "--a", str(a), "--b", str(b)]
+        cmds[f"eval_a{a}_b{b}"] = (argv, None)
+        cmds[f"eval_a{a}_b{b}_json"] = (argv + json, None)
     return cmds
 
 

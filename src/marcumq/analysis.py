@@ -467,14 +467,6 @@ def scan_jp_dominance(
     )
 
 
-def _fig_ratio(figure: int) -> CurveTable:
-    if figure == 1:
-        xs = _lin_grid(1.0, 2.0, 200)
-        return CurveTable(("x", "g"), [(x, g_plain(x)) for x in xs])
-    xs = _lin_grid(0.0, 10.0, 200)
-    return CurveTable(("x", "f"), [(x, ratio_exp3(x)) for x in xs])
-
-
 def _fig_envelopes() -> CurveTable:
     rep = scan_envelope_ordering(10.0, 8.0, 200, x_lo=7.0, x_hi=8.0)
     d = rep.details
@@ -503,6 +495,20 @@ _JP_BCD_LT = (BoundId.UB2JP, BoundId.LB2JP, BoundId.LB2B, BoundId.LB2C,
 _JP_A_GE = (BoundId.UB1JP, BoundId.LB1JP, BoundId.UB1A, BoundId.LB1A)
 _JP_A_LT = (BoundId.UB2JP, BoundId.LB2JP, BoundId.UB2A, BoundId.LB2A)
 
+# figure id -> the builder of its curve table
+_FIGURES = {
+    1: lambda: CurveTable(("x", "g"), [(x, g_plain(x)) for x in _lin_grid(1.0, 2.0, 200)]),
+    2: lambda: CurveTable(("x", "f"), [(x, ratio_exp3(x)) for x in _lin_grid(0.0, 10.0, 200)]),
+    3: _fig_envelopes,
+    4: lambda: _fig_bounds(1.0, _lin_grid(1.0, 6.0, 200), _JP_BCD_GE),
+    5: lambda: _fig_bounds(10.0, _lin_grid(10.0, 15.0, 200), _JP_BCD_GE),
+    6: lambda: _fig_bounds(1.0, _interior_grid(1.0, 200), _JP_BCD_LT),
+    7: lambda: _fig_bounds(10.0, _interior_grid(10.0, 200), _JP_BCD_LT),
+    8: lambda: _fig_bounds(0.1, _lin_grid(0.1, 3.0, 200), _JP_A_GE),
+    9: lambda: _fig_bounds(4.0, _interior_grid(4.0, 200), _JP_A_LT),
+    10: lambda: _fig_bounds(2.0, _interior_grid(2.0, 200), _JP_A_LT),
+}
+
 
 def figure_data(figure: int) -> CurveTable:
     """Curve data for one of the ten predefined figure configurations.
@@ -517,22 +523,8 @@ def figure_data(figure: int) -> CurveTable:
     Raw (unclamped) bound values are emitted; cells where a formula is
     singular are NaN.  Output is deterministic: fixed 200-point grids.
     """
-    if figure in (1, 2):
-        return _fig_ratio(figure)
-    if figure == 3:
-        return _fig_envelopes()
-    if figure == 4:
-        return _fig_bounds(1.0, _lin_grid(1.0, 6.0, 200), _JP_BCD_GE)
-    if figure == 5:
-        return _fig_bounds(10.0, _lin_grid(10.0, 15.0, 200), _JP_BCD_GE)
-    if figure == 6:
-        return _fig_bounds(1.0, _interior_grid(1.0, 200), _JP_BCD_LT)
-    if figure == 7:
-        return _fig_bounds(10.0, _interior_grid(10.0, 200), _JP_BCD_LT)
-    if figure == 8:
-        return _fig_bounds(0.1, _lin_grid(0.1, 3.0, 200), _JP_A_GE)
-    if figure == 9:
-        return _fig_bounds(4.0, _interior_grid(4.0, 200), _JP_A_LT)
-    if figure == 10:
-        return _fig_bounds(2.0, _interior_grid(2.0, 200), _JP_A_LT)
-    raise UnknownFigureError(f"no figure preset {figure!r}; valid ids are 1..10")
+    try:
+        build = _FIGURES[figure]
+    except (KeyError, TypeError):  # TypeError: an unhashable id, which no preset equals
+        raise UnknownFigureError(f"no figure preset {figure!r}; valid ids are 1..10") from None
+    return build()

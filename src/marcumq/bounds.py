@@ -18,8 +18,8 @@ every raw value of the family as one tuple, in ``FAMILY_B_GE_A`` or
 ``eval_ids`` is the one evaluation loop: per id it reads the plan,
 compares the id's regime with the point's, takes the slot of a family
 computed at most once per call and clamps it by two comparisons.
-``eval_all`` runs it over the point's family, and ``evaluate`` is the
-regime check plus one slot.  Every expression keeps the association
+``eval_all`` runs it over the point's family, and ``evaluate`` runs it
+over one id, raising what it would skip.  Every expression keeps the association
 order of its formula written out over (a, b).
 
 The range is a, b <= sqrt(DBL_MAX) ~ 1.34e154, where a^2, b^2, ab and
@@ -300,23 +300,17 @@ def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
 
     Raises RegimeError outside the id's regime (b = a belongs to both),
     SingularityError at a formula's excluded points and DomainError past
-    the catalog's range a, b <= sqrt(DBL_MAX).  Each call computes the
-    id's whole family, so callers evaluating several ids at one point use
-    ``eval_ids`` or ``eval_all``.
+    the catalog's range a, b <= sqrt(DBL_MAX).  It is ``eval_ids`` over
+    the one id, so it computes the id's whole family; callers evaluating
+    several ids at one point use ``eval_ids`` or ``eval_all``.
     """
-    family, slot, side, regime = bid._plan
-    a, b = args
-    # the family boundary b = a is admitted on both sides: every formula
-    # except the B pair is well defined and remains a valid bound there
-    if regime is not (_B_GE_A if b >= a else _B_LT_A) and a != b:
-        raise _regime_error(bid, args)
-    raw = family(a, b)[slot]
-    if isinstance(raw, SingularityError):
-        raise raw
-    # min(1.0, max(0.0, raw)) as two comparisons: the same double for
-    # every float, NaN and -0.0 giving 0.0, at a tenth of the cost
-    clamped = raw if raw > 0.0 else 0.0
-    return _new_record(BoundEval, (bid, raw, clamped if clamped < 1.0 else 1.0, side))
+    evals, skipped = eval_ids((bid,), args)
+    if evals:
+        return evals[0]
+    # eval_ids skips a foreign id only off the tie b = a; in the point's
+    # regime or at the tie, the skip is the formula's singularity
+    error = SingularityError if args.a == args.b or bid.regime is regime_of(args) else RegimeError
+    raise error(skipped[bid])
 
 
 def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
@@ -346,7 +340,9 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
         if isinstance(raw, SingularityError):
             skipped[bid] = str(raw)
         else:
-            clamped = raw if raw > 0.0 else 0.0  # as in evaluate
+            # min(1.0, max(0.0, raw)) as two comparisons: the same double for
+            # every float, NaN and -0.0 giving 0.0, at a tenth of the cost
+            clamped = raw if raw > 0.0 else 0.0
             evals.append(_new_record(BoundEval, (bid, raw, clamped if clamped < 1.0 else 1.0, side)))
     return evals, skipped
 

@@ -5,7 +5,12 @@ Single binary with four subcommands; all state comes in through flags.
 Exit codes: 0 on success (and scan pass), 1 when a property scan fails,
 2 on usage or domain errors.  Output is csv by default (LF endings,
 header row) or json with --format json, and is byte-identical for
-identical flags.
+identical flags.  Each preset kind is one table: ``_PRESETS`` for the
+comparison tables, ``_SCANS`` for the scans (flags, defaults and the
+call), ``analysis.figure_data``'s for the figures.  Each format has one
+writer, ``_csv`` and ``_json``; scans print a ``key: value`` report in
+place of csv.  ``eval`` reports ``eval_all`` at one point, the same
+evaluation loop ``bounds.evaluate`` runs for a single id.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 
 from .analysis import (
     MAX_GRID_POINTS,
-    CurveTable,
     ErrorRow,
     ScanReport,
     eps_pct,
@@ -46,15 +51,30 @@ _PRESETS = {
     "VIII": (20.0, 19.1, 20.0, 0.1, (BoundId.LB2JP, BoundId.LB2A)),
 }
 
-# scan property -> (default --n: grid points, or b values per a; the grid flags it reads)
+# the scan grid flags, in the order the parser adds them
+_SCAN_FLAGS = ("lo", "hi", "n", "m", "a", "b")
+
+# scan property -> ({grid flag it reads: default}, run(**flags)); --n is the
+# grid's point count, or b values per a.  Each run looks its scan up among
+# this module's globals at call time, so rebinding one here reaches it.
+_RATIO_GRID = {"lo": 1e-3, "hi": 700.0, "n": 10000}
 _SCANS = {
-    "g_negative": (10000, ("lo", "hi", "n")),
-    "f_dec_eq2": (10000, ("lo", "hi", "n")),
-    "f_inc_sinh": (10000, ("lo", "hi", "n")),
-    "chain_eq6": (100, ("b", "m", "lo", "hi", "n")),
-    "envelope": (500, ("a", "b", "lo", "hi", "n")),
-    "sandwich": (50, ("n",)),
-    "jp_dominance": (50, ("n",)),
+    "g_negative": (_RATIO_GRID, lambda lo, hi, n: scan_g_negative(lo, hi, n)),
+    "f_dec_eq2": (_RATIO_GRID, lambda lo, hi, n: scan_f_ratio_monotone("f_dec_eq2", lo, hi, n)),
+    "f_inc_sinh": (_RATIO_GRID, lambda lo, hi, n: scan_f_ratio_monotone("f_inc_sinh", lo, hi, n)),
+    "chain_eq6": (
+        {"b": 1.0, "m": 3.0, "lo": None, "hi": None, "n": 100},
+        lambda b, m, lo, hi, n: scan_shifted_exp_chain(
+            b, m, log_grid(b + 0.5 if lo is None else lo, b + 50.0 if hi is None else hi, n)
+        ),
+    ),
+    # the window defaults to the scan's own
+    "envelope": (
+        {"a": 10.0, "b": 8.0, "lo": None, "hi": None, "n": 500},
+        lambda a, b, lo, hi, n: scan_envelope_ordering(a, b, n, x_lo=lo, x_hi=hi),
+    ),
+    "sandwich": ({"n": 50}, lambda n: scan_sandwich(b_per_a=n)),
+    "jp_dominance": ({"n": 50}, lambda n: scan_jp_dominance(b_per_a=n)),
 }
 SCAN_PROPERTIES = tuple(_SCANS)
 
@@ -66,6 +86,17 @@ def _fmt(v: float) -> str:
     if isinstance(v, float) and math.isnan(v):
         return "nan"
     return repr(float(v))
+
+
+def _csv(rows: Iterable[Iterable]) -> str:
+    """``rows`` as csv with LF endings, written as the iterable yields them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _json(obj: object) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,9 +149,8 @@ def _parse_ids(spec: str) -> list[BoundId]:
     return ids
 
 
-def _rows_to_csv(rows: list[ErrorRow], ids: list[BoundId], echo_rounded: bool) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+def _table_records(rows: list[ErrorRow], ids: Sequence[BoundId], echo_rounded: bool) -> Iterator[list[str]]:
+    """The csv records of an error table: a header, then one per row."""
     header = ["b", "exact"]
     for bid in ids:
         header += [f"{bid.value}_raw", f"{bid.value}_clamped", f"{bid.value}_eps_pct"]
@@ -129,7 +159,7 @@ def _rows_to_csv(rows: list[ErrorRow], ids: list[BoundId], echo_rounded: bool) -
         for bid in ids:
             header += [f"{bid.value}_5dp", f"{bid.value}_eps_pct_4dp"]
     header.append("notes")
-    w.writerow(header)
+    yield header
     for row in rows:
         rec = [_fmt(row.b), _fmt(row.exact)]
         for bid in ids:
@@ -144,28 +174,19 @@ def _rows_to_csv(rows: list[ErrorRow], ids: list[BoundId], echo_rounded: bool) -
                 cell = row.cells.get(bid)
                 rec += ["", ""] if cell is None else [f"{cell.raw:.5f}", f"{cell.epsilon_pct:.4f}"]
         rec.append("; ".join(f"{k.value}: {v}" for k, v in row.skipped.items()))
-        w.writerow(rec)
-    return buf.getvalue()
+        yield rec
 
 
-def _rows_to_json(rows: list[ErrorRow], ids: list[BoundId]) -> str:
-    payload = []
-    for row in rows:
-        obj: dict = {"b": row.b, "exact": row.exact}
-        for bid in ids:
-            cell = row.cells.get(bid)
-            if cell is None:
-                obj[bid.value] = None
-            else:
-                obj[bid.value] = {
-                    "raw": cell.raw,
-                    "clamped": cell.clamped,
-                    "eps_pct": cell.epsilon_pct,
-                }
-        if row.skipped:
-            obj["skipped"] = {k.value: v for k, v in row.skipped.items()}
-        payload.append(obj)
-    return json.dumps(payload, indent=2) + "\n"
+def _row_json(row: ErrorRow, ids: Sequence[BoundId]) -> dict:
+    obj: dict = {"b": row.b, "exact": row.exact}
+    for bid in ids:
+        cell = row.cells.get(bid)
+        obj[bid.value] = (
+            None if cell is None else {"raw": cell.raw, "clamped": cell.clamped, "eps_pct": cell.epsilon_pct}
+        )
+    if row.skipped:
+        obj["skipped"] = {k.value: v for k, v in row.skipped.items()}
+    return obj
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
@@ -174,7 +195,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     evals, skipped = eval_all(args)
     regime = regime_of(args).value
     if ns.format == "json":
-        payload = {
+        text = _json({
             "a": args.a,
             "b": args.b,
             "regime": regime,
@@ -191,20 +212,17 @@ def cmd_eval(ns: argparse.Namespace) -> int:
                 for ev in evals
             ],
             "skipped": {k.value: v for k, v in skipped.items()},
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["a", "b", "regime", "exact", "agreement_gap"])
-    w.writerow([_fmt(args.a), _fmt(args.b), regime, _fmt(res.value), _fmt(res.agreement_gap)])
-    w.writerow([])
-    w.writerow(["id", "side", "raw", "clamped", "eps_pct"])
-    for ev in evals:
-        w.writerow([ev.id.value, ev.side, _fmt(ev.raw), _fmt(ev.clamped), _fmt(eps_pct(ev.raw, res.value))])
-    for bid, reason in skipped.items():
-        w.writerow([bid.value, "skipped", "", "", reason])
-    sys.stdout.write(buf.getvalue())
+        })
+    else:
+        text = _csv([
+            ["a", "b", "regime", "exact", "agreement_gap"],
+            [_fmt(args.a), _fmt(args.b), regime, _fmt(res.value), _fmt(res.agreement_gap)],
+            [],
+            ["id", "side", "raw", "clamped", "eps_pct"],
+            *([ev.id.value, ev.side, _fmt(ev.raw), _fmt(ev.clamped), _fmt(eps_pct(ev.raw, res.value))] for ev in evals),
+            *([bid.value, "skipped", "", "", reason] for bid, reason in skipped.items()),
+        ])
+    _emit(text, None)
     return 0
 
 
@@ -212,8 +230,6 @@ def cmd_table(ns: argparse.Namespace) -> int:
     if ns.preset:
         _reject_flags(ns, _TABLE_FLAGS, f"--preset {ns.preset} fixes a, the b grid and the ids")
         a, start, end, step, ids = _PRESETS[ns.preset]
-        ids = list(ids)
-        echo = True
     else:
         missing = [f for f in _TABLE_FLAGS if getattr(ns, f) is None]
         if missing:
@@ -223,24 +239,21 @@ def cmd_table(ns: argparse.Namespace) -> int:
             )
         a, start, end, step = ns.a, ns.b_start, ns.b_end, ns.b_step
         ids = _parse_ids(ns.ids)
-        echo = False
     bs = _b_grid(start, end, step)
+    # the grid ascends, so its last point is its largest and its first its smallest
     for bid in ids:
-        if bid.regime is Regime.BGeqA:
-            compatible = any(b >= a for b in bs)
-        else:
-            compatible = any(b <= a for b in bs)
-        if not compatible:
+        ge = bid.regime is Regime.BGeqA
+        if not (bs[-1] >= a if ge else bs[0] <= a):
             raise DomainError(
-                f"{bid.value} applies to the "
-                f"{'b >= a' if bid.regime is Regime.BGeqA else 'b < a'} regime; "
+                f"{bid.value} applies to the {'b >= a' if ge else 'b < a'} regime; "
                 f"no grid point qualifies for a={a:g}"
             )
     rows = error_table(a, bs, ids)
     if ns.format == "json":
-        _emit(_rows_to_json(rows, ids), ns.out)
+        _emit(_json([_row_json(row, ids) for row in rows]), ns.out)
     else:
-        _emit(_rows_to_csv(rows, ids, echo), ns.out)
+        # a preset adds its columns rounded as the paper prints them
+        _emit(_csv(_table_records(rows, ids, echo_rounded=bool(ns.preset))), ns.out)
     return 0
 
 
@@ -259,62 +272,31 @@ def _report_text(rep: ScanReport) -> str:
 
 
 def _report_json(rep: ScanReport) -> str:
-    scalars = {k: v for k, v in rep.details.items() if isinstance(v, (int, float, str))}
-    payload = {
+    return _json({
         "property": rep.property_id,
         "grid": rep.grid,
         "worst_violation": rep.worst_violation,
         "witness": list(rep.witness),
         "passed": rep.passed,
-        "details": scalars,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        "details": {k: v for k, v in rep.details.items() if isinstance(v, (int, float, str))},
+    })
 
 
 def cmd_scan(ns: argparse.Namespace) -> int:
-    prop = ns.property
-    default_n, reads = _SCANS[prop]
-    unread = [f for f in ("lo", "hi", "n", "m", "a", "b") if f not in reads]
-    _reject_flags(ns, unread, f"--property {prop} reads only {', '.join('--' + f for f in reads)}")
-    n = default_n if ns.n is None else ns.n
-    if prop in ("g_negative", "f_dec_eq2", "f_inc_sinh"):
-        lo = 1e-3 if ns.lo is None else ns.lo
-        hi = 700.0 if ns.hi is None else ns.hi
-        rep = scan_g_negative(lo, hi, n) if prop == "g_negative" else scan_f_ratio_monotone(prop, lo, hi, n)
-    elif prop == "chain_eq6":
-        b = 1.0 if ns.b is None else ns.b
-        m = 3.0 if ns.m is None else ns.m
-        lo = b + 0.5 if ns.lo is None else ns.lo
-        hi = b + 50.0 if ns.hi is None else ns.hi
-        rep = scan_shifted_exp_chain(b, m, log_grid(lo, hi, n))
-    elif prop == "envelope":
-        a = 10.0 if ns.a is None else ns.a
-        b = 8.0 if ns.b is None else ns.b
-        rep = scan_envelope_ordering(a, b, n, x_lo=ns.lo, x_hi=ns.hi)
-    elif prop == "sandwich":
-        rep = scan_sandwich(b_per_a=n)
-    else:
-        rep = scan_jp_dominance(b_per_a=n)
-    sys.stdout.write(_report_json(rep) if ns.format == "json" else _report_text(rep))
+    defaults, run = _SCANS[ns.property]
+    unread = [f for f in _SCAN_FLAGS if f not in defaults]
+    _reject_flags(ns, unread, f"--property {ns.property} reads only {', '.join('--' + f for f in defaults)}")
+    rep = run(**{f: d if getattr(ns, f) is None else getattr(ns, f) for f, d in defaults.items()})
+    _emit(_report_json(rep) if ns.format == "json" else _report_text(rep), None)
     return 0 if rep.passed else 1
-
-
-def _curves_to_csv(table: CurveTable) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(table.columns)
-    for row in table.rows:
-        w.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
 
 
 def cmd_figdata(ns: argparse.Namespace) -> int:
     table = figure_data(ns.figure)
     if ns.format == "json":
-        rows = [dict(zip(table.columns, row)) for row in table.rows]
-        _emit(json.dumps(rows, indent=2) + "\n", ns.out)
+        _emit(_json([dict(zip(table.columns, row)) for row in table.rows]), ns.out)
     else:
-        _emit(_curves_to_csv(table), ns.out)
+        _emit(_csv(itertools.chain([table.columns], ([_fmt(v) for v in row] for row in table.rows))), ns.out)
     return 0
 
 
@@ -344,12 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="run one numeric certification scan")
     ps.add_argument("--property", choices=SCAN_PROPERTIES, required=True)
-    ps.add_argument("--lo", type=float)
-    ps.add_argument("--hi", type=float)
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--m", type=float)
-    ps.add_argument("--a", type=float)
-    ps.add_argument("--b", type=float)
+    for f in _SCAN_FLAGS:
+        ps.add_argument(f"--{f}", type=int if f == "n" else float)
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.set_defaults(func=cmd_scan)
 
@@ -370,10 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (DomainError, RegimeError, SingularityError, UnknownFigureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, RegimeError, SingularityError, UnknownFigureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote a value."""
+
+_REPR_MAX = 40  # characters of a rejected value's repr that an error message quotes
+
+
+def _brief(v: object) -> str:
+    """repr(v) for an error message, cut to _REPR_MAX characters.
+
+    An int past the double range is given by its size: its repr can run
+    to thousands of digits, and past 4300 Python refuses to print it.
+    """
+    if isinstance(v, int) and v.bit_length() > 1024:
+        return f"an int of {v.bit_length()} bits"
+    r = repr(v)
+    return r if len(r) <= _REPR_MAX else f"{r[:_REPR_MAX]}... ({len(r)} characters)"
 
 
 class DomainError(ValueError):

@@ -82,7 +82,7 @@ from contextvars import ContextVar
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .errors import ConvergenceError, CrossValidationError, DomainError
+from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
 from .specfun import bessel_i0_scaled
 
 AGREEMENT_GATE = 1e-10
@@ -100,19 +100,6 @@ _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = 1.7976931348623157e308
-_REPR_MAX = 40  # characters of a rejected value's repr that an error message quotes
-
-
-def _brief(v: object) -> str:
-    """repr(v) for an error message, cut to _REPR_MAX characters.
-
-    An int past the double range is given by its size: its repr can run
-    to thousands of digits, and past 4300 Python refuses to print it.
-    """
-    if isinstance(v, int) and v.bit_length() > 1024:
-        return f"an int of {v.bit_length()} bits"
-    r = repr(v)
-    return r if len(r) <= _REPR_MAX else f"{r[:_REPR_MAX]}... ({len(r)} characters)"
 
 
 class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):

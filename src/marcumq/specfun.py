@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _brief
 
 # log(DBL_MAX); exp(t) overflows for t above this
 _LOG_DBL_MAX = 709.782712893384
-# the argument guards take finite x >= 0 as 0.0 <= x < _INF, which also
-# refuses NaN, without a call
-_INF = math.inf
+# the argument guards take finite x >= 0 as 0.0 <= x <= _DBL_MAX, which
+# also refuses NaN and an int past the double range, without a call
+_DBL_MAX = 1.7976931348623157e308
 
 
 # --- generated by tests/make_bessel_coeffs.py: do not edit by hand ---
@@ -178,8 +178,8 @@ def _i1e_large(x: float) -> float:
 
 def bessel_i0_scaled(x: float) -> float:
     """e^-x I0(x) for x >= 0; monotone decreasing from 1 toward 0."""
-    if not 0.0 <= x < _INF:
-        raise DomainError(f"bessel_i0_scaled requires finite x >= 0, got {x!r}")
+    if not 0.0 <= x <= _DBL_MAX:
+        raise DomainError(f"bessel_i0_scaled requires finite x >= 0, got {_brief(x)}")
     if x <= BESSEL_SMALL_X:
         return (1.0 + _i0m1_small(x)) * math.exp(-x)
     return _i0e_large(x)
@@ -187,8 +187,8 @@ def bessel_i0_scaled(x: float) -> float:
 
 def bessel_i1_scaled(x: float) -> float:
     """e^-x I1(x) for x >= 0."""
-    if not 0.0 <= x < _INF:
-        raise DomainError(f"bessel_i1_scaled requires finite x >= 0, got {x!r}")
+    if not 0.0 <= x <= _DBL_MAX:
+        raise DomainError(f"bessel_i1_scaled requires finite x >= 0, got {_brief(x)}")
     if x <= BESSEL_SMALL_X:
         return _i1_small(x) * math.exp(-x)
     return _i1e_large(x)
@@ -201,8 +201,8 @@ def log_bessel_i0(x: float) -> float:
     x -> 0 where log I0(x) ~ x^2/4; x + log i0e(x) beyond, which no longer
     cancels there and never overflows.
     """
-    if not 0.0 <= x < _INF:
-        raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {x!r}")
+    if not 0.0 <= x <= _DBL_MAX:
+        raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {_brief(x)}")
     if x <= BESSEL_SMALL_X:
         return math.log1p(_i0m1_small(x))
     return x + math.log(_i0e_large(x))
@@ -229,8 +229,8 @@ def _erfcx_cf(x: float) -> float:
 
 def erfcx(x: float) -> float:
     """Scaled complement e^(x^2) erfc(x) for x >= 0; decreasing from erfcx(0) = 1."""
-    if not 0.0 <= x < _INF:
-        raise DomainError(f"erfcx requires finite x >= 0, got {x!r}")
+    if not 0.0 <= x <= _DBL_MAX:
+        raise DomainError(f"erfcx requires finite x >= 0, got {_brief(x)}")
     if x >= 4.0:
         return _erfcx_cf(x)
     return math.exp(x * x) * math.erfc(x)

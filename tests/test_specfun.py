@@ -78,6 +78,26 @@ def test_guard_refuses_what_it_refused(fn, x):
         assert math.isfinite(fn(x))
 
 
+# ints past the double range, which the frozen predicate cannot take (math.isinf
+# raises for them): refused by their size, since some have no printable repr
+@pytest.mark.parametrize("fn", [bessel_i0_scaled, bessel_i1_scaled, log_bessel_i0, erfcx])
+@pytest.mark.parametrize(
+    "x, quoted",
+    [
+        (10**400, "an int of 1329 bits"),
+        (2**1024, "an int of 1025 bits"),
+        (10**5000, "an int of 16610 bits"),
+        (-(10**400), "an int of 1329 bits"),
+        (int(1.7976931348623157e308) + 1, "1797693134862315708145274237317043567980... (309 characters)"),
+    ],
+    ids=("10**400", "2**1024", "10**5000", "-10**400", "DBL_MAX+1"),
+)
+def test_guard_refuses_ints_past_the_double_range(fn, x, quoted):
+    with pytest.raises(DomainError, match=re.escape(f"{fn.__name__} requires finite x >= 0, got {quoted}")):
+        fn(x)
+    assert math.isfinite(fn(int(1.7976931348623157e308)))
+
+
 class TestBesselI0:
     def test_at_zero(self):
         assert i0(0.0) == 1.0

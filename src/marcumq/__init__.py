@@ -14,7 +14,6 @@ from .bounds import (
     eval_all,
     eval_ids,
     evaluate,
-    lb2a_literal,
     regime_of,
 )
 from .errors import (
@@ -45,7 +44,6 @@ __all__ = [
     "eval_all",
     "eval_ids",
     "evaluate",
-    "lb2a_literal",
     "q1_quadrature",
     "q1_reference",
     "q1_series",

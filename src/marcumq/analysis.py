@@ -20,7 +20,7 @@ here is deterministic; point evaluations are independent of each other.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from .errors import DomainError, UnknownFigureError
 # q1_reference is not called here since the oracle work goes through
 # q1_sweep, but it stays bound: perfbench/tests checks that the tracer
 # wraps this module's binding of it
-from .oracle import OracleResult, QArgs, q1_reference, q1_sweep, rice_pdf  # noqa: F401
+from .oracle import QArgs, q1_reference, q1_sweep, rice_pdf  # noqa: F401
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
@@ -145,11 +145,6 @@ def _check_two_sided_size(a_values: Sequence[float], b_per_a: int) -> None:
         )
 
 
-def _swept(a: float, b_values: list[float]) -> Iterator[tuple[float, OracleResult]]:
-    """(b, q1_reference(QArgs(a, b))) for each b, through one fixed-a sweep."""
-    return zip(b_values, q1_sweep(a, b_values))
-
-
 def eps_pct(raw: float, exact: float) -> float:
     """Tightness 100 |raw - exact| / exact in percent; inf when exact <= 0."""
     return 100.0 * abs(raw - exact) / exact if exact > 0.0 else math.inf
@@ -162,7 +157,7 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
     skipped; they never abort the table.
     """
     rows = []
-    for b, ref in _swept(a, b_values):
+    for b, ref in zip(b_values, q1_sweep(a, b_values)):
         exact = ref.value
         evals, skipped = eval_ids(ids, QArgs(a, b))
         cells = {ev.id: BoundCell(ev.raw, ev.clamped, eps_pct(ev.raw, exact)) for ev in evals}
@@ -377,31 +372,30 @@ def scan_envelope_ordering(
     )
 
 
-def scan_sandwich(
-    a_values: tuple[float, ...] = DEFAULT_SANDWICH_A,
-    b_per_a: int = 50,
-    margin: float = 1e-9,
-) -> ScanReport:
-    """Certify clamped lower <= oracle <= clamped upper for every bound.
+def scan_sandwich(a_values: tuple[float, ...] = DEFAULT_SANDWICH_A, b_per_a: int = 50) -> ScanReport:
+    """Certify clamped lower <= oracle <= clamped upper for every bound,
+    to a 1e-9 absolute margin.
 
     Every applicable id is checked at every grid point; singular ids at
     the tie b = a are skipped by eval_all.  Checks stream into the
     verdict, so memory stays flat in the grid size.
     """
+    margin = 1e-9
     count = 0
 
     def checks():
         nonlocal count
         _check_two_sided_size(a_values, b_per_a)
         for a in a_values:
-            # the grid is built inline so it is freed before the next a's
-            for b, ref in _swept(a, two_sided_b_grid(a, b_per_a)):
+            bs = two_sided_b_grid(a, b_per_a)
+            for b, ref in zip(bs, q1_sweep(a, bs)):
                 exact = ref.value
                 evals, _ = eval_all(QArgs(a, b))
                 count += len(evals)
                 for ev in evals:
                     v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)
                     yield v, (ev.id.value, a, b)
+            del bs  # freed before the next a's grid is built
 
     worst, witness = _worst(checks())
     return ScanReport(

@@ -28,8 +28,8 @@ there ((a + b)^2, (a^2 - b^2)^2) is 0.0; past the range ``DomainError``
 is raised.  Raw values may fall outside [0, 1] (some classical bounds
 are unbounded in corners); ``BoundEval.clamped`` restricts them to
 [0, 1], the double ``min(1.0, max(0.0, raw))`` gives (NaN -> 0.0).
-``lb2a_literal`` is the uncorrected LB2A transcription, kept outside
-the catalog.  Nothing is kept across calls.
+LB2A is the corrected form: the paper prints its erfc term without the
+zeta factor the derivation gives.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ def regime_of(args: QArgs) -> Regime:
     return _B_GE_A if args.b >= args.a else _B_LT_A
 
 
-def _regime_error(bid: BoundId, args: QArgs) -> RegimeError:
-    """What ``bid`` raises at a point outside its regime."""
+def _regime_message(bid: BoundId, args: QArgs) -> str:
+    """The message of the RegimeError ``bid`` raises at a point outside its regime."""
     need = "b >= a" if bid.regime is Regime.BGeqA else "b <= a"
-    return RegimeError(f"{bid.value} requires {need}, got (a={args.a:g}, b={args.b:g})")
+    return f"{bid.value} requires {need}, got (a={args.a:g}, b={args.b:g})"
 
 
 def _check_range(a: float, b: float) -> None:
@@ -169,32 +169,6 @@ def lb1jp_small_ab_limit(a: float, b: float) -> float:
     to the exact value e^(-b^2/2).
     """
     return 0.5 * (_gauss(b - a) + _gauss(b + a))
-
-
-def _lb2a_terms(a: float, b: float) -> tuple[float, float, float, float]:
-    """LB2A = 1 - scale (head + zeta sqrt(pi/2) tail): (scale, zeta, head, tail)."""
-    if b == 0.0:
-        raise SingularityError("LB2A requires b > 0 (its rate zeta is undefined at b = 0)")
-    z = _zeta(a, b)  # a >= b > 0 in LB2A's regime
-    scale = math.exp(-0.5 * (a * a - z * z))
-    head = math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2)
-    tail = erfc_diff(-z / _SQRT2, (b - z) / _SQRT2)
-    return scale, z, head, tail
-
-
-def lb2a_literal(a: float, b: float) -> float:
-    """LB2A exactly as printed, without the zeta factor on its erfc term.
-
-    Kept only for documentation: for b <= a it exceeds 1 and does not
-    reproduce the published comparison values.  ``evaluate`` uses the
-    corrected form.
-    """
-    args = QArgs(a, b)
-    if b > a:
-        raise _regime_error(BoundId.LB2A, args)
-    _check_range(a, b)
-    scale, _, head, tail = _lb2a_terms(a, b)
-    return 1.0 - scale * (head + _SQRT_HALF_PI * tail)
 
 
 # A product or quotient in the two families below keeps the association
@@ -255,10 +229,9 @@ def _family_lt(a: float, b: float) -> tuple:
         # subnormal a, b: the exponent (a^2-b^2)^2/(2s) <= s/2 vanishes
         ub2d = 1.0
     else:
-        try:
-            g_d = math.exp(-((a * a - b * b) ** 2) / (2.0 * s))
-        except OverflowError:  # (a^2-b^2)^2 > 1.8e308: the exponent then exceeds 1e137
-            g_d = 0.0
+        d = a * a - b * b  # >= 0 for b <= a
+        # d^2 overflows exactly when d > sqrt(DBL_MAX); the exponent then exceeds 1e137
+        g_d = 0.0 if d > _MAX_ARG else math.exp(-(d ** 2) / (2.0 * s))
         ub2d = 1.0 - math.atan2(b, a) / math.pi * (g_d - math.exp(-0.5 * s))
 
     if ab == 0.0:
@@ -269,15 +242,13 @@ def _family_lt(a: float, b: float) -> tuple:
         bracket = math.erf(a / _SQRT2) - 0.5 * math.erf((a - b) / _SQRT2) - 0.5 * math.erf((a + b) / _SQRT2)
         pref = b * i0e / (-math.expm1(-2.0 * ab))
         lb2jp = 1.0 - _SQRT_TWO_PI * pref * bracket
-    try:
-        scale, z, head, z_tail = _lb2a_terms(a, b)
-    except SingularityError as exc:
-        lb2a = exc
-    else:
-        # as printed the erfc term lacks the zeta factor the derivation
-        # produces; the corrected form is the one that matches the published
-        # comparison data (see the regression tests)
-        lb2a = 1.0 - scale * (head + z * _SQRT_HALF_PI * z_tail)
+    # 1 - int_0^b x e^(zeta x - (x^2+a^2)/2) dx, with the zeta factor on the
+    # erfc term that the paper's print lacks; _zeta(a, 0.0) is 0.0, unused
+    z = _zeta(a, b)
+    lb2a = SingularityError("LB2A requires b > 0 (its rate zeta is undefined at b = 0)") if b == 0.0 else 1.0 - (
+        math.exp(-0.5 * (a * a - z * z))
+        * (math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2) + z * _SQRT_HALF_PI * erfc_diff(-z / _SQRT2, (b - z) / _SQRT2))
+    )
     lb2b = SingularityError(f"LB2B is singular at a = b = {a:g}") if a == b else 1.0 - a / (a - b) * g_diff
     lb2c = i0e * g_diff
     if a == 0.0:
@@ -331,7 +302,7 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
     for bid in ids:
         family, slot, side, regime = bid._plan
         if regime is foreign:
-            skipped[bid] = str(_regime_error(bid, args))
+            skipped[bid] = _regime_message(bid, args)
             continue
         values = families.get(family)
         if values is None:

@@ -83,8 +83,6 @@ _TABLE_FLAGS = ("a", "b_start", "b_end", "b_step", "ids")
 
 
 def _fmt(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
     return repr(float(v))
 
 
@@ -245,7 +243,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
         ge = bid.regime is Regime.BGeqA
         if not (bs[-1] >= a if ge else bs[0] <= a):
             raise DomainError(
-                f"{bid.value} applies to the {'b >= a' if ge else 'b < a'} regime; "
+                f"{bid.value} applies to the {'b >= a' if ge else 'b <= a'} regime; "
                 f"no grid point qualifies for a={a:g}"
             )
     rows = error_table(a, bs, ids)

@@ -209,16 +209,16 @@ def log_bessel_i0(x: float) -> float:
 
 
 def _erfcx_cf(x: float) -> float:
-    """Laplace continued fraction for erfcx, x >= 4 (modified Lentz)."""
-    tiny = 1e-300
+    """Laplace continued fraction for erfcx, x >= 4 (modified Lentz).
+
+    Each new d = x + (n/2) d and c = x + (n/2)/c is at least x > 0, so
+    Lentz's guard against a zero denominator is not needed."""
     f = c = x
     d = 0.0
     for n in range(1, 200):
         an = 0.5 * n
         d = x + an * d
         c = x + an / c
-        if d == 0.0:
-            d = tiny
         d = 1.0 / d
         delta = c * d
         f *= delta

@@ -1,0 +1,41 @@
+"""Regenerate the frozen LB2A envelope integrals used in test_bounds.py.
+
+Run from the repository root:
+
+    python tests/make_frozen_lb2a.py
+
+LB2A bounds the complement 1 - Q1(a, b) for b <= a from below by the
+integral of an exponential-rate envelope of the Rice density: log I0 is
+convex with log I0(0) = 0, so I0(ax) <= e^(zeta x) on [0, b] with
+zeta = log I0(ab) / b, and LB2A = 1 - I with
+
+    I = int_0^b x e^(zeta x - (x^2 + a^2) / 2) dx.
+
+Each value is a 50-digit mpmath quadrature of I, split at every integer
+so each panel holds a smooth piece of the integrand.  The script prints a
+dict literal to paste into ``LB2A_ENVELOPE_INTEGRAL``.  It is not a test
+module.
+"""
+
+import mpmath as mp
+
+POINTS = [(2.0, 1.0), (2.0, 1.9), (4.0, 3.0), (6.0, 5.5), (20.0, 19.1)]
+
+
+def envelope_integral(a: float, b: float) -> mp.mpf:
+    a, b = mp.mpf(a), mp.mpf(b)
+    zeta = mp.log(mp.besseli(0, a * b)) / b
+    panels = [mp.mpf(0)] + list(range(1, int(mp.ceil(b)))) + [b]
+    return mp.quad(lambda x: x * mp.exp(zeta * x - (x * x + a * a) / 2), panels)
+
+
+def main() -> None:
+    mp.mp.dps = 50
+    print("LB2A_ENVELOPE_INTEGRAL = {")
+    for a, b in POINTS:
+        print(f"    ({a!r}, {b!r}): {float(envelope_integral(a, b))!r},")
+    print("}")
+
+
+if __name__ == "__main__":
+    main()

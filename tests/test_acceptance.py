@@ -24,10 +24,10 @@ from marcumq.analysis import (
     scan_sandwich,
     two_sided_b_grid,
 )
-from marcumq.bounds import BoundId, eval_all, evaluate, lb1jp_small_ab_limit, lb2a_literal
+from marcumq.bounds import BoundId, eval_all, evaluate, lb1jp_small_ab_limit
 from marcumq.oracle import QArgs, q1_quadrature, q1_reference, q1_series
 
-from reference_tables import EPS_TOL, TABLE_V, TABLE_VI, TABLE_VII, TABLE_VIII, VALUE_TOL
+from reference_tables import EPS_TOL, TABLE_V, TABLE_VI, TABLE_VII, TABLE_VIII, VALUE_TOL, lb2a_printed
 
 GRID_A = (0.0, 0.1, 1.0, 2.0, 10.0, 20.0)
 B_PER_A = 50
@@ -80,11 +80,11 @@ def test_criterion_03_upper_bounds_a2():
 
 def test_criterion_04_lower_bounds_a20_fixes_lb2a():
     bad = _check_table(20.0, TABLE_VIII, BoundId.LB2JP, BoundId.LB2A)
-    # the uncorrected LB2A transcription must fail to reproduce the data:
+    # LB2A as printed must fail to reproduce the data:
     # above 1 at the first rows, far from every published value
-    literal_top = lb2a_literal(20.0, 19.1)
+    literal_top = lb2a_printed(20.0, 19.1)
     literal_off = all(
-        abs(lb2a_literal(20.0, b) - golden[3])
+        abs(lb2a_printed(20.0, b) - golden[3])
         > 1e-3
         for b, golden in TABLE_VIII.items()
     )
@@ -118,7 +118,7 @@ def test_criterion_05_oracle_self_consistency():
 
 
 def test_criterion_06_sandwich():
-    rep = scan_sandwich(a_values=GRID_A, b_per_a=B_PER_A, margin=1e-9)
+    rep = scan_sandwich(a_values=GRID_A, b_per_a=B_PER_A)
     passed = rep.passed
     _report(6, f"sandwich (worst {rep.worst_violation:.2e} at {rep.witness})", passed)
     assert passed, (rep.worst_violation, rep.witness)

@@ -147,6 +147,11 @@ class TestChainScan:
         with pytest.raises(DomainError):
             scan_shifted_exp_chain(2.0, 3.0, [1.5, 2.5])
 
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_b_must_be_positive(self, b):
+        with pytest.raises(DomainError, match=f"^the chain requires b > 0, got b={b!r}$"):
+            scan_shifted_exp_chain(b, 3.0, [2.0])
+
 
 class TestEnvelopeScan:
     def test_reference_window_passes(self):

@@ -24,11 +24,12 @@ from marcumq.bounds import (
     eval_ids,
     evaluate,
     lb1jp_small_ab_limit,
-    lb2a_literal,
     regime_of,
 )
 from marcumq.errors import DomainError, RegimeError, SingularityError
 from marcumq.oracle import QArgs
+
+from reference_tables import lb2a_printed
 
 # mpmath (50 dps) references for raw values
 UB1JP_01_01 = 1.0213296921469377
@@ -59,6 +60,18 @@ LB2A_20_195 = 0.66406637969246503
 UB1A_01_01 = 1.1141620326061982
 LB1A_01_1 = 0.41850943934458025
 UB2A_2_19 = 0.71615480419959858
+
+# mpmath (50 dps) quadratures of LB2A's envelope integral
+# I = int_0^b x e^(zeta x - (x^2+a^2)/2) dx, zeta = log I0(ab)/b, from
+# make_frozen_lb2a.py; LB2A = 1 - I
+LB2A_ENVELOPE_INTEGRAL = {
+    (2.0, 1.0): 0.09143926173408468,
+    (2.0, 1.9): 0.44728657751785567,
+    (4.0, 3.0): 0.1644351497727718,
+    (6.0, 5.5): 0.35848938480831355,
+    (20.0, 19.1): 0.1957518128803989,
+}
+
 # stress point references
 UB1JP_600_601 = 0.15892621023741584
 LB1JP_600_601 = 0.158787466643162
@@ -181,10 +194,6 @@ class TestRegistry:
         assert ev.clamped == min(1.0, max(0.0, ev.raw))
         with pytest.raises(RegimeError, match=bid.value):
             evaluate(bid, outside)
-
-    def test_lb2a_literal_regime(self):
-        with pytest.raises(RegimeError):
-            lb2a_literal(1.0, 2.0)
 
 
 # raw values at and around the ends of [0, 1], and those no comparison orders
@@ -314,11 +323,17 @@ class TestRange:
         for bid in family:
             with pytest.raises(DomainError, match=match):
                 evaluate(bid, args)
-        if b <= a:
-            with pytest.raises(DomainError, match=match):
-                lb2a_literal(a, b)
         # the public ab -> 0 limit underflows instead
         assert lb1jp_small_ab_limit(a, b) == (0.5 if a == b else 0.0)
+
+    def test_ub2d_either_side_of_its_square_overflowing(self):
+        # UB2D's d = a^2 - b^2 has d^2 overflow once d > sqrt(DBL_MAX); the
+        # Gaussian it feeds is 0.0 on both sides, so UB2D is exactly 1
+        r = math.sqrt(SQRT_DBL_MAX)
+        below, above = r, math.nextafter(r, math.inf)
+        assert below * below - 1.0 <= SQRT_DBL_MAX < above * above - 1.0
+        for a in (below, above):
+            assert evaluate(BoundId.UB2D, QArgs(a, 1.0)).raw == 1.0
 
     @pytest.mark.parametrize(
         "a,b", [(1.35e154, 1.0), (1.0, 1.35e154), (1e200, 1e200), (1e300, 1.0)]
@@ -341,9 +356,15 @@ class TestLiterature:
         assert evaluate(BoundId.UB1A, QArgs(0.1, 0.1)).raw == pytest.approx(1.11416, abs=1e-4)
         assert evaluate(BoundId.LB2A, QArgs(20.0, 19.5)).raw == pytest.approx(0.66406, abs=1e-4)
 
-    def test_lb2a_literal_transcription_is_broken(self):
-        # the uncorrected form exceeds 1 and cannot be a useful lower bound
-        assert lb2a_literal(20.0, 19.1) > 1.0
+    @pytest.mark.parametrize("point,integral", sorted(LB2A_ENVELOPE_INTEGRAL.items()))
+    def test_lb2a_is_its_derivation(self, point, integral):
+        # the corrected closed form is the envelope integral to the rounding
+        # of its head's cancellation (5.6e-14 relative at (20, 19.1))
+        a, b = point
+        lb2a = evaluate(BoundId.LB2A, QArgs(a, b)).raw
+        assert abs((1.0 - lb2a) - integral) <= 1e-13 * integral
+        # the printed form, without the zeta factor, misses it by 0.031 to 0.34
+        assert abs(lb2a_printed(a, b) - (1.0 - integral)) > 0.02
 
     def test_ub1b_singular_at_tie(self):
         with pytest.raises(SingularityError):

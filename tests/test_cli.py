@@ -130,6 +130,59 @@ class TestTable:
         assert rc == 2
         assert "regime" in err
 
+    def test_tie_admits_the_b_le_a_family(self, capsys):
+        argv = ["table", "--a", "5", "--b-end", "7", "--b-step", "1", "--ids", "UB2JP"]
+        rc, out, err = run_cli(capsys, *argv, "--b-start", "6")
+        assert (rc, out) == (2, "")
+        assert err == "error: UB2JP applies to the b <= a regime; no grid point qualifies for a=5\n"
+        rc, out, _ = run_cli(capsys, *argv, "--b-start", "5")
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["5.0", "6.0", "7.0"]
+        # b = 5 fills its cells and has no note; b = 6 and 7 are empty
+        assert all(rows[0][2:5])
+        assert rows[0][5] == ""
+        assert all(r[2:5] == ["", "", ""] for r in rows[1:])
+
+    def test_b_end_below_b_start(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "table", "--a", "1", "--b-start", "3", "--b-end", "2",
+            "--b-step", "0.5", "--ids", "UB1JP",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: --b-end 2.0 below --b-start 3.0\n"
+
+    def test_ids_skip_empty_tokens(self, capsys):
+        argv = ["table", "--a", "1", "--b-start", "1", "--b-end", "2", "--b-step", "1"]
+        rc, out, _ = run_cli(capsys, *argv, "--ids", ",UB1JP,, lb1jp ,")
+        assert rc == 0
+        header = "b,exact,UB1JP_raw,UB1JP_clamped,UB1JP_eps_pct,LB1JP_raw,LB1JP_clamped,LB1JP_eps_pct,notes"
+        assert out.splitlines()[0] == header
+        rc, out, err = run_cli(capsys, *argv, "--ids", ",")
+        assert (rc, out) == (2, "")
+        assert err == "error: --ids must name at least one bound\n"
+
+    def test_ids_across_both_regimes(self, capsys):
+        # each row fills the ids of its regime and notes why the others are empty
+        argv = ["table", "--a", "2", "--b-start", "1", "--b-end", "3", "--b-step", "1", "--ids", "UB1JP,UB2JP"]
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[1].startswith("1.0,0.9181076963694061,,,,0.918")
+        assert lines[1].endswith(',"UB1JP: UB1JP requires b >= a, got (a=2, b=1)"')
+        assert lines[2].endswith(",")
+        assert lines[3].endswith(',,,,"UB2JP: UB2JP requires b <= a, got (a=2, b=3)"')
+        rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        rows = json.loads(out)
+        assert [r["UB1JP"] is None for r in rows] == [True, False, False]
+        assert [r["UB2JP"] is None for r in rows] == [False, False, True]
+        assert [r.get("skipped") for r in rows] == [
+            {"UB1JP": "UB1JP requires b >= a, got (a=2, b=1)"},
+            None,
+            {"UB2JP": "UB2JP requires b <= a, got (a=2, b=3)"},
+        ]
+
     def test_unknown_id(self, capsys):
         rc, _, err = run_cli(
             capsys, "table", "--a", "1", "--b-start", "2", "--b-end", "3",

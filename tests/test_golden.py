@@ -5,7 +5,9 @@ The 21 commands that reproduce the paper (4 table presets, 10 figures,
 scan at a = 4, b = 3 in csv.  Tables and figures write their csv under a
 temporary directory and print their json; scans print their report.
 ``eval`` runs in both formats at (1, 2), (2, 1), the tie (2, 2) and the
-origin.  Each output's sha256 and the exit code must match GOLDEN.  A
+origin, and a custom table whose ids span both regimes (UB1JP, UB2JP at
+a = 2, b = 1, 2, 3) in both formats, which pins its empty cells and skip
+notes.  Each output's sha256 and the exit code must match GOLDEN.  A
 change that moves an output on purpose says why, and regenerates the dict from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -72,6 +74,8 @@ GOLDEN = {
     "table_V": (0, "25556c418894e500af75845961afe669492ec0ce04a1ff2cd9755cd50d52940f"),
     "table_VI": (0, "210ba2201405c2ffc99ccc4757e2319f2399f4fb86770211ca6da934b5af5968"),
     "table_VII": (0, "bc04dd5a1962b969029213e7be7db0d3f460296ba63861089ce9e80a4cc060d6"),
+    "table_custom": (0, "60324dae8c070ebf060333c33830bb673b1a5f57dec94c117f64e34f122d4289"),
+    "table_custom_json": (0, "f110c55f4b540d01199aedac2cf2d184a98ebeb7c242b9f6c29f6fa12958a842"),
     "table_VIII": (0, "1b96b48a1cff2d12537a031923a2b22890e27dd446a7d95f75937c7d1cc7f5dc"),
     "table_VIII_json": (0, "92ffb1fb008b65d02aa6c4e344b192f5b0c261298d8fb6d50f461aab99fb00f2"),
     "table_VII_json": (0, "f55026ef68e0e3e8a96f903c25de1fc94227812fdd90c6a9561bd08604f35aec"),
@@ -96,6 +100,10 @@ def commands(out_dir: str) -> dict[str, tuple[list[str], str | None]]:
         cmds[f"scan_{s}"] = (["scan", "--property", s], None)
         cmds[f"scan_{s}_json"] = (["scan", "--property", s] + json, None)
     cmds["scan_envelope_a4_b3"] = (["scan", "--property", "envelope", "--a", "4", "--b", "3"], None)
+    path = os.path.join(out_dir, "table_custom.csv")
+    custom = ["table", "--a", "2", "--b-start", "1", "--b-end", "3", "--b-step", "1", "--ids", "UB1JP,UB2JP"]
+    cmds["table_custom"] = (custom + ["--out", path], path)
+    cmds["table_custom_json"] = (custom + json, None)
     for a, b in ((1, 2), (2, 1), (2, 2), (0, 0)):
         argv = ["eval", "--a", str(a), "--b", str(b)]
         cmds[f"eval_a{a}_b{b}"] = (argv, None)

@@ -303,6 +303,11 @@ class TestErfcDiff:
         with pytest.raises(DomainError):
             erfc_diff(2.0, 1.0)
 
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_refused(self, x, y):
+        with pytest.raises(DomainError, match="^erfc_diff requires finite arguments$"):
+            erfc_diff(x, y)
+
     def test_tiny_separation_beats_naive(self):
         # naive subtraction returns 0 or a few noisy ulps here
         # the width is the one x + d rounds to (9.992e-14), not the nominal d
@@ -334,6 +339,19 @@ class TestErfcDiffCentered:
     )
     def test_matches_erfc_diff(self, m, delta):
         assert erfc_diff_centered(m, delta) == erfc_diff(m - delta / 2, m + delta / 2)
+
+    @pytest.mark.parametrize("m,delta", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_refused(self, m, delta):
+        with pytest.raises(DomainError, match="^erfc_diff_centered requires finite arguments$"):
+            erfc_diff_centered(m, delta)
+
+    def test_negative_width_refused(self):
+        with pytest.raises(DomainError, match="^width must be nonnegative, got -1e-30$"):
+            erfc_diff_centered(1.0, -1e-30)
+
+    @pytest.mark.parametrize("m", [-3.0, 0.0, 40.0])
+    def test_zero_width_is_zero(self, m):
+        assert erfc_diff_centered(m, 0.0) == 0.0
 
     def test_width_below_ulp_of_midpoint(self):
         # 3 - 5e-21 and 3 + 5e-21 both round to 3.0; the explicit width keeps the value

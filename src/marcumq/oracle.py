@@ -59,18 +59,15 @@ Every method takes a ``QArgs``, the validated pair.  Two plain floats in
 NaN, inf and negatives take the per-field checks.
 
 ``q1_sweep(a, b_values)`` yields ``q1_reference(QArgs(a, b))`` for each b
-of a fixed-a sweep.  Each point runs inside a sweep scope (a
-ContextVar, set and reset around the point, never held across a yield)
-that shares the work depending on a alone: the quadrature's panels whose
-root interval is bounded by two seeds (or by 0 and a seed), with their
+of a fixed-a sweep.  Each point's QArgs also carries the work the sweep
+shares, which depends on a alone: the quadrature's panels whose root
+interval is bounded by two seeds (or by 0 and a seed), with their
 bisection children, and the series' outer Poisson window for a^2/2,
 built at the first point whose windows overlap.  A panel is a pure
 function of (a, lo, hi), so every result is bit-identical to a point
-call; the scope dies with the sweep.
-
-Point calls keep call-local state only.  A sweep's scope is private to
-its generator and each ContextVar value to its thread, so every function
-here is safe to call from any number of threads.
+call.  That work is reachable only through the sweep's own points, and
+point calls keep call-local state only, so every function here is safe
+to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable, Iterator
-from contextvars import ContextVar
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -138,34 +134,40 @@ class OracleResult(NamedTuple):
 class _Sweep:
     """Work shared by the points of one fixed-a sweep (see ``q1_sweep``)."""
 
-    __slots__ = ("a", "panels", "window")
+    __slots__ = ("panels", "window")
 
-    def __init__(self, a: float) -> None:
-        self.a = a
+    def __init__(self) -> None:
         self.panels = {}  # (lo, hi) -> (value, error)
         self.window = None  # _poisson_window(a * a / 2)
 
 
-_SWEEP: ContextVar[_Sweep | None] = ContextVar("marcumq_oracle_sweep", default=None)
+class _SweepPoint(QArgs):
+    """The QArgs of one ``q1_sweep`` point, with the sweep's ``_Sweep`` as ``sweep``.
 
-
-def _sweep_for(a: float) -> _Sweep | None:
-    """The current sweep scope if it sweeps this a, else None."""
-    scope = _SWEEP.get()
-    return scope if scope is not None and scope.a == a else None
+    ``sweep`` sits in the instance dict: a tuple subclass cannot add slots.
+    """
 
 
 def rice_pdf(x: float, a: float) -> float:
-    """Rice density x exp(-(x^2+a^2)/2) I0(ax), evaluated in scaled form."""
-    if x < 0 or a < 0:
-        raise DomainError("rice_pdf requires x >= 0 and a >= 0")
+    """Rice density x exp(-(x^2+a^2)/2) I0(ax), evaluated in scaled form.
+
+    x and a must be finite and >= 0.  Where a*x overflows, e^-ax I0(ax)
+    is 1/sqrt(2 pi a x) to the double (the leading Hankel term), and the
+    density is exp(-(x-a)^2/2) sqrt(x/a)/sqrt(2 pi).
+    """
+    if x > 0.0 and a >= 0.0:
+        try:
+            g = math.exp(-0.5 * (x - a) ** 2)
+        except OverflowError:  # (x - a)^2 > 1.8e308: the density underflowed long before
+            return 0.0
+        ax = a * x
+        if ax <= _MAX_DOUBLE:
+            return x * g * bessel_i0_scaled(ax)
+    if not 0.0 <= x <= _MAX_DOUBLE >= a >= 0.0:
+        raise DomainError(f"rice_pdf requires finite x >= 0 and a >= 0, got x={_brief(x)}, a={_brief(a)}")
     if x == 0.0:
         return 0.0
-    try:
-        g = math.exp(-0.5 * (x - a) ** 2)
-    except OverflowError:  # (x - a)^2 > 1.8e308: the density underflowed long before
-        return 0.0
-    return x * g * bessel_i0_scaled(a * x)
+    return g * math.sqrt(x / a) / _SQRT_2PI  # x > 0 and a*x overflowed above
 
 
 # G7/K15 nodes: (abscissa, Gauss weight, Kronrod weight)
@@ -272,8 +274,8 @@ def q1_quadrature(args: QArgs, form: str = "auto") -> float:
     # panel seeds around the integrand peak at x ~ a
     seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
     integrand = lambda x: rice_pdf(x, a)
-    scope = _sweep_for(a)
-    memo = None if scope is None else scope.panels
+    sweep = getattr(args, "sweep", None)
+    memo = None if sweep is None else sweep.panels
     if form == "tail":
         top = max(a, b) + _PANEL_SIGMAS
         hi = min((s for s in seeds if s >= top), default=max(a, b) + _TAIL_SIGMAS)
@@ -406,13 +408,13 @@ def q1_series(args: QArgs) -> float:
             *_tail_bounds(y, jlo, jhi, _pmf(y, jlo), _pmf(y, jhi)),
         )
         return 0.0 if jlo > khi else 1.0
-    scope = _sweep_for(args.a)
-    if scope is None:
+    sweep = getattr(args, "sweep", None)
+    if sweep is None:
         outer = _poisson_window(lam)
     else:
-        if scope.window is None:
-            scope.window = _poisson_window(lam)
-        outer = scope.window
+        if sweep.window is None:
+            sweep.window = _poisson_window(lam)
+        outer = sweep.window
     _, _, p, pmass, ptail_lo, ptail_hi = outer
     _, _, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
     _check_tails(ptail_lo, ptail_hi, qtail_lo, qtail_hi)
@@ -565,16 +567,12 @@ def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:
     """``q1_reference(QArgs(a, b))`` for each b of ``b_values``, in order.
 
     The points share the work that depends on a alone (see the module
-    docstring); every result is bit-identical to the point call.  The
-    shared state lives in this generator only and is active only while a
-    point is being computed, so nothing outlives the sweep.
+    docstring); every result is bit-identical to the point call.  Each
+    point's argument carries that work, and nothing else refers to it,
+    so nothing outlives the sweep.
     """
-    scope = _Sweep(a)
+    sweep = _Sweep()
     for b in b_values:
-        args = QArgs(a, b)
-        token = _SWEEP.set(scope)
-        try:
-            result = q1_reference(args)
-        finally:
-            _SWEEP.reset(token)
-        yield result
+        args = _SweepPoint(a, b)
+        args.sweep = sweep
+        yield q1_reference(args)

@@ -72,6 +72,51 @@ LB2A_ENVELOPE_INTEGRAL = {
     (20.0, 19.1): 0.1957518128803989,
 }
 
+# JP envelope integrals from make_frozen_jp.py: int_b^inf for b >= a,
+# int_0^b (the complement 1 - bound) for b < a
+JP_ENVELOPE_INTEGRAL = {
+    ("UB1JP", 0.1, 1.0): 0.616282157250078,
+    ("UB1JP", 1.0, 2.0): 0.2743815528499572,
+    ("UB1JP", 0.5, 3.0): 0.017856873416317764,
+    ("UB1JP", 2.0, 2.5): 0.4402461154215551,
+    ("UB1JP", 4.0, 9.0): 4.40436080342444e-07,
+    ("UB1JP", 10.0, 12.0): 0.025723506346887106,
+    ("UB1JP", 1.0, 30.0): 1.8116184194827866e-184,
+    ("UB1JP", 2.0, 25.0): 8.275195949675606e-117,
+    ("LB1JP", 0.1, 1.0): 0.607034692374246,
+    ("LB1JP", 1.0, 2.0): 0.24783261047292882,
+    ("LB1JP", 0.5, 3.0): 0.017380210036618583,
+    ("LB1JP", 2.0, 2.5): 0.3548832801143761,
+    ("LB1JP", 4.0, 9.0): 4.314943679627213e-07,
+    ("LB1JP", 10.0, 12.0): 0.0249476035832233,
+    ("LB1JP", 1.0, 30.0): 1.8095434017242398e-184,
+    ("LB1JP", 2.0, 25.0): 8.260883006931804e-117,
+    ("UB2JP", 1.0, 0.5): 0.07172837859648556,
+    ("UB2JP", 2.0, 1.0): 0.08116032915591954,
+    ("UB2JP", 2.0, 1.9): 0.33367334548967414,
+    ("UB2JP", 4.0, 3.0): 0.11470582355921626,
+    ("UB2JP", 6.0, 5.5): 0.2619761771584986,
+    ("UB2JP", 20.0, 19.1): 0.17478986091191587,
+    ("LB2JP", 1.0, 0.5): 0.0742211583752416,
+    ("LB2JP", 2.0, 1.0): 0.09020050575887326,
+    ("LB2JP", 2.0, 1.9): 0.4207187194248977,
+    ("LB2JP", 4.0, 3.0): 0.13884908574104543,
+    ("LB2JP", 6.0, 5.5): 0.29654085399860414,
+    ("LB2JP", 20.0, 19.1): 0.1799300488356061,
+}
+
+# the catalog's error against JP_ENVELOPE_INTEGRAL, measured and rounded up to
+# two digits: relative for b >= a, where the deep tail's (1, 30) and (2, 25)
+# carry the rounding of the erfc argument, absolute on the complement for b < a
+JP_TOLERANCE = {
+    "UB1JP": 2.1e-15,
+    "LB1JP": 3.4e-15,
+    ("LB1JP", 1.0, 30.0): 5.7e-14,
+    ("LB1JP", 2.0, 25.0): 1.2e-13,
+    "UB2JP": 3.8e-16,
+    "LB2JP": 3.8e-16,
+}
+
 # stress point references
 UB1JP_600_601 = 0.15892621023741584
 LB1JP_600_601 = 0.158787466643162
@@ -365,6 +410,17 @@ class TestLiterature:
         assert abs((1.0 - lb2a) - integral) <= 1e-13 * integral
         # the printed form, without the zeta factor, misses it by 0.031 to 0.34
         assert abs(lb2a_printed(a, b) - (1.0 - integral)) > 0.02
+
+    @pytest.mark.parametrize("key,integral", sorted(JP_ENVELOPE_INTEGRAL.items()))
+    def test_jp_is_its_derivation(self, key, integral):
+        # each JP bound is the integral of its envelope (make_frozen_jp.py)
+        name, a, b = key
+        tol = JP_TOLERANCE.get(key, JP_TOLERANCE[name])
+        raw = evaluate(BoundId[name], QArgs(a, b)).raw
+        if b >= a:
+            assert abs(raw - integral) <= tol * integral
+        else:
+            assert abs((1.0 - raw) - integral) <= tol
 
     def test_ub1b_singular_at_tie(self):
         with pytest.raises(SingularityError):

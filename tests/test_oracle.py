@@ -617,9 +617,25 @@ class TestRicePdf:
         with pytest.raises(DomainError):
             rice_pdf(1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "x,a",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+         (0.0, math.inf), (math.inf, 0.0), (0.0, math.nan), (-1.0, math.nan)],
+    )
+    def test_rejects_non_finite_naming_itself(self, x, a):
+        with pytest.raises(DomainError, match=r"^rice_pdf requires finite x >= 0 and a >= 0, got x="):
+            rice_pdf(x, a)
+
+    @pytest.mark.parametrize("x", [1.34e154, 1.35e154, 1e200, 1e308, 1.7976931348623157e308])
+    def test_peak_either_side_of_the_product_overflowing(self, x):
+        # e^-ax I0(ax) = 1/sqrt(2 pi a x) to the double for ax >= 1.8e308 and
+        # next to it, so the density at x = a is 1/sqrt(2 pi) on both paths
+        assert rice_pdf(x, x) == 1.0 / math.sqrt(2.0 * math.pi)
+
     def test_normalization_a10(self):
-        # integral over [0, a+40] is the full mass
-        total = q1_quadrature(QArgs(10.0, 0.0), form="tail")
+        # integral over [0, a+40] is the full mass (q1_quadrature at b = 0
+        # returns 1.0 without integrating)
+        total = _adaptive_quad(lambda x: rice_pdf(x, 10.0), 0.0, 50.0, oracle.DEFAULT_TOL)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("x,a", [(0.5, 1e200), (1e200, 0.5), (1e300, 1e10), (1e155, 1.0)])
@@ -660,33 +676,20 @@ class TestSweep:
         series = oracle.q1_series
 
         def spy(args):
-            seen.append(oracle._SWEEP.get())
+            seen.append(getattr(args, "sweep", None))
             return series(args)
 
         monkeypatch.setattr(oracle, "q1_series", spy)
-        sweep = q1_sweep(2.0, [1.0, 3.0])
-        assert oracle._SWEEP.get() is None
-        next(sweep)
-        assert oracle._SWEEP.get() is None  # not held across the yield
-        list(sweep)
-        assert oracle._SWEEP.get() is None
-        assert len(seen) == 2 and seen[0] is seen[1] and seen[0].a == 2.0
-        # a point call outside any sweep runs without a scope
+        list(q1_sweep(2.0, [1.0, 3.0]))
+        # both points of the sweep carry the same shared work
+        assert len(seen) == 2 and seen[0] is seen[1] and isinstance(seen[0], oracle._Sweep)
+        # a point call outside any sweep carries none
         q1_reference(QArgs(2.0, 1.0))
         assert seen[2] is None
 
-    def test_scope_unset_after_an_exception(self, monkeypatch):
-        def broken(args):
-            assert oracle._SWEEP.get() is not None
-            raise ConvergenceError("stub")
-
-        monkeypatch.setattr(oracle, "q1_series", broken)
-        with pytest.raises(ConvergenceError):
-            list(q1_sweep(1.0, [0.5, 2.0]))
-        assert oracle._SWEEP.get() is None
-        with pytest.raises(DomainError):  # b rejected by QArgs before its point
-            list(q1_sweep(1.0, [-1.0]))
-        assert oracle._SWEEP.get() is None
+    def test_rejects_a_negative_b(self):
+        with pytest.raises(DomainError):
+            list(q1_sweep(1.0, [0.5, -1.0]))
 
     def test_other_a_ignores_the_scope(self, monkeypatch):
         # a call for another a inside a sweep's point takes the point path
@@ -733,7 +736,7 @@ class TestSweep:
 
         def spy(args):
             res = point(args)
-            sizes.append(len(oracle._SWEEP.get().panels))
+            sizes.append(len(args.sweep.panels))
             return res
 
         monkeypatch.setattr(oracle, "q1_reference", spy)

@@ -71,3 +71,6 @@ def test_cold_import_skips_dataclasses_and_inspect():
     assert "marcumq.cli" in out
     assert "dataclasses" not in out
     assert "inspect" not in out
+    # the package imports only the standard library: no new runtime dependency
+    top = {m.split(".")[0] for m in out}
+    assert top - {"marcumq"} <= sys.stdlib_module_names, sorted(top - {"marcumq"} - sys.stdlib_module_names)

@@ -158,11 +158,13 @@ def rice_pdf(x: float, a: float) -> float:
     if x > 0.0 and a >= 0.0:
         try:
             g = math.exp(-0.5 * (x - a) ** 2)
-        except OverflowError:  # (x - a)^2 > 1.8e308: the density underflowed long before
-            return 0.0
-        ax = a * x
-        if ax <= _MAX_DOUBLE:
-            return x * g * bessel_i0_scaled(ax)
+        except OverflowError:  # (x - a)^2 > 1.8e308, or an int past the double range
+            if x <= _MAX_DOUBLE >= a:
+                return 0.0  # the density underflowed long before
+        else:
+            ax = a * x
+            if ax <= _MAX_DOUBLE:
+                return x * g * bessel_i0_scaled(ax)
     if not 0.0 <= x <= _MAX_DOUBLE >= a >= 0.0:
         raise DomainError(f"rice_pdf requires finite x >= 0 and a >= 0, got x={_brief(x)}, a={_brief(a)}")
     if x == 0.0:

@@ -1,15 +1,15 @@
 """Overflow-free elementary special functions.
 
 The exponentially scaled modified Bessel functions i0e(x) = e^-x I0(x)
-and i1e(x) = e^-x I1(x) and log I0(x), the scaled complement
-erfcx(x) = e^(x^2) erfc(x), and a cancellation-safe difference
-erfc(x) - erfc(y).  Every value is finite for every accepted argument;
-there is no plain I0/I1 (e^x times the scaled value, which overflows a
-double past x ~ 713.9), and erf/erfc come from ``math`` directly.
+and i1e(x) = e^-x I1(x) and log I0(x), and a cancellation-safe
+difference erfc(x) - erfc(y).  Every value is finite for every accepted
+argument; there is no plain I0/I1 (e^x times the scaled value, which
+overflows a double past x ~ 713.9), and erf/erfc come from ``math``
+directly.  Every kernel is fixed-cost: none has a loop whose length
+depends on its argument.
 
-Bessel evaluation: i0e and i1e are fixed-cost kernels.  Each evaluates
-one of four fixed-degree polynomials in straight-line Horner form, with
-no data-dependent loop, picked by x:
+Bessel evaluation: i0e and i1e each evaluate one of four fixed-degree
+polynomials in straight-line Horner form, picked by x:
 
   * x <= 8: I0(x) = 1 + y P(y) and I1(x) = (x/2) (1 + y Q(y)) with
     y = x^2/4, times e^-x.  So i0e(0) = 1 and i1e(0) = 0 exactly, and
@@ -208,34 +208,6 @@ def log_bessel_i0(x: float) -> float:
     return x + math.log(_i0e_large(x))
 
 
-def _erfcx_cf(x: float) -> float:
-    """Laplace continued fraction for erfcx, x >= 4 (modified Lentz).
-
-    Each new d = x + (n/2) d and c = x + (n/2)/c is at least x > 0, so
-    Lentz's guard against a zero denominator is not needed."""
-    f = c = x
-    d = 0.0
-    for n in range(1, 200):
-        an = 0.5 * n
-        d = x + an * d
-        c = x + an / c
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return 1.0 / (math.sqrt(math.pi) * f)
-
-
-def erfcx(x: float) -> float:
-    """Scaled complement e^(x^2) erfc(x) for x >= 0; decreasing from erfcx(0) = 1."""
-    if not 0.0 <= x <= _DBL_MAX:
-        raise DomainError(f"erfcx requires finite x >= 0, got {_brief(x)}")
-    if x >= 4.0:
-        return _erfcx_cf(x)
-    return math.exp(x * x) * math.erfc(x)
-
-
 def _erfc_diff_midpoint(m: float, delta: float) -> float:
     """erfc(m - delta/2) - erfc(m + delta/2) by the midpoint rule of
     erfc_diff; used only where delta (1 + |m|) < 1e-4."""
@@ -249,13 +221,17 @@ def _erfc_diff_midpoint(m: float, delta: float) -> float:
 def erfc_diff(x: float, y: float) -> float:
     """erfc(x) - erfc(y) for x <= y, safe against cancellation.
 
-    Three evaluation regions:
-      * nearly equal arguments: midpoint rule for the underlying Gaussian
-        integral, (y-x) e^(-m^2) (1 + (y-x)^2 (4m^2 - 2)/24) at the
-        midpoint m, accurate to O(((y-x) m)^4);
-      * both arguments above 5 (values tiny, naive subtraction fatal):
-        factored scaled form e^(-x^2) [erfcx(x) - e^(-(y-x)(y+x)) erfcx(y)];
-      * otherwise plain subtraction, which loses at most a few digits.
+    Two evaluation regions:
+      * nearly equal arguments, (y-x) (1 + |m|) < 1e-4: midpoint rule for
+        the underlying Gaussian integral, (y-x) e^(-m^2) (1 + (y-x)^2
+        (4m^2 - 2)/24) at the midpoint m, accurate to O(((y-x) m)^4);
+      * otherwise plain subtraction.  libm's erfc is accurate to about
+        1 ulp relative until it underflows near x = 26.5, so the
+        difference loses only what the subtraction cancels, a factor of
+        erfc(x) / (erfc(x) - erfc(y)).  For x >= 0, erfc(y)/erfc(x) <=
+        e^(-(y-x)(x+y)), so the factor is at most 1/(1 - e^(-(y-x)(x+y)));
+        past x = 5 the midpoint cut keeps it below 6e3, and it falls to
+        about 1 once (y-x)(x+y) exceeds a few units.
 
     The result is clamped at 0 so rounding can never make it negative.
     """
@@ -269,13 +245,6 @@ def erfc_diff(x: float, y: float) -> float:
     m = 0.5 * (x + y)
     if delta * (1.0 + abs(m)) < 1e-4:
         return _erfc_diff_midpoint(m, delta)
-    if x > 5.0:
-        # exponent difference via the product form: x^2 - y^2 = -delta (x + y)
-        damped = math.exp(-delta * (x + y)) * erfcx(y)
-        xx = x * x
-        if xx > _LOG_DBL_MAX:
-            return 0.0
-        return max(0.0, math.exp(-xx) * (erfcx(x) - damped))
     return max(0.0, math.erfc(x) - math.erfc(y))
 
 

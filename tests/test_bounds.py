@@ -497,8 +497,8 @@ def _by_evaluate(ids, args):
 class TestEvalAll:
     # b = a (UB1B's and LB2B's singular tie, both families admitted), b = 0
     # (LB2A singular), a = 0, ab below SMALL_AB_LIMIT on both sides, ab past
-    # the e^ab overflow at ~709, and b - a > 7.07, where LB1JP's erfc
-    # difference takes the erfcx branch of erfc_diff
+    # the e^ab overflow at ~709, and b - a > 7.07, where both arguments of
+    # LB1JP's erfc difference exceed 5 and its terms are deep-tail values
     @given(
         st.floats(min_value=0.0, max_value=800.0),
         st.floats(min_value=0.0, max_value=800.0),

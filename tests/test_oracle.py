@@ -620,7 +620,8 @@ class TestRicePdf:
     @pytest.mark.parametrize(
         "x,a",
         [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
-         (0.0, math.inf), (math.inf, 0.0), (0.0, math.nan), (-1.0, math.nan)],
+         (0.0, math.inf), (math.inf, 0.0), (0.0, math.nan), (-1.0, math.nan),
+         pytest.param(10**400, 1.0, id="10**400-1.0"), pytest.param(1.0, 10**400, id="1.0-10**400")],
     )
     def test_rejects_non_finite_naming_itself(self, x, a):
         with pytest.raises(DomainError, match=r"^rice_pdf requires finite x >= 0 and a >= 0, got x="):

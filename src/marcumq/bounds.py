@@ -10,17 +10,20 @@ alternatives they are compared against.
 
 Each family is one function, ``_family_ge(a, b)`` for b >= a and
 ``_family_lt(a, b)`` for b <= a.  It computes the kernels its formulas
-share (ab, i0e(ab), the Gaussian factors, erfc terms) once and returns
-every raw value of the family as one tuple, in ``FAMILY_B_GE_A`` or
+share (ab, i0e(ab) and, for b <= a, log I0(ab) from the same
+polynomial, the Gaussian factors, erfc terms) once and returns every
+raw value of the family as one tuple, in ``FAMILY_B_GE_A`` or
 ``FAMILY_B_LT_A`` order; a formula singular at the point holds its
 ``SingularityError`` in its slot.  Each ``BoundId`` carries one plan,
 (family function, slot, side, regime), read once per evaluation.
-``eval_ids`` is the one evaluation loop: per id it reads the plan,
-compares the id's regime with the point's, takes the slot of a family
-computed at most once per call and clamps it by two comparisons.
-``eval_all`` runs it over the point's family, and ``evaluate`` runs it
-over one id, raising what it would skip.  Every expression keeps the association
-order of its formula written out over (a, b).
+``eval_ids`` is the one loop over ids: per id it reads the plan,
+compares the id's regime with the point's and takes the slot of a
+family computed at most once per call; ``evaluate`` runs it over one id,
+raising what it would skip.  ``eval_all`` takes the point's family
+whole, zipping its ids, raw values and sides.  Both hand (id, raw, side)
+triples to ``_records``, the one builder, which drops singular slots and
+clamps by two comparisons in one pass.  Every expression keeps the
+association order of its formula written out over (a, b).
 
 The range is a, b <= sqrt(DBL_MAX) ~ 1.34e154, where a^2, b^2, ab and
 (b - a)^2 stay finite.  A Gaussian factor whose exponent still overflows
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, RegimeError, SingularityError
 from .oracle import QArgs
-from .specfun import bessel_i0_scaled, erfc_diff, erfc_diff_centered, log_bessel_i0
+from .specfun import _i0e_and_log_i0, bessel_i0_scaled, erfc_diff, erfc_diff_centered, log_bessel_i0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -134,12 +137,12 @@ def _gauss(x: float) -> float:
         return 0.0
 
 
-def _zeta(a: float, b: float) -> float:
-    """``compute_zeta`` for a > 0 and b > 0."""
+def _zeta(a: float, b: float, log_i0: float) -> float:
+    """``compute_zeta`` for a > 0 and b > 0, given log_i0 = log I0(ab)."""
     ab = a * b
     if ab < SMALL_AB_LIMIT:
         return 0.25 * a * ab
-    return min(log_bessel_i0(ab) / b, a)
+    return min(log_i0 / b, a)
 
 
 def compute_zeta(args: QArgs) -> float:
@@ -158,7 +161,7 @@ def compute_zeta(args: QArgs) -> float:
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"zeta requires a > 0 and b > 0, got (a={a:g}, b={b:g})")
     _check_range(a, b)
-    return _zeta(a, b)
+    return _zeta(a, b, log_bessel_i0(a * b))
 
 
 def lb1jp_small_ab_limit(a: float, b: float) -> float:
@@ -216,7 +219,7 @@ def _family_lt(a: float, b: float) -> tuple:
     """Raw values of the b <= a family at (a, b), in FAMILY_B_LT_A order."""
     _check_range(a, b)
     ab = a * b
-    i0e = bessel_i0_scaled(ab)
+    i0e, log_i0 = _i0e_and_log_i0(ab)
     g_a = math.exp(-0.5 * a * a)
     g_diff = math.exp(-0.5 * (b - a) ** 2)
     tail = erfc_diff(-a / _SQRT2, (b - a) / _SQRT2)  # erfc(-a/sqrt2) - erfc((b-a)/sqrt2)
@@ -243,8 +246,8 @@ def _family_lt(a: float, b: float) -> tuple:
         pref = b * i0e / (-math.expm1(-2.0 * ab))
         lb2jp = 1.0 - _SQRT_TWO_PI * pref * bracket
     # 1 - int_0^b x e^(zeta x - (x^2+a^2)/2) dx, with the zeta factor on the
-    # erfc term that the paper's print lacks; _zeta(a, 0.0) is 0.0, unused
-    z = _zeta(a, b)
+    # erfc term that the paper's print lacks; _zeta(a, 0.0, 0.0) is 0.0, unused
+    z = _zeta(a, b, log_i0)
     lb2a = SingularityError("LB2A requires b > 0 (its rate zeta is undefined at b = 0)") if b == 0.0 else 1.0 - (
         math.exp(-0.5 * (a * a - z * z))
         * (math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2) + z * _SQRT_HALF_PI * erfc_diff(-z / _SQRT2, (b - z) / _SQRT2))
@@ -264,6 +267,25 @@ def _family_lt(a: float, b: float) -> tuple:
 for _fn, _members in ((_family_ge, FAMILY_B_GE_A), (_family_lt, FAMILY_B_LT_A)):
     for _i, _bid in enumerate(_members):
         _bid._plan = (_fn, _i, _bid.side, _bid.regime)
+
+# the sides of each family in its order, zipped with its raw values by eval_all
+_SIDES_GE = tuple(i.side for i in FAMILY_B_GE_A)
+_SIDES_LT = tuple(i.side for i in FAMILY_B_LT_A)
+
+
+def _records(triples: Iterable[tuple]) -> list[BoundEval]:
+    """One ``BoundEval`` per (id, raw, side) triple, singular raws dropped.
+
+    The clamp is min(1.0, max(0.0, raw)) as two comparisons: the same
+    double for every float, NaN and -0.0 giving 0.0, at a tenth of the
+    cost.  A singular slot holds a SingularityError itself, never a
+    subclass, so its exact type is tested, which is cheaper than isinstance.
+    """
+    return [
+        _new_record(BoundEval, (bid, raw, (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0, side))
+        for bid, raw, side in triples
+        if type(raw) is not SingularityError
+    ]
 
 
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
@@ -297,7 +319,7 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
     # point's, or none at the tie b = a, which both admit
     foreign = None if a == b else _B_LT_A if b >= a else _B_GE_A
     families: dict = {}
-    evals: list[BoundEval] = []
+    triples: list[tuple] = []
     skipped: dict[BoundId, str] = {}
     for bid in ids:
         family, slot, side, regime = bid._plan
@@ -308,14 +330,11 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
         if values is None:
             values = families[family] = family(a, b)
         raw = values[slot]
-        if isinstance(raw, SingularityError):
+        if type(raw) is SingularityError:
             skipped[bid] = str(raw)
         else:
-            # min(1.0, max(0.0, raw)) as two comparisons: the same double for
-            # every float, NaN and -0.0 giving 0.0, at a tenth of the cost
-            clamped = raw if raw > 0.0 else 0.0
-            evals.append(_new_record(BoundEval, (bid, raw, clamped if clamped < 1.0 else 1.0, side)))
-    return evals, skipped
+            triples.append((bid, raw, side))
+    return _records(triples), skipped
 
 
 def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
@@ -323,6 +342,15 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
 
     Returns the successful evaluations plus a map of skipped ids to the
     reason (singular formulas at their excluded points are skipped, not
-    raised).
+    raised).  The same records ``eval_ids`` gives over the point's family,
+    built from the family's raw values in one pass.
     """
-    return eval_ids(FAMILY_B_GE_A if args.b >= args.a else FAMILY_B_LT_A, args)
+    a, b = args
+    if b >= a:
+        ids, raws, sides = FAMILY_B_GE_A, _family_ge(a, b), _SIDES_GE
+    else:
+        ids, raws, sides = FAMILY_B_LT_A, _family_lt(a, b), _SIDES_LT
+    evals = _records(zip(ids, raws, sides))
+    if len(evals) == len(ids):
+        return evals, {}
+    return evals, {bid: str(raw) for bid, raw in zip(ids, raws) if type(raw) is SingularityError}

@@ -194,6 +194,19 @@ def bessel_i1_scaled(x: float) -> float:
     return _i1e_large(x)
 
 
+def _i0e_and_log_i0(x: float) -> tuple[float, float]:
+    """(``bessel_i0_scaled(x)``, ``log_bessel_i0(x)``) from one polynomial.
+
+    The same doubles the two public functions give, for callers that need
+    both at one x; it takes 0 <= x <= DBL_MAX unchecked.
+    """
+    if x <= BESSEL_SMALL_X:
+        p = _i0m1_small(x)
+        return (1.0 + p) * math.exp(-x), math.log1p(p)
+    i0e = _i0e_large(x)
+    return i0e, x + math.log(i0e)
+
+
 def log_bessel_i0(x: float) -> float:
     """log I0(x) for x >= 0, accurate relative to its size.
 
@@ -215,7 +228,9 @@ def _erfc_diff_midpoint(m: float, delta: float) -> float:
     if mm > _LOG_DBL_MAX:
         return 0.0
     body = delta * math.exp(-mm) * (1.0 + delta * delta * (4.0 * mm - 2.0) / 24.0)
-    return max(0.0, 2.0 / math.sqrt(math.pi) * body)
+    d = 2.0 / math.sqrt(math.pi) * body
+    # max(0.0, d) as one comparison: the same double, NaN and -0.0 giving 0.0
+    return d if d > 0.0 else 0.0
 
 
 def erfc_diff(x: float, y: float) -> float:
@@ -235,9 +250,10 @@ def erfc_diff(x: float, y: float) -> float:
 
     The result is clamped at 0 so rounding can never make it negative.
     """
-    if math.isnan(x) or math.isnan(y):
-        raise DomainError("erfc_diff requires finite arguments")
-    if x > y:
+    # one comparison refuses both NaN and x > y; only then is it told which
+    if not x <= y:
+        if math.isnan(x) or math.isnan(y):
+            raise DomainError("erfc_diff requires finite arguments")
         raise DomainError(f"erfc_diff requires x <= y, got x={x!r} > y={y!r}")
     if x == y:
         return 0.0
@@ -245,7 +261,8 @@ def erfc_diff(x: float, y: float) -> float:
     m = 0.5 * (x + y)
     if delta * (1.0 + abs(m)) < 1e-4:
         return _erfc_diff_midpoint(m, delta)
-    return max(0.0, math.erfc(x) - math.erfc(y))
+    d = math.erfc(x) - math.erfc(y)
+    return d if d > 0.0 else 0.0
 
 
 def erfc_diff_centered(m: float, delta: float) -> float:
@@ -255,9 +272,10 @@ def erfc_diff_centered(m: float, delta: float) -> float:
     far below ulp(m) the explicit width preserves full relative accuracy
     where reconstructing it from the two rounded endpoints could not.
     """
-    if math.isnan(m) or math.isnan(delta):
-        raise DomainError("erfc_diff_centered requires finite arguments")
-    if delta < 0.0:
+    # as in erfc_diff; m == m fails only for NaN
+    if not (delta >= 0.0 and m == m):
+        if math.isnan(m) or math.isnan(delta):
+            raise DomainError("erfc_diff_centered requires finite arguments")
         raise DomainError(f"width must be nonnegative, got {delta!r}")
     if delta == 0.0:
         return 0.0

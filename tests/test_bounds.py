@@ -7,6 +7,7 @@ identical.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from marcumq.analysis import _jp_dominance_pairs, eps_pct, error_table
 from marcumq.bounds import (
     FAMILY_B_GE_A,
     FAMILY_B_LT_A,
+    SMALL_AB_LIMIT,
     BoundId,
     Regime,
     compute_zeta,
@@ -271,6 +273,26 @@ class TestClamp:
         assert ev.clamped.hex() == expected
         assert evaluate(BoundId.UB1A, QArgs(1.0, 2.0)).clamped.hex() == expected
 
+    @pytest.mark.parametrize("raw", _SPECIAL_RAWS, ids=float.hex)
+    def test_special_raws_through_eval_all(self, monkeypatch, raw):
+        # eval_all builds its records straight from the family's raws
+        monkeypatch.setattr(bounds, "_family_ge", lambda a, b: (raw,) * 10)
+        evals, skipped = eval_all(QArgs(1.0, 2.0))
+        assert not skipped
+        assert [ev.id for ev in evals] == list(FAMILY_B_GE_A)
+        for ev in evals:
+            assert ev.raw is raw
+            assert ev.clamped.hex() == min(1.0, max(0.0, raw)).hex()
+
+    def test_singular_slots_through_eval_all(self, monkeypatch):
+        # a singular slot among special raws is dropped and only then reported
+        raws = (*_SPECIAL_RAWS[:7], SingularityError("LB2D is singular here"))
+        monkeypatch.setattr(bounds, "_family_lt", lambda a, b: raws)
+        evals, skipped = eval_all(QArgs(2.0, 1.0))
+        assert [(ev.id, ev.raw) for ev in evals] == list(zip(FAMILY_B_LT_A, raws[:7]))
+        assert [ev.clamped.hex() for ev in evals] == [min(1.0, max(0.0, r)).hex() for r in raws[:7]]
+        assert skipped == {FAMILY_B_LT_A[7]: "LB2D is singular here"}
+
     @given(raw=st.floats())
     @settings(max_examples=300, deadline=None)
     def test_any_float(self, raw):
@@ -286,6 +308,30 @@ class TestClamp:
 
 
 class TestZeta:
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (1.0, math.nextafter(SMALL_AB_LIMIT, 0.0)),
+            (1.0, SMALL_AB_LIMIT),
+            (1.0, math.nextafter(SMALL_AB_LIMIT, 1.0)),
+            (4.0, math.nextafter(2.0, 0.0)),
+            (4.0, 2.0),
+            (4.0, math.nextafter(2.0, 3.0)),
+        ],
+    )
+    def test_family_rate_is_compute_zeta(self, a, b, monkeypatch):
+        # the b < a family feeds LB2A the rate compute_zeta gives, from the
+        # log I0(ab) it shares with i0e(ab)
+        rates, zeta = [], bounds._zeta
+
+        def recorded(*fields):
+            rates.append(zeta(*fields))
+            return rates[-1]
+
+        monkeypatch.setattr(bounds, "_zeta", recorded)
+        eval_all(QArgs(a, b))
+        assert [z.hex() for z in rates] == [compute_zeta(QArgs(a, b)).hex()]
+
     def test_frozen(self):
         assert compute_zeta(QArgs(20.0, 19.1)) == pytest.approx(ZETA_20_191, rel=1e-13)
         assert compute_zeta(QArgs(2.0, 1.0)) == pytest.approx(ZETA_2_1, rel=1e-13)
@@ -551,30 +597,31 @@ class TestEvalAll:
 
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 1.0), (0.0, 3.0), (3.0, 0.0), (600.0, 601.0)])
     def test_one_record_per_point(self, a, b, monkeypatch):
-        # a work count, not a time: every formula of a family reads i0e(ab)
-        # from the point's one record, and no bound builds a QArgs
-        i0e_calls, qargs_calls = [0], [0]
-        i0e, qargs = bounds.bessel_i0_scaled, bounds.QArgs
+        # a work count, not a time: every formula of a family reads I0(ab)
+        # from the point's one Bessel evaluation, through whichever entry
+        # the family takes (i0e, log I0 or both from one polynomial), and
+        # no bound builds a QArgs
+        calls = []
 
-        def counted_i0e(x):
-            i0e_calls[0] += 1
-            return i0e(x)
+        def counted(name, fn):
+            def wrapper(*fields):
+                calls.append(name)
+                return fn(*fields)
 
-        def counted_qargs(*fields):
-            qargs_calls[0] += 1
-            return qargs(*fields)
+            return wrapper
 
-        monkeypatch.setattr(bounds, "bessel_i0_scaled", counted_i0e)
-        monkeypatch.setattr(bounds, "QArgs", counted_qargs)
+        bessel = ("bessel_i0_scaled", "log_bessel_i0", "_i0e_and_log_i0")
+        for name in (*bessel, "QArgs"):
+            monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
         args = QArgs(a, b)
         evals, skipped = eval_all(args)
         assert len(evals) + len(skipped) >= 8
-        assert (i0e_calls[0], qargs_calls[0]) == (1, 0)
-        # every id at the tie admits both families: one record each
-        i0e_calls[0] = 0
+        assert len(calls) == 1 and calls[0] in bessel
+        # every id at the tie admits both families: one evaluation each
+        calls.clear()
         evals, skipped = eval_ids(list(BoundId), QArgs(a, a))
         assert len(evals) + len(skipped) == len(BoundId)
-        assert (i0e_calls[0], qargs_calls[0]) == (2, 0)
+        assert len(calls) == 2 and set(calls) <= set(bessel)
 
     def test_skipped_messages(self):
         # a tie belongs to the b >= a family, so LB2B's tie is reached
@@ -590,6 +637,25 @@ class TestEvalAll:
         evals, skipped = eval_all(QArgs(0.1, 0.5))
         assert len(evals) == 10
         assert not skipped
+
+    def test_eval_all_is_eval_ids_over_the_family(self):
+        # eval_all assembles its records apart from eval_ids's plan loop;
+        # both, and one evaluate per id, give the same records and skips
+        rng = random.Random(20)
+        edges = [0.0, 5e-324, 1e-310, 1e-300, SMALL_AB_LIMIT, 1.0, 8.0, 30.0, 1e154, SQRT_DBL_MAX]
+        points = [(x, x) for x in edges] + [(0.0, x) for x in edges] + [(x, 0.0) for x in edges]
+        points += [(5e-324, 1e-323), (1e-323, 5e-324), (SQRT_DBL_MAX, 1.0), (1.0, SQRT_DBL_MAX)]
+        for _ in range(150):
+            a, b = 10.0 ** rng.uniform(-320, 154), 10.0 ** rng.uniform(-320, 154)
+            points += [(a, b), (rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0))]
+        for a, b in points:
+            args = QArgs(a, b)
+            family = FAMILY_B_GE_A if regime_of(args) is Regime.BGeqA else FAMILY_B_LT_A
+            evals, skipped = eval_all(args)
+            by_ids, skipped_by_ids = eval_ids(family, args)
+            by_evaluate, skipped_by_evaluate = _by_evaluate(family, args)
+            assert [_bits(ev) for ev in evals] == [_bits(ev) for ev in by_ids] == by_evaluate, args
+            assert list(skipped.items()) == list(skipped_by_ids.items()) == list(skipped_by_evaluate.items())
 
     def test_count_b_lt_a(self):
         evals, skipped = eval_all(QArgs(2.0, 1.0))

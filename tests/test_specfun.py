@@ -226,6 +226,23 @@ class TestLogBesselI0:
             log_bessel_i0(math.nan)
 
 
+def _around(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+class TestI0eAndLogI0:
+    # across the piece boundaries 8, 16 and 1000, the ends of the range and
+    # a geometric grid between
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, 5e-324, 1e-300, 1e-8, 0.5, *_around(SMALL_X), 12.0, *_around(16.0), 300.0, *_around(1000.0), 1e300]
+        + [10.0 ** (k / 8.0) for k in range(-40, 57)],
+    )
+    def test_same_doubles_as_the_public_functions(self, x):
+        i0e, log_i0 = specfun._i0e_and_log_i0(x)
+        assert (i0e.hex(), log_i0.hex()) == (bessel_i0_scaled(x).hex(), log_bessel_i0(x).hex())
+
+
 class TestErf:
     def test_trivia(self):
         assert math.erf(0.0) == 0.0
@@ -286,13 +303,19 @@ class TestErfcDiff:
         assert erfc_diff(x, y) == pytest.approx(expected, rel=4e-16, abs=0.0)
 
     def test_order_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^erfc_diff requires x <= y, got x=2\.0 > y=1\.0$"):
             erfc_diff(2.0, 1.0)
 
-    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, -1.0)])
     def test_nan_refused(self, x, y):
+        # NaN fails the one ordering test too, but is reported as NaN
         with pytest.raises(DomainError, match="^erfc_diff requires finite arguments$"):
             erfc_diff(x, y)
+
+    def test_infinities(self):
+        assert erfc_diff(-math.inf, math.inf) == 2.0
+        assert erfc_diff(math.inf, math.inf) == 0.0
+        assert erfc_diff(-math.inf, -math.inf) == 0.0
 
     def test_tiny_separation_beats_naive(self):
         # naive subtraction returns 0 or a few noisy ulps here
@@ -326,7 +349,7 @@ class TestErfcDiffCentered:
     def test_matches_erfc_diff(self, m, delta):
         assert erfc_diff_centered(m, delta) == erfc_diff(m - delta / 2, m + delta / 2)
 
-    @pytest.mark.parametrize("m,delta", [(math.nan, 1.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("m,delta", [(math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0)])
     def test_nan_refused(self, m, delta):
         with pytest.raises(DomainError, match="^erfc_diff_centered requires finite arguments$"):
             erfc_diff_centered(m, delta)
@@ -334,6 +357,11 @@ class TestErfcDiffCentered:
     def test_negative_width_refused(self):
         with pytest.raises(DomainError, match="^width must be nonnegative, got -1e-30$"):
             erfc_diff_centered(1.0, -1e-30)
+
+    @pytest.mark.parametrize("m", [math.inf, -math.inf])
+    def test_infinite_midpoint(self, m):
+        # erfc_diff(m, m) of the rounded endpoints
+        assert erfc_diff_centered(m, 1.0) == 0.0
 
     @pytest.mark.parametrize("m", [-3.0, 0.0, 40.0])
     def test_zero_width_is_zero(self, m):

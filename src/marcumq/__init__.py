@@ -24,7 +24,17 @@ from .errors import (
     SingularityError,
     UnknownFigureError,
 )
-from .oracle import OracleResult, QArgs, q1_quadrature, q1_reference, q1_series, q1_sweep, rice_pdf
+from .oracle import (
+    OracleResult,
+    QArgs,
+    TrapezoidResult,
+    q1_quadrature,
+    q1_reference,
+    q1_series,
+    q1_sweep,
+    q1_trapezoid,
+    rice_pdf,
+)
 
 __version__ = "0.1.0"
 
@@ -39,6 +49,7 @@ __all__ = [
     "Regime",
     "RegimeError",
     "SingularityError",
+    "TrapezoidResult",
     "UnknownFigureError",
     "compute_zeta",
     "eval_all",
@@ -48,6 +59,7 @@ __all__ = [
     "q1_reference",
     "q1_series",
     "q1_sweep",
+    "q1_trapezoid",
     "regime_of",
     "rice_pdf",
     "__version__",

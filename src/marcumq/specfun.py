@@ -249,16 +249,24 @@ def erfc_diff(x: float, y: float) -> float:
         about 1 once (y-x)(x+y) exceeds a few units.
 
     The result is clamped at 0 so rounding can never make it negative.
+    An int past the double range is refused with DomainError.
     """
     # one comparison refuses both NaN and x > y; only then is it told which
     if not x <= y:
-        if math.isnan(x) or math.isnan(y):
+        if x != x or y != y:  # NaN; math.isnan would raise on a huge int
             raise DomainError("erfc_diff requires finite arguments")
-        raise DomainError(f"erfc_diff requires x <= y, got x={x!r} > y={y!r}")
+        raise DomainError(f"erfc_diff requires x <= y, got x={_brief(x)} > y={_brief(y)}")
+    try:
+        delta = y - x
+        m = 0.5 * (x + y)
+    except OverflowError:  # only an int converts to float, and raises, here
+        if abs(x) <= _DBL_MAX >= abs(y):  # two ints whose sum a double cannot hold
+            return erfc_diff(float(x), float(y))
+        raise DomainError(
+            f"erfc_diff requires arguments in the double range, got x={_brief(x)}, y={_brief(y)}"
+        ) from None
     if x == y:
         return 0.0
-    delta = y - x
-    m = 0.5 * (x + y)
     if delta * (1.0 + abs(m)) < 1e-4:
         return _erfc_diff_midpoint(m, delta)
     d = math.erfc(x) - math.erfc(y)
@@ -271,14 +279,22 @@ def erfc_diff_centered(m: float, delta: float) -> float:
     Equivalent to erfc_diff(m - delta/2, m + delta/2), but when delta is
     far below ulp(m) the explicit width preserves full relative accuracy
     where reconstructing it from the two rounded endpoints could not.
+    An int past the double range is refused with DomainError.
     """
     # as in erfc_diff; m == m fails only for NaN
     if not (delta >= 0.0 and m == m):
-        if math.isnan(m) or math.isnan(delta):
+        if m != m or delta != delta:
             raise DomainError("erfc_diff_centered requires finite arguments")
-        raise DomainError(f"width must be nonnegative, got {delta!r}")
+        raise DomainError(f"width must be nonnegative, got {_brief(delta)}")
+    try:
+        width = delta * (1.0 + abs(m))
+    except OverflowError:  # only an int past the double range converts and raises here
+        raise DomainError(
+            "erfc_diff_centered requires arguments in the double range, "
+            f"got m={_brief(m)}, delta={_brief(delta)}"
+        ) from None
     if delta == 0.0:
         return 0.0
-    if delta * (1.0 + abs(m)) < 1e-4:
+    if width < 1e-4:
         return _erfc_diff_midpoint(m, delta)
     return erfc_diff(m - 0.5 * delta, m + 0.5 * delta)

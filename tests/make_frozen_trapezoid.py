@@ -1,0 +1,84 @@
+"""Regenerate the frozen scaled tails used to test q1_trapezoid in test_oracle.py.
+
+Run from the repository root:
+
+    python tests/make_frozen_trapezoid.py
+
+For each (a, b) the script writes (S, d): d is the double
+0.5 * (hi - lo)^2 that ``q1_trapezoid`` returns as its exponent (hi, lo
+= max, min of a and b), and S is the 50-digit value times e^d, rounded
+to a double.  The value is Q1 for b > a and 1 - Q1 for b < a, each from
+the noncentral chi-square Poisson mixture, a sum of positive terms with
+no cancellation:
+
+    Q1     = sum_k Pois(k; a^2/2) P[Pois(b^2/2) <= k],
+    1 - Q1 = sum_k Pois(k; a^2/2) P[Pois(b^2/2) > k],
+
+each CDF summed term by term, so no 1 - F is formed.  The sum over k
+stops past both means once a term is below 1e-60 of the total.  Tails
+far below the double range, such as Q1(1, 50) = 2.46e-523, keep their
+digits: mpmath's exponent is unbounded.  The script prints a dict
+literal to paste into ``TRAPEZOID_FROZEN``.  It takes about 2 s; it is
+not a test module.
+"""
+
+import mpmath as mp
+
+# Q1 at b > a, the route's deep-tail baselines (0, 30) and (30, 67) among
+# them; then three points where b - a or its square rounds, so S carries
+# that rounding (the last two are where scipy's ncx2.sf is off by 8.2e-6
+# and 6.7e-9); then 1 - Q1 at b < a
+POINTS = [
+    (1.0, 30.0), (2.0, 12.0), (0.5, 200.0), (3.0, 80.0), (4.0, 5.0), (20.0, 25.0), (1.0, 50.0),
+    (0.0, 30.0), (30.0, 67.0),
+    (0.593, 37.229), (7.1403525920058035, 41.18460043448496), (6.27493505783561, 40.55297290545762),
+    (20.0, 1.0), (30.0, 2.0),
+]
+
+
+def mixture(a: float, b: float) -> mp.mpf:
+    """Q1(a, b) for b > a, 1 - Q1(a, b) for b < a."""
+    lam, y = mp.mpf(a) ** 2 / 2, mp.mpf(b) ** 2 / 2
+    if lam == 0:
+        return mp.exp(-y)
+    complement = b < a
+    tiny = mp.mpf(10) ** -60
+    total = mp.mpf(0)
+    p_k = mp.exp(-lam)  # Pois(k; lam)
+    q_k = mp.exp(-y)  # Pois(k; y)
+    cdf = q_k  # P[Pois(y) <= k]
+    k = 0
+    while True:
+        if complement:
+            upper, q_j, j = mp.mpf(0), q_k, k
+            while True:  # P[Pois(y) > k], summed up from j = k + 1
+                j += 1
+                q_j = q_j * y / j
+                upper += q_j
+                if q_j < tiny * upper:
+                    break
+            term = p_k * upper
+        else:
+            term = p_k * cdf
+        total += term
+        if k > lam + y and term < tiny * total:
+            return total
+        k += 1
+        p_k = p_k * lam / k
+        q_k = q_k * y / k
+        cdf += q_k
+
+
+def main() -> None:
+    mp.mp.dps = 50
+    print("TRAPEZOID_FROZEN = {")
+    for a, b in POINTS:
+        delta = max(a, b) - min(a, b)
+        d = 0.5 * (delta * delta)
+        s = mixture(a, b) * mp.exp(mp.mpf(d))
+        print(f"    ({a!r}, {b!r}): ({float(s)!r}, {d!r}),")
+    print("}")
+
+
+if __name__ == "__main__":
+    main()

@@ -42,10 +42,10 @@ GOLDEN = {
     "fig02_json": (0, "176dacd2262f513c6993a4abc06e9e98a0b772805ed581a36d83be67c4b98ec6"),
     "fig03": (0, "51fd61a06b31ecd9c7c70f0b375ad701128ffb55f80bba842ac2d917c20a6099"),
     "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
-    "fig04": (0, "d6d0f10171463e41566b55e78be135dfd2aee91689cbe4f4d43f10c29115ba96"),
-    "fig04_json": (0, "1d69e7da0f8303dcd4889b4a7c3b1e7bd553b4f28e63f6b86a6f903e42c7f9a5"),
-    "fig05": (0, "d5a19f4732a86d6f1375ab5245ca4ee30a3febbcb017125ad51d670ee197d5c0"),
-    "fig05_json": (0, "620052cfd559ed04bb13b94e56feb302e4b6bf601ea6bbbf8fe7203e70524010"),
+    "fig04": (0, "f99d77e5b791d9368e84d5c7db142e9dac44e4e4e1b00cbe1081afdceb021eaa"),
+    "fig04_json": (0, "b6df64831934085f7ec673aaf032adde919a5c3db2f773fd4122fc61a8b22bb6"),
+    "fig05": (0, "9945f79413f613f58aa6a0631b01160f5919b6fcdac43e507a85f99735ecd20f"),
+    "fig05_json": (0, "46748e92c89d59d134af19598026cbab882e11fe01d68b746fbd1be6ba55d43b"),
     "fig06": (0, "c716a93d7a0a74afeefe3c97c60f3827c5e6f6ddfb92ba6d642a2392dda6ca5d"),
     "fig06_json": (0, "fbf21521f49b2b1aee9a8bdcd57307e06312772434464d5b1af85854b0bb1b6e"),
     "fig07": (0, "62b381f69b4e40880da59ad1d6787fad0d19a12ad513597e980ea45188cd10ee"),

@@ -2,9 +2,10 @@
 
 Frozen values come from 50-digit mpmath quadrature of the defining
 integral (``make_frozen_large_a.py`` regenerates the large-argument
-set); scipy's noncentral chi-square survival function provides an
-independent implementation for cross-checks (Q1(a, b) is the survival
-of ncx2(df=2, nc=a^2) at b^2).
+set), and the trapezoid's scaled tails from the 50-digit Poisson mixture
+(``make_frozen_trapezoid.py``); scipy's noncentral chi-square survival
+function provides an independent implementation for cross-checks
+(Q1(a, b) is the survival of ncx2(df=2, nc=a^2) at b^2).
 """
 
 import math
@@ -29,6 +30,7 @@ from marcumq.oracle import (
     q1_reference,
     q1_series,
     q1_sweep,
+    q1_trapezoid,
     rice_pdf,
 )
 
@@ -58,6 +60,25 @@ Q1_FROZEN_LARGE_A = {
     (10000.0, 10003.0): 0.0013501196074340292,
     (30000.0, 29997.0): 0.9986501758343568,
     (100000.0, 100000.0): 0.500001994711402,
+}
+
+# (a, b) -> (S, d), 50 digits, from make_frozen_trapezoid.py: Q1 (b > a) or
+# 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2
+TRAPEZOID_FROZEN = {
+    (1.0, 30.0): (0.07562150057595424, 420.5),
+    (2.0, 12.0): (0.09767937392879893, 50.0),
+    (0.5, 200.0): (0.0400439849639882, 19900.125),
+    (3.0, 80.0): (0.026766547370113178, 2964.5),
+    (4.0, 5.0): (0.308978142683791, 0.5),
+    (20.0, 25.0): (0.08633947383529231, 12.5),
+    (1.0, 50.0): (0.05770363890803194, 1200.5),
+    (0.0, 30.0): (1.0, 450.0),
+    (30.0, 67.0): (0.01610582230239091, 684.5),
+    (0.593, 37.229): (0.08674948531135501, 671.0982479999998),
+    (7.1403525920058035, 41.18460043448496): (0.028140987061122415, 579.5054055800734),
+    (6.27493505783561, 40.55297290545762): (0.029587037000646983, 587.4919393415034),
+    (20.0, 1.0): (0.004587186024934953, 180.5),
+    (30.0, 2.0): (0.0036489063078544107, 392.0),
 }
 
 
@@ -514,6 +535,108 @@ class TestAsymptotic:
         assert time.perf_counter() - start < 1.0
 
 
+def _frozen_value(a, b):
+    s, d = TRAPEZOID_FROZEN[a, b]
+    return s * math.exp(-d)
+
+
+def _from_two_panels(monkeypatch):
+    """Size q1_trapezoid's first rule at N = 2, so it doubles from there."""
+    monkeypatch.setattr(oracle, "_TRAPEZOID_POLE", 0.0)
+    monkeypatch.setattr(oracle, "_TRAPEZOID_PEAK", 0.0)
+    monkeypatch.setattr(oracle, "_TRAPEZOID_MIN", 2.0)
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("a,b", sorted(TRAPEZOID_FROZEN))
+    def test_frozen_values(self, a, b):
+        s, d = TRAPEZOID_FROZEN[a, b]
+        res = q1_trapezoid(QArgs(a, b))
+        assert res.exponent == d
+        assert res.complement is (b < a)
+        assert res.scaled == pytest.approx(s, rel=1e-13, abs=0.0)
+        assert res.error <= 1e-15 * res.scaled
+
+    def test_scaled_value_past_the_double_range(self):
+        # Q1(1, 50) = 2.46e-523: value underflows, scaled and exponent keep it
+        res = q1_trapezoid(QArgs(1.0, 50.0))
+        assert res.value == 0.0
+        log10 = math.log10(res.scaled) - res.exponent / math.log(10.0)
+        assert log10 == pytest.approx(math.log10(2.4585422535121608) - 523.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", sorted(TRAPEZOID_FROZEN))
+    def test_error_estimate_bounds_the_error(self, a, b, monkeypatch):
+        # coarse rules, from N = 2 doubled until the estimate meets tol: the
+        # N/2 estimate bounds the actual error wherever that error is above
+        # the rounding of the frozen double (4e-16)
+        s, _ = TRAPEZOID_FROZEN[a, b]
+        _from_two_panels(monkeypatch)
+        for tol in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+            monkeypatch.setattr(oracle, "_TRAPEZOID_TOL", tol)
+            res = q1_trapezoid(QArgs(a, b))
+            assert abs(res.scaled - s) <= res.error + 4e-16 * s, (tol, res)
+            assert res.error <= tol * res.scaled
+
+    def test_doubling_evaluates_each_node_once(self, monkeypatch):
+        seen = []
+        terms = oracle._simon_terms
+
+        def spy(ks, h, *coeffs):
+            seen.extend(k * h for k in ks)
+            return terms(ks, h, *coeffs)
+
+        monkeypatch.setattr(oracle, "_simon_terms", spy)
+        _from_two_panels(monkeypatch)
+        res = q1_trapezoid(QArgs(2.0, 12.0))
+        assert res.nodes == len(seen) > 40
+        assert len({round(phi, 12) for phi in seen}) == len(seen)
+        assert res.scaled == pytest.approx(TRAPEZOID_FROZEN[2.0, 12.0][0], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.5, 200.0), (3.0, 80.0), (50.0, 300.0), (99.0, 1e4), (1.0, 1e6), (90.0, 1e6)]
+    )
+    def test_nodes_do_not_grow_with_ab(self, a, b):
+        # N grows as sqrt(ab), but only the nodes up to the cut are evaluated
+        assert q1_trapezoid(QArgs(a, b)).nodes <= 40
+
+    def test_calls_no_bessel_function(self, monkeypatch):
+        def no_bessel(x):
+            raise AssertionError("Bessel function called")
+
+        monkeypatch.setattr(oracle, "bessel_i0_scaled", no_bessel)
+        for a, b in [(1.0, 30.0), (20.0, 1.0)]:
+            q1_trapezoid(QArgs(a, b))
+
+    def test_a_zero_is_the_rayleigh_tail(self):
+        res = q1_trapezoid(QArgs(0.0, 30.0))
+        assert (res.scaled, res.exponent) == (1.0, 450.0)
+
+    def test_complement_at_b_zero_is_zero(self):
+        res = q1_trapezoid(QArgs(3.0, 0.0))
+        assert res.complement and res.scaled == 0.0 and res.exponent == 4.5
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (2.0, 2.0), (1.0, 1e6 * (1 + 1e-15))])
+    def test_refuses_the_tie_and_the_range(self, a, b):
+        with pytest.raises(DomainError, match="the trapezoid"):
+            q1_trapezoid(QArgs(a, b))
+
+    @pytest.mark.parametrize("a,b", [(5.0, 5.001), (5.0, 4.999), (1e3, 1e3 + 1e-9)])
+    def test_near_tie_over_the_node_cap(self, a, b):
+        # the pole at |Im phi| = ln(1/zeta) nears the real axis: refused before any node
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="over the cap"):
+            q1_trapezoid(QArgs(a, b))
+        assert time.perf_counter() - start < 0.1
+
+    def test_estimate_missing_at_the_cap(self, monkeypatch):
+        # from N = 2 the rules take 3, 5, 9, 17 and 33 nodes; the next would pass the cap
+        _from_two_panels(monkeypatch)
+        monkeypatch.setattr(oracle, "_TRAPEZOID_MAX_NODES", 60)
+        message = r"estimate 9\.\d+e-09 misses 1e-15 at .* within the cap of 60 nodes"
+        with pytest.raises(ConvergenceError, match=message):
+            q1_trapezoid(QArgs(2.0, 12.0))
+
+
 class TestReference:
     def test_published_value(self):
         res = q1_reference(QArgs(0.1, 1.0))
@@ -552,6 +675,39 @@ class TestReference:
             assert res.method_b_value == q1_asymptotic(QArgs(a, b))
         with pytest.raises(AssertionError, match="series called"):
             q1_reference(QArgs(99.0, 99.0))
+
+    @pytest.mark.parametrize("a,b", [(1.0, 30.0), (0.0, 30.0), (2.0, 12.0), (30.0, 67.0), (20.0, 25.0)])
+    def test_deep_tail_through_the_trapezoid(self, a, b):
+        # (1, 30) was half the truth (the series gives 0.0 and the mean halved it)
+        res = q1_reference(QArgs(a, b))
+        assert res.value == res.method_a_value == pytest.approx(_frozen_value(a, b), rel=1e-13, abs=0.0)
+        assert res.method_b == "series" and res.agreement_gap <= 1e-10
+
+    def test_far_tail_never_calls_the_quadrature(self, monkeypatch):
+        def no_quadrature(args, form="auto"):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(oracle, "q1_quadrature", no_quadrature)
+        # the corners of the far tail: b - a just past sqrt(2 ln 1e3) = 3.717,
+        # a/b = 0.95, a just below ASYMPTOTIC_MIN_A
+        points = [(0.0, 3.72), (1.0, 30.0), (2.0, 12.0), (95.0, 100.0), (99.9, 105.2), (1e-300, 40.0)]
+        for a, b in points:
+            q1_reference(QArgs(a, b))
+        list(q1_sweep(30.0, [34.0, 67.0]))
+        for a, b in [(0.0, 3.71), (95.5, 100.0), (100.0, 120.0)]:
+            with pytest.raises(AssertionError, match="quadrature called"):
+                q1_reference(QArgs(a, b))
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 1.0), (2.0, 2.0), (20.0, 1.0), (50.0, 53.0)])
+    def test_outside_the_far_tail_keeps_the_quadrature(self, a, b):
+        res = q1_reference(QArgs(a, b))
+        assert res.method_a_value == q1_quadrature(QArgs(a, b))
+        assert res.value == min(1.0, max(0.0, 0.5 * (res.method_a_value + res.method_b_value)))
+
+    def test_disagreement_raises_on_the_far_tail(self, monkeypatch):
+        monkeypatch.setattr(oracle, "q1_series", lambda args: 0.5)
+        with pytest.raises(CrossValidationError, match="trapezoid=.*series=0.5"):
+            q1_reference(QArgs(1.0, 30.0))
 
     def test_range_limit_is_inclusive(self):
         limit = oracle.MAX_ORACLE_ARG
@@ -661,11 +817,13 @@ class TestSweep:
     @given(
         st.one_of(st.just(0.0), st.floats(0.0, 30.0), st.floats(100.0, 400.0)),
         st.lists(st.floats(0.0, 2.0), max_size=6),
+        st.lists(st.floats(0.0, 40.0), max_size=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bit_identical_to_point_calls(self, a, us):
-        # b = 0, b = a, b on a seed (a + 1), b < a and random b, some repeated
-        bs = [0.0, a, a + 1.0, 0.5 * a, *(a * u + u for u in us), a]
+    def test_bit_identical_to_point_calls(self, a, us, vs):
+        # b = 0, b = a, b on a seed (a + 1), b < a and random b, some repeated,
+        # and b up to a + 40, where points with a < 100 take the trapezoid
+        bs = [0.0, a, a + 1.0, 0.5 * a, *(a * u + u for u in us), *(a + v for v in vs), a]
         swept = list(q1_sweep(a, (b for b in bs)))
         assert [_bits(r) for r in swept] == [_bits(q1_reference(QArgs(a, b))) for b in bs]
 

@@ -317,6 +317,24 @@ class TestErfcDiff:
         assert erfc_diff(math.inf, math.inf) == 0.0
         assert erfc_diff(-math.inf, -math.inf) == 0.0
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [(10**400, 10**401), (10**400, 10**400), (-(10**400), 1.0), (1.0, 10**400), (-(10**400), -(10**400))],
+    )
+    def test_int_past_the_double_range_refused(self, x, y):
+        # not math's OverflowError, and not the x == y shortcut's 0.0
+        with pytest.raises(DomainError, match=r"^erfc_diff requires arguments in the double range, got x="):
+            erfc_diff(x, y)
+
+    def test_misordered_huge_ints_refused(self):
+        with pytest.raises(DomainError, match=r"^erfc_diff requires x <= y, got x=an int of 1333 bits > y="):
+            erfc_diff(10**401, 10**400)
+
+    def test_ints_in_the_double_range(self):
+        assert erfc_diff(1, 2) == erfc_diff(1.0, 2.0)
+        # their sum is past the double range, each of them is not
+        assert erfc_diff(10**308, 17 * 10**307) == erfc_diff(1e308, 1.7e308) == 0.0
+
     def test_tiny_separation_beats_naive(self):
         # naive subtraction returns 0 or a few noisy ulps here
         # the width is the one x + d rounds to (9.992e-14), not the nominal d
@@ -366,6 +384,17 @@ class TestErfcDiffCentered:
     @pytest.mark.parametrize("m", [-3.0, 0.0, 40.0])
     def test_zero_width_is_zero(self, m):
         assert erfc_diff_centered(m, 0.0) == 0.0
+
+    @pytest.mark.parametrize("m,delta", [(10**400, 1.0), (1.0, 10**400), (10**400, 0.0), (-(10**400), 0)])
+    def test_int_past_the_double_range_refused(self, m, delta):
+        message = r"^erfc_diff_centered requires arguments in the double range, got m="
+        with pytest.raises(DomainError, match=message):
+            erfc_diff_centered(m, delta)
+
+    @pytest.mark.parametrize("m,delta", [(10**400, -1.0), (1.0, -(10**400))])
+    def test_huge_int_with_a_negative_width_refused(self, m, delta):
+        with pytest.raises(DomainError, match="^width must be nonnegative, got "):
+            erfc_diff_centered(m, delta)
 
     def test_width_below_ulp_of_midpoint(self):
         # 3 - 5e-21 and 3 + 5e-21 both round to 3.0; the explicit width keeps the value

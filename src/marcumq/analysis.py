@@ -136,8 +136,11 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
 
 
 def _check_two_sided_size(a_values: Sequence[float], b_per_a: int) -> None:
-    """The cap on a two-sided scan's whole grid, checked before any point
-    is evaluated."""
+    """The bounds on a two-sided scan's whole grid, at least one a value
+    and at most MAX_GRID_POINTS points, checked before any point is
+    evaluated."""
+    if not a_values:
+        raise DomainError("grid needs at least one a value, got none")
     total = len(a_values) * b_per_a
     if total > MAX_GRID_POINTS:
         raise DomainError(
@@ -265,16 +268,18 @@ def scan_shifted_exp_chain(b: float, m: float, x_values: list[float]) -> ScanRep
 
         e^x/e^b > (e^x+e^-x)/(e^b+e^-b) > (e^x+1)/(e^b+1) > (e^x+m)/(e^b+m)
 
-    for m > 1.  All four ratios are divided through by e^(x-b), so the
+    for finite m > 1.  All four ratios are divided through by e^(x-b), so the
     comparison is overflow-free at any magnitude; for very large b the
     ratios round to exact ties, which count as holding.  The outer links
     are provable; the middle (cosh) link genuinely fails for
     b < asinh(1) ~ 0.881, and the scan reports such violations as found.
     """
-    if not m > 1.0:
-        raise DomainError(f"the chain requires m > 1, got m={m!r}")
+    if not 1.0 < m < math.inf:  # at m = inf every m<one link is inf/inf = NaN
+        raise DomainError(f"the chain requires finite m > 1, got m={m!r}")
     if not b > 0.0:
         raise DomainError(f"the chain requires b > 0, got b={b!r}")
+    if not x_values:
+        raise DomainError("the chain needs at least one x value, got none")
     bad = [x for x in x_values if not x > b]
     if bad:
         raise DomainError(f"all x must exceed b={b:g}, got {bad[:3]}")
@@ -447,7 +452,7 @@ def scan_jp_dominance(
                     yield v, (label, a, b)
 
     worst, witness = _worst(checks())
-    frac = strict / total if total else 0.0
+    frac = strict / total  # the grid holds at least one a and two b per a
     return ScanReport(
         property_id="jp_dominance",
         grid=(

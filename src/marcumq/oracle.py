@@ -8,11 +8,11 @@ Four methods are provided; ``q1_reference`` cross-validates two of them:
 
   * ``q1_quadrature``: adaptive Gauss-Kronrod (G7/K15) integration of the
     Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x) so
-    no intermediate overflows for any a.  For b < a the complement
-    1 - int_0^b R is integrated instead (the complement integrand is the
-    same; the region [0, b] avoids the non-monotone tail split).  Root
-    panels end at seeds a-30 ... a+30, and either range stops at the
-    last seed whose panel can move the resulting double.
+    no intermediate overflows for any a.  For b >= a the tail int_b R is
+    integrated, for b < a the complement 1 - int_0^b R (the region
+    [0, b] avoids the non-monotone tail split).  Root panels end at
+    seeds a-30 ... a+30, and either range stops at the last seed whose
+    panel can move the resulting double.
   * ``q1_series``: the noncentral chi-square mixture representation
 
         Q1(a, b) = sum_k  Pois(k; a^2/2) * P[Pois(b^2/2) <= k],
@@ -113,6 +113,7 @@ _TRAPEZOID_MAX_NODES = 4096
 # the double the full range gives.  At 10, a few values in thousands moved.
 _PANEL_SIGMAS = 15.0
 _TAIL_SIGMAS = 40.0  # tail end past the last seed (b > a + 15): integrand < 1e-300 of its peak
+_MAX_PANELS = 2000  # the quadrature's panel budget
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -235,13 +236,14 @@ def _gk15_panel(f, lo: float, hi: float, memo: dict | None = None) -> tuple[floa
     return result
 
 
-def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000, memo=None):
-    """Globally adaptive G7/K15 with largest-error-first bisection.
+def _adaptive_quad(f, lo, hi, seeds=(), memo=None):
+    """Globally adaptive G7/K15 with largest-error-first bisection to DEFAULT_TOL.
 
     With ``memo`` (a dict), a root panel whose two ends are both seeds
     or 0, and every panel bisected from it, is taken from ``memo`` by
     (left, right), or computed and stored there.  Every call sharing a
-    memo must integrate the same f with the same seeds.
+    memo must integrate the same f with the same seeds.  Raises
+    ConvergenceError past _MAX_PANELS panels.
     """
     anchors = {0.0, *seeds} if memo is not None else ()
     pts = sorted({lo, hi, *(p for p in seeds if lo < p < hi)})
@@ -253,11 +255,11 @@ def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000, memo=None):
     heapq.heapify(heap)
     n = len(heap)
     while True:
-        if math.fsum(-entry[0] for entry in heap) <= tol:
+        if math.fsum(-entry[0] for entry in heap) <= DEFAULT_TOL:
             return math.fsum(entry[3] for entry in heap)
-        if n >= max_panels:
+        if n >= _MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature used {n} panels without reaching tol={tol:g}"
+                f"quadrature used {n} panels without reaching tol={DEFAULT_TOL:g}"
             )
         _, left, right, _, shared = heapq.heappop(heap)
         mid = 0.5 * (left + right)
@@ -269,43 +271,35 @@ def _adaptive_quad(f, lo, hi, tol, seeds=(), max_panels=2000, memo=None):
         n += 1
 
 
-def q1_quadrature(args: QArgs, form: str = "auto") -> float:
+def q1_quadrature(args: QArgs) -> float:
     """Q1 by adaptive quadrature of the Rice density, absolute error <= DEFAULT_TOL.
 
-    ``form`` selects the integration route: "tail" integrates from b up
-    to the first seed >= max(a, b) + 15 (to max(a, b) + 40 when
-    b > a + 15), "complement" integrates 1 - int_lo^b with lo the last
-    seed <= min(a, b) - 15 (0 when no such seed is positive), and "auto"
-    picks tail for b >= a, complement for b < a.  The range left out
-    cannot move the result (see _PANEL_SIGMAS).  Both forms are exposed
-    so their agreement across b = a can be certified.
+    For b >= a it integrates the tail from b up to the first seed
+    >= b + 15 (to b + 40 when b is past the last seed); for b < a it
+    integrates 1 - int_lo^b, with lo the last seed <= b - 15 (0 when no
+    such seed is positive).  The range left out cannot move the result
+    (see _PANEL_SIGMAS).
 
     Raises DomainError for a above MAX_ORACLE_ARG, as ``q1_reference``
     does: the peak and the seeds sit at a, and past it their rounding
     grows with ulp(a) until the result is garbage (0.80 at a = b = 1e16,
     0.0 at 1e20, against about 0.5).  b is not limited.
     """
-    if form not in ("auto", "tail", "complement"):
-        raise DomainError(f"unknown quadrature form {form!r}")
     a, b = args.a, args.b
     if a > MAX_ORACLE_ARG:
         raise DomainError(f"the quadrature covers a <= {MAX_ORACLE_ARG:g}, got a={a:g}")
-    if b == 0.0:  # Q1(a, 0) = 1 exactly; the tail form would reach it only to within tol
+    if b == 0.0:  # Q1(a, 0) = 1 exactly; the tail integral at a = 0 would reach it only to within tol
         return 1.0
-    if form == "auto":
-        form = "tail" if b >= a else "complement"
     # panel seeds around the integrand peak at x ~ a
     seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
     integrand = lambda x: rice_pdf(x, a)
     sweep = getattr(args, "sweep", None)
     memo = None if sweep is None else sweep.panels
-    if form == "tail":
-        top = max(a, b) + _PANEL_SIGMAS
-        hi = min((s for s in seeds if s >= top), default=max(a, b) + _TAIL_SIGMAS)
-        return _adaptive_quad(integrand, b, hi, DEFAULT_TOL, seeds, memo=memo)
-    bottom = min(a, b) - _PANEL_SIGMAS
-    lo = max((s for s in seeds if 0.0 < s <= bottom), default=0.0)
-    return 1.0 - _adaptive_quad(integrand, lo, b, DEFAULT_TOL, seeds, memo=memo)
+    if b >= a:
+        hi = min((s for s in seeds if s >= b + _PANEL_SIGMAS), default=b + _TAIL_SIGMAS)
+        return _adaptive_quad(integrand, b, hi, seeds, memo)
+    lo = max((s for s in seeds if 0.0 < s <= b - _PANEL_SIGMAS), default=0.0)
+    return 1.0 - _adaptive_quad(integrand, lo, b, seeds, memo)
 
 
 def _window_range(mean: float) -> tuple[int, int]:

@@ -197,8 +197,10 @@ def bessel_i1_scaled(x: float) -> float:
 def _i0e_and_log_i0(x: float) -> tuple[float, float]:
     """(``bessel_i0_scaled(x)``, ``log_bessel_i0(x)``) from one polynomial.
 
-    The same doubles the two public functions give, for callers that need
-    both at one x; it takes 0 <= x <= DBL_MAX unchecked.
+    The log is log1p(I0 - 1) on the small-x piece, so it keeps its digits
+    as x -> 0 where log I0(x) ~ x^2/4, and x + log i0e(x) beyond, which no
+    longer cancels there and never overflows.  The first value is the
+    double ``bessel_i0_scaled`` gives.  Takes 0 <= x <= DBL_MAX unchecked.
     """
     if x <= BESSEL_SMALL_X:
         p = _i0m1_small(x)
@@ -208,17 +210,10 @@ def _i0e_and_log_i0(x: float) -> tuple[float, float]:
 
 
 def log_bessel_i0(x: float) -> float:
-    """log I0(x) for x >= 0, accurate relative to its size.
-
-    log1p(I0 - 1) on the small-x piece, so the value keeps its digits as
-    x -> 0 where log I0(x) ~ x^2/4; x + log i0e(x) beyond, which no longer
-    cancels there and never overflows.
-    """
+    """log I0(x) for x >= 0, accurate relative to its size (see ``_i0e_and_log_i0``)."""
     if not 0.0 <= x <= _DBL_MAX:
         raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {_brief(x)}")
-    if x <= BESSEL_SMALL_X:
-        return math.log1p(_i0m1_small(x))
-    return x + math.log(_i0e_large(x))
+    return _i0e_and_log_i0(x)[1]
 
 
 def _erfc_diff_midpoint(m: float, delta: float) -> float:

@@ -13,8 +13,9 @@ zeta = log I0(ab) / b, and LB2A = 1 - I with
 
 Each value is a 50-digit mpmath quadrature of I, split at every integer
 so each panel holds a smooth piece of the integrand.  The script prints a
-dict literal to paste into ``LB2A_ENVELOPE_INTEGRAL``.  It is not a test
-module.
+dict literal to paste into ``LB2A_ENVELOPE_INTEGRAL``, and test_bounds.py
+checks that the pasted table equals ``frozen_integrals()``.  It is not a
+test module.
 """
 
 import mpmath as mp
@@ -29,11 +30,16 @@ def envelope_integral(a: float, b: float) -> mp.mpf:
     return mp.quad(lambda x: x * mp.exp(zeta * x - (x * x + a * a) / 2), panels)
 
 
+def frozen_integrals() -> dict[tuple[float, float], float]:
+    """(a, b) -> the envelope integral at every point of POINTS, at 50 digits."""
+    with mp.workdps(50):
+        return {(a, b): float(envelope_integral(a, b)) for a, b in POINTS}
+
+
 def main() -> None:
-    mp.mp.dps = 50
     print("LB2A_ENVELOPE_INTEGRAL = {")
-    for a, b in POINTS:
-        print(f"    ({a!r}, {b!r}): {float(envelope_integral(a, b))!r},")
+    for (a, b), integral in frozen_integrals().items():
+        print(f"    ({a!r}, {b!r}): {integral!r},")
     print("}")
 
 

@@ -18,8 +18,9 @@ each CDF summed term by term, so no 1 - F is formed.  The sum over k
 stops past both means once a term is below 1e-60 of the total.  Tails
 far below the double range, such as Q1(1, 50) = 2.46e-523, keep their
 digits: mpmath's exponent is unbounded.  The script prints a dict
-literal to paste into ``TRAPEZOID_FROZEN``.  It takes about 2 s; it is
-not a test module.
+literal to paste into ``TRAPEZOID_FROZEN``, and test_oracle.py checks
+that the pasted table equals ``frozen_tails()``.  It takes about 1 s; it
+is not a test module.
 """
 
 import mpmath as mp
@@ -69,14 +70,21 @@ def mixture(a: float, b: float) -> mp.mpf:
         cdf += q_k
 
 
+def frozen_tails() -> dict[tuple[float, float], tuple[float, float]]:
+    """(a, b) -> (S, d) at every point of POINTS, at 50 digits."""
+    tails = {}
+    with mp.workdps(50):
+        for a, b in POINTS:
+            delta = max(a, b) - min(a, b)
+            d = 0.5 * (delta * delta)
+            tails[a, b] = (float(mixture(a, b) * mp.exp(mp.mpf(d))), d)
+    return tails
+
+
 def main() -> None:
-    mp.mp.dps = 50
     print("TRAPEZOID_FROZEN = {")
-    for a, b in POINTS:
-        delta = max(a, b) - min(a, b)
-        d = 0.5 * (delta * delta)
-        s = mixture(a, b) * mp.exp(mp.mpf(d))
-        print(f"    ({a!r}, {b!r}): ({float(s)!r}, {d!r}),")
+    for (a, b), (s, d) in frozen_tails().items():
+        print(f"    ({a!r}, {b!r}): ({s!r}, {d!r}),")
     print("}")
 
 

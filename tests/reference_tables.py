@@ -7,12 +7,14 @@ a regression target for the oracle, never as the oracle itself.
 
 ``lb2a_printed`` is LB2A as the paper prints it, without the zeta factor
 on its erfc term; the catalog evaluates the corrected form.
+``frozen_full_range_quadrature`` is the oracle's quadrature over its
+full range, in either direction.
 """
 
 import math
 
 from marcumq.bounds import compute_zeta
-from marcumq.oracle import QArgs
+from marcumq.oracle import QArgs, _adaptive_quad, rice_pdf
 from marcumq.specfun import erfc_diff
 
 # preset V: a = 0.1, upper bounds UB1JP / UB1A
@@ -83,3 +85,18 @@ def lb2a_printed(a: float, b: float) -> float:
     head = math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2)
     tail = erfc_diff(-z / math.sqrt(2.0), (b - z) / math.sqrt(2.0))
     return 1.0 - scale * (head + math.sqrt(math.pi / 2.0) * tail)
+
+
+def frozen_full_range_quadrature(a: float, b: float, form: str) -> float:
+    """q1_quadrature as it was with the full range: [b, max(a, b) + 40] in
+    the "tail" form and 1 - [0, b] in the "complement" form.  A frozen
+    copy of the range, so a change to the library's range cannot move the
+    reference it is compared with.  The library's route is the tail for
+    b >= a and the complement for b < a; the other form checks it."""
+    if b == 0.0:
+        return 1.0
+    seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
+    integrand = lambda x: rice_pdf(x, a)
+    if form == "tail":
+        return _adaptive_quad(integrand, b, max(a, b) + 40.0, seeds)
+    return 1.0 - _adaptive_quad(integrand, 0.0, b, seeds)

@@ -143,6 +143,16 @@ class TestChainScan:
         with pytest.raises(DomainError):
             scan_shifted_exp_chain(1.0, 1.0, [2.0])
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_m_must_be_finite(self, m):
+        # at m = inf every m<one link is inf/inf = NaN, which _worst never picks, so the scan would pass
+        with pytest.raises(DomainError, match=f"^the chain requires finite m > 1, got m={m!r}$"):
+            scan_shifted_exp_chain(1.0, m, [2.0])
+
+    def test_x_values_must_not_be_empty(self):
+        with pytest.raises(DomainError, match="at least one x value"):
+            scan_shifted_exp_chain(1.0, 3.0, [])
+
     def test_x_must_exceed_b(self):
         with pytest.raises(DomainError):
             scan_shifted_exp_chain(2.0, 3.0, [1.5, 2.5])
@@ -285,6 +295,13 @@ class TestSandwichScan:
         ]:
             xs = log_grid(lo, hi, n)
             assert all(x < y for x, y in zip(xs, xs[1:]))
+
+
+@pytest.mark.parametrize("scan", [scan_sandwich, scan_jp_dominance])
+def test_empty_a_grid_refused(scan):
+    # with no a there is nothing to check: no pass after 0 checks, no fail at a strict fraction of 0
+    with pytest.raises(DomainError, match="^grid needs at least one a value, got none$"):
+        scan(a_values=())
 
 
 class TestWorst:

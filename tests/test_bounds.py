@@ -31,6 +31,7 @@ from marcumq.bounds import (
 from marcumq.errors import DomainError, RegimeError, SingularityError
 from marcumq.oracle import QArgs
 
+from make_frozen_lb2a import frozen_integrals
 from reference_tables import lb2a_printed
 
 # mpmath (50 dps) references for raw values
@@ -446,6 +447,10 @@ class TestLiterature:
     def test_published_values(self):
         assert evaluate(BoundId.UB1A, QArgs(0.1, 0.1)).raw == pytest.approx(1.11416, abs=1e-4)
         assert evaluate(BoundId.LB2A, QArgs(20.0, 19.5)).raw == pytest.approx(0.66406, abs=1e-4)
+
+    def test_lb2a_envelope_table_regenerates(self):
+        # LB2A_ENVELOPE_INTEGRAL is exactly what make_frozen_lb2a.py prints
+        assert frozen_integrals() == LB2A_ENVELOPE_INTEGRAL
 
     @pytest.mark.parametrize("point,integral", sorted(LB2A_ENVELOPE_INTEGRAL.items()))
     def test_lb2a_is_its_derivation(self, point, integral):

@@ -359,6 +359,12 @@ class TestScan:
         assert rc == 2
         assert "m > 1" in err
 
+    def test_chain_infinite_m_exit_2(self, capsys):
+        # a NaN link never wins, so without the check m = inf would print passed: True
+        rc, out, err = run_cli(capsys, "scan", "--property", "chain_eq6", "--m", "inf")
+        assert (rc, out) == (2, "")
+        assert "finite m > 1" in err
+
     def test_failing_scan_exit_1(self, capsys, monkeypatch):
         rep = ScanReport(
             property_id="g_negative", grid="stub", worst_violation=1.0,

@@ -34,6 +34,9 @@ from marcumq.oracle import (
     rice_pdf,
 )
 
+from make_frozen_trapezoid import frozen_tails
+from reference_tables import frozen_full_range_quadrature
+
 # mpmath (50 dps) references
 Q1_FROZEN = {
     (0.0, 1.5): 0.32465246735834973,
@@ -173,22 +176,6 @@ class TestQArgsFrozen:
                 assert _outcome(QArgs, a, b) == _outcome(_frozen_qargs, a, b)
 
 
-def _frozen_full_range_quadrature(a: float, b: float, form: str) -> float:
-    """q1_quadrature as it was with the full range, [b, max(a, b) + 40] in
-    the tail form and [0, b] in the complement form: a frozen copy of the
-    range, so a change to the library's range cannot move the reference
-    it is compared with."""
-    if b == 0.0:
-        return 1.0
-    if form == "auto":
-        form = "tail" if b >= a else "complement"
-    seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
-    integrand = lambda x: rice_pdf(x, a)
-    if form == "tail":
-        return _adaptive_quad(integrand, b, max(a, b) + 40.0, oracle.DEFAULT_TOL, seeds)
-    return 1.0 - _adaptive_quad(integrand, 0.0, b, oracle.DEFAULT_TOL, seeds)
-
-
 # the large_arg points of the benchmark, points near the ends of the range,
 # and two at b ~ a + 10 whose last bit moves if the range ends 10, not 15, past b
 _RANGE_EXAMPLES = [
@@ -222,9 +209,8 @@ class TestQuadrature:
     def test_bit_identical_to_full_range(self, point):
         # panels past max(a, b) + 15 or below min(a, b) - 15 are left out
         a, b = point
-        for form in ("auto", "tail", "complement"):
-            got = q1_quadrature(QArgs(a, b), form=form)
-            assert got == _frozen_full_range_quadrature(a, b, form), (a, b, form)
+        route = "tail" if b >= a else "complement"
+        assert q1_quadrature(QArgs(a, b)) == frozen_full_range_quadrature(a, b, route), (a, b)
 
     @pytest.mark.parametrize("b,panels", [(1e3, 9), (1e3 - 3.0, 5), (1e3 + 3.0, 5)])
     def test_panel_count_at_large_a(self, monkeypatch, b, panels):
@@ -244,42 +230,38 @@ class TestQuadrature:
         assert q1_quadrature(QArgs(0.0, 1.5)) == pytest.approx(math.exp(-1.125), abs=1e-13)
 
     def test_full_mass_b_zero(self):
-        # exactly 1 in every form; the tail integral over [0, a + 40] is 1 only to within tol
+        # exactly 1; at a = 0 the tail integral over [0, 40] is 1 only to within tol
         for a in (0.0, 1e-300, 0.5, 3.0, 150.0):
-            for form in ("auto", "tail", "complement"):
-                assert q1_quadrature(QArgs(a, 0.0), form=form) == 1.0, (a, form)
+            assert q1_quadrature(QArgs(a, 0.0)) == 1.0, a
             assert q1_reference(QArgs(a, 0.0)).value == 1.0, a
 
     def test_forms_agree_across_tie(self):
+        # the tail for b >= a against the full-range complement, and back
         for a in (0.1, 1.0, 2.0, 10.0, 20.0):
             for db in (-0.1, -0.01, 0.0, 0.01, 0.1):
                 b = a + db
-                args = QArgs(a, b)
-                t = q1_quadrature(args, form="tail")
-                c = q1_quadrature(args, form="complement")
-                assert t == pytest.approx(c, abs=1e-10)
-
-    def test_unknown_form(self):
-        with pytest.raises(DomainError):
-            q1_quadrature(QArgs(1.0, 1.0), form="midpoint")
+                other = "complement" if b >= a else "tail"
+                got = q1_quadrature(QArgs(a, b))
+                assert got == pytest.approx(frozen_full_range_quadrature(a, b, other), abs=1e-10), (a, b)
 
     @pytest.mark.parametrize("a", [1e7, 1e16, 1e17, 1e20])
-    @pytest.mark.parametrize("form", ["auto", "tail", "complement"])
-    def test_refuses_a_above_oracle_range(self, a, form):
+    @pytest.mark.parametrize("b_over_a", [pytest.param(1.0, id="tail"), pytest.param(0.5, id="complement")])
+    def test_refuses_a_above_oracle_range(self, a, b_over_a):
         # past 1e6 the rounding of the peak and seeds at a moves the result:
         # 0.798 at a = b = 1e16, 6.38 at 1e17 and 0.0 at 1e20, against ~0.5
         with pytest.raises(DomainError, match=re.escape(f"a <= {oracle.MAX_ORACLE_ARG:g}")):
-            q1_quadrature(QArgs(a, a), form=form)
+            q1_quadrature(QArgs(a, a * b_over_a))
 
     def test_range_limit_is_inclusive(self):
         assert q1_quadrature(QArgs(1e6, 1e6)) == pytest.approx(0.5, abs=1e-6)
         # only a places the peak and the seeds; b is not limited
         assert q1_quadrature(QArgs(1.0, 1e20)) == 0.0
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # highly oscillatory integrand with a tiny panel budget
-        with pytest.raises(ConvergenceError):
-            _adaptive_quad(lambda x: math.sin(1000.0 * x * x), 0.0, 10.0, 1e-12, max_panels=4)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 4)
+        with pytest.raises(ConvergenceError, match="used 4 panels"):
+            _adaptive_quad(lambda x: math.sin(1000.0 * x * x), 0.0, 10.0)
 
 
 def _frozen_poisson_window(mean: float):
@@ -548,6 +530,10 @@ def _from_two_panels(monkeypatch):
 
 
 class TestTrapezoid:
+    def test_frozen_table_regenerates(self):
+        # TRAPEZOID_FROZEN is exactly what make_frozen_trapezoid.py prints
+        assert frozen_tails() == TRAPEZOID_FROZEN
+
     @pytest.mark.parametrize("a,b", sorted(TRAPEZOID_FROZEN))
     def test_frozen_values(self, a, b):
         s, d = TRAPEZOID_FROZEN[a, b]
@@ -684,7 +670,7 @@ class TestReference:
         assert res.method_b == "series" and res.agreement_gap <= 1e-10
 
     def test_far_tail_never_calls_the_quadrature(self, monkeypatch):
-        def no_quadrature(args, form="auto"):
+        def no_quadrature(args):
             raise AssertionError("quadrature called")
 
         monkeypatch.setattr(oracle, "q1_quadrature", no_quadrature)
@@ -792,7 +778,7 @@ class TestRicePdf:
     def test_normalization_a10(self):
         # integral over [0, a+40] is the full mass (q1_quadrature at b = 0
         # returns 1.0 without integrating)
-        total = _adaptive_quad(lambda x: rice_pdf(x, 10.0), 0.0, 50.0, oracle.DEFAULT_TOL)
+        total = _adaptive_quad(lambda x: rice_pdf(x, 10.0), 0.0, 50.0)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("x,a", [(0.5, 1e200), (1e200, 0.5), (1e300, 1e10), (1e155, 1.0)])

@@ -28,6 +28,7 @@ from .oracle import (
     OracleResult,
     QArgs,
     TrapezoidResult,
+    q1_diagonal,
     q1_quadrature,
     q1_reference,
     q1_series,
@@ -55,6 +56,7 @@ __all__ = [
     "eval_all",
     "eval_ids",
     "evaluate",
+    "q1_diagonal",
     "q1_quadrature",
     "q1_reference",
     "q1_series",

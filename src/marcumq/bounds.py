@@ -321,14 +321,17 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
     families: dict = {}
     triples: list[tuple] = []
     skipped: dict[BoundId, str] = {}
+    last = None  # the family of the previous id, whose raw values are ``values``
     for bid in ids:
         family, slot, side, regime = bid._plan
         if regime is foreign:
             skipped[bid] = _regime_message(bid, args)
             continue
-        values = families.get(family)
-        if values is None:
-            values = families[family] = family(a, b)
+        if family is not last:
+            values = families.get(family)
+            if values is None:
+                values = families[family] = family(a, b)
+            last = family
         raw = values[slot]
         if type(raw) is SingularityError:
             skipped[bid] = str(raw)

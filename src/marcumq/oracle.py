@@ -4,7 +4,7 @@ Q1(a, b) is the upper-tail integral of the Rice density
 
     R(x) = x exp(-(x^2 + a^2)/2) I0(a x),    Q1(a, b) = int_b^inf R(x) dx.
 
-Four methods are provided; ``q1_reference`` cross-validates two of them:
+Five methods are provided; ``q1_reference`` cross-validates two of them:
 
   * ``q1_quadrature``: adaptive Gauss-Kronrod (G7/K15) integration of the
     Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x) so
@@ -45,19 +45,24 @@ Four methods are provided; ``q1_reference`` cross-validates two of them:
     about 1e-15) also far below the double range.  It gives Q1 for
     b > a and 1 - Q1 for b < a as a scaled value and an exponent, in
     about 30 integrand evaluations however large ab is.
+  * ``q1_diagonal``: for |b - a| <= 1, the exact diagonal
+    Q1(a, a) = (1 + i0e(a^2))/2 minus the integral of the Rice density
+    from a to b by a fixed 10-point Gauss-Legendre rule in the offset
+    t = x - a, to about 1e-16 absolute in at most 11 Bessel calls.
 
-No method but the quadrature calls a Bessel function, so each shares no
-code with it.  ``q1_reference`` pairs two methods by region: from
-a = ASYMPTOTIC_MIN_A on, the quadrature with the expansion (the series
-window is already about 1.7k entries there, and the expansion covers
-every b: ab < 1e3 forces b < 10, where 1 - Q1 underflows); on the far
-tail, b > a with a/b <= 0.95 and (b - a)^2/2 > ln 1e3, so Q1 < 1e-3,
-the trapezoid with the series, returning the trapezoid's value;
-elsewhere the quadrature with the series, returning their mean.  The
-quadrature and the series run at an absolute tolerance of DEFAULT_TOL =
-1e-12, which is no longer 1e-9 relative on the far tail, the expansion
-to 1e-17 of its sum, and ``q1_reference`` fails loudly if the pair
-disagrees by more than 1e-10.  It refuses arguments above
+Only the quadrature and the diagonal route call a Bessel function, and
+the two are never paired.  ``q1_reference`` pairs two methods by region:
+from a = ASYMPTOTIC_MIN_A on, the diagonal route (|b - a| <= 1) or the
+quadrature (beyond) with the expansion (the series window is already
+about 1.7k entries there, and the expansion covers every b: ab < 1e3
+forces b < 10, where 1 - Q1 underflows); on the far tail, b > a with
+a/b <= 0.95 and (b - a)^2/2 > ln 1e3, so Q1 < 1e-3, the trapezoid with
+the series, returning the trapezoid's value; elsewhere the quadrature
+with the series.  Outside the far tail it returns the mean of the two.
+The quadrature and the series run at an absolute tolerance of
+DEFAULT_TOL = 1e-12, which is no longer 1e-9 relative on the far tail,
+the expansion to 1e-17 of its sum, and ``q1_reference`` fails loudly if
+the pair disagrees by more than 1e-10.  It refuses arguments above
 MAX_ORACLE_ARG = 1e6, and ``q1_quadrature`` called alone refuses a
 above it: past it the quadrature's rounding error grows with ulp(a)
 beyond that gate.
@@ -98,6 +103,9 @@ MAX_SERIES_WINDOW = 2_000_000  # entries in one Poisson window; reached near a =
 # b > a, a/b <= _FAR_TAIL_ZETA and (b - a)^2/2 > _FAR_TAIL_EXPONENT (Q1 < 1e-3)
 _FAR_TAIL_ZETA = 0.95
 _FAR_TAIL_EXPONENT = math.log(1e3)
+# q1_diagonal covers |b - a| <= _DIAGONAL_SPAN; past it Q1(a, a) minus the
+# integral no longer keeps relative accuracy (1e-11 at (50, 54), Q1 = 3.3e-5)
+_DIAGONAL_SPAN = 1.0
 # q1_trapezoid: N = max(_TRAPEZOID_POLE/ln(1/zeta), _TRAPEZOID_PEAK sqrt(ab) + _TRAPEZOID_MIN)
 # panels meets the error estimate's _TRAPEZOID_TOL at all but one of 422
 # sampled points with zeta <= 0.95, which takes one doubling
@@ -147,7 +155,9 @@ class OracleResult(NamedTuple):
     """Cross-validated reference value with both method values."""
 
     value: float
-    method_a_value: float  # the quadrature; the trapezoid on the far tail (see q1_reference)
+    # the quadrature; the trapezoid on the far tail, and the diagonal route
+    # where a >= 100 and |b - a| <= 1 (see q1_reference)
+    method_a_value: float
     method_b_value: float  # the method named by method_b
     agreement_gap: float
     method_b: str  # "series" or "asymptotic"
@@ -272,7 +282,13 @@ def _adaptive_quad(f, lo, hi, seeds=(), memo=None):
 
 
 def q1_quadrature(args: QArgs) -> float:
-    """Q1 by adaptive quadrature of the Rice density, absolute error <= DEFAULT_TOL.
+    """Q1 by adaptive quadrature of the Rice density, absolute error about DEFAULT_TOL.
+
+    The panels meet DEFAULT_TOL, but near b = a at large a the nodes
+    x are rounded to doubles before the integrand sees x - a, and that
+    error grows with ulp(a): 9.1e-12 at (1e6, 1e6 - 0.1), 6.8e-13 at
+    (3e5, 3e5 + 1e-6) and 8.9e-15 at (1e4, 1e4 + 0.5), against 50-digit
+    values.  ``q1_reference`` takes ``q1_diagonal`` there instead.
 
     For b >= a it integrates the tail from b up to the first seed
     >= b + 15 (to b + 40 when b is past the last seed); for b < a it
@@ -667,12 +683,71 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
         nodes += len(f)
 
 
+# --- generated by tests/make_gauss_legendre.py: do not edit by hand ---
+# the 10-point Gauss-Legendre rule on [-1, 1]: (node, weight) for each
+# positive node; its mirror -node has the same weight
+_GAUSS_LEGENDRE = (
+    (0.14887433898163122, 0.29552422471475287),
+    (0.4333953941292472, 0.26926671930999635),
+    (0.6794095682990244, 0.21908636251598204),
+    (0.8650633666889845, 0.1494513491505806),
+    (0.9739065285171717, 0.06667134430868814),
+)
+# --- end of generated block ---
+
+
+def q1_diagonal(args: QArgs) -> float:
+    """Q1 near b = a: the exact diagonal minus a fixed Gauss-Legendre integral.
+
+        Q1(a, b) = (1 + i0e(a^2))/2 - int_a^b R(x) dx,   |b - a| <= 1,
+
+    where Q1(a, a) = (1 + e^-a^2 I0(a^2))/2 is exact.  The integral is
+    written in the offset t = x - a,
+
+        int_0^(b-a) (a + t) e^(-t^2/2) i0e(a (a + t)) dt,
+
+    and taken by the 10-point rule above.  The Gaussian factor sees each
+    node t itself, not x - a after x = a + t is rounded to a double:
+    that rounding is what costs ``q1_quadrature`` up to 9.1e-12 at
+    a = 1e6.  The other factors change by a relative ulp at most.  At
+    b = a the rule is skipped and the value is the closed form.  Against
+    40-digit mpmath at 300 random points with a in [100, 1e6] and
+    |b - a| <= 1 the absolute error is at most 1.5e-16, about one ulp of
+    Q1.  The error is absolute, not relative: near
+    1 it is the error of 1 - Q1, and past |b - a| = 1 the subtraction
+    loses Q1's relative accuracy, so the method stops there.  O(1) time
+    and memory; it shares no code with ``q1_asymptotic``.
+
+    Raises DomainError for |b - a| > 1, or for a or b above MAX_ORACLE_ARG.
+    """
+    a, b = args.a, args.b
+    if max(a, b) > MAX_ORACLE_ARG:
+        raise DomainError(f"the diagonal route covers a, b <= {MAX_ORACLE_ARG:g}, got (a={a:g}, b={b:g})")
+    delta = b - a
+    if not abs(delta) <= _DIAGONAL_SPAN:
+        raise DomainError(f"the diagonal route covers |b - a| <= {_DIAGONAL_SPAN:g}, got (a={a:g}, b={b:g})")
+    if b == 0.0:  # Q1(a, 0) = 1 exactly
+        return 1.0
+    q = 0.5 * (1.0 + bessel_i0_scaled(a * a))
+    if delta == 0.0:
+        return q
+    # nodes t = h (1 +- x) on [0, delta] (or [delta, 0]); h carries the sign
+    h = 0.5 * delta
+    exp = math.exp
+    total = 0.0
+    for x, w in _GAUSS_LEGENDRE:
+        for t in (h + h * x, h - h * x):
+            total += w * (a + t) * exp(-0.5 * t * t) * bessel_i0_scaled(a * (a + t))
+    return q - h * total
+
+
 def q1_reference(args: QArgs) -> OracleResult:
     """Cross-validated reference Q1 value.
 
     Picks its two methods by region, in this order:
 
-      * a >= ASYMPTOTIC_MIN_A: the quadrature and the large-xi expansion;
+      * a >= ASYMPTOTIC_MIN_A: the large-xi expansion, with the diagonal
+        route where |b - a| <= 1 and the quadrature beyond;
       * the far tail, b > a with a/b <= 0.95 and (b - a)^2/2 > ln 1e3:
         the trapezoid and the series.  There Q1 <= e^-(b-a)^2/2 < 1e-3,
         and an absolute error of 1e-12 is no longer 1e-9 relative;
@@ -690,7 +765,10 @@ def q1_reference(args: QArgs) -> OracleResult:
             f"the oracle covers a, b <= {MAX_ORACLE_ARG:g}, got (a={a:g}, b={b:g})"
         )
     if a >= ASYMPTOTIC_MIN_A:
-        method_a, qa = "quadrature", q1_quadrature(args)
+        if abs(b - a) <= _DIAGONAL_SPAN:
+            method_a, qa = "diagonal", q1_diagonal(args)
+        else:
+            method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "asymptotic", q1_asymptotic(args)
     else:
         if b > a and a / b <= _FAR_TAIL_ZETA and 0.5 * (b - a) ** 2 > _FAR_TAIL_EXPONENT:

@@ -10,8 +10,10 @@ Each value is a 50-digit mpmath quadrature of the defining integral
 
 cut at max(a, b) + 40, where the integrand is below e^-800 of its peak,
 and split at every integer so each panel holds a smooth piece of the
-Gaussian-like peak.  The script prints a dict literal to paste into
-``Q1_FROZEN_LARGE_A``.  Takes about 20 s; it is not a test module.
+Gaussian-like peak.  The script prints two dict literals to paste into
+test_oracle.py: ``Q1_FROZEN_LARGE_A``, and ``Q1_FROZEN_NEAR_DIAGONAL`` at
+points with a >= 100 and |b - a| <= 1, where ``q1_reference`` takes
+``q1_diagonal``.  Takes about 25 s; it is not a test module.
 """
 
 import math
@@ -28,6 +30,14 @@ POINTS = [
     (1e5, 1e5),
 ]
 
+NEAR_DIAGONAL = [
+    (100.0, 100.73),
+    (250.0, 249.0),
+    (1e4, 1e4 + 0.5),
+    (3e5, 3e5 + 1e-6),
+    (1e6, 1e6 - 0.1),
+]
+
 
 def q1(a: float, b: float) -> mp.mpf:
     a, b = mp.mpf(a), mp.mpf(b)
@@ -41,10 +51,11 @@ def q1(a: float, b: float) -> mp.mpf:
 
 def main() -> None:
     mp.mp.dps = 50
-    print("Q1_FROZEN_LARGE_A = {")
-    for a, b in POINTS:
-        print(f"    ({a!r}, {b!r}): {float(q1(a, b))!r},")
-    print("}")
+    for name, points in (("Q1_FROZEN_LARGE_A", POINTS), ("Q1_FROZEN_NEAR_DIAGONAL", NEAR_DIAGONAL)):
+        print(f"{name} = {{")
+        for a, b in points:
+            print(f"    ({a!r}, {b!r}): {float(q1(a, b))!r},")
+        print("}")
 
 
 if __name__ == "__main__":

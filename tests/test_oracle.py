@@ -15,6 +15,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from marcumq.oracle import (
     QArgs,
     _adaptive_quad,
     q1_asymptotic,
+    q1_diagonal,
     q1_quadrature,
     q1_reference,
     q1_series,
@@ -35,6 +37,7 @@ from marcumq.oracle import (
 )
 
 from make_frozen_trapezoid import frozen_tails
+from make_gauss_legendre import generated_block as gauss_legendre_block
 from reference_tables import frozen_full_range_quadrature
 
 # mpmath (50 dps) references
@@ -63,6 +66,16 @@ Q1_FROZEN_LARGE_A = {
     (10000.0, 10003.0): 0.0013501196074340292,
     (30000.0, 29997.0): 0.9986501758343568,
     (100000.0, 100000.0): 0.500001994711402,
+}
+
+# mpmath (50 dps) references with a >= 100 and |b - a| <= 1, from
+# make_frozen_large_a.py; q1_reference takes q1_diagonal there
+Q1_FROZEN_NEAR_DIAGONAL = {
+    (100.0, 100.73): 0.23422046958106243,
+    (250.0, 249.0): 0.8418291734016043,
+    (10000.0, 10000.5): 0.3085551417723118,
+    (300000.0, 300000.000001): 0.5000002659584826,
+    (1000000.0, 999999.9): 0.5398280357440655,
 }
 
 # (a, b) -> (S, d), 50 digits, from make_frozen_trapezoid.py: Q1 (b > a) or
@@ -623,6 +636,81 @@ class TestTrapezoid:
             q1_trapezoid(QArgs(2.0, 12.0))
 
 
+class TestDiagonal:
+    @pytest.mark.parametrize("a,b", sorted(Q1_FROZEN_NEAR_DIAGONAL))
+    def test_frozen_values(self, a, b):
+        # the quadrature is off by 9.1e-12 at (1e6, 1e6 - 0.1) and 6.8e-13
+        # at (3e5, 3e5 + 1e-6); both the route and the reference value
+        # are within 1e-15 everywhere here
+        expected = Q1_FROZEN_NEAR_DIAGONAL[a, b]
+        res = q1_reference(QArgs(a, b))
+        assert q1_diagonal(QArgs(a, b)) == res.method_a_value == pytest.approx(expected, rel=0.0, abs=1e-15)
+        assert res.value == pytest.approx(expected, rel=0.0, abs=1e-15)
+        assert res.method_b == "asymptotic"
+
+    @pytest.mark.parametrize(
+        "a,b", [k for k in sorted({**Q1_FROZEN, **Q1_FROZEN_LARGE_A}) if abs(k[1] - k[0]) <= 1.0]
+    )
+    def test_frozen_values_at_any_a(self, a, b):
+        # the route is not limited to a >= 100, though only there is it routed
+        expected = {**Q1_FROZEN, **Q1_FROZEN_LARGE_A}[a, b]
+        assert q1_diagonal(QArgs(a, b)) == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 20.0, 1e3, 1e6])
+    def test_closed_form_on_the_diagonal(self, a, monkeypatch):
+        # Q1(a, a) = (1 + i0e(a^2))/2, one Bessel call and no rule
+        calls = []
+        i0e = oracle.bessel_i0_scaled
+        monkeypatch.setattr(oracle, "bessel_i0_scaled", lambda x: calls.append(x) or i0e(x))
+        assert q1_diagonal(QArgs(a, a)) == 0.5 * (1.0 + i0e(a * a))
+        assert calls == [a * a]
+
+    def test_ten_nodes_off_the_diagonal(self, monkeypatch):
+        calls = []
+        i0e = oracle.bessel_i0_scaled
+        monkeypatch.setattr(oracle, "bessel_i0_scaled", lambda x: calls.append(x) or i0e(x))
+        q1_diagonal(QArgs(1e3, 1e3 + 0.5))
+        assert len(calls) == 1 + 10
+
+    def test_b_zero_is_one(self):
+        assert q1_diagonal(QArgs(0.5, 0.0)) == 1.0
+        assert q1_diagonal(QArgs(0.0, 0.0)) == 1.0
+
+    def test_span_limit_is_inclusive(self):
+        for b in (999.0, 1001.0):
+            assert q1_diagonal(QArgs(1e3, b)) == pytest.approx(q1_asymptotic(QArgs(1e3, b)), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            (1e3, math.nextafter(1001.0, math.inf), r"\|b - a\| <= 1"),
+            (1e3, 998.5, r"\|b - a\| <= 1"),
+            (0.0, 30.0, r"\|b - a\| <= 1"),
+            (math.nextafter(1e6, math.inf), 1e6, "a, b <= 1e\\+06"),
+            (1e6, math.nextafter(1e6, math.inf), "a, b <= 1e\\+06"),
+            (1e300, 1e300, "a, b <= 1e\\+06"),
+        ],
+    )
+    def test_refuses_outside_its_span_and_range(self, a, b, message):
+        with pytest.raises(DomainError, match="diagonal route covers " + message):
+            q1_diagonal(QArgs(a, b))
+
+    def test_rule_regenerates(self):
+        # the node block in oracle.py is exactly what make_gauss_legendre.py prints
+        with open(oracle.__file__, encoding="utf-8") as fh:
+            source = fh.read()
+        with mp.workdps(50):
+            assert gauss_legendre_block() in source
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_rule_integrates_polynomials_to_degree_19(self, k):
+        # int_-1^1 x^k dx to within an ulp of 1: the nodes and weights are
+        # doubles, and the rule is exact for these k
+        got = math.fsum(w * (x**k + (-x) ** k) for x, w in oracle._GAUSS_LEGENDRE)
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert got == pytest.approx(exact, rel=0.0, abs=2.3e-16)
+
+
 class TestReference:
     def test_published_value(self):
         res = q1_reference(QArgs(0.1, 1.0))
@@ -689,6 +777,36 @@ class TestReference:
         res = q1_reference(QArgs(a, b))
         assert res.method_a_value == q1_quadrature(QArgs(a, b))
         assert res.value == min(1.0, max(0.0, 0.5 * (res.method_a_value + res.method_b_value)))
+
+    def test_near_diagonal_never_calls_the_quadrature(self, monkeypatch):
+        def no_quadrature(args):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(oracle, "q1_quadrature", no_quadrature)
+        # a from ASYMPTOTIC_MIN_A to MAX_ORACLE_ARG, b on and either side of
+        # the diagonal up to the span's ends
+        points = [(100.0, 100.0), (100.0, 99.0), (100.0, 101.0), (1e3, 1e3 + 0.5), (3e4, 29999.25),
+                  (3e5, 3e5 + 1e-6), (1e6, 1e6), (1e6, 1e6 - 1.0), *Q1_FROZEN_NEAR_DIAGONAL]
+        for a, b in points:
+            res = q1_reference(QArgs(a, b))
+            assert res.method_a_value == q1_diagonal(QArgs(a, b))
+            assert res.value == min(1.0, max(0.0, 0.5 * (res.method_a_value + res.method_b_value)))
+        list(q1_sweep(150.0, [149.0, 149.5, 150.0, 150.5, 151.0]))
+        list(q1_sweep(1e3, [999.0, 1e3, 1001.0]))
+        for a, b in [(1e3, 1e3 + 3), (100.0, 120.0), (1e3, math.nextafter(1001.0, math.inf)), (99.9, 99.9)]:
+            with pytest.raises(AssertionError, match="quadrature called"):
+                q1_reference(QArgs(a, b))
+
+    @pytest.mark.parametrize("a,b", [(1e3, 1e3 + 3), (100.0, 120.0), (1e3, 998.5), (1e4, 1e4 - 3)])
+    def test_past_the_span_keeps_the_quadrature(self, a, b):
+        res = q1_reference(QArgs(a, b))
+        assert res.method_a_value == q1_quadrature(QArgs(a, b))
+        assert res.method_b_value == q1_asymptotic(QArgs(a, b))
+
+    def test_disagreement_raises_on_the_diagonal_route(self, monkeypatch):
+        monkeypatch.setattr(oracle, "q1_asymptotic", lambda args: 0.5)
+        with pytest.raises(CrossValidationError, match="diagonal=.*asymptotic=0.5"):
+            q1_reference(QArgs(1e3, 1e3 + 0.5))
 
     def test_disagreement_raises_on_the_far_tail(self, monkeypatch):
         monkeypatch.setattr(oracle, "q1_series", lambda args: 0.5)

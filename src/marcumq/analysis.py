@@ -39,12 +39,13 @@ _G_PLAIN_MAX = 300.0
 # before allocating instead of exhausting memory
 MAX_GRID_POINTS = 1_000_000
 
-DEFAULT_SANDWICH_A = (0.0, 0.1, 1.0, 2.0, 4.0, 10.0, 20.0)
+# the a values of the sandwich scan and, below, of the dominance scan
+_SANDWICH_A = (0.0, 0.1, 1.0, 2.0, 4.0, 10.0, 20.0)
 # Dominance is certifiable in doubles only while the JP-A gap is
 # representable: the lower-bound pair differs by a relative e^(-2ab), so
 # past ab ~ 18 the two families round to the same double and every point
 # is a tie (a = 0 degenerates the same way at any b).
-DEFAULT_DOMINANCE_A = (0.1, 0.5, 1.0, 2.0)
+_DOMINANCE_A = (0.1, 0.5, 1.0, 2.0)
 
 # the default of the mapping fields below: read-only, so no caller can fill one shared dict
 _EMPTY = MappingProxyType({})
@@ -136,11 +137,8 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
 
 
 def _check_two_sided_size(a_values: Sequence[float], b_per_a: int) -> None:
-    """The bounds on a two-sided scan's whole grid, at least one a value
-    and at most MAX_GRID_POINTS points, checked before any point is
-    evaluated."""
-    if not a_values:
-        raise DomainError("grid needs at least one a value, got none")
+    """The bound on a two-sided scan's whole grid, at most MAX_GRID_POINTS
+    points, checked before any point is evaluated."""
     total = len(a_values) * b_per_a
     if total > MAX_GRID_POINTS:
         raise DomainError(
@@ -377,10 +375,11 @@ def scan_envelope_ordering(
     )
 
 
-def scan_sandwich(a_values: tuple[float, ...] = DEFAULT_SANDWICH_A, b_per_a: int = 50) -> ScanReport:
+def scan_sandwich(b_per_a: int = 50) -> ScanReport:
     """Certify clamped lower <= oracle <= clamped upper for every bound,
     to a 1e-9 absolute margin.
 
+    The grid is b_per_a two-sided b values at each a of _SANDWICH_A.
     Every applicable id is checked at every grid point; singular ids at
     the tie b = a are skipped by eval_all.  Checks stream into the
     verdict, so memory stays flat in the grid size.
@@ -390,8 +389,8 @@ def scan_sandwich(a_values: tuple[float, ...] = DEFAULT_SANDWICH_A, b_per_a: int
 
     def checks():
         nonlocal count
-        _check_two_sided_size(a_values, b_per_a)
-        for a in a_values:
+        _check_two_sided_size(_SANDWICH_A, b_per_a)
+        for a in _SANDWICH_A:
             bs = two_sided_b_grid(a, b_per_a)
             for b, ref in zip(bs, q1_sweep(a, bs)):
                 exact = ref.value
@@ -405,7 +404,7 @@ def scan_sandwich(a_values: tuple[float, ...] = DEFAULT_SANDWICH_A, b_per_a: int
     worst, witness = _worst(checks())
     return ScanReport(
         property_id="sandwich",
-        grid=f"a in {tuple(a_values)}, {b_per_a} b per a (two-sided), margin {margin:g}",
+        grid=f"a in {_SANDWICH_A}, {b_per_a} b per a (two-sided), margin {margin:g}",
         worst_violation=worst,
         witness=witness,
         passed=worst <= margin,
@@ -427,24 +426,22 @@ def _jp_dominance_pairs(a: float, b: float) -> tuple[tuple[str, float], ...]:
     return (("UB2JP<=UB2A", ub_jp - ub_a),)
 
 
-def scan_jp_dominance(
-    a_values: tuple[float, ...] = DEFAULT_DOMINANCE_A,
-    b_per_a: int = 50,
-) -> ScanReport:
+def scan_jp_dominance(b_per_a: int = 50) -> ScanReport:
     """Certify the JP bounds dominate the A family on raw values:
 
     UB1JP <= UB1A and LB1JP >= LB1A wherever b >= a, UB2JP <= UB2A
-    wherever b < a; strict at 99% of points or more.  The default grid
-    keeps ab small enough that the dominance gap stays above double
-    rounding; beyond that the families agree to within a couple ulp
-    (a fact test suites assert separately).
+    wherever b < a; strict at 99% of points or more, at b_per_a
+    two-sided b values for each a of _DOMINANCE_A.  That grid keeps ab
+    small enough that the dominance gap stays above double rounding;
+    beyond that the families agree to within a couple ulp (a fact test
+    suites assert separately).
     """
     total = strict = 0
 
     def checks():
         nonlocal total, strict
-        _check_two_sided_size(a_values, b_per_a)
-        for a in a_values:
+        _check_two_sided_size(_DOMINANCE_A, b_per_a)
+        for a in _DOMINANCE_A:
             for b in two_sided_b_grid(a, b_per_a):
                 for label, v in _jp_dominance_pairs(a, b):
                     total += 1
@@ -452,11 +449,11 @@ def scan_jp_dominance(
                     yield v, (label, a, b)
 
     worst, witness = _worst(checks())
-    frac = strict / total  # the grid holds at least one a and two b per a
+    frac = strict / total  # the grid holds four a and at least two b per a
     return ScanReport(
         property_id="jp_dominance",
         grid=(
-            f"a in {tuple(a_values)}, {b_per_a} b per a (two-sided); "
+            f"a in {_DOMINANCE_A}, {b_per_a} b per a (two-sided); "
             "a chosen so the JP-A gap exceeds double rounding"
         ),
         worst_violation=worst,

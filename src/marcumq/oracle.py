@@ -22,9 +22,9 @@ Five methods are provided; ``q1_reference`` cross-validates two of them:
     holds about 17 sqrt(m) entries (17 a for a^2/2, 17 b for b^2/2), and
     it is built only when the two windows overlap: the cost is then
     O(sqrt(m)) per window in time and memory.  Windows that do not
-    overlap give an exact 0.0 or 1.0 in O(1).  Windows above
-    MAX_SERIES_WINDOW entries are refused either way, with a or b past
-    sqrt(DBL_MAX), where a^2/2 or b^2/2 is inf, among them.
+    overlap give an exact 0.0 or 1.0 in O(1).  A window that would hold
+    more than MAX_SERIES_WINDOW entries is refused before it is built;
+    only overlapping windows with a and b near 1.2e5 or above get there.
   * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
     of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
     Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
@@ -62,10 +62,16 @@ with the series.  Outside the far tail it returns the mean of the two.
 The quadrature and the series run at an absolute tolerance of
 DEFAULT_TOL = 1e-12, which is no longer 1e-9 relative on the far tail,
 the expansion to 1e-17 of its sum, and ``q1_reference`` fails loudly if
-the pair disagrees by more than 1e-10.  It refuses arguments above
-MAX_ORACLE_ARG = 1e6, and ``q1_quadrature`` called alone refuses a
-above it: past it the quadrature's rounding error grows with ulp(a)
-beyond that gate.
+the pair disagrees by more than 1e-10.
+
+The range.  ``q1_reference``, ``q1_sweep`` and all five methods take
+a, b <= MAX_ORACLE_ARG = 1e6, and past it each raises DomainError with
+the same message.  The limit is the quadrature's: its peak and seeds sit
+at a, their rounding grows with ulp(a), and past 1e6 its error passes
+the agreement gate (0.80 at a = b = 1e16, 0.0 at 1e20, against about
+0.5).  Raising the limit would also need a more exact Poisson pmf for
+the series' disjoint-window exit: ``_pmf`` loses about
+mean ln(mean) 2^-53 in its exponent, 1.5e-3 at mean 5e11 (b = 1e6).
 
 Every method takes a ``QArgs``, the validated pair.  Two plain floats in
 [0, DBL_MAX] pass one chained comparison; ints, float subclasses, bools,
@@ -97,8 +103,9 @@ from .specfun import bessel_i0_scaled
 AGREEMENT_GATE = 1e-10
 ASYMPTOTIC_MIN_A = 100.0  # q1_reference uses q1_asymptotic, not q1_series, from here on
 DEFAULT_TOL = 1e-12
-MAX_ORACLE_ARG = 1e6  # q1_reference refuses a or b above this
-MAX_SERIES_WINDOW = 2_000_000  # entries in one Poisson window; reached near a = 1.2e5
+MAX_ORACLE_ARG = 1e6  # every method here refuses a or b above this
+# entries in one Poisson window the series builds; overlapping windows reach it near a = b = 1.2e5
+MAX_SERIES_WINDOW = 2_000_000
 # q1_reference's far tail, where q1_trapezoid replaces the quadrature:
 # b > a, a/b <= _FAR_TAIL_ZETA and (b - a)^2/2 > _FAR_TAIL_EXPONENT (Q1 < 1e-3)
 _FAR_TAIL_ZETA = 0.95
@@ -149,6 +156,14 @@ class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):
 
     # _replace builds through _make; route it through the checks above
     _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+def _check_range(args: QArgs, who: str) -> None:
+    """Raise DomainError unless a, b <= MAX_ORACLE_ARG, the range of every method here."""
+    if max(args) > MAX_ORACLE_ARG:
+        raise DomainError(
+            f"{who} covers a, b <= {MAX_ORACLE_ARG:g}, got (a={_brief(args.a)}, b={_brief(args.b)})"
+        )
 
 
 class OracleResult(NamedTuple):
@@ -296,14 +311,11 @@ def q1_quadrature(args: QArgs) -> float:
     such seed is positive).  The range left out cannot move the result
     (see _PANEL_SIGMAS).
 
-    Raises DomainError for a above MAX_ORACLE_ARG, as ``q1_reference``
-    does: the peak and the seeds sit at a, and past it their rounding
-    grows with ulp(a) until the result is garbage (0.80 at a = b = 1e16,
-    0.0 at 1e20, against about 0.5).  b is not limited.
+    Raises DomainError past the range (see the module docstring), which
+    this method sets.
     """
+    _check_range(args, "the quadrature")
     a, b = args.a, args.b
-    if a > MAX_ORACLE_ARG:
-        raise DomainError(f"the quadrature covers a <= {MAX_ORACLE_ARG:g}, got a={a:g}")
     if b == 0.0:  # Q1(a, 0) = 1 exactly; the tail integral at a = 0 would reach it only to within tol
         return 1.0
     # panel seeds around the integrand peak at x ~ a
@@ -319,28 +331,10 @@ def q1_quadrature(args: QArgs) -> float:
 
 
 def _window_range(mean: float) -> tuple[int, int]:
-    """(lo, hi) of the mode-centered window of Poisson(mean): 12 sigma + 40 each side.
-
-    Raises DomainError when the window would hold more than
-    MAX_SERIES_WINDOW entries, before anything is allocated.  The width is
-    compared as a float first, so a mean near DBL_MAX or inf (a or b past
-    ~1.34e154) is refused before ``int()`` meets it.
-    """
-    sd12 = 12.0 * math.sqrt(mean)
-    if sd12 < MAX_SERIES_WINDOW:
-        w = int(sd12) + 40
-        m = int(mean)
-        lo, hi = max(0, m - w), m + w
-        entries = hi - lo + 1
-        if entries <= MAX_SERIES_WINDOW:
-            return lo, hi
-    else:
-        # the mean is far above w here, so the window spans 2w + 1 entries
-        entries = 2.0 * sd12 + 81.0
-    raise DomainError(
-        f"series window of {entries:.3g} entries for Poisson mean {mean:g} "
-        f"exceeds the limit of {MAX_SERIES_WINDOW} entries (a or b above ~1.2e5)"
-    )
+    """(lo, hi) of the mode-centered window of Poisson(mean): 12 sigma + 40 each side."""
+    w = int(12.0 * math.sqrt(mean)) + 40
+    m = int(mean)
+    return max(0, m - w), m + w
 
 
 def _pmf(mean: float, k: int) -> float:
@@ -382,9 +376,16 @@ def _poisson_window(mean: float):
     leaves the result unchanged.
 
     Returns (lo, hi, pmf, mass, tail_lo, tail_hi) where the tails are
-    geometric-series bounds on the discarded mass on each side.
+    geometric-series bounds on the discarded mass on each side.  Raises
+    DomainError, before anything is allocated, when the window would
+    hold more than MAX_SERIES_WINDOW entries.
     """
     lo, hi = _window_range(mean)
+    if hi - lo >= MAX_SERIES_WINDOW:
+        raise DomainError(
+            f"series window of {hi - lo + 1} entries for Poisson mean {mean:g} "
+            f"exceeds the limit of {MAX_SERIES_WINDOW} entries"
+        )
     m = int(mean)
     v = _pmf(mean, m)
     pmf = [v]  # m, m - 1, ..., lo until reversed
@@ -420,10 +421,12 @@ def q1_series(args: QArgs) -> float:
     weights sum to 1 and the inner factor is a CDF in [0, 1], the
     discarded mass bounds the truncation error directly.
 
-    Windows that overlap cost O(sqrt(mean)) time and memory each.  Windows
+    Windows that overlap cost O(sqrt(mean)) time and memory each, and
+    DomainError is raised for one over MAX_SERIES_WINDOW entries.  Windows
     that do not overlap are never built: the result is exactly 0.0 (inner
     window above the outer) or 1.0 (below it), in O(1).
     """
+    _check_range(args, "the series")
     lam = args.a * args.a / 2.0
     y = args.b * args.b / 2.0
     if lam == 0.0:
@@ -488,7 +491,8 @@ def _asymptotic_sum(terms) -> float:
 
     Raises ConvergenceError if a term grows before that: the series has
     passed its smallest term without reaching double precision.  So does
-    a non-finite term (xi = ab overflows), which no comparison would stop.
+    a non-finite term, which no comparison would stop: at (1e-300, 2) the
+    tiny xi = ab makes the second term inf.
     """
     total, prev = 0.0, math.inf
     for n, t in enumerate(terms):
@@ -547,20 +551,22 @@ def q1_asymptotic(args: QArgs) -> float:
 
     Accurate to about 1e-15 where xi = ab is large and (b - a)^2 small
     against it, which holds for every b once a >= ASYMPTOTIC_MIN_A.
-    Elsewhere the expansion's terms grow first and ConvergenceError is
-    raised.  No Bessel function is called.
+    Elsewhere the expansion's terms grow first, or xi underflows to 0.0,
+    and ConvergenceError is raised.  No Bessel function is called.
     """
+    _check_range(args, "the expansion")
     a, b = args.a, args.b
     if b == 0.0:
         return 1.0
     if a == 0.0:
         return math.exp(-0.5 * b * b)
+    if a * b == 0.0:  # both terms' recurrences divide by xi
+        raise ConvergenceError(
+            f"xi = ab underflows to 0.0 at (a={a!r}, b={b!r}), outside the expansion's domain"
+        )
     if b >= a:
         return _q1_large_xi(a, b)
-    try:
-        d = 0.5 * (a - b) ** 2
-    except OverflowError:  # (a - b)^2 > DBL_MAX: 1 - Q1 underflowed long before
-        d = math.inf
+    d = 0.5 * (a - b) ** 2
     if d > _EXP_UNDERFLOW:
         # 1 - Q1 <= e^-d / 2 (Simon-Alouini), which underflows here
         return 1.0
@@ -619,14 +625,13 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     carries the rounding of hi - lo and of its square, so
     scaled * e^-exponent is the value also far below the double range.
 
-    Raises DomainError at b = a, where the integrand is singular, or for
-    a or b above MAX_ORACLE_ARG, and ConvergenceError when the estimate
-    misses 1e-15 within _TRAPEZOID_MAX_NODES evaluations, as happens
-    near b = a, where N grows as 1/ln(1/zeta).
+    Raises DomainError at b = a, where the integrand is singular, or past
+    the range, and ConvergenceError when the estimate misses 1e-15 within
+    _TRAPEZOID_MAX_NODES evaluations, as happens near b = a, where N
+    grows as 1/ln(1/zeta).
     """
+    _check_range(args, "the trapezoid")
     a, b = args.a, args.b
-    if max(a, b) > MAX_ORACLE_ARG:
-        raise DomainError(f"the trapezoid covers a, b <= {MAX_ORACLE_ARG:g}, got (a={a:g}, b={b:g})")
     if a == b:
         raise DomainError(f"the trapezoid needs b != a, got a = b = {a:g}")
     complement = b < a
@@ -718,11 +723,10 @@ def q1_diagonal(args: QArgs) -> float:
     loses Q1's relative accuracy, so the method stops there.  O(1) time
     and memory; it shares no code with ``q1_asymptotic``.
 
-    Raises DomainError for |b - a| > 1, or for a or b above MAX_ORACLE_ARG.
+    Raises DomainError for |b - a| > 1, or past the range.
     """
+    _check_range(args, "the diagonal route")
     a, b = args.a, args.b
-    if max(a, b) > MAX_ORACLE_ARG:
-        raise DomainError(f"the diagonal route covers a, b <= {MAX_ORACLE_ARG:g}, got (a={a:g}, b={b:g})")
     delta = b - a
     if not abs(delta) <= _DIAGONAL_SPAN:
         raise DomainError(f"the diagonal route covers |b - a| <= {_DIAGONAL_SPAN:g}, got (a={a:g}, b={b:g})")
@@ -756,14 +760,11 @@ def q1_reference(args: QArgs) -> OracleResult:
     Raises CrossValidationError if the two disagree by more than 1e-10
     (which would indicate a defect, not an input problem).  Returns the
     trapezoid's value on the far tail, which is accurate relative to Q1,
-    and the mean of the two elsewhere.  Raises DomainError when a or b
-    exceeds MAX_ORACLE_ARG.
+    and the mean of the two elsewhere.  Raises DomainError past the
+    range, a, b <= MAX_ORACLE_ARG.
     """
+    _check_range(args, "the oracle")
     a, b = args.a, args.b
-    if max(a, b) > MAX_ORACLE_ARG:
-        raise DomainError(
-            f"the oracle covers a, b <= {MAX_ORACLE_ARG:g}, got (a={a:g}, b={b:g})"
-        )
     if a >= ASYMPTOTIC_MIN_A:
         if abs(b - a) <= _DIAGONAL_SPAN:
             method_a, qa = "diagonal", q1_diagonal(args)

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from marcumq.analysis import (
+    _SANDWICH_A,
     error_table,
     scan_envelope_ordering,
     scan_f_ratio_monotone,
@@ -128,7 +129,9 @@ def test_criterion_05_oracle_self_consistency():
 
 
 def test_criterion_06_sandwich():
-    rep = scan_sandwich(a_values=GRID_A, b_per_a=B_PER_A)
+    # the scan's own a grid holds GRID_A and a = 4
+    assert set(GRID_A) < set(_SANDWICH_A)
+    rep = scan_sandwich(b_per_a=B_PER_A)
     passed = rep.passed
     _report(6, f"sandwich (worst {rep.worst_violation:.2e} at {rep.witness})", passed)
     assert passed, (rep.worst_violation, rep.witness)

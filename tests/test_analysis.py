@@ -7,9 +7,9 @@ import pytest
 import marcumq.analysis as analysis
 import marcumq.oracle as oracle
 from marcumq.analysis import (
-    DEFAULT_DOMINANCE_A,
     MAX_GRID_POINTS,
     CurveTable,
+    _DOMINANCE_A,
     _worst,
     envelope_exp_rate,
     envelope_sinh,
@@ -232,7 +232,7 @@ class TestEnvelopeScan:
 
 class TestSandwichScan:
     def test_quick_grid(self):
-        rep = scan_sandwich(a_values=(0.0, 0.5, 2.0, 10.0), b_per_a=12)
+        rep = scan_sandwich(b_per_a=12)
         assert rep.passed
         assert rep.worst_violation <= 1e-9
         assert rep.details["checks"] > 300
@@ -297,13 +297,6 @@ class TestSandwichScan:
             assert all(x < y for x, y in zip(xs, xs[1:]))
 
 
-@pytest.mark.parametrize("scan", [scan_sandwich, scan_jp_dominance])
-def test_empty_a_grid_refused(scan):
-    # with no a there is nothing to check: no pass after 0 checks, no fail at a strict fraction of 0
-    with pytest.raises(DomainError, match="^grid needs at least one a value, got none$"):
-        scan(a_values=())
-
-
 class TestWorst:
     def test_first_maximum_wins_and_nan_never_does(self):
         cands = [(math.nan, ("nan",)), (1.0, ("first",)), (math.nan, ("nan",)), (1.0, ("second",))]
@@ -322,9 +315,9 @@ class TestDominanceScan:
 
     def test_families_collapse_at_large_ab(self):
         # past ab ~ 18 the JP-A gap (relative e^(-2ab)) is far below one
-        # ulp, so the pairs agree to rounding; that is why the default
-        # dominance grid stays small
-        assert max(DEFAULT_DOMINANCE_A) <= 2.0
+        # ulp, so the pairs agree to rounding; that is why the dominance
+        # grid stays small
+        assert max(_DOMINANCE_A) <= 2.0
         args = QArgs(10.0, 12.0)
         assert evaluate(BoundId.UB1JP, args).raw == pytest.approx(
             evaluate(BoundId.UB1A, args).raw, rel=5e-16

@@ -4,10 +4,11 @@ The 21 commands that reproduce the paper (4 table presets, 10 figures,
 7 scans) run in-process in csv and in json, and the known-red envelope
 scan at a = 4, b = 3 in csv.  Tables and figures write their csv under a
 temporary directory and print their json; scans print their report.
-``eval`` runs in both formats at (1, 2), (2, 1), the tie (2, 2) and the
-origin, and a custom table whose ids span both regimes (UB1JP, UB2JP at
-a = 2, b = 1, 2, 3) in both formats, which pins its empty cells and skip
-notes.  Each output's sha256 and the exit code must match GOLDEN.  A
+``eval`` runs in both formats at (1, 2), (2, 1), the tie (2, 2), the
+origin, and at (1, 2e5) and (99.9, 1e6), where the series' windows are
+disjoint and far over its cap.  So does a custom table whose ids span
+both regimes (UB1JP, UB2JP at a = 2, b = 1, 2, 3), which pins its empty
+cells and skip notes.  Each output's sha256 and the exit code must match GOLDEN.  A
 change that moves an output on purpose says why, and regenerates the dict from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,11 +32,15 @@ GOLDEN = {
     "eval_a0_b0": (0, "8dbcfcc526b84044fb04f2f05d75154020cc2c1308ce36c85d980deaaa5061f3"),
     "eval_a0_b0_json": (0, "8f4882edbb4c5779b4f5e26fcb551ee1711549b752ecd24c98b3b9804207b762"),
     "eval_a1_b2": (0, "b05cd82583ff0a5e6c3443eb9f534f6d0519ad4c9036f2706dbaca96f735c985"),
+    "eval_a1_b200000": (0, "d6d92f564b0548e93b4d85b685c177a752bb56d73ec17acd9ef8aba5125d3b8d"),
+    "eval_a1_b200000_json": (0, "ddf86d8a5999ff905224c2a82c8a5cbaf325711e796c7cf91aff2d60220563a9"),
     "eval_a1_b2_json": (0, "27243c8cf6f5346bd522b741055227eababe1543993a27f076612d7f38cec966"),
     "eval_a2_b1": (0, "6854b89db21ae90cb4e62df613d845dffdf0bb0c6fe0c6b212f81dd27bb0e875"),
     "eval_a2_b1_json": (0, "8d49b871770c1c586a683c41b0b53989e331b5a5408b0748c29c76196c19c13e"),
     "eval_a2_b2": (0, "89ba452c0ef6a315c9623c9fee6fba383e03051135cde80e2acefb0b54359e13"),
     "eval_a2_b2_json": (0, "ecea112de978069f1402b9d4400643074797fcd4490b291ceebb84a909bbf604"),
+    "eval_a99.9_b1000000": (0, "9ea53ff6de42bdfe7c1c6f0f741c31a350bc17398d32552daaa59b80dc2f6356"),
+    "eval_a99.9_b1000000_json": (0, "ebbe9e159d490a75de47837b7a95ea60174639dc56eeb50f61b4a05ef93e971e"),
     "fig01": (0, "61ab07d1f48e3e426b108b5c17e95ea199aecfcb793464373173c3522ca07d03"),
     "fig01_json": (0, "fc10f3c05de9f91c52ed4805721e1ab0639c767e51c6e906fb049886da1de138"),
     "fig02": (0, "4d60f35c110469307b22788d1cb2ba064c8f55d57541fdafa9c67c3f83dd0ccb"),
@@ -104,7 +109,7 @@ def commands(out_dir: str) -> dict[str, tuple[list[str], str | None]]:
     custom = ["table", "--a", "2", "--b-start", "1", "--b-end", "3", "--b-step", "1", "--ids", "UB1JP,UB2JP"]
     cmds["table_custom"] = (custom + ["--out", path], path)
     cmds["table_custom_json"] = (custom + json, None)
-    for a, b in ((1, 2), (2, 1), (2, 2), (0, 0)):
+    for a, b in ((1, 2), (2, 1), (2, 2), (0, 0), (1, 200000), (99.9, 1000000)):
         argv = ["eval", "--a", str(a), "--b", str(b)]
         cmds[f"eval_a{a}_b{b}"] = (argv, None)
         cmds[f"eval_a{a}_b{b}_json"] = (argv + json, None)

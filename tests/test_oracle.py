@@ -210,7 +210,7 @@ class TestQuadrature:
             lambda a: st.tuples(
                 st.just(a),
                 st.one_of(
-                    st.floats(0.0, 40.0).map(lambda u: a + u),
+                    st.floats(0.0, 40.0).map(lambda u: min(a + u, oracle.MAX_ORACLE_ARG)),
                     st.floats(0.0, 40.0).map(lambda u: max(a - u, 0.0)),
                     st.floats(0.0, 1.0).map(lambda u: a * u),
                 ),
@@ -262,13 +262,12 @@ class TestQuadrature:
     def test_refuses_a_above_oracle_range(self, a, b_over_a):
         # past 1e6 the rounding of the peak and seeds at a moves the result:
         # 0.798 at a = b = 1e16, 6.38 at 1e17 and 0.0 at 1e20, against ~0.5
-        with pytest.raises(DomainError, match=re.escape(f"a <= {oracle.MAX_ORACLE_ARG:g}")):
+        with pytest.raises(DomainError, match=re.escape(f"the quadrature covers a, b <= {oracle.MAX_ORACLE_ARG:g}")):
             q1_quadrature(QArgs(a, a * b_over_a))
 
     def test_range_limit_is_inclusive(self):
         assert q1_quadrature(QArgs(1e6, 1e6)) == pytest.approx(0.5, abs=1e-6)
-        # only a places the peak and the seeds; b is not limited
-        assert q1_quadrature(QArgs(1.0, 1e20)) == 0.0
+        assert q1_quadrature(QArgs(1.0, 1e6)) == 0.0
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # highly oscillatory integrand with a tiny panel budget
@@ -459,37 +458,44 @@ class TestSeries:
         assert q1_series(QArgs(20.0, 20.0)) == pytest.approx(0.50997, abs=1e-4)
 
     def test_window_cap_raises_before_allocating(self):
-        # an uncapped window here would hold ~1.7e8 entries (gigabytes)
-        start = time.perf_counter()
-        with pytest.raises(DomainError, match=str(oracle.MAX_SERIES_WINDOW)):
-            q1_series(QArgs(1e7, 1e7))
-        assert time.perf_counter() - start < 1.0
-
-    def test_window_cap_checked_before_the_disjoint_exit(self):
-        # the inner window (mean 2e10) lies above the outer one and over the
-        # cap: an exit taken before the check would return 0.0
+        # the windows overlap, and uncapped each would hold ~3.4e6 entries
         message = re.escape(f"Poisson mean 2e+10 exceeds the limit of {oracle.MAX_SERIES_WINDOW}")
-        with pytest.raises(DomainError, match=message):
-            q1_series(QArgs(1.0, 2e5))
-        with pytest.raises(DomainError, match=message):
-            q1_reference(QArgs(1.0, 2e5))
-        # both windows over the cap: the outer one (mean a^2/2) is refused first
-        with pytest.raises(DomainError, match=message):
-            q1_series(QArgs(2e5, 3e5))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=message):
+                q1_series(QArgs(2e5, 2e5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 64 * 1024
 
-    @pytest.mark.parametrize(
-        "a,b,message",
-        [(1.0, 1.3e154, "series window of 2.21e+155 entries for Poisson mean 8.45e+307 exceeds"),
-         (1.0, 1e200, "series window of inf entries for Poisson mean inf exceeds"),
-         (1e200, 1.0, "series window of inf entries for Poisson mean inf exceeds"),
-         (1e200, 1e200, "series window of inf entries for Poisson mean inf exceeds"),
-         (1e7, 1e7, "series window of 1.7e+08 entries for Poisson mean 5e+13 exceeds")],
-    )
-    def test_window_cap_past_the_double_range(self, a, b, message):
-        # a mean near DBL_MAX or inf is refused before int() sees it, and
-        # the entry count is printed in three digits, not as a 156-digit int
-        with pytest.raises(DomainError, match=re.escape(message)):
-            q1_series(QArgs(a, b))
+    def test_disjoint_exit_before_the_window_cap(self):
+        # windows far over the cap that do not overlap are never built, so
+        # the exit answers: inner window (mean b^2/2) above the outer, or below
+        assert q1_series(QArgs(1.0, 2e5)) == 0.0
+        assert q1_series(QArgs(2e5, 3e5)) == 0.0
+        assert q1_series(QArgs(3e5, 2e5)) == 1.0
+
+    def test_exit_tail_bounds_at_the_largest_mean(self):
+        # the exit's mass check at mean 5e11 (b = 1e6), where _pmf's exponent
+        # is off by about 1.5e-3: each geometric bound is within 1% of the
+        # tail (30-digit quadrature of the incomplete gamma integrals)
+        mean = 5e11
+        lo, hi = oracle._window_range(mean)
+        bounds = oracle._tail_bounds(mean, lo, hi, oracle._pmf(mean, lo), oracle._pmf(mean, hi))
+        with mp.workdps(30):
+            m = mp.mpf(mean)
+
+            def pmf(k):
+                return mp.exp(-m + k * mp.log(m) - mp.loggamma(k + 1))
+
+            # P[X < lo] = Q(lo, m) and P[X > hi] = P(hi + 1, m), each
+            # substituted about t = m into pmf times a smooth integral
+            below = pmf(lo - 1) * mp.quad(lambda s: mp.exp((lo - 1) * mp.log1p(s / m) - s), [0, 1e4, 1e5, 1e6, mp.inf])
+            above = pmf(hi) * mp.quad(lambda s: mp.exp(hi * mp.log1p(-s / m) + s), [0, 1e4, 1e5, 1e6, m])
+        assert bounds == pytest.approx((float(below), float(above)), rel=0.01)
 
 
 class TestAsymptotic:
@@ -501,11 +507,6 @@ class TestAsymptotic:
     def test_complement_underflow_is_exactly_one(self, a, b):
         assert q1_asymptotic(QArgs(a, b)) == 1.0
         assert q1_reference(QArgs(a, b)).value == 1.0
-
-    @pytest.mark.parametrize("a,b", [(1e200, 1.0), (2e154, 1.0), (1.7976931348623157e308, 0.5)])
-    def test_complement_past_the_double_range_is_exactly_one(self, a, b):
-        # (a - b)^2 overflows; 1 - Q1 underflowed long before
-        assert q1_asymptotic(QArgs(a, b)) == 1.0
 
     def test_edges_match_series(self):
         assert q1_asymptotic(QArgs(150.0, 0.0)) == 1.0
@@ -523,11 +524,21 @@ class TestAsymptotic:
             q1_asymptotic(QArgs(1.0, 1.0))
 
     def test_overflowing_xi_raises(self):
-        # ab = inf gives NaN terms, which no growth test would ever stop
-        start = time.perf_counter()
-        with pytest.raises(ConvergenceError, match="nan"):
+        # ab = inf would give NaN terms, which no growth test would stop;
+        # the range check refuses such a point first
+        with pytest.raises(DomainError, match="the expansion covers"):
             q1_asymptotic(QArgs(1e200, 1e200))
-        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("a,b", [(1e-200, 1e-200), (5e-324, 5e-324), (1e-310, 5e-324)])
+    def test_underflowing_xi_raises(self, a, b):
+        # ab rounds to 0.0 and both recurrences would divide by it
+        with pytest.raises(ConvergenceError, match="xi = ab underflows to 0.0"):
+            q1_asymptotic(QArgs(a, b))
+
+    def test_infinite_term_raises(self):
+        # a tiny ab still in the double range makes the second term inf
+        with pytest.raises(ConvergenceError, match="term 1 is inf"):
+            q1_asymptotic(QArgs(1e-300, 2.0))
 
 
 def _frozen_value(a, b):
@@ -821,6 +832,15 @@ class TestReference:
             with pytest.raises(DomainError, match="oracle covers"):
                 q1_reference(QArgs(a, b))
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [(1.0, 2e5), (99.9, 1e6), (6.413090578131705, 909503.1455686877), (0.0012150016930201632, 129087.6849875679)],
+    )
+    def test_answers_where_the_series_windows_are_disjoint(self, a, b):
+        # the inner window is far over the series' cap, but never built
+        ref = q1_reference(QArgs(a, b))
+        assert (ref.value, ref.agreement_gap, ref.method_b) == (0.0, 0.0, "series")
+
     def test_large_a_memory_is_constant(self):
         tracemalloc.start()
         try:
@@ -861,6 +881,40 @@ class TestReference:
     def test_matches_scipy_everywhere(self, a, b):
         ref = q1_reference(QArgs(a, b)).value
         assert ref == pytest.approx(stats.ncx2.sf(b * b, 2, a * a), rel=2e-9, abs=1e-10)
+
+
+_LIMIT = oracle.MAX_ORACLE_ARG
+_ABOVE = math.nextafter(_LIMIT, math.inf)
+
+
+def _sweep_point(args):
+    return next(q1_sweep(args.a, [args.b]))
+
+
+@pytest.mark.parametrize(
+    "method,who,at_limit",
+    [
+        # the error each method documents at (L, L), (1, L) and (L, 1), L = MAX_ORACLE_ARG
+        (q1_reference, "the oracle", {}),
+        (_sweep_point, "the oracle", {}),
+        (q1_quadrature, "the quadrature", {}),
+        (q1_series, "the series", {(_LIMIT, _LIMIT): "series window of"}),
+        (q1_asymptotic, "the expansion", {}),
+        (q1_trapezoid, "the trapezoid", {(_LIMIT, _LIMIT): "needs b != a"}),
+        (q1_diagonal, "the diagonal route", {(1.0, _LIMIT): r"\|b - a\| <= 1", (_LIMIT, 1.0): r"\|b - a\| <= 1"}),
+    ],
+)
+def test_one_range_for_every_method(method, who, at_limit):
+    for a, b in [(_LIMIT, _LIMIT), (1.0, _LIMIT), (_LIMIT, 1.0)]:
+        if (a, b) in at_limit:
+            with pytest.raises(DomainError, match=at_limit[a, b]):
+                method(QArgs(a, b))
+        else:
+            method(QArgs(a, b))
+    for a, b in [(_ABOVE, _LIMIT), (_LIMIT, _ABOVE), (_ABOVE, 0.0), (0.0, _ABOVE)]:
+        message = f"{who} covers a, b <= 1e+06, got (a={a!r}, b={b!r})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            method(QArgs(a, b))
 
 
 class TestRicePdf:

@@ -28,6 +28,7 @@ from .oracle import (
     OracleResult,
     QArgs,
     TrapezoidResult,
+    q1_bessel_series,
     q1_diagonal,
     q1_quadrature,
     q1_reference,
@@ -56,6 +57,7 @@ __all__ = [
     "eval_all",
     "eval_ids",
     "evaluate",
+    "q1_bessel_series",
     "q1_diagonal",
     "q1_quadrature",
     "q1_reference",

@@ -4,7 +4,7 @@ Q1(a, b) is the upper-tail integral of the Rice density
 
     R(x) = x exp(-(x^2 + a^2)/2) I0(a x),    Q1(a, b) = int_b^inf R(x) dx.
 
-Five methods are provided; ``q1_reference`` cross-validates two of them:
+Six methods are provided; ``q1_reference`` cross-validates two of them:
 
   * ``q1_quadrature``: adaptive Gauss-Kronrod (G7/K15) integration of the
     Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x) so
@@ -49,22 +49,32 @@ Five methods are provided; ``q1_reference`` cross-validates two of them:
     Q1(a, a) = (1 + i0e(a^2))/2 minus the integral of the Rice density
     from a to b by a fixed 10-point Gauss-Legendre rule in the offset
     t = x - a, to about 1e-16 absolute in at most 11 Bessel calls.
+  * ``q1_bessel_series``: Marcum's series in e^-x I_k(x), x = ab, from
+    the generating function of I_k, with the ratios I_k/I_(k-1) from a
+    backward recurrence.  Like the trapezoid it gives Q1 for b >= a and
+    1 - Q1 for b < a as a scaled value and an exponent, accurate
+    relative to the value (to about 1e-15).  Its cost grows as sqrt(ab),
+    and it refuses a point needing more than 1e5 recurrence steps, as
+    every point with ab > 2.5e8 does; every a < 100 is within that.
 
-Only the quadrature and the diagonal route call a Bessel function, and
-the two are never paired.  ``q1_reference`` pairs two methods by region:
-from a = ASYMPTOTIC_MIN_A on, the diagonal route (|b - a| <= 1) or the
-quadrature (beyond) with the expansion (the series window is already
-about 1.7k entries there, and the expansion covers every b: ab < 1e3
-forces b < 10, where 1 - Q1 underflows); on the far tail, b > a with
-a/b <= 0.95 and (b - a)^2/2 > ln 1e3, so Q1 < 1e-3, the trapezoid with
-the series, returning the trapezoid's value; elsewhere the quadrature
-with the series.  Outside the far tail it returns the mean of the two.
-The quadrature and the series run at an absolute tolerance of
-DEFAULT_TOL = 1e-12, which is no longer 1e-9 relative on the far tail,
-the expansion to 1e-17 of its sum, and ``q1_reference`` fails loudly if
-the pair disagrees by more than 1e-10.
+``q1_reference`` pairs two methods by region.  The two of a pair share
+no code, except that the far tail's pair takes the exponent from one
+helper, so that it compares exactly.  From a = ASYMPTOTIC_MIN_A on it
+pairs the diagonal route (|b - a| <= 1) or the quadrature (beyond) with
+the expansion (the series window is already about 1.7k entries there,
+and the expansion covers every b: ab < 1e3 forces b < 10, where 1 - Q1
+underflows).  On the far tail, b > a with a/b <= 0.95 and
+(b - a)^2/2 > ln 1e3, so Q1 < 1e-3, it pairs the trapezoid, which calls
+no Bessel function, with the Bessel series, returns the trapezoid's
+value, and fails loudly unless the two exponents are equal and the
+scaled values agree to 1e-12 relative, a check that holds however far
+Q1 underflows.  Elsewhere it pairs the quadrature with the Poisson
+series and returns the mean of the two.  The quadrature and the Poisson
+series run at an absolute tolerance of DEFAULT_TOL = 1e-12, the
+expansion to 1e-17 of its sum, and off the far tail ``q1_reference``
+fails loudly if the pair disagrees by more than 1e-10 absolute.
 
-The range.  ``q1_reference``, ``q1_sweep`` and all five methods take
+The range.  ``q1_reference``, ``q1_sweep`` and all six methods take
 a, b <= MAX_ORACLE_ARG = 1e6, and past it each raises DomainError with
 the same message.  The limit is the quadrature's: its peak and seeds sit
 at a, their rounding grows with ulp(a), and past 1e6 its error passes
@@ -110,6 +120,7 @@ MAX_SERIES_WINDOW = 2_000_000
 # b > a, a/b <= _FAR_TAIL_ZETA and (b - a)^2/2 > _FAR_TAIL_EXPONENT (Q1 < 1e-3)
 _FAR_TAIL_ZETA = 0.95
 _FAR_TAIL_EXPONENT = math.log(1e3)
+_FAR_TAIL_GATE = 1e-12  # the far tail's relative gate on the two scaled values
 # q1_diagonal covers |b - a| <= _DIAGONAL_SPAN; past it Q1(a, a) minus the
 # integral no longer keeps relative accuracy (1e-11 at (50, 54), Q1 = 3.3e-5)
 _DIAGONAL_SPAN = 1.0
@@ -122,6 +133,10 @@ _TRAPEZOID_MIN = 8.0
 _TRAPEZOID_TOL = 1e-15
 _TRAPEZOID_CUT = 50.0  # nodes where 2ab sin^2(phi/2) exceeds this are left out
 _TRAPEZOID_MAX_NODES = 4096
+# q1_bessel_series stops where sum (ln(1/zeta) + asinh(j/x)) reaches this (e^-39.2 = 1e-17),
+# and refuses a point needing more backward recurrence steps than the cap
+_BESSEL_DEPTH = 39.2
+_BESSEL_MAX_STEPS = 100_000
 # The quadrature's range stops at a seed this far past max(a, b) (or below
 # min(a, b)).  Seeds there are 10 apart, so a panel left out holds about
 # e^-150 of the smallest panel kept, far below its ulp, and fsum returns
@@ -174,8 +189,8 @@ class OracleResult(NamedTuple):
     # where a >= 100 and |b - a| <= 1 (see q1_reference)
     method_a_value: float
     method_b_value: float  # the method named by method_b
-    agreement_gap: float
-    method_b: str  # "series" or "asymptotic"
+    agreement_gap: float  # |method_a_value - method_b_value|
+    method_b: str  # "series", "asymptotic", or "bessel_series" on the far tail
 
 
 class _Sweep:
@@ -422,9 +437,10 @@ def q1_series(args: QArgs) -> float:
     discarded mass bounds the truncation error directly.
 
     Windows that overlap cost O(sqrt(mean)) time and memory each, and
-    DomainError is raised for one over MAX_SERIES_WINDOW entries.  Windows
-    that do not overlap are never built: the result is exactly 0.0 (inner
-    window above the outer) or 1.0 (below it), in O(1).
+    DomainError is raised for one over MAX_SERIES_WINDOW entries; the
+    larger is built first, so that refusal comes before either is built.
+    Windows that do not overlap are never built: the result is exactly
+    0.0 (inner window above the outer) or 1.0 (below it), in O(1).
     """
     _check_range(args, "the series")
     lam = args.a * args.a / 2.0
@@ -445,14 +461,17 @@ def q1_series(args: QArgs) -> float:
         )
         return 0.0 if jlo > khi else 1.0
     sweep = getattr(args, "sweep", None)
-    if sweep is None:
+    outer = None if sweep is None else sweep.window
+    # the larger window first: one over the cap is refused before the other is built
+    if outer is None and lam >= y:
         outer = _poisson_window(lam)
-    else:
-        if sweep.window is None:
-            sweep.window = _poisson_window(lam)
-        outer = sweep.window
+    inner = _poisson_window(y)
+    if outer is None:
+        outer = _poisson_window(lam)
+    if sweep is not None:
+        sweep.window = outer
     _, _, p, pmass, ptail_lo, ptail_hi = outer
-    _, _, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
+    _, _, q, qmass, qtail_lo, qtail_hi = inner
     _check_tails(ptail_lo, ptail_hi, qtail_lo, qtail_hi)
     # the mixture terms run over klo..khi with the running CDF of
     # Poisson(y) at k, Neumaier-compensated; that CDF is 0 below its window
@@ -574,13 +593,18 @@ def q1_asymptotic(args: QArgs) -> float:
 
 
 class TrapezoidResult(NamedTuple):
-    """Q1, or 1 - Q1 when ``complement``, as scaled * e^-exponent, from ``q1_trapezoid``."""
+    """Q1, or 1 - Q1 when ``complement``, as scaled * e^-exponent.
+
+    Returned by ``q1_trapezoid`` and ``q1_bessel_series``.
+    """
 
     scaled: float
     exponent: float  # the double 0.5 * (b - a)^2
     complement: bool  # b < a: the value is 1 - Q1
-    nodes: int  # integrand evaluations
-    error: float  # |T_N - T_N/2|, the rule's error estimate in units of ``scaled``
+    nodes: int  # integrand evaluations, or the series' terms
+    # in units of ``scaled``: the trapezoid's |T_N - T_N/2|, or the series'
+    # bound on the terms it leaves out
+    error: float
 
     @property
     def value(self) -> float:
@@ -598,6 +622,23 @@ def _simon_terms(ks: range, h: float, p: float, q: float, w2: float, z4: float, 
         v = s * s
         out.append((p + q * v) / (w2 + z4 * v) * exp(-ab2 * v))
     return out
+
+
+def _split_exponent(lo: float, hi: float) -> tuple[float, float]:
+    """(d, r): the double d = 0.5 * (hi - lo)^2, and r = the true 0.5 (hi - lo)^2 - d.
+
+    hi - lo = delta + delta_lo and delta^2 = sq + sq_lo exactly (Fast2Sum,
+    Dekker's split), so the true exponent exceeds d by r; a method that
+    returns e^-d times its scaled value multiplies that value by e^-r.
+    """
+    delta = hi - lo
+    delta_lo = (hi - delta) - lo
+    sq = delta * delta
+    c = 134217729.0 * delta
+    d_hi = c - (c - delta)
+    d_lo = delta - d_hi
+    sq_lo = ((d_hi * d_hi - sq) + 2.0 * d_hi * d_lo) + d_lo * d_lo
+    return 0.5 * sq, 0.5 * (sq_lo + delta_lo * (2.0 * delta + delta_lo))
 
 
 def q1_trapezoid(args: QArgs) -> TrapezoidResult:
@@ -637,15 +678,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     complement = b < a
     lo, hi = (b, a) if complement else (a, b)
     delta = hi - lo
-    # hi - lo = delta + delta_lo and delta^2 = sq + sq_lo exactly (Fast2Sum,
-    # Dekker's split), so the true d exceeds the double 0.5 * sq by r
-    delta_lo = (hi - delta) - lo
-    sq = delta * delta
-    c = 134217729.0 * delta
-    d_hi = c - (c - delta)
-    d_lo = delta - d_hi
-    sq_lo = ((d_hi * d_hi - sq) + 2.0 * d_hi * d_lo) + d_lo * d_lo
-    r = 0.5 * (sq_lo + delta_lo * (2.0 * delta + delta_lo))
+    d, r = _split_exponent(lo, hi)
     zeta = lo / hi
     w = delta / hi  # 1 - zeta
     ab2 = 2.0 * a * b
@@ -674,7 +707,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
         # T_N = total/N and T_N/2 = 2 (total - odd)/N
         s, error = total / n, abs(2.0 * odd - total) / n
         if error <= _TRAPEZOID_TOL * abs(s):
-            return TrapezoidResult(s * math.exp(-r), 0.5 * sq, complement, nodes, error)
+            return TrapezoidResult(s * math.exp(-r), d, complement, nodes, error)
         n *= 2
         last = min(n, int(n * share))
         if nodes + (last + 1) // 2 > _TRAPEZOID_MAX_NODES:
@@ -686,6 +719,71 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
         odd = math.fsum(f)
         total += odd
         nodes += len(f)
+
+
+def q1_bessel_series(args: QArgs) -> TrapezoidResult:
+    """Q1 (b >= a), or 1 - Q1 (b < a), by Marcum's Bessel series, relative to its size.
+
+    The generating function sum_k t^k I_k(x) = e^((x/2)(t + 1/t)) at
+    t = a/b and x = ab gives, with d = (b - a)^2/2 and i_k = e^-x I_k(x),
+
+        Q1     = e^-d sum_{k>=0} zeta^k i_k,   zeta = a/b   (b >= a),
+        1 - Q1 = e^-d sum_{k>=1} zeta^k i_k,   zeta = b/a   (b < a),
+
+    sums of positive terms (Marcum's series, as used by Shnidman, IEEE
+    Trans. Inf. Theory 35(2), 1989).  Since i_k/i_(k-1) ~ e^-asinh(k/x),
+    the terms fall below e^-39.2 (1e-17) of i_0 past the first K with
+    sum_(j<=K) (ln(1/zeta) + asinh(j/x)) >= 39.2, and the sum stops at
+    K.  The ratios r_k = i_k/i_(k-1) come from the backward recurrence
+    r_k = x/(2k + x r_(k+1)) started at r_(N+1) = 0 with
+    N = floor(sqrt(K^2 + 40x)) + 16; an error in a start contracts by
+    r_k^2 per step, e^-40 over the steps down to K (Amos, Math. Comp. 28,
+    1974).  The terms are i0e(x) times the ratios multiplied up, summed
+    by fsum.  Only the K ratios used are kept.  It shares no code with
+    ``q1_trapezoid`` except the exponent, the same double d, with its
+    rounding carried in ``scaled``.  ``nodes`` is the number of terms,
+    and ``error`` bounds the discarded terms by a geometric series.
+
+    The time is O(N) and the memory O(K): at most _BESSEL_MAX_STEPS
+    recurrence steps, which covers every a < 100 (N is about 63,000 at
+    (99.9, 1e6)).  Raises DomainError past that cap or past the range.
+    """
+    _check_range(args, "the Bessel series")
+    a, b = args.a, args.b
+    complement = b < a
+    lo, hi = (b, a) if complement else (a, b)
+    d, r = _split_exponent(lo, hi)
+    x = a * b
+    if x == 0.0:  # i_k(0) = 0 for k >= 1: the sum is i_0 = 1, or empty
+        return TrapezoidResult(0.0 if complement else math.exp(-r), d, complement, 0 if complement else 1, 0.0)
+    zeta = lo / hi
+    k, n = 0, _BESSEL_MAX_STEPS + 1
+    if 40.0 * x <= _BESSEL_MAX_STEPS**2:  # else N > sqrt(40x) is over the cap
+        step, depth = math.log(hi / lo), 0.0  # ln(1/zeta)
+        while depth < _BESSEL_DEPTH:
+            k += 1
+            depth += step + math.asinh(k / x)
+        n = math.isqrt(k * k + int(40.0 * x)) + 16
+    if n > _BESSEL_MAX_STEPS:
+        raise DomainError(
+            f"the Bessel series needs over {_BESSEL_MAX_STEPS} recurrence steps at (a={a:g}, b={b:g})"
+        )
+    ratio = 0.0
+    for two_j in range(2 * n, 2 * k, -2):
+        ratio = x / (two_j + x * ratio)
+    past = ratio  # r_(K+1)
+    ratios = []  # r_K, ..., r_1
+    for two_j in range(2 * k, 0, -2):
+        ratio = x / (two_j + x * ratio)
+        ratios.append(ratio)
+    t = bessel_i0_scaled(x)
+    terms = [] if complement else [t]
+    for ratio in reversed(ratios):
+        t *= zeta * ratio
+        terms.append(t)
+    # the ratios fall with k, so the terms past K are at most t (zeta r_(K+1))^j
+    q = zeta * past
+    return TrapezoidResult(math.fsum(terms) * math.exp(-r), d, complement, len(terms), t * q / (1.0 - q))
 
 
 # --- generated by tests/make_gauss_legendre.py: do not edit by hand ---
@@ -753,15 +851,20 @@ def q1_reference(args: QArgs) -> OracleResult:
       * a >= ASYMPTOTIC_MIN_A: the large-xi expansion, with the diagonal
         route where |b - a| <= 1 and the quadrature beyond;
       * the far tail, b > a with a/b <= 0.95 and (b - a)^2/2 > ln 1e3:
-        the trapezoid and the series.  There Q1 <= e^-(b-a)^2/2 < 1e-3,
-        and an absolute error of 1e-12 is no longer 1e-9 relative;
-      * everywhere else: the quadrature and the series.
+        the trapezoid and the Bessel series.  There Q1 <= e^-(b-a)^2/2
+        < 1e-3, and an absolute error of 1e-12 is no longer 1e-9
+        relative;
+      * everywhere else: the quadrature and the Poisson series.
 
-    Raises CrossValidationError if the two disagree by more than 1e-10
-    (which would indicate a defect, not an input problem).  Returns the
-    trapezoid's value on the far tail, which is accurate relative to Q1,
-    and the mean of the two elsewhere.  Raises DomainError past the
-    range, a, b <= MAX_ORACLE_ARG.
+    On the far tail both methods return (scaled, exponent), and it
+    raises CrossValidationError unless the exponents are equal and the
+    scaled values agree to 1e-12 relative: the check keeps its strength
+    where Q1 underflows, as Q1(1, 50) = 2.46e-523 does.  It returns the
+    trapezoid's value there.  Elsewhere it raises CrossValidationError
+    if the two disagree by more than 1e-10 absolute, and returns their
+    mean.  A disagreement would indicate a defect, not an input problem.
+    ``agreement_gap`` is |qa - qb| of the two values everywhere.  Raises
+    DomainError past the range, a, b <= MAX_ORACLE_ARG.
     """
     _check_range(args, "the oracle")
     a, b = args.a, args.b
@@ -771,11 +874,19 @@ def q1_reference(args: QArgs) -> OracleResult:
         else:
             method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "asymptotic", q1_asymptotic(args)
+    elif b > a and a / b <= _FAR_TAIL_ZETA and 0.5 * (b - a) ** 2 > _FAR_TAIL_EXPONENT:
+        ta, tb = q1_trapezoid(args), q1_bessel_series(args)
+        qa, qb = ta.value, tb.value
+        # the scaled parts keep Q1's digits where the values underflow
+        if not (ta.exponent == tb.exponent and abs(ta.scaled - tb.scaled) <= _FAR_TAIL_GATE * ta.scaled):
+            raise CrossValidationError(
+                f"reference methods disagree at (a={a:g}, b={b:g}): "
+                f"trapezoid={ta.scaled!r}*e^-{ta.exponent!r}, "
+                f"bessel_series={tb.scaled!r}*e^-{tb.exponent!r}"
+            )
+        return OracleResult(qa, qa, qb, abs(qa - qb), "bessel_series")
     else:
-        if b > a and a / b <= _FAR_TAIL_ZETA and 0.5 * (b - a) ** 2 > _FAR_TAIL_EXPONENT:
-            method_a, qa = "trapezoid", q1_trapezoid(args).value
-        else:
-            method_a, qa = "quadrature", q1_quadrature(args)
+        method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "series", q1_series(args)
     gap = abs(qa - qb)
     if gap > AGREEMENT_GATE:
@@ -783,8 +894,7 @@ def q1_reference(args: QArgs) -> OracleResult:
             f"reference methods disagree at (a={a:g}, b={b:g}): "
             f"{method_a}={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
         )
-    value = qa if method_a == "trapezoid" else min(1.0, max(0.0, 0.5 * (qa + qb)))
-    return OracleResult(value, qa, qb, gap, method_b)
+    return OracleResult(min(1.0, max(0.0, 0.5 * (qa + qb))), qa, qb, gap, method_b)
 
 
 def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:

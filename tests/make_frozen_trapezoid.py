@@ -1,4 +1,4 @@
-"""Regenerate the frozen scaled tails used to test q1_trapezoid in test_oracle.py.
+"""Regenerate the frozen scaled tails used to test q1_trapezoid and q1_bessel_series.
 
 Run from the repository root:
 
@@ -19,7 +19,7 @@ stops past both means once a term is below 1e-60 of the total.  Tails
 far below the double range, such as Q1(1, 50) = 2.46e-523, keep their
 digits: mpmath's exponent is unbounded.  The script prints a dict
 literal to paste into ``TRAPEZOID_FROZEN``, and test_oracle.py checks
-that the pasted table equals ``frozen_tails()``.  It takes about 1 s; it
+that the pasted table equals ``frozen_tails()``.  It takes about 5 s; it
 is not a test module.
 """
 
@@ -28,12 +28,15 @@ import mpmath as mp
 # Q1 at b > a, the route's deep-tail baselines (0, 30) and (30, 67) among
 # them; then three points where b - a or its square rounds, so S carries
 # that rounding (the last two are where scipy's ncx2.sf is off by 8.2e-6
-# and 6.7e-9); then 1 - Q1 at b < a
+# and 6.7e-9); then 1 - Q1 at b < a.  The last three test q1_bessel_series
+# alone: ab < 1e-3 on either side (the trapezoid's b < a form misses its
+# tolerance there), and (97.3, 701.6), where the ulp of d is 3e-11
 POINTS = [
     (1.0, 30.0), (2.0, 12.0), (0.5, 200.0), (3.0, 80.0), (4.0, 5.0), (20.0, 25.0), (1.0, 50.0),
     (0.0, 30.0), (30.0, 67.0),
     (0.593, 37.229), (7.1403525920058035, 41.18460043448496), (6.27493505783561, 40.55297290545762),
     (20.0, 1.0), (30.0, 2.0),
+    (1e-4, 5.0), (0.03, 0.02), (97.3, 701.6),
 ]
 
 

@@ -68,6 +68,15 @@ class TestEval:
         assert len(payload["bounds"]) == 8
         assert payload["exact"] == pytest.approx(0.91810, abs=1e-4)
 
+    def test_far_tail_gap_is_relative(self, capsys):
+        # Q1(1, 30) = 1.81e-184: the far tail's two methods agree to 1e-12
+        # of it (the gap once equalled the value, the series giving 0.0)
+        rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "30", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["exact"] == pytest.approx(1.8105713778406757e-184, rel=1e-13)
+        assert payload["agreement_gap"] <= 1e-12 * payload["exact"]
+
     def test_tie_reports_skip(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "1")
         assert rc == 0

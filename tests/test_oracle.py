@@ -27,6 +27,7 @@ from marcumq.oracle import (
     QArgs,
     _adaptive_quad,
     q1_asymptotic,
+    q1_bessel_series,
     q1_diagonal,
     q1_quadrature,
     q1_reference,
@@ -79,7 +80,8 @@ Q1_FROZEN_NEAR_DIAGONAL = {
 }
 
 # (a, b) -> (S, d), 50 digits, from make_frozen_trapezoid.py: Q1 (b > a) or
-# 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2
+# 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2.  The
+# trapezoid is tested at all but the last three, the Bessel series at all
 TRAPEZOID_FROZEN = {
     (1.0, 30.0): (0.07562150057595424, 420.5),
     (2.0, 12.0): (0.09767937392879893, 50.0),
@@ -95,7 +97,17 @@ TRAPEZOID_FROZEN = {
     (6.27493505783561, 40.55297290545762): (0.029587037000646983, 587.4919393415034),
     (20.0, 1.0): (0.004587186024934953, 180.5),
     (30.0, 2.0): (0.0036489063078544107, 392.0),
+    (0.0001, 5.0): (0.9995001924454304, 12.499500005000002),
+    (0.03, 0.02): (0.000199900034324202, 4.999999999999998e-05),
+    (97.3, 701.6): (0.0017727437372437622, 182589.24500000005),
 }
+TRAPEZOID_POINTS = sorted(TRAPEZOID_FROZEN.keys() - {(0.0001, 5.0), (0.03, 0.02), (97.3, 701.6)})
+# the frozen points on q1_reference's far tail, where it pairs the trapezoid with the Bessel series
+FAR_TAIL_FROZEN = [
+    (a, b) for a, b in sorted(TRAPEZOID_FROZEN)
+    if a < oracle.ASYMPTOTIC_MIN_A and b > a and a / b <= oracle._FAR_TAIL_ZETA
+    and 0.5 * (b - a) ** 2 > oracle._FAR_TAIL_EXPONENT
+]
 
 
 class TestQArgs:
@@ -421,15 +433,23 @@ class TestSeries:
         # 1.0 without building either one
         means = _count_windows(monkeypatch)
         q1_series(QArgs(a, b))
-        assert means == [a * a / 2.0, b * b / 2.0][:built]
+        assert sorted(means) == sorted([a * a / 2.0, b * b / 2.0][:built])
 
     def test_sweep_builds_the_outer_window_once(self, monkeypatch):
         means = _count_windows(monkeypatch)
-        a, below, overlapping, above = 30.0, [8.9, 8.945], [8.957, 20.0, 31.0, 48.97], [48.99, 60.0]
-        values = [r.method_b_value for r in q1_sweep(a, [*below, *overlapping, *above])]
-        assert values[:2] == [1.0, 1.0] and values[-2:] == [0.0, 0.0]
+        a, below, overlapping, above = 30.0, [8.9, 8.945], [8.957, 20.0, 31.0], [48.97, 48.99, 60.0]
+        results = list(q1_sweep(a, [*below, *overlapping, *above]))
+        # the points above are on the far tail, where the series does not run
+        assert [r.method_b for r in results] == ["series"] * 5 + ["bessel_series"] * 3
+        assert [r.method_b_value for r in results[:2]] == [1.0, 1.0]
         # the disjoint points build nothing, the outer window included
         assert means == [a * a / 2.0, *(b * b / 2.0 for b in overlapping)]
+        # called directly, the series builds both windows where they
+        # overlap (48.97), and none where they do not
+        del means[:]
+        assert [q1_series(QArgs(a, b)) for b in above[1:]] == [0.0, 0.0] and means == []
+        q1_series(QArgs(a, above[0]))
+        assert means == [above[0] ** 2 / 2.0, a * a / 2.0]
 
     @pytest.mark.parametrize("a,b", [(5.0, 30.0), (30.0, 8.9), (1.0, 2.0)])
     def test_discarded_mass_checked_on_every_call(self, a, b, monkeypatch):
@@ -447,10 +467,16 @@ class TestSeries:
 
     @pytest.mark.parametrize("a", [0.7, 6.0, 25.4, 60.0])
     def test_sweep_bit_identical_to_frozen_form(self, a):
-        # b = 0, b < a, b = a and b > a, through the shared outer window
+        # b = 0, b < a, b = a and b > a, through the shared outer window;
+        # on the far tail the sweep's points take the Bessel series, and
+        # the series is called there directly
         bs = [0.0, a, *(0.06 * i * (a + 5.0) for i in range(1, 49))]
-        swept = [r.method_b_value.hex() for r in q1_sweep(a, bs)]
-        assert swept == [_series_closure_form(a, b).hex() for b in bs]
+        swept = {b: r for b, r in zip(bs, q1_sweep(a, bs))}
+        far = [b for b in bs if swept[b].method_b == "bessel_series"]
+        assert len(far) >= 10 and all(swept[b].method_b == "series" for b in bs if b not in far)
+        got = [swept[b].method_b_value.hex() for b in bs if b not in far]
+        assert got == [_series_closure_form(a, b).hex() for b in bs if b not in far]
+        assert [q1_series(QArgs(a, b)).hex() for b in far] == [_series_closure_form(a, b).hex() for b in far]
 
 
     def test_published_spot_values(self):
@@ -465,6 +491,20 @@ class TestSeries:
         try:
             with pytest.raises(DomainError, match=message):
                 q1_series(QArgs(2e5, 2e5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 64 * 1024
+
+    def test_larger_window_refused_before_the_smaller_is_built(self):
+        # the windows overlap and straddle the cap: b^2/2's holds 2,000,061
+        # entries, a^2/2's just under 2,000,000, and neither is built
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="2000061 entries for Poisson mean 6.94431e"):
+                q1_series(QArgs(117840.0, 117850.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -558,7 +598,7 @@ class TestTrapezoid:
         # TRAPEZOID_FROZEN is exactly what make_frozen_trapezoid.py prints
         assert frozen_tails() == TRAPEZOID_FROZEN
 
-    @pytest.mark.parametrize("a,b", sorted(TRAPEZOID_FROZEN))
+    @pytest.mark.parametrize("a,b", TRAPEZOID_POINTS)
     def test_frozen_values(self, a, b):
         s, d = TRAPEZOID_FROZEN[a, b]
         res = q1_trapezoid(QArgs(a, b))
@@ -574,7 +614,7 @@ class TestTrapezoid:
         log10 = math.log10(res.scaled) - res.exponent / math.log(10.0)
         assert log10 == pytest.approx(math.log10(2.4585422535121608) - 523.0, abs=1e-12)
 
-    @pytest.mark.parametrize("a,b", sorted(TRAPEZOID_FROZEN))
+    @pytest.mark.parametrize("a,b", TRAPEZOID_POINTS)
     def test_error_estimate_bounds_the_error(self, a, b, monkeypatch):
         # coarse rules, from N = 2 doubled until the estimate meets tol: the
         # N/2 estimate bounds the actual error wherever that error is above
@@ -645,6 +685,73 @@ class TestTrapezoid:
         message = r"estimate 9\.\d+e-09 misses 1e-15 at .* within the cap of 60 nodes"
         with pytest.raises(ConvergenceError, match=message):
             q1_trapezoid(QArgs(2.0, 12.0))
+
+
+class TestBesselSeries:
+    @pytest.mark.parametrize("a,b", sorted(TRAPEZOID_FROZEN))
+    def test_frozen_values(self, a, b):
+        s, d = TRAPEZOID_FROZEN[a, b]
+        res = q1_bessel_series(QArgs(a, b))
+        assert res.exponent == d
+        assert res.complement is (b < a)
+        assert res.scaled == pytest.approx(s, rel=1e-14, abs=0.0)
+        assert res.error <= 1e-16 * res.scaled
+
+    @given(st.floats(0.0, 99.9), st.floats(3.72, 2000.0))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_trapezoid_on_the_far_tail(self, a, v):
+        b = a / 0.95 + v  # so a/b <= 0.95 and (b - a)^2/2 > ln 1e3
+        trap, res = q1_trapezoid(QArgs(a, b)), q1_bessel_series(QArgs(a, b))
+        assert res.exponent == trap.exponent
+        assert res.scaled == pytest.approx(trap.scaled, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0, 40.0, 99.9])
+    def test_diagonal_closed_form(self, a):
+        # at b = a the b >= a form sums to Q1(a, a) = (1 + i0e(a^2))/2
+        res = q1_bessel_series(QArgs(a, a))
+        assert (res.exponent, res.complement) == (0.0, False)
+        assert res.scaled == pytest.approx(0.5 * (1.0 + oracle.bessel_i0_scaled(a * a)), rel=2e-15, abs=0.0)
+
+    def test_a_zero_is_the_rayleigh_tail(self):
+        res = q1_bessel_series(QArgs(0.0, 30.0))
+        assert (res.scaled, res.exponent, res.nodes) == (1.0, 450.0, 1)
+
+    def test_complement_at_b_zero_is_zero(self):
+        res = q1_bessel_series(QArgs(3.0, 0.0))
+        assert res.complement and (res.scaled, res.exponent, res.nodes) == (0.0, 4.5, 0)
+
+    def test_shares_no_code_with_the_trapezoid(self, monkeypatch):
+        def no_trapezoid(*args):
+            raise AssertionError("trapezoid code called")
+
+        monkeypatch.setattr(oracle, "_simon_terms", no_trapezoid)
+        monkeypatch.setattr(oracle, "q1_trapezoid", no_trapezoid)
+        for a, b in [(1.0, 30.0), (20.0, 1.0)]:
+            q1_bessel_series(QArgs(a, b))
+
+    def test_cost_at_the_deepest_far_tail_point(self):
+        # (99.9, 1e6) takes the most recurrence steps below a = 100, about
+        # 63,000, in about 5 ms; only the 6 ratios used are kept
+        start = time.perf_counter()
+        res = q1_bessel_series(QArgs(99.9, 1e6))
+        assert time.perf_counter() - start < 0.1
+        assert res.nodes == 6
+        tracemalloc.start()
+        try:
+            q1_bessel_series(QArgs(99.9, 1e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("a,b", [(1e5, 1e5), (1e3, 1e6), (15000.0, 15000.0)])
+    def test_refuses_past_the_step_cap(self, a, b):
+        # 40ab over the cap's square is refused at once; at (15000, 15000)
+        # 40ab is under it, and K^2 takes the steps past it
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"needs over {oracle._BESSEL_MAX_STEPS} recurrence steps at"):
+            q1_bessel_series(QArgs(a, b))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDiagonal:
@@ -766,7 +873,7 @@ class TestReference:
         # (1, 30) was half the truth (the series gives 0.0 and the mean halved it)
         res = q1_reference(QArgs(a, b))
         assert res.value == res.method_a_value == pytest.approx(_frozen_value(a, b), rel=1e-13, abs=0.0)
-        assert res.method_b == "series" and res.agreement_gap <= 1e-10
+        assert res.method_b == "bessel_series" and res.agreement_gap <= 1e-12 * res.value
 
     def test_far_tail_never_calls_the_quadrature(self, monkeypatch):
         def no_quadrature(args):
@@ -820,9 +927,26 @@ class TestReference:
             q1_reference(QArgs(1e3, 1e3 + 0.5))
 
     def test_disagreement_raises_on_the_far_tail(self, monkeypatch):
-        monkeypatch.setattr(oracle, "q1_series", lambda args: 0.5)
-        with pytest.raises(CrossValidationError, match="trapezoid=.*series=0.5"):
+        monkeypatch.setattr(oracle, "q1_bessel_series", lambda args: oracle.TrapezoidResult(0.5, 420.5, False, 1, 0.0))
+        with pytest.raises(CrossValidationError, match=r"trapezoid=.*bessel_series=0\.5\*e\^-420\.5"):
             q1_reference(QArgs(1.0, 30.0))
+
+    @pytest.mark.parametrize("method", ["q1_trapezoid", "q1_bessel_series"])
+    @pytest.mark.parametrize("a,b", sorted({(1.0, 30.0), (2.0, 12.0), (5.0, 12.0), *FAR_TAIL_FROZEN}))
+    def test_far_tail_gate_catches_a_relative_error(self, a, b, method, monkeypatch):
+        # either method off by 1e-11 relative is caught, also where Q1
+        # underflows; the absolute 1e-10 gate let a factor of 2 pass at
+        # (1, 30), (2, 12) and (5, 12)
+        exact = getattr(oracle, method)
+
+        def off(args):
+            res = exact(args)
+            return res._replace(scaled=res.scaled * (1.0 + 1e-11))
+
+        assert q1_reference(QArgs(a, b)).method_b == "bessel_series"
+        monkeypatch.setattr(oracle, method, off)
+        with pytest.raises(CrossValidationError, match="trapezoid=.*bessel_series="):
+            q1_reference(QArgs(a, b))
 
     def test_range_limit_is_inclusive(self):
         limit = oracle.MAX_ORACLE_ARG
@@ -837,9 +961,10 @@ class TestReference:
         [(1.0, 2e5), (99.9, 1e6), (6.413090578131705, 909503.1455686877), (0.0012150016930201632, 129087.6849875679)],
     )
     def test_answers_where_the_series_windows_are_disjoint(self, a, b):
-        # the inner window is far over the series' cap, but never built
+        # far tail points up to b = 1e6, where the series' windows are far
+        # over its cap: the oracle answers, with values that underflow
         ref = q1_reference(QArgs(a, b))
-        assert (ref.value, ref.agreement_gap, ref.method_b) == (0.0, 0.0, "series")
+        assert (ref.value, ref.agreement_gap, ref.method_b) == (0.0, 0.0, "bessel_series")
 
     def test_large_a_memory_is_constant(self):
         tracemalloc.start()
@@ -902,6 +1027,7 @@ def _sweep_point(args):
         (q1_asymptotic, "the expansion", {}),
         (q1_trapezoid, "the trapezoid", {(_LIMIT, _LIMIT): "needs b != a"}),
         (q1_diagonal, "the diagonal route", {(1.0, _LIMIT): r"\|b - a\| <= 1", (_LIMIT, 1.0): r"\|b - a\| <= 1"}),
+        (q1_bessel_series, "the Bessel series", {(_LIMIT, _LIMIT): "recurrence steps"}),
     ],
 )
 def test_one_range_for_every_method(method, who, at_limit):

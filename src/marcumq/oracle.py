@@ -44,7 +44,8 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     integral with e^-(b-a)^2/2 factored out, accurate relative to Q1 (to
     about 1e-15) also far below the double range.  It gives Q1 for
     b > a and 1 - Q1 for b < a as a scaled value and an exponent, in
-    about 30 integrand evaluations however large ab is.
+    about 30 integrand evaluations on the far tail (60-180 just past
+    |b - a| = 1 at a >= 100) however large ab is.
   * ``q1_diagonal``: for |b - a| <= 1, the exact diagonal
     Q1(a, a) = (1 + i0e(a^2))/2 minus the integral of the Rice density
     from a to b by a fixed 10-point Gauss-Legendre rule in the offset
@@ -60,19 +61,23 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
 ``q1_reference`` pairs two methods by region.  The two of a pair share
 no code, except that the far tail's pair takes the exponent from one
 helper, so that it compares exactly.  From a = ASYMPTOTIC_MIN_A on it
-pairs the diagonal route (|b - a| <= 1) or the quadrature (beyond) with
+pairs the diagonal route (|b - a| <= 1) or the trapezoid (beyond) with
 the expansion (the series window is already about 1.7k entries there,
 and the expansion covers every b: ab < 1e3 forces b < 10, where 1 - Q1
-underflows).  On the far tail, b > a with a/b <= 0.95 and
+underflows).  Past the span the trapezoid's value is Q1 for b > a and
+1 - Q1 for b < a, in at most about 180 nodes; where b < a and
+(a - b)^2/2 > 745, 1 - Q1 underflows and method a is exactly 1.0, as
+the expansion is.  So no quadrature and no Poisson series runs at
+a >= ASYMPTOTIC_MIN_A.  On the far tail, b > a with a/b <= 0.95 and
 (b - a)^2/2 > ln 1e3, so Q1 < 1e-3, it pairs the trapezoid, which calls
 no Bessel function, with the Bessel series, returns the trapezoid's
 value, and fails loudly unless the two exponents are equal and the
 scaled values agree to 1e-12 relative, a check that holds however far
 Q1 underflows.  Elsewhere it pairs the quadrature with the Poisson
-series and returns the mean of the two.  The quadrature and the Poisson
-series run at an absolute tolerance of DEFAULT_TOL = 1e-12, the
-expansion to 1e-17 of its sum, and off the far tail ``q1_reference``
-fails loudly if the pair disagrees by more than 1e-10 absolute.
+series.  The quadrature and the Poisson series run at an absolute
+tolerance of DEFAULT_TOL = 1e-12, the expansion to 1e-17 of its sum,
+and off the far tail ``q1_reference`` fails loudly if the pair
+disagrees by more than 1e-10 absolute, and returns the mean of the two.
 
 The range.  ``q1_reference``, ``q1_sweep`` and all six methods take
 a, b <= MAX_ORACLE_ARG = 1e6, and past it each raises DomainError with
@@ -82,6 +87,9 @@ the agreement gate (0.80 at a = b = 1e16, 0.0 at 1e20, against about
 0.5).  Raising the limit would also need a more exact Poisson pmf for
 the series' disjoint-window exit: ``_pmf`` loses about
 mean ln(mean) 2^-53 in its exponent, 1.5e-3 at mean 5e11 (b = 1e6).
+``q1_reference`` reaches the quadrature and the series only at a < 100
+and b < ~105 (below max(a/0.95, a + 3.72), where the far tail starts),
+but every method keeps the one range.
 
 Every method takes a ``QArgs``, the validated pair.  Two plain floats in
 [0, DBL_MAX] pass one chained comparison; ints, float subclasses, bools,
@@ -92,11 +100,12 @@ of a fixed-a sweep.  Each point's QArgs also carries the work the sweep
 shares, which depends on a alone: the quadrature's panels whose root
 interval is bounded by two seeds (or by 0 and a seed), with their
 bisection children, and the series' outer Poisson window for a^2/2,
-built at the first point whose windows overlap.  A panel is a pure
-function of (a, lo, hi), so every result is bit-identical to a point
-call.  That work is reachable only through the sweep's own points, and
-point calls keep call-local state only, so every function here is safe
-to call from any number of threads.
+built at the first point whose windows overlap.  At a >= 100 neither
+runs, and the points share no work.  A panel is a pure function of
+(a, lo, hi), so every result is bit-identical to a point call.  That
+work is reachable only through the sweep's own points, and point calls
+keep call-local state only, so every function here is safe to call
+from any number of threads.
 """
 
 from __future__ import annotations
@@ -111,7 +120,9 @@ from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
 from .specfun import bessel_i0_scaled
 
 AGREEMENT_GATE = 1e-10
-ASYMPTOTIC_MIN_A = 100.0  # q1_reference uses q1_asymptotic, not q1_series, from here on
+# q1_reference uses q1_asymptotic, not q1_series, and q1_diagonal or
+# q1_trapezoid, not q1_quadrature, from here on
+ASYMPTOTIC_MIN_A = 100.0
 DEFAULT_TOL = 1e-12
 MAX_ORACLE_ARG = 1e6  # every method here refuses a or b above this
 # entries in one Poisson window the series builds; overlapping windows reach it near a = b = 1.2e5
@@ -185,8 +196,9 @@ class OracleResult(NamedTuple):
     """Cross-validated reference value with both method values."""
 
     value: float
-    # the quadrature; the trapezoid on the far tail, and the diagonal route
-    # where a >= 100 and |b - a| <= 1 (see q1_reference)
+    # the quadrature below a = 100 off the far tail; the trapezoid on the
+    # far tail; at a >= 100 the diagonal route where |b - a| <= 1 and the
+    # trapezoid's Q1 beyond (see q1_reference)
     method_a_value: float
     method_b_value: float  # the method named by method_b
     agreement_gap: float  # |method_a_value - method_b_value|
@@ -849,7 +861,11 @@ def q1_reference(args: QArgs) -> OracleResult:
     Picks its two methods by region, in this order:
 
       * a >= ASYMPTOTIC_MIN_A: the large-xi expansion, with the diagonal
-        route where |b - a| <= 1 and the quadrature beyond;
+        route where |b - a| <= 1 and the trapezoid beyond.  For b < a
+        the trapezoid gives 1 - Q1, and method a is 1 minus that, or
+        exactly 1.0 where (a - b)^2/2 > 745 and 1 - Q1 underflows (the
+        trapezoid is not called there: its b < a form raises where ab
+        is tiny);
       * the far tail, b > a with a/b <= 0.95 and (b - a)^2/2 > ln 1e3:
         the trapezoid and the Bessel series.  There Q1 <= e^-(b-a)^2/2
         < 1e-3, and an absolute error of 1e-12 is no longer 1e-9
@@ -862,17 +878,21 @@ def q1_reference(args: QArgs) -> OracleResult:
     where Q1 underflows, as Q1(1, 50) = 2.46e-523 does.  It returns the
     trapezoid's value there.  Elsewhere it raises CrossValidationError
     if the two disagree by more than 1e-10 absolute, and returns their
-    mean.  A disagreement would indicate a defect, not an input problem.
-    ``agreement_gap`` is |qa - qb| of the two values everywhere.  Raises
-    DomainError past the range, a, b <= MAX_ORACLE_ARG.
+    mean, clamped to [0, 1].  A disagreement would indicate a defect, not
+    an input problem.  ``agreement_gap`` is |qa - qb| of the two values
+    everywhere.  Raises DomainError past the range, a, b <= MAX_ORACLE_ARG.
     """
     _check_range(args, "the oracle")
     a, b = args.a, args.b
     if a >= ASYMPTOTIC_MIN_A:
         if abs(b - a) <= _DIAGONAL_SPAN:
             method_a, qa = "diagonal", q1_diagonal(args)
+        elif b < a and 0.5 * (a - b) ** 2 > _EXP_UNDERFLOW:
+            # 1 - Q1 <= e^-d / 2 underflows, as in q1_asymptotic
+            method_a, qa = "trapezoid", 1.0
         else:
-            method_a, qa = "quadrature", q1_quadrature(args)
+            t = q1_trapezoid(args)
+            method_a, qa = "trapezoid", 1.0 - t.value if t.complement else t.value
         method_b, qb = "asymptotic", q1_asymptotic(args)
     elif b > a and a / b <= _FAR_TAIL_ZETA and 0.5 * (b - a) ** 2 > _FAR_TAIL_EXPONENT:
         ta, tb = q1_trapezoid(args), q1_bessel_series(args)
@@ -901,7 +921,8 @@ def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:
     """``q1_reference(QArgs(a, b))`` for each b of ``b_values``, in order.
 
     The points share the work that depends on a alone (see the module
-    docstring); every result is bit-identical to the point call.  Each
+    docstring), none at a >= ASYMPTOTIC_MIN_A, where no quadrature or
+    series runs; every result is bit-identical to the point call.  Each
     point's argument carries that work, and nothing else refers to it,
     so nothing outlives the sweep.
     """

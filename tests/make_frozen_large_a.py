@@ -10,10 +10,15 @@ Each value is a 50-digit mpmath quadrature of the defining integral
 
 cut at max(a, b) + 40, where the integrand is below e^-800 of its peak,
 and split at every integer so each panel holds a smooth piece of the
-Gaussian-like peak.  The script prints two dict literals to paste into
-test_oracle.py: ``Q1_FROZEN_LARGE_A``, and ``Q1_FROZEN_NEAR_DIAGONAL`` at
-points with a >= 100 and |b - a| <= 1, where ``q1_reference`` takes
-``q1_diagonal``.  Takes about 25 s; it is not a test module.
+Gaussian-like peak.  The script prints three dict literals to paste
+into test_oracle.py: ``Q1_FROZEN_LARGE_A``, ``Q1_FROZEN_NEAR_DIAGONAL``
+at points with a >= 100 and |b - a| <= 1, where ``q1_reference`` takes
+``q1_diagonal``, and ``Q1_FROZEN_OFF_DIAGONAL`` at points with a >= 100
+past that span, where it takes ``q1_trapezoid``: one deep in the tail
+at (1e3, 1010), Q1 = 7.7e-24, and four at b - a = 3 (a = 1e3 and 3e4),
+-1.39 (a = 3.3e5) and -5 (a = 1e6).  The unit panels are fine enough
+for |b - a| <= 10, as at all of these points.  Takes about 35 s; it is
+not a test module.
 """
 
 import math
@@ -28,6 +33,14 @@ POINTS = [
     (1e4, 1e4 + 3),
     (3e4, 29997.0),
     (1e5, 1e5),
+]
+
+OFF_DIAGONAL = [
+    (1e3, 1010.0),
+    (1e3, 1003.0),
+    (3e4, 30003.0),
+    (326458.87147227593, 326457.48268537264),
+    (1e6, 999995.0),
 ]
 
 NEAR_DIAGONAL = [
@@ -51,7 +64,11 @@ def q1(a: float, b: float) -> mp.mpf:
 
 def main() -> None:
     mp.mp.dps = 50
-    for name, points in (("Q1_FROZEN_LARGE_A", POINTS), ("Q1_FROZEN_NEAR_DIAGONAL", NEAR_DIAGONAL)):
+    for name, points in (
+        ("Q1_FROZEN_LARGE_A", POINTS),
+        ("Q1_FROZEN_NEAR_DIAGONAL", NEAR_DIAGONAL),
+        ("Q1_FROZEN_OFF_DIAGONAL", OFF_DIAGONAL),
+    ):
         print(f"{name} = {{")
         for a, b in points:
             print(f"    ({a!r}, {b!r}): {float(q1(a, b))!r},")

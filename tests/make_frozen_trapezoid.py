@@ -14,13 +14,17 @@ no cancellation:
     Q1     = sum_k Pois(k; a^2/2) P[Pois(b^2/2) <= k],
     1 - Q1 = sum_k Pois(k; a^2/2) P[Pois(b^2/2) > k],
 
-each CDF summed term by term, so no 1 - F is formed.  The sum over k
-stops past both means once a term is below 1e-60 of the total.  Tails
-far below the double range, such as Q1(1, 50) = 2.46e-523, keep their
-digits: mpmath's exponent is unbounded.  The script prints a dict
-literal to paste into ``TRAPEZOID_FROZEN``, and test_oracle.py checks
-that the pasted table equals ``frozen_tails()``.  It takes about 5 s; it
-is not a test module.
+with the survival P[Pois(b^2/2) > k] summed term by term, so no 1 - F is
+formed.  For b > a the sum over k starts where Pois(k; a^2/2) first
+exceeds 1e-60 of its mode, with P[Pois(b^2/2) <= k] there in closed form
+(the regularized upper incomplete gamma function Q(k + 1, b^2/2)), and
+the CDF is carried up term by term from there.  The sum stops once the
+terms fall and the geometric series they are under is below 1e-60 of
+the total.  Tails far below the double range, such as Q1(1, 50) =
+2.46e-523, keep their digits: mpmath's exponent is unbounded.  The
+script prints a dict literal to paste into ``TRAPEZOID_FROZEN``, and
+test_oracle.py checks that the pasted table equals ``frozen_tails()``.
+It takes about 1 s; it is not a test module.
 """
 
 import mpmath as mp
@@ -47,11 +51,19 @@ def mixture(a: float, b: float) -> mp.mpf:
         return mp.exp(-y)
     complement = b < a
     tiny = mp.mpf(10) ** -60
-    total = mp.mpf(0)
-    p_k = mp.exp(-lam)  # Pois(k; lam)
-    q_k = mp.exp(-y)  # Pois(k; y)
-    cdf = q_k  # P[Pois(y) <= k]
-    k = 0
+    k, p_k = 0, mp.exp(-lam)  # Pois(k; lam)
+    if not complement:
+        # the CDF factor grows with k, so the terms below the first k where
+        # Pois(k; lam) exceeds tiny of its mode sum to under tiny of the
+        # term at the mode: start there
+        k = int(lam)
+        top = p_k = mp.exp(-lam + k * mp.log(lam) - mp.loggamma(k + 1))
+        while k > 0 and p_k * k / lam >= tiny * top:
+            p_k = p_k * k / lam
+            k -= 1
+    q_k = mp.exp(-y + k * mp.log(y) - mp.loggamma(k + 1))  # Pois(k; y)
+    cdf = mp.gammainc(k + 1, y, regularized=True)  # P[Pois(y) <= k] = Q(k + 1, y)
+    total = prev = mp.mpf(0)
     while True:
         if complement:
             upper, q_j, j = mp.mpf(0), q_k, k
@@ -65,8 +77,14 @@ def mixture(a: float, b: float) -> mp.mpf:
         else:
             term = p_k * cdf
         total += term
-        if k > lam + y and term < tiny * total:
-            return total
+        # The pmf, the CDF and the survival function of a Poisson law are
+        # log-concave, so the ratio of consecutive terms never grows: once
+        # it is below 1, the terms left sum to under a geometric series.
+        if term < prev:
+            ratio = term / prev
+            if term * ratio / (1 - ratio) < tiny * total:
+                return total
+        prev = term
         k += 1
         p_k = p_k * lam / k
         q_k = q_k * y / k

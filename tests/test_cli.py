@@ -77,6 +77,16 @@ class TestEval:
         assert payload["exact"] == pytest.approx(1.8105713778406757e-184, rel=1e-13)
         assert payload["agreement_gap"] <= 1e-12 * payload["exact"]
 
+    def test_large_a_tail_is_exact(self, capsys):
+        # Q1(1e3, 1010) = 7.658e-24 (50-digit integral): the quadrature
+        # printed 7.6648e-24, above UB1JP's raw 7.6586e-24
+        rc, out, _ = run_cli(capsys, "eval", "--a", "1000", "--b", "1010", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["exact"] == pytest.approx(7.6582303174943792e-24, rel=1e-13, abs=0.0)
+        upper = [row for row in payload["bounds"] if row["side"] == "upper"]
+        assert upper and all(row["raw"] >= payload["exact"] for row in upper), upper
+
     def test_tie_reports_skip(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "1")
         assert rc == 0

@@ -79,6 +79,21 @@ Q1_FROZEN_NEAR_DIAGONAL = {
     (1000000.0, 999999.9): 0.5398280357440655,
 }
 
+# mpmath (50 dps) references with a >= 100 past |b - a| = 1, from
+# make_frozen_large_a.py; q1_reference takes q1_trapezoid there
+Q1_FROZEN_OFF_DIAGONAL = {
+    (1000.0, 1010.0): 7.65823031749438e-24,
+    (1000.0, 1003.0): 0.001352112296657218,
+    (30000.0, 30003.0): 0.0013499718939237926,
+    (326458.87147227593, 326457.48268537264): 0.9175514534833561,
+    (1000000.0, 999995.0): 0.9999997133491715,
+}
+# every frozen point with a >= 100 past the span
+_PAST_THE_SPAN = {
+    (a, b): q for (a, b), q in {**Q1_FROZEN_LARGE_A, **Q1_FROZEN_OFF_DIAGONAL}.items()
+    if abs(b - a) > oracle._DIAGONAL_SPAN
+}
+
 # (a, b) -> (S, d), 50 digits, from make_frozen_trapezoid.py: Q1 (b > a) or
 # 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2.  The
 # trapezoid is tested at all but the last three, the Bessel series at all
@@ -829,6 +844,23 @@ class TestDiagonal:
         assert got == pytest.approx(exact, rel=0.0, abs=2.3e-16)
 
 
+# a log-uniform over [ASYMPTOTIC_MIN_A, MAX_ORACLE_ARG], with b anywhere in
+# the range, below 1e-4, where (a - b)^2/2 > 745 (1 - Q1 underflows), or
+# just past the diagonal span on either side
+_LARGE_A_POINTS = st.floats(math.log(100.0), math.log(1e6)).map(lambda u: min(math.exp(u), 1e6)).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.one_of(
+            st.floats(0.0, 1e6),
+            st.floats(0.0, 1e-4),
+            st.floats(0.0, a - 38.7),
+            st.floats(1.0, 1.5).map(lambda d: math.nextafter(a - d, 0.0)),
+            st.floats(1.0, 1.5).map(lambda d: min(math.nextafter(a + d, math.inf), 1e6)),
+        ),
+    )
+)
+
+
 class TestReference:
     def test_published_value(self):
         res = q1_reference(QArgs(0.1, 1.0))
@@ -886,7 +918,9 @@ class TestReference:
         for a, b in points:
             q1_reference(QArgs(a, b))
         list(q1_sweep(30.0, [34.0, 67.0]))
-        for a, b in [(0.0, 3.71), (95.5, 100.0), (100.0, 120.0)]:
+        # past a = ASYMPTOTIC_MIN_A the trapezoid takes the far tail too
+        q1_reference(QArgs(100.0, 120.0))
+        for a, b in [(0.0, 3.71), (95.5, 100.0)]:
             with pytest.raises(AssertionError, match="quadrature called"):
                 q1_reference(QArgs(a, b))
 
@@ -911,15 +945,49 @@ class TestReference:
             assert res.value == min(1.0, max(0.0, 0.5 * (res.method_a_value + res.method_b_value)))
         list(q1_sweep(150.0, [149.0, 149.5, 150.0, 150.5, 151.0]))
         list(q1_sweep(1e3, [999.0, 1e3, 1001.0]))
-        for a, b in [(1e3, 1e3 + 3), (100.0, 120.0), (1e3, math.nextafter(1001.0, math.inf)), (99.9, 99.9)]:
-            with pytest.raises(AssertionError, match="quadrature called"):
-                q1_reference(QArgs(a, b))
+        # past the span the trapezoid serves at a >= ASYMPTOTIC_MIN_A
+        for a, b in [(1e3, 1e3 + 3), (100.0, 120.0), (1e3, math.nextafter(1001.0, math.inf))]:
+            assert q1_reference(QArgs(a, b)).method_a_value == q1_trapezoid(QArgs(a, b)).value
+        with pytest.raises(AssertionError, match="quadrature called"):
+            q1_reference(QArgs(99.9, 99.9))
 
     @pytest.mark.parametrize("a,b", [(1e3, 1e3 + 3), (100.0, 120.0), (1e3, 998.5), (1e4, 1e4 - 3)])
-    def test_past_the_span_keeps_the_quadrature(self, a, b):
+    def test_past_the_span_takes_the_trapezoid(self, a, b):
+        # method a is the trapezoid's Q1: its value for b > a, 1 - value for b < a
         res = q1_reference(QArgs(a, b))
-        assert res.method_a_value == q1_quadrature(QArgs(a, b))
+        t = q1_trapezoid(QArgs(a, b))
+        assert res.method_a_value == (1.0 - t.value if b < a else t.value)
         assert res.method_b_value == q1_asymptotic(QArgs(a, b))
+
+    @pytest.mark.parametrize("a,b", sorted(_PAST_THE_SPAN))
+    def test_frozen_values_off_the_diagonal(self, a, b):
+        # the quadrature was off by 8.6e-4 relative at (1e3, 1010), and by
+        # 1.5e-12 absolute at the 3.3e5 point
+        expected = _PAST_THE_SPAN[a, b]
+        value = q1_reference(QArgs(a, b)).value
+        if b > a:
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+        else:
+            assert value == pytest.approx(expected, rel=0.0, abs=2.5e-16)
+
+    @given(_LARGE_A_POINTS)
+    @example((100.0, 0.0))
+    @example((1e6, 5e-324))
+    @example((100.0, 61.3))
+    @example((100.0, math.nextafter(99.0, 0.0)))
+    @example((1e6 - 1.5, math.nextafter(1e6 - 0.5, math.inf)))
+    @settings(max_examples=150, deadline=None)
+    def test_large_a_calls_neither_quadrature_nor_series(self, point):
+        a, b = point
+
+        def refuse(args):
+            raise AssertionError(f"quadrature or series called at (a={a!r}, b={b!r})")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "q1_quadrature", refuse)
+            patch.setattr(oracle, "q1_series", refuse)
+            res = q1_reference(QArgs(a, b))
+        assert 0.0 <= res.value <= 1.0
 
     def test_disagreement_raises_on_the_diagonal_route(self, monkeypatch):
         monkeypatch.setattr(oracle, "q1_asymptotic", lambda args: 0.5)
@@ -1172,8 +1240,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("a", [0.0, 4.0, 10.0, 20.0, 150.0])
     def test_panel_memo_does_not_grow_with_the_sweep(self, monkeypatch, a):
-        # only panels fixed by a are kept: 8-17 of them at these a for any
-        # grid, so a sweep four times as long over the same b keeps no more
+        # only panels fixed by a are kept: 8-17 of them at these a < 100 for
+        # any grid, so a sweep four times as long over the same b keeps no
+        # more; from a = ASYMPTOTIC_MIN_A on no quadrature runs and none is kept
         sizes = []
         point = oracle.q1_reference
 
@@ -1185,7 +1254,10 @@ class TestSweep:
         monkeypatch.setattr(oracle, "q1_reference", spy)
         grid = [(2.0 * a + 3.0) * i / 99 for i in range(100)]
         list(q1_sweep(a, grid * 4))
-        assert 0 < sizes[len(grid) - 1] == sizes[-1] <= 32
+        if a >= oracle.ASYMPTOTIC_MIN_A:
+            assert set(sizes) == {0}
+        else:
+            assert 0 < sizes[len(grid) - 1] == sizes[-1] <= 32
         sizes.clear()
         list(q1_sweep(a, [(2.0 * a + 3.0) * i / 1599 for i in range(1600)]))
         assert max(sizes) <= 32

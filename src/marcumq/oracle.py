@@ -41,11 +41,11 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     memory.  Outside, its terms grow before reaching double precision
     and ConvergenceError is raised.
   * ``q1_trapezoid``: the trapezoid rule on Simon's finite-range
-    integral with e^-(b-a)^2/2 factored out, accurate relative to Q1 (to
-    about 1e-15) also far below the double range.  It gives Q1 for
-    b > a and 1 - Q1 for b < a as a scaled value and an exponent, in
-    about 30 integrand evaluations on the far tail (60-180 just past
-    |b - a| = 1 at a >= 100) however large ab is.
+    integral with e^-(b-a)^2/2 factored out, accurate relative to its
+    value (to about 1e-15) also far below the double range.  It gives Q1
+    for b > a and 1 - Q1 for b < a as a scaled value and an exponent, in
+    about 30 integrand evaluations on the far tail (up to about 280 just
+    past |b - a| = 1) however large ab is.
   * ``q1_diagonal``: for |b - a| <= 1, the exact diagonal
     Q1(a, a) = (1 + i0e(a^2))/2 minus the integral of the Rice density
     from a to b by a fixed 10-point Gauss-Legendre rule in the offset
@@ -59,25 +59,27 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     every point with ab > 2.5e8 does; every a < 100 is within that.
 
 ``q1_reference`` pairs two methods by region.  The two of a pair share
-no code, except that the far tail's pair takes the exponent from one
-helper, so that it compares exactly.  From a = ASYMPTOTIC_MIN_A on it
-pairs the diagonal route (|b - a| <= 1) or the trapezoid (beyond) with
-the expansion (the series window is already about 1.7k entries there,
-and the expansion covers every b: ab < 1e3 forces b < 10, where 1 - Q1
-underflows).  Past the span the trapezoid's value is Q1 for b > a and
-1 - Q1 for b < a, in at most about 180 nodes; where b < a and
+no code, except that the trapezoid and the Bessel series take the
+exponent from one helper, so that the far tail compares it exactly.
+At every b < a, and at every b from a = ASYMPTOTIC_MIN_A on, method a
+is the diagonal route (|b - a| <= 1) or the trapezoid (beyond), whose
+value is Q1 for b > a and 1 - Q1 for b < a; where b < a and
 (a - b)^2/2 > 745, 1 - Q1 underflows and method a is exactly 1.0, as
-the expansion is.  So no quadrature and no Poisson series runs at
-a >= ASYMPTOTIC_MIN_A.  On the far tail, b > a with a/b <= 0.95 and
-(b - a)^2/2 > ln 1e3, so Q1 < 1e-3, it pairs the trapezoid, which calls
-no Bessel function, with the Bessel series, returns the trapezoid's
-value, and fails loudly unless the two exponents are equal and the
-scaled values agree to 1e-12 relative, a check that holds however far
-Q1 underflows.  Elsewhere it pairs the quadrature with the Poisson
-series.  The quadrature and the Poisson series run at an absolute
-tolerance of DEFAULT_TOL = 1e-12, the expansion to 1e-17 of its sum,
-and off the far tail ``q1_reference`` fails loudly if the pair
-disagrees by more than 1e-10 absolute, and returns the mean of the two.
+the expansion is.  Its partner is the expansion from ASYMPTOTIC_MIN_A
+on (the Bessel series' depth grows as sqrt(ab), and the expansion covers
+every b there: ab < 1e3 forces b < 10, where 1 - Q1 underflows), and 1
+minus the Bessel series' 1 - Q1 below it.  On the far tail, b > a with
+a/b <= 0.95 and (b - a)^2/2 > ln 1e3, so Q1 < 1e-3, it pairs the
+trapezoid, which calls no Bessel function, with the Bessel series, and
+fails loudly unless the two exponents are equal and the scaled values
+agree to 1e-12 relative, a check that holds however far Q1 underflows.
+Only at b >= a below ASYMPTOTIC_MIN_A and off the far tail does it pair
+the quadrature with the Poisson series, which run at an absolute
+tolerance of DEFAULT_TOL = 1e-12; there it returns their mean, and
+everywhere else method a's value.  Off the far tail it fails loudly if
+the pair disagrees by more than 1e-10 absolute, and past the span at
+a >= ASYMPTOTIC_MIN_A with b > a also by more than 1e-12 of the
+trapezoid's Q1 (relative down to the smallest normal double).
 
 The range.  ``q1_reference``, ``q1_sweep`` and all six methods take
 a, b <= MAX_ORACLE_ARG = 1e6, and past it each raises DomainError with
@@ -88,8 +90,8 @@ the agreement gate (0.80 at a = b = 1e16, 0.0 at 1e20, against about
 the series' disjoint-window exit: ``_pmf`` loses about
 mean ln(mean) 2^-53 in its exponent, 1.5e-3 at mean 5e11 (b = 1e6).
 ``q1_reference`` reaches the quadrature and the series only at a < 100
-and b < ~105 (below max(a/0.95, a + 3.72), where the far tail starts),
-but every method keeps the one range.
+and a <= b < ~105 (below max(a/0.95, a + 3.72), where the far tail
+starts), but every method keeps the one range.
 
 Every method takes a ``QArgs``, the validated pair.  Two plain floats in
 [0, DBL_MAX] pass one chained comparison; ints, float subclasses, bools,
@@ -100,8 +102,8 @@ of a fixed-a sweep.  Each point's QArgs also carries the work the sweep
 shares, which depends on a alone: the quadrature's panels whose root
 interval is bounded by two seeds (or by 0 and a seed), with their
 bisection children, and the series' outer Poisson window for a^2/2,
-built at the first point whose windows overlap.  At a >= 100 neither
-runs, and the points share no work.  A panel is a pure function of
+built at the first point whose windows overlap.  Neither runs at b < a
+or at a >= 100, and those points share no work.  A panel is a pure function of
 (a, lo, hi), so every result is bit-identical to a point call.  That
 work is reachable only through the sweep's own points, and point calls
 keep call-local state only, so every function here is safe to call
@@ -112,6 +114,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from typing import NamedTuple
@@ -120,8 +123,8 @@ from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
 from .specfun import bessel_i0_scaled
 
 AGREEMENT_GATE = 1e-10
-# q1_reference uses q1_asymptotic, not q1_series, and q1_diagonal or
-# q1_trapezoid, not q1_quadrature, from here on
+# from here on q1_reference pairs q1_diagonal or q1_trapezoid with
+# q1_asymptotic at every b; below it, with the Bessel series at b < a only
 ASYMPTOTIC_MIN_A = 100.0
 DEFAULT_TOL = 1e-12
 MAX_ORACLE_ARG = 1e6  # every method here refuses a or b above this
@@ -196,13 +199,14 @@ class OracleResult(NamedTuple):
     """Cross-validated reference value with both method values."""
 
     value: float
-    # the quadrature below a = 100 off the far tail; the trapezoid on the
-    # far tail; at a >= 100 the diagonal route where |b - a| <= 1 and the
-    # trapezoid's Q1 beyond (see q1_reference)
+    # the quadrature at b >= a below a = 100 off the far tail; the
+    # trapezoid on the far tail; at b < a, and at every b from a = 100 on,
+    # the diagonal route where |b - a| <= 1 and the trapezoid's Q1 beyond
+    # (see q1_reference)
     method_a_value: float
     method_b_value: float  # the method named by method_b
     agreement_gap: float  # |method_a_value - method_b_value|
-    method_b: str  # "series", "asymptotic", or "bessel_series" on the far tail
+    method_b: str  # "asymptotic" from a = 100 on, else "series" or "bessel_series"
 
 
 class _Sweep:
@@ -624,9 +628,9 @@ class TrapezoidResult(NamedTuple):
         return self.scaled * math.exp(-self.exponent)
 
 
-def _simon_terms(ks: range, h: float, p: float, q: float, w2: float, z4: float, ab2: float) -> list[float]:
-    """Simon's integrand (p + q v)/(w2 + z4 v) e^(-ab2 v), v = sin^2(phi/2), at phi = k h for k in ks."""
-    sin, exp = math.sin, math.exp
+def _simon_terms(ks: range, h: float, p: float, q: float, w2: float, z4: float, ab2: float, exp) -> list[float]:
+    """Simon's integrand (p + q v)/(w2 + z4 v) exp(-ab2 v), v = sin^2(phi/2), at phi = k h for k in ks."""
+    sin = math.sin
     hh = 0.5 * h
     out = []
     for k in ks:
@@ -671,8 +675,10 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     estimate is within 1e-15 of the value.  Nodes past
     2ab sin^2(phi/2) = _TRAPEZOID_CUT, each under e^-50 of the peak, are
     skipped, so about 30 are evaluated however large ab is.  No Bessel
-    function is called.  The b < a integrand changes sign, and at small
-    ab its parts cancel: 1.5e-14 relative at (0.3133, 0.04155).
+    function is called.  The b < a integrand changes sign, and its parts
+    cancel as ab -> 0.  As (1/pi) int_0^pi zeta (cos phi - zeta)/D dphi = 0,
+    the weight is taken less 1, as expm1, where 2ab <= _TRAPEZOID_CUT (no
+    node skipped): within 8e-16 of 50-digit values down to ab = 1e-7.
 
     ``exponent`` is the double d = 0.5 * (hi - lo)^2, and ``scaled``
     carries the rounding of hi - lo and of its square, so
@@ -696,7 +702,8 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     ab2 = 2.0 * a * b
     # in v = sin^2(phi/2) the numerators are w + 2 zeta v and zeta w - 2 zeta v
     p, q = (zeta * w, -2.0 * zeta) if complement else (w, 2.0 * zeta)
-    coeffs = (p, q, w * w, 4.0 * zeta, ab2)
+    kernel = math.expm1 if complement and ab2 <= _TRAPEZOID_CUT else math.exp  # see above
+    coeffs = (p, q, w * w, 4.0 * zeta, ab2, kernel)
     alpha = math.log1p(delta / lo) if lo > 0.0 else math.inf  # ln(1/zeta)
     n = max(_TRAPEZOID_POLE / alpha, _TRAPEZOID_PEAK * math.sqrt(0.5 * ab2) + _TRAPEZOID_MIN)
     n = 2 * math.ceil(0.5 * n)
@@ -828,10 +835,12 @@ def q1_diagonal(args: QArgs) -> float:
     b = a the rule is skipped and the value is the closed form.  Against
     40-digit mpmath at 300 random points with a in [100, 1e6] and
     |b - a| <= 1 the absolute error is at most 1.5e-16, about one ulp of
-    Q1.  The error is absolute, not relative: near
-    1 it is the error of 1 - Q1, and past |b - a| = 1 the subtraction
-    loses Q1's relative accuracy, so the method stops there.  O(1) time
-    and memory; it shares no code with ``q1_asymptotic``.
+    Q1, and at 300 with a in [1e-3, 100) and b in [a - 1, a), where
+    ``q1_reference`` takes it too, at most 1.8e-16.  The error is
+    absolute, not relative: near 1 it is the error of 1 - Q1, and past
+    |b - a| = 1 the subtraction loses Q1's relative accuracy, so the
+    method stops there.  O(1) time and memory; it shares no code with
+    ``q1_asymptotic``, and only the i0e kernel with ``q1_bessel_series``.
 
     Raises DomainError for |b - a| > 1, or past the range.
     """
@@ -860,31 +869,36 @@ def q1_reference(args: QArgs) -> OracleResult:
 
     Picks its two methods by region, in this order:
 
-      * a >= ASYMPTOTIC_MIN_A: the large-xi expansion, with the diagonal
-        route where |b - a| <= 1 and the trapezoid beyond.  For b < a
-        the trapezoid gives 1 - Q1, and method a is 1 minus that, or
-        exactly 1.0 where (a - b)^2/2 > 745 and 1 - Q1 underflows (the
-        trapezoid is not called there: its b < a form raises where ab
-        is tiny);
+      * b < a, or a >= ASYMPTOTIC_MIN_A: method a is the diagonal route
+        where |b - a| <= 1 and the trapezoid beyond.  For b < a the
+        trapezoid gives 1 - Q1, and method a is 1 minus that, or exactly
+        1.0 where (a - b)^2/2 > 745 and 1 - Q1 underflows.  Method b is
+        the large-xi expansion from ASYMPTOTIC_MIN_A on, and 1 minus the
+        Bessel series' 1 - Q1 below it;
       * the far tail, b > a with a/b <= 0.95 and (b - a)^2/2 > ln 1e3:
         the trapezoid and the Bessel series.  There Q1 <= e^-(b-a)^2/2
         < 1e-3, and an absolute error of 1e-12 is no longer 1e-9
         relative;
-      * everywhere else: the quadrature and the Poisson series.
+      * everywhere else (b >= a below ASYMPTOTIC_MIN_A): the quadrature
+        and the Poisson series.
 
     On the far tail both methods return (scaled, exponent), and it
     raises CrossValidationError unless the exponents are equal and the
     scaled values agree to 1e-12 relative: the check keeps its strength
-    where Q1 underflows, as Q1(1, 50) = 2.46e-523 does.  It returns the
-    trapezoid's value there.  Elsewhere it raises CrossValidationError
-    if the two disagree by more than 1e-10 absolute, and returns their
-    mean, clamped to [0, 1].  A disagreement would indicate a defect, not
-    an input problem.  ``agreement_gap`` is |qa - qb| of the two values
-    everywhere.  Raises DomainError past the range, a, b <= MAX_ORACLE_ARG.
+    where Q1 underflows, as Q1(1, 50) = 2.46e-523 does.  Elsewhere it
+    raises CrossValidationError if the two disagree by more than 1e-10
+    absolute, or, past the span at a >= ASYMPTOTIC_MIN_A with b > a, by
+    more than 1e-12 of the trapezoid's Q1 (or of the smallest normal
+    double, where Q1 is below it).  It returns the mean of the
+    quadrature and the Poisson series, and method a's value everywhere
+    else, clamped to [0, 1].  A disagreement would indicate a defect,
+    not an input problem.  ``agreement_gap`` is |qa - qb| of the two
+    values everywhere.  Raises DomainError past the range,
+    a, b <= MAX_ORACLE_ARG.
     """
     _check_range(args, "the oracle")
     a, b = args.a, args.b
-    if a >= ASYMPTOTIC_MIN_A:
+    if a >= ASYMPTOTIC_MIN_A or b < a:
         if abs(b - a) <= _DIAGONAL_SPAN:
             method_a, qa = "diagonal", q1_diagonal(args)
         elif b < a and 0.5 * (a - b) ** 2 > _EXP_UNDERFLOW:
@@ -893,7 +907,11 @@ def q1_reference(args: QArgs) -> OracleResult:
         else:
             t = q1_trapezoid(args)
             method_a, qa = "trapezoid", 1.0 - t.value if t.complement else t.value
-        method_b, qb = "asymptotic", q1_asymptotic(args)
+        if a >= ASYMPTOTIC_MIN_A:
+            method_b, qb = "asymptotic", q1_asymptotic(args)
+        else:
+            method_b, qb = "bessel_series", 1.0 - q1_bessel_series(args).value
+        value = qa
     elif b > a and a / b <= _FAR_TAIL_ZETA and 0.5 * (b - a) ** 2 > _FAR_TAIL_EXPONENT:
         ta, tb = q1_trapezoid(args), q1_bessel_series(args)
         qa, qb = ta.value, tb.value
@@ -908,21 +926,25 @@ def q1_reference(args: QArgs) -> OracleResult:
     else:
         method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "series", q1_series(args)
+        value = 0.5 * (qa + qb)
     gap = abs(qa - qb)
-    if gap > AGREEMENT_GATE:
+    # the trapezoid's Q1 (b > a >= ASYMPTOTIC_MIN_A) is checked relative to itself, down to the least normal
+    relative = method_a == "trapezoid" and b > a
+    if gap > AGREEMENT_GATE or (relative and gap > _FAR_TAIL_GATE * max(qa, sys.float_info.min)):
         raise CrossValidationError(
             f"reference methods disagree at (a={a:g}, b={b:g}): "
             f"{method_a}={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
         )
-    return OracleResult(min(1.0, max(0.0, 0.5 * (qa + qb))), qa, qb, gap, method_b)
+    return OracleResult(min(1.0, max(0.0, value)), qa, qb, gap, method_b)
 
 
 def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:
     """``q1_reference(QArgs(a, b))`` for each b of ``b_values``, in order.
 
-    The points share the work that depends on a alone (see the module
-    docstring), none at a >= ASYMPTOTIC_MIN_A, where no quadrature or
-    series runs; every result is bit-identical to the point call.  Each
+    The points at b >= a below ASYMPTOTIC_MIN_A share the work that
+    depends on a alone (see the module docstring); the others, at b < a
+    or a >= ASYMPTOTIC_MIN_A, run no quadrature or series and share none.
+    Every result is bit-identical to the point call.  Each
     point's argument carries that work, and nothing else refers to it,
     so nothing outlives the sweep.
     """

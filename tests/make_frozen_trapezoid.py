@@ -24,7 +24,10 @@ the total.  Tails far below the double range, such as Q1(1, 50) =
 2.46e-523, keep their digits: mpmath's exponent is unbounded.  The
 script prints a dict literal to paste into ``TRAPEZOID_FROZEN``, and
 test_oracle.py checks that the pasted table equals ``frozen_tails()``.
-It takes about 1 s; it is not a test module.
+
+It also prints ``Q1_FROZEN_NEAR_TIE``: Q1 itself at points with b < a
+within 1 of a, below a = 100, from a 50-digit integral of the Rice
+density (see ``near_tie``).  It takes about 5 s; it is not a test module.
 """
 
 import mpmath as mp
@@ -32,16 +35,22 @@ import mpmath as mp
 # Q1 at b > a, the route's deep-tail baselines (0, 30) and (30, 67) among
 # them; then three points where b - a or its square rounds, so S carries
 # that rounding (the last two are where scipy's ncx2.sf is off by 8.2e-6
-# and 6.7e-9); then 1 - Q1 at b < a.  The last three test q1_bessel_series
-# alone: ab < 1e-3 on either side (the trapezoid's b < a form misses its
-# tolerance there), and (97.3, 701.6), where the ulp of d is 3e-11
+# and 6.7e-9); then 1 - Q1 at b < a.  Then ab < 1e-3 on either side and
+# (97.3, 701.6), where the ulp of d is 3e-11.  The last three are 1 - Q1
+# at small ab, where the b < a integrand's parts cancel unless the
+# trapezoid takes its expm1 form: 1.5e-14 off at (0.3133, 0.04155), and
+# a ConvergenceError at ab = 1e-7
 POINTS = [
     (1.0, 30.0), (2.0, 12.0), (0.5, 200.0), (3.0, 80.0), (4.0, 5.0), (20.0, 25.0), (1.0, 50.0),
     (0.0, 30.0), (30.0, 67.0),
     (0.593, 37.229), (7.1403525920058035, 41.18460043448496), (6.27493505783561, 40.55297290545762),
     (20.0, 1.0), (30.0, 2.0),
     (1e-4, 5.0), (0.03, 0.02), (97.3, 701.6),
+    (0.3133, 0.04155), (0.23, 0.023), (2.0, 5e-8),
 ]
+
+# Q1 itself near the tie below a = 100, where q1_reference takes q1_diagonal
+NEAR_TIE = [(0.01, 0.0099), (1.0, 0.999999), (5.0, 4.99), (50.0, 49.5), (99.9, 98.95)]
 
 
 def mixture(a: float, b: float) -> mp.mpf:
@@ -102,10 +111,33 @@ def frozen_tails() -> dict[tuple[float, float], tuple[float, float]]:
     return tails
 
 
+def near_tie() -> dict[tuple[float, float], float]:
+    """(a, b) -> Q1 at every point of NEAR_TIE (all b < a), at 50 digits.
+
+    Q1 is 1 minus the integral of the Rice density over [0, b], split at
+    every integer so each panel holds a smooth piece; it shares no code
+    with the mixture.
+    """
+    values = {}
+    with mp.workdps(50):
+        for a, b in NEAR_TIE:
+            am = mp.mpf(a)
+
+            def rice(x):
+                return x * mp.exp(-((x - am) ** 2) / 2) * mp.besseli(0, am * x) * mp.exp(-am * x)
+
+            values[a, b] = float(1 - mp.quad(rice, [0, *range(1, int(b) + 1), mp.mpf(b)]))
+    return values
+
+
 def main() -> None:
     print("TRAPEZOID_FROZEN = {")
     for (a, b), (s, d) in frozen_tails().items():
         print(f"    ({a!r}, {b!r}): ({s!r}, {d!r}),")
+    print("}")
+    print("Q1_FROZEN_NEAR_TIE = {")
+    for (a, b), q in near_tie().items():
+        print(f"    ({a!r}, {b!r}): {q!r},")
     print("}")
 
 

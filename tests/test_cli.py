@@ -187,8 +187,9 @@ class TestTable:
         rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
         lines = out.splitlines()
-        assert lines[1].startswith("1.0,0.9181076963694061,,,,0.918")
+        assert lines[1].startswith("1.0,") and ",,,,0.9188396708440805," in lines[1]
         assert lines[1].endswith(',"UB1JP: UB1JP requires b >= a, got (a=2, b=1)"')
+        assert lines[2].startswith("2.0,0.6035009606119924,0.6988530849609416,")
         assert lines[2].endswith(",")
         assert lines[3].endswith(',,,,"UB2JP: UB2JP requires b <= a, got (a=2, b=3)"')
         rc, out, _ = run_cli(capsys, *argv, "--format", "json")

@@ -35,8 +35,8 @@ GOLDEN = {
     "eval_a1_b200000": (0, "d6d92f564b0548e93b4d85b685c177a752bb56d73ec17acd9ef8aba5125d3b8d"),
     "eval_a1_b200000_json": (0, "ddf86d8a5999ff905224c2a82c8a5cbaf325711e796c7cf91aff2d60220563a9"),
     "eval_a1_b2_json": (0, "27243c8cf6f5346bd522b741055227eababe1543993a27f076612d7f38cec966"),
-    "eval_a2_b1": (0, "6854b89db21ae90cb4e62df613d845dffdf0bb0c6fe0c6b212f81dd27bb0e875"),
-    "eval_a2_b1_json": (0, "8d49b871770c1c586a683c41b0b53989e331b5a5408b0748c29c76196c19c13e"),
+    "eval_a2_b1": (0, "98b1416dab9d949724cd5c6fd203d500c2baf10a7f82e708f34d3eb932fb5473"),
+    "eval_a2_b1_json": (0, "989758c63a56c8b8fafb8da91ebdbe09ff3c95fa6834256b61a220c9d6cc7c13"),
     "eval_a2_b2": (0, "89ba452c0ef6a315c9623c9fee6fba383e03051135cde80e2acefb0b54359e13"),
     "eval_a2_b2_json": (0, "ecea112de978069f1402b9d4400643074797fcd4490b291ceebb84a909bbf604"),
     "eval_a99.9_b1000000": (0, "9ea53ff6de42bdfe7c1c6f0f741c31a350bc17398d32552daaa59b80dc2f6356"),
@@ -51,16 +51,16 @@ GOLDEN = {
     "fig04_json": (0, "b6df64831934085f7ec673aaf032adde919a5c3db2f773fd4122fc61a8b22bb6"),
     "fig05": (0, "9945f79413f613f58aa6a0631b01160f5919b6fcdac43e507a85f99735ecd20f"),
     "fig05_json": (0, "46748e92c89d59d134af19598026cbab882e11fe01d68b746fbd1be6ba55d43b"),
-    "fig06": (0, "c716a93d7a0a74afeefe3c97c60f3827c5e6f6ddfb92ba6d642a2392dda6ca5d"),
-    "fig06_json": (0, "fbf21521f49b2b1aee9a8bdcd57307e06312772434464d5b1af85854b0bb1b6e"),
-    "fig07": (0, "62b381f69b4e40880da59ad1d6787fad0d19a12ad513597e980ea45188cd10ee"),
-    "fig07_json": (0, "000d31635f8c3a6ec13e725be9b0e75e06c63cffed927cfa6e72046fe3ede125"),
+    "fig06": (0, "6379d04b5d2efac2113acbcaa5a4a34389628f1b788b8ca48a62595091fb188f"),
+    "fig06_json": (0, "fb7b250ae8abfcdafd16f377b5e34c5baa0c96138b22ef61ca5b6666684e5cae"),
+    "fig07": (0, "696f265cdc6694999b6f6610ab39a3998a4fa3803e260714ebf9403ebbc9fe82"),
+    "fig07_json": (0, "6772c5e9a7edcb0e85e1533a94cd388b93bfaeef3aba7582bf1c766f493c0d8e"),
     "fig08": (0, "9cf25507279811c7269c4654067784ee54d3800538ec80197866b2de4903db89"),
     "fig08_json": (0, "7c08cb9d0688caf8eaefd9d1baf781f2a3d7471698dc0c412e366b4bf0d601d7"),
-    "fig09": (0, "de94d2dd871e7debc87b5da19c3f7414dcb8bc26cde73d40383865cf6b3adb12"),
-    "fig09_json": (0, "f0e7f790ee70251bf261ad1388195629b64b8a0a238a63fcf6d2cef83ecdfd4c"),
-    "fig10": (0, "ad1aae7e328b755ec192d11abde105152583d92182df545c8ae9d9f5d6f232af"),
-    "fig10_json": (0, "83b41632ac1a7869c4be88223f0f45bf532932395e87c08a1b512b2b8d9c8528"),
+    "fig09": (0, "82ce3643f97eb32ffac30ecdf760e9deb131fbc7d891b2bb4a726905eb84c576"),
+    "fig09_json": (0, "97b5b1e1d733515d85168206dd7a9fca8be0815b397ed9bbc41b0341dd297779"),
+    "fig10": (0, "03f61b62dd9fce5220e96f3953250d3584e2348b680b63ea1ed38a0bea7868a5"),
+    "fig10_json": (0, "dd98c95b3e9afe24c97646febf5c5a909b8f5f6ecb5fcbbfe831132c279c2f5b"),
     "scan_chain_eq6": (0, "79f97310ec0ba1059ecafd30b8a8c00203a58694941ab0bff7e09852b5cb21df"),
     "scan_chain_eq6_json": (0, "746a4bbb6f456d219adf047304e3e42860fedc467f39d17589b6dd0d9d39f81f"),
     "scan_envelope": (0, "f02c69b492443236aacc542bb72646cdb97fafa620f512cf5e38310ccc69d238"),
@@ -78,12 +78,12 @@ GOLDEN = {
     "scan_sandwich_json": (0, "cf7d688765814de2fa58b1098db6889b64da2e4ce1312c115740b06195da23ed"),
     "table_V": (0, "25556c418894e500af75845961afe669492ec0ce04a1ff2cd9755cd50d52940f"),
     "table_VI": (0, "210ba2201405c2ffc99ccc4757e2319f2399f4fb86770211ca6da934b5af5968"),
-    "table_VII": (0, "bc04dd5a1962b969029213e7be7db0d3f460296ba63861089ce9e80a4cc060d6"),
-    "table_custom": (0, "60324dae8c070ebf060333c33830bb673b1a5f57dec94c117f64e34f122d4289"),
-    "table_custom_json": (0, "f110c55f4b540d01199aedac2cf2d184a98ebeb7c242b9f6c29f6fa12958a842"),
-    "table_VIII": (0, "1b96b48a1cff2d12537a031923a2b22890e27dd446a7d95f75937c7d1cc7f5dc"),
-    "table_VIII_json": (0, "92ffb1fb008b65d02aa6c4e344b192f5b0c261298d8fb6d50f461aab99fb00f2"),
-    "table_VII_json": (0, "f55026ef68e0e3e8a96f903c25de1fc94227812fdd90c6a9561bd08604f35aec"),
+    "table_VII": (0, "5c2410f522b809d02c4d2bd56aea122f490971bf2fbda7fe92417531a6434b64"),
+    "table_custom": (0, "a3eee0933a67ec2b7f641a721b4b35b223175ddd12a4611e79ab03efc02b8c9a"),
+    "table_custom_json": (0, "50856fb1f9d9b3fb8a9a5172da28b180fff30a48cdb37e9ae5d2b52631477296"),
+    "table_VIII": (0, "b0807a538fb968477007ba0d6f61bdfdae17a7f512c568b8babdb792e6bd3c98"),
+    "table_VIII_json": (0, "564cfedb53766a849499535094b4fbc82b55b9a4ffe8159e3b7502b832c72899"),
+    "table_VII_json": (0, "1f419445ee880f937fc334005ce85a354c67d3332b38c29d8d51c9172dae7996"),
     "table_VI_json": (0, "0c037cb0d653866bc0a1b21938b285bc5ccca4cc0b7d3bd59ddf607a0ff5554a"),
     "table_V_json": (0, "63373d98dcfcf02ec50c24d45f5eb2366c44cc65ca70f47463b541c2c15c1875"),
 }

@@ -95,8 +95,8 @@ _PAST_THE_SPAN = {
 }
 
 # (a, b) -> (S, d), 50 digits, from make_frozen_trapezoid.py: Q1 (b > a) or
-# 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2.  The
-# trapezoid is tested at all but the last three, the Bessel series at all
+# 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2.  Both the
+# trapezoid and the Bessel series are tested at all of them
 TRAPEZOID_FROZEN = {
     (1.0, 30.0): (0.07562150057595424, 420.5),
     (2.0, 12.0): (0.09767937392879893, 50.0),
@@ -115,8 +115,20 @@ TRAPEZOID_FROZEN = {
     (0.0001, 5.0): (0.9995001924454304, 12.499500005000002),
     (0.03, 0.02): (0.000199900034324202, 4.999999999999998e-05),
     (97.3, 701.6): (0.0017727437372437622, 182589.24500000005),
+    (0.3133, 0.04155): (0.0008524231494997885, 0.03692403125000001),
+    (0.23, 0.023): (0.0002631402084416784, 0.021424500000000003),
+    (2.0, 5e-08): (1.2499998750000087e-15, 1.9999999000000015),
 }
-TRAPEZOID_POINTS = sorted(TRAPEZOID_FROZEN.keys() - {(0.0001, 5.0), (0.03, 0.02), (97.3, 701.6)})
+TRAPEZOID_POINTS = sorted(TRAPEZOID_FROZEN)
+# Q1 at b < a within 1 of a, below a = 100, where q1_reference takes the
+# diagonal route: 1 minus a 50-digit integral over [0, b], from make_frozen_trapezoid.py
+Q1_FROZEN_NEAR_TIE = {
+    (0.01, 0.0099): 0.9999509986507941,
+    (1.0, 0.999999): 0.7328802695563239,
+    (5.0, 4.99): 0.5441061740035051,
+    (50.0, 49.5): 0.694992138533473,
+    (99.9, 98.95): 0.8302184940939307,
+}
 # the frozen points on q1_reference's far tail, where it pairs the trapezoid with the Bessel series
 FAR_TAIL_FROZEN = [
     (a, b) for a, b in sorted(TRAPEZOID_FROZEN)
@@ -452,16 +464,16 @@ class TestSeries:
 
     def test_sweep_builds_the_outer_window_once(self, monkeypatch):
         means = _count_windows(monkeypatch)
-        a, below, overlapping, above = 30.0, [8.9, 8.945], [8.957, 20.0, 31.0], [48.97, 48.99, 60.0]
+        a, below, overlapping, above = 30.0, [8.9, 8.945], [30.0, 31.0, 33.0], [48.97, 48.99, 60.0]
         results = list(q1_sweep(a, [*below, *overlapping, *above]))
-        # the points above are on the far tail, where the series does not run
-        assert [r.method_b for r in results] == ["series"] * 5 + ["bessel_series"] * 3
-        assert [r.method_b_value for r in results[:2]] == [1.0, 1.0]
-        # the disjoint points build nothing, the outer window included
+        # the series runs only at b >= a off the far tail
+        assert [r.method_b for r in results] == ["bessel_series"] * 2 + ["series"] * 3 + ["bessel_series"] * 3
+        # the points below a and on the far tail build nothing, the outer window included
         assert means == [a * a / 2.0, *(b * b / 2.0 for b in overlapping)]
         # called directly, the series builds both windows where they
-        # overlap (48.97), and none where they do not
+        # overlap (48.97), and none where they do not (below and above)
         del means[:]
+        assert [q1_series(QArgs(a, b)) for b in below] == [1.0, 1.0] and means == []
         assert [q1_series(QArgs(a, b)) for b in above[1:]] == [0.0, 0.0] and means == []
         q1_series(QArgs(a, above[0]))
         assert means == [above[0] ** 2 / 2.0, a * a / 2.0]
@@ -619,7 +631,7 @@ class TestTrapezoid:
         res = q1_trapezoid(QArgs(a, b))
         assert res.exponent == d
         assert res.complement is (b < a)
-        assert res.scaled == pytest.approx(s, rel=1e-13, abs=0.0)
+        assert res.scaled == pytest.approx(s, rel=1e-14, abs=0.0)
         assert res.error <= 1e-15 * res.scaled
 
     def test_scaled_value_past_the_double_range(self):
@@ -860,6 +872,21 @@ _LARGE_A_POINTS = st.floats(math.log(100.0), math.log(1e6)).map(lambda u: min(ma
     )
 )
 
+# a < 100 and b < a: b = 0, the smallest subnormal, anywhere below a, just
+# below a, or within the diagonal span's end on either side
+_BELOW_A_POINTS = st.floats(5e-324, math.nextafter(100.0, 0.0)).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.one_of(
+            st.just(0.0),
+            st.just(min(5e-324, math.nextafter(a, 0.0))),
+            st.just(math.nextafter(a, 0.0)),
+            st.floats(0.0, a, exclude_max=True),
+            st.floats(0.5, 1.5).map(lambda d: max(0.0, math.nextafter(a - d, 0.0))),
+        ),
+    )
+)
+
 
 class TestReference:
     def test_published_value(self):
@@ -867,7 +894,7 @@ class TestReference:
         assert res.value == pytest.approx(0.60804, abs=1e-5)
 
     def test_result_fields(self):
-        res = q1_reference(QArgs(2.0, 1.0))
+        res = q1_reference(QArgs(2.0, 3.0))
         assert res.method_b == "series"
         assert res.agreement_gap == abs(res.method_a_value - res.method_b_value)
         assert res.agreement_gap <= 1e-10
@@ -924,7 +951,7 @@ class TestReference:
             with pytest.raises(AssertionError, match="quadrature called"):
                 q1_reference(QArgs(a, b))
 
-    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 1.0), (2.0, 2.0), (20.0, 1.0), (50.0, 53.0)])
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 3.0), (2.0, 2.0), (20.0, 21.0), (50.0, 53.0)])
     def test_outside_the_far_tail_keeps_the_quadrature(self, a, b):
         res = q1_reference(QArgs(a, b))
         assert res.method_a_value == q1_quadrature(QArgs(a, b))
@@ -941,8 +968,7 @@ class TestReference:
                   (3e5, 3e5 + 1e-6), (1e6, 1e6), (1e6, 1e6 - 1.0), *Q1_FROZEN_NEAR_DIAGONAL]
         for a, b in points:
             res = q1_reference(QArgs(a, b))
-            assert res.method_a_value == q1_diagonal(QArgs(a, b))
-            assert res.value == min(1.0, max(0.0, 0.5 * (res.method_a_value + res.method_b_value)))
+            assert res.value == res.method_a_value == q1_diagonal(QArgs(a, b))
         list(q1_sweep(150.0, [149.0, 149.5, 150.0, 150.5, 151.0]))
         list(q1_sweep(1e3, [999.0, 1e3, 1001.0]))
         # past the span the trapezoid serves at a >= ASYMPTOTIC_MIN_A
@@ -969,6 +995,38 @@ class TestReference:
             assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
         else:
             assert value == pytest.approx(expected, rel=0.0, abs=2.5e-16)
+
+    @pytest.mark.parametrize("a,b", sorted(Q1_FROZEN_NEAR_TIE))
+    def test_frozen_values_near_the_tie(self, a, b):
+        # the mean of the quadrature and the Poisson series was off by up to 6.7e-16 here
+        res = q1_reference(QArgs(a, b))
+        assert res.method_b == "bessel_series"
+        assert res.value == pytest.approx(Q1_FROZEN_NEAR_TIE[a, b], rel=0.0, abs=2.5e-16)
+
+    @given(_BELOW_A_POINTS)
+    @example((2.0, 0.0))
+    @example((2.0, 5e-324))
+    @example((2.0, math.nextafter(2.0, 0.0)))
+    @example((5e-324, 0.0))
+    @example((1e-300, 5e-324))
+    @example((0.3133, 0.04155))
+    @example((math.nextafter(100.0, 0.0), 0.0))
+    @example((math.nextafter(100.0, 0.0), math.nextafter(math.nextafter(100.0, 0.0) - 1.0, 0.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_below_a_calls_neither_quadrature_nor_series(self, point):
+        a, b = point
+        called = []
+
+        def count(name):
+            return lambda *args: called.append(name)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("q1_quadrature", "q1_series", "rice_pdf"):
+                patch.setattr(oracle, name, count(name))
+            res = q1_reference(QArgs(a, b))
+        assert called == []
+        assert res.method_b == "bessel_series"
+        assert 0.0 <= res.value <= 1.0
 
     @given(_LARGE_A_POINTS)
     @example((100.0, 0.0))
@@ -1191,11 +1249,11 @@ class TestSweep:
             return series(args)
 
         monkeypatch.setattr(oracle, "q1_series", spy)
-        list(q1_sweep(2.0, [1.0, 3.0]))
+        list(q1_sweep(2.0, [2.5, 3.0]))
         # both points of the sweep carry the same shared work
         assert len(seen) == 2 and seen[0] is seen[1] and isinstance(seen[0], oracle._Sweep)
         # a point call outside any sweep carries none
-        q1_reference(QArgs(2.0, 1.0))
+        q1_reference(QArgs(2.0, 2.5))
         assert seen[2] is None
 
     def test_rejects_a_negative_b(self):

@@ -33,7 +33,6 @@ from .oracle import (
     q1_quadrature,
     q1_reference,
     q1_series,
-    q1_sweep,
     q1_trapezoid,
     rice_pdf,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "q1_quadrature",
     "q1_reference",
     "q1_series",
-    "q1_sweep",
     "q1_trapezoid",
     "regime_of",
     "rice_pdf",

@@ -26,10 +26,7 @@ from typing import NamedTuple
 
 from .bounds import BoundId, compute_zeta, eval_all, eval_ids
 from .errors import DomainError, UnknownFigureError
-# q1_reference is not called here since the oracle work goes through
-# q1_sweep, but it stays bound: perfbench/tests checks that the tracer
-# wraps this module's binding of it
-from .oracle import QArgs, q1_reference, q1_sweep, rice_pdf  # noqa: F401
+from .oracle import QArgs, q1_reference, rice_pdf
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
@@ -158,9 +155,10 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
     skipped; they never abort the table.
     """
     rows = []
-    for b, ref in zip(b_values, q1_sweep(a, b_values)):
-        exact = ref.value
-        evals, skipped = eval_ids(ids, QArgs(a, b))
+    for b in b_values:
+        args = QArgs(a, b)
+        exact = q1_reference(args).value
+        evals, skipped = eval_ids(ids, args)
         cells = {ev.id: BoundCell(ev.raw, ev.clamped, eps_pct(ev.raw, exact)) for ev in evals}
         rows.append(ErrorRow(b, exact, cells, skipped))
     return rows
@@ -392,9 +390,10 @@ def scan_sandwich(b_per_a: int = 50) -> ScanReport:
         _check_two_sided_size(_SANDWICH_A, b_per_a)
         for a in _SANDWICH_A:
             bs = two_sided_b_grid(a, b_per_a)
-            for b, ref in zip(bs, q1_sweep(a, bs)):
-                exact = ref.value
-                evals, _ = eval_all(QArgs(a, b))
+            for b in bs:
+                args = QArgs(a, b)
+                exact = q1_reference(args).value
+                evals, _ = eval_all(args)
                 count += len(evals)
                 for ev in evals:
                     v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)

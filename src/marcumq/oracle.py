@@ -60,28 +60,29 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
 
 ``q1_reference`` pairs two methods by region.  The two of a pair share
 no code, except that the trapezoid and the Bessel series take the
-exponent from one helper, so that the far tail compares it exactly.
-At every b < a, and at every b from a = ASYMPTOTIC_MIN_A on, method a
-is the diagonal route (|b - a| <= 1) or the trapezoid (beyond), whose
-value is Q1 for b > a and 1 - Q1 for b < a; where b < a and
-(a - b)^2/2 > 745, 1 - Q1 underflows and method a is exactly 1.0, as
-the expansion is.  Its partner is the expansion from ASYMPTOTIC_MIN_A
-on (the Bessel series' depth grows as sqrt(ab), and the expansion covers
-every b there: ab < 1e3 forces b < 10, where 1 - Q1 underflows), and 1
-minus the Bessel series' 1 - Q1 below it.  On the far tail, b > a with
-a/b <= 0.95 and (b - a)^2/2 > ln 1e3, so Q1 < 1e-3, it pairs the
-trapezoid, which calls no Bessel function, with the Bessel series, and
-fails loudly unless the two exponents are equal and the scaled values
-agree to 1e-12 relative, a check that holds however far Q1 underflows.
-Only at b >= a below ASYMPTOTIC_MIN_A and off the far tail does it pair
-the quadrature with the Poisson series, which run at an absolute
-tolerance of DEFAULT_TOL = 1e-12; there it returns their mean, and
-everywhere else method a's value.  Off the far tail it fails loudly if
-the pair disagrees by more than 1e-10 absolute, and past the span at
-a >= ASYMPTOTIC_MIN_A with b > a also by more than 1e-12 of the
-trapezoid's Q1 (relative down to the smallest normal double).
+exponent from one helper, so that the gate compares it exactly.  In the
+band, a < ASYMPTOTIC_MIN_A and a <= b <= a + 1, it pairs the quadrature
+with the Poisson series, which run at an absolute tolerance of
+DEFAULT_TOL = 1e-12, returns their mean, and fails loudly if they
+disagree by more than 1e-10 absolute.  Everywhere else method a is the
+diagonal route (|b - a| <= 1) or the trapezoid (beyond), whose value is
+Q1 for b > a and 1 - Q1 for b < a; where b < a and (a - b)^2/2 > 745,
+1 - Q1 underflows and method a is exactly 1.0, as the expansion is.
+Its partner is the expansion from ASYMPTOTIC_MIN_A on (the Bessel
+series' depth grows as sqrt(ab), and the expansion covers every b
+there: ab < 1e3 forces b < 10, where 1 - Q1 underflows), and the Bessel
+series below it.  It returns method a's value.  Where the trapezoid
+meets the Bessel series (below ASYMPTOTIC_MIN_A, |b - a| > 1) it fails
+loudly unless the two exponents are equal and the scaled values agree
+to 1e-12 relative, on Q1 for b > a and on 1 - Q1 for b < a, a check that
+holds however far the value underflows (below the smallest normal
+double, as the scaled 1 - Q1 ~ b^2/2 is for b < 1e-154, it is 1e-12 of
+that double).  Elsewhere the pair must agree
+to 1e-10 absolute, and past the span at a >= ASYMPTOTIC_MIN_A with b > a
+also to 1e-12 of the trapezoid's Q1 (relative down to the smallest
+normal double).
 
-The range.  ``q1_reference``, ``q1_sweep`` and all six methods take
+The range.  ``q1_reference`` and all six methods take
 a, b <= MAX_ORACLE_ARG = 1e6, and past it each raises DomainError with
 the same message.  The limit is the quadrature's: its peak and seeds sit
 at a, their rounding grows with ulp(a), and past 1e6 its error passes
@@ -90,23 +91,13 @@ the agreement gate (0.80 at a = b = 1e16, 0.0 at 1e20, against about
 the series' disjoint-window exit: ``_pmf`` loses about
 mean ln(mean) 2^-53 in its exponent, 1.5e-3 at mean 5e11 (b = 1e6).
 ``q1_reference`` reaches the quadrature and the series only at a < 100
-and a <= b < ~105 (below max(a/0.95, a + 3.72), where the far tail
-starts), but every method keeps the one range.
+and a <= b <= a + 1, but every method keeps the one range.
 
 Every method takes a ``QArgs``, the validated pair.  Two plain floats in
 [0, DBL_MAX] pass one chained comparison; ints, float subclasses, bools,
 NaN, inf and negatives take the per-field checks.
 
-``q1_sweep(a, b_values)`` yields ``q1_reference(QArgs(a, b))`` for each b
-of a fixed-a sweep.  Each point's QArgs also carries the work the sweep
-shares, which depends on a alone: the quadrature's panels whose root
-interval is bounded by two seeds (or by 0 and a seed), with their
-bisection children, and the series' outer Poisson window for a^2/2,
-built at the first point whose windows overlap.  Neither runs at b < a
-or at a >= 100, and those points share no work.  A panel is a pure function of
-(a, lo, hi), so every result is bit-identical to a point call.  That
-work is reachable only through the sweep's own points, and point calls
-keep call-local state only, so every function here is safe to call
+Every function here keeps call-local state only, so it is safe to call
 from any number of threads.
 """
 
@@ -115,7 +106,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -124,17 +114,15 @@ from .specfun import bessel_i0_scaled
 
 AGREEMENT_GATE = 1e-10
 # from here on q1_reference pairs q1_diagonal or q1_trapezoid with
-# q1_asymptotic at every b; below it, with the Bessel series at b < a only
+# q1_asymptotic at every b; below it, with the Bessel series off the band a <= b <= a + 1
 ASYMPTOTIC_MIN_A = 100.0
 DEFAULT_TOL = 1e-12
 MAX_ORACLE_ARG = 1e6  # every method here refuses a or b above this
 # entries in one Poisson window the series builds; overlapping windows reach it near a = b = 1.2e5
 MAX_SERIES_WINDOW = 2_000_000
-# q1_reference's far tail, where q1_trapezoid replaces the quadrature:
-# b > a, a/b <= _FAR_TAIL_ZETA and (b - a)^2/2 > _FAR_TAIL_EXPONENT (Q1 < 1e-3)
-_FAR_TAIL_ZETA = 0.95
-_FAR_TAIL_EXPONENT = math.log(1e3)
-_FAR_TAIL_GATE = 1e-12  # the far tail's relative gate on the two scaled values
+# q1_reference's relative gate: on the trapezoid's and the Bessel series' scaled
+# values below ASYMPTOTIC_MIN_A, and on the trapezoid's Q1 against the expansion above
+_RELATIVE_GATE = 1e-12
 # q1_diagonal covers |b - a| <= _DIAGONAL_SPAN; past it Q1(a, a) minus the
 # integral no longer keeps relative accuracy (1e-11 at (50, 54), Q1 = 3.3e-5)
 _DIAGONAL_SPAN = 1.0
@@ -199,31 +187,13 @@ class OracleResult(NamedTuple):
     """Cross-validated reference value with both method values."""
 
     value: float
-    # the quadrature at b >= a below a = 100 off the far tail; the
-    # trapezoid on the far tail; at b < a, and at every b from a = 100 on,
+    # the quadrature in the band a <= b <= a + 1 below a = 100; elsewhere
     # the diagonal route where |b - a| <= 1 and the trapezoid's Q1 beyond
     # (see q1_reference)
     method_a_value: float
     method_b_value: float  # the method named by method_b
     agreement_gap: float  # |method_a_value - method_b_value|
-    method_b: str  # "asymptotic" from a = 100 on, else "series" or "bessel_series"
-
-
-class _Sweep:
-    """Work shared by the points of one fixed-a sweep (see ``q1_sweep``)."""
-
-    __slots__ = ("panels", "window")
-
-    def __init__(self) -> None:
-        self.panels = {}  # (lo, hi) -> (value, error)
-        self.window = None  # _poisson_window(a * a / 2)
-
-
-class _SweepPoint(QArgs):
-    """The QArgs of one ``q1_sweep`` point, with the sweep's ``_Sweep`` as ``sweep``.
-
-    ``sweep`` sits in the instance dict: a tuple subclass cannot add slots.
-    """
+    method_b: str  # "series" in the band, else "asymptotic" from a = 100 on and "bessel_series" below
 
 
 def rice_pdf(x: float, a: float) -> float:
@@ -270,12 +240,8 @@ _GK15 = (
 )
 
 
-def _gk15_panel(f, lo: float, hi: float, memo: dict | None = None) -> tuple[float, float]:
-    """(value, error) of one G7/K15 panel; taken from or stored to ``memo``."""
-    if memo is not None:
-        hit = memo.get((lo, hi))
-        if hit is not None:
-            return hit
+def _gk15_panel(f, lo: float, hi: float) -> tuple[float, float]:
+    """(value, error) of one G7/K15 panel."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     g = k = 0.0
@@ -286,28 +252,20 @@ def _gk15_panel(f, lo: float, hi: float, memo: dict | None = None) -> tuple[floa
     g *= h
     k *= h
     d = abs(k - g)
-    result = k, min(d, (200.0 * d) ** 1.5)
-    if memo is not None:
-        memo[lo, hi] = result
-    return result
+    return k, min(d, (200.0 * d) ** 1.5)
 
 
-def _adaptive_quad(f, lo, hi, seeds=(), memo=None):
+def _adaptive_quad(f, lo, hi, seeds=()):
     """Globally adaptive G7/K15 with largest-error-first bisection to DEFAULT_TOL.
 
-    With ``memo`` (a dict), a root panel whose two ends are both seeds
-    or 0, and every panel bisected from it, is taken from ``memo`` by
-    (left, right), or computed and stored there.  Every call sharing a
-    memo must integrate the same f with the same seeds.  Raises
+    Root panels end at the seeds inside (lo, hi).  Raises
     ConvergenceError past _MAX_PANELS panels.
     """
-    anchors = {0.0, *seeds} if memo is not None else ()
     pts = sorted({lo, hi, *(p for p in seeds if lo < p < hi)})
     heap = []
     for left, right in zip(pts, pts[1:]):
-        shared = left in anchors and right in anchors
-        v, e = _gk15_panel(f, left, right, memo if shared else None)
-        heap.append((-e, left, right, v, shared))
+        v, e = _gk15_panel(f, left, right)
+        heap.append((-e, left, right, v))
     heapq.heapify(heap)
     n = len(heap)
     while True:
@@ -317,13 +275,12 @@ def _adaptive_quad(f, lo, hi, seeds=(), memo=None):
             raise ConvergenceError(
                 f"quadrature used {n} panels without reaching tol={DEFAULT_TOL:g}"
             )
-        _, left, right, _, shared = heapq.heappop(heap)
+        _, left, right, _ = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        sub = memo if shared else None
-        v1, e1 = _gk15_panel(f, left, mid, sub)
-        v2, e2 = _gk15_panel(f, mid, right, sub)
-        heapq.heappush(heap, (-e1, left, mid, v1, shared))
-        heapq.heappush(heap, (-e2, mid, right, v2, shared))
+        v1, e1 = _gk15_panel(f, left, mid)
+        v2, e2 = _gk15_panel(f, mid, right)
+        heapq.heappush(heap, (-e1, left, mid, v1))
+        heapq.heappush(heap, (-e2, mid, right, v2))
         n += 1
 
 
@@ -352,13 +309,11 @@ def q1_quadrature(args: QArgs) -> float:
     # panel seeds around the integrand peak at x ~ a
     seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
     integrand = lambda x: rice_pdf(x, a)
-    sweep = getattr(args, "sweep", None)
-    memo = None if sweep is None else sweep.panels
     if b >= a:
         hi = min((s for s in seeds if s >= b + _PANEL_SIGMAS), default=b + _TAIL_SIGMAS)
-        return _adaptive_quad(integrand, b, hi, seeds, memo)
+        return _adaptive_quad(integrand, b, hi, seeds)
     lo = max((s for s in seeds if 0.0 < s <= b - _PANEL_SIGMAS), default=0.0)
-    return 1.0 - _adaptive_quad(integrand, lo, b, seeds, memo)
+    return 1.0 - _adaptive_quad(integrand, lo, b, seeds)
 
 
 def _window_range(mean: float) -> tuple[int, int]:
@@ -476,16 +431,13 @@ def q1_series(args: QArgs) -> float:
             *_tail_bounds(y, jlo, jhi, _pmf(y, jlo), _pmf(y, jhi)),
         )
         return 0.0 if jlo > khi else 1.0
-    sweep = getattr(args, "sweep", None)
-    outer = None if sweep is None else sweep.window
     # the larger window first: one over the cap is refused before the other is built
-    if outer is None and lam >= y:
+    if lam >= y:
         outer = _poisson_window(lam)
-    inner = _poisson_window(y)
-    if outer is None:
+        inner = _poisson_window(y)
+    else:
+        inner = _poisson_window(y)
         outer = _poisson_window(lam)
-    if sweep is not None:
-        sweep.window = outer
     _, _, p, pmass, ptail_lo, ptail_hi = outer
     _, _, q, qmass, qtail_lo, qtail_hi = inner
     _check_tails(ptail_lo, ptail_hi, qtail_lo, qtail_hi)
@@ -867,38 +819,42 @@ def q1_diagonal(args: QArgs) -> float:
 def q1_reference(args: QArgs) -> OracleResult:
     """Cross-validated reference Q1 value.
 
-    Picks its two methods by region, in this order:
+    Picks its two methods by region:
 
-      * b < a, or a >= ASYMPTOTIC_MIN_A: method a is the diagonal route
-        where |b - a| <= 1 and the trapezoid beyond.  For b < a the
-        trapezoid gives 1 - Q1, and method a is 1 minus that, or exactly
-        1.0 where (a - b)^2/2 > 745 and 1 - Q1 underflows.  Method b is
-        the large-xi expansion from ASYMPTOTIC_MIN_A on, and 1 minus the
-        Bessel series' 1 - Q1 below it;
-      * the far tail, b > a with a/b <= 0.95 and (b - a)^2/2 > ln 1e3:
-        the trapezoid and the Bessel series.  There Q1 <= e^-(b-a)^2/2
-        < 1e-3, and an absolute error of 1e-12 is no longer 1e-9
-        relative;
-      * everywhere else (b >= a below ASYMPTOTIC_MIN_A): the quadrature
-        and the Poisson series.
+      * the band, a < ASYMPTOTIC_MIN_A and a <= b <= a + 1: the
+        quadrature and the Poisson series, and their mean;
+      * everywhere else: method a is the diagonal route where
+        |b - a| <= 1 and the trapezoid beyond.  For b < a the trapezoid
+        gives 1 - Q1, and method a is 1 minus that, or exactly 1.0 where
+        (a - b)^2/2 > 745 and 1 - Q1 underflows.  Method b is the
+        large-xi expansion from ASYMPTOTIC_MIN_A on, and the Bessel
+        series (1 minus its 1 - Q1 for b < a) below it.  It returns
+        method a's value.
 
-    On the far tail both methods return (scaled, exponent), and it
-    raises CrossValidationError unless the exponents are equal and the
-    scaled values agree to 1e-12 relative: the check keeps its strength
-    where Q1 underflows, as Q1(1, 50) = 2.46e-523 does.  Elsewhere it
-    raises CrossValidationError if the two disagree by more than 1e-10
-    absolute, or, past the span at a >= ASYMPTOTIC_MIN_A with b > a, by
-    more than 1e-12 of the trapezoid's Q1 (or of the smallest normal
-    double, where Q1 is below it).  It returns the mean of the
-    quadrature and the Poisson series, and method a's value everywhere
-    else, clamped to [0, 1].  A disagreement would indicate a defect,
-    not an input problem.  ``agreement_gap`` is |qa - qb| of the two
-    values everywhere.  Raises DomainError past the range,
-    a, b <= MAX_ORACLE_ARG.
+    Where both the trapezoid and the Bessel series ran (a <
+    ASYMPTOTIC_MIN_A, |b - a| > 1), both return (scaled, exponent) for
+    Q1 (b > a) or 1 - Q1 (b < a), and it raises CrossValidationError
+    unless the exponents are equal and the scaled values agree to 1e-12
+    relative (of the smallest normal double where the scaled value is
+    below it, as it is where 1 - Q1 ~ b^2/2 < 2.2e-308): the check keeps
+    its strength where the value underflows, as Q1(1, 50) = 2.46e-523
+    and 1 - Q1(20, 1) = 1.87e-81 do.  Elsewhere
+    it raises CrossValidationError if the two disagree by more than
+    1e-10 absolute, or, past the span at a >= ASYMPTOTIC_MIN_A with
+    b > a, by more than 1e-12 of the trapezoid's Q1 (or of the smallest
+    normal double, where Q1 is below it).  The value is clamped to
+    [0, 1].  A disagreement would indicate a defect, not an input
+    problem.  ``agreement_gap`` is |qa - qb| of the two values
+    everywhere.  Raises DomainError past the range, a, b <= MAX_ORACLE_ARG.
     """
     _check_range(args, "the oracle")
     a, b = args.a, args.b
-    if a >= ASYMPTOTIC_MIN_A or b < a:
+    t = s = None
+    if a < ASYMPTOTIC_MIN_A and a <= b <= a + _DIAGONAL_SPAN:
+        method_a, qa = "quadrature", q1_quadrature(args)
+        method_b, qb = "series", q1_series(args)
+        value = 0.5 * (qa + qb)
+    else:
         if abs(b - a) <= _DIAGONAL_SPAN:
             method_a, qa = "diagonal", q1_diagonal(args)
         elif b < a and 0.5 * (a - b) ** 2 > _EXP_UNDERFLOW:
@@ -910,46 +866,26 @@ def q1_reference(args: QArgs) -> OracleResult:
         if a >= ASYMPTOTIC_MIN_A:
             method_b, qb = "asymptotic", q1_asymptotic(args)
         else:
-            method_b, qb = "bessel_series", 1.0 - q1_bessel_series(args).value
+            s = q1_bessel_series(args)
+            method_b, qb = "bessel_series", 1.0 - s.value if s.complement else s.value
         value = qa
-    elif b > a and a / b <= _FAR_TAIL_ZETA and 0.5 * (b - a) ** 2 > _FAR_TAIL_EXPONENT:
-        ta, tb = q1_trapezoid(args), q1_bessel_series(args)
-        qa, qb = ta.value, tb.value
-        # the scaled parts keep Q1's digits where the values underflow
-        if not (ta.exponent == tb.exponent and abs(ta.scaled - tb.scaled) <= _FAR_TAIL_GATE * ta.scaled):
+    gap = abs(qa - qb)
+    if t is not None and s is not None:
+        # the scaled parts keep the digits of Q1 (or 1 - Q1) where the values
+        # underflow; both round to the subnormal grid where 1 - Q1 ~ b^2/2 does
+        gate = _RELATIVE_GATE * max(t.scaled, sys.float_info.min)
+        if not (t.exponent == s.exponent and abs(t.scaled - s.scaled) <= gate):
             raise CrossValidationError(
                 f"reference methods disagree at (a={a:g}, b={b:g}): "
-                f"trapezoid={ta.scaled!r}*e^-{ta.exponent!r}, "
-                f"bessel_series={tb.scaled!r}*e^-{tb.exponent!r}"
+                f"trapezoid={t.scaled!r}*e^-{t.exponent!r}, bessel_series={s.scaled!r}*e^-{s.exponent!r}"
             )
-        return OracleResult(qa, qa, qb, abs(qa - qb), "bessel_series")
-    else:
-        method_a, qa = "quadrature", q1_quadrature(args)
-        method_b, qb = "series", q1_series(args)
-        value = 0.5 * (qa + qb)
-    gap = abs(qa - qb)
-    # the trapezoid's Q1 (b > a >= ASYMPTOTIC_MIN_A) is checked relative to itself, down to the least normal
-    relative = method_a == "trapezoid" and b > a
-    if gap > AGREEMENT_GATE or (relative and gap > _FAR_TAIL_GATE * max(qa, sys.float_info.min)):
+    elif gap > AGREEMENT_GATE or (
+        # the trapezoid's Q1 beside the expansion (b > a >= ASYMPTOTIC_MIN_A),
+        # relative to itself down to the least normal
+        method_a == "trapezoid" and b > a and gap > _RELATIVE_GATE * max(qa, sys.float_info.min)
+    ):
         raise CrossValidationError(
             f"reference methods disagree at (a={a:g}, b={b:g}): "
             f"{method_a}={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
         )
     return OracleResult(min(1.0, max(0.0, value)), qa, qb, gap, method_b)
-
-
-def q1_sweep(a: float, b_values: Iterable[float]) -> Iterator[OracleResult]:
-    """``q1_reference(QArgs(a, b))`` for each b of ``b_values``, in order.
-
-    The points at b >= a below ASYMPTOTIC_MIN_A share the work that
-    depends on a alone (see the module docstring); the others, at b < a
-    or a >= ASYMPTOTIC_MIN_A, run no quadrature or series and share none.
-    Every result is bit-identical to the point call.  Each
-    point's argument carries that work, and nothing else refers to it,
-    so nothing outlives the sweep.
-    """
-    sweep = _Sweep()
-    for b in b_values:
-        args = _SweepPoint(a, b)
-        args.sweep = sweep
-        yield q1_reference(args)

@@ -27,7 +27,9 @@ test_oracle.py checks that the pasted table equals ``frozen_tails()``.
 
 It also prints ``Q1_FROZEN_NEAR_TIE``: Q1 itself at points with b < a
 within 1 of a, below a = 100, from a 50-digit integral of the Rice
-density (see ``near_tie``).  It takes about 5 s; it is not a test module.
+density (see ``near_tie``), and ``Q1_FROZEN_PAST_SPAN``: Q1 itself from
+the mixture at points with b just past a + 1, below a = 100 (see
+``past_span``).  It takes about 5 s; it is not a test module.
 """
 
 import mpmath as mp
@@ -51,6 +53,10 @@ POINTS = [
 
 # Q1 itself near the tie below a = 100, where q1_reference takes q1_diagonal
 NEAR_TIE = [(0.01, 0.0099), (1.0, 0.999999), (5.0, 4.99), (50.0, 49.5), (99.9, 98.95)]
+
+# Q1 itself at b a little past a + 1 below a = 100, where q1_reference pairs
+# the trapezoid with the Bessel series and Q1 is not yet small
+PAST_SPAN = [(0.5, 1.7), (1.0, 2.5), (10.0, 11.5), (20.0, 23.0), (50.0, 53.0), (99.9, 101.2)]
 
 
 def mixture(a: float, b: float) -> mp.mpf:
@@ -111,6 +117,12 @@ def frozen_tails() -> dict[tuple[float, float], tuple[float, float]]:
     return tails
 
 
+def past_span() -> dict[tuple[float, float], float]:
+    """(a, b) -> Q1 at every point of PAST_SPAN (all b > a), at 50 digits."""
+    with mp.workdps(50):
+        return {(a, b): float(mixture(a, b)) for a, b in PAST_SPAN}
+
+
 def near_tie() -> dict[tuple[float, float], float]:
     """(a, b) -> Q1 at every point of NEAR_TIE (all b < a), at 50 digits.
 
@@ -137,6 +149,10 @@ def main() -> None:
     print("}")
     print("Q1_FROZEN_NEAR_TIE = {")
     for (a, b), q in near_tie().items():
+        print(f"    ({a!r}, {b!r}): {q!r},")
+    print("}")
+    print("Q1_FROZEN_PAST_SPAN = {")
+    for (a, b), q in past_span().items():
         print(f"    ({a!r}, {b!r}): {q!r},")
     print("}")
 

@@ -363,23 +363,6 @@ class TestFigureData:
         assert math.isnan(t.rows[0][iub1b])
         assert math.isfinite(t.rows[1][iub1b])
 
-    def test_fig4_shares_oracle_work_across_its_sweep(self, monkeypatch):
-        # a work count, not a time: the fixed-a sweep must keep sharing
-        # panels, at most half the Rice density calls of point calls
-        calls = [0]
-        pdf = oracle.rice_pdf
-
-        def counted(x, a):
-            calls[0] += 1
-            return pdf(x, a)
-
-        monkeypatch.setattr(oracle, "rice_pdf", counted)
-        rows = figure_data(4).rows
-        swept, calls[0] = calls[0], 0
-        for b, exact, *_ in rows:
-            assert q1_reference(QArgs(1.0, b)).value == exact
-        assert 0 < swept <= 0.5 * calls[0]
-
     def test_fig4_jp_hugs_exact(self):
         t = figure_data(4)
         ie, iu, il = (t.columns.index(c) for c in ("exact", "UB1JP", "LB1JP"))

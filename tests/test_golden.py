@@ -47,16 +47,16 @@ GOLDEN = {
     "fig02_json": (0, "176dacd2262f513c6993a4abc06e9e98a0b772805ed581a36d83be67c4b98ec6"),
     "fig03": (0, "51fd61a06b31ecd9c7c70f0b375ad701128ffb55f80bba842ac2d917c20a6099"),
     "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
-    "fig04": (0, "f99d77e5b791d9368e84d5c7db142e9dac44e4e4e1b00cbe1081afdceb021eaa"),
-    "fig04_json": (0, "b6df64831934085f7ec673aaf032adde919a5c3db2f773fd4122fc61a8b22bb6"),
-    "fig05": (0, "9945f79413f613f58aa6a0631b01160f5919b6fcdac43e507a85f99735ecd20f"),
-    "fig05_json": (0, "46748e92c89d59d134af19598026cbab882e11fe01d68b746fbd1be6ba55d43b"),
+    "fig04": (0, "40eb501b3b50305329e5e36c55886a18de625f042244ea74aac8188ef691060c"),
+    "fig04_json": (0, "c11e2ee56eb3ef504f52679efd71792d6d8426419306ee6ce5bc8aecb17ae3dc"),
+    "fig05": (0, "347bf126939b8b437d3cb1c8e0955ab7b8a768ccbfd017db6aada6cdb753e43a"),
+    "fig05_json": (0, "9a5c5c60b5bdc076dbaea455f7a9a4070bd4e9bd45981ac8f1d1ef1fcf353c18"),
     "fig06": (0, "6379d04b5d2efac2113acbcaa5a4a34389628f1b788b8ca48a62595091fb188f"),
     "fig06_json": (0, "fb7b250ae8abfcdafd16f377b5e34c5baa0c96138b22ef61ca5b6666684e5cae"),
     "fig07": (0, "696f265cdc6694999b6f6610ab39a3998a4fa3803e260714ebf9403ebbc9fe82"),
     "fig07_json": (0, "6772c5e9a7edcb0e85e1533a94cd388b93bfaeef3aba7582bf1c766f493c0d8e"),
-    "fig08": (0, "9cf25507279811c7269c4654067784ee54d3800538ec80197866b2de4903db89"),
-    "fig08_json": (0, "7c08cb9d0688caf8eaefd9d1baf781f2a3d7471698dc0c412e366b4bf0d601d7"),
+    "fig08": (0, "b510af11d53164982cb9b11060da51944c4213d8511fef91d013b921f3370fd5"),
+    "fig08_json": (0, "f1a4215abe629ed735b6cf7d0ab7a4317cfb05a22bb875d1658a714a9b22de78"),
     "fig09": (0, "82ce3643f97eb32ffac30ecdf760e9deb131fbc7d891b2bb4a726905eb84c576"),
     "fig09_json": (0, "97b5b1e1d733515d85168206dd7a9fca8be0815b397ed9bbc41b0341dd297779"),
     "fig10": (0, "03f61b62dd9fce5220e96f3953250d3584e2348b680b63ea1ed38a0bea7868a5"),

@@ -10,8 +10,6 @@ function provides an independent implementation for cross-checks
 
 import math
 import re
-import sys
-import threading
 import time
 import tracemalloc
 
@@ -32,12 +30,11 @@ from marcumq.oracle import (
     q1_quadrature,
     q1_reference,
     q1_series,
-    q1_sweep,
     q1_trapezoid,
     rice_pdf,
 )
 
-from make_frozen_trapezoid import frozen_tails
+from make_frozen_trapezoid import frozen_tails, past_span
 from make_gauss_legendre import generated_block as gauss_legendre_block
 from reference_tables import frozen_full_range_quadrature
 
@@ -129,11 +126,21 @@ Q1_FROZEN_NEAR_TIE = {
     (50.0, 49.5): 0.694992138533473,
     (99.9, 98.95): 0.8302184940939307,
 }
-# the frozen points on q1_reference's far tail, where it pairs the trapezoid with the Bessel series
-FAR_TAIL_FROZEN = [
-    (a, b) for a, b in sorted(TRAPEZOID_FROZEN)
-    if a < oracle.ASYMPTOTIC_MIN_A and b > a and a / b <= oracle._FAR_TAIL_ZETA
-    and 0.5 * (b - a) ** 2 > oracle._FAR_TAIL_EXPONENT
+# Q1 at b a little past a + 1 below a = 100, where q1_reference pairs the
+# trapezoid with the Bessel series: the 50-digit mixture, from make_frozen_trapezoid.py
+Q1_FROZEN_PAST_SPAN = {
+    (0.5, 1.7): 0.2775792712563917,
+    (1.0, 2.5): 0.1208541231487329,
+    (10.0, 11.5): 0.07306384462950884,
+    (20.0, 23.0): 0.0014568541253861939,
+    (50.0, 53.0): 0.0013935730392624726,
+    (99.9, 101.2): 0.09765542352601103,
+}
+# the frozen points where q1_reference pairs the trapezoid with the Bessel
+# series: a < ASYMPTOTIC_MIN_A past the diagonal span, on either side of b = a
+PAIRED_FROZEN = [
+    (a, b) for a, b in TRAPEZOID_POINTS
+    if a < oracle.ASYMPTOTIC_MIN_A and abs(b - a) > oracle._DIAGONAL_SPAN
 ]
 
 
@@ -462,17 +469,13 @@ class TestSeries:
         q1_series(QArgs(a, b))
         assert sorted(means) == sorted([a * a / 2.0, b * b / 2.0][:built])
 
-    def test_sweep_builds_the_outer_window_once(self, monkeypatch):
+    def test_direct_calls_build_windows_only_where_they_overlap(self, monkeypatch):
         means = _count_windows(monkeypatch)
-        a, below, overlapping, above = 30.0, [8.9, 8.945], [30.0, 31.0, 33.0], [48.97, 48.99, 60.0]
-        results = list(q1_sweep(a, [*below, *overlapping, *above]))
-        # the series runs only at b >= a off the far tail
-        assert [r.method_b for r in results] == ["bessel_series"] * 2 + ["series"] * 3 + ["bessel_series"] * 3
-        # the points below a and on the far tail build nothing, the outer window included
-        assert means == [a * a / 2.0, *(b * b / 2.0 for b in overlapping)]
+        a, below, above = 30.0, [8.9, 8.945], [48.97, 48.99, 60.0]
+        # the oracle takes the Bessel series at b < a and builds no window
+        assert [q1_reference(QArgs(a, b)).method_b for b in below] == ["bessel_series"] * 2 and means == []
         # called directly, the series builds both windows where they
         # overlap (48.97), and none where they do not (below and above)
-        del means[:]
         assert [q1_series(QArgs(a, b)) for b in below] == [1.0, 1.0] and means == []
         assert [q1_series(QArgs(a, b)) for b in above[1:]] == [0.0, 0.0] and means == []
         q1_series(QArgs(a, above[0]))
@@ -491,20 +494,6 @@ class TestSeries:
         lo, hi, _, _, tail_lo, tail_hi = oracle._poisson_window(mean)
         bounds = oracle._tail_bounds(mean, lo, hi, oracle._pmf(mean, lo), oracle._pmf(mean, hi))
         assert bounds == pytest.approx((tail_lo, tail_hi), rel=1e-9, abs=0.0)
-
-    @pytest.mark.parametrize("a", [0.7, 6.0, 25.4, 60.0])
-    def test_sweep_bit_identical_to_frozen_form(self, a):
-        # b = 0, b < a, b = a and b > a, through the shared outer window;
-        # on the far tail the sweep's points take the Bessel series, and
-        # the series is called there directly
-        bs = [0.0, a, *(0.06 * i * (a + 5.0) for i in range(1, 49))]
-        swept = {b: r for b, r in zip(bs, q1_sweep(a, bs))}
-        far = [b for b in bs if swept[b].method_b == "bessel_series"]
-        assert len(far) >= 10 and all(swept[b].method_b == "series" for b in bs if b not in far)
-        got = [swept[b].method_b_value.hex() for b in bs if b not in far]
-        assert got == [_series_closure_form(a, b).hex() for b in bs if b not in far]
-        assert [q1_series(QArgs(a, b)).hex() for b in far] == [_series_closure_form(a, b).hex() for b in far]
-
 
     def test_published_spot_values(self):
         assert q1_series(QArgs(2.0, 1.0)) == pytest.approx(0.91810, abs=1e-4)
@@ -872,9 +861,11 @@ _LARGE_A_POINTS = st.floats(math.log(100.0), math.log(1e6)).map(lambda u: min(ma
     )
 )
 
-# a < 100 and b < a: b = 0, the smallest subnormal, anywhere below a, just
-# below a, or within the diagonal span's end on either side
-_BELOW_A_POINTS = st.floats(5e-324, math.nextafter(100.0, 0.0)).flatmap(
+# a < 100 off the band a <= b <= a + 1.  b < a: b = 0, the smallest
+# subnormal, anywhere below a, just below a, or within the diagonal span's
+# end on either side.  b > a + 1: just past it, anywhere up to a + 1e5, or
+# within half a unit past a + 1
+_OFF_THE_BAND_POINTS = st.floats(5e-324, math.nextafter(100.0, 0.0)).flatmap(
     lambda a: st.tuples(
         st.just(a),
         st.one_of(
@@ -883,6 +874,9 @@ _BELOW_A_POINTS = st.floats(5e-324, math.nextafter(100.0, 0.0)).flatmap(
             st.just(math.nextafter(a, 0.0)),
             st.floats(0.0, a, exclude_max=True),
             st.floats(0.5, 1.5).map(lambda d: max(0.0, math.nextafter(a - d, 0.0))),
+            st.just(math.nextafter(a + 1.0, math.inf)),
+            st.floats(1.0, 1e5).map(lambda d: max(a + d, math.nextafter(a + 1.0, math.inf))),
+            st.floats(1.0, 1.5).map(lambda d: max(a + d, math.nextafter(a + 1.0, math.inf))),
         ),
     )
 )
@@ -908,7 +902,7 @@ class TestReference:
     def test_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "q1_series", lambda args: 0.5)
         with pytest.raises(CrossValidationError):
-            q1_reference(QArgs(0.1, 2.0))
+            q1_reference(QArgs(0.1, 1.1))
 
     def test_disagreement_raises_on_asymptotic_route(self, monkeypatch):
         monkeypatch.setattr(oracle, "q1_asymptotic", lambda args: 0.5)
@@ -939,19 +933,20 @@ class TestReference:
             raise AssertionError("quadrature called")
 
         monkeypatch.setattr(oracle, "q1_quadrature", no_quadrature)
-        # the corners of the far tail: b - a just past sqrt(2 ln 1e3) = 3.717,
-        # a/b = 0.95, a just below ASYMPTOTIC_MIN_A
-        points = [(0.0, 3.72), (1.0, 30.0), (2.0, 12.0), (95.0, 100.0), (99.9, 105.2), (1e-300, 40.0)]
+        # the corners of the far tail (b - a just past sqrt(2 ln 1e3) = 3.717,
+        # a/b = 0.95, a just below ASYMPTOTIC_MIN_A), and points between it and the band
+        points = [(0.0, 3.72), (1.0, 30.0), (2.0, 12.0), (95.0, 100.0), (99.9, 105.2), (1e-300, 40.0),
+                  (30.0, 34.0), (30.0, 67.0), (0.0, 3.71), (95.5, 100.0)]
         for a, b in points:
             q1_reference(QArgs(a, b))
-        list(q1_sweep(30.0, [34.0, 67.0]))
         # past a = ASYMPTOTIC_MIN_A the trapezoid takes the far tail too
         q1_reference(QArgs(100.0, 120.0))
-        for a, b in [(0.0, 3.71), (95.5, 100.0)]:
+        # only the band a <= b <= a + 1 below ASYMPTOTIC_MIN_A keeps it
+        for a, b in [(0.0, 1.0), (95.5, 96.5)]:
             with pytest.raises(AssertionError, match="quadrature called"):
                 q1_reference(QArgs(a, b))
 
-    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 3.0), (2.0, 2.0), (20.0, 21.0), (50.0, 53.0)])
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.0, 3.0), (2.0, 2.0), (20.0, 21.0), (50.0, 51.0)])
     def test_outside_the_far_tail_keeps_the_quadrature(self, a, b):
         res = q1_reference(QArgs(a, b))
         assert res.method_a_value == q1_quadrature(QArgs(a, b))
@@ -969,8 +964,9 @@ class TestReference:
         for a, b in points:
             res = q1_reference(QArgs(a, b))
             assert res.value == res.method_a_value == q1_diagonal(QArgs(a, b))
-        list(q1_sweep(150.0, [149.0, 149.5, 150.0, 150.5, 151.0]))
-        list(q1_sweep(1e3, [999.0, 1e3, 1001.0]))
+        for a, bs in [(150.0, [149.0, 149.5, 150.0, 150.5, 151.0]), (1e3, [999.0, 1e3, 1001.0])]:
+            for b in bs:
+                q1_reference(QArgs(a, b))
         # past the span the trapezoid serves at a >= ASYMPTOTIC_MIN_A
         for a, b in [(1e3, 1e3 + 3), (100.0, 120.0), (1e3, math.nextafter(1001.0, math.inf))]:
             assert q1_reference(QArgs(a, b)).method_a_value == q1_trapezoid(QArgs(a, b)).value
@@ -1003,7 +999,17 @@ class TestReference:
         assert res.method_b == "bessel_series"
         assert res.value == pytest.approx(Q1_FROZEN_NEAR_TIE[a, b], rel=0.0, abs=2.5e-16)
 
-    @given(_BELOW_A_POINTS)
+    def test_past_span_table_regenerates(self):
+        assert past_span() == Q1_FROZEN_PAST_SPAN
+
+    @pytest.mark.parametrize("a,b", sorted(Q1_FROZEN_PAST_SPAN))
+    def test_frozen_values_past_the_span(self, a, b):
+        # the mean of the quadrature and the Poisson series was off by up to 1.9e-15 here
+        res = q1_reference(QArgs(a, b))
+        assert res.method_b == "bessel_series"
+        assert res.value == pytest.approx(Q1_FROZEN_PAST_SPAN[a, b], rel=1e-15, abs=0.0)
+
+    @given(_OFF_THE_BAND_POINTS)
     @example((2.0, 0.0))
     @example((2.0, 5e-324))
     @example((2.0, math.nextafter(2.0, 0.0)))
@@ -1012,8 +1018,17 @@ class TestReference:
     @example((0.3133, 0.04155))
     @example((math.nextafter(100.0, 0.0), 0.0))
     @example((math.nextafter(100.0, 0.0), math.nextafter(math.nextafter(100.0, 0.0) - 1.0, 0.0)))
-    @settings(max_examples=200, deadline=None)
-    def test_below_a_calls_neither_quadrature_nor_series(self, point):
+    @example((0.0, math.nextafter(1.0, math.inf)))
+    @example((1e-300, math.nextafter(1e-300 + 1.0, math.inf)))
+    @example((1.0, math.nextafter(2.0, math.inf)))
+    @example((math.nextafter(100.0, 0.0), math.nextafter(math.nextafter(100.0, 0.0) + 1.0, math.inf)))
+    @example((99.9, 1e6))
+    @example((2.0, 1e-158))
+    @example((2.0, 2.2e-162))
+    @example((9.047370896456613, 4.46917546954652e-160))
+    @example((22.421680376217665, 3.0726669037276803e-158))
+    @settings(max_examples=300, deadline=None)
+    def test_off_the_band_calls_neither_quadrature_nor_series(self, point):
         a, b = point
         called = []
 
@@ -1027,6 +1042,17 @@ class TestReference:
         assert called == []
         assert res.method_b == "bessel_series"
         assert 0.0 <= res.value <= 1.0
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.0, 0.06), (99.9, 100.9)])
+    def test_band_calls_quadrature_and_series_once(self, a, b, monkeypatch):
+        # the band a <= b <= a + 1 below ASYMPTOTIC_MIN_A, corners included
+        called = []
+        for name in ("q1_quadrature", "q1_series"):
+            method = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda args, name=name, method=method: called.append(name) or method(args))
+        res = q1_reference(QArgs(a, b))
+        assert sorted(called) == ["q1_quadrature", "q1_series"]
+        assert res.method_b == "series"
 
     @given(_LARGE_A_POINTS)
     @example((100.0, 0.0))
@@ -1058,11 +1084,14 @@ class TestReference:
             q1_reference(QArgs(1.0, 30.0))
 
     @pytest.mark.parametrize("method", ["q1_trapezoid", "q1_bessel_series"])
-    @pytest.mark.parametrize("a,b", sorted({(1.0, 30.0), (2.0, 12.0), (5.0, 12.0), *FAR_TAIL_FROZEN}))
+    @pytest.mark.parametrize(
+        "a,b", sorted({(1.0, 30.0), (2.0, 12.0), (5.0, 12.0), (5.0, 2.0), (20.0, 1.0), (60.0, 40.0), *PAIRED_FROZEN})
+    )
     def test_far_tail_gate_catches_a_relative_error(self, a, b, method, monkeypatch):
-        # either method off by 1e-11 relative is caught, also where Q1
-        # underflows; the absolute 1e-10 gate let a factor of 2 pass at
-        # (1, 30), (2, 12) and (5, 12)
+        # either method off by 1e-11 relative is caught, also where Q1 or
+        # 1 - Q1 underflows; the absolute 1e-10 gate let a factor of 2 pass
+        # at (1, 30), (2, 12) and (5, 12), and any factor at (20, 1), where
+        # 1 - Q1 = 1.87e-81
         exact = getattr(oracle, method)
 
         def off(args):
@@ -1138,16 +1167,11 @@ _LIMIT = oracle.MAX_ORACLE_ARG
 _ABOVE = math.nextafter(_LIMIT, math.inf)
 
 
-def _sweep_point(args):
-    return next(q1_sweep(args.a, [args.b]))
-
-
 @pytest.mark.parametrize(
     "method,who,at_limit",
     [
         # the error each method documents at (L, L), (1, L) and (L, 1), L = MAX_ORACLE_ARG
         (q1_reference, "the oracle", {}),
-        (_sweep_point, "the oracle", {}),
         (q1_quadrature, "the quadrature", {}),
         (q1_series, "the series", {(_LIMIT, _LIMIT): "series window of"}),
         (q1_asymptotic, "the expansion", {}),
@@ -1214,108 +1238,3 @@ class TestRicePdf:
         v = rice_pdf(600.0, 600.0)
         assert math.isfinite(v)
         assert v == pytest.approx(600.0 / math.sqrt(2 * math.pi * 360000.0), rel=1e-3)
-
-
-def _bits(res):
-    return (
-        res.value.hex(), res.method_a_value.hex(), res.method_b_value.hex(),
-        res.agreement_gap.hex(), res.method_b,
-    )
-
-
-class TestSweep:
-    @given(
-        st.one_of(st.just(0.0), st.floats(0.0, 30.0), st.floats(100.0, 400.0)),
-        st.lists(st.floats(0.0, 2.0), max_size=6),
-        st.lists(st.floats(0.0, 40.0), max_size=3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_bit_identical_to_point_calls(self, a, us, vs):
-        # b = 0, b = a, b on a seed (a + 1), b < a and random b, some repeated,
-        # and b up to a + 40, where points with a < 100 take the trapezoid
-        bs = [0.0, a, a + 1.0, 0.5 * a, *(a * u + u for u in us), *(a + v for v in vs), a]
-        swept = list(q1_sweep(a, (b for b in bs)))
-        assert [_bits(r) for r in swept] == [_bits(q1_reference(QArgs(a, b))) for b in bs]
-
-    def test_empty_sweep(self):
-        assert list(q1_sweep(1.0, [])) == []
-
-    def test_scope_set_only_while_a_point_runs(self, monkeypatch):
-        seen = []
-        series = oracle.q1_series
-
-        def spy(args):
-            seen.append(getattr(args, "sweep", None))
-            return series(args)
-
-        monkeypatch.setattr(oracle, "q1_series", spy)
-        list(q1_sweep(2.0, [2.5, 3.0]))
-        # both points of the sweep carry the same shared work
-        assert len(seen) == 2 and seen[0] is seen[1] and isinstance(seen[0], oracle._Sweep)
-        # a point call outside any sweep carries none
-        q1_reference(QArgs(2.0, 2.5))
-        assert seen[2] is None
-
-    def test_rejects_a_negative_b(self):
-        with pytest.raises(DomainError):
-            list(q1_sweep(1.0, [0.5, -1.0]))
-
-    def test_other_a_ignores_the_scope(self, monkeypatch):
-        # a call for another a inside a sweep's point takes the point path
-        calls = []
-        point = oracle.q1_reference
-
-        def nested(args):
-            calls.append(_bits(point(QArgs(args.a + 1.0, args.b))))
-            return point(args)
-
-        monkeypatch.setattr(oracle, "q1_reference", nested)
-        list(q1_sweep(3.0, [2.0, 4.0]))
-        monkeypatch.setattr(oracle, "q1_reference", point)
-        assert calls == [_bits(q1_reference(QArgs(4.0, b))) for b in (2.0, 4.0)]
-
-    def test_threads_sweeping_different_a(self):
-        bs = [0.5 * i for i in range(12)]
-        a_values = (0.5, 2.0, 7.0, 150.0)
-        expected = {a: [_bits(q1_reference(QArgs(a, b))) for b in bs] for a in a_values}
-        got = {}
-
-        def work(a):
-            got[a] = [_bits(r) for r in q1_sweep(a, bs)]
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(a,)) for a in a_values]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert got == expected
-
-    @pytest.mark.parametrize("a", [0.0, 4.0, 10.0, 20.0, 150.0])
-    def test_panel_memo_does_not_grow_with_the_sweep(self, monkeypatch, a):
-        # only panels fixed by a are kept: 8-17 of them at these a < 100 for
-        # any grid, so a sweep four times as long over the same b keeps no
-        # more; from a = ASYMPTOTIC_MIN_A on no quadrature runs and none is kept
-        sizes = []
-        point = oracle.q1_reference
-
-        def spy(args):
-            res = point(args)
-            sizes.append(len(args.sweep.panels))
-            return res
-
-        monkeypatch.setattr(oracle, "q1_reference", spy)
-        grid = [(2.0 * a + 3.0) * i / 99 for i in range(100)]
-        list(q1_sweep(a, grid * 4))
-        if a >= oracle.ASYMPTOTIC_MIN_A:
-            assert set(sizes) == {0}
-        else:
-            assert 0 < sizes[len(grid) - 1] == sizes[-1] <= 32
-        sizes.clear()
-        list(q1_sweep(a, [(2.0 * a + 3.0) * i / 1599 for i in range(1600)]))
-        assert max(sizes) <= 32

@@ -43,9 +43,10 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
   * ``q1_trapezoid``: the trapezoid rule on Simon's finite-range
     integral with e^-(b-a)^2/2 factored out, accurate relative to its
     value (to about 1e-15) also far below the double range.  It gives Q1
-    for b > a and 1 - Q1 for b < a as a scaled value and an exponent, in
-    about 30 integrand evaluations on the far tail (up to about 280 just
-    past |b - a| = 1) however large ab is.
+    for b > a and 1 - Q1 for b < a as a scaled value, an exponent and a
+    bound on its error, at about 15 nodes on the far tail (up to about
+    120 just past |b - a| = 1) however large ab is: the strip theorem for
+    the periodic trapezoid rule sizes N once.
   * ``q1_diagonal``: for |b - a| <= 1, the exact diagonal
     Q1(a, a) = (1 + i0e(a^2))/2 minus the integral of the Rice density
     from a to b by a fixed 10-point Gauss-Legendre rule in the offset
@@ -126,13 +127,13 @@ _RELATIVE_GATE = 1e-12
 # q1_diagonal covers |b - a| <= _DIAGONAL_SPAN; past it Q1(a, a) minus the
 # integral no longer keeps relative accuracy (1e-11 at (50, 54), Q1 = 3.3e-5)
 _DIAGONAL_SPAN = 1.0
-# q1_trapezoid: N = max(_TRAPEZOID_POLE/ln(1/zeta), _TRAPEZOID_PEAK sqrt(ab) + _TRAPEZOID_MIN)
-# panels meets the error estimate's _TRAPEZOID_TOL at all but one of 422
-# sampled points with zeta <= 0.95, which takes one doubling
-_TRAPEZOID_POLE = 56.0
-_TRAPEZOID_PEAK = 8.7
-_TRAPEZOID_MIN = 8.0
+# q1_trapezoid: the proven bound on its error must be within _TRAPEZOID_TOL of
+# the value; rounding is taken as _TRAPEZOID_ULPS ulps of each term's size
 _TRAPEZOID_TOL = 1e-15
+_TRAPEZOID_ULPS = 2.0
+# ln(2/tol'), tol' the strip term's share of _TRAPEZOID_TOL: what the rounding's
+# ulps + 1 leave, less half an ulp of margin
+_TRAPEZOID_LN_STRIP = math.log(2.0 / (_TRAPEZOID_TOL - (_TRAPEZOID_ULPS + 1.5) * sys.float_info.epsilon))
 _TRAPEZOID_CUT = 50.0  # nodes where 2ab sin^2(phi/2) exceeds this are left out
 _TRAPEZOID_MAX_NODES = 4096
 # q1_bessel_series stops where sum (ln(1/zeta) + asinh(j/x)) reaches this (e^-39.2 = 1e-17),
@@ -569,9 +570,10 @@ class TrapezoidResult(NamedTuple):
     scaled: float
     exponent: float  # the double 0.5 * (b - a)^2
     complement: bool  # b < a: the value is 1 - Q1
-    nodes: int  # integrand evaluations, or the series' terms
-    # in units of ``scaled``: the trapezoid's |T_N - T_N/2|, or the series'
-    # bound on the terms it leaves out
+    nodes: int  # nodes of the rule, or the series' terms
+    # in units of ``scaled``: the trapezoid's bound on |scaled - S| (strip
+    # theorem, left-out nodes, and a model of the rounding), or the
+    # series' bound on the terms it leaves out
     error: float
 
     @property
@@ -583,12 +585,15 @@ class TrapezoidResult(NamedTuple):
 def _simon_terms(ks: range, h: float, p: float, q: float, w2: float, z4: float, ab2: float, exp) -> list[float]:
     """Simon's integrand (p + q v)/(w2 + z4 v) exp(-ab2 v), v = sin^2(phi/2), at phi = k h for k in ks."""
     sin = math.sin
-    hh = 0.5 * h
+    hh, nab2 = 0.5 * h, -ab2
+    # k as a float (exact), so each product is a float one
+    k, step = float(ks.start), float(ks.step)
     out = []
-    for k in ks:
+    for _ in ks:
         s = sin(hh * k)
+        k += step
         v = s * s
-        out.append((p + q * v) / (w2 + z4 * v) * exp(-ab2 * v))
+        out.append((p + q * v) / (w2 + z4 * v) * exp(nab2 * v))
     return out
 
 
@@ -610,36 +615,87 @@ def _split_exponent(lo: float, hi: float) -> tuple[float, float]:
 
 
 def q1_trapezoid(args: QArgs) -> TrapezoidResult:
-    """Q1 (b > a), or 1 - Q1 (b < a), by the trapezoid rule on Simon's integral.
+    """Q1 (b > a), or 1 - Q1 (b < a), by the trapezoid rule on Simon's integral, with a proven bound.
 
-    With lo, hi = min(a, b), max(a, b), zeta = lo/hi and phi = theta + pi/2
-    in Simon's finite-range form (IEEE Commun. Lett. 2(2), 1998),
+    With lo, hi = min(a, b), max(a, b), zeta = lo/hi, d = (b - a)^2/2 and
+    phi = theta + pi/2 in Simon's finite-range form (IEEE Commun. Lett.
+    2(2), 1998), the value is e^-d S with
 
-        Q1     = e^-d (1/pi) int_0^pi (1 - zeta cos phi)/D e^(-2ab sin^2(phi/2)) dphi   (b > a),
-        1 - Q1 = e^-d (1/pi) int_0^pi zeta (cos phi - zeta)/D e^(-2ab sin^2(phi/2)) dphi  (b < a),
+        S = (1/pi) int_0^pi f(phi) dphi,   f = (P + 1)/2 e^(-ab(1 - cos phi))   (b > a),
+                                           f = (P - 1)/2 e^(-ab(1 - cos phi))   (b < a),
 
-    with D = 1 + zeta^2 - 2 zeta cos phi and d = (b - a)^2/2.  The
-    integrands are even and periodic, so the endpoint trapezoid rule with
-    N panels on [0, pi] converges geometrically (Trefethen & Weideman,
-    SIAM Review 56(3), 2014); the rule on its even nodes is the error
-    estimate.  N is sized from the pole at |Im phi| = ln(1/zeta) and the
-    peak's width 1/sqrt(ab), and doubled, reusing every node, until the
-    estimate is within 1e-15 of the value.  Nodes past
-    2ab sin^2(phi/2) = _TRAPEZOID_CUT, each under e^-50 of the peak, are
-    skipped, so about 30 are evaluated however large ab is.  No Bessel
-    function is called.  The b < a integrand changes sign, and its parts
-    cancel as ab -> 0.  As (1/pi) int_0^pi zeta (cos phi - zeta)/D dphi = 0,
-    the weight is taken less 1, as expm1, where 2ab <= _TRAPEZOID_CUT (no
-    node skipped): within 8e-16 of 50-digit values down to ab = 1e-7.
+    where P = (1 - zeta^2)/D, D = 1 + zeta^2 - 2 zeta cos phi, is the
+    Poisson kernel: (P + 1)/2 = (1 - zeta cos phi)/D and (P - 1)/2 =
+    zeta (cos phi - zeta)/D.  In v = sin^2(phi/2) these are (p + q v)/(w^2
+    + 4 zeta v) e^(-2ab v), w = 1 - zeta.  No Bessel function is called.
+
+    The proof.  f is even and 2 pi-periodic, so the endpoint rule T_N with
+    N panels on [0, pi] is the periodic rule with 2N points.  Where f is
+    analytic in the strip |Im phi| < alpha with |f| <= M there,
+
+        |T_N - S| <= 2M/(e^(2 alpha N) - 1)
+
+    (Trefethen & Weideman, SIAM Review 56(3), 2014, Theorem 3.2).  On the
+    strip |cos phi| <= cosh alpha, Re cos phi <= cosh alpha and, for
+    alpha < ln(1/zeta), |D| >= (1 - zeta e^-alpha)(1 - zeta e^alpha) =
+    w^2 - 2 zeta (cosh alpha - 1), so with g = ab(cosh alpha - 1)
+
+        M(alpha) <= (1 + zeta cosh alpha)/((1 - zeta e^-alpha)(1 - zeta e^alpha)) e^g   (b > a),
+
+    and the same with the numerator zeta (cosh alpha + zeta) for b < a.
+    The b < a integrand changes sign, and its parts cancel as ab -> 0.  As
+    P has mean 1 the weight may be taken less 1, as expm1, and on the
+    strip |expm1(-ab(1 - cos phi))| <= min(1 + e^g, ab(1 + cosh alpha) e^g),
+    which replaces e^g in M.  Where 2ab <= _TRAPEZOID_CUT both weights are
+    summed at the same nodes and the one with the smaller bound is kept:
+    the rounding term decides, so it is the one with the smaller
+    sum |f_k| / |sum f_k|.
+
+    Two more terms complete the bound.  Nodes past the cut phi_c, where
+    2ab sin^2(phi/2) = _TRAPEZOID_CUT, are left out, so at most about 40
+    are evaluated however large ab is.  P falls as phi grows, so each
+    left-out term is at most (P_c + 1)/2 e^-50, P_c being P at the cut;
+    where ab > 50 the exponent is convex up to pi/2 and grows from the cut
+    at least at the rate ab sin(phi_c), so the left-out terms there sum to
+    under a geometric series, and past pi/2 each is under e^-ab
+    (``_left_out``).  Rounding is taken as _TRAPEZOID_ULPS ulps of each
+    term (the sine, the square, the four operations of the rational and
+    the exponential each round once, with errors of either sign), plus an
+    ulp of T_N for fsum, the division by N and the exponent's correction:
+    ulps * sum |f_k| / N + ulp * |T_N|.  This last term is a model of the
+    rounding, not its worst case; the other two are proofs.  ``error`` is
+    the sum of the three.  Against 40-digit values it covers the error at
+    every frozen point and at 602 random points past the span; at 500
+    random b < a points with ab < 25 it did at all but 6, all with
+    ab < 1, where the numerator zeta (w - 2v) itself cancels: there the
+    error, up to 1.1e-15 of S, reached 1.02 to 1.35 times the bound.
+
+    N is taken once, in closed form.  With L = ln(2/tol'), tol' being what
+    _TRAPEZOID_TOL leaves past the rounding, alpha is ln(1/zeta)(1 - 1/L),
+    short of the pole, capped at L/2, or the peak's optimum acosh(1 +
+    L/ab), where g = L, if that is smaller.  Any alpha gives a valid bound,
+    and this one is within a node of the best where S is near 1.  N is the
+    least with 2M e^(-2 alpha N) <= tol' S_lo, where S_lo is a lower
+    estimate of S: the Gaussian-Lorentzian integral (1 + zeta)/(4w)
+    erf(pi c)/(sqrt(pi) c), c^2 = zeta/w^2 + ab/2, which is under the P/2
+    part of S as 4 zeta sin^2(phi/2) <= zeta phi^2, 1/(1 + y) >= e^-y and
+    2 sin^2(phi/2) <= phi^2/2; plus i0e(ab)/2 ~ 1/(2 sqrt(1 + 2 pi ab))
+    for b > a, or less i0e(ab)/2 <= 1/(2 sqrt(1 + 2ab)) for b < a, where
+    zeta i1e(ab), from Amos's i1e/i0e >= ab/(1 + sqrt(1 + (ab)^2)) (Math.
+    Comp. 28, 1974), is taken if larger.  As S >= |T_N| - error whatever
+    S_lo was, the sum is then checked: error <= _TRAPEZOID_TOL (|T_N| -
+    error).  Where that fails only for the strip term, N is doubled once,
+    reusing every node; ``error`` is returned whether or not the check
+    then holds.
 
     ``exponent`` is the double d = 0.5 * (hi - lo)^2, and ``scaled``
     carries the rounding of hi - lo and of its square, so
     scaled * e^-exponent is the value also far below the double range.
 
     Raises DomainError at b = a, where the integrand is singular, or past
-    the range, and ConvergenceError when the estimate misses 1e-15 within
-    _TRAPEZOID_MAX_NODES evaluations, as happens near b = a, where N
-    grows as 1/ln(1/zeta).
+    the range, and ConvergenceError, before any node, where the nodes up to
+    the cut are more than _TRAPEZOID_MAX_NODES, as happens near b = a,
+    where N grows as 1/ln(1/zeta).
     """
     _check_range(args, "the trapezoid")
     a, b = args.a, args.b
@@ -650,46 +706,115 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     delta = hi - lo
     d, r = _split_exponent(lo, hi)
     zeta = lo / hi
+    x = a * b
+    if complement and (zeta == 0.0 or x == 0.0):
+        # the integrand is 0 at every node: 1 - Q1 ~ e^-d zeta ab/2 underflows
+        return TrapezoidResult(0.0, d, complement, 0, 0.0)
     w = delta / hi  # 1 - zeta
-    ab2 = 2.0 * a * b
+    ab2 = 2.0 * x
     # in v = sin^2(phi/2) the numerators are w + 2 zeta v and zeta w - 2 zeta v
     p, q = (zeta * w, -2.0 * zeta) if complement else (w, 2.0 * zeta)
-    kernel = math.expm1 if complement and ab2 <= _TRAPEZOID_CUT else math.exp  # see above
-    coeffs = (p, q, w * w, 4.0 * zeta, ab2, kernel)
-    alpha = math.log1p(delta / lo) if lo > 0.0 else math.inf  # ln(1/zeta)
-    n = max(_TRAPEZOID_POLE / alpha, _TRAPEZOID_PEAK * math.sqrt(0.5 * ab2) + _TRAPEZOID_MIN)
-    n = 2 * math.ceil(0.5 * n)
-    # the share of [0, pi] where 2ab sin^2(phi/2) <= _TRAPEZOID_CUT
-    share = 1.0
+    pole = math.log1p(delta / lo) if lo > 0.0 else math.inf  # ln(1/zeta)
+    # alpha short of the pole, and at most L/2 (one panel's worth), or the
+    # peak's optimum acosh(1 + L/ab), where g = L, if that comes first, with
+    # L = ln(2/tol'): within a node of the best alpha where S is near 1
+    alpha = min(pole * (1.0 - 1.0 / _TRAPEZOID_LN_STRIP), 0.5 * _TRAPEZOID_LN_STRIP)
+    sh2 = 2.0 * math.sinh(0.5 * alpha) ** 2  # cosh alpha - 1
+    if x * sh2 > _TRAPEZOID_LN_STRIP:
+        sh2 = _TRAPEZOID_LN_STRIP / x
+        alpha = math.acosh(1.0 + sh2)
+    # S_lo, under S; S below the least normal double is not asked for relative accuracy
+    t = math.sqrt(zeta / (w * w) + 0.5 * x)
+    s_lo = (1.0 + zeta) * math.erf(math.pi * t) / (4.0 * _SQRT_PI * w * t) if t > 0.0 else 0.5
+    if complement:
+        s_lo = max(
+            zeta * x / ((1.0 + math.sqrt(1.0 + x * x)) * math.sqrt(1.0 + 2.0 * math.pi * x)),
+            s_lo - 0.5 / math.sqrt(1.0 + 2.0 * x),
+            sys.float_info.min,
+        )
+    else:
+        s_lo += 0.5 / math.sqrt(1.0 + 2.0 * math.pi * x)
+    # ln(M/S_lo), with (1 - zeta e^-alpha)(1 - zeta e^alpha) = w^2 - 2 zeta (cosh alpha - 1)
+    numerator = zeta * (1.0 + sh2 + zeta) if complement else 1.0 + zeta * (1.0 + sh2)
+    ln_m = math.log(numerator / ((w * w - 2.0 * zeta * sh2) * s_lo)) + x * sh2
+    dual = complement and ab2 <= _TRAPEZOID_CUT
+    if dual:  # the expm1 weight's M
+        ln_m1 = ln_m + math.log(min(1.0 + math.exp(-x * sh2), x * (2.0 + sh2)))
+    n = max(1, math.ceil((_TRAPEZOID_LN_STRIP + (max(ln_m, ln_m1) if dual else ln_m)) / (2.0 * alpha)))
+    # the share of [0, pi] where 2ab sin^2(phi/2) <= _TRAPEZOID_CUT; past it
+    # each term is at most tail = (P_c + 1)/2 e^-CUT, and 2ab sin^2(phi/2)
+    # grows at least at the rate ab sin(phi_c) up to pi/2
+    share, tail, rate = 1.0, 0.0, 0.0
     if ab2 > _TRAPEZOID_CUT:
-        share = 2.0 * math.asin(math.sqrt(_TRAPEZOID_CUT / ab2)) / math.pi
+        s_c = math.sqrt(_TRAPEZOID_CUT / ab2)  # sin(phi_c/2)
+        share = 2.0 * math.asin(s_c) / math.pi
+        tail = 0.5 * (w * (1.0 + zeta) / (w * w + 4.0 * zeta * s_c * s_c) + 1.0) * math.exp(-_TRAPEZOID_CUT)
+        rate = 2.0 * math.pi * x * s_c * math.sqrt(1.0 - s_c * s_c)  # pi ab sin(phi_c)
     last = min(n, int(n * share))
     if last >= _TRAPEZOID_MAX_NODES:
         raise ConvergenceError(
             f"the trapezoid needs {last + 1:.3g} nodes at (a={a:g}, b={b:g}), "
             f"over the cap of {_TRAPEZOID_MAX_NODES}"
         )
-    f = _simon_terms(range(last + 1), math.pi / n, *coeffs)
+    coeffs = (p, q, w * w, 4.0 * zeta, ab2)
+    kernel = math.exp
+    f = _rule_terms(n, last, coeffs, kernel)
+    # b < a terms change sign past v = w/2, and only then is sum |f_k| not sum f_k
+    signed = complement and x * w < _TRAPEZOID_CUT
+    s, error, rest = _trapezoid_sum(f, n, _left_out(n, last, x, tail, rate), signed, s_lo, ln_m, alpha)
+    if dual:  # the same nodes with the weight less 1; the smaller bound is kept
+        f1 = _rule_terms(n, last, coeffs, math.expm1)
+        s1, error1, rest1 = _trapezoid_sum(f1, n, 0.0, signed, s_lo, ln_m1, alpha)
+        if error1 < error:
+            kernel, f, s, rest, error, ln_m = math.expm1, f1, s1, rest1, error1, ln_m1
+    tol = _TRAPEZOID_TOL
+    if error > tol * (abs(s) - error) and rest <= tol * (abs(s) - rest):
+        # only the strip term misses: doubling N squares it, and reuses every node
+        last2 = min(2 * n, int(2 * n * share))
+        if last2 < _TRAPEZOID_MAX_NODES:
+            f += _simon_terms(range(1, last2 + 1, 2), 0.5 * math.pi / n, *coeffs, kernel)
+            n, last = 2 * n, last2
+            s, error, rest = _trapezoid_sum(f, n, _left_out(n, last, x, tail, rate), signed, s_lo, ln_m, alpha)
+    scale = math.exp(-r)
+    return TrapezoidResult(s * scale, d, complement, len(f), error * scale)
+
+
+def _rule_terms(n: int, last: int, coeffs: tuple, kernel) -> list[float]:
+    """The terms of the N-panel endpoint rule on [0, pi] at nodes 0..last, the end ones halved."""
+    f = _simon_terms(range(last + 1), math.pi / n, *coeffs, kernel)
     f[0] *= 0.5
     if last == n:
         f[n] *= 0.5
-    total, odd, nodes = math.fsum(f), math.fsum(f[1::2]), len(f)
-    while True:
-        # T_N = total/N and T_N/2 = 2 (total - odd)/N
-        s, error = total / n, abs(2.0 * odd - total) / n
-        if error <= _TRAPEZOID_TOL * abs(s):
-            return TrapezoidResult(s * math.exp(-r), d, complement, nodes, error)
-        n *= 2
-        last = min(n, int(n * share))
-        if nodes + (last + 1) // 2 > _TRAPEZOID_MAX_NODES:
-            raise ConvergenceError(
-                f"the trapezoid's error estimate {error / abs(s):.2e} misses {_TRAPEZOID_TOL:g} "
-                f"at (a={a:g}, b={b:g}) within the cap of {_TRAPEZOID_MAX_NODES} nodes"
-            )
-        f = _simon_terms(range(1, last + 1, 2), math.pi / n, *coeffs)
-        odd = math.fsum(f)
-        total += odd
-        nodes += len(f)
+    return f
+
+
+def _trapezoid_sum(
+    f: list[float], n: int, left_out: float, signed: bool, s_lo: float, ln_m: float, alpha: float
+) -> tuple[float, float, float]:
+    """T_N from its terms f, its bound, and the bound less the strip term.
+
+    The strip term is Trefethen & Weideman's 2M/(e^(2 alpha N) - 1), M =
+    s_lo e^ln_m.  The rest is left_out/N, for the terms of the nodes left out,
+    plus the rounding: _TRAPEZOID_ULPS ulps of each term (sum |f_k| is
+    sum f_k unless ``signed``), and an ulp of T_N.
+    """
+    s = math.fsum(f) / n
+    absum = sum(map(abs, f)) / n if signed else s
+    rest = left_out / n + sys.float_info.epsilon * (_TRAPEZOID_ULPS * absum + abs(s))
+    return s, rest + 2.0 * s_lo * math.exp(ln_m - 2.0 * alpha * n) / -math.expm1(-2.0 * alpha * n), rest
+
+
+def _left_out(n: int, last: int, x: float, tail: float, rate: float) -> float:
+    """A bound on the sum of the terms past node ``last`` of the N-panel rule.
+
+    Each is at most ``tail``.  Where ab > _TRAPEZOID_CUT the cut phi_c is
+    below pi/2, where 2ab sin^2(phi/2) is convex: node last + j is then
+    under tail e^(-(j - 1) rate/N) up to pi/2, and under tail e^(CUT - ab)
+    past it, at most N/2 + 1 nodes.  Otherwise there are N - last nodes.
+    """
+    if x > _TRAPEZOID_CUT:
+        return tail * (-1.0 / math.expm1(-rate / n) + (0.5 * n + 1.0) * math.exp(_TRAPEZOID_CUT - x))
+    return tail * (n - last)
 
 
 def q1_bessel_series(args: QArgs) -> TrapezoidResult:

@@ -47,20 +47,20 @@ GOLDEN = {
     "fig02_json": (0, "176dacd2262f513c6993a4abc06e9e98a0b772805ed581a36d83be67c4b98ec6"),
     "fig03": (0, "51fd61a06b31ecd9c7c70f0b375ad701128ffb55f80bba842ac2d917c20a6099"),
     "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
-    "fig04": (0, "40eb501b3b50305329e5e36c55886a18de625f042244ea74aac8188ef691060c"),
-    "fig04_json": (0, "c11e2ee56eb3ef504f52679efd71792d6d8426419306ee6ce5bc8aecb17ae3dc"),
-    "fig05": (0, "347bf126939b8b437d3cb1c8e0955ab7b8a768ccbfd017db6aada6cdb753e43a"),
-    "fig05_json": (0, "9a5c5c60b5bdc076dbaea455f7a9a4070bd4e9bd45981ac8f1d1ef1fcf353c18"),
+    "fig04": (0, "f1d9c36c1489fc121b0c635fb450d2dc76fff57bb6eee79e049041d2322bd5fd"),
+    "fig04_json": (0, "36feefb829765681ee0b328745cce8c433394a57b366f438f6696fa236b981a5"),
+    "fig05": (0, "bc468883bb380737d0ccb1eee3fa44506d43bc36a192f884f0e906222bcdd6a6"),
+    "fig05_json": (0, "718689499f8a72ca8d54bd86d3986e105ddbff190b0406505aa50bfb70fa4a12"),
     "fig06": (0, "6379d04b5d2efac2113acbcaa5a4a34389628f1b788b8ca48a62595091fb188f"),
     "fig06_json": (0, "fb7b250ae8abfcdafd16f377b5e34c5baa0c96138b22ef61ca5b6666684e5cae"),
-    "fig07": (0, "696f265cdc6694999b6f6610ab39a3998a4fa3803e260714ebf9403ebbc9fe82"),
-    "fig07_json": (0, "6772c5e9a7edcb0e85e1533a94cd388b93bfaeef3aba7582bf1c766f493c0d8e"),
-    "fig08": (0, "b510af11d53164982cb9b11060da51944c4213d8511fef91d013b921f3370fd5"),
-    "fig08_json": (0, "f1a4215abe629ed735b6cf7d0ab7a4317cfb05a22bb875d1658a714a9b22de78"),
-    "fig09": (0, "82ce3643f97eb32ffac30ecdf760e9deb131fbc7d891b2bb4a726905eb84c576"),
-    "fig09_json": (0, "97b5b1e1d733515d85168206dd7a9fca8be0815b397ed9bbc41b0341dd297779"),
-    "fig10": (0, "03f61b62dd9fce5220e96f3953250d3584e2348b680b63ea1ed38a0bea7868a5"),
-    "fig10_json": (0, "dd98c95b3e9afe24c97646febf5c5a909b8f5f6ecb5fcbbfe831132c279c2f5b"),
+    "fig07": (0, "4b4a9ea68877a1c0a09b6d279b4f9f1bdcc8da1f4f2cf0b8a36831e50418817d"),
+    "fig07_json": (0, "1f829600f5f298bbf928c46309077423c083bdf7d37cbb85db2c74291f03e686"),
+    "fig08": (0, "c74523cfb99d3853963f9d9fa8d0ab41471aa275c4c97bdebc2398b9b0363271"),
+    "fig08_json": (0, "20397607f82359be7a9fe188e25cc39caf09c5fbd61ea81e7aec5b40094cc540"),
+    "fig09": (0, "51b603190d6af2d83483913cce06c926c4117af685d2044a5c4a0ce939eb050c"),
+    "fig09_json": (0, "af577b6930d7835f13cc8e534056b6d2045dcfdd527b1b0decd5f2d20f9258be"),
+    "fig10": (0, "44976998429e97b4338865d02162018416bc9a3d4484a1ca4f11f1b641703614"),
+    "fig10_json": (0, "68d6b003d86fa3d27a4cbcb3783b386294aaec57adb9549a1a0a2639f9650f4f"),
     "scan_chain_eq6": (0, "79f97310ec0ba1059ecafd30b8a8c00203a58694941ab0bff7e09852b5cb21df"),
     "scan_chain_eq6_json": (0, "746a4bbb6f456d219adf047304e3e42860fedc467f39d17589b6dd0d9d39f81f"),
     "scan_envelope": (0, "f02c69b492443236aacc542bb72646cdb97fafa620f512cf5e38310ccc69d238"),

@@ -25,10 +25,10 @@ triples to ``_records``, the one builder, which drops singular slots and
 clamps by two comparisons in one pass.  Every expression keeps the
 association order of its formula written out over (a, b).
 
-The range is a, b <= sqrt(DBL_MAX) ~ 1.34e154, where a^2, b^2, ab and
-(b - a)^2 stay finite.  A Gaussian factor whose exponent still overflows
-there ((a + b)^2, (a^2 - b^2)^2) is 0.0; past the range ``DomainError``
-is raised.  Raw values may fall outside [0, 1] (some classical bounds
+Every a, b that ``QArgs`` takes, up to sqrt(DBL_MAX) ~ 1.34e154, gives
+finite values: a^2, b^2, ab and (b - a)^2 stay finite there, and a
+Gaussian factor whose exponent still overflows ((a + b)^2, (a^2 - b^2)^2)
+is 0.0.  Raw values may fall outside [0, 1] (some classical bounds
 are unbounded in corners); ``BoundEval.clamped`` restricts them to
 [0, 1], the double ``min(1.0, max(0.0, raw))`` gives (NaN -> 0.0).
 LB2A is the corrected form: the paper prints its erfc term without the
@@ -43,16 +43,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError, RegimeError, SingularityError
-from .oracle import QArgs
+from .oracle import MAX_ARG, QArgs
 from .specfun import _i0e_and_log_i0, bessel_i0_scaled, erfc_diff, erfc_diff_centered, log_bessel_i0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# sqrt(DBL_MAX), the largest a or b the catalog takes
-_MAX_ARG = 1.3407807929942596e154
 
 # builds a NamedTuple from its fields in order without the Python frame
 # of the generated __new__, about half the cost of a record per call
@@ -122,13 +119,6 @@ def _regime_message(bid: BoundId, args: QArgs) -> str:
     return f"{bid.value} requires {need}, got (a={args.a:g}, b={args.b:g})"
 
 
-def _check_range(a: float, b: float) -> None:
-    if a > _MAX_ARG or b > _MAX_ARG:
-        raise DomainError(
-            f"the bound catalog takes a, b <= sqrt(DBL_MAX) = {_MAX_ARG!r}, got (a={a:g}, b={b:g})"
-        )
-
-
 def _gauss(x: float) -> float:
     """e^(-x^2/2); 0.0 where x^2 overflows, as e^(-x^2/2) underflowed long before."""
     try:
@@ -154,13 +144,11 @@ def compute_zeta(args: QArgs) -> float:
     zeta = y/b = a ab/4 to double precision; written that way it does not
     underflow where y does.  Past ab ~ 1e16, a - zeta can fall below half
     an ulp of a, and the rounded quotient is a or (from a ~ 8e8) an ulp
-    above it; zeta is clamped to a there.  Past the catalog's range
-    a, b <= sqrt(DBL_MAX) ``DomainError`` is raised.
+    above it; zeta is clamped to a there.
     """
     a, b = args.a, args.b
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"zeta requires a > 0 and b > 0, got (a={a:g}, b={b:g})")
-    _check_range(a, b)
     return _zeta(a, b, log_bessel_i0(a * b))
 
 
@@ -182,7 +170,6 @@ def lb1jp_small_ab_limit(a: float, b: float) -> float:
 
 def _family_ge(a: float, b: float) -> tuple:
     """Raw values of the b >= a family at (a, b), in FAMILY_B_GE_A order."""
-    _check_range(a, b)
     ab = a * b
     i0e = bessel_i0_scaled(ab)  # e^-ab I0(ab)
     g_diff = math.exp(-0.5 * (b - a) ** 2)
@@ -217,7 +204,6 @@ def _family_ge(a: float, b: float) -> tuple:
 
 def _family_lt(a: float, b: float) -> tuple:
     """Raw values of the b <= a family at (a, b), in FAMILY_B_LT_A order."""
-    _check_range(a, b)
     ab = a * b
     i0e, log_i0 = _i0e_and_log_i0(ab)
     g_a = math.exp(-0.5 * a * a)
@@ -234,7 +220,7 @@ def _family_lt(a: float, b: float) -> tuple:
     else:
         d = a * a - b * b  # >= 0 for b <= a
         # d^2 overflows exactly when d > sqrt(DBL_MAX); the exponent then exceeds 1e137
-        g_d = 0.0 if d > _MAX_ARG else math.exp(-(d ** 2) / (2.0 * s))
+        g_d = 0.0 if d > MAX_ARG else math.exp(-(d ** 2) / (2.0 * s))
         ub2d = 1.0 - math.atan2(b, a) / math.pi * (g_d - math.exp(-0.5 * s))
 
     if ab == 0.0:
@@ -291,11 +277,11 @@ def _records(triples: Iterable[tuple]) -> list[BoundEval]:
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
     """Evaluate any cataloged bound by id.
 
-    Raises RegimeError outside the id's regime (b = a belongs to both),
-    SingularityError at a formula's excluded points and DomainError past
-    the catalog's range a, b <= sqrt(DBL_MAX).  It is ``eval_ids`` over
-    the one id, so it computes the id's whole family; callers evaluating
-    several ids at one point use ``eval_ids`` or ``eval_all``.
+    Raises RegimeError outside the id's regime (b = a belongs to both)
+    and SingularityError at a formula's excluded points.  It is
+    ``eval_ids`` over the one id, so it computes the id's whole family;
+    callers evaluating several ids at one point use ``eval_ids`` or
+    ``eval_all``.
     """
     evals, skipped = eval_ids((bid,), args)
     if evals:

@@ -54,11 +54,16 @@ class TestEval:
 
     @pytest.mark.parametrize("x", ["1e9", "1e12", "1e308"])
     def test_beyond_oracle_range_exit_2(self, capsys, x):
-        # beyond MAX_ORACLE_ARG = 1e6 the quadrature's rounding error exceeds the agreement gate
+        # the oracle answers up to sqrt(DBL_MAX) = 1.34e154, and past it
+        # QArgs's one range message exits 2
         rc, out, err = run_cli(capsys, "eval", "--a", x, "--b", x)
-        assert rc == 2
-        assert out == ""
-        assert err.startswith("error:") and "oracle" in err
+        if float(x) <= 1.3407807929942596e154:
+            assert (rc, err) == (0, "")
+            assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(0.5, abs=1e-9)
+        else:
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error: Q1 takes a, b <= sqrt(DBL_MAX) = 1.3407807929942596e+154, got (a=1e+308")
 
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--a", "2", "--b", "1", "--format", "json")
@@ -336,11 +341,11 @@ class TestScan:
 
     @pytest.mark.parametrize("a,b", [("1e200", "1e199"), ("1e160", "1")])
     def test_envelope_past_the_catalog_range_exit_2(self, capsys, a, b):
-        # zeta names the range, not "log_bessel_i0 ... got inf" where ab overflows
+        # QArgs names the range, not "log_bessel_i0 ... got inf" where ab overflows
         rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", a, "--b", b)
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: the bound catalog takes a, b <= sqrt(DBL_MAX)")
+        assert err.startswith("error: Q1 takes a, b <= sqrt(DBL_MAX)")
 
     @pytest.mark.parametrize("prop", ["f_dec_eq2", "f_inc_sinh", "g_negative", "chain_eq6"])
     def test_log_grid_repeats_exit_2(self, capsys, prop):

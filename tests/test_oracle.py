@@ -86,6 +86,39 @@ Q1_FROZEN_OFF_DIAGONAL = {
     (326458.87147227593, 326457.48268537264): 0.9175514534833561,
     (1000000.0, 999995.0): 0.9999997133491715,
 }
+# (a, b) -> (S, d) past the old range of 1e6, 50 digits, from
+# make_frozen_large_a.py (truth.q1_tail): S e^-d is Q1 (b > a) or 1 - Q1
+# (b < a), with d the double 0.5 * (b - a)^2; at b = a, S is Q1 and d = 0,
+# and from d = 2^52 on S is the integral alone, as the methods return it
+TAILS_FROZEN_HUGE = {
+    (100000000.0, 99999998.5): (0.20578066498268327, 1.125),
+    (100000000.0, 100000001.5): (0.2057806689721061, 1.125),
+    (100000000.0, 99999992.0): (0.04912254421771349, 32.0),
+    (100000000.0, 100000008.0): (0.049122548207136296, 32.0),
+    (100000000.0, 100000030.0): (0.013283351348695047, 450.0),
+    (100000000.0, 100000300.0): (0.001329794820900494, 45000.0),
+    (1000000000000.0, 999999999998.5): (0.20578066697719521, 1.125),
+    (1000000000000.0, 1000000000001.5): (0.20578066697759417, 1.125),
+    (1000000000000.0, 999999999992.0): (0.04912254621222546, 32.0),
+    (1000000000000.0, 1000000000008.0): (0.0491225462126244, 32.0),
+    (1000000000000.0, 1000000000030.0): (0.013283349354183266, 450.0),
+    (1000000000000.0, 1000000000300.0): (0.0013297928263900592, 45000.0),
+    (1e+16, 9999999999999998.0): (0.1681020012231706, 2.0),
+    (1e+16, 1.0000000000000002e+16): (0.16810200122317062, 2.0),
+    (1e+16, 9999999999999992.0): (0.049122546212424914, 32.0),
+    (1e+16, 1.0000000000000008e+16): (0.04912254621242495, 32.0),
+    (1e+16, 1.000000000000003e+16): (0.013283349353983814, 450.0),
+    (1e+16, 1.00000000000003e+16): (0.001329792826190608, 45000.0),
+    (1e+50, 1e+50): (0.5, 0.0),
+    (1e+50, 1.0000000000010001e+50): (3.989277694224468e-39, 5.000363756153764e+75),
+    (1e+50, 9.99999999999e+49): (3.9892776942204784e-39, 5.000363756153764e+75),
+    (1e+150, 1e+150): (0.5, 0.0),
+    (1e+150, 1.0000000000010001e+150): (3.988903908924212e-139, 5.0013009309176066e+275),
+    (1e+150, 9.99999999999e+149): (3.989628768798275e-139, 4.999483762822541e+275),
+    (50.0, 10000000.0): (1.7841330372639796e-05, 49999500001250.0),
+    (99.9, 1000000000.0): (1.2621976437176417e-06, 4.99999900100005e+17),
+    (0.001, 1e+150): (1.26156626101008e-74, 4.9999999999999995e+299),
+}
 # every frozen point with a >= 100 past the span
 _PAST_THE_SPAN = {
     (a, b): q for (a, b), q in {**Q1_FROZEN_LARGE_A, **Q1_FROZEN_OFF_DIAGONAL}.items()
@@ -143,6 +176,8 @@ PAIRED_FROZEN = [
     (a, b) for a, b in TRAPEZOID_POINTS
     if a < oracle.ASYMPTOTIC_MIN_A and abs(b - a) > oracle._DIAGONAL_SPAN
 ]
+# QArgs's one message past a, b <= sqrt(DBL_MAX)
+_PAST_THE_RANGE = r"^Q1 takes a, b <= sqrt\(DBL_MAX\) = 1\.3407807929942596e\+154, got \(a="
 
 
 class TestQArgs:
@@ -187,14 +222,18 @@ class TestQArgs:
 
 
 def _frozen_qargs(a, b):
-    """QArgs's checks as they were before its one-test path for two floats
-    in [0, DBL_MAX]: a frozen copy, so the path cannot change what it
+    """QArgs's checks without its one-test path for two floats in
+    [0, sqrt(DBL_MAX)]: a frozen copy, so the path cannot change what it
     guards against."""
     for name, v in (("a", a), ("b", b)):
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= 1.7976931348623157e308:
             raise DomainError(f"{name} must be finite, got {oracle._brief(v)}")
         if v < 0:
             raise DomainError(f"{name} must be nonnegative, got {oracle._brief(v)}")
+    if a > 1.3407807929942596e154 or b > 1.3407807929942596e154:
+        raise DomainError(
+            f"Q1 takes a, b <= sqrt(DBL_MAX) = 1.3407807929942596e+154, got (a={oracle._brief(a)}, b={oracle._brief(b)})"
+        )
     return a, b
 
 
@@ -205,7 +244,8 @@ class _Float(float):
 _QARG_VALUES = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-                     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]),
+                     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0,
+                     1.3407807929942596e154, 1.3407807929942598e154]),
     st.integers(min_value=-(2**1100), max_value=2**1100),
     st.sampled_from([2**1024 - 1, 2**1024, -(2**1024), 2**1023, True, False]),
     st.floats().map(_Float),
@@ -230,6 +270,7 @@ class TestQArgsFrozen:
 
     def test_same_outcome_at_special_values(self):
         values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                  1.3407807929942596e154, 1.3407807929942598e154, 2**512, 1e200,
                   -1.0, 3, 2**1024, True, _Float(2.0), _Float(math.nan), "1.0", None]
         for a in values:
             for b in values:
@@ -582,9 +623,12 @@ class TestAsymptotic:
 
     def test_overflowing_xi_raises(self):
         # ab = inf would give NaN terms, which no growth test would stop;
-        # the range check refuses such a point first
-        with pytest.raises(DomainError, match="the expansion covers"):
+        # QArgs refuses such a point first, and up to its limit ab is finite
+        with pytest.raises(DomainError, match=_PAST_THE_RANGE):
             q1_asymptotic(QArgs(1e200, 1e200))
+        limit = oracle.MAX_ARG
+        assert q1_asymptotic(QArgs(limit, limit)) == 0.5
+        assert q1_asymptotic(QArgs(limit, 1.0)) == 1.0
 
     @pytest.mark.parametrize("a,b", [(1e-200, 1e-200), (5e-324, 5e-324), (1e-310, 5e-324)])
     def test_underflowing_xi_raises(self, a, b):
@@ -786,8 +830,14 @@ class TestTrapezoid:
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (2.0, 2.0), (1.0, 1e6 * (1 + 1e-15))])
     def test_refuses_the_tie_and_the_range(self, a, b):
-        with pytest.raises(DomainError, match="the trapezoid"):
-            q1_trapezoid(QArgs(a, b))
+        # the tie only: past the old range of 1e6 the rule answers
+        if a == b:
+            with pytest.raises(DomainError, match="the trapezoid needs b != a"):
+                q1_trapezoid(QArgs(a, b))
+            return
+        res, series = q1_trapezoid(QArgs(a, b)), q1_bessel_series(QArgs(a, b))
+        assert res.exponent == series.exponent
+        assert res.scaled == pytest.approx(series.scaled, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("a,b", [(5.0, 5.001), (5.0, 4.999), (1e3, 1e3 + 1e-9)])
     def test_near_tie_over_the_node_cap(self, a, b):
@@ -841,8 +891,9 @@ class TestBesselSeries:
             q1_bessel_series(QArgs(a, b))
 
     def test_cost_at_the_deepest_far_tail_point(self):
-        # (99.9, 1e6) takes the most recurrence steps below a = 100, about
-        # 63,000, in about 5 ms; only the 6 ratios used are kept
+        # (99.9, 1e6) took the most recurrence steps below a = 100, about
+        # 63,000 backward, in about 5 ms; as K^2 <= ab it takes 6 forward,
+        # and only the 6 ratios used are kept
         start = time.perf_counter()
         res = q1_bessel_series(QArgs(99.9, 1e6))
         assert time.perf_counter() - start < 0.1
@@ -855,14 +906,54 @@ class TestBesselSeries:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_forward_and_backward_recurrences_agree(self):
+        # at 300 seeded points below a = 100 where K^2 <= ab, so the ratios
+        # come forward, against the same sum with every ratio from backward
+        rng = random.Random("forward and backward")
+        seen = 0
+        while seen < 300:
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+            b = min(a * 10.0 ** rng.uniform(-3.0, 6.0), 2.5e8 / a)
+            backward, k = _backward_series(a, b)
+            if k * k <= a * b:
+                seen += 1
+                assert q1_bessel_series(QArgs(a, b)).scaled == pytest.approx(backward, rel=1e-15, abs=0.0), (a, b)
+
     @pytest.mark.parametrize("a,b", [(1e5, 1e5), (1e3, 1e6), (15000.0, 15000.0)])
     def test_refuses_past_the_step_cap(self, a, b):
-        # 40ab over the cap's square is refused at once; at (15000, 15000)
-        # 40ab is under it, and K^2 takes the steps past it
+        # on b = a the K terms pass the cap, and sizing stops there; at
+        # (1e3, 1e6), once refused, K^2 <= ab and six forward steps answer
         start = time.perf_counter()
-        with pytest.raises(DomainError, match=f"needs over {oracle._BESSEL_MAX_STEPS} recurrence steps at"):
-            q1_bessel_series(QArgs(a, b))
+        if a == b:
+            with pytest.raises(DomainError, match=f"needs over {oracle._BESSEL_MAX_STEPS} recurrence steps at"):
+                q1_bessel_series(QArgs(a, b))
+        else:
+            res, trap = q1_bessel_series(QArgs(a, b)), q1_trapezoid(QArgs(a, b))
+            assert res.nodes == 7 and res.exponent == trap.exponent
+            assert res.scaled == pytest.approx(trap.scaled, rel=1e-15, abs=0.0)
         assert time.perf_counter() - start < 0.5
+
+
+def _backward_series(a, b):
+    """(scaled, K) of q1_bessel_series with every ratio from the backward recurrence."""
+    complement = b < a
+    lo, hi = (b, a) if complement else (a, b)
+    x, zeta, step = a * b, lo / hi, math.log(hi / lo)
+    k, depth = 0, 0.0
+    while depth < oracle._BESSEL_DEPTH:
+        k += 1
+        depth += step + math.asinh(k / x)
+    ratio, ratios = 0.0, []  # r_K, ..., r_1
+    for j in range(math.isqrt(k * k + int(40.0 * x)) + 16, 0, -1):
+        ratio = x / (2 * j + x * ratio)
+        if j <= k:
+            ratios.append(ratio)
+    t = oracle.bessel_i0_scaled(x)
+    terms = [] if complement else [t]
+    for ratio in reversed(ratios):
+        t *= zeta * ratio
+        terms.append(t)
+    return math.fsum(terms) * math.exp(-oracle._split_exponent(lo, hi)[1]), k
 
 
 class TestDiagonal:
@@ -915,13 +1006,14 @@ class TestDiagonal:
             (1e3, math.nextafter(1001.0, math.inf), r"\|b - a\| <= 1"),
             (1e3, 998.5, r"\|b - a\| <= 1"),
             (0.0, 30.0, r"\|b - a\| <= 1"),
-            (math.nextafter(1e6, math.inf), 1e6, "a, b <= 1e\\+06"),
-            (1e6, math.nextafter(1e6, math.inf), "a, b <= 1e\\+06"),
-            (1e300, 1e300, "a, b <= 1e\\+06"),
+            (oracle.MAX_ARG, math.nextafter(oracle.MAX_ARG, 0.0), r"\|b - a\| <= 1"),
+            (math.nextafter(oracle.MAX_ARG, math.inf), oracle.MAX_ARG, "^Q1 takes a, b <= sqrt"),
+            (1e300, 1e300, "^Q1 takes a, b <= sqrt"),
         ],
     )
     def test_refuses_outside_its_span_and_range(self, a, b, message):
-        with pytest.raises(DomainError, match="diagonal route covers " + message):
+        # the range is QArgs's, and at its end the span is checked as below it
+        with pytest.raises(DomainError, match=message):
             q1_diagonal(QArgs(a, b))
 
     def test_rule_regenerates(self):
@@ -1214,11 +1306,12 @@ class TestReference:
             q1_reference(QArgs(a, b))
 
     def test_range_limit_is_inclusive(self):
-        limit = oracle.MAX_ORACLE_ARG
-        assert q1_reference(QArgs(limit, limit)).value == pytest.approx(0.5, abs=1e-5)
+        limit = oracle.MAX_ARG
+        assert q1_reference(QArgs(limit, limit)).value == 0.5
+        assert q1_reference(QArgs(1e9, 1e9)).value == pytest.approx(0.5, abs=1e-9)
         above = math.nextafter(limit, math.inf)
-        for a, b in [(above, limit), (limit, above), (1e9, 1e9), (1e308, 1e308)]:
-            with pytest.raises(DomainError, match="oracle covers"):
+        for a, b in [(above, limit), (limit, above), (1e200, 1e200), (1e308, 1e308)]:
+            with pytest.raises(DomainError, match=_PAST_THE_RANGE):
                 q1_reference(QArgs(a, b))
 
     @pytest.mark.parametrize(
@@ -1274,33 +1367,148 @@ class TestReference:
 
 
 _LIMIT = oracle.MAX_ORACLE_ARG
-_ABOVE = math.nextafter(_LIMIT, math.inf)
+_MAX = oracle.MAX_ARG
 
 
 @pytest.mark.parametrize(
     "method,who,at_limit",
     [
-        # the error each method documents at (L, L), (1, L) and (L, 1), L = MAX_ORACLE_ARG
+        # the error each method documents at (L, L), (1, L) and (L, 1), L its
+        # limit: MAX_ORACLE_ARG for the band pair, QArgs's MAX_ARG for the rest
         (q1_reference, "the oracle", {}),
         (q1_quadrature, "the quadrature", {}),
         (q1_series, "the series", {(_LIMIT, _LIMIT): "series window of"}),
         (q1_asymptotic, "the expansion", {}),
-        (q1_trapezoid, "the trapezoid", {(_LIMIT, _LIMIT): "needs b != a"}),
-        (q1_diagonal, "the diagonal route", {(1.0, _LIMIT): r"\|b - a\| <= 1", (_LIMIT, 1.0): r"\|b - a\| <= 1"}),
-        (q1_bessel_series, "the Bessel series", {(_LIMIT, _LIMIT): "recurrence steps"}),
+        (q1_trapezoid, "the trapezoid", {(_MAX, _MAX): "needs b != a"}),
+        (q1_diagonal, "the diagonal route", {(1.0, _MAX): r"\|b - a\| <= 1", (_MAX, 1.0): r"\|b - a\| <= 1"}),
+        (q1_bessel_series, "the Bessel series", {(_MAX, _MAX): "recurrence steps"}),
     ],
 )
 def test_one_range_for_every_method(method, who, at_limit):
-    for a, b in [(_LIMIT, _LIMIT), (1.0, _LIMIT), (_LIMIT, 1.0)]:
+    band_pair = method in (q1_quadrature, q1_series)
+    limit = _LIMIT if band_pair else _MAX
+    above = math.nextafter(limit, math.inf)
+    for a, b in [(limit, limit), (1.0, limit), (limit, 1.0)]:
         if (a, b) in at_limit:
             with pytest.raises(DomainError, match=at_limit[a, b]):
                 method(QArgs(a, b))
         else:
+            assert 0.0 <= _q1_of(method(QArgs(a, b))) <= 1.0
+    for a, b in [(above, limit), (limit, above), (above, 0.0), (0.0, above)]:
+        if band_pair:
+            message = f"^{re.escape(f'{who} covers a, b <= 1e+06, got (a={a!r}, b={b!r})')}$"
+        else:  # QArgs refuses first, with its one message
+            message = f"{_PAST_THE_RANGE}{re.escape(repr(a))}, b={re.escape(repr(b))}\\)$"
+        with pytest.raises(DomainError, match=message):
             method(QArgs(a, b))
-    for a, b in [(_ABOVE, _LIMIT), (_LIMIT, _ABOVE), (_ABOVE, 0.0), (0.0, _ABOVE)]:
-        message = f"{who} covers a, b <= 1e+06, got (a={a!r}, b={b!r})"
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            method(QArgs(a, b))
+
+
+def _q1_of(result):
+    """Q1 from what a method returns: a float, an OracleResult, or a TrapezoidResult."""
+    if isinstance(result, oracle.TrapezoidResult):
+        return 1.0 - result.value if result.complement else result.value
+    return getattr(result, "value", result)
+
+
+def _huge_q1(a, b):
+    """Q1 at a TAILS_FROZEN_HUGE point, from its (S, d)."""
+    s, d = TAILS_FROZEN_HUGE[a, b]
+    tail = s * math.exp(-d)
+    return 1.0 - tail if b < a else tail
+
+
+class TestPastTheOldRange:
+    # the frozen truths past 1e6, where every method but the band pair now answers
+    @pytest.mark.parametrize("a,b", sorted(TAILS_FROZEN_HUGE))
+    def test_reference(self, a, b):
+        assert q1_reference(QArgs(a, b)).value == pytest.approx(_huge_q1(a, b), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("a,b", sorted(p for p in TAILS_FROZEN_HUGE if p[0] != p[1]))
+    def test_trapezoid(self, a, b):
+        # from about a = 1e9 on, 1 + L/ab rounds to 1: alpha = acosh of it was 0.0
+        s, d = TAILS_FROZEN_HUGE[a, b]
+        res = q1_trapezoid(QArgs(a, b))
+        assert res.exponent == d and res.complement is (b < a)
+        assert res.scaled == pytest.approx(s, rel=1e-14, abs=0.0)
+        assert abs(res.scaled - s) <= res.error
+
+    @pytest.mark.parametrize("a,b", sorted(p for p in TAILS_FROZEN_HUGE if p[0] >= oracle.ASYMPTOTIC_MIN_A))
+    def test_asymptotic(self, a, b):
+        # 1.2e-13 at b - a = +30, as in range at (1e3, 1030): erfc and
+        # e^-w^2 see w = (b - a)/sqrt(2) rounded, and their slope is 2w^2
+        rel = 1.5e-13 if b - a == 30.0 else 1e-14
+        assert q1_asymptotic(QArgs(a, b)) == pytest.approx(_huge_q1(a, b), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("a,b", [(50.0, 1e7), (99.9, 1e9), (1e-3, 1e150)])
+    def test_bessel_series_forward(self, a, b):
+        s, d = TAILS_FROZEN_HUGE[a, b]
+        res = q1_bessel_series(QArgs(a, b))
+        assert res.exponent == d
+        assert res.scaled == pytest.approx(s, rel=1e-14, abs=0.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda u: min(max(math.exp(u), lo), hi))
+
+
+# a log-uniform up to sqrt(DBL_MAX); b log-uniform on its own, within 40 of
+# a, at a relative distance 10^-u from it, or a times u
+_ONE_RANGE_POINTS = _log_uniform(1e-3, oracle.MAX_ARG).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.one_of(
+            _log_uniform(1e-3, oracle.MAX_ARG),
+            st.floats(-40.0, 40.0).map(lambda t: a + t),
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 17.0)).map(lambda su: a * (1.0 + su[0] * 10.0 ** -su[1])),
+            st.floats(0.0, 4.0).map(lambda u: a * u),
+        ).map(lambda b: min(max(b, 0.0), oracle.MAX_ARG)),
+    )
+)
+
+
+@given(_ONE_RANGE_POINTS)
+@example((oracle.MAX_ARG, oracle.MAX_ARG))
+@example((oracle.MAX_ARG, math.nextafter(oracle.MAX_ARG, 0.0)))
+@example((oracle.MAX_ARG, oracle.MAX_ARG - 40.0))
+@example((0.95 * oracle.MAX_ARG, oracle.MAX_ARG))
+@example((1e-3, oracle.MAX_ARG))
+@example((oracle.MAX_ARG, 1e-3))
+@example((99.99, 101.0))
+@example((0.5, 1e20))
+@example((1e9, 1e9 + 30.0))
+@example((1e12, 1e12 - 30.0))
+@settings(max_examples=300, deadline=None)
+def test_one_range_answers_everywhere(point):
+    # no exception, a value in [0, 1], and under 10 ms a call (the best of
+    # three, so that a pause of the host does not count)
+    a, b = point
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        res = q1_reference(QArgs(a, b))
+        times.append(time.perf_counter() - start)
+    assert 0.0 <= res.value <= 1.0
+    assert min(times) < 0.01, (a, b, times)
+
+
+def test_one_range_memory():
+    # under 64 KiB traced at a seeded sample of the points above, and at the
+    # Bessel series' deepest point below a = 100 (K = 795 terms)
+    rng = random.Random("one range")
+    points = [(99.99, 101.0), (99.99, 98.98)]
+    for i in range(60):
+        a = math.exp(rng.uniform(math.log(1e-3), math.log(oracle.MAX_ARG)))
+        b = [math.exp(rng.uniform(math.log(1e-3), math.log(oracle.MAX_ARG))), a + rng.uniform(-40.0, 40.0),
+             a * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 17.0)), a * rng.uniform(0.0, 4.0)][i % 4]
+        points.append((a, min(max(b, 0.0), oracle.MAX_ARG)))
+    for a, b in points:
+        tracemalloc.start()
+        try:
+            q1_reference(QArgs(a, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (a, b, peak)
 
 
 class TestRicePdf:

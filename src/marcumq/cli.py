@@ -94,7 +94,19 @@ def _csv(rows: Iterable[Iterable]) -> str:
 
 
 def _json(obj: object) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``obj`` as RFC 8259 json: a non-finite float, such as an infinite
+    eps % or a bound singular at b = a, is written as null."""
+    return json.dumps(_finite(obj), indent=2, allow_nan=False) + "\n"
+
+
+def _finite(obj: object) -> object:
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _emit(text: str, out: str | None) -> None:

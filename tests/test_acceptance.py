@@ -28,16 +28,8 @@ from marcumq.analysis import (
 from marcumq.bounds import BoundId, eval_all, evaluate, lb1jp_small_ab_limit
 from marcumq.oracle import QArgs, q1_quadrature, q1_reference, q1_series
 
-from reference_tables import (
-    EPS_TOL,
-    TABLE_V,
-    TABLE_VI,
-    TABLE_VII,
-    TABLE_VIII,
-    VALUE_TOL,
-    frozen_full_range_quadrature,
-    lb2a_printed,
-)
+from frozen_q1 import Q1_FROZEN_ACROSS_TIE
+from reference_tables import EPS_TOL, TABLE_V, TABLE_VI, TABLE_VII, TABLE_VIII, VALUE_TOL, lb2a_printed
 
 GRID_A = (0.0, 0.1, 1.0, 2.0, 10.0, 20.0)
 B_PER_A = 50
@@ -113,15 +105,10 @@ def test_criterion_05_oracle_self_consistency():
             gap = abs(q1_quadrature(args) - q1_series(args))
             worst_gap = max(worst_gap, gap)
     worst_form = 0.0
-    for a in (0.1, 1.0, 2.0, 10.0, 20.0):
-        for db in (-0.5, -0.1, -0.01, 0.0, 0.01, 0.1, 0.5):
-            b = a + db
-            if b < 0:
-                continue
-            # the library's route against the full-range integral taken the other way
-            other = "complement" if b >= a else "tail"
-            d = abs(q1_quadrature(QArgs(a, b)) - frozen_full_range_quadrature(a, b, other))
-            worst_form = max(worst_form, d)
+    # the tail form for b >= a and the complement for b < a, across the tie,
+    # against the 50-digit truth (within 2.9e-15 here)
+    for (a, b), expected in Q1_FROZEN_ACROSS_TIE.items():
+        worst_form = max(worst_form, abs(q1_quadrature(QArgs(a, b)) - expected))
     ok = worst_gap <= 1e-10 and worst_form <= 1e-10
     _report(5, f"oracle self-consistency (gaps {worst_gap:.2e}, {worst_form:.2e})", ok)
     assert worst_gap <= 1e-10

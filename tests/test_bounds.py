@@ -29,10 +29,12 @@ from marcumq.bounds import (
     regime_of,
 )
 from marcumq.errors import DomainError, RegimeError, SingularityError
-from marcumq.oracle import QArgs
+from marcumq.oracle import QArgs, q1_reference
 
 from make_frozen_lb2a import frozen_integrals
 from reference_tables import lb2a_printed
+
+_LB1JP_ABOVE_Q1 = "LB1JP is above Q1 at the tie for huge a; its mend goes with ROADMAP item 9's ulp budget"
 
 # mpmath (50 dps) references for raw values
 UB1JP_01_01 = 1.0213296921469377
@@ -174,6 +176,16 @@ class TestLB1JP:
 
     def test_a_zero_collapses_to_exact(self):
         assert evaluate(BoundId.LB1JP, QArgs(0.0, 2.0)).raw == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a",
+        [1e6, *(pytest.param(a, marks=pytest.mark.xfail(strict=True, reason=_LB1JP_ABOVE_Q1)) for a in (1e8, 1e18, 1e150))],
+    )
+    def test_below_q1_at_the_tie(self, a):
+        # Q1(a, a) = (1 + e^(-a^2) I0(a^2))/2 is 0.5000000020 at a = 1e8 and
+        # 0.5 to the double from 1e18 on; LB1JP gives 0.5000000084 and 1.0
+        args = QArgs(a, a)
+        assert evaluate(BoundId.LB1JP, args).raw <= q1_reference(args).value
 
 
 class TestUB2JP:

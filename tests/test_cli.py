@@ -10,6 +10,8 @@ import marcumq.cli as cli
 from marcumq.analysis import ScanReport
 from marcumq.cli import main
 
+from frozen_q1 import Q1_FROZEN_OFF_DIAGONAL, TRAPEZOID_FROZEN
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -79,18 +81,27 @@ class TestEval:
         rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "30", "--format", "json")
         assert rc == 0
         payload = json.loads(out)
-        assert payload["exact"] == pytest.approx(1.8105713778406757e-184, rel=1e-13)
+        s, d = TRAPEZOID_FROZEN[1.0, 30.0]
+        assert payload["exact"] == pytest.approx(s * math.exp(-d), rel=1e-13)
         assert payload["agreement_gap"] <= 1e-12 * payload["exact"]
 
     def test_large_a_tail_is_exact(self, capsys):
-        # Q1(1e3, 1010) = 7.658e-24 (50-digit integral): the quadrature
-        # printed 7.6648e-24, above UB1JP's raw 7.6586e-24
+        # Q1(1e3, 1010) = 7.658e-24: the quadrature printed 7.6648e-24,
+        # above UB1JP's raw 7.6586e-24
         rc, out, _ = run_cli(capsys, "eval", "--a", "1000", "--b", "1010", "--format", "json")
         assert rc == 0
         payload = json.loads(out)
-        assert payload["exact"] == pytest.approx(7.6582303174943792e-24, rel=1e-13, abs=0.0)
+        assert payload["exact"] == pytest.approx(Q1_FROZEN_OFF_DIAGONAL[1000.0, 1010.0], rel=1e-13, abs=0.0)
         upper = [row for row in payload["bounds"] if row["side"] == "upper"]
         assert upper and all(row["raw"] >= payload["exact"] for row in upper), upper
+
+    def test_json_writes_non_finite_as_null(self, capsys):
+        # Q1(1, 50) = 2.46e-523 underflows, so every eps % is infinite
+        rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "50", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["exact"] == 0.0
+        assert [row["eps_pct"] for row in payload["bounds"]] == [None] * len(payload["bounds"])
 
     def test_tie_reports_skip(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "1")

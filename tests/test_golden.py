@@ -8,7 +8,8 @@ temporary directory and print their json; scans print their report.
 origin, and at (1, 2e5) and (99.9, 1e6), where the series' windows are
 disjoint and far over its cap.  So does a custom table whose ids span
 both regimes (UB1JP, UB2JP at a = 2, b = 1, 2, 3), which pins its empty
-cells and skip notes.  Each output's sha256 and the exit code must match GOLDEN.  A
+cells and skip notes.  Each output's sha256 and the exit code must match GOLDEN,
+and every json output must parse as RFC 8259 json, with no NaN or Infinity.  A
 change that moves an output on purpose says why, and regenerates the dict from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +18,7 @@ change that moves an output on purpose says why, and regenerates the dict from t
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -33,14 +35,14 @@ GOLDEN = {
     "eval_a0_b0_json": (0, "8f4882edbb4c5779b4f5e26fcb551ee1711549b752ecd24c98b3b9804207b762"),
     "eval_a1_b2": (0, "b05cd82583ff0a5e6c3443eb9f534f6d0519ad4c9036f2706dbaca96f735c985"),
     "eval_a1_b200000": (0, "d6d92f564b0548e93b4d85b685c177a752bb56d73ec17acd9ef8aba5125d3b8d"),
-    "eval_a1_b200000_json": (0, "ddf86d8a5999ff905224c2a82c8a5cbaf325711e796c7cf91aff2d60220563a9"),
+    "eval_a1_b200000_json": (0, "b08c651e19c2aab1fc72109fb3c1cbb2611b68a3f1e1ab7294aa5c0588ea3666"),
     "eval_a1_b2_json": (0, "27243c8cf6f5346bd522b741055227eababe1543993a27f076612d7f38cec966"),
     "eval_a2_b1": (0, "98b1416dab9d949724cd5c6fd203d500c2baf10a7f82e708f34d3eb932fb5473"),
     "eval_a2_b1_json": (0, "989758c63a56c8b8fafb8da91ebdbe09ff3c95fa6834256b61a220c9d6cc7c13"),
     "eval_a2_b2": (0, "89ba452c0ef6a315c9623c9fee6fba383e03051135cde80e2acefb0b54359e13"),
     "eval_a2_b2_json": (0, "ecea112de978069f1402b9d4400643074797fcd4490b291ceebb84a909bbf604"),
     "eval_a99.9_b1000000": (0, "9ea53ff6de42bdfe7c1c6f0f741c31a350bc17398d32552daaa59b80dc2f6356"),
-    "eval_a99.9_b1000000_json": (0, "ebbe9e159d490a75de47837b7a95ea60174639dc56eeb50f61b4a05ef93e971e"),
+    "eval_a99.9_b1000000_json": (0, "79166bd5f951fe0eba49d631396eb26b82d1dade3d0005857bcbb75a0263869d"),
     "fig01": (0, "61ab07d1f48e3e426b108b5c17e95ea199aecfcb793464373173c3522ca07d03"),
     "fig01_json": (0, "fc10f3c05de9f91c52ed4805721e1ab0639c767e51c6e906fb049886da1de138"),
     "fig02": (0, "4d60f35c110469307b22788d1cb2ba064c8f55d57541fdafa9c67c3f83dd0ccb"),
@@ -48,9 +50,9 @@ GOLDEN = {
     "fig03": (0, "51fd61a06b31ecd9c7c70f0b375ad701128ffb55f80bba842ac2d917c20a6099"),
     "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
     "fig04": (0, "f1d9c36c1489fc121b0c635fb450d2dc76fff57bb6eee79e049041d2322bd5fd"),
-    "fig04_json": (0, "36feefb829765681ee0b328745cce8c433394a57b366f438f6696fa236b981a5"),
+    "fig04_json": (0, "d06b4de3d05106ef838e91987b65cfddc65185cde9e1668b655aad944379301d"),
     "fig05": (0, "bc468883bb380737d0ccb1eee3fa44506d43bc36a192f884f0e906222bcdd6a6"),
-    "fig05_json": (0, "718689499f8a72ca8d54bd86d3986e105ddbff190b0406505aa50bfb70fa4a12"),
+    "fig05_json": (0, "dd74d4c79bc5c7750855ded10a5daff0b9e3c721b9c137dddb80a252d963db27"),
     "fig06": (0, "6379d04b5d2efac2113acbcaa5a4a34389628f1b788b8ca48a62595091fb188f"),
     "fig06_json": (0, "fb7b250ae8abfcdafd16f377b5e34c5baa0c96138b22ef61ca5b6666684e5cae"),
     "fig07": (0, "4b4a9ea68877a1c0a09b6d279b4f9f1bdcc8da1f4f2cf0b8a36831e50418817d"),
@@ -116,22 +118,35 @@ def commands(out_dir: str) -> dict[str, tuple[list[str], str | None]]:
     return cmds
 
 
-def digest(argv: list[str], path: str | None) -> tuple[int, str]:
+def output(argv: list[str], path: str | None) -> tuple[int, bytes]:
+    """(exit code, the bytes written to path, or to stdout if it is None)."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(argv)
     if path is None:
-        data = buf.getvalue().encode("utf-8")
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return rc, buf.getvalue().encode("utf-8")
+    with open(path, "rb") as fh:
+        return rc, fh.read()
+
+
+def digest(argv: list[str], path: str | None) -> tuple[int, str]:
+    rc, data = output(argv, path)
     return rc, hashlib.sha256(data).hexdigest()
+
+
+def _refuse(token: str):
+    raise ValueError(f"{token} is not RFC 8259 json")
 
 
 @pytest.mark.parametrize("label", sorted(commands("")))
 def test_output_matches_golden(label, tmp_path):
     argv, path = commands(str(tmp_path))[label]
-    assert digest(argv, path) == GOLDEN[label]
+    rc, data = output(argv, path)
+    assert (rc, hashlib.sha256(data).hexdigest()) == GOLDEN[label]
+    if label.endswith("_json"):
+        # NaN and Infinity are written as null; json.loads takes those
+        # tokens only through parse_constant
+        json.loads(data, parse_constant=_refuse)
 
 
 def test_golden_covers_every_command():

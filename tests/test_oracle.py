@@ -1,11 +1,14 @@
 """Tests for the cross-validated Marcum Q oracle.
 
-Frozen values come from 50-digit mpmath quadrature of the defining
-integral (``make_frozen_large_a.py`` regenerates the large-argument
-set), and the trapezoid's scaled tails from the 50-digit Poisson mixture
-(``make_frozen_trapezoid.py``); scipy's noncentral chi-square survival
-function provides an independent implementation for cross-checks
-(Q1(a, b) is the survival of ncx2(df=2, nc=a^2) at b^2).
+Every frozen Q1 value has one source, the 50-digit Simon integral of
+``truth.py``: ``make_frozen_q1.py`` prints every table into
+``frozen_q1.py``, and ``TestFrozenTables`` checks that each table holds
+that script's points.  The 50-digit Poisson mixture of ``mixture.py``
+recomputes the trapezoid's scaled tails and the values past the span, so
+Simon's integral, which the trapezoid also sums, is never their only
+witness.  scipy's noncentral chi-square survival function provides an
+independent implementation for cross-checks (Q1(a, b) is the survival of
+ncx2(df=2, nc=a^2) at b^2).
 """
 
 import math
@@ -35,141 +38,31 @@ from marcumq.oracle import (
     rice_pdf,
 )
 
-from make_frozen_trapezoid import frozen_tails, past_span
+import frozen_q1
+import make_frozen_q1
+import mixture
+from frozen_q1 import (
+    Q1_FROZEN,
+    Q1_FROZEN_ACROSS_TIE,
+    Q1_FROZEN_EXPANSION,
+    Q1_FROZEN_LARGE_A,
+    Q1_FROZEN_NEAR_DIAGONAL,
+    Q1_FROZEN_NEAR_TIE,
+    Q1_FROZEN_OFF_DIAGONAL,
+    Q1_FROZEN_PAST_SPAN,
+    Q1_FROZEN_ROUTES,
+    TAILS_FROZEN_HUGE,
+    TRAPEZOID_FROZEN,
+)
 from make_gauss_legendre import generated_block as gauss_legendre_block
-from reference_tables import frozen_full_range_quadrature
 
-# mpmath (50 dps) references
-Q1_FROZEN = {
-    (0.0, 1.5): 0.32465246735834973,
-    (0.1, 0.5): 0.88304717244316724,
-    (0.1, 1.0): 0.60804414666879398,
-    (2.0, 1.0): 0.918107696369406,
-    (20.0, 20.0): 0.50997667814096999,
-    (0.0, 3.0): 0.011108996538242306,
-    (1.0, 2.0): 0.26901206003591,
-    (10.0, 8.0): 0.98010420964205033,
-    (4.0, 3.0): 0.87410388337202941,
-    (0.5, 0.5): 0.89550858106985968,
-    (3.0, 0.5): 0.99830023270553937,
-    (600.0, 599.0): 0.84154647249682223,
-    (600.0, 601.0): 0.15885681232410255,
-}
-
-# mpmath (50 dps) references at large a, from make_frozen_large_a.py
-Q1_FROZEN_LARGE_A = {
-    (600.0, 599.0): 0.8415464724968222,
-    (600.0, 601.0): 0.15885681232410254,
-    (1000.0, 997.0): 0.9986523195572946,
-    (1000.0, 1000.0): 0.5001994711651346,
-    (10000.0, 10003.0): 0.0013501196074340292,
-    (30000.0, 29997.0): 0.9986501758343568,
-    (100000.0, 100000.0): 0.500001994711402,
-}
-
-# mpmath (50 dps) references with a >= 100 and |b - a| <= 1, from
-# make_frozen_large_a.py; q1_reference takes q1_diagonal there
-Q1_FROZEN_NEAR_DIAGONAL = {
-    (100.0, 100.73): 0.23422046958106243,
-    (250.0, 249.0): 0.8418291734016043,
-    (10000.0, 10000.5): 0.3085551417723118,
-    (300000.0, 300000.000001): 0.5000002659584826,
-    (1000000.0, 999999.9): 0.5398280357440655,
-}
-
-# mpmath (50 dps) references with a >= 100 past |b - a| = 1, from
-# make_frozen_large_a.py; q1_reference takes q1_trapezoid there
-Q1_FROZEN_OFF_DIAGONAL = {
-    (1000.0, 1010.0): 7.65823031749438e-24,
-    (1000.0, 1003.0): 0.001352112296657218,
-    (30000.0, 30003.0): 0.0013499718939237926,
-    (326458.87147227593, 326457.48268537264): 0.9175514534833561,
-    (1000000.0, 999995.0): 0.9999997133491715,
-}
-# (a, b) -> (S, d) past the old range of 1e6, 50 digits, from
-# make_frozen_large_a.py (truth.q1_tail): S e^-d is Q1 (b > a) or 1 - Q1
-# (b < a), with d the double 0.5 * (b - a)^2; at b = a, S is Q1 and d = 0,
-# and from d = 2^52 on S is the integral alone, as the methods return it
-TAILS_FROZEN_HUGE = {
-    (100000000.0, 99999998.5): (0.20578066498268327, 1.125),
-    (100000000.0, 100000001.5): (0.2057806689721061, 1.125),
-    (100000000.0, 99999992.0): (0.04912254421771349, 32.0),
-    (100000000.0, 100000008.0): (0.049122548207136296, 32.0),
-    (100000000.0, 100000030.0): (0.013283351348695047, 450.0),
-    (100000000.0, 100000300.0): (0.001329794820900494, 45000.0),
-    (1000000000000.0, 999999999998.5): (0.20578066697719521, 1.125),
-    (1000000000000.0, 1000000000001.5): (0.20578066697759417, 1.125),
-    (1000000000000.0, 999999999992.0): (0.04912254621222546, 32.0),
-    (1000000000000.0, 1000000000008.0): (0.0491225462126244, 32.0),
-    (1000000000000.0, 1000000000030.0): (0.013283349354183266, 450.0),
-    (1000000000000.0, 1000000000300.0): (0.0013297928263900592, 45000.0),
-    (1e+16, 9999999999999998.0): (0.1681020012231706, 2.0),
-    (1e+16, 1.0000000000000002e+16): (0.16810200122317062, 2.0),
-    (1e+16, 9999999999999992.0): (0.049122546212424914, 32.0),
-    (1e+16, 1.0000000000000008e+16): (0.04912254621242495, 32.0),
-    (1e+16, 1.000000000000003e+16): (0.013283349353983814, 450.0),
-    (1e+16, 1.00000000000003e+16): (0.001329792826190608, 45000.0),
-    (1e+50, 1e+50): (0.5, 0.0),
-    (1e+50, 1.0000000000010001e+50): (3.989277694224468e-39, 5.000363756153764e+75),
-    (1e+50, 9.99999999999e+49): (3.9892776942204784e-39, 5.000363756153764e+75),
-    (1e+150, 1e+150): (0.5, 0.0),
-    (1e+150, 1.0000000000010001e+150): (3.988903908924212e-139, 5.0013009309176066e+275),
-    (1e+150, 9.99999999999e+149): (3.989628768798275e-139, 4.999483762822541e+275),
-    (50.0, 10000000.0): (1.7841330372639796e-05, 49999500001250.0),
-    (99.9, 1000000000.0): (1.2621976437176417e-06, 4.99999900100005e+17),
-    (0.001, 1e+150): (1.26156626101008e-74, 4.9999999999999995e+299),
-}
 # every frozen point with a >= 100 past the span
 _PAST_THE_SPAN = {
     (a, b): q for (a, b), q in {**Q1_FROZEN_LARGE_A, **Q1_FROZEN_OFF_DIAGONAL}.items()
     if abs(b - a) > oracle._DIAGONAL_SPAN
 }
 
-# (a, b) -> (S, d), 50 digits, from make_frozen_trapezoid.py: Q1 (b > a) or
-# 1 - Q1 (b < a) is S e^-d, with d the double 0.5 * (b - a)^2.  Both the
-# trapezoid and the Bessel series are tested at all of them
-TRAPEZOID_FROZEN = {
-    (1.0, 30.0): (0.07562150057595424, 420.5),
-    (2.0, 12.0): (0.09767937392879893, 50.0),
-    (0.5, 200.0): (0.0400439849639882, 19900.125),
-    (3.0, 80.0): (0.026766547370113178, 2964.5),
-    (4.0, 5.0): (0.308978142683791, 0.5),
-    (20.0, 25.0): (0.08633947383529231, 12.5),
-    (1.0, 50.0): (0.05770363890803194, 1200.5),
-    (0.0, 30.0): (1.0, 450.0),
-    (30.0, 67.0): (0.01610582230239091, 684.5),
-    (0.593, 37.229): (0.08674948531135501, 671.0982479999998),
-    (7.1403525920058035, 41.18460043448496): (0.028140987061122415, 579.5054055800734),
-    (6.27493505783561, 40.55297290545762): (0.029587037000646983, 587.4919393415034),
-    (20.0, 1.0): (0.004587186024934953, 180.5),
-    (30.0, 2.0): (0.0036489063078544107, 392.0),
-    (0.0001, 5.0): (0.9995001924454304, 12.499500005000002),
-    (0.03, 0.02): (0.000199900034324202, 4.999999999999998e-05),
-    (97.3, 701.6): (0.0017727437372437622, 182589.24500000005),
-    (0.3133, 0.04155): (0.0008524231494997885, 0.03692403125000001),
-    (0.23, 0.023): (0.0002631402084416784, 0.021424500000000003),
-    (2.0, 5e-08): (1.2499998750000087e-15, 1.9999999000000015),
-}
 TRAPEZOID_POINTS = sorted(TRAPEZOID_FROZEN)
-# Q1 at b < a within 1 of a, below a = 100, where q1_reference takes the
-# diagonal route: 1 minus a 50-digit integral over [0, b], from make_frozen_trapezoid.py
-Q1_FROZEN_NEAR_TIE = {
-    (0.01, 0.0099): 0.9999509986507941,
-    (1.0, 0.999999): 0.7328802695563239,
-    (5.0, 4.99): 0.5441061740035051,
-    (50.0, 49.5): 0.694992138533473,
-    (99.9, 98.95): 0.8302184940939307,
-}
-# Q1 at b a little past a + 1 below a = 100, where q1_reference pairs the
-# trapezoid with the Bessel series: the 50-digit mixture, from make_frozen_trapezoid.py
-Q1_FROZEN_PAST_SPAN = {
-    (0.5, 1.7): 0.2775792712563917,
-    (1.0, 2.5): 0.1208541231487329,
-    (10.0, 11.5): 0.07306384462950884,
-    (20.0, 23.0): 0.0014568541253861939,
-    (50.0, 53.0): 0.0013935730392624726,
-    (99.9, 101.2): 0.09765542352601103,
-}
 # the frozen points where q1_reference pairs the trapezoid with the Bessel
 # series: a < ASYMPTOTIC_MIN_A past the diagonal span, on either side of b = a
 PAIRED_FROZEN = [
@@ -178,6 +71,17 @@ PAIRED_FROZEN = [
 ]
 # QArgs's one message past a, b <= sqrt(DBL_MAX)
 _PAST_THE_RANGE = r"^Q1 takes a, b <= sqrt\(DBL_MAX\) = 1\.3407807929942596e\+154, got \(a="
+
+
+class TestFrozenTables:
+    def test_keys_are_the_generators_points(self):
+        # a table cannot drift from make_frozen_q1.py; no mpmath evaluation
+        # here, as the full regeneration takes about 47 s
+        for name, (_, points, _) in make_frozen_q1.TABLES.items():
+            assert list(vars(frozen_q1)[name]) == points, name
+        assert {route: list(t) for route, t in Q1_FROZEN_ROUTES.items()} == make_frozen_q1.ROUTE_POINTS
+        # and frozen_q1.py holds no table the script does not print
+        assert {name for name in vars(frozen_q1) if name.isupper()} == {*make_frozen_q1.TABLES, "Q1_FROZEN_ROUTES"}
 
 
 class TestQArgs:
@@ -292,6 +196,20 @@ def _with_examples(test):
     return test
 
 
+def _frozen_full_range_quadrature(a: float, b: float) -> float:
+    """q1_quadrature as it was with the full range: the tail [b, max(a, b) + 40]
+    for b >= a and 1 - [0, b] for b < a.  A frozen copy of the range, so a
+    change to the library's range cannot move the reference it is compared
+    with; it is the library's own method, so no test takes it as a truth."""
+    if b == 0.0:
+        return 1.0
+    seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
+    integrand = lambda x: rice_pdf(x, a)
+    if b >= a:
+        return _adaptive_quad(integrand, b, max(a, b) + 40.0, seeds)
+    return 1.0 - _adaptive_quad(integrand, 0.0, b, seeds)
+
+
 class TestQuadrature:
     @given(
         st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)).flatmap(
@@ -310,8 +228,7 @@ class TestQuadrature:
     def test_bit_identical_to_full_range(self, point):
         # panels past max(a, b) + 15 or below min(a, b) - 15 are left out
         a, b = point
-        route = "tail" if b >= a else "complement"
-        assert q1_quadrature(QArgs(a, b)) == frozen_full_range_quadrature(a, b, route), (a, b)
+        assert q1_quadrature(QArgs(a, b)) == _frozen_full_range_quadrature(a, b), (a, b)
 
     @pytest.mark.parametrize("b,panels", [(1e3, 9), (1e3 - 3.0, 5), (1e3 + 3.0, 5)])
     def test_panel_count_at_large_a(self, monkeypatch, b, panels):
@@ -337,13 +254,13 @@ class TestQuadrature:
             assert q1_reference(QArgs(a, 0.0)).value == 1.0, a
 
     def test_forms_agree_across_tie(self):
-        # the tail for b >= a against the full-range complement, and back
+        # the tail for b >= a and the complement for b < a, each against the
+        # truth; within 2.9e-15 at these points
         for a in (0.1, 1.0, 2.0, 10.0, 20.0):
             for db in (-0.1, -0.01, 0.0, 0.01, 0.1):
                 b = a + db
-                other = "complement" if b >= a else "tail"
                 got = q1_quadrature(QArgs(a, b))
-                assert got == pytest.approx(frozen_full_range_quadrature(a, b, other), abs=1e-10), (a, b)
+                assert got == pytest.approx(Q1_FROZEN_ACROSS_TIE[a, b], rel=0.0, abs=1e-14), (a, b)
 
     @pytest.mark.parametrize("a", [1e7, 1e16, 1e17, 1e20])
     @pytest.mark.parametrize("b_over_a", [pytest.param(1.0, id="tail"), pytest.param(0.5, id="complement")])
@@ -607,14 +524,15 @@ class TestAsymptotic:
         assert q1_reference(QArgs(a, b)).value == 1.0
 
     def test_edges_match_series(self):
+        # Q1(a, 0) = 1 and Q1(0, b) = e^(-b^2/2)
         assert q1_asymptotic(QArgs(150.0, 0.0)) == 1.0
-        assert q1_asymptotic(QArgs(0.0, 1.5)) == q1_series(QArgs(0.0, 1.5))
+        assert q1_asymptotic(QArgs(0.0, 1.5)) == math.exp(-1.125)
 
     def test_agrees_with_series(self):
-        for a in (100.0, 173.0, 300.0, 450.0, 600.0):
-            for db in (-40.0, -10.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 10.0, 40.0):
-                args = QArgs(a, a + db)
-                assert q1_asymptotic(args) == pytest.approx(q1_series(args), abs=1e-13)
+        # within 1.1e-16 of the truth at these 55 points; the Poisson
+        # series it was held to at 1e-13 is 7e-15 off the expansion here
+        for (a, b), expected in Q1_FROZEN_EXPANSION.items():
+            assert q1_asymptotic(QArgs(a, b)) == pytest.approx(expected, rel=0.0, abs=1e-15), (a, b)
 
     def test_outside_domain_raises(self):
         # at xi = ab = 1 the terms grow before reaching double precision
@@ -677,8 +595,8 @@ _Q1_PAST_SPAN_ABOVE = {
 
 class TestTrapezoid:
     def test_frozen_table_regenerates(self):
-        # TRAPEZOID_FROZEN is exactly what make_frozen_trapezoid.py prints
-        assert frozen_tails() == TRAPEZOID_FROZEN
+        # the Poisson mixture gives every (S, d) that truth.py does, to the bit
+        assert mixture.scaled_tails(TRAPEZOID_FROZEN) == TRAPEZOID_FROZEN
 
     @pytest.mark.parametrize("a,b", TRAPEZOID_POINTS)
     def test_frozen_values(self, a, b):
@@ -1202,7 +1120,8 @@ class TestReference:
         assert res.value == pytest.approx(Q1_FROZEN_NEAR_TIE[a, b], rel=0.0, abs=2.5e-16)
 
     def test_past_span_table_regenerates(self):
-        assert past_span() == Q1_FROZEN_PAST_SPAN
+        # the Poisson mixture gives every value that truth.py does, to the bit
+        assert mixture.q1_above(Q1_FROZEN_PAST_SPAN) == Q1_FROZEN_PAST_SPAN
 
     @pytest.mark.parametrize("a,b", sorted(Q1_FROZEN_PAST_SPAN))
     def test_frozen_values_past_the_span(self, a, b):
@@ -1364,6 +1283,29 @@ class TestReference:
     def test_matches_scipy_everywhere(self, a, b):
         ref = q1_reference(QArgs(a, b)).value
         assert ref == pytest.approx(stats.ncx2.sf(b * b, 2, a * a), rel=2e-9, abs=1e-10)
+
+
+# the most ulps, |value - truth| / ulp(truth), that q1_reference's value
+# is off at the Q1_FROZEN_ROUTES points of each route: the worst measured
+# when the table was made.  A budget only tightens
+ROUTE_ULP_BUDGET = {
+    "band": 27,  # the mean of the quadrature and the Poisson series: no point within 1 ulp
+    "diagonal below 100": 1,
+    "diagonal from 100": 1,
+    "trapezoid and Bessel series, b > a": 2,
+    "trapezoid and Bessel series, b < a": 1,
+    "trapezoid and expansion": 2,
+    "b < a, 1 - Q1 underflows": 0,
+}
+
+
+class TestLastDigit:
+    @pytest.mark.parametrize("route", list(Q1_FROZEN_ROUTES))
+    def test_within_the_route_budget(self, route):
+        points = Q1_FROZEN_ROUTES[route]
+        ulps = {p: abs(q1_reference(QArgs(*p)).value - q) / math.ulp(q) for p, q in points.items()}
+        worst = max(ulps, key=ulps.get)
+        assert ulps[worst] <= ROUTE_ULP_BUDGET[route], (worst, ulps[worst])
 
 
 _LIMIT = oracle.MAX_ORACLE_ARG
@@ -1542,10 +1484,10 @@ class TestRicePdf:
         assert rice_pdf(x, x) == 1.0 / math.sqrt(2.0 * math.pi)
 
     def test_normalization_a10(self):
-        # integral over [0, a+40] is the full mass (q1_quadrature at b = 0
-        # returns 1.0 without integrating)
-        total = _adaptive_quad(lambda x: rice_pdf(x, 10.0), 0.0, 50.0)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        # the integral over [0, a + 40] is the full mass, to within the
+        # density's e^-800 left past it
+        total = mp.quad(lambda x: rice_pdf(float(x), 10.0), [0, 5, 10, 15, 20, 30, 50])
+        assert float(total) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("x,a", [(0.5, 1e200), (1e200, 0.5), (1e300, 1e10), (1e155, 1.0)])
     def test_zero_where_the_square_overflows(self, x, a):

@@ -11,7 +11,8 @@ form.  ``mp.quad`` takes S at 50 digits, with breakpoints where the
 Gaussian factor falls, at k/sqrt(ab) for k = 1/4 ... 32, and where the
 Poisson kernel does, at k w for k = 1/4, 1, 4.  Nothing is formed as a
 difference of nearly equal numbers, so it holds at any a, b up to
-sqrt(DBL_MAX).
+sqrt(DBL_MAX).  ``make_frozen_q1.py`` takes every frozen Q1 value of the
+tests from it, and ``mixture.py`` is its second witness.
 """
 
 import mpmath as mp

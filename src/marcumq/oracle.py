@@ -36,10 +36,14 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     where alpha_n(nu) are the Hankel coefficients of I_nu and G_n follow
     G_1 = 2(e^-w^2 - sqrt(pi) w erfc(w)), G_n = (e^-w^2 - w^2 G_{n-1})/(n - 1/2).
     For b < a it uses Q1(a, b) = 1 + e^(-(a-b)^2/2) i0e(ab) - Q1(b, a),
-    with i0e from its own Hankel sum.  Its domain is large xi with
-    (b - a)^2 small against xi; there it needs 3-5 terms, O(1) time and
-    memory.  Outside, its terms grow before reaching double precision
-    and ConvergenceError is raised.
+    with i0e from its own Hankel sum.  erfc(w) and e^-w^2 are taken at
+    the true w = (b - a)/sqrt(2): the roundings of b - a, of w and of w^2
+    are carried to first order (Dekker), as a rounded w costs their
+    relative slope 2w^2 times an ulp (1.2e-13 at b - a = 30).  Its
+    domain is large xi with (b - a)^2 small against xi; there each sum
+    is one straight loop of a few terms, O(1) time and memory.  Outside,
+    its terms grow before reaching double precision and ConvergenceError
+    is raised.
   * ``q1_trapezoid``: the trapezoid rule on Simon's finite-range
     integral with e^-(b-a)^2/2 factored out, accurate relative to its
     value (to about 1e-15) also far below the double range.  It gives Q1
@@ -54,11 +58,11 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
   * ``q1_bessel_series``: Marcum's series in e^-x I_k(x), x = ab, from
     the generating function of I_k, with the ratios I_k/I_(k-1) from a
     forward recurrence where its K terms have K^2 <= ab, and a backward
-    one elsewhere.  Like the trapezoid it gives Q1 for b >= a and
-    1 - Q1 for b < a as a scaled value and an exponent, accurate
-    relative to the value (to about 1e-15).  It refuses a point needing
-    more than 1e5 recurrence steps; every a < 100 off b = a needs at
-    most about 1,000.
+    one elsewhere, summed during it in O(1) memory.  Like the trapezoid
+    it gives Q1 for b >= a and 1 - Q1 for b < a as a scaled value and an
+    exponent, accurate relative to the value (to about 1e-15).  It
+    refuses a point needing more than 1e5 recurrence steps; every a < 100
+    off b = a needs at most about 1,000.
 
 ``q1_reference`` pairs two methods by region.  The two of a pair share
 no code, except that the trapezoid and the Bessel series take the
@@ -146,6 +150,11 @@ _TAIL_SIGMAS = 40.0  # tail end past the last seed (b > a + 15): integrand < 1e-
 _MAX_PANELS = 2000  # the quadrature's panel budget
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
+# 1/sqrt(2) = _RSQRT2 + _RSQRT2_LO, and the double's Dekker halves _RSQRT2_HI + _RSQRT2_TL
+_RSQRT2 = math.sqrt(0.5)
+_RSQRT2_LO = -4.833646656726457e-17
+_RSQRT2_HI = 134217729.0 * _RSQRT2 - (134217729.0 * _RSQRT2 - _RSQRT2)
+_RSQRT2_TL = _RSQRT2 - _RSQRT2_HI
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = 1.7976931348623157e308
 
@@ -472,64 +481,84 @@ def q1_series(args: QArgs) -> float:
     return math.fsum(terms) / pmass
 
 
-def _asymptotic_sum(terms) -> float:
-    """Sum of an asymptotic series, up to its first term <= 1e-17 of the total.
+def _expansion_error(n: int, t: float) -> ConvergenceError:
+    """The error for term n of an asymptotic series that is not finite or grows."""
+    if not math.isfinite(t):
+        return ConvergenceError(f"asymptotic series term {n} is {t!r} (xi = ab out of range)")
+    return ConvergenceError(
+        f"asymptotic series term {n} grows before reaching 1e-17 of the sum "
+        "(arguments outside the expansion's domain)"
+    )
 
-    Raises ConvergenceError if a term grows before that: the series has
-    passed its smallest term without reaching double precision.  So does
-    a non-finite term, which no comparison would stop: at (1e-300, 2) the
+
+def _i0e_hankel(x: float) -> float:
+    """e^-x I0(x) from the Hankel expansion sum_n (-1)^n alpha_n(0) x^-n / sqrt(2 pi x).
+
+    The terms (-1)^n alpha_n(0) x^-n are positive.  The sum stops at the
+    first term <= 1e-17 of the total; a term that grows before that, or
+    is not finite (x tiny), raises ConvergenceError.
+    """
+    total = prev = c = 1.0
+    n = 0
+    while True:
+        n += 1
+        c *= (2 * n - 1) ** 2 / (8 * n * x)
+        if not c <= prev:  # grows, or inf or NaN
+            raise _expansion_error(n, c)
+        total += c
+        if c <= 1e-17 * total:
+            return total / (_SQRT_2PI * math.sqrt(x))
+        prev = c
+
+
+def _q1_large_xi(a: float, b: float) -> float:
+    """Q1(a, b) for b >= a > 0 by the large-xi expansion (see module docstring).
+
+    The sum stops at the first term <= 1e-17 of the total.  A term that
+    grows before that has passed the series' smallest term short of
+    double precision, and raises ConvergenceError; so does a term that
+    is not finite, which no comparison would stop: at (1e-300, 2) the
     tiny xi = ab makes the second term inf.
     """
-    total, prev = 0.0, math.inf
-    for n, t in enumerate(terms):
-        if not math.isfinite(t):
-            raise ConvergenceError(f"asymptotic series term {n} is {t!r} (xi = ab out of range)")
-        if abs(t) > prev:
-            raise ConvergenceError(
-                f"asymptotic series term {n} grows before reaching 1e-17 of the sum "
-                "(arguments outside the expansion's domain)"
-            )
+    xi, rho = a * b, b / a
+    # w = (b - a)/sqrt(2) as w + w_lo, with the roundings of b - a (Fast2Sum) and
+    # of the product (Dekker's split) carried, and w^2 = (b - a)^2/2 = w2 + r
+    delta = b - a
+    c = 134217729.0 * delta
+    d_hi = c - (c - delta)
+    d_lo = delta - d_hi
+    w = delta * _RSQRT2
+    w_lo = (
+        (((d_hi * _RSQRT2_HI - w) + d_hi * _RSQRT2_TL) + d_lo * _RSQRT2_HI) + d_lo * _RSQRT2_TL
+    ) + (delta * _RSQRT2_LO + ((b - delta) - a) * _RSQRT2)
+    w2, r = _split_exponent(a, b)
+    # erfc and e^-w^2 at the true w, to first order in w_lo and r, from one exp
+    e = math.exp(-w2)
+    ec, ew = math.erfc(w) - (2.0 / _SQRT_PI) * e * w_lo, e * (1.0 - r)
+    # n = 0 in closed form: the product (1 - 1/rho) G_0 cancels near b = a
+    total = 0.5 * math.sqrt(rho) * ec
+    if not math.isfinite(total):
+        raise _expansion_error(0, total)
+    if total == 0.0:  # erfc(w) underflows, and e^-w^2 with it
+        return total
+    prev = abs(total)
+    g = 2.0 * (ew - _SQRT_PI * w * ec)
+    # rho sqrt(xi)/(2 sqrt(2 pi)) (-1)^n alpha_n(nu) xi^-n for nu = 0, 1
+    c0 = c1 = rho * math.sqrt(xi) / (2.0 * _SQRT_2PI)
+    n = 1
+    while True:
+        k, m = (2 * n - 1) ** 2, 8 * n * xi
+        c0 *= k / m
+        c1 *= (k - 4) / m
+        t = (c0 - c1 / rho) * g
+        if not abs(t) <= prev:  # grows, or inf or NaN
+            raise _expansion_error(n, t)
         total += t
         if abs(t) <= 1e-17 * abs(total):
             return total
         prev = abs(t)
-
-
-def _i0e_hankel(x: float) -> float:
-    """e^-x I0(x) from the Hankel expansion sum_n (-1)^n alpha_n(0) x^-n / sqrt(2 pi x)."""
-
-    def terms():
-        c, n = 1.0, 0
-        while True:
-            yield c
-            n += 1
-            c *= (2 * n - 1) ** 2 / (8 * n * x)
-
-    return _asymptotic_sum(terms()) / (_SQRT_2PI * math.sqrt(x))
-
-
-def _q1_large_xi(a: float, b: float) -> float:
-    """Q1(a, b) for b >= a > 0 by the large-xi expansion (see module docstring)."""
-    xi, rho = a * b, b / a
-    w = (b - a) / math.sqrt(2.0)
-    ec, ew = math.erfc(w), math.exp(-w * w)
-    scale = rho * math.sqrt(xi) / (2.0 * _SQRT_2PI)
-
-    def terms():
-        # n = 0 in closed form: the product (1 - 1/rho) G_0 cancels near b = a
-        yield 0.5 * math.sqrt(rho) * ec
-        g = 2.0 * (ew - _SQRT_PI * w * ec)
-        c0 = c1 = scale  # scale * (-1)^n alpha_n(nu) xi^-n for nu = 0, 1
-        n = 1
-        while True:
-            k = (2 * n - 1) ** 2
-            c0 *= k / (8 * n * xi)
-            c1 *= (k - 4) / (8 * n * xi)
-            yield (c0 - c1 / rho) * g
-            g = (ew - w * w * g) / (n + 0.5)
-            n += 1
-
-    return _asymptotic_sum(terms())
+        g = (ew - w2 * g) / (n + 0.5)
+        n += 1
 
 
 def q1_asymptotic(args: QArgs) -> float:
@@ -595,6 +624,24 @@ def _simon_terms(ks: range, h: float, p: float, q: float, w2: float, z4: float, 
         v = s * s
         out.append((p + q * v) / (w2 + z4 * v) * exp(nx * (v + v)))
     return out
+
+
+def _simon_terms_dual(
+    ks: range, h: float, p: float, q: float, w2: float, z4: float, x: float
+) -> tuple[list[float], list[float]]:
+    """_simon_terms with exp and with expm1 as lists (f, f1), from one sine, square and rational a node."""
+    sin, exp, expm1 = math.sin, math.exp, math.expm1
+    hh, nx = 0.5 * h, -x
+    k, step = float(ks.start), float(ks.step)
+    out, out1 = [], []
+    for _ in ks:
+        s = sin(hh * k)
+        k += step
+        v = s * s
+        g, e = (p + q * v) / (w2 + z4 * v), nx * (v + v)
+        out.append(g * exp(e))
+        out1.append(g * expm1(e))
+    return out, out1
 
 
 def _split_exponent(lo: float, hi: float) -> tuple[float, float]:
@@ -761,12 +808,11 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
         )
     coeffs = (p, q, w * w, 4.0 * zeta, x)
     kernel = math.exp
-    f = _rule_terms(n, last, coeffs, kernel)
+    f, f1 = _rule_terms(n, last, coeffs, dual)
     # b < a terms change sign past v = w/2, and only then is sum |f_k| not sum f_k
     signed = complement and x * w < _TRAPEZOID_CUT
     s, error, rest = _trapezoid_sum(f, n, _left_out(n, last, x, tail, rate), signed, s_lo, ln_m, alpha)
     if dual:  # the same nodes with the weight less 1; the smaller bound is kept
-        f1 = _rule_terms(n, last, coeffs, math.expm1)
         s1, error1, rest1 = _trapezoid_sum(f1, n, 0.0, signed, s_lo, ln_m1, alpha)
         if error1 < error:
             kernel, f, s, rest, error, ln_m = math.expm1, f1, s1, rest1, error1, ln_m1
@@ -782,13 +828,19 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     return TrapezoidResult(s * scale, d, complement, len(f), error * scale)
 
 
-def _rule_terms(n: int, last: int, coeffs: tuple, kernel) -> list[float]:
-    """The terms of the N-panel endpoint rule on [0, pi] at nodes 0..last, the end ones halved."""
-    f = _simon_terms(range(last + 1), math.pi / n, *coeffs, kernel)
-    f[0] *= 0.5
-    if last == n:
-        f[n] *= 0.5
-    return f
+def _rule_terms(n: int, last: int, coeffs: tuple, dual: bool) -> tuple[list[float], list[float] | None]:
+    """The terms (f, f1) of the N-panel endpoint rule on [0, pi] at nodes 0..last, the end ones halved.
+
+    f has the weight exp; f1, where ``dual``, the weight expm1 from the
+    same pass over the nodes, and is None otherwise.
+    """
+    ks, h = range(last + 1), math.pi / n
+    f, f1 = _simon_terms_dual(ks, h, *coeffs) if dual else (_simon_terms(ks, h, *coeffs, math.exp), None)
+    for terms in (f, f1) if dual else (f,):
+        terms[0] *= 0.5
+        if last == n:
+            terms[n] *= 0.5
+    return f, f1
 
 
 def _trapezoid_sum(
@@ -841,16 +893,27 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
     r_k = x/(2k + x r_(k+1)) started at r_(N+1) = 0 with
     N = floor(sqrt(K^2 + 40x)) + 16; an error in a start contracts by
     r_k^2 per step, e^-40 over the steps down to K (Amos, Math. Comp. 28,
-    1974).  The terms are i0e(x) times the ratios multiplied up, summed
-    by fsum.  Only the K ratios used are kept.  It shares no code with
-    ``q1_trapezoid`` except the exponent, the same double d, with its
-    rounding carried in ``scaled``.  ``nodes`` is the number of terms,
-    and ``error`` bounds the discarded terms by a geometric series.
+    1974).  Forward, the terms are i0e(x) times the ratios multiplied up,
+    summed by fsum.  Backward, the sum over i_0 is taken during the
+    recurrence, in Horner form from k = K down to 1,
 
-    The time is O(K) forward and O(N) backward, the memory O(K), and it
-    refuses a point needing over _BESSEL_MAX_STEPS recurrence steps with
-    DomainError.  Off b = a below a = 100 it takes at most about 1,000
-    steps, backward at (99.99, 101).
+        h <- zeta r_k (1 + h),   Q1 = e^-d i_0 (1 + h),   1 - Q1 = e^-d i_0 h,
+
+    and nothing is stored.  Each step rounds three times, on positive
+    numbers, and an error made at step k reaches h scaled by the factors
+    h_j/(1 + h_j) < 1 it passes, while the multiplied-up term k carries k
+    roundings; against fsum of those terms the Horner sum is within
+    1e-15 relative (tested at 300 seeded points).  The product zeta^K
+    r_1 ... r_K, kept alongside, gives the K-th term.  It shares no code
+    with ``q1_trapezoid`` except the exponent, the same double d, with
+    its rounding carried in ``scaled``.  ``nodes`` is the number of
+    terms, and ``error`` bounds the discarded terms by a geometric series.
+
+    The time is O(K) forward and O(N) backward, the memory O(K) forward,
+    where K <= sqrt(ab), and O(1) backward.  It refuses a point needing
+    over _BESSEL_MAX_STEPS recurrence steps with DomainError.  Off b = a
+    below a = 100 it takes at most about 1,000 steps, backward at
+    (99.99, 101).
     """
     a, b = args.a, args.b
     complement = b < a
@@ -877,24 +940,31 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
         for two_j in range(2, 2 * k + 1, 2):
             ratio = 1.0 / ratio - two_j / x
             ratios.append(ratio)
+        past = ratios.pop()  # r_(K+1)
+        if not complement:
+            ratios.append(t)  # i_0
+        for j in range(k):  # each ratio becomes the term it multiplies up to
+            t *= zeta * ratios[j]
+            ratios[j] = t
+        total = math.fsum(ratios)
     else:
-        ratio = 0.0
+        past = 0.0
         for two_j in range(2 * n, 2 * k, -2):
-            ratio = x / (two_j + x * ratio)
-        ratios = [ratio]  # r_(K+1), ..., r_1 until reversed
+            past = x / (two_j + x * past)
+        # the sum over i_0 in Horner form, h = zeta r_1 (1 + zeta r_2 (1 + ...)),
+        # and the product zeta^K r_1 ... r_K, from r_K down to r_1
+        ratio, h, product = past, 0.0, 1.0
         for two_j in range(2 * k, 0, -2):
             ratio = x / (two_j + x * ratio)
-            ratios.append(ratio)
-        ratios.reverse()
-    past = ratios.pop()  # r_(K+1)
-    if not complement:
-        ratios.append(t)  # i_0
-    for j in range(k):  # each ratio becomes the term it multiplies up to
-        t *= zeta * ratios[j]
-        ratios[j] = t
+            zr = zeta * ratio
+            h = zr * (1.0 + h)
+            product *= zr
+        total = t * (h if complement else 1.0 + h)
+        t *= product  # the K-th term
     # the ratios fall with k, so the terms past K are at most t (zeta r_(K+1))^j
     q = zeta * past
-    return TrapezoidResult(math.fsum(ratios) * math.exp(-r), d, complement, len(ratios), t * q / (1.0 - q))
+    terms = k if complement else k + 1
+    return TrapezoidResult(total * math.exp(-r), d, complement, terms, t * q / (1.0 - q))
 
 
 # --- generated by tests/make_gauss_legendre.py: do not edit by hand ---

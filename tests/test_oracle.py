@@ -536,7 +536,7 @@ class TestAsymptotic:
 
     def test_outside_domain_raises(self):
         # at xi = ab = 1 the terms grow before reaching double precision
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="grows before reaching 1e-17"):
             q1_asymptotic(QArgs(1.0, 1.0))
 
     def test_overflowing_xi_raises(self):
@@ -712,6 +712,20 @@ class TestTrapezoid:
         for a, b in [(1.0, 30.0), (20.0, 1.0)]:
             q1_trapezoid(QArgs(a, b))
 
+    def test_both_weights_from_one_sine_a_node(self, monkeypatch):
+        # at (3, 1), 2ab <= 50: the exp and expm1 weights share each node's
+        # sine, square and rational
+        calls = []
+        sin = math.sin
+
+        def counting_sin(t):
+            calls.append(t)
+            return sin(t)
+
+        monkeypatch.setattr(math, "sin", counting_sin)
+        res = q1_trapezoid(QArgs(3.0, 1.0))
+        assert len(calls) == res.nodes > 0
+
     def test_a_zero_is_the_rayleigh_tail(self):
         for b in (30.0, 5.0, 0.5):
             res = q1_trapezoid(QArgs(0.0, b))
@@ -811,7 +825,7 @@ class TestBesselSeries:
     def test_cost_at_the_deepest_far_tail_point(self):
         # (99.9, 1e6) took the most recurrence steps below a = 100, about
         # 63,000 backward, in about 5 ms; as K^2 <= ab it takes 6 forward,
-        # and only the 6 ratios used are kept
+        # and keeps the 7 ratios r_1 ... r_7 of the forward branch
         start = time.perf_counter()
         res = q1_bessel_series(QArgs(99.9, 1e6))
         assert time.perf_counter() - start < 0.1
@@ -834,6 +848,35 @@ class TestBesselSeries:
             b = min(a * 10.0 ** rng.uniform(-3.0, 6.0), 2.5e8 / a)
             backward, k = _backward_series(a, b)
             if k * k <= a * b:
+                seen += 1
+                assert q1_bessel_series(QArgs(a, b)).scaled == pytest.approx(backward, rel=1e-15, abs=0.0), (a, b)
+
+    def test_cost_at_the_deepest_backward_point(self):
+        # (99.99, 101) takes the most backward steps off b = a below a = 100,
+        # 1,033, summed during the recurrence in O(1) memory
+        q = QArgs(99.99, 101.0)
+        start = time.perf_counter()
+        res = q1_bessel_series(q)
+        assert time.perf_counter() - start < 0.01
+        assert (res.nodes - 1) ** 2 > 99.99 * 101.0  # K^2 > ab: the backward branch
+        tracemalloc.start()
+        try:
+            q1_bessel_series(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+
+    def test_horner_sum_agrees_with_fsum(self):
+        # at 300 seeded points below a = 100 where K^2 > ab, so the ratios
+        # come backward, the Horner sum against fsum of the stored terms
+        rng = random.Random("backward horner")
+        seen = 0
+        while seen < 300:
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+            b = min(a * 10.0 ** rng.uniform(-3.0, 6.0), 2.5e8 / a)
+            backward, k = _backward_series(a, b)
+            if k * k > a * b:
                 seen += 1
                 assert q1_bessel_series(QArgs(a, b)).scaled == pytest.approx(backward, rel=1e-15, abs=0.0), (a, b)
 
@@ -1376,10 +1419,9 @@ class TestPastTheOldRange:
 
     @pytest.mark.parametrize("a,b", sorted(p for p in TAILS_FROZEN_HUGE if p[0] >= oracle.ASYMPTOTIC_MIN_A))
     def test_asymptotic(self, a, b):
-        # 1.2e-13 at b - a = +30, as in range at (1e3, 1030): erfc and
-        # e^-w^2 see w = (b - a)/sqrt(2) rounded, and their slope is 2w^2
-        rel = 1.5e-13 if b - a == 30.0 else 1e-14
-        assert q1_asymptotic(QArgs(a, b)) == pytest.approx(_huge_q1(a, b), rel=rel, abs=0.0)
+        # erfc and e^-w^2 see w = (b - a)/sqrt(2) with its roundings carried:
+        # at w rounded they were 1.2e-13 off at b - a = +30, their slope being 2w^2
+        assert q1_asymptotic(QArgs(a, b)) == pytest.approx(_huge_q1(a, b), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("a,b", [(50.0, 1e7), (99.9, 1e9), (1e-3, 1e150)])
     def test_bessel_series_forward(self, a, b):

@@ -30,9 +30,7 @@ from .oracle import (
     TrapezoidResult,
     q1_bessel_series,
     q1_diagonal,
-    q1_quadrature,
     q1_reference,
-    q1_series,
     q1_trapezoid,
     rice_pdf,
 )
@@ -58,9 +56,7 @@ __all__ = [
     "evaluate",
     "q1_bessel_series",
     "q1_diagonal",
-    "q1_quadrature",
     "q1_reference",
-    "q1_series",
     "q1_trapezoid",
     "regime_of",
     "rice_pdf",

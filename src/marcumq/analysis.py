@@ -348,10 +348,10 @@ def scan_envelope_ordering(
     if not (0.0 <= lo < hi <= b):
         raise DomainError(f"window [{lo!r}, {hi!r}] must lie inside [0, b]")
     margin = 1e-12
+    zeta = compute_zeta(QArgs(a, b))  # QArgs refuses a, b past the range before the density is sampled
     xs = _lin_grid(lo, hi, n)
     rice = [rice_pdf(x, a) for x in xs]
     e_sinh = [envelope_sinh(x, a, b) for x in xs]
-    zeta = compute_zeta(QArgs(a, b))
     e_rate = [_exp_rate_at(x, a, zeta) for x in xs]
     if not any(rice) and not any(e_sinh) and not any(e_rate):
         raise DomainError(

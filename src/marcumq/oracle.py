@@ -7,24 +7,18 @@ Q1(a, b) is the upper-tail integral of the Rice density
 Six methods are provided; ``q1_reference`` cross-validates two of them:
 
   * ``q1_quadrature``: adaptive Gauss-Kronrod (G7/K15) integration of the
-    Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x) so
-    no intermediate overflows for any a.  For b >= a the tail int_b R is
-    integrated, for b < a the complement 1 - int_0^b R (the region
-    [0, b] avoids the non-monotone tail split).  Root panels end at
-    seeds a-30 ... a+30, and either range stops at the last seed whose
-    panel can move the resulting double.
+    Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x),
+    over the tail from b.  Root panels end at seeds a-30 ... a+30, and
+    the range stops at the first seed whose panel cannot move the
+    resulting double.
   * ``q1_series``: the noncentral chi-square mixture representation
 
         Q1(a, b) = sum_k  Pois(k; a^2/2) * P[Pois(b^2/2) <= k],
 
     summed over a mode-centered window of each Poisson factor with
     explicit geometric bounds on the discarded tails.  A window of mean m
-    holds about 17 sqrt(m) entries (17 a for a^2/2, 17 b for b^2/2), and
-    it is built only when the two windows overlap: the cost is then
-    O(sqrt(m)) per window in time and memory.  Windows that do not
-    overlap give an exact 0.0 or 1.0 in O(1).  A window that would hold
-    more than MAX_SERIES_WINDOW entries is refused before it is built;
-    only overlapping windows with a and b near 1.2e5 or above get there.
+    holds about 17 sqrt(m) entries (17 a for a^2/2, 17 b for b^2/2), at
+    most about 1,800 in the band below.
   * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
     of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
     Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
@@ -69,8 +63,9 @@ no code, except that the trapezoid and the Bessel series take the
 exponent from one helper, so that the gate compares it exactly.  In the
 band, a < ASYMPTOTIC_MIN_A and a <= b <= a + 1, it pairs the quadrature
 with the Poisson series, which run at an absolute tolerance of
-DEFAULT_TOL = 1e-12, returns their mean, and fails loudly if they
-disagree by more than 1e-10 absolute.  Everywhere else method a is the
+DEFAULT_TOL = 1e-12 and answer in the band only, returns their mean,
+and fails loudly if they disagree by more than 1e-10 absolute.
+Everywhere else method a is the
 diagonal route (|b - a| <= 1) or the trapezoid (beyond), whose value is
 Q1 for b > a and 1 - Q1 for b < a; where b < a and (a - b)^2/2 > 745,
 1 - Q1 underflows and method a is exactly 1.0, as the expansion is.
@@ -94,9 +89,7 @@ b^2 and ab stay finite.  Two plain floats in [0, MAX_ARG] pass one chained
 comparison; ints, float subclasses, bools, NaN, inf, negatives and values
 past the range take the per-field checks.  Every method answers up to
 MAX_ARG, except the band pair ``q1_quadrature`` and ``q1_series``, which
-refuse a or b above MAX_ORACLE_ARG = 1e6: past it the rounding of the
-quadrature's peak and seeds at a moves its result, and ``q1_reference``
-runs the two only at a < 100.
+refuse every point outside the band with one DomainError.
 
 Every function here keeps call-local state only, so it is safe to call
 from any number of threads.
@@ -119,9 +112,6 @@ AGREEMENT_GATE = 1e-10
 ASYMPTOTIC_MIN_A = 100.0
 DEFAULT_TOL = 1e-12
 MAX_ARG = 1.3407807929942596e154  # sqrt(DBL_MAX): QArgs refuses a or b above this
-MAX_ORACLE_ARG = 1e6  # the band pair q1_quadrature and q1_series refuse a or b above this
-# entries in one Poisson window the series builds; overlapping windows reach it near a = b = 1.2e5
-MAX_SERIES_WINDOW = 2_000_000
 # q1_reference's relative gate: on the trapezoid's and the Bessel series' scaled
 # values below ASYMPTOTIC_MIN_A, and on the trapezoid's Q1 against the expansion above
 _RELATIVE_GATE = 1e-12
@@ -141,12 +131,11 @@ _TRAPEZOID_MAX_NODES = 4096
 # and refuses a point needing more backward recurrence steps than the cap
 _BESSEL_DEPTH = 39.2
 _BESSEL_MAX_STEPS = 100_000
-# The quadrature's range stops at a seed this far past max(a, b) (or below
-# min(a, b)).  Seeds there are 10 apart, so a panel left out holds about
-# e^-150 of the smallest panel kept, far below its ulp, and fsum returns
-# the double the full range gives.  At 10, a few values in thousands moved.
+# The quadrature's range stops at the first seed this far past b.  Seeds
+# there are 10 apart, so a panel left out holds about e^-150 of the
+# smallest panel kept, far below its ulp, and fsum returns the double the
+# full range gives.
 _PANEL_SIGMAS = 15.0
-_TAIL_SIGMAS = 40.0  # tail end past the last seed (b > a + 15): integrand < 1e-300 of its peak
 _MAX_PANELS = 2000  # the quadrature's panel budget
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
@@ -184,11 +173,21 @@ class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-def _check_range(args: QArgs, who: str) -> None:
-    """Raise DomainError unless a, b <= MAX_ORACLE_ARG, the range of the band pair."""
-    if max(args) > MAX_ORACLE_ARG:
+def _in_band(a: float, b: float) -> bool:
+    """Whether (a, b) lies in the band a < ASYMPTOTIC_MIN_A, a <= b <= a + 1.
+
+    The band is where ``q1_reference`` pairs the quadrature with the
+    Poisson series, and the one domain of the two.
+    """
+    return a < ASYMPTOTIC_MIN_A and a <= b <= a + _DIAGONAL_SPAN
+
+
+def _check_band(args: QArgs) -> None:
+    """Raise DomainError, with the band pair's one message, unless (a, b) is in the band."""
+    if not _in_band(*args):
         raise DomainError(
-            f"{who} covers a, b <= {MAX_ORACLE_ARG:g}, got (a={_brief(args.a)}, b={_brief(args.b)})"
+            f"the quadrature and the Poisson series cover a < {ASYMPTOTIC_MIN_A:g} and a <= b <= a + "
+            f"{_DIAGONAL_SPAN:g}, got (a={_brief(args.a)}, b={_brief(args.b)})"
         )
 
 
@@ -208,25 +207,14 @@ class OracleResult(NamedTuple):
 def rice_pdf(x: float, a: float) -> float:
     """Rice density x exp(-(x^2+a^2)/2) I0(ax), evaluated in scaled form.
 
-    x and a must be finite and >= 0.  Where a*x overflows, e^-ax I0(ax)
-    is 1/sqrt(2 pi a x) to the double (the leading Hankel term), and the
-    density is exp(-(x-a)^2/2) sqrt(x/a)/sqrt(2 pi).
+    x and a must lie in [0, MAX_ARG], the range ``QArgs`` takes, where
+    (x - a)^2 and a*x stay finite; DomainError is raised otherwise.
     """
-    if x > 0.0 and a >= 0.0:
-        try:
-            g = math.exp(-0.5 * (x - a) ** 2)
-        except OverflowError:  # (x - a)^2 > 1.8e308, or an int past the double range
-            if x <= _MAX_DOUBLE >= a:
-                return 0.0  # the density underflowed long before
-        else:
-            ax = a * x
-            if ax <= _MAX_DOUBLE:
-                return x * g * bessel_i0_scaled(ax)
-    if not 0.0 <= x <= _MAX_DOUBLE >= a >= 0.0:
-        raise DomainError(f"rice_pdf requires finite x >= 0 and a >= 0, got x={_brief(x)}, a={_brief(a)}")
-    if x == 0.0:
-        return 0.0
-    return g * math.sqrt(x / a) / _SQRT_2PI  # x > 0 and a*x overflowed above
+    if not 0.0 <= x <= MAX_ARG >= a >= 0.0:
+        raise DomainError(
+            f"rice_pdf takes x, a in [0, sqrt(DBL_MAX) = {MAX_ARG!r}], got x={_brief(x)}, a={_brief(a)}"
+        )
+    return x * math.exp(-0.5 * (x - a) ** 2) * bessel_i0_scaled(a * x)
 
 
 # G7/K15 nodes: (abscissa, Gauss weight, Kronrod weight)
@@ -294,41 +282,22 @@ def _adaptive_quad(f, lo, hi, seeds=()):
 
 
 def q1_quadrature(args: QArgs) -> float:
-    """Q1 by adaptive quadrature of the Rice density, absolute error about DEFAULT_TOL.
+    """Q1 in the band by adaptive quadrature of the Rice density, absolute error about DEFAULT_TOL.
 
-    The panels meet DEFAULT_TOL, but near b = a at large a the nodes
-    x are rounded to doubles before the integrand sees x - a, and that
-    error grows with ulp(a): 9.1e-12 at (1e6, 1e6 - 0.1), 6.8e-13 at
-    (3e5, 3e5 + 1e-6) and 8.9e-15 at (1e4, 1e4 + 0.5), against 50-digit
-    values.  ``q1_reference`` takes ``q1_diagonal`` there instead.
+    It integrates the tail from b up to the first seed >= b + 15, which
+    the seeds always hold, as b + 15 <= a + 16 in the band; the range
+    left out cannot move the result (see _PANEL_SIGMAS).
 
-    For b >= a it integrates the tail from b up to the first seed
-    >= b + 15 (to b + 40 when b is past the last seed); for b < a it
-    integrates 1 - int_lo^b, with lo the last seed <= b - 15 (0 when no
-    such seed is positive).  The range left out cannot move the result
-    (see _PANEL_SIGMAS).
-
-    Raises DomainError for a or b above MAX_ORACLE_ARG.
+    Raises DomainError outside the band a < ASYMPTOTIC_MIN_A, a <= b <= a + 1.
     """
-    _check_range(args, "the quadrature")
+    _check_band(args)
     a, b = args.a, args.b
-    if b == 0.0:  # Q1(a, 0) = 1 exactly; the tail integral at a = 0 would reach it only to within tol
+    if b == 0.0:  # a = b = 0: Q1 = 1 exactly, which the tail integral reaches only to within tol
         return 1.0
     # panel seeds around the integrand peak at x ~ a
     seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
-    integrand = lambda x: rice_pdf(x, a)
-    if b >= a:
-        hi = min((s for s in seeds if s >= b + _PANEL_SIGMAS), default=b + _TAIL_SIGMAS)
-        return _adaptive_quad(integrand, b, hi, seeds)
-    lo = max((s for s in seeds if 0.0 < s <= b - _PANEL_SIGMAS), default=0.0)
-    return 1.0 - _adaptive_quad(integrand, lo, b, seeds)
-
-
-def _window_range(mean: float) -> tuple[int, int]:
-    """(lo, hi) of the mode-centered window of Poisson(mean): 12 sigma + 40 each side."""
-    w = int(12.0 * math.sqrt(mean)) + 40
-    m = int(mean)
-    return max(0, m - w), m + w
+    hi = min(s for s in seeds if s >= b + _PANEL_SIGMAS)
+    return _adaptive_quad(lambda x: rice_pdf(x, a), b, hi, seeds)
 
 
 def _pmf(mean: float, k: int) -> float:
@@ -354,8 +323,9 @@ def _tail_bounds(mean: float, lo: int, hi: int, pmf_lo: float, pmf_hi: float) ->
 
 
 def _poisson_window(mean: float):
-    """Poisson(mean) pmf on the window of ``_window_range``.
+    """Poisson(mean) pmf on its mode-centered window, 12 sigma + 40 entries each side.
 
+    In the band (a < 100) a window holds at most about 1,800 entries.
     The mode term is seeded through lgamma and neighbors follow from the
     exact pmf recurrence, so every entry carries the same (tiny) seed
     error, which cancels when sums are normalized by the window mass.
@@ -370,17 +340,11 @@ def _poisson_window(mean: float):
     leaves the result unchanged.
 
     Returns (lo, hi, pmf, mass, tail_lo, tail_hi) where the tails are
-    geometric-series bounds on the discarded mass on each side.  Raises
-    DomainError, before anything is allocated, when the window would
-    hold more than MAX_SERIES_WINDOW entries.
+    geometric-series bounds on the discarded mass on each side.
     """
-    lo, hi = _window_range(mean)
-    if hi - lo >= MAX_SERIES_WINDOW:
-        raise DomainError(
-            f"series window of {hi - lo + 1} entries for Poisson mean {mean:g} "
-            f"exceeds the limit of {MAX_SERIES_WINDOW} entries"
-        )
+    w = int(12.0 * math.sqrt(mean)) + 40
     m = int(mean)
+    lo, hi = max(0, m - w), m + w
     v = _pmf(mean, m)
     pmf = [v]  # m, m - 1, ..., lo until reversed
     for k in range(m, lo, -1):
@@ -397,17 +361,8 @@ def _poisson_window(mean: float):
     return (lo, hi, pmf, mass, *_tail_bounds(mean, lo, hi, pmf[0], pmf[-1]))
 
 
-def _check_tails(ptail_lo: float, ptail_hi: float, qtail_lo: float, qtail_hi: float) -> None:
-    """Raise ConvergenceError when the series windows discard more than DEFAULT_TOL/10."""
-    discarded = ptail_lo + ptail_hi + qtail_lo + qtail_hi
-    if discarded > 0.1 * DEFAULT_TOL:
-        raise ConvergenceError(
-            f"series windows too narrow for DEFAULT_TOL (discarded mass bound {discarded:.3e})"
-        )
-
-
 def q1_series(args: QArgs) -> float:
-    """Q1 by the noncentral chi-square Poisson mixture, absolute error <= DEFAULT_TOL.
+    """Q1 in the band by the noncentral chi-square Poisson mixture, absolute error <= DEFAULT_TOL.
 
     Both Poisson factors are restricted to mode-centered windows wide
     enough that the geometric bounds on the discarded mass stay below
@@ -415,50 +370,35 @@ def q1_series(args: QArgs) -> float:
     weights sum to 1 and the inner factor is a CDF in [0, 1], the
     discarded mass bounds the truncation error directly.
 
-    Windows that overlap cost O(sqrt(mean)) time and memory each, and
-    DomainError is raised for one over MAX_SERIES_WINDOW entries; the
-    larger is built first, so that refusal comes before either is built.
-    Windows that do not overlap are never built: the result is exactly
-    0.0 (inner window above the outer) or 1.0 (below it), in O(1).
+    In the band the two windows always overlap: b^2/2 - a^2/2 <= a + 1/2,
+    while each window reaches 12 sqrt(mean) + 40 past its mode.  Each
+    costs O(sqrt(mean)) time and memory.  At a = 0 the mixture is the
+    closed form e^(-b^2/2).
+
+    Raises DomainError outside the band a < ASYMPTOTIC_MIN_A, a <= b <= a + 1.
     """
-    _check_range(args, "the series")
+    _check_band(args)
     lam = args.a * args.a / 2.0
     y = args.b * args.b / 2.0
     if lam == 0.0:
         return math.exp(-y)
-    if y == 0.0:
-        return 1.0
-    klo, khi = _window_range(lam)
-    jlo, jhi = _window_range(y)
-    if jlo > khi or jhi < klo:
-        # Inner window above the outer: no k has a CDF term and the sum is
-        # fsum([]) / pmass = 0.0.  Below it: every CDF is 1, the terms are
-        # the outer pmf, and its correctly rounded fsum is pmass itself.
-        _check_tails(
-            *_tail_bounds(lam, klo, khi, _pmf(lam, klo), _pmf(lam, khi)),
-            *_tail_bounds(y, jlo, jhi, _pmf(y, jlo), _pmf(y, jhi)),
+    klo, khi, p, pmass, ptail_lo, ptail_hi = _poisson_window(lam)
+    jlo, _, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
+    discarded = ptail_lo + ptail_hi + qtail_lo + qtail_hi
+    if discarded > 0.1 * DEFAULT_TOL:
+        raise ConvergenceError(
+            f"series windows too narrow for DEFAULT_TOL (discarded mass bound {discarded:.3e})"
         )
-        return 0.0 if jlo > khi else 1.0
-    # the larger window first: one over the cap is refused before the other is built
-    if lam >= y:
-        outer = _poisson_window(lam)
-        inner = _poisson_window(y)
-    else:
-        inner = _poisson_window(y)
-        outer = _poisson_window(lam)
-    _, _, p, pmass, ptail_lo, ptail_hi = outer
-    _, _, q, qmass, qtail_lo, qtail_hi = inner
-    _check_tails(ptail_lo, ptail_hi, qtail_lo, qtail_hi)
     # the mixture terms run over klo..khi with the running CDF of
     # Poisson(y) at k, Neumaier-compensated; that CDF is 0 below its window
-    # (no term) and 1 above it (the bare outer pmf).  The windows overlap,
-    # so the CDF runs over q[:end], and terms start at q[s], the first
+    # (no term).  As y >= lam, the inner window ends at or past the outer
+    # one, so the CDF runs over q[:end], and terms start at q[s], the first
     # k >= klo.  The sum and the pmf are >= 0, so the Neumaier branch
     # compares them without abs().  fsum is correctly rounded, so neither
     # the dropped zeros nor the order change the sum; the terms go in
     # largest first, where fsum keeps few partials and runs in linear time.
     acc = comp = 0.0
-    end = min(khi, jhi) + 1 - jlo
+    end = khi + 1 - jlo
     s = max(klo - jlo, 0)
     for x in islice(q, s):
         t = acc + x
@@ -476,7 +416,6 @@ def q1_series(args: QArgs) -> float:
             comp += (x - t) + acc
         acc = t
         terms.append(pk * ((acc + comp) / qmass))
-    terms += p[jhi + 1 - klo:]
     terms.sort(reverse=True)
     return math.fsum(terms) / pmass
 
@@ -992,8 +931,8 @@ def q1_diagonal(args: QArgs) -> float:
 
     and taken by the 10-point rule above.  The Gaussian factor sees each
     node t itself, not x - a after x = a + t is rounded to a double:
-    that rounding is what costs ``q1_quadrature`` up to 9.1e-12 at
-    a = 1e6.  The other factors change by a relative ulp at most.  At
+    that rounding would put an error of up to ulp(a)/2 into t, growing
+    with a.  The other factors change by a relative ulp at most.  At
     b = a the rule is skipped and the value is the closed form.  Against
     40-digit mpmath at 300 random points with a in [100, 1e6] and
     |b - a| <= 1 the absolute error is at most 1.5e-16, about one ulp of
@@ -1058,7 +997,7 @@ def q1_reference(args: QArgs) -> OracleResult:
     """
     a, b = args.a, args.b
     t = s = None
-    if a < ASYMPTOTIC_MIN_A and a <= b <= a + _DIAGONAL_SPAN:
+    if _in_band(a, b):
         method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "series", q1_series(args)
         value = 0.5 * (qa + qb)

@@ -26,7 +26,7 @@ from marcumq.analysis import (
     two_sided_b_grid,
 )
 from marcumq.bounds import BoundId, eval_all, evaluate, lb1jp_small_ab_limit
-from marcumq.oracle import QArgs, q1_quadrature, q1_reference, q1_series
+from marcumq.oracle import QArgs, q1_reference
 
 from frozen_q1 import Q1_FROZEN_ACROSS_TIE
 from reference_tables import EPS_TOL, TABLE_V, TABLE_VI, TABLE_VII, TABLE_VIII, VALUE_TOL, lb2a_printed
@@ -98,17 +98,17 @@ def test_criterion_04_lower_bounds_a20_fixes_lb2a():
 
 
 def test_criterion_05_oracle_self_consistency():
+    # the two methods q1_reference runs at each point, whichever its route
     worst_gap = 0.0
     for a in GRID_A:
         for b in two_sided_b_grid(a, B_PER_A):
-            args = QArgs(a, b)
-            gap = abs(q1_quadrature(args) - q1_series(args))
-            worst_gap = max(worst_gap, gap)
+            worst_gap = max(worst_gap, q1_reference(QArgs(a, b)).agreement_gap)
     worst_form = 0.0
-    # the tail form for b >= a and the complement for b < a, across the tie,
-    # against the 50-digit truth (within 2.9e-15 here)
+    # both method values on either side of the tie, against the 50-digit
+    # truth (within 3e-15 here)
     for (a, b), expected in Q1_FROZEN_ACROSS_TIE.items():
-        worst_form = max(worst_form, abs(q1_quadrature(QArgs(a, b)) - expected))
+        ref = q1_reference(QArgs(a, b))
+        worst_form = max(worst_form, abs(ref.method_a_value - expected), abs(ref.method_b_value - expected))
     ok = worst_gap <= 1e-10 and worst_form <= 1e-10
     _report(5, f"oracle self-consistency (gaps {worst_gap:.2e}, {worst_form:.2e})", ok)
     assert worst_gap <= 1e-10

@@ -181,19 +181,49 @@ class TestQArgsFrozen:
                 assert _outcome(QArgs, a, b) == _outcome(_frozen_qargs, a, b)
 
 
-# the large_arg points of the benchmark, points near the ends of the range,
-# and two at b ~ a + 10 whose last bit moves if the range ends 10, not 15, past b
-_RANGE_EXAMPLES = [
-    *((a, a + d) for a in (1e3, 3e3, 1e4, 3e4) for d in (-3.0, 0.0, 3.0)),
-    (0.0, 0.06), (25.0, 26.0), (29.8, 27.9), (1e6, 1e6 - 3.0),
-    (75.78739524077267, 85.77290710976206), (121.5929216884309, 131.38317917281515),
+# the band's corners, and band points from the benchmark and the sandwich scan
+_BAND_EXAMPLES = [
+    (0.0, 0.0), (0.0, 1.0), (99.9, 100.9), (math.nextafter(100.0, 0.0), math.nextafter(100.0, 0.0)),
+    (0.0, 0.06), (25.0, 26.0), (1.0, 2.0), (1e-300, 1.0),
 ]
+# the band pair's one refusal outside the band, up to the point it quotes
+_OUTSIDE_THE_BAND = (
+    r"^the quadrature and the Poisson series cover a < 100 and a <= b <= a \+ 1, got \(a="
+)
+
+
+def _in_the_band(a, b):
+    """The band a < 100, a <= b <= a + 1, written out: the one domain of q1_quadrature and q1_series."""
+    return a < 100.0 and a <= b <= a + 1.0
+
+
+def _refuses_outside_the_band(method, a, b):
+    """method refuses (a, b) with the band's one message, quoting the point."""
+    with pytest.raises(DomainError, match=f"{_OUTSIDE_THE_BAND}{re.escape(repr(a))}, b={re.escape(repr(b))}\\)$"):
+        method(QArgs(a, b))
 
 
 def _with_examples(test):
-    for point in _RANGE_EXAMPLES:
+    for point in _BAND_EXAMPLES:
         test = example(point)(test)
     return test
+
+
+# (a, a + u), a log-uniform below 100 or 0, u in [0, 1]: b never rounds past a + 1
+_BAND_POINTS = st.one_of(
+    st.just(0.0), st.floats(math.log(1e-3), math.log(100.0)).map(math.exp).filter(lambda a: a < 100.0)
+).flatmap(lambda a: st.tuples(st.just(a), st.floats(0.0, 1.0).map(lambda u: a + u)))
+
+
+def _check_frozen(method, pair, expected):
+    """In the band, method's value is within 1e-12 of the frozen value; outside it
+    method refuses, and the frozen value is q1_reference's."""
+    a, b = pair
+    if _in_the_band(a, b):
+        assert method(QArgs(a, b)) == pytest.approx(expected, abs=1e-12)
+    else:
+        _refuses_outside_the_band(method, a, b)
+        assert q1_reference(QArgs(a, b)).value == pytest.approx(expected, abs=1e-12)
 
 
 def _frozen_full_range_quadrature(a: float, b: float) -> float:
@@ -211,68 +241,65 @@ def _frozen_full_range_quadrature(a: float, b: float) -> float:
 
 
 class TestQuadrature:
-    @given(
-        st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)).flatmap(
-            lambda a: st.tuples(
-                st.just(a),
-                st.one_of(
-                    st.floats(0.0, 40.0).map(lambda u: min(a + u, oracle.MAX_ORACLE_ARG)),
-                    st.floats(0.0, 40.0).map(lambda u: max(a - u, 0.0)),
-                    st.floats(0.0, 1.0).map(lambda u: a * u),
-                ),
-            )
-        )
-    )
+    @given(_BAND_POINTS)
     @_with_examples
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_full_range(self, point):
-        # panels past max(a, b) + 15 or below min(a, b) - 15 are left out
+        # panels past b + 15 are left out
         a, b = point
         assert q1_quadrature(QArgs(a, b)) == _frozen_full_range_quadrature(a, b), (a, b)
 
-    @pytest.mark.parametrize("b,panels", [(1e3, 9), (1e3 - 3.0, 5), (1e3 + 3.0, 5)])
-    def test_panel_count_at_large_a(self, monkeypatch, b, panels):
-        # the full range took 11 and 7: it also ran [a+20, a+30] and
-        # [a+30, b+40] above, or [0, a-30] and [a-30, a-20] below
+    @pytest.mark.parametrize("b,panels", [(50.0, 9), (50.5, 9), (51.0, 8)])
+    def test_panel_count_in_the_band(self, monkeypatch, b, panels):
+        # the tail ends at a + 20, the first seed past b + 15; the full
+        # range to b + 40 took 11, 11 and 10
         calls = []
         panel = oracle._gk15_panel
         monkeypatch.setattr(oracle, "_gk15_panel", lambda *args: calls.append(args[1:3]) or panel(*args))
-        q1_quadrature(QArgs(1e3, b))
+        q1_quadrature(QArgs(50.0, b))
         assert len(calls) == panels, calls
+        assert max(hi for _, hi in calls) == 70.0
 
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN.items()))
     def test_frozen_values(self, pair, expected):
-        assert q1_quadrature(QArgs(*pair)) == pytest.approx(expected, abs=1e-12)
+        _check_frozen(q1_quadrature, pair, expected)
 
     def test_closed_form_a_zero(self):
-        assert q1_quadrature(QArgs(0.0, 1.5)) == pytest.approx(math.exp(-1.125), abs=1e-13)
-
-    def test_full_mass_b_zero(self):
-        # exactly 1; at a = 0 the tail integral over [0, 40] is 1 only to within tol
-        for a in (0.0, 1e-300, 0.5, 3.0, 150.0):
-            assert q1_quadrature(QArgs(a, 0.0)) == 1.0, a
-            assert q1_reference(QArgs(a, 0.0)).value == 1.0, a
+        assert q1_quadrature(QArgs(0.0, 1.0)) == pytest.approx(math.exp(-0.5), abs=1e-13)
 
     def test_forms_agree_across_tie(self):
-        # the tail for b >= a and the complement for b < a, each against the
-        # truth; within 2.9e-15 at these points
+        # the tail form for b >= a, and below the tie, outside the band, the
+        # diagonal route q1_reference takes there, each against the truth;
+        # within 2.9e-15 at these points
         for a in (0.1, 1.0, 2.0, 10.0, 20.0):
             for db in (-0.1, -0.01, 0.0, 0.01, 0.1):
                 b = a + db
-                got = q1_quadrature(QArgs(a, b))
+                if b >= a:
+                    got = q1_quadrature(QArgs(a, b))
+                else:
+                    _refuses_outside_the_band(q1_quadrature, a, b)
+                    got = q1_reference(QArgs(a, b)).method_a_value
                 assert got == pytest.approx(Q1_FROZEN_ACROSS_TIE[a, b], rel=0.0, abs=1e-14), (a, b)
+
+    def test_full_mass_b_zero(self):
+        # exactly 1 at a = b = 0, where the tail integral over [0, 20] is 1
+        # only to within tol; b = 0 < a is outside the band
+        assert q1_quadrature(QArgs(0.0, 0.0)) == 1.0
+        for a in (0.0, 1e-300, 0.5, 3.0, 150.0):
+            if a > 0.0:
+                _refuses_outside_the_band(q1_quadrature, a, 0.0)
+            assert q1_reference(QArgs(a, 0.0)).value == 1.0, a
 
     @pytest.mark.parametrize("a", [1e7, 1e16, 1e17, 1e20])
     @pytest.mark.parametrize("b_over_a", [pytest.param(1.0, id="tail"), pytest.param(0.5, id="complement")])
     def test_refuses_a_above_oracle_range(self, a, b_over_a):
-        # past 1e6 the rounding of the peak and seeds at a moves the result:
-        # 0.798 at a = b = 1e16, 6.38 at 1e17 and 0.0 at 1e20, against ~0.5
-        with pytest.raises(DomainError, match=re.escape(f"the quadrature covers a, b <= {oracle.MAX_ORACLE_ARG:g}")):
-            q1_quadrature(QArgs(a, a * b_over_a))
+        # the band pair's range is the band, a < 100, on either side of b = a
+        _refuses_outside_the_band(q1_quadrature, a, a * b_over_a)
 
     def test_range_limit_is_inclusive(self):
-        assert q1_quadrature(QArgs(1e6, 1e6)) == pytest.approx(0.5, abs=1e-6)
-        assert q1_quadrature(QArgs(1.0, 1e6)) == 0.0
+        # the band's corners answer, bit-identical to the full range
+        for a, b in _BAND_EXAMPLES[:4]:
+            assert q1_quadrature(QArgs(a, b)) == _frozen_full_range_quadrature(a, b), (a, b)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # highly oscillatory integrand with a tiny panel budget
@@ -318,12 +345,16 @@ def _window_bits(window):
 def _series_closure_form(a: float, b: float) -> float:
     """q1_series with its running Poisson CDF summed through a Neumaier
     closure in two loops, on the frozen window, with the mixture summed
-    in index order: the reference for bit-identical results."""
+    in index order: the reference for bit-identical results.  Its domain
+    is the band, as the library's is; outside it, it raises the band's
+    one refusal."""
+    if not _in_the_band(a, b):
+        raise DomainError(
+            f"the quadrature and the Poisson series cover a < 100 and a <= b <= a + 1, got (a={a!r}, b={b!r})"
+        )
     lam, y = a * a / 2.0, b * b / 2.0
     if lam == 0.0:
         return math.exp(-y)
-    if y == 0.0:
-        return 1.0
     klo, khi, p, pmass, _, _ = _frozen_poisson_window(lam)
     jlo, jhi, q, qmass, _, _ = _frozen_poisson_window(y)
     acc = comp = 0.0
@@ -352,22 +383,21 @@ def _series_closure_form(a: float, b: float) -> float:
     return math.fsum(terms) / pmass
 
 
-# (a, b, windows q1_series builds): points whose Poisson windows do not
-# overlap (0 windows: inner above the outer at (5, 30), (15, 40), (1, 30),
-# below it at (30, 8.9)), and points one window entry either side of the
-# edges: (5, 26.908) has jlo == khi and (30, 8.957) jhi == klo
+# (a, b, windows q1_series builds): points whose Poisson windows did not
+# overlap, where the series had exits (inner window above the outer at
+# (5, 30), (15, 40), (1, 30), below it at (30, 8.9)), all outside the band
+# now and refused before any window is built
 WINDOW_EDGE_POINTS = [
     (5.0, 30.0, 0),
     (15.0, 40.0, 0),
     (1.0, 30.0, 0),
     (30.0, 8.9, 0),
-    (5.0, 26.833, 2),
-    (5.0, 26.908, 2),
     (5.0, 26.945, 0),
     (30.0, 8.945, 0),
-    (30.0, 8.957, 2),
-    (30.0, 9.056, 2),
 ]
+# and the points one window entry inside those edges, where both windows
+# overlapped: (5, 26.908) had jlo == khi and (30, 8.957) jhi == klo
+WINDOW_OVERLAP_POINTS = [(5.0, 26.833), (5.0, 26.908), (30.0, 8.957), (30.0, 9.056)]
 
 
 def _count_windows(monkeypatch) -> list:
@@ -380,52 +410,54 @@ def _count_windows(monkeypatch) -> list:
 class TestSeries:
     @pytest.mark.parametrize("pair,expected", sorted(Q1_FROZEN.items()))
     def test_frozen_values(self, pair, expected):
-        assert q1_series(QArgs(*pair)) == pytest.approx(expected, abs=1e-12)
+        _check_frozen(q1_series, pair, expected)
 
     def test_empty_lower_tail(self):
         assert q1_series(QArgs(0.0, 0.0)) == 1.0
 
+    # the full range's grid: in the band the closure form's bits, outside it
+    # the same refusal from both
     @pytest.mark.parametrize("a", [0.05, 0.5, 2.0, 4.0, 20.0, 60.0])
     @pytest.mark.parametrize("b", [0.1, 1.0, 3.0, 19.1, 30.0, 70.0])
     def test_bit_identical_to_closure_form(self, a, b):
-        assert q1_series(QArgs(a, b)) == _series_closure_form(a, b)
+        assert _outcome(lambda a, b: (q1_series(QArgs(a, b)),), a, b) == _outcome(
+            lambda a, b: (_series_closure_form(a, b),), a, b
+        )
 
     @pytest.mark.parametrize("mean", [1e-3 * 10 ** (i / 4) for i in range(26)] + [5e3])
     def test_window_bit_identical_to_frozen_form(self, mean):
         # the mass is summed in another order; fsum rounds it correctly either way
         assert _window_bits(oracle._poisson_window(mean)) == _window_bits(_frozen_poisson_window(mean))
 
-    @given(
-        st.one_of(st.just(0.0), st.floats(0.0, 99.0)),
-        st.sampled_from(["zero", "tie", "below", "any"]),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 140.0),
-    )
-    @example(a=5.0, where="any", u=0.0, b_any=30.0)
-    @example(a=15.0, where="any", u=0.0, b_any=40.0)
-    @example(a=1.0, where="any", u=0.0, b_any=30.0)
-    @example(a=30.0, where="any", u=0.0, b_any=8.9)
-    @example(a=5.0, where="any", u=0.0, b_any=26.833)
-    @example(a=5.0, where="any", u=0.0, b_any=26.908)
-    @example(a=5.0, where="any", u=0.0, b_any=26.945)
-    @example(a=30.0, where="any", u=0.0, b_any=8.945)
-    @example(a=30.0, where="any", u=0.0, b_any=8.957)
-    @example(a=30.0, where="any", u=0.0, b_any=9.056)
+    @given(_BAND_POINTS)
+    @_with_examples
+    @example((20.0, 20.0))
+    @example((99.99, 100.99))
+    # the inner window starts one entry below the outer one: 12 sqrt(mean)
+    # steps past an integer where the mean does not
+    @example((57.62108060179584, 57.62944521630858))
     @settings(max_examples=150, deadline=None)
-    def test_bit_identical_to_frozen_form(self, a, where, u, b_any):
-        b = {"zero": 0.0, "tie": a, "below": u * a, "any": b_any}[where]
+    def test_bit_identical_to_frozen_form(self, point):
+        a, b = point
         assert q1_series(QArgs(a, b)).hex() == _series_closure_form(a, b).hex()
 
-    @pytest.mark.parametrize("a,b", [(a, b) for a, b, _ in WINDOW_EDGE_POINTS])
+    @pytest.mark.parametrize("a,b", [(a, b) for a, b, _ in WINDOW_EDGE_POINTS] + WINDOW_OVERLAP_POINTS)
     def test_disjoint_window_exits_bit_identical(self, a, b):
-        assert q1_series(QArgs(a, b)).hex() == _series_closure_form(a, b).hex()
+        # every such point lies outside the band: the series and its
+        # closure form refuse it with the same message
+        assert _outcome(lambda a, b: (q1_series(QArgs(a, b)),), a, b) == _outcome(
+            lambda a, b: (_series_closure_form(a, b),), a, b
+        )
 
     @pytest.mark.parametrize("a,b,built", [*WINDOW_EDGE_POINTS, (1.0, 2.0, 2)])
     def test_windows_built_only_where_they_overlap(self, a, b, built, monkeypatch):
-        # a work count, not a time: disjoint windows give an exact 0.0 or
-        # 1.0 without building either one
+        # a work count, not a time: a point outside the band is refused
+        # before either window is built
         means = _count_windows(monkeypatch)
-        q1_series(QArgs(a, b))
+        if built:
+            q1_series(QArgs(a, b))
+        else:
+            _refuses_outside_the_band(q1_series, a, b)
         assert sorted(means) == sorted([a * a / 2.0, b * b / 2.0][:built])
 
     def test_direct_calls_build_windows_only_where_they_overlap(self, monkeypatch):
@@ -433,39 +465,45 @@ class TestSeries:
         a, below, above = 30.0, [8.9, 8.945], [48.97, 48.99, 60.0]
         # the oracle takes the Bessel series at b < a and builds no window
         assert [q1_reference(QArgs(a, b)).method_b for b in below] == ["bessel_series"] * 2 and means == []
-        # called directly, the series builds both windows where they
-        # overlap (48.97), and none where they do not (below and above)
-        assert [q1_series(QArgs(a, b)) for b in below] == [1.0, 1.0] and means == []
-        assert [q1_series(QArgs(a, b)) for b in above[1:]] == [0.0, 0.0] and means == []
-        q1_series(QArgs(a, above[0]))
-        assert means == [above[0] ** 2 / 2.0, a * a / 2.0]
+        # called directly, the series refuses every point outside the band,
+        # where the windows overlap (48.97) or not, and builds both in it
+        for b in below + above:
+            _refuses_outside_the_band(q1_series, a, b)
+        assert means == []
+        q1_series(QArgs(a, 30.5))
+        assert means == [a * a / 2.0, 30.5**2 / 2.0]
 
     @pytest.mark.parametrize("a,b", [(5.0, 30.0), (30.0, 8.9), (1.0, 2.0)])
     def test_discarded_mass_checked_on_every_call(self, a, b, monkeypatch):
+        # every call that answers checks the mass; outside the band none answers
         monkeypatch.setattr(oracle, "DEFAULT_TOL", 0.0)
-        with pytest.raises(ConvergenceError, match="discarded mass bound"):
-            q1_series(QArgs(a, b))
+        if _in_the_band(a, b):
+            with pytest.raises(ConvergenceError, match="discarded mass bound"):
+                q1_series(QArgs(a, b))
+        else:
+            _refuses_outside_the_band(q1_series, a, b)
 
     @pytest.mark.parametrize("mean", [1e-3, 0.5, 12.5, 40.1, 450.0, 5e3])
     def test_exit_tail_bounds_match_the_windows(self, mean):
-        # the exits bound the discarded mass from the lgamma-form pmf at the
-        # window's ends; the window takes it from the recurrence
+        # the bounds from the lgamma-form pmf at the window's ends match those
+        # the window takes from its recurrence
         lo, hi, _, _, tail_lo, tail_hi = oracle._poisson_window(mean)
         bounds = oracle._tail_bounds(mean, lo, hi, oracle._pmf(mean, lo), oracle._pmf(mean, hi))
         assert bounds == pytest.approx((tail_lo, tail_hi), rel=1e-9, abs=0.0)
 
     def test_published_spot_values(self):
-        assert q1_series(QArgs(2.0, 1.0)) == pytest.approx(0.91810, abs=1e-4)
         assert q1_series(QArgs(20.0, 20.0)) == pytest.approx(0.50997, abs=1e-4)
+        # (2, 1) is outside the band: the oracle gives the published value
+        _refuses_outside_the_band(q1_series, 2.0, 1.0)
+        assert q1_reference(QArgs(2.0, 1.0)).value == pytest.approx(0.91810, abs=1e-4)
 
     def test_window_cap_raises_before_allocating(self):
-        # the windows overlap, and uncapped each would hold ~3.4e6 entries
-        message = re.escape(f"Poisson mean 2e+10 exceeds the limit of {oracle.MAX_SERIES_WINDOW}")
+        # the band caps each window at about 1,800 entries: (2e5, 2e5), where
+        # each would hold ~3.4e6, is refused before anything is allocated
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match=message):
-                q1_series(QArgs(2e5, 2e5))
+            _refuses_outside_the_band(q1_series, 2e5, 2e5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -473,13 +511,12 @@ class TestSeries:
         assert peak < 64 * 1024
 
     def test_larger_window_refused_before_the_smaller_is_built(self):
-        # the windows overlap and straddle the cap: b^2/2's holds 2,000,061
-        # entries, a^2/2's just under 2,000,000, and neither is built
+        # the windows overlap, b^2/2's would hold 2,000,061 entries and
+        # a^2/2's just under 2,000,000; the point is refused before either
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="2000061 entries for Poisson mean 6.94431e"):
-                q1_series(QArgs(117840.0, 117850.0))
+            _refuses_outside_the_band(q1_series, 117840.0, 117850.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -487,19 +524,19 @@ class TestSeries:
         assert peak < 64 * 1024
 
     def test_disjoint_exit_before_the_window_cap(self):
-        # windows far over the cap that do not overlap are never built, so
-        # the exit answers: inner window (mean b^2/2) above the outer, or below
-        assert q1_series(QArgs(1.0, 2e5)) == 0.0
-        assert q1_series(QArgs(2e5, 3e5)) == 0.0
-        assert q1_series(QArgs(3e5, 2e5)) == 1.0
+        # where the disjoint-window exit answered before any window was
+        # built, the series refuses, and the oracle gives the exit's exact
+        # value: Q1 underflows to 0.0, or 1 - Q1 to 0.0
+        for (a, b), exit_value in {(1.0, 2e5): 0.0, (2e5, 3e5): 0.0, (3e5, 2e5): 1.0}.items():
+            _refuses_outside_the_band(q1_series, a, b)
+            assert q1_reference(QArgs(a, b)).value == exit_value
 
     def test_exit_tail_bounds_at_the_largest_mean(self):
-        # the exit's mass check at mean 5e11 (b = 1e6), where _pmf's exponent
-        # is off by about 1.5e-3: each geometric bound is within 1% of the
-        # tail (30-digit quadrature of the incomplete gamma integrals)
-        mean = 5e11
-        lo, hi = oracle._window_range(mean)
-        bounds = oracle._tail_bounds(mean, lo, hi, oracle._pmf(mean, lo), oracle._pmf(mean, hi))
+        # the mass check at the band's largest mean, 101^2/2 (a -> 100,
+        # b -> 101): each geometric bound is within 1% of the tail (30-digit
+        # quadrature of the incomplete gamma integrals; 0.63% over here)
+        mean = 101.0**2 / 2.0
+        lo, hi, _, _, tail_lo, tail_hi = oracle._poisson_window(mean)
         with mp.workdps(30):
             m = mp.mpf(mean)
 
@@ -508,9 +545,9 @@ class TestSeries:
 
             # P[X < lo] = Q(lo, m) and P[X > hi] = P(hi + 1, m), each
             # substituted about t = m into pmf times a smooth integral
-            below = pmf(lo - 1) * mp.quad(lambda s: mp.exp((lo - 1) * mp.log1p(s / m) - s), [0, 1e4, 1e5, 1e6, mp.inf])
-            above = pmf(hi) * mp.quad(lambda s: mp.exp(hi * mp.log1p(-s / m) + s), [0, 1e4, 1e5, 1e6, m])
-        assert bounds == pytest.approx((float(below), float(above)), rel=0.01)
+            below = pmf(lo - 1) * mp.quad(lambda s: mp.exp((lo - 1) * mp.log1p(s / m) - s), [0, 10, 100, 1000, mp.inf])
+            above = pmf(hi) * mp.quad(lambda s: mp.exp(hi * mp.log1p(-s / m) + s), [0, 10, 100, 1000, m])
+        assert (tail_lo, tail_hi) == pytest.approx((float(below), float(above)), rel=0.01)
 
 
 class TestAsymptotic:
@@ -993,7 +1030,7 @@ class TestDiagonal:
         assert got == pytest.approx(exact, rel=0.0, abs=2.3e-16)
 
 
-# a log-uniform over [ASYMPTOTIC_MIN_A, MAX_ORACLE_ARG], with b anywhere in
+# a log-uniform over [ASYMPTOTIC_MIN_A, 1e6], with b anywhere in
 # the range, below 1e-4, where (a - b)^2/2 > 745 (1 - Q1 underflows), or
 # just past the diagonal span on either side
 _LARGE_A_POINTS = st.floats(math.log(100.0), math.log(1e6)).map(lambda u: min(math.exp(u), 1e6)).flatmap(
@@ -1105,7 +1142,7 @@ class TestReference:
             raise AssertionError("quadrature called")
 
         monkeypatch.setattr(oracle, "q1_quadrature", no_quadrature)
-        # a from ASYMPTOTIC_MIN_A to MAX_ORACLE_ARG, b on and either side of
+        # a from ASYMPTOTIC_MIN_A to 1e6, b on and either side of
         # the diagonal up to the span's ends
         points = [(100.0, 100.0), (100.0, 99.0), (100.0, 101.0), (1e3, 1e3 + 0.5), (3e4, 29999.25),
                   (3e5, 3e5 + 1e-6), (1e6, 1e6), (1e6, 1e6 - 1.0), *Q1_FROZEN_NEAR_DIAGONAL]
@@ -1281,8 +1318,9 @@ class TestReference:
         [(1.0, 2e5), (99.9, 1e6), (6.413090578131705, 909503.1455686877), (0.0012150016930201632, 129087.6849875679)],
     )
     def test_answers_where_the_series_windows_are_disjoint(self, a, b):
-        # far tail points up to b = 1e6, where the series' windows are far
-        # over its cap: the oracle answers, with values that underflow
+        # far tail points up to b = 1e6, where the series' windows would be
+        # disjoint and far over a million entries: the oracle answers, with
+        # values that underflow
         ref = q1_reference(QArgs(a, b))
         assert (ref.value, ref.agreement_gap, ref.method_b) == (0.0, 0.0, "bessel_series")
 
@@ -1351,18 +1389,17 @@ class TestLastDigit:
         assert ulps[worst] <= ROUTE_ULP_BUDGET[route], (worst, ulps[worst])
 
 
-_LIMIT = oracle.MAX_ORACLE_ARG
 _MAX = oracle.MAX_ARG
 
 
 @pytest.mark.parametrize(
     "method,who,at_limit",
     [
-        # the error each method documents at (L, L), (1, L) and (L, 1), L its
-        # limit: MAX_ORACLE_ARG for the band pair, QArgs's MAX_ARG for the rest
+        # the error each method documents at (L, L), (1, L) and (L, 1), L =
+        # QArgs's MAX_ARG; the band pair refuses all three, outside its band
         (q1_reference, "the oracle", {}),
-        (q1_quadrature, "the quadrature", {}),
-        (q1_series, "the series", {(_LIMIT, _LIMIT): "series window of"}),
+        (q1_quadrature, "the quadrature", dict.fromkeys([(_MAX, _MAX), (1.0, _MAX), (_MAX, 1.0)], _OUTSIDE_THE_BAND)),
+        (q1_series, "the series", dict.fromkeys([(_MAX, _MAX), (1.0, _MAX), (_MAX, 1.0)], _OUTSIDE_THE_BAND)),
         (q1_asymptotic, "the expansion", {}),
         (q1_trapezoid, "the trapezoid", {(_MAX, _MAX): "needs b != a"}),
         (q1_diagonal, "the diagonal route", {(1.0, _MAX): r"\|b - a\| <= 1", (_MAX, 1.0): r"\|b - a\| <= 1"}),
@@ -1370,22 +1407,35 @@ _MAX = oracle.MAX_ARG
     ],
 )
 def test_one_range_for_every_method(method, who, at_limit):
-    band_pair = method in (q1_quadrature, q1_series)
-    limit = _LIMIT if band_pair else _MAX
-    above = math.nextafter(limit, math.inf)
-    for a, b in [(limit, limit), (1.0, limit), (limit, 1.0)]:
+    above = math.nextafter(_MAX, math.inf)
+    for a, b in [(_MAX, _MAX), (1.0, _MAX), (_MAX, 1.0)]:
         if (a, b) in at_limit:
             with pytest.raises(DomainError, match=at_limit[a, b]):
                 method(QArgs(a, b))
         else:
             assert 0.0 <= _q1_of(method(QArgs(a, b))) <= 1.0
-    for a, b in [(above, limit), (limit, above), (above, 0.0), (0.0, above)]:
-        if band_pair:
-            message = f"^{re.escape(f'{who} covers a, b <= 1e+06, got (a={a!r}, b={b!r})')}$"
-        else:  # QArgs refuses first, with its one message
-            message = f"{_PAST_THE_RANGE}{re.escape(repr(a))}, b={re.escape(repr(b))}\\)$"
-        with pytest.raises(DomainError, match=message):
+    if method in (q1_quadrature, q1_series):
+        # the band's edges: its corners answer
+        for a, b in _BAND_EXAMPLES[:4]:
+            assert 0.0 <= method(QArgs(a, b)) <= 1.0
+    for a, b in [(above, _MAX), (_MAX, above), (above, 0.0), (0.0, above)]:
+        # QArgs refuses first, with its one message
+        with pytest.raises(DomainError, match=f"{_PAST_THE_RANGE}{re.escape(repr(a))}, b={re.escape(repr(b))}\\)$"):
             method(QArgs(a, b))
+
+
+@pytest.mark.parametrize("method", [q1_quadrature, q1_series])
+def test_band_pair_answers_at_the_corners_and_refuses_past_each_edge(method):
+    # the band a < 100, a <= b <= a + 1 is closed but at a = 100; at its
+    # corners each method gives the value q1_reference pairs
+    field = "method_a_value" if method is q1_quadrature else "method_b_value"
+    for a, b in _BAND_EXAMPLES[:4]:
+        assert method(QArgs(a, b)) == getattr(q1_reference(QArgs(a, b)), field)
+    for a in (0.5, 99.9):
+        _refuses_outside_the_band(method, a, math.nextafter(a, 0.0))
+        _refuses_outside_the_band(method, a, math.nextafter(a + 1.0, math.inf))
+    for b in (100.0, 100.5, 101.0):
+        _refuses_outside_the_band(method, 100.0, b)
 
 
 def _q1_of(result):
@@ -1495,6 +1545,10 @@ def test_one_range_memory():
         assert peak < 64 * 1024, (a, b, peak)
 
 
+# rice_pdf's one message outside [0, sqrt(DBL_MAX)], up to the point it quotes
+_RICE_RANGE = r"^rice_pdf takes x, a in \[0, sqrt\(DBL_MAX\) = 1\.3407807929942596e\+154\], got x="
+
+
 class TestRicePdf:
     def test_zero_at_origin(self):
         for a in (0.0, 1.0, 17.3):
@@ -1516,14 +1570,18 @@ class TestRicePdf:
          pytest.param(10**400, 1.0, id="10**400-1.0"), pytest.param(1.0, 10**400, id="1.0-10**400")],
     )
     def test_rejects_non_finite_naming_itself(self, x, a):
-        with pytest.raises(DomainError, match=r"^rice_pdf requires finite x >= 0 and a >= 0, got x="):
+        with pytest.raises(DomainError, match=_RICE_RANGE):
             rice_pdf(x, a)
 
     @pytest.mark.parametrize("x", [1.34e154, 1.35e154, 1e200, 1e308, 1.7976931348623157e308])
     def test_peak_either_side_of_the_product_overflowing(self, x):
-        # e^-ax I0(ax) = 1/sqrt(2 pi a x) to the double for ax >= 1.8e308 and
-        # next to it, so the density at x = a is 1/sqrt(2 pi) on both paths
-        assert rice_pdf(x, x) == 1.0 / math.sqrt(2.0 * math.pi)
+        # up to x = a = sqrt(DBL_MAX), where a x is the largest double, the
+        # density at x = a is 1/sqrt(2 pi); past it, where a x would
+        # overflow, rice_pdf refuses, as QArgs does
+        assert rice_pdf(min(x, oracle.MAX_ARG), min(x, oracle.MAX_ARG)) == 1.0 / math.sqrt(2.0 * math.pi)
+        if x > oracle.MAX_ARG:
+            with pytest.raises(DomainError, match=_RICE_RANGE):
+                rice_pdf(x, x)
 
     def test_normalization_a10(self):
         # the integral over [0, a + 40] is the full mass, to within the
@@ -1533,8 +1591,11 @@ class TestRicePdf:
 
     @pytest.mark.parametrize("x,a", [(0.5, 1e200), (1e200, 0.5), (1e300, 1e10), (1e155, 1.0)])
     def test_zero_where_the_square_overflows(self, x, a):
-        # (x - a)^2 overflows a double; the density is 0 long before that
-        assert rice_pdf(x, a) == 0.0
+        # (x - a)^2 would overflow a double, past sqrt(DBL_MAX), where
+        # rice_pdf refuses; the density is 0 long before, up to the range's end
+        assert rice_pdf(min(x, oracle.MAX_ARG), min(a, oracle.MAX_ARG)) == 0.0
+        with pytest.raises(DomainError, match=_RICE_RANGE):
+            rice_pdf(x, a)
 
     def test_scaled_form_never_overflows(self):
         v = rice_pdf(600.0, 600.0)

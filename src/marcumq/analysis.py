@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .bounds import BoundId, compute_zeta, eval_all, eval_ids
 from .errors import DomainError, UnknownFigureError
 from .oracle import QArgs, q1_reference, rice_pdf
-from .specfun import bessel_i0_scaled, bessel_i1_scaled
+from .specfun import _HANKEL_X, _i0e, _i0e_i1e, _i0e_minus_i1e_hankel, bessel_i0_scaled, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
 _G_PLAIN_MAX = 300.0
@@ -104,13 +104,14 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     if math.isinf(ratio):
         raise DomainError(f"log grid [{lo!r}, {hi!r}] needs a finite hi/lo, got {ratio!r}")
     lr = math.log(ratio)
-    xs = [lo * math.exp(lr * i / (n - 1)) for i in range(n)]
+    exp, m = math.exp, n - 1
+    xs = [lo * exp(lr * i / m) for i in range(n)]
     xs[-1] = hi
     # [lo, hi] may hold fewer than n doubles, and a repeated x would read
     # as a zero difference in the monotonicity scans.  Each point is off by
     # under 1e-12 relative for any finite ratio, so only a step below 1e-9
     # can round away; coarser grids skip the pass over the points.
-    if lr < 1e-9 * (n - 1) and any(x >= y for x, y in zip(xs, xs[1:])):
+    if lr < 1e-9 * m and any(x >= y for x, y in zip(xs, xs[1:])):
         raise DomainError(
             f"log grid [{lo!r}, {hi!r}] with n={n} repeats a point: too few doubles between lo and hi"
         )
@@ -188,8 +189,15 @@ def g_plain(x: float) -> float:
 
 
 def g_scaled(x: float) -> float:
-    """e^(-2x) g(x): same sign as g, finite for all x >= 0."""
-    i1 = bessel_i1_scaled(x)
+    """e^(-2x) g(x): same sign as g, finite for all x >= 0.
+
+    From x = 1000, i1e - i0e comes from its own Hankel kernel, which does
+    not cancel, and 3 e^-x i1e underflows to 0.0; past x ~ 1.2e215 the
+    value itself, about -0.2 x^-1.5, rounds to -0.0.
+    """
+    i1 = bessel_i1_scaled(x)  # refuses x outside [0, DBL_MAX]
+    if x >= _HANKEL_X:
+        return -_i0e_minus_i1e_hankel(x)
     return (i1 - bessel_i0_scaled(x)) + 3.0 * math.exp(-x) * i1
 
 
@@ -200,9 +208,25 @@ def scan_g_negative(x_lo: float, x_hi: float, n: int) -> ScanReport:
     the (e^x + 3)-ratio upper bounds rest on.  Values are plain g below
     x = 300 and e^(-2x)-scaled beyond (sign-preserving).
     """
-    worst, witness = _worst(
-        (g_plain(x) if x <= _G_PLAIN_MAX else g_scaled(x), (x,)) for x in log_grid(x_lo, x_hi, n)
-    )
+    xs = log_grid(x_lo, x_hi, n)
+    exp = math.exp
+    # g_plain and g_scaled written out, in their order of operations, so
+    # each value is the same double; the worst is tracked as _worst does
+    worst, at = -math.inf, -1
+    for i, x in enumerate(xs):
+        if x <= _G_PLAIN_MAX:
+            i0, i1 = _i0e_i1e(x)
+            ex = exp(x)
+            i1 = ex * i1
+            v = ex * (i1 - ex * i0) + 3.0 * i1
+        elif x < _HANKEL_X:
+            i0, i1 = _i0e_i1e(x)
+            v = (i1 - i0) + 3.0 * exp(-x) * i1
+        else:
+            v = -_i0e_minus_i1e_hankel(x)
+        if v > worst:
+            worst, at = v, i
+    witness = (xs[at],) if at >= 0 else ()
     return ScanReport(
         property_id="g_negative",
         grid=f"log-spaced x in [{x_lo:g}, {x_hi:g}], n={n}; plain g below x=300, e^(-2x)-scaled beyond",
@@ -238,18 +262,26 @@ def scan_f_ratio_monotone(kind: str, x_lo: float, x_hi: float, n: int) -> ScanRe
     Successive differences on a log-spaced grid must all have the
     required sign.
     """
-    if kind == "f_dec_eq2":
-        f, sign = ratio_exp3, -1.0
-    elif kind == "f_inc_sinh":
-        f, sign = ratio_sinh, 1.0
-    else:
+    if kind not in ("f_dec_eq2", "f_inc_sinh"):
         raise DomainError(f"unknown ratio kind {kind!r}")
     xs = log_grid(x_lo, x_hi, n)
-    vals = [f(x) for x in xs]
-    # violation: difference with the wrong sign
-    worst, witness = _worst(
-        (-sign * (vals[i + 1] - vals[i]), (xs[i], xs[i + 1])) for i in range(len(xs) - 1)
-    )
+    # ratio_exp3 and ratio_sinh written out, in their order of operations;
+    # a log grid holds no x = 0, ratio_sinh's special case
+    if kind == "f_dec_eq2":
+        exp, sign = math.exp, -1.0
+        vals = (_i0e(x) / (1.0 + 3.0 * exp(-x)) for x in xs)
+    else:
+        expm1, sign = math.expm1, 1.0
+        vals = (x * _i0e(x) / (-expm1(-2.0 * x)) for x in xs)
+    # violation: difference with the wrong sign; the worst is tracked as _worst does
+    worst, at = -math.inf, -1
+    prev = next(vals)
+    for i, v in enumerate(vals):
+        d = -sign * (v - prev)
+        if d > worst:
+            worst, at = d, i
+        prev = v
+    witness = (xs[at], xs[at + 1]) if at >= 0 else ()
     return ScanReport(
         property_id=kind,
         grid=f"log-spaced x in [{x_lo:g}, {x_hi:g}], n={n}; successive differences",
@@ -313,6 +345,15 @@ def envelope_sinh(x: float, a: float, b: float) -> float:
     return _pref_sinh(a, b) * g * (-math.expm1(-2.0 * a * x))
 
 
+def _sinh_at(x: float, a: float, pref: float) -> float:
+    """``envelope_sinh(x, a, b)`` given its x-free factor pref = ``_pref_sinh(a, b)``."""
+    try:
+        g = math.exp(-0.5 * (x - a) ** 2)
+    except OverflowError:
+        return 0.0
+    return pref * g * (-math.expm1(-2.0 * a * x))
+
+
 def envelope_exp_rate(x: float, a: float, b: float) -> float:
     """Rice density envelope with exponential rate zeta = log(I0(ab))/b:
 
@@ -351,7 +392,8 @@ def scan_envelope_ordering(
     zeta = compute_zeta(QArgs(a, b))  # QArgs refuses a, b past the range before the density is sampled
     xs = _lin_grid(lo, hi, n)
     rice = [rice_pdf(x, a) for x in xs]
-    e_sinh = [envelope_sinh(x, a, b) for x in xs]
+    pref = _pref_sinh(a, b)
+    e_sinh = [_sinh_at(x, a, pref) for x in xs]
     e_rate = [_exp_rate_at(x, a, zeta) for x in xs]
     if not any(rice) and not any(e_sinh) and not any(e_rate):
         raise DomainError(

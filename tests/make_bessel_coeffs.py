@@ -15,6 +15,12 @@ The kernels cover x >= 0 in four pieces, each one fixed-degree polynomial:
   * [1000, inf): the Hankel sum (2 pi)^-1/2 sum_k (-1)^k alpha_k(nu) x^-k
     to k = 5, whose first omitted term is below 1e-18 of the sum there.
 
+A fifth kernel gives e^-x (I0(x) - I1(x)) on [1000, inf) as the
+difference of the two Hankel sums, coefficient by coefficient, so it
+carries none of the cancellation of i0e - i1e.  Its k = 0 term is zero,
+so it is taken one term further, to k = 6, to keep its first omitted
+term below 1e-17 of the sum at x = 1000.
+
 Interpolation runs at 50 digits and every coefficient is rounded to the
 nearest double, so the output is the same byte for byte on every run.
 The script prints the largest relative error of each fit to standard
@@ -34,6 +40,8 @@ SMALL_X = 8.0
 LARGE_PIECES = ((8.0, 16.0, 14), (16.0, 1000.0, 12))
 SMALL_DEGREE = 14
 HANKEL_DEGREE = 5
+# i0e - i1e starts at 1/x: one more term for the same relative truncation
+HANKEL_DIFF_DEGREE = HANKEL_DEGREE + 1
 
 
 def cheb_monomial(f, lo, hi, degree):
@@ -110,10 +118,10 @@ def large_fits(nu, lo, hi, degree):
     return g, coefs, -mp.mpf(1), mp.mpf(1)
 
 
-def hankel(nu):
-    """(2 pi)^-1/2 (-1)^k alpha_k(nu), k = 0..HANKEL_DEGREE."""
+def hankel(nu, degree=HANKEL_DEGREE):
+    """(2 pi)^-1/2 (-1)^k alpha_k(nu), k = 0..degree."""
     out, c = [], mp.mpf(1)
-    for k in range(HANKEL_DEGREE + 1):
+    for k in range(degree + 1):
         if k:
             c *= mp.mpf((2 * k - 1) ** 2 - 4 * nu * nu) / (8 * k)
         out.append(c / mp.sqrt(2 * mp.pi))
@@ -153,6 +161,26 @@ def _large_function(nu, report):
     return "\n".join(body)
 
 
+def _difference_function(report):
+    hi = LARGE_PIECES[-1][1]
+    # k = 0 cancels exactly (alpha_0 = 1 for both orders); the sum starts at s
+    pairs = zip(hankel(0, HANKEL_DIFF_DEGREE), hankel(1, HANKEL_DIFF_DEGREE))
+    coefs = [c0 - c1 for c0, c1 in pairs][1:]
+    # the truncation is largest at the piece's low end
+    x = mp.mpf(hi)
+    with mp.workdps(80):
+        exact = (mp.besseli(0, x) - mp.besseli(1, x)) * mp.exp(-x) * mp.sqrt(x)
+    err = abs(mp.polyval([*coefs[::-1], 0], 1 / x) / exact - 1)
+    report(f"i0e - i1e at x = {hi:g}, degree {HANKEL_DIFF_DEGREE}", err)
+    return "\n".join([
+        "def _i0e_minus_i1e_hankel(x: float) -> float:",
+        f'    """e^-x (I0(x) - I1(x)) for x >= {hi:g}, from the difference of the two Hankel sums."""',
+        "    s = 1.0 / x",
+        horner("s", coefs, "    p = s * ", "        "),
+        "    return p / math.sqrt(x)",
+    ])
+
+
 def generated_block(report=lambda name, err: None) -> str:
     (f0, c0, lo, hi), (f1, c1, _, _) = small_fits()
     report(f"(I0 - 1)/y on [0, {SMALL_X:g}], degree {SMALL_DEGREE}", _rel_err(f0, c0, lo, hi))
@@ -160,6 +188,8 @@ def generated_block(report=lambda name, err: None) -> str:
     parts = [
         "# --- generated by tests/make_bessel_coeffs.py: do not edit by hand ---",
         f"BESSEL_SMALL_X = {SMALL_X!r}",
+        "# from here up the kernels are Hankel sums",
+        f"_HANKEL_X = {LARGE_PIECES[-1][1]!r}",
         "",
         "",
         "def _i0m1_small(x: float) -> float:",
@@ -178,6 +208,9 @@ def generated_block(report=lambda name, err: None) -> str:
         "",
         "",
         _large_function(1, report),
+        "",
+        "",
+        _difference_function(report),
         "",
         "",
         "# --- end of generated block ---",

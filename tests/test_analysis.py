@@ -1,7 +1,10 @@
 """Tests for error tables, certification scans, and figure data."""
 
 import math
+import random
+import tracemalloc
 
+import mpmath as mp
 import pytest
 
 import marcumq.analysis as analysis
@@ -84,6 +87,27 @@ class TestGScan:
     def test_bad_grid(self):
         with pytest.raises(DomainError):
             scan_g_negative(-1.0, 2.0, 100)
+
+    @pytest.mark.parametrize("x", [1e16, 1e100, 1e200])
+    def test_scaled_keeps_its_sign_at_huge_x(self, x):
+        # e^(-2x) g ~ -1/(2x sqrt(2 pi x)); (i1e - i0e) + 3 e^-x i1e
+        # cancelled to 0.0 here (5% off at 1e15)
+        xm = mp.mpf(x)
+        with mp.workdps(50 + int(2 * mp.log10(xm))):
+            i0, i1 = mp.besseli(0, xm), mp.besseli(1, xm)
+            expected = float((i1 - i0) * mp.exp(-xm) + 3 * i1 * mp.exp(-2 * xm))
+        assert g_scaled(x) < 0.0
+        assert g_scaled(x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_scaled_rounds_to_negative_zero_past_the_double_range(self):
+        # at 1e300 the value, -2.0e-451, lies below the least subnormal:
+        # the double nearest it is -0.0, which no scan can read as negative
+        assert math.copysign(1.0, g_scaled(1e300)) == -1.0 and g_scaled(1e300) == 0.0
+
+    def test_scan_past_the_old_cancellation(self):
+        rep = scan_g_negative(700.0, 1e200, 5)
+        assert rep.passed
+        assert rep.witness == (1e200,) and rep.worst_violation == g_scaled(1e200) < 0.0
 
 
 class TestRatioScans:
@@ -204,6 +228,18 @@ class TestEnvelopeScan:
         pointwise = [envelope_exp_rate(x, 10.0, 8.0) for x in rep.details["x"]]
         assert [v.hex() for v in rep.details["exp_rate_envelope"]] == [v.hex() for v in pointwise]
 
+    def test_sinh_prefactor_computed_once_per_scan(self, monkeypatch):
+        # it does not depend on x; figure 3 takes it through the same scan
+        calls = []
+        pref = analysis._pref_sinh
+        monkeypatch.setattr(analysis, "_pref_sinh", lambda a, b: calls.append((a, b)) or pref(a, b))
+        rep = scan_envelope_ordering(10.0, 8.0, 500)
+        figure_data(3)
+        assert calls == [(10.0, 8.0), (10.0, 8.0)]
+        monkeypatch.undo()
+        pointwise = [envelope_sinh(x, 10.0, 8.0) for x in rep.details["x"]]
+        assert [v.hex() for v in rep.details["sinh_envelope"]] == [v.hex() for v in pointwise]
+
     def test_zero_where_the_square_overflows(self):
         # (x - a)^2 overflows a double at a = 1e160, where the sinh envelope
         # is 0; zeta refuses a past the catalog's range sqrt(DBL_MAX)
@@ -304,6 +340,87 @@ class TestWorst:
 
     def test_empty(self):
         assert _worst([]) == (-math.inf, ())
+
+
+def _reference_log_grid(lo, hi, n):
+    xs = [lo * math.exp(math.log(hi / lo) * i / (n - 1)) for i in range(n)]
+    xs[-1] = hi
+    return xs
+
+
+def _reference_g_scan(xs):
+    """The per-point form the one-pass scan replaced."""
+    return _worst((g_plain(x) if x <= 300.0 else g_scaled(x), (x,)) for x in xs)
+
+
+def _reference_f_scan(kind, xs):
+    f, sign = (ratio_exp3, -1.0) if kind == "f_dec_eq2" else (ratio_sinh, 1.0)
+    vals = [f(x) for x in xs]
+    return _worst((-sign * (vals[i + 1] - vals[i]), (xs[i], xs[i + 1])) for i in range(len(xs) - 1))
+
+
+def _scan_grids():
+    # both sides of the kernels' x = 8, g's x = 300 and the Hankel x = 1000,
+    # the default grid, n = 2, and seeded log grids
+    grids = [
+        (7.0, 9.0, 2), (7.0, 9.0, 41), (250.0, 350.0, 2), (250.0, 350.0, 101), (800.0, 1200.0, 33),
+        (1e-3, 700.0, 10000), (1e-150, 1e150, 601), (1.0, 2.0, 2),
+    ]
+    rng = random.Random(35)
+    for _ in range(24):
+        lo = 10.0 ** rng.uniform(-6.0, 4.0)
+        grids.append((lo, lo * 10.0 ** rng.uniform(0.01, 4.0), rng.choice([2, 3, 50, 500])))
+    return grids
+
+
+class TestOnePassScans:
+    @pytest.mark.parametrize("lo,hi,n", _scan_grids())
+    def test_same_report_as_the_per_point_form(self, lo, hi, n):
+        xs = log_grid(lo, hi, n)
+        assert [x.hex() for x in xs] == [x.hex() for x in _reference_log_grid(lo, hi, n)]
+        reports = [(scan_g_negative(lo, hi, n), _reference_g_scan(xs))] + [
+            (scan_f_ratio_monotone(kind, lo, hi, n), _reference_f_scan(kind, xs))
+            for kind in ("f_dec_eq2", "f_inc_sinh")
+        ]
+        for rep, (worst, witness) in reports:
+            assert (rep.worst_violation.hex(), rep.witness) == (worst.hex(), witness)
+
+    def test_ties_keep_the_first_and_nan_never_wins(self, monkeypatch):
+        # as in _worst: zero Bessel values tie every point at 0.0, so the
+        # first point is the witness; NaN ones leave nothing to report
+        xs = log_grid(0.5, 5.0, 5)
+        scans = [lambda: scan_g_negative(0.5, 5.0, 5)] + [
+            lambda kind=kind: scan_f_ratio_monotone(kind, 0.5, 5.0, 5) for kind in ("f_dec_eq2", "f_inc_sinh")
+        ]
+        for value, worst, witnesses in (
+            (0.0, 0.0, [(xs[0],), (xs[0], xs[1]), (xs[0], xs[1])]),
+            (math.nan, -math.inf, [(), (), ()]),
+        ):
+            monkeypatch.setattr(analysis, "_i0e", lambda x: value)
+            monkeypatch.setattr(analysis, "_i0e_i1e", lambda x: (value, value))
+            reports = [scan() for scan in scans]
+            assert [(rep.worst_violation, rep.witness) for rep in reports] == list(zip([worst] * 3, witnesses))
+
+    @pytest.mark.parametrize("kind", ["g_negative", "f_dec_eq2", "f_inc_sinh"])
+    def test_memory_stays_flat(self, kind):
+        # the default grid is the only full-grid list; the f scans used to
+        # keep every ratio too, twice the grid's peak
+        def scan():
+            if kind == "g_negative":
+                return scan_g_negative(1e-3, 700.0, 10000)
+            return scan_f_ratio_monotone(kind, 1e-3, 700.0, 10000)
+
+        peaks = []
+        for run in (lambda: log_grid(1e-3, 700.0, 10000), scan):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        grid, peak = peaks
+        assert peak <= grid + 1024
 
 
 class TestDominanceScan:

@@ -596,6 +596,22 @@ class TestAsymptotic:
         with pytest.raises(ConvergenceError, match="term 1 is inf"):
             q1_asymptotic(QArgs(1e-300, 2.0))
 
+    @pytest.mark.parametrize(
+        "a,b,kernel,message",
+        [
+            # b < a: the I0 Hankel sum at ab = 0.02 grows from its first term
+            (2.0, 0.01, "_i0e_hankel", "term 1 grows before reaching 1e-17"),
+            # and at a subnormal ab its first term is inf
+            (1.0, 1e-310, "_i0e_hankel", "term 1 is inf"),
+            # b >= a: rho = b/a overflows, so the closed-form term is inf
+            (5e-324, 1.0, "_q1_large_xi", "term 0 is inf"),
+        ],
+    )
+    def test_each_kernel_refusal(self, a, b, kernel, message):
+        with pytest.raises(ConvergenceError, match=f"^asymptotic series {message}") as info:
+            q1_asymptotic(QArgs(a, b))
+        assert info.traceback[-1].name == kernel
+
 
 def _frozen_value(a, b):
     s, d = TRAPEZOID_FROZEN[a, b]

@@ -230,17 +230,42 @@ def _around(x):
     return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
 
 
+# across the piece boundaries 8, 16 and 1000, the ends of the range and
+# a geometric grid between
+ACROSS_THE_PIECES = (
+    [0.0, 5e-324, 1e-300, 1e-8, 0.5, *_around(SMALL_X), 12.0, *_around(16.0), 300.0, *_around(1000.0), 1e300]
+    + [10.0 ** (k / 8.0) for k in range(-40, 57)]
+)
+
+
 class TestI0eAndLogI0:
-    # across the piece boundaries 8, 16 and 1000, the ends of the range and
-    # a geometric grid between
-    @pytest.mark.parametrize(
-        "x",
-        [0.0, 5e-324, 1e-300, 1e-8, 0.5, *_around(SMALL_X), 12.0, *_around(16.0), 300.0, *_around(1000.0), 1e300]
-        + [10.0 ** (k / 8.0) for k in range(-40, 57)],
-    )
+    @pytest.mark.parametrize("x", ACROSS_THE_PIECES)
     def test_same_doubles_as_the_public_functions(self, x):
         i0e, log_i0 = specfun._i0e_and_log_i0(x)
         assert (i0e.hex(), log_i0.hex()) == (bessel_i0_scaled(x).hex(), log_bessel_i0(x).hex())
+
+
+class TestUncheckedEntries:
+    @pytest.mark.parametrize("x", [*ACROSS_THE_PIECES, 1.7976931348623157e308])
+    def test_same_doubles_as_the_public_functions(self, x):
+        i0e, i1e = specfun._i0e_i1e(x)
+        expected = (bessel_i0_scaled(x).hex(), bessel_i1_scaled(x).hex())
+        assert (i0e.hex(), i1e.hex()) == expected
+        assert specfun._i0e(x).hex() == expected[0]
+
+
+class TestHankelDifference:
+    @pytest.mark.parametrize(
+        "x", [*_around(1000.0)[1:], 1500.0, 1e4, 1e8, 1e15, 1e16, 1e100, 1e200, 1e204]
+    )
+    def test_matches_mpmath(self, x):
+        # e^-x (I0 - I1) ~ 1/(2x sqrt(2 pi x)): the plain difference of the
+        # two kernels is 5% off at 1e15 and 0.0 from 1e16; this one keeps
+        # full accuracy while the value is a normal double
+        xm = mp.mpf(x)
+        with mp.workdps(50 + int(2 * mp.log10(xm))):
+            expected = float((mp.besseli(0, xm) - mp.besseli(1, xm)) * mp.exp(-xm))
+        assert specfun._i0e_minus_i1e_hankel(x) == pytest.approx(expected, rel=5e-16, abs=0.0)
 
 
 class TestErf:

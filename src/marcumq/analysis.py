@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .bounds import BoundId, compute_zeta, eval_all, eval_ids
 from .errors import DomainError, UnknownFigureError
-from .oracle import QArgs, q1_reference, rice_pdf
+from .oracle import QArgs, _new_record, q1_reference, rice_pdf
 from .specfun import _HANKEL_X, _i0e, _i0e_i1e, _i0e_minus_i1e_hankel, bessel_i0_scaled, bessel_i1_scaled
 
 # above this, e^x (I1(x) - I0(x)) would overflow e^(2x); use the scaled form
@@ -160,8 +160,10 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
         args = QArgs(a, b)
         exact = q1_reference(args).value
         evals, skipped = eval_ids(ids, args)
-        cells = {ev.id: BoundCell(ev.raw, ev.clamped, eps_pct(ev.raw, exact)) for ev in evals}
-        rows.append(ErrorRow(b, exact, cells, skipped))
+        cells = {
+            bid: _new_record(BoundCell, (raw, clamped, eps_pct(raw, exact))) for bid, raw, clamped, _ in evals
+        }
+        rows.append(_new_record(ErrorRow, (b, exact, cells, skipped)))
     return rows
 
 
@@ -426,23 +428,21 @@ def scan_sandwich(b_per_a: int = 50) -> ScanReport:
     """
     margin = 1e-9
     count = 0
-
-    def checks():
-        nonlocal count
-        _check_two_sided_size(_SANDWICH_A, b_per_a)
-        for a in _SANDWICH_A:
-            bs = two_sided_b_grid(a, b_per_a)
-            for b in bs:
-                args = QArgs(a, b)
-                exact = q1_reference(args).value
-                evals, _ = eval_all(args)
-                count += len(evals)
-                for ev in evals:
-                    v = (exact - ev.clamped) if ev.side == "upper" else (ev.clamped - exact)
-                    yield v, (ev.id.value, a, b)
-            del bs  # freed before the next a's grid is built
-
-    worst, witness = _worst(checks())
+    _check_two_sided_size(_SANDWICH_A, b_per_a)
+    # the worst is tracked as _worst does, its witness built only at a new worst
+    worst, witness = -math.inf, ()
+    for a in _SANDWICH_A:
+        bs = two_sided_b_grid(a, b_per_a)
+        for b in bs:
+            args = QArgs(a, b)
+            exact = q1_reference(args).value
+            evals, _ = eval_all(args)
+            count += len(evals)
+            for bid, _, clamped, side in evals:
+                v = (exact - clamped) if side == "upper" else (clamped - exact)
+                if v > worst:
+                    worst, witness = v, (bid.value, a, b)
+        del bs  # freed before the next a's grid is built
     return ScanReport(
         property_id="sandwich",
         grid=f"a in {_SANDWICH_A}, {b_per_a} b per a (two-sided), margin {margin:g}",

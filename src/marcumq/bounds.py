@@ -43,17 +43,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError, RegimeError, SingularityError
-from .oracle import MAX_ARG, QArgs
+from .oracle import MAX_ARG, QArgs, _new_record
 from .specfun import _i0e_and_log_i0, bessel_i0_scaled, erfc_diff, erfc_diff_centered, log_bessel_i0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# builds a NamedTuple from its fields in order without the Python frame
-# of the generated __new__, about half the cost of a record per call
-_new_record = tuple.__new__
 
 # below this the sinh-ratio lower bounds switch to their analytic a->0 limit
 SMALL_AB_LIMIT = 1e-8

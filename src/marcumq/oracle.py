@@ -99,7 +99,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -118,13 +117,14 @@ _RELATIVE_GATE = 1e-12
 # q1_diagonal covers |b - a| <= _DIAGONAL_SPAN; past it Q1(a, a) minus the
 # integral no longer keeps relative accuracy (1e-11 at (50, 54), Q1 = 3.3e-5)
 _DIAGONAL_SPAN = 1.0
+_EPSILON = 2.220446049250313e-16  # the spacing of doubles at 1.0
 # q1_trapezoid: the proven bound on its error must be within _TRAPEZOID_TOL of
 # the value; rounding is taken as _TRAPEZOID_ULPS ulps of each term's size
 _TRAPEZOID_TOL = 1e-15
 _TRAPEZOID_ULPS = 2.0
 # ln(2/tol'), tol' the strip term's share of _TRAPEZOID_TOL: what the rounding's
 # ulps + 1 leave, less half an ulp of margin
-_TRAPEZOID_LN_STRIP = math.log(2.0 / (_TRAPEZOID_TOL - (_TRAPEZOID_ULPS + 1.5) * sys.float_info.epsilon))
+_TRAPEZOID_LN_STRIP = math.log(2.0 / (_TRAPEZOID_TOL - (_TRAPEZOID_ULPS + 1.5) * _EPSILON))
 _TRAPEZOID_CUT = 50.0  # nodes where 2ab sin^2(phi/2) exceeds this are left out
 _TRAPEZOID_MAX_NODES = 4096
 # q1_bessel_series stops where sum (ln(1/zeta) + asinh(j/x)) reaches this (e^-39.2 = 1e-17),
@@ -146,6 +146,9 @@ _RSQRT2_HI = 134217729.0 * _RSQRT2 - (134217729.0 * _RSQRT2 - _RSQRT2)
 _RSQRT2_TL = _RSQRT2 - _RSQRT2_HI
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = 1.7976931348623157e308
+_MIN_NORMAL = 2.2250738585072014e-308  # the smallest normal double
+# builds a NamedTuple from its fields in order without the frame of its generated __new__, at half the cost
+_new_record = tuple.__new__
 
 
 class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):
@@ -687,7 +690,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     the cut are more than _TRAPEZOID_MAX_NODES, as happens near b = a,
     where N grows as 1/ln(1/zeta).
     """
-    a, b = args.a, args.b
+    a, b = args
     if a == b:
         raise DomainError(f"the trapezoid needs b != a, got a = b = {a:g}")
     complement = b < a
@@ -698,7 +701,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     x = a * b
     if complement and (zeta == 0.0 or x == 0.0):
         # the integrand is 0 at every node: 1 - Q1 ~ e^-d zeta ab/2 underflows
-        return TrapezoidResult(0.0, d, complement, 0, 0.0)
+        return _new_record(TrapezoidResult, (0.0, d, complement, 0, 0.0))
     w = delta / hi  # 1 - zeta
     # in v = sin^2(phi/2) the numerators are w + 2 zeta v and zeta w - 2 zeta v
     p, q = (zeta * w, -2.0 * zeta) if complement else (w, 2.0 * zeta)
@@ -719,7 +722,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
         s_lo = max(
             zeta * x / ((1.0 + math.sqrt(1.0 + x * x)) * math.sqrt(1.0 + 2.0 * math.pi * x)),
             s_lo - 0.5 / math.sqrt(1.0 + 2.0 * x),
-            sys.float_info.min,
+            _MIN_NORMAL,
         )
     else:
         s_lo += 0.5 / math.sqrt(1.0 + 2.0 * math.pi * x)
@@ -745,9 +748,16 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
             f"the trapezoid needs {last + 1:.3g} nodes at (a={a:g}, b={b:g}), "
             f"over the cap of {_TRAPEZOID_MAX_NODES}"
         )
+    # the N-panel endpoint rule's terms at nodes 0..last, the end ones halved: f
+    # with the weight exp, and where dual f1 with expm1, from one pass over the nodes
     coeffs = (p, q, w * w, 4.0 * zeta, x)
     kernel = math.exp
-    f, f1 = _rule_terms(n, last, coeffs, dual)
+    ks, h = range(last + 1), math.pi / n
+    f, f1 = _simon_terms_dual(ks, h, *coeffs) if dual else (_simon_terms(ks, h, *coeffs, kernel), None)
+    for terms in (f, f1) if dual else (f,):
+        terms[0] *= 0.5
+        if last == n:
+            terms[n] *= 0.5
     # b < a terms change sign past v = w/2, and only then is sum |f_k| not sum f_k
     signed = complement and x * w < _TRAPEZOID_CUT
     s, error, rest = _trapezoid_sum(f, n, _left_out(n, last, x, tail, rate), signed, s_lo, ln_m, alpha)
@@ -764,22 +774,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
             n, last = 2 * n, last2
             s, error, rest = _trapezoid_sum(f, n, _left_out(n, last, x, tail, rate), signed, s_lo, ln_m, alpha)
     scale = math.exp(-r)
-    return TrapezoidResult(s * scale, d, complement, len(f), error * scale)
-
-
-def _rule_terms(n: int, last: int, coeffs: tuple, dual: bool) -> tuple[list[float], list[float] | None]:
-    """The terms (f, f1) of the N-panel endpoint rule on [0, pi] at nodes 0..last, the end ones halved.
-
-    f has the weight exp; f1, where ``dual``, the weight expm1 from the
-    same pass over the nodes, and is None otherwise.
-    """
-    ks, h = range(last + 1), math.pi / n
-    f, f1 = _simon_terms_dual(ks, h, *coeffs) if dual else (_simon_terms(ks, h, *coeffs, math.exp), None)
-    for terms in (f, f1) if dual else (f,):
-        terms[0] *= 0.5
-        if last == n:
-            terms[n] *= 0.5
-    return f, f1
+    return _new_record(TrapezoidResult, (s * scale, d, complement, len(f), error * scale))
 
 
 def _trapezoid_sum(
@@ -794,7 +789,7 @@ def _trapezoid_sum(
     """
     s = math.fsum(f) / n
     absum = sum(map(abs, f)) / n if signed else s
-    rest = left_out / n + sys.float_info.epsilon * (_TRAPEZOID_ULPS * absum + abs(s))
+    rest = left_out / n + _EPSILON * (_TRAPEZOID_ULPS * absum + abs(s))
     return s, rest + 2.0 * s_lo * math.exp(ln_m - 2.0 * alpha * n) / -math.expm1(-2.0 * alpha * n), rest
 
 
@@ -854,13 +849,14 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
     below a = 100 it takes at most about 1,000 steps, backward at
     (99.99, 101).
     """
-    a, b = args.a, args.b
+    a, b = args
     complement = b < a
     lo, hi = (b, a) if complement else (a, b)
     d, r = _split_exponent(lo, hi)
     x = a * b
     if x == 0.0:  # i_k(0) = 0 for k >= 1: the sum is i_0 = 1, or empty
-        return TrapezoidResult(0.0 if complement else math.exp(-r), d, complement, 0 if complement else 1, 0.0)
+        total, terms = (0.0, 0) if complement else (math.exp(-r), 1)
+        return _new_record(TrapezoidResult, (total, d, complement, terms, 0.0))
     zeta = lo / hi
     step, k, depth = math.log(hi / lo), 0, 0.0  # ln(1/zeta)
     while depth < _BESSEL_DEPTH and k <= _BESSEL_MAX_STEPS:
@@ -903,7 +899,7 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
     # the ratios fall with k, so the terms past K are at most t (zeta r_(K+1))^j
     q = zeta * past
     terms = k if complement else k + 1
-    return TrapezoidResult(total * math.exp(-r), d, complement, terms, t * q / (1.0 - q))
+    return _new_record(TrapezoidResult, (total * math.exp(-r), d, complement, terms, t * q / (1.0 - q)))
 
 
 # --- generated by tests/make_gauss_legendre.py: do not edit by hand ---
@@ -995,8 +991,8 @@ def q1_reference(args: QArgs) -> OracleResult:
     problem.  ``agreement_gap`` is |qa - qb| of the two values
     everywhere.
     """
-    a, b = args.a, args.b
-    t = s = None
+    a, b = args
+    ts = ss = None  # the trapezoid's and the Bessel series' scaled values, where each ran
     if _in_band(a, b):
         method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "series", q1_series(args)
@@ -1008,31 +1004,35 @@ def q1_reference(args: QArgs) -> OracleResult:
             # 1 - Q1 <= e^-d / 2 underflows, as in q1_asymptotic
             method_a, qa = "trapezoid", 1.0
         else:
-            t = q1_trapezoid(args)
-            method_a, qa = "trapezoid", 1.0 - t.value if t.complement else t.value
+            # the fields, not the ``value`` property: the same double without its frame
+            ts, td, complement, _, _ = q1_trapezoid(args)
+            qa = ts * math.exp(-td)
+            method_a, qa = "trapezoid", 1.0 - qa if complement else qa
         if a >= ASYMPTOTIC_MIN_A:
             method_b, qb = "asymptotic", q1_asymptotic(args)
         else:
-            s = q1_bessel_series(args)
-            method_b, qb = "bessel_series", 1.0 - s.value if s.complement else s.value
+            ss, sd, complement, _, _ = q1_bessel_series(args)
+            qb = ss * math.exp(-sd)
+            method_b, qb = "bessel_series", 1.0 - qb if complement else qb
         value = qa
     gap = abs(qa - qb)
-    if t is not None and s is not None:
+    if ts is not None and ss is not None:
         # the scaled parts keep the digits of Q1 (or 1 - Q1) where the values
         # underflow; both round to the subnormal grid where 1 - Q1 ~ b^2/2 does
-        gate = _RELATIVE_GATE * max(t.scaled, sys.float_info.min)
-        if not (t.exponent == s.exponent and abs(t.scaled - s.scaled) <= gate):
+        gate = _RELATIVE_GATE * max(ts, _MIN_NORMAL)
+        if not (td == sd and abs(ts - ss) <= gate):
             raise CrossValidationError(
                 f"reference methods disagree at (a={a:g}, b={b:g}): "
-                f"trapezoid={t.scaled!r}*e^-{t.exponent!r}, bessel_series={s.scaled!r}*e^-{s.exponent!r}"
+                f"trapezoid={ts!r}*e^-{td!r}, bessel_series={ss!r}*e^-{sd!r}"
             )
     elif gap > AGREEMENT_GATE or (
         # the trapezoid's Q1 beside the expansion (b > a >= ASYMPTOTIC_MIN_A),
         # relative to itself down to the least normal
-        method_a == "trapezoid" and b > a and gap > _RELATIVE_GATE * max(qa, sys.float_info.min)
+        method_a == "trapezoid" and b > a and gap > _RELATIVE_GATE * max(qa, _MIN_NORMAL)
     ):
         raise CrossValidationError(
             f"reference methods disagree at (a={a:g}, b={b:g}): "
             f"{method_a}={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
         )
-    return OracleResult(min(1.0, max(0.0, value)), qa, qb, gap, method_b)
+    # min(1.0, max(0.0, value)) as two comparisons: the same double, NaN and -0.0 giving 0.0
+    return _new_record(OracleResult, ((value if value < 1.0 else 1.0) if value > 0.0 else 0.0, qa, qb, gap, method_b))

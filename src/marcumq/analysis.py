@@ -348,12 +348,11 @@ def envelope_sinh(x: float, a: float, b: float) -> float:
 
 
 def _sinh_at(x: float, a: float, pref: float) -> float:
-    """``envelope_sinh(x, a, b)`` given its x-free factor pref = ``_pref_sinh(a, b)``."""
-    try:
-        g = math.exp(-0.5 * (x - a) ** 2)
-    except OverflowError:
-        return 0.0
-    return pref * g * (-math.expm1(-2.0 * a * x))
+    """``envelope_sinh(x, a, b)`` given its x-free factor pref = ``_pref_sinh(a, b)``.
+
+    Its one caller keeps 0 <= x <= b < a <= sqrt(DBL_MAX), so (x - a)^2 <= a^2 stays finite.
+    """
+    return pref * math.exp(-0.5 * (x - a) ** 2) * (-math.expm1(-2.0 * a * x))
 
 
 def envelope_exp_rate(x: float, a: float, b: float) -> float:

@@ -63,8 +63,7 @@ no code, except that the trapezoid and the Bessel series take the
 exponent from one helper, so that the gate compares it exactly.  In the
 band, a < ASYMPTOTIC_MIN_A and a <= b <= a + 1, it pairs the quadrature
 with the Poisson series, which run at an absolute tolerance of
-DEFAULT_TOL = 1e-12 and answer in the band only, returns their mean,
-and fails loudly if they disagree by more than 1e-10 absolute.
+DEFAULT_TOL = 1e-12 and answer in the band only, and returns their mean.
 Everywhere else method a is the
 diagonal route (|b - a| <= 1) or the trapezoid (beyond), whose value is
 Q1 for b > a and 1 - Q1 for b < a; where b < a and (a - b)^2/2 > 745,
@@ -72,16 +71,11 @@ Q1 for b > a and 1 - Q1 for b < a; where b < a and (a - b)^2/2 > 745,
 Its partner is the expansion from ASYMPTOTIC_MIN_A on (the Bessel
 series' depth grows as sqrt(ab), and the expansion covers every b
 there: ab < 1e3 forces b < 10, where 1 - Q1 underflows), and the Bessel
-series below it.  It returns method a's value.  Where the trapezoid
-meets the Bessel series (below ASYMPTOTIC_MIN_A, |b - a| > 1) it fails
-loudly unless the two exponents are equal and the scaled values agree
-to 1e-12 relative, on Q1 for b > a and on 1 - Q1 for b < a, a check that
-holds however far the value underflows (below the smallest normal
-double, as the scaled 1 - Q1 ~ b^2/2 is for b < 1e-154, it is 1e-12 of
-that double).  Elsewhere the pair must agree
-to 1e-10 absolute, and past the span at a >= ASYMPTOTIC_MIN_A with b > a
-also to 1e-12 of the trapezoid's Q1 (relative down to the smallest
-normal double).
+series below it.  It returns method a's value.  One check gates every
+pair: it fails loudly unless the two agree to 1e-12 relative to method
+a (of the smallest normal double below it), on their (scaled, exponent)
+pairs where the trapezoid meets the Bessel series, so that it holds
+however far Q1 or 1 - Q1 underflows, and on their Q1 values elsewhere.
 
 Every method takes a ``QArgs``, the validated pair, which holds the one
 range check of the library: a, b <= MAX_ARG = sqrt(DBL_MAX), where a^2,
@@ -105,14 +99,13 @@ from typing import NamedTuple
 from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
 
-AGREEMENT_GATE = 1e-10
 # from here on q1_reference pairs q1_diagonal or q1_trapezoid with
 # q1_asymptotic at every b; below it, with the Bessel series off the band a <= b <= a + 1
 ASYMPTOTIC_MIN_A = 100.0
 DEFAULT_TOL = 1e-12
 MAX_ARG = 1.3407807929942596e154  # sqrt(DBL_MAX): QArgs refuses a or b above this
-# q1_reference's relative gate: on the trapezoid's and the Bessel series' scaled
-# values below ASYMPTOTIC_MIN_A, and on the trapezoid's Q1 against the expansion above
+# q1_reference's one gate, relative to method a: on the trapezoid's and the Bessel
+# series' scaled values where both ran, and on the two values of every other pair
 _RELATIVE_GATE = 1e-12
 # q1_diagonal covers |b - a| <= _DIAGONAL_SPAN; past it Q1(a, a) minus the
 # integral no longer keeps relative accuracy (1e-11 at (50, 54), Q1 = 3.3e-5)
@@ -692,7 +685,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     """
     a, b = args
     if a == b:
-        raise DomainError(f"the trapezoid needs b != a, got a = b = {a:g}")
+        raise DomainError(f"the trapezoid needs b != a, got a = b = {_brief(a)}")
     complement = b < a
     lo, hi = (b, a) if complement else (a, b)
     delta = hi - lo
@@ -745,7 +738,7 @@ def q1_trapezoid(args: QArgs) -> TrapezoidResult:
     last = min(n, int(n * share))
     if last >= _TRAPEZOID_MAX_NODES:
         raise ConvergenceError(
-            f"the trapezoid needs {last + 1:.3g} nodes at (a={a:g}, b={b:g}), "
+            f"the trapezoid needs {last + 1:.3g} nodes at (a={_brief(a)}, b={_brief(b)}), "
             f"over the cap of {_TRAPEZOID_MAX_NODES}"
         )
     # the N-panel endpoint rule's terms at nodes 0..last, the end ones halved: f
@@ -845,7 +838,8 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
 
     The time is O(K) forward and O(N) backward, the memory O(K) forward,
     where K <= sqrt(ab), and O(1) backward.  It refuses a point needing
-    over _BESSEL_MAX_STEPS recurrence steps with DomainError.  Off b = a
+    over _BESSEL_MAX_STEPS recurrence steps with DomainError, in O(1)
+    where a lower bound on K already needs them.  Off b = a
     below a = 100 it takes at most about 1,000 steps, backward at
     (99.99, 101).
     """
@@ -858,16 +852,23 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
         total, terms = (0.0, 0) if complement else (math.exp(-r), 1)
         return _new_record(TrapezoidResult, (total, d, complement, terms, 0.0))
     zeta = lo / hi
-    step, k, depth = math.log(hi / lo), 0, 0.0  # ln(1/zeta)
-    while depth < _BESSEL_DEPTH and k <= _BESSEL_MAX_STEPS:
+    step, k, depth, cap = math.log(hi / lo), 0, 0.0, _BESSEL_MAX_STEPS  # ln(1/zeta)
+    # n < sqrt(41) K + 16, so a point is refused only where K > (cap - 16)/sqrt(41),
+    # and so, as each term adds at least ln(1/zeta), where ln(1/zeta) < 7 _BESSEL_DEPTH/cap.
+    # There K is at least the least k with k ln(1/zeta) + k(k + 1)/(2x) >= _BESSEL_DEPTH
+    # (asinh t <= t), less a step for rounding; where the steps that k needs pass the
+    # cap, the walk starts past it and the point is refused at once
+    if step * cap < 7.0 * _BESSEL_DEPTH:
+        c = 0.5 / x
+        k = math.ceil(2.0 * _BESSEL_DEPTH / (step + c + math.sqrt((step + c) * (step + c) + 4.0 * c * _BESSEL_DEPTH))) - 1
+        k = 0 if k <= cap and (k * k <= x or math.isqrt(k * k + int(40.0 * x)) + 16 <= cap) else cap + 1
+    while depth < _BESSEL_DEPTH and k <= cap:
         k += 1
         depth += step + math.asinh(k / x)
     forward = k * k <= x
     n = k if forward else math.isqrt(k * k + int(40.0 * x)) + 16
-    if n > _BESSEL_MAX_STEPS:
-        raise DomainError(
-            f"the Bessel series needs over {_BESSEL_MAX_STEPS} recurrence steps at (a={a:g}, b={b:g})"
-        )
+    if n > cap:
+        raise DomainError(f"the Bessel series needs over {cap} recurrence steps at (a={_brief(a)}, b={_brief(b)})")
     t = bessel_i0_scaled(x)
     if forward:
         ratio = bessel_i1_scaled(x) / t
@@ -944,7 +945,7 @@ def q1_diagonal(args: QArgs) -> float:
     a, b = args.a, args.b
     delta = b - a
     if not abs(delta) <= _DIAGONAL_SPAN:
-        raise DomainError(f"the diagonal route covers |b - a| <= {_DIAGONAL_SPAN:g}, got (a={a:g}, b={b:g})")
+        raise DomainError(f"the diagonal route covers |b - a| <= {_DIAGONAL_SPAN:g}, got (a={_brief(a)}, b={_brief(b)})")
     if b == 0.0:  # Q1(a, 0) = 1 exactly
         return 1.0
     q = 0.5 * (1.0 + bessel_i0_scaled(a * a))
@@ -975,24 +976,20 @@ def q1_reference(args: QArgs) -> OracleResult:
         series (1 minus its 1 - Q1 for b < a) below it.  It returns
         method a's value.
 
-    Where both the trapezoid and the Bessel series ran (a <
-    ASYMPTOTIC_MIN_A, |b - a| > 1), both return (scaled, exponent) for
-    Q1 (b > a) or 1 - Q1 (b < a), and it raises CrossValidationError
-    unless the exponents are equal and the scaled values agree to 1e-12
-    relative (of the smallest normal double where the scaled value is
-    below it, as it is where 1 - Q1 ~ b^2/2 < 2.2e-308): the check keeps
-    its strength where the value underflows, as Q1(1, 50) = 2.46e-523
-    and 1 - Q1(20, 1) = 1.87e-81 do.  Elsewhere
-    it raises CrossValidationError if the two disagree by more than
-    1e-10 absolute, or, past the span at a >= ASYMPTOTIC_MIN_A with
-    b > a, by more than 1e-12 of the trapezoid's Q1 (or of the smallest
-    normal double, where Q1 is below it).  The value is clamped to
-    [0, 1].  A disagreement would indicate a defect, not an input
-    problem.  ``agreement_gap`` is |qa - qb| of the two values
-    everywhere.
+    Each method enters one check as a (scaled, exponent) pair: the
+    trapezoid and the Bessel series their own where both ran (a <
+    ASYMPTOTIC_MIN_A, |b - a| > 1), for Q1 (b > a) or 1 - Q1 (b < a),
+    so that the check keeps its strength where the value underflows, as
+    Q1(1, 50) = 2.46e-523 and 1 - Q1(20, 1) = 1.87e-81 do; every other
+    method its value and 0.0.  It raises CrossValidationError unless the
+    exponents are equal and the scaled values agree to 1e-12 relative to
+    method a's (of the smallest normal double where that is below it).
+    The value is clamped to [0, 1].  A disagreement would indicate a
+    defect, not an input problem.  ``agreement_gap`` is |qa - qb| of
+    the two values everywhere.
     """
     a, b = args
-    ts = ss = None  # the trapezoid's and the Bessel series' scaled values, where each ran
+    sa = sb = None  # the trapezoid's and the Bessel series' scaled values, where each ran
     if _in_band(a, b):
         method_a, qa = "quadrature", q1_quadrature(args)
         method_b, qb = "series", q1_series(args)
@@ -1005,34 +1002,23 @@ def q1_reference(args: QArgs) -> OracleResult:
             method_a, qa = "trapezoid", 1.0
         else:
             # the fields, not the ``value`` property: the same double without its frame
-            ts, td, complement, _, _ = q1_trapezoid(args)
-            qa = ts * math.exp(-td)
+            sa, ea, complement, _, _ = q1_trapezoid(args)
+            qa = sa * math.exp(-ea)
             method_a, qa = "trapezoid", 1.0 - qa if complement else qa
         if a >= ASYMPTOTIC_MIN_A:
             method_b, qb = "asymptotic", q1_asymptotic(args)
         else:
-            ss, sd, complement, _, _ = q1_bessel_series(args)
-            qb = ss * math.exp(-sd)
+            sb, eb, complement, _, _ = q1_bessel_series(args)
+            qb = sb * math.exp(-eb)
             method_b, qb = "bessel_series", 1.0 - qb if complement else qb
         value = qa
     gap = abs(qa - qb)
-    if ts is not None and ss is not None:
-        # the scaled parts keep the digits of Q1 (or 1 - Q1) where the values
-        # underflow; both round to the subnormal grid where 1 - Q1 ~ b^2/2 does
-        gate = _RELATIVE_GATE * max(ts, _MIN_NORMAL)
-        if not (td == sd and abs(ts - ss) <= gate):
-            raise CrossValidationError(
-                f"reference methods disagree at (a={a:g}, b={b:g}): "
-                f"trapezoid={ts!r}*e^-{td!r}, bessel_series={ss!r}*e^-{sd!r}"
-            )
-    elif gap > AGREEMENT_GATE or (
-        # the trapezoid's Q1 beside the expansion (b > a >= ASYMPTOTIC_MIN_A),
-        # relative to itself down to the least normal
-        method_a == "trapezoid" and b > a and gap > _RELATIVE_GATE * max(qa, _MIN_NORMAL)
-    ):
+    if sa is None or sb is None:  # any pair but the trapezoid and the Bessel series: the values
+        sa, ea, sb, eb = qa, 0.0, qb, 0.0
+    if not (ea == eb and abs(sa - sb) <= _RELATIVE_GATE * max(sa, _MIN_NORMAL)):
         raise CrossValidationError(
-            f"reference methods disagree at (a={a:g}, b={b:g}): "
-            f"{method_a}={qa!r}, {method_b}={qb!r}, gap={gap:.3e}"
+            f"reference methods disagree at (a={_brief(a)}, b={_brief(b)}): "
+            f"{method_a}={sa!r}*e^-{ea!r}, {method_b}={sb!r}*e^-{eb!r}"
         )
     # min(1.0, max(0.0, value)) as two comparisons: the same double, NaN and -0.0 giving 0.0
     return _new_record(OracleResult, ((value if value < 1.0 else 1.0) if value > 0.0 else 0.0, qa, qb, gap, method_b))

@@ -5,9 +5,10 @@ The 21 commands that reproduce the paper (4 table presets, 10 figures,
 scan at a = 4, b = 3 in csv.  Tables and figures write their csv under a
 temporary directory and print their json; scans print their report.
 ``eval`` runs in both formats at (1, 2), (2, 1), the tie (2, 2), the
-origin, and at (1, 2e5) and (99.9, 1e6), where the series' windows are
-disjoint and far over its cap.  So does a custom table whose ids span
-both regimes (UB1JP, UB2JP at a = 2, b = 1, 2, 3), which pins its empty
+origin, and at (1, 2e5) and (99.9, 1e6), far-tail points where Q1
+underflows and the trapezoid runs beside the Bessel series (the Poisson
+series' windows would be disjoint there, far over its cap).  So does a
+custom table whose ids span both regimes (UB1JP, UB2JP at a = 2, b = 1, 2, 3), which pins its empty
 cells and skip notes.  Each output's sha256 and the exit code must match GOLDEN,
 and every json output must parse as RFC 8259 json, with no NaN or Infinity.  A
 change that moves an output on purpose says why, and regenerates the dict from the repository root with

@@ -11,6 +11,7 @@ independent implementation for cross-checks (Q1(a, b) is the survival of
 ncx2(df=2, nc=a^2) at b^2).
 """
 
+import functools
 import math
 import random
 import re
@@ -947,6 +948,17 @@ class TestBesselSeries:
             assert res.scaled == pytest.approx(trap.scaled, rel=1e-15, abs=0.0)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("a,b", [(3e4, 3e4 + 3.0), (1e6, 1e6 + 3.0), (1e4, 1e4), (1e10, 1e10 + 3.0)])
+    def test_refuses_before_the_walk(self, a, b, monkeypatch):
+        # a lower bound on K (asinh t <= t) already needs over the cap's
+        # steps, so no asinh is taken; each refusal took 8-19 ms, 100,001 asinh
+        calls = []
+        monkeypatch.setattr(math, "asinh", lambda t, asinh=math.asinh: calls.append(t) or asinh(t))
+        message = f"the Bessel series needs over 100000 recurrence steps at (a={a!r}, b={b!r})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            q1_bessel_series(QArgs(a, b))
+        assert calls == []
+
 
 def _backward_series(a, b):
     """(scaled, K) of q1_bessel_series with every ratio from the backward recurrence."""
@@ -1082,6 +1094,73 @@ _OFF_THE_BAND_POINTS = st.floats(5e-324, math.nextafter(100.0, 0.0)).flatmap(
     )
 )
 
+# every method q1_reference runs
+_REFERENCE_METHODS = ("q1_diagonal", "q1_asymptotic", "q1_quadrature", "q1_series", "q1_trapezoid", "q1_bessel_series")
+
+
+def _off_by(method, eps, calls):
+    """``oracle.<method>`` with its value, or its ``scaled``, times 1 + eps; each call is noted in ``calls``."""
+    exact = getattr(oracle, method)
+
+    def off(args):
+        calls.append(method)
+        res = exact(args)
+        if isinstance(res, oracle.TrapezoidResult):
+            return res._replace(scaled=res.scaled * (1.0 + eps))
+        return res * (1.0 + eps)
+
+    return off
+
+
+def _sweep_points(seed, n):
+    """n seeded (a, b), a log-uniform in [1e-3, 1e9] and b on each side in turn.
+
+    b - a is log-uniform in [1e-9, 1] for a third of them (1 in 9 within
+    1e-6), in [1, 1e3] for a third, and b/a in [1e-3, 1e3] for the rest.
+    """
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        a = 10.0 ** rng.uniform(-3.0, 9.0)
+        if i % 6 < 2:
+            d = 10.0 ** rng.uniform(-9.0, 0.0)
+        elif i % 6 < 4:
+            d = 10.0 ** rng.uniform(0.0, 3.0)
+        else:
+            d = a * abs(10.0 ** rng.uniform(-3.0, 3.0) - 1.0)
+        points.append((a, a + d if i % 2 else max(a - d, 0.0)))
+    return points
+
+
+@functools.lru_cache(maxsize=None)
+def _fault_points():
+    """method -> the seeded points where q1_reference runs it, and a fault in it is in sight of the gate.
+
+    Left out are the points no value gate can see.  One is a method's
+    1 - Q1 beside its partner's Q1 (b < a): the trapezoid's beside the
+    expansion and the Bessel series' beside the diagonal route.  A fault
+    there moves Q1 by eps (1 - Q1), under 1e-12 of Q1 where 1 - Q1 is
+    small, until the oracle has complement forms (ROADMAP item 4).  One
+    is the "1 - Q1 underflows" route, where method a is 1.0 and no
+    trapezoid runs.  The last is where the gated Q1, or the scaled value
+    of the trapezoid and the Bessel series, is below _MIN_NORMAL/1e-11,
+    as the fault is then below the smallest normal double.
+    """
+    points = {method: [] for method in _REFERENCE_METHODS}
+    for a, b in _sweep_points("fault injection", 1200):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for method in _REFERENCE_METHODS:
+                patch.setattr(oracle, method, _off_by(method, 0.0, calls))
+            value = q1_reference(QArgs(a, b)).value
+        scaled_pair = {"q1_trapezoid", "q1_bessel_series"} <= set(calls)
+        if (q1_trapezoid(QArgs(a, b)).scaled if scaled_pair else value) < oracle._MIN_NORMAL / 1e-11:
+            continue
+        for method in calls:
+            if scaled_pair or b >= a or method not in ("q1_trapezoid", "q1_bessel_series"):
+                points[method].append((a, b))
+    return points
+
 
 class TestReference:
     def test_published_value(self):
@@ -1106,9 +1185,10 @@ class TestReference:
             q1_reference(QArgs(0.1, 1.1))
 
     def test_disagreement_raises_on_asymptotic_route(self, monkeypatch):
+        # every digit of a and b: with :g, (1e6, 1e6 + 3) read as the tie a = b = 1e+06
         monkeypatch.setattr(oracle, "q1_asymptotic", lambda args: 0.5)
-        with pytest.raises(CrossValidationError, match="asymptotic"):
-            q1_reference(QArgs(1e3, 1e3 + 3))
+        with pytest.raises(CrossValidationError, match=r"at \(a=1000000\.0, b=1000003\.0\): .*asymptotic=0\.5"):
+            q1_reference(QArgs(1e6, 1e6 + 3))
 
     def test_routes_by_a(self, monkeypatch):
         def no_series(args):
@@ -1318,6 +1398,36 @@ class TestReference:
         assert q1_reference(QArgs(a, b)).method_b == "bessel_series"
         monkeypatch.setattr(oracle, method, off)
         with pytest.raises(CrossValidationError, match="trapezoid=.*bessel_series="):
+            q1_reference(QArgs(a, b))
+
+    @pytest.mark.parametrize("method", _REFERENCE_METHODS)
+    def test_every_route_gate_catches_a_relative_error(self, method):
+        # each method off by 1e-11 relative is caught at every seeded point
+        # where it runs in sight of the gate (see _fault_points); the absolute
+        # 1e-10 gate let it pass at every diagonal and band point
+        points = _fault_points()[method]
+        assert len(points) >= 50
+        missed = []
+        for a, b in points:
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, method, _off_by(method, 1e-11, calls))
+                try:
+                    q1_reference(QArgs(a, b))
+                except CrossValidationError:
+                    pass
+                else:
+                    missed.append((a, b))
+            assert calls == [method]
+        assert missed == []
+
+    def test_no_false_alarm_in_a_wide_sweep(self):
+        # 20,000 seeded points, a log-uniform in [1e-3, 1e9], b on both sides
+        # and over 2,000 within 1e-6 of a: the one relative gate raises at
+        # none (the worst gap measured, in the band, is 1.8e-14 of Q1)
+        points = _sweep_points("no false alarm", 20_000)
+        assert sum(abs(b - a) < 1e-6 for a, b in points) > 2000
+        for a, b in points:
             q1_reference(QArgs(a, b))
 
     def test_range_limit_is_inclusive(self):

@@ -18,7 +18,7 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     summed over a mode-centered window of each Poisson factor with
     explicit geometric bounds on the discarded tails.  A window of mean m
     holds about 17 sqrt(m) entries (17 a for a^2/2, 17 b for b^2/2), at
-    most about 1,800 in the band below.
+    most 102 in the band below.
   * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
     of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
     Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
@@ -61,21 +61,24 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
 ``q1_reference`` pairs two methods by region.  The two of a pair share
 no code, except that the trapezoid and the Bessel series take the
 exponent from one helper, so that the gate compares it exactly.  In the
-band, a < ASYMPTOTIC_MIN_A and a <= b <= a + 1, it pairs the quadrature
+band, a <= b <= a + 1 with ab < 25 (so a < 5), it pairs the quadrature
 with the Poisson series, which run at an absolute tolerance of
 DEFAULT_TOL = 1e-12 and answer in the band only, and returns their mean.
-Everywhere else method a is the
-diagonal route (|b - a| <= 1) or the trapezoid (beyond), whose value is
-Q1 for b > a and 1 - Q1 for b < a; where b < a and (a - b)^2/2 > 745,
-1 - Q1 underflows and method a is exactly 1.0, as the expansion is.
-Its partner is the expansion from ASYMPTOTIC_MIN_A on (the Bessel
-series' depth grows as sqrt(ab), and the expansion covers every b
-there: ab < 1e3 forces b < 10, where 1 - Q1 underflows), and the Bessel
-series below it.  It returns method a's value.  One check gates every
-pair: it fails loudly unless the two agree to 1e-12 relative to method
-a (of the smallest normal double below it), on their (scaled, exponent)
-pairs where the trapezoid meets the Bessel series, so that it holds
-however far Q1 or 1 - Q1 underflows, and on their Q1 values elsewhere.
+Everywhere else method a is the diagonal route (|b - a| <= 1) or the
+trapezoid (beyond), whose value is Q1 for b > a and 1 - Q1 for b < a;
+where b < a and (a - b)^2/2 > 745, 1 - Q1 underflows and method a is
+exactly 1.0, as the expansion is.  Its partner is the expansion where
+that converges to full precision and Q1 stays a normal double: from
+ASYMPTOTIC_MIN_A on at every b (the Bessel series' depth grows as
+sqrt(ab), and there ab < 1e3 forces b < 10, where 1 - Q1 underflows),
+and below it where ab >= 25, b >= a - 1, (b - a)^2 <= ab and
+(b - a)^2/2 <= 650.  Elsewhere it is the Bessel series, which also
+holds the gate relative to 1 - Q1 past b = a - 1, where the expansion
+cannot.  It returns method a's value.  One check gates every pair: it
+fails loudly unless the two agree to 1e-12 relative to method a (of the
+smallest normal double below it), on their (scaled, exponent) pairs
+where the trapezoid meets the Bessel series, so that it holds however
+far Q1 or 1 - Q1 underflows, and on their Q1 values elsewhere.
 
 Every method takes a ``QArgs``, the validated pair, which holds the one
 range check of the library: a, b <= MAX_ARG = sqrt(DBL_MAX), where a^2,
@@ -100,8 +103,12 @@ from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
 from .specfun import bessel_i0_scaled, bessel_i1_scaled
 
 # from here on q1_reference pairs q1_diagonal or q1_trapezoid with
-# q1_asymptotic at every b; below it, with the Bessel series off the band a <= b <= a + 1
+# q1_asymptotic at every b; below it, only where _expansion_checks holds
 ASYMPTOTIC_MIN_A = 100.0
+# the expansion's route below ASYMPTOTIC_MIN_A starts at ab = _EXPANSION_MIN_XI
+# and ends at d = (b - a)^2/2 = _EXPANSION_MAX_EXPONENT (see _expansion_checks)
+_EXPANSION_MIN_XI = 25.0
+_EXPANSION_MAX_EXPONENT = 650.0
 DEFAULT_TOL = 1e-12
 MAX_ARG = 1.3407807929942596e154  # sqrt(DBL_MAX): QArgs refuses a or b above this
 # q1_reference's one gate, relative to method a: on the trapezoid's and the Bessel
@@ -170,20 +177,36 @@ class QArgs(NamedTuple("_QArgsFields", [("a", float), ("b", float)])):
 
 
 def _in_band(a: float, b: float) -> bool:
-    """Whether (a, b) lies in the band a < ASYMPTOTIC_MIN_A, a <= b <= a + 1.
+    """Whether (a, b) lies in the band a <= b <= a + 1, ab < 25 (so a < 5).
 
     The band is where ``q1_reference`` pairs the quadrature with the
-    Poisson series, and the one domain of the two.
+    Poisson series, and the one domain of the two.  Past ab = 25 the
+    expansion checks the diagonal route instead (``_expansion_checks``).
     """
-    return a < ASYMPTOTIC_MIN_A and a <= b <= a + _DIAGONAL_SPAN
+    return a * b < _EXPANSION_MIN_XI and a <= b <= a + _DIAGONAL_SPAN
+
+
+def _expansion_checks(a: float, b: float) -> bool:
+    """Whether ``q1_reference`` takes the expansion as method b at (a, b), a < ASYMPTOTIC_MIN_A, off the band.
+
+    It does where ab >= 25, b >= a - 1, (b - a)^2 <= ab and
+    d = (b - a)^2/2 <= 650.  There the expansion converges to about 1e-15
+    relative (at 20,000 seeded points with (b - a)^2 <= 2ab its terms
+    grew short of that only below ab = 18.6), and Q1 >= e^-650 is a
+    normal double, so the gate stays relative to Q1.  Past b = a - 1 the
+    gate is relative to 1 - Q1, which only the Bessel series matches.
+    """
+    delta = b - a
+    sq, x = delta * delta, a * b
+    return x >= _EXPANSION_MIN_XI and delta >= -_DIAGONAL_SPAN and sq <= x and 0.5 * sq <= _EXPANSION_MAX_EXPONENT
 
 
 def _check_band(args: QArgs) -> None:
     """Raise DomainError, with the band pair's one message, unless (a, b) is in the band."""
     if not _in_band(*args):
         raise DomainError(
-            f"the quadrature and the Poisson series cover a < {ASYMPTOTIC_MIN_A:g} and a <= b <= a + "
-            f"{_DIAGONAL_SPAN:g}, got (a={_brief(args.a)}, b={_brief(args.b)})"
+            f"the quadrature and the Poisson series cover a <= b <= a + {_DIAGONAL_SPAN:g} with "
+            f"ab < {_EXPANSION_MIN_XI:g}, got (a={_brief(args.a)}, b={_brief(args.b)})"
         )
 
 
@@ -191,13 +214,15 @@ class OracleResult(NamedTuple):
     """Cross-validated reference value with both method values."""
 
     value: float
-    # the quadrature in the band a <= b <= a + 1 below a = 100; elsewhere
-    # the diagonal route where |b - a| <= 1 and the trapezoid's Q1 beyond
+    # the quadrature in the band a <= b <= a + 1, ab < 25; elsewhere the
+    # diagonal route where |b - a| <= 1 and the trapezoid's Q1 beyond
     # (see q1_reference)
     method_a_value: float
     method_b_value: float  # the method named by method_b
     agreement_gap: float  # |method_a_value - method_b_value|
-    method_b: str  # "series" in the band, else "asymptotic" from a = 100 on and "bessel_series" below
+    # "series" in the band, else "asymptotic" from a = 100 on and below it
+    # where _expansion_checks holds, and "bessel_series" elsewhere
+    method_b: str
 
 
 def rice_pdf(x: float, a: float) -> float:
@@ -284,7 +309,7 @@ def q1_quadrature(args: QArgs) -> float:
     the seeds always hold, as b + 15 <= a + 16 in the band; the range
     left out cannot move the result (see _PANEL_SIGMAS).
 
-    Raises DomainError outside the band a < ASYMPTOTIC_MIN_A, a <= b <= a + 1.
+    Raises DomainError outside the band a <= b <= a + 1, ab < 25.
     """
     _check_band(args)
     a, b = args.a, args.b
@@ -321,7 +346,7 @@ def _tail_bounds(mean: float, lo: int, hi: int, pmf_lo: float, pmf_hi: float) ->
 def _poisson_window(mean: float):
     """Poisson(mean) pmf on its mode-centered window, 12 sigma + 40 entries each side.
 
-    In the band (a < 100) a window holds at most about 1,800 entries.
+    In the band (ab < 25, so b^2/2 < 15.3) a window holds at most 102 entries.
     The mode term is seeded through lgamma and neighbors follow from the
     exact pmf recurrence, so every entry carries the same (tiny) seed
     error, which cancels when sums are normalized by the window mass.
@@ -371,7 +396,7 @@ def q1_series(args: QArgs) -> float:
     costs O(sqrt(mean)) time and memory.  At a = 0 the mixture is the
     closed form e^(-b^2/2).
 
-    Raises DomainError outside the band a < ASYMPTOTIC_MIN_A, a <= b <= a + 1.
+    Raises DomainError outside the band a <= b <= a + 1, ab < 25.
     """
     _check_band(args)
     lam = args.a * args.a / 2.0
@@ -966,19 +991,21 @@ def q1_reference(args: QArgs) -> OracleResult:
 
     Picks its two methods by region:
 
-      * the band, a < ASYMPTOTIC_MIN_A and a <= b <= a + 1: the
-        quadrature and the Poisson series, and their mean;
+      * the band, a <= b <= a + 1 with ab < 25: the quadrature and the
+        Poisson series, and their mean;
       * everywhere else: method a is the diagonal route where
         |b - a| <= 1 and the trapezoid beyond.  For b < a the trapezoid
         gives 1 - Q1, and method a is 1 minus that, or exactly 1.0 where
         (a - b)^2/2 > 745 and 1 - Q1 underflows.  Method b is the
-        large-xi expansion from ASYMPTOTIC_MIN_A on, and the Bessel
-        series (1 minus its 1 - Q1 for b < a) below it.  It returns
-        method a's value.
+        large-xi expansion from ASYMPTOTIC_MIN_A on, and below it where
+        ``_expansion_checks`` holds (ab >= 25, b >= a - 1,
+        (b - a)^2 <= ab, (b - a)^2/2 <= 650); elsewhere it is the Bessel
+        series (1 minus its 1 - Q1 for b < a).  It returns method a's
+        value.
 
     Each method enters one check as a (scaled, exponent) pair: the
-    trapezoid and the Bessel series their own where both ran (a <
-    ASYMPTOTIC_MIN_A, |b - a| > 1), for Q1 (b > a) or 1 - Q1 (b < a),
+    trapezoid and the Bessel series their own where both ran
+    (|b - a| > 1 off the expansion's route), for Q1 (b > a) or 1 - Q1 (b < a),
     so that the check keeps its strength where the value underflows, as
     Q1(1, 50) = 2.46e-523 and 1 - Q1(20, 1) = 1.87e-81 do; every other
     method its value and 0.0.  It raises CrossValidationError unless the
@@ -1005,7 +1032,7 @@ def q1_reference(args: QArgs) -> OracleResult:
             sa, ea, complement, _, _ = q1_trapezoid(args)
             qa = sa * math.exp(-ea)
             method_a, qa = "trapezoid", 1.0 - qa if complement else qa
-        if a >= ASYMPTOTIC_MIN_A:
+        if a >= ASYMPTOTIC_MIN_A or _expansion_checks(a, b):
             method_b, qb = "asymptotic", q1_asymptotic(args)
         else:
             sb, eb, complement, _, _ = q1_bessel_series(args)

@@ -52,8 +52,8 @@ GOLDEN = {
     "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
     "fig04": (0, "f1d9c36c1489fc121b0c635fb450d2dc76fff57bb6eee79e049041d2322bd5fd"),
     "fig04_json": (0, "d06b4de3d05106ef838e91987b65cfddc65185cde9e1668b655aad944379301d"),
-    "fig05": (0, "bc468883bb380737d0ccb1eee3fa44506d43bc36a192f884f0e906222bcdd6a6"),
-    "fig05_json": (0, "dd74d4c79bc5c7750855ded10a5daff0b9e3c721b9c137dddb80a252d963db27"),
+    "fig05": (0, "f73cb3bff3be4bdec5bc5b25a91fdef85e1f5aa2a0a42d2f253ebfc449f79159"),
+    "fig05_json": (0, "35d68d322fe0f1105e999128b1284f86bd6f0d503b808ddc2343824aac601b11"),
     "fig06": (0, "6379d04b5d2efac2113acbcaa5a4a34389628f1b788b8ca48a62595091fb188f"),
     "fig06_json": (0, "fb7b250ae8abfcdafd16f377b5e34c5baa0c96138b22ef61ca5b6666684e5cae"),
     "fig07": (0, "4b4a9ea68877a1c0a09b6d279b4f9f1bdcc8da1f4f2cf0b8a36831e50418817d"),
@@ -82,13 +82,13 @@ GOLDEN = {
     "table_V": (0, "25556c418894e500af75845961afe669492ec0ce04a1ff2cd9755cd50d52940f"),
     "table_VI": (0, "210ba2201405c2ffc99ccc4757e2319f2399f4fb86770211ca6da934b5af5968"),
     "table_VII": (0, "5c2410f522b809d02c4d2bd56aea122f490971bf2fbda7fe92417531a6434b64"),
-    "table_custom": (0, "a3eee0933a67ec2b7f641a721b4b35b223175ddd12a4611e79ab03efc02b8c9a"),
-    "table_custom_json": (0, "50856fb1f9d9b3fb8a9a5172da28b180fff30a48cdb37e9ae5d2b52631477296"),
-    "table_VIII": (0, "b0807a538fb968477007ba0d6f61bdfdae17a7f512c568b8babdb792e6bd3c98"),
-    "table_VIII_json": (0, "564cfedb53766a849499535094b4fbc82b55b9a4ffe8159e3b7502b832c72899"),
+    "table_VIII": (0, "3cbb4d16875c97638976310b0b60001b10cfd256f9675ca66ffd5320bc79139a"),
+    "table_VIII_json": (0, "16c9d2f33b91023955d8fe1fd1676085b01050422f247dd02f8a218e7ae72ad8"),
     "table_VII_json": (0, "1f419445ee880f937fc334005ce85a354c67d3332b38c29d8d51c9172dae7996"),
     "table_VI_json": (0, "0c037cb0d653866bc0a1b21938b285bc5ccca4cc0b7d3bd59ddf607a0ff5554a"),
     "table_V_json": (0, "63373d98dcfcf02ec50c24d45f5eb2366c44cc65ca70f47463b541c2c15c1875"),
+    "table_custom": (0, "a3eee0933a67ec2b7f641a721b4b35b223175ddd12a4611e79ab03efc02b8c9a"),
+    "table_custom_json": (0, "50856fb1f9d9b3fb8a9a5172da28b180fff30a48cdb37e9ae5d2b52631477296"),
 }
 
 

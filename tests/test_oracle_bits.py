@@ -9,8 +9,9 @@ points cover the twelve ``large_arg`` points of the benchmark, the
 dual-weight complement, the trapezoid's doubling of N, 2ab on each side
 of ``_TRAPEZOID_CUT``, complements where zeta or ab is 0, a = 0, b = 0,
 subnormal arguments, b = a, a >= 100 on both sides of a, the band, a
-point whose a and b read alike at six digits, the far tail, and
-(a - b)^2/2 past the e^-x underflow.  A change that moves
+point whose a and b read alike at six digits, the far tail,
+(a - b)^2/2 past the e^-x underflow, and the edges of the expansion's
+route below a = 100.  A change that moves
 a value on purpose says why, and regenerates the dict from the
 repository root with
 
@@ -62,7 +63,8 @@ POINTS = (
     (3e-310, 1e-310),
     (1.0, 1.0),
     (20.0, 20.0),
-    # the band, and the trapezoid's node cap near b = a
+    # the band; then, past its ab = 25, the diagonal route beside the
+    # expansion, and the trapezoid's node cap near b = a
     (1.0, 2.0),
     (20.0, 20.5),
     (10.0, 10.001),
@@ -82,6 +84,16 @@ POINTS = (
     # (a - b)^2/2 > 745: 1 - Q1 underflows
     (60.0, 10.0),
     (200.0, 150.0),
+    # the expansion's route below a = 100 either side of its edges: ab = 25
+    # on the diagonal, (b - a)^2 = ab, d = (b - a)^2/2 = 650, and b = a - 1
+    # at a = nextafter(100, 0)
+    (4.999999999999999, 4.999999999999999),
+    (5.0, 5.0),
+    (10.0, 26.18033988749895),
+    (10.0, 26.180339887498953),
+    (60.0, 96.05551275463989),
+    (60.0, 96.0555127546399),
+    (99.99999999999999, 98.99999999999999),
 )
 
 METHODS = (q1_trapezoid, q1_bessel_series, q1_diagonal, q1_asymptotic, q1_reference)
@@ -330,7 +342,7 @@ FROZEN = {
         "q1_bessel_series": "0x1.051ba9c4ad268p-1 0x0.0p+0 False 179 0x1.e5e152d4683d8p-62",
         "q1_diagonal": "0x1.051ba9c4ad268p-1",
         "q1_asymptotic": "0x1.051ba9c4ad268p-1",
-        "q1_reference": "0x1.051ba9c4ad261p-1 0x1.051ba9c4ad25ap-1 0x1.051ba9c4ad268p-1 0x1.c000000000000p-50 'series'",
+        "q1_reference": "0x1.051ba9c4ad268p-1 0x1.051ba9c4ad268p-1 0x1.051ba9c4ad268p-1 0x0.0p+0 'asymptotic'",
     },
     (1.0, 2.0): {
         "q1_trapezoid": "0x1.c62ba7ab7349cp-2 0x1.0000000000000p-1 False 33 0x1.a283736554552p-52",
@@ -344,14 +356,14 @@ FROZEN = {
         "q1_bessel_series": "0x1.7029a4e34d114p-2 0x1.0000000000000p-3 False 172 0x1.433b4df88dc52p-62",
         "q1_diagonal": "0x1.44e704dc02524p-2",
         "q1_asymptotic": "0x1.44e704dc02522p-2",
-        "q1_reference": "0x1.44e704dc0251bp-2 0x1.44e704dc02513p-2 0x1.44e704dc02523p-2 0x1.0000000000000p-50 'series'",
+        "q1_reference": "0x1.44e704dc02524p-2 0x1.44e704dc02524p-2 0x1.44e704dc02522p-2 0x1.0000000000000p-53 'asymptotic'",
     },
     (10.0, 10.001): {
         "q1_trapezoid": "ConvergenceError: the trapezoid needs 1.03e+05 nodes at (a=10.0, b=10.001), over the cap of 4096",
         "q1_bessel_series": "0x1.0a0578c1408e7p-1 0x1.0c6f7a0b5d91bp-21 False 92 0x1.526f7da6543bep-62",
         "q1_diagonal": "0x1.0a057009b4261p-1",
         "q1_asymptotic": "0x1.0a057009b4260p-1",
-        "q1_reference": "0x1.0a057009b425ap-1 0x1.0a057009b4253p-1 0x1.0a057009b4260p-1 0x1.a000000000000p-50 'series'",
+        "q1_reference": "0x1.0a057009b4261p-1 0x1.0a057009b4261p-1 0x1.0a057009b4260p-1 0x1.0000000000000p-53 'asymptotic'",
     },
     (150.0, 149.5): {
         "q1_trapezoid": "0x1.64a595f6a9625p-2 0x1.0000000000000p-3 True 175 0x1.4eef6c123aee0p-52",
@@ -436,6 +448,55 @@ FROZEN = {
         "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=200.0, b=150.0)",
         "q1_asymptotic": "0x1.0000000000000p+0",
         "q1_reference": "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 'asymptotic'",
+    },
+    (4.999999999999999, 4.999999999999999): {
+        "q1_trapezoid": "DomainError: the trapezoid needs b != a, got a = b = 4.999999999999999",
+        "q1_bessel_series": "0x1.1487c697a1869p-1 0x0.0p+0 False 50 0x1.85651cb193946p-64",
+        "q1_diagonal": "0x1.1487c697a1868p-1",
+        "q1_asymptotic": "0x1.1487c697a1867p-1",
+        "q1_reference": "0x1.1487c697a1861p-1 0x1.1487c697a185ap-1 0x1.1487c697a1868p-1 0x1.c000000000000p-50 'series'",
+    },
+    (5.0, 5.0): {
+        "q1_trapezoid": "DomainError: the trapezoid needs b != a, got a = b = 5.0",
+        "q1_bessel_series": "0x1.1487c697a1869p-1 0x0.0p+0 False 50 0x1.85651cb19397cp-64",
+        "q1_diagonal": "0x1.1487c697a1868p-1",
+        "q1_asymptotic": "0x1.1487c697a1867p-1",
+        "q1_reference": "0x1.1487c697a1868p-1 0x1.1487c697a1868p-1 0x1.1487c697a1867p-1 0x1.0000000000000p-53 'asymptotic'",
+    },
+    (10.0, 26.18033988749895): {
+        "q1_trapezoid": "0x1.461da5bb6f377p-5 0x1.05cdab8c75b92p+7 False 16 0x1.368abe465a33dp-55",
+        "q1_bessel_series": "0x1.461da5bb6f378p-5 0x1.05cdab8c75b92p+7 False 39 0x1.dbcbebd1ccb4dp-64",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=10.0, b=26.18033988749895)",
+        "q1_asymptotic": "0x1.698a03ca05172p-194",
+        "q1_reference": "0x1.698a03ca05174p-194 0x1.698a03ca05174p-194 0x1.698a03ca05172p-194 0x1.0000000000000p-245 'asymptotic'",
+    },
+    (10.0, 26.180339887498953): {
+        "q1_trapezoid": "0x1.461da5bb6f373p-5 0x1.05cdab8c75b94p+7 False 16 0x1.368abe465a33ap-55",
+        "q1_bessel_series": "0x1.461da5bb6f373p-5 0x1.05cdab8c75b94p+7 False 39 0x1.dbcbebd1ccb1fp-64",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=10.0, b=26.180339887498953)",
+        "q1_asymptotic": "0x1.698a03ca05004p-194",
+        "q1_reference": "0x1.698a03ca05006p-194 0x1.698a03ca05006p-194 0x1.698a03ca05006p-194 0x0.0p+0 'bessel_series'",
+    },
+    (60.0, 96.05551275463989): {
+        "q1_trapezoid": "0x1.ca78b98f96582p-7 0x1.4500000000000p+9 False 15 0x1.bf9731a48d9a6p-57",
+        "q1_bessel_series": "0x1.ca78b98f96582p-7 0x1.4500000000000p+9 False 84 0x1.dc71b37b0d7a4p-65",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=60.0, b=96.05551275463989)",
+        "q1_asymptotic": "0x1.1045f9b1928fep-944",
+        "q1_reference": "0x1.1045f9b1928fep-944 0x1.1045f9b1928fep-944 0x1.1045f9b1928fep-944 0x0.0p+0 'asymptotic'",
+    },
+    (60.0, 96.0555127546399): {
+        "q1_trapezoid": "0x1.ca78b98f963b0p-7 0x1.4500000000004p+9 False 15 0x1.bf9731a48d7e0p-57",
+        "q1_bessel_series": "0x1.ca78b98f963adp-7 0x1.4500000000004p+9 False 84 0x1.dc71b37b0d72ap-65",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=60.0, b=96.0555127546399)",
+        "q1_asymptotic": "0x1.1045f9b191f66p-944",
+        "q1_reference": "0x1.1045f9b191f68p-944 0x1.1045f9b191f68p-944 0x1.1045f9b191f66p-944 0x1.0000000000000p-995 'bessel_series'",
+    },
+    (99.99999999999999, 98.99999999999999): {
+        "q1_trapezoid": "0x1.09cef52a28668p-2 0x1.0000000000000p-1 True 85 0x1.018fd0bb3b2d8p-52",
+        "q1_bessel_series": "0x1.09cef52a28668p-2 0x1.0000000000000p-1 True 787 0x1.e98a44b22dfdfp-62",
+        "q1_diagonal": "0x1.af63b7890f4b4p-1",
+        "q1_asymptotic": "0x1.af63b7890f4b4p-1",
+        "q1_reference": "0x1.af63b7890f4b4p-1 0x1.af63b7890f4b4p-1 0x1.af63b7890f4b4p-1 0x0.0p+0 'asymptotic'",
     },
 }
 

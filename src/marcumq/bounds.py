@@ -17,13 +17,17 @@ raw value of the family as one tuple, in ``FAMILY_B_GE_A`` or
 ``SingularityError`` in its slot.  Each ``BoundId`` carries one plan,
 (family function, slot, side, regime), read once per evaluation.
 ``eval_ids`` is the one loop over ids: per id it reads the plan,
-compares the id's regime with the point's and takes the slot of a
-family computed at most once per call; ``evaluate`` runs it over one id,
-raising what it would skip.  ``eval_all`` takes the point's family
-whole, zipping its ids, raw values and sides.  Both hand (id, raw, side)
-triples to ``_records``, the one builder, which drops singular slots and
-clamps by two comparisons in one pass.  Every expression keeps the
-association order of its formula written out over (a, b).
+compares the id's regime with the point's, takes the slot of a family
+computed at most once per call and builds its record there;
+``evaluate`` runs it over one id, raising what it would skip.
+``eval_all`` takes the point's family whole and writes its records out,
+one per slot with its id and side as constants: through a generic loop,
+assembly cost more than the formulas.  Where a slot is singular it
+falls back to ``_records``, one loop over the raws in hand.  A record
+clamps its raw value by two comparisons, the double
+min(1.0, max(0.0, raw)) gives (NaN and -0.0 giving 0.0).  Every
+expression keeps the association order of its formula written out over
+(a, b).
 
 Every a, b that ``QArgs`` takes, up to sqrt(DBL_MAX) ~ 1.34e154, gives
 finite values: a^2, b^2, ab and (b - a)^2 stay finite there, and a
@@ -42,7 +46,7 @@ from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, RegimeError, SingularityError
+from .errors import DomainError, RegimeError, SingularityError, _exact
 from .oracle import MAX_ARG, QArgs, _new_record
 from .specfun import _i0e_and_log_i0, bessel_i0_scaled, erfc_diff, erfc_diff_centered, log_bessel_i0
 
@@ -112,7 +116,7 @@ def regime_of(args: QArgs) -> Regime:
 def _regime_message(bid: BoundId, args: QArgs) -> str:
     """The message of the RegimeError ``bid`` raises at a point outside its regime."""
     need = "b >= a" if bid.regime is Regime.BGeqA else "b <= a"
-    return f"{bid.value} requires {need}, got (a={args.a:g}, b={args.b:g})"
+    return f"{bid.value} requires {need}, got (a={_exact(args.a)}, b={_exact(args.b)})"
 
 
 def _gauss(x: float) -> float:
@@ -144,7 +148,7 @@ def compute_zeta(args: QArgs) -> float:
     """
     a, b = args.a, args.b
     if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"zeta requires a > 0 and b > 0, got (a={a:g}, b={b:g})")
+        raise DomainError(f"zeta requires a > 0 and b > 0, got (a={_exact(a)}, b={_exact(b)})")
     return _zeta(a, b, log_bessel_i0(a * b))
 
 
@@ -178,7 +182,7 @@ def _family_ge(a: float, b: float) -> tuple:
     brace_a = g_diff + a * _SQRT_HALF_PI * erfc
     ub1jp = i0e / (1.0 + 3.0 * math.exp(-ab)) * (brace_a + 3.0 * g_sq)
     ub1a = i0e * brace_a
-    ub1b = SingularityError(f"UB1B is singular at b = a = {a:g}") if b == a else b / (b - a) * g_diff
+    ub1b = SingularityError(f"UB1B is singular at b = a = {_exact(a)}") if b == a else b / (b - a) * g_diff
     # e^(-(a^2+b^2)/2) I0(ab) == i0e(ab) e^(-(a-b)^2/2)
     ub1c = i0e * g_diff + a * _SQRT_PI_8 * erfc
     ub1d = (1.0 - t) * g_diff + t * g_sq
@@ -234,11 +238,11 @@ def _family_lt(a: float, b: float) -> tuple:
         math.exp(-0.5 * (a * a - z * z))
         * (math.exp(-0.5 * z * z) - math.exp(-0.5 * (b - z) ** 2) + z * _SQRT_HALF_PI * erfc_diff(-z / _SQRT2, (b - z) / _SQRT2))
     )
-    lb2b = SingularityError(f"LB2B is singular at a = b = {a:g}") if a == b else 1.0 - a / (a - b) * g_diff
+    lb2b = SingularityError(f"LB2B is singular at a = b = {_exact(a)}") if a == b else 1.0 - a / (a - b) * g_diff
     lb2c = i0e * g_diff
     if a == 0.0:
         # b <= a leaves only the tie a = b = 0, where asin(b/a) is 0/0
-        lb2d = SingularityError(f"LB2D is singular at a = b = {a:g}")
+        lb2d = SingularityError(f"LB2D is singular at a = b = {_exact(a)}")
     else:
         lb2d = 1.0 - math.asin(b / a) / math.pi * (g_diff - _gauss(a + b))
     return ub2jp, ub2a, ub2d, lb2jp, lb2a, lb2b, lb2c, lb2d
@@ -250,24 +254,23 @@ for _fn, _members in ((_family_ge, FAMILY_B_GE_A), (_family_lt, FAMILY_B_LT_A)):
     for _i, _bid in enumerate(_members):
         _bid._plan = (_fn, _i, _bid.side, _bid.regime)
 
-# the sides of each family in its order, zipped with its raw values by eval_all
-_SIDES_GE = tuple(i.side for i in FAMILY_B_GE_A)
-_SIDES_LT = tuple(i.side for i in FAMILY_B_LT_A)
+# each family's ids as module globals, which eval_all's written-out records read
+_UB1JP, _UB1A, _UB1B, _UB1C, _UB1D, _LB1JP, _LB1A, _LB1B, _LB1C, _LB1D = FAMILY_B_GE_A
+_UB2JP, _UB2A, _UB2D, _LB2JP, _LB2A, _LB2B, _LB2C, _LB2D = FAMILY_B_LT_A
 
 
-def _records(triples: Iterable[tuple]) -> list[BoundEval]:
-    """One ``BoundEval`` per (id, raw, side) triple, singular raws dropped.
+def _records(ids: tuple, raws: tuple) -> tuple[list[BoundEval], dict[BoundId, str]]:
+    """``eval_all``'s records and skips where a slot of the family is singular.
 
-    The clamp is min(1.0, max(0.0, raw)) as two comparisons: the same
-    double for every float, NaN and -0.0 giving 0.0, at a tenth of the
-    cost.  A singular slot holds a SingularityError itself, never a
-    subclass, so its exact type is tested, which is cheaper than isinstance.
+    A singular slot holds a SingularityError itself, never a subclass, so
+    its exact type is tested, which is cheaper than isinstance.
     """
-    return [
-        _new_record(BoundEval, (bid, raw, (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0, side))
-        for bid, raw, side in triples
+    evals = [
+        _new_record(BoundEval, (bid, raw, (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0, bid.side))
+        for bid, raw in zip(ids, raws)
         if type(raw) is not SingularityError
     ]
+    return evals, {bid: str(raw) for bid, raw in zip(ids, raws) if type(raw) is SingularityError}
 
 
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
@@ -301,7 +304,7 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
     # point's, or none at the tie b = a, which both admit
     foreign = None if a == b else _B_LT_A if b >= a else _B_GE_A
     families: dict = {}
-    triples: list[tuple] = []
+    evals: list[BoundEval] = []
     skipped: dict[BoundId, str] = {}
     last = None  # the family of the previous id, whose raw values are ``values``
     for bid in ids:
@@ -318,8 +321,8 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
         if type(raw) is SingularityError:
             skipped[bid] = str(raw)
         else:
-            triples.append((bid, raw, side))
-    return _records(triples), skipped
+            evals.append(_new_record(BoundEval, (bid, raw, (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0, side)))
+    return evals, skipped
 
 
 def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
@@ -328,14 +331,41 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
     Returns the successful evaluations plus a map of skipped ids to the
     reason (singular formulas at their excluded points are skipped, not
     raised).  The same records ``eval_ids`` gives over the point's family,
-    built from the family's raw values in one pass.
+    written out slot by slot from the family's raw values.  A
+    SingularityError orders with no float, so a singular slot makes its
+    clamp raise TypeError, and ``_records`` then builds from the raws in hand.
     """
     a, b = args
     if b >= a:
-        ids, raws, sides = FAMILY_B_GE_A, _family_ge(a, b), _SIDES_GE
-    else:
-        ids, raws, sides = FAMILY_B_LT_A, _family_lt(a, b), _SIDES_LT
-    evals = _records(zip(ids, raws, sides))
-    if len(evals) == len(ids):
-        return evals, {}
-    return evals, {bid: str(raw) for bid, raw in zip(ids, raws) if type(raw) is SingularityError}
+        raws = _family_ge(a, b)
+        ub1jp, ub1a, ub1b, ub1c, ub1d, lb1jp, lb1a, lb1b, lb1c, lb1d = raws
+        try:
+            return [
+                _new_record(BoundEval, (_UB1JP, ub1jp, (ub1jp if ub1jp < 1.0 else 1.0) if ub1jp > 0.0 else 0.0, "upper")),
+                _new_record(BoundEval, (_UB1A, ub1a, (ub1a if ub1a < 1.0 else 1.0) if ub1a > 0.0 else 0.0, "upper")),
+                _new_record(BoundEval, (_UB1B, ub1b, (ub1b if ub1b < 1.0 else 1.0) if ub1b > 0.0 else 0.0, "upper")),
+                _new_record(BoundEval, (_UB1C, ub1c, (ub1c if ub1c < 1.0 else 1.0) if ub1c > 0.0 else 0.0, "upper")),
+                _new_record(BoundEval, (_UB1D, ub1d, (ub1d if ub1d < 1.0 else 1.0) if ub1d > 0.0 else 0.0, "upper")),
+                _new_record(BoundEval, (_LB1JP, lb1jp, (lb1jp if lb1jp < 1.0 else 1.0) if lb1jp > 0.0 else 0.0, "lower")),
+                _new_record(BoundEval, (_LB1A, lb1a, (lb1a if lb1a < 1.0 else 1.0) if lb1a > 0.0 else 0.0, "lower")),
+                _new_record(BoundEval, (_LB1B, lb1b, (lb1b if lb1b < 1.0 else 1.0) if lb1b > 0.0 else 0.0, "lower")),
+                _new_record(BoundEval, (_LB1C, lb1c, (lb1c if lb1c < 1.0 else 1.0) if lb1c > 0.0 else 0.0, "lower")),
+                _new_record(BoundEval, (_LB1D, lb1d, (lb1d if lb1d < 1.0 else 1.0) if lb1d > 0.0 else 0.0, "lower")),
+            ], {}
+        except TypeError:
+            return _records(FAMILY_B_GE_A, raws)
+    raws = _family_lt(a, b)
+    ub2jp, ub2a, ub2d, lb2jp, lb2a, lb2b, lb2c, lb2d = raws
+    try:
+        return [
+            _new_record(BoundEval, (_UB2JP, ub2jp, (ub2jp if ub2jp < 1.0 else 1.0) if ub2jp > 0.0 else 0.0, "upper")),
+            _new_record(BoundEval, (_UB2A, ub2a, (ub2a if ub2a < 1.0 else 1.0) if ub2a > 0.0 else 0.0, "upper")),
+            _new_record(BoundEval, (_UB2D, ub2d, (ub2d if ub2d < 1.0 else 1.0) if ub2d > 0.0 else 0.0, "upper")),
+            _new_record(BoundEval, (_LB2JP, lb2jp, (lb2jp if lb2jp < 1.0 else 1.0) if lb2jp > 0.0 else 0.0, "lower")),
+            _new_record(BoundEval, (_LB2A, lb2a, (lb2a if lb2a < 1.0 else 1.0) if lb2a > 0.0 else 0.0, "lower")),
+            _new_record(BoundEval, (_LB2B, lb2b, (lb2b if lb2b < 1.0 else 1.0) if lb2b > 0.0 else 0.0, "lower")),
+            _new_record(BoundEval, (_LB2C, lb2c, (lb2c if lb2c < 1.0 else 1.0) if lb2c > 0.0 else 0.0, "lower")),
+            _new_record(BoundEval, (_LB2D, lb2d, (lb2d if lb2d < 1.0 else 1.0) if lb2d > 0.0 else 0.0, "lower")),
+        ], {}
+    except TypeError:
+        return _records(FAMILY_B_LT_A, raws)

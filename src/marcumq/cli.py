@@ -41,7 +41,7 @@ from .analysis import (
     log_grid,
 )
 from .bounds import BoundId, Regime, eval_all, regime_of
-from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError
+from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError, _exact
 from .oracle import QArgs, q1_reference
 
 _PRESETS = {
@@ -256,7 +256,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
         if not (bs[-1] >= a if ge else bs[0] <= a):
             raise DomainError(
                 f"{bid.value} applies to the {'b >= a' if ge else 'b <= a'} regime; "
-                f"no grid point qualifies for a={a:g}"
+                f"no grid point qualifies for a={_exact(a)}"
             )
     rows = error_table(a, bs, ids)
     if ns.format == "json":

@@ -15,6 +15,15 @@ def _brief(v: object) -> str:
     return r if len(r) <= _REPR_MAX else f"{r[:_REPR_MAX]}... ({len(r)} characters)"
 
 
+def _exact(x: float) -> str:
+    """x in ``:g`` form where that text reads back as x, else as ``_brief`` quotes it.
+
+    ``:g`` keeps six significant digits, so 1000003.0 would read 1e+06.
+    """
+    g = f"{x:g}"
+    return g if float(g) == x else _brief(x)
+
+
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 

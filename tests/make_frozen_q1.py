@@ -26,9 +26,37 @@ def _around(a_values, offsets):
     return [(a, a + d) for a in a_values for d in offsets if a + d >= 0.0]
 
 
+def in_the_band(a, b):
+    """The band a <= b <= a + 1, ab < 25, written out: the one domain of q1_quadrature and q1_series."""
+    return a <= b <= a + 1.0 and a * b < 25.0
+
+
+def on_the_expansion_route(a, b):
+    """Where q1_reference pairs method a with q1_asymptotic, written out: a >= 100, or ab >= 25,
+    b >= a - 1, (b - a)^2 <= ab and (b - a)^2/2 <= 650."""
+    d = b - a
+    return a >= 100.0 or (a * b >= 25.0 and d >= -1.0 and d * d <= a * b and 0.5 * d * d <= 650.0)
+
+
+def route_of(a: float, b: float) -> str:
+    """The route ``q1_reference`` takes at (a, b), written out from its docstring."""
+    if in_the_band(a, b):
+        return "band"
+    if abs(b - a) <= 1.0:
+        return "diagonal below 100" if a < 100.0 else "diagonal from 100"
+    if b < a and 0.5 * (a - b) ** 2 > 745.0:
+        return "b < a, 1 - Q1 underflows"
+    if on_the_expansion_route(a, b):
+        return "trapezoid and expansion"
+    return "trapezoid and Bessel series, b > a" if b > a else "trapezoid and Bessel series, b < a"
+
+
 def _route_points(n: int = 42) -> dict[str, list[tuple[float, float]]]:
-    """n seeded points on each route of ``q1_reference``: a log-uniform
-    between the route's ends, and b where Q1 is a normal double."""
+    """Seeded points on each route of ``q1_reference``, n drawn per route: a
+    log-uniform between the route's ends, and b where Q1 is a normal double.
+    A draw is filed under the route it takes, which is not always the one
+    it was drawn for: the band's draws with ab >= 25 take the diagonal
+    route, and the expansion checks some b > a draws below a = 100."""
     rng = random.Random(20261020)
 
     def log_uniform(lo, hi):
@@ -47,10 +75,12 @@ def _route_points(n: int = 42) -> dict[str, list[tuple[float, float]]]:
         # (a - b)^2/2 > 745, so q1_reference returns 1.0 without a method a
         "b < a, 1 - Q1 underflows": (40.0, 1e6, lambda a: rng.uniform(0.0, a - 38.7)),
     }
-    return {
-        route: [(a, b(a)) for a in (log_uniform(lo, hi) for _ in range(n))]
-        for route, (lo, hi, b) in routes.items()
-    }
+    filed: dict[str, list[tuple[float, float]]] = {route: [] for route in routes}
+    for lo, hi, b in routes.values():
+        for a in (log_uniform(lo, hi) for _ in range(n)):
+            point = (a, b(a))
+            filed[route_of(*point)].append(point)
+    return filed
 
 
 # name -> (comment, points, "q1" for Q1 or "tail" for (S, d))

@@ -265,6 +265,21 @@ _SPECIAL_RAWS = [
 ]
 
 
+# each family function's name, its ids and a point of its regime
+_FAMILIES = [("_family_ge", FAMILY_B_GE_A, QArgs(1.0, 2.0)), ("_family_lt", FAMILY_B_LT_A, QArgs(2.0, 1.0))]
+
+
+def _fake_family(monkeypatch, name, family, raws):
+    """Make family function ``name`` return ``raws``: for eval_all, and for eval_ids through each id's plan."""
+
+    def fake(a, b):
+        return raws
+
+    monkeypatch.setattr(bounds, name, fake)
+    for bid in family:
+        monkeypatch.setattr(bid, "_plan", (fake, *bid._plan[1:]))
+
+
 class TestClamp:
     """``clamped`` is the double ``min(1.0, max(0.0, raw))`` gives, for any raw."""
 
@@ -288,23 +303,34 @@ class TestClamp:
 
     @pytest.mark.parametrize("raw", _SPECIAL_RAWS, ids=float.hex)
     def test_special_raws_through_eval_all(self, monkeypatch, raw):
-        # eval_all builds its records straight from the family's raws
-        monkeypatch.setattr(bounds, "_family_ge", lambda a, b: (raw,) * 10)
-        evals, skipped = eval_all(QArgs(1.0, 2.0))
-        assert not skipped
-        assert [ev.id for ev in evals] == list(FAMILY_B_GE_A)
-        for ev in evals:
-            assert ev.raw is raw
-            assert ev.clamped.hex() == min(1.0, max(0.0, raw)).hex()
+        # eval_all writes each slot's record out; in both families every
+        # one clamps as min/max does and matches eval_ids's loop over the same raws
+        for name, family, args in _FAMILIES:
+            _fake_family(monkeypatch, name, family, (raw,) * len(family))
+            evals, skipped = eval_all(args)
+            assert not skipped
+            assert [ev.id for ev in evals] == list(family)
+            for ev in evals:
+                assert ev.raw is raw
+                assert ev.clamped.hex() == min(1.0, max(0.0, raw)).hex()
+            by_ids, skipped_by_ids = eval_ids(family, args)
+            assert ([_bits(ev) for ev in evals], skipped) == ([_bits(ev) for ev in by_ids], skipped_by_ids)
 
     def test_singular_slots_through_eval_all(self, monkeypatch):
-        # a singular slot among special raws is dropped and only then reported
-        raws = (*_SPECIAL_RAWS[:7], SingularityError("LB2D is singular here"))
-        monkeypatch.setattr(bounds, "_family_lt", lambda a, b: raws)
-        evals, skipped = eval_all(QArgs(2.0, 1.0))
-        assert [(ev.id, ev.raw) for ev in evals] == list(zip(FAMILY_B_LT_A, raws[:7]))
-        assert [ev.clamped.hex() for ev in evals] == [min(1.0, max(0.0, r)).hex() for r in raws[:7]]
-        assert skipped == {FAMILY_B_LT_A[7]: "LB2D is singular here"}
+        # at every slot of both families, a singular slot among special raws
+        # is dropped and only then reported, as eval_ids's loop does
+        for name, family, args in _FAMILIES:
+            for slot, bid in enumerate(family):
+                raws = [*_SPECIAL_RAWS[: len(family)]]
+                raws[slot] = SingularityError(f"{bid.value} is singular here")
+                _fake_family(monkeypatch, name, family, tuple(raws))
+                kept = [(other, raw) for other, raw in zip(family, raws) if other is not bid]
+                evals, skipped = eval_all(args)
+                assert [(ev.id, ev.raw) for ev in evals] == kept
+                assert [ev.clamped.hex() for ev in evals] == [min(1.0, max(0.0, r)).hex() for _, r in kept]
+                assert skipped == {bid: f"{bid.value} is singular here"}
+                by_ids, skipped_by_ids = eval_ids(family, args)
+                assert ([_bits(ev) for ev in evals], skipped) == ([_bits(ev) for ev in by_ids], skipped_by_ids)
 
     @given(raw=st.floats())
     @settings(max_examples=300, deadline=None)
@@ -646,6 +672,15 @@ class TestEvalAll:
         }
         with pytest.raises(SingularityError, match="^LB2B is singular at a = b = 2$"):
             evaluate(BoundId.LB2B, QArgs(2.0, 2.0))
+        # :g keeps six digits: a value it would round is quoted by its repr,
+        # one it prints exactly keeps the :g text
+        with pytest.raises(RegimeError, match=r"^UB2JP requires b <= a, got \(a=1e\+06, b=1000003\.0\)$"):
+            evaluate(BoundId.UB2JP, QArgs(1e6, 1e6 + 3))
+        assert eval_all(QArgs(1000003.0, 1000003.0))[1] == {BoundId.UB1B: "UB1B is singular at b = a = 1000003.0"}
+        with pytest.raises(SingularityError, match=r"^LB2B is singular at a = b = 1000003\.0$"):
+            evaluate(BoundId.LB2B, QArgs(1000003.0, 1000003.0))
+        with pytest.raises(DomainError, match=r"^zeta requires a > 0 and b > 0, got \(a=1000003\.0, b=0\)$"):
+            compute_zeta(QArgs(1000003.0, 0.0))
 
     def test_count_b_ge_a(self):
         evals, skipped = eval_all(QArgs(0.1, 0.5))

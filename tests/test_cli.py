@@ -179,6 +179,13 @@ class TestTable:
         assert rows[0][5] == ""
         assert all(r[2:5] == ["", "", ""] for r in rows[1:])
 
+    def test_refusal_quotes_a_exactly(self, capsys):
+        # 1000003 has seven significant digits; :g would print it as 1e+06
+        argv = ["table", "--a", "1000003", "--b-start", "1", "--b-end", "2", "--b-step", "1", "--ids", "UB1JP"]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: UB1JP applies to the b >= a regime; no grid point qualifies for a=1000003.0\n"
+
     def test_b_end_below_b_start(self, capsys):
         rc, out, err = run_cli(
             capsys, "table", "--a", "1", "--b-start", "3", "--b-end", "2",

@@ -55,6 +55,7 @@ from frozen_q1 import (
     TAILS_FROZEN_HUGE,
     TRAPEZOID_FROZEN,
 )
+from make_frozen_q1 import in_the_band, on_the_expansion_route
 from make_gauss_legendre import generated_block as gauss_legendre_block
 
 # every frozen point with a >= 100 past the span
@@ -64,20 +65,13 @@ _PAST_THE_SPAN = {
 }
 
 
-def _on_the_expansion_route(a, b):
-    """Where q1_reference pairs method a with q1_asymptotic, written out: a >= 100, or ab >= 25,
-    b >= a - 1, (b - a)^2 <= ab and (b - a)^2/2 <= 650."""
-    d = b - a
-    return a >= 100.0 or (a * b >= 25.0 and d >= -1.0 and d * d <= a * b and 0.5 * d * d <= 650.0)
-
-
 TRAPEZOID_POINTS = sorted(TRAPEZOID_FROZEN)
 # the frozen points where q1_reference pairs the trapezoid with the Bessel
 # series: a < ASYMPTOTIC_MIN_A past the diagonal span, on either side of b = a,
 # off the expansion's route
 PAIRED_FROZEN = [
     (a, b) for a, b in TRAPEZOID_POINTS
-    if abs(b - a) > oracle._DIAGONAL_SPAN and not _on_the_expansion_route(a, b)
+    if abs(b - a) > oracle._DIAGONAL_SPAN and not on_the_expansion_route(a, b)
 ]
 # QArgs's one message past a, b <= sqrt(DBL_MAX)
 _PAST_THE_RANGE = r"^Q1 takes a, b <= sqrt\(DBL_MAX\) = 1\.3407807929942596e\+154, got \(a="
@@ -202,11 +196,6 @@ _OUTSIDE_THE_BAND = (
 )
 
 
-def _in_the_band(a, b):
-    """The band a <= b <= a + 1, ab < 25, written out: the one domain of q1_quadrature and q1_series."""
-    return a <= b <= a + 1.0 and a * b < 25.0
-
-
 def _refuses_outside_the_band(method, a, b):
     """method refuses (a, b) with the band's one message, quoting the point."""
     with pytest.raises(DomainError, match=f"{_OUTSIDE_THE_BAND}{re.escape(repr(a))}, b={re.escape(repr(b))}\\)$"):
@@ -231,7 +220,7 @@ def _check_frozen(method, pair, expected):
     """In the band, method's value is within 1e-12 of the frozen value; outside it
     method refuses, and the frozen value is q1_reference's."""
     a, b = pair
-    if _in_the_band(a, b):
+    if in_the_band(a, b):
         assert method(QArgs(a, b)) == pytest.approx(expected, abs=1e-12)
     else:
         _refuses_outside_the_band(method, a, b)
@@ -286,7 +275,7 @@ class TestQuadrature:
         for a in (0.1, 1.0, 2.0, 10.0, 20.0):
             for db in (-0.1, -0.01, 0.0, 0.01, 0.1):
                 b = a + db
-                if _in_the_band(a, b):
+                if in_the_band(a, b):
                     got = q1_quadrature(QArgs(a, b))
                 else:
                     _refuses_outside_the_band(q1_quadrature, a, b)
@@ -360,7 +349,7 @@ def _series_closure_form(a: float, b: float) -> float:
     in index order: the reference for bit-identical results.  Its domain
     is the band, as the library's is; outside it, it raises the band's
     one refusal."""
-    if not _in_the_band(a, b):
+    if not in_the_band(a, b):
         raise DomainError(
             f"the quadrature and the Poisson series cover a <= b <= a + 1 with ab < 25, got (a={a!r}, b={b!r})"
         )
@@ -491,7 +480,7 @@ class TestSeries:
     def test_discarded_mass_checked_on_every_call(self, a, b, monkeypatch):
         # every call that answers checks the mass; outside the band none answers
         monkeypatch.setattr(oracle, "DEFAULT_TOL", 0.0)
-        if _in_the_band(a, b):
+        if in_the_band(a, b):
             with pytest.raises(ConvergenceError, match="discarded mass bound"):
                 q1_series(QArgs(a, b))
         else:
@@ -1107,7 +1096,7 @@ _OFF_THE_BAND_POINTS = st.floats(5e-324, math.nextafter(100.0, 0.0)).flatmap(
             *([st.floats(0.0, 1.0).map(lambda d: a + d)] if a > 4.5 else []),
         ),
     )
-).filter(lambda p: not _in_the_band(*p))
+).filter(lambda p: not in_the_band(*p))
 
 # every method q1_reference runs
 _REFERENCE_METHODS = ("q1_diagonal", "q1_asymptotic", "q1_quadrature", "q1_series", "q1_trapezoid", "q1_bessel_series")
@@ -1256,7 +1245,7 @@ class TestReference:
         # it); (20, 25), where (b - a)^2 <= ab, is checked by the expansion
         res = q1_reference(QArgs(a, b))
         assert res.value == res.method_a_value == pytest.approx(_frozen_value(a, b), rel=1e-13, abs=0.0)
-        assert res.method_b == ("asymptotic" if _on_the_expansion_route(a, b) else "bessel_series")
+        assert res.method_b == ("asymptotic" if on_the_expansion_route(a, b) else "bessel_series")
         assert res.agreement_gap <= 1e-12 * res.value
 
     def test_far_tail_never_calls_the_quadrature(self, monkeypatch):
@@ -1356,7 +1345,7 @@ class TestReference:
         # the mean of the quadrature and the Poisson series was off by up to
         # 6.7e-16 here; from ab = 25 on the expansion checks the diagonal route
         res = q1_reference(QArgs(a, b))
-        assert res.method_b == ("asymptotic" if _on_the_expansion_route(a, b) else "bessel_series")
+        assert res.method_b == ("asymptotic" if on_the_expansion_route(a, b) else "bessel_series")
         assert res.value == pytest.approx(Q1_FROZEN_NEAR_TIE[a, b], rel=0.0, abs=2.5e-16)
 
     def test_past_span_table_regenerates(self):
@@ -1368,7 +1357,7 @@ class TestReference:
         # the mean of the quadrature and the Poisson series was off by up to
         # 1.9e-15 here; from ab = 25 on the expansion checks the trapezoid
         res = q1_reference(QArgs(a, b))
-        assert res.method_b == ("asymptotic" if _on_the_expansion_route(a, b) else "bessel_series")
+        assert res.method_b == ("asymptotic" if on_the_expansion_route(a, b) else "bessel_series")
         assert res.value == pytest.approx(Q1_FROZEN_PAST_SPAN[a, b], rel=1e-15, abs=0.0)
 
     @given(_OFF_THE_BAND_POINTS)
@@ -1402,7 +1391,7 @@ class TestReference:
                 patch.setattr(oracle, name, count(name))
             res = q1_reference(QArgs(a, b))
         assert called == []
-        assert res.method_b == ("asymptotic" if _on_the_expansion_route(a, b) else "bessel_series")
+        assert res.method_b == ("asymptotic" if on_the_expansion_route(a, b) else "bessel_series")
         assert 0.0 <= res.value <= 1.0
 
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.0, 0.06), (4.524937810560444, 5.524937810560444)])
@@ -1473,7 +1462,7 @@ class TestReference:
             res = exact(args)
             return res._replace(scaled=res.scaled * (1.0 + 1e-11))
 
-        partner = "asymptotic" if _on_the_expansion_route(a, b) else "bessel_series"
+        partner = "asymptotic" if on_the_expansion_route(a, b) else "bessel_series"
         assert q1_reference(QArgs(a, b)).method_b == partner
         monkeypatch.setattr(oracle, method, off)
         with pytest.raises(CrossValidationError, match=f"trapezoid=.*{partner}="):
@@ -1517,7 +1506,7 @@ class TestReference:
         # route the written-out edges give, and on it the expansion answers
         # and agrees with method a to 1e-14 relative (1.0e-15 at worst here)
         points = _expansion_edge_points("route edges", 2000)
-        on = [_on_the_expansion_route(a, b) for a, b in points]
+        on = [on_the_expansion_route(a, b) for a, b in points]
         assert sum(on) >= 1000 and len(on) - sum(on) >= 300
         for (a, b), on_route in zip(points, on):
             res = q1_reference(QArgs(a, b))
@@ -1605,8 +1594,7 @@ class TestReference:
 
 # the most ulps, |value - truth| / ulp(truth), that q1_reference's value
 # is off at the Q1_FROZEN_ROUTES points of each route: the worst measured
-# when the table was made.  A budget only tightens.  The "band" table's
-# points with ab >= 25 now take the diagonal route, and its budget
+# when the table was made.  A budget only tightens
 ROUTE_ULP_BUDGET = {
     # the mean of the quadrature and the Poisson series, ab < 25: 15 ulp at
     # (0.0029, 0.049); the 27 at (95.18, 95.39) left the band with ab = 25
@@ -1619,18 +1607,40 @@ ROUTE_ULP_BUDGET = {
     "b < a, 1 - Q1 underflows": 0,
 }
 
+# the methods q1_reference calls on each route: one set, or two where
+# method b depends on the point (the expansion or the Bessel series)
+_ROUTE_CALLS = {
+    "band": [{"q1_quadrature", "q1_series"}],
+    "diagonal below 100": [{"q1_diagonal", "q1_asymptotic"}, {"q1_diagonal", "q1_bessel_series"}],
+    "diagonal from 100": [{"q1_diagonal", "q1_asymptotic"}],
+    "trapezoid and Bessel series, b > a": [{"q1_trapezoid", "q1_bessel_series"}],
+    "trapezoid and Bessel series, b < a": [{"q1_trapezoid", "q1_bessel_series"}],
+    "trapezoid and expansion": [{"q1_trapezoid", "q1_asymptotic"}],
+    "b < a, 1 - Q1 underflows": [{"q1_asymptotic"}, {"q1_bessel_series"}],
+}
+
 
 class TestLastDigit:
     @pytest.mark.parametrize("route", list(Q1_FROZEN_ROUTES))
     def test_within_the_route_budget(self, route):
         points = Q1_FROZEN_ROUTES[route]
         ulps = {p: abs(q1_reference(QArgs(*p)).value - q) / math.ulp(q) for p, q in points.items()}
-        budget = {
-            p: ROUTE_ULP_BUDGET["diagonal below 100" if route == "band" and not _in_the_band(*p) else route]
-            for p in points
-        }
-        over = {p: u for p, u in ulps.items() if u > budget[p]}
+        over = {p: u for p, u in ulps.items() if u > ROUTE_ULP_BUDGET[route]}
         assert over == {}, over
+
+    @pytest.mark.parametrize("route", list(Q1_FROZEN_ROUTES))
+    def test_each_table_holds_its_route(self, monkeypatch, route):
+        # a table's name is the route q1_reference takes at each of its points
+        calls = set()
+        for name in set().union(*(c for sets in _ROUTE_CALLS.values() for c in sets)):
+            method = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda args, name=name, method=method: calls.add(name) or method(args))
+        for a, b in Q1_FROZEN_ROUTES[route]:
+            calls.clear()
+            q1_reference(QArgs(a, b))
+            assert calls in _ROUTE_CALLS[route], (a, b, calls)
+            if route.startswith("trapezoid and Bessel series"):
+                assert (b > a) == route.endswith("b > a")
 
 
 _MAX = oracle.MAX_ARG

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .bounds import BoundId, compute_zeta, eval_all, eval_ids
-from .errors import DomainError, UnknownFigureError
+from .errors import DomainError, UnknownFigureError, _exact
 from .oracle import QArgs, _new_record, q1_reference, rice_pdf
 from .specfun import _HANKEL_X, _i0e, _i0e_i1e, _i0e_minus_i1e_hankel, bessel_i0_scaled, bessel_i1_scaled
 
@@ -231,7 +231,7 @@ def scan_g_negative(x_lo: float, x_hi: float, n: int) -> ScanReport:
     witness = (xs[at],) if at >= 0 else ()
     return ScanReport(
         property_id="g_negative",
-        grid=f"log-spaced x in [{x_lo:g}, {x_hi:g}], n={n}; plain g below x=300, e^(-2x)-scaled beyond",
+        grid=f"log-spaced x in [{_exact(x_lo)}, {_exact(x_hi)}], n={n}; plain g below x=300, e^(-2x)-scaled beyond",
         worst_violation=worst,
         witness=witness,
         passed=worst < 0.0,
@@ -286,7 +286,7 @@ def scan_f_ratio_monotone(kind: str, x_lo: float, x_hi: float, n: int) -> ScanRe
     witness = (xs[at], xs[at + 1]) if at >= 0 else ()
     return ScanReport(
         property_id=kind,
-        grid=f"log-spaced x in [{x_lo:g}, {x_hi:g}], n={n}; successive differences",
+        grid=f"log-spaced x in [{_exact(x_lo)}, {_exact(x_hi)}], n={n}; successive differences",
         worst_violation=worst,
         witness=witness,
         passed=worst < 0.0,
@@ -312,7 +312,7 @@ def scan_shifted_exp_chain(b: float, m: float, x_values: list[float]) -> ScanRep
         raise DomainError("the chain needs at least one x value, got none")
     bad = [x for x in x_values if not x > b]
     if bad:
-        raise DomainError(f"all x must exceed b={b:g}, got {bad[:3]}")
+        raise DomainError(f"all x must exceed b={_exact(b)}, got {bad[:3]}")
     eb, e2b = math.exp(-b), math.exp(-2.0 * b)
 
     def links():
@@ -328,7 +328,10 @@ def scan_shifted_exp_chain(b: float, m: float, x_values: list[float]) -> ScanRep
     worst, witness = _worst(links())
     return ScanReport(
         property_id="chain_eq6",
-        grid=f"b={b:g}, m={m:g}, {len(x_values)} x values in [{min(x_values):g}, {max(x_values):g}]",
+        grid=(
+            f"b={_exact(b)}, m={_exact(m)}, {len(x_values)} x values "
+            f"in [{_exact(min(x_values))}, {_exact(max(x_values))}]"
+        ),
         worst_violation=worst,
         witness=witness,
         passed=worst <= 0.0,
@@ -358,13 +361,27 @@ def _sinh_at(x: float, a: float, pref: float) -> float:
 def envelope_exp_rate(x: float, a: float, b: float) -> float:
     """Rice density envelope with exponential rate zeta = log(I0(ab))/b:
 
-        x exp(zeta x - (x^2 + a^2)/2).
+        x exp(zeta x - (x^2 + a^2)/2) = x exp(-(x - a)^2/2 - eta x),
+
+    with eta = a - zeta = -log(i0e(ab))/b.  The first exponent is a
+    difference of terms of size a^2 and cancels at large a (4.8e-5
+    relative at x = b = a - 0.5, a = 1e6); the second has none.  It
+    refuses what ``compute_zeta`` refuses.
     """
-    return _exp_rate_at(x, a, compute_zeta(QArgs(a, b)))
+    return _exp_rate_at(x, a, _eta(QArgs(a, b)))
 
 
-def _exp_rate_at(x: float, a: float, zeta: float) -> float:
-    return x * math.exp(zeta * x - 0.5 * (x * x + a * a))
+def _eta(args: QArgs) -> float:
+    """a - zeta = -log(i0e(ab))/b, the exp-rate envelope's rate below a."""
+    a, b = args
+    if a <= 0.0 or b <= 0.0:
+        compute_zeta(args)  # raises its DomainError
+    return -math.log(_i0e(a * b)) / b
+
+
+def _exp_rate_at(x: float, a: float, eta: float) -> float:
+    d = x - a
+    return x * math.exp(-0.5 * d * d - eta * x)
 
 
 def scan_envelope_ordering(
@@ -390,12 +407,12 @@ def scan_envelope_ordering(
     if not (0.0 <= lo < hi <= b):
         raise DomainError(f"window [{lo!r}, {hi!r}] must lie inside [0, b]")
     margin = 1e-12
-    zeta = compute_zeta(QArgs(a, b))  # QArgs refuses a, b past the range before the density is sampled
+    eta = _eta(QArgs(a, b))  # QArgs refuses a, b past the range before the density is sampled
     xs = _lin_grid(lo, hi, n)
     rice = [rice_pdf(x, a) for x in xs]
     pref = _pref_sinh(a, b)
     e_sinh = [_sinh_at(x, a, pref) for x in xs]
-    e_rate = [_exp_rate_at(x, a, zeta) for x in xs]
+    e_rate = [_exp_rate_at(x, a, eta) for x in xs]
     if not any(rice) and not any(e_sinh) and not any(e_rate):
         raise DomainError(
             f"envelope ordering cannot be tested on this grid: the density and both envelopes "
@@ -408,7 +425,7 @@ def scan_envelope_ordering(
     )
     return ScanReport(
         property_id="envelope",
-        grid=f"a={a:g}, b={b:g}, {n} points on [{lo:g}, {hi:g}], margin {margin:g}",
+        grid=f"a={_exact(a)}, b={_exact(b)}, {n} points on [{_exact(lo)}, {_exact(hi)}], margin {margin:g}",
         worst_violation=worst,
         witness=witness,
         passed=worst <= margin,

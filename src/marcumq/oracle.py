@@ -8,17 +8,16 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
 
   * ``q1_quadrature``: adaptive Gauss-Kronrod (G7/K15) integration of the
     Rice density, written in the scaled form x e^(-(x-a)^2/2) i0e(a x),
-    over the tail from b.  Root panels end at seeds a-30 ... a+30, and
-    the range stops at the first seed whose panel cannot move the
-    resulting double.
+    over the tail from b to a + 20, past which no panel can move the
+    resulting double.  Root panels end at the seeds a + 1, a + 2, a + 5
+    and a + 10 inside that range.
   * ``q1_series``: the noncentral chi-square mixture representation
 
         Q1(a, b) = sum_k  Pois(k; a^2/2) * P[Pois(b^2/2) <= k],
 
-    summed over a mode-centered window of each Poisson factor with
-    explicit geometric bounds on the discarded tails.  A window of mean m
-    holds about 17 sqrt(m) entries (17 a for a^2/2, 17 b for b^2/2), at
-    most 102 in the band below.
+    summed in one compensated pass over a window of each Poisson factor
+    from k = 0, with an explicit geometric bound on the mass past it.  In
+    the band below a window holds at most 102 entries.
   * ``q1_asymptotic``: the large-xi expansion (xi = ab) in terms of erfc
     of Gil, Segura & Temme, "Algorithm 939: Computation of the Marcum
     Q-function", ACM TOMS 40(3), 2014, section 3 (after Temme 1993).
@@ -96,7 +95,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
@@ -131,11 +129,6 @@ _TRAPEZOID_MAX_NODES = 4096
 # and refuses a point needing more backward recurrence steps than the cap
 _BESSEL_DEPTH = 39.2
 _BESSEL_MAX_STEPS = 100_000
-# The quadrature's range stops at the first seed this far past b.  Seeds
-# there are 10 apart, so a panel left out holds about e^-150 of the
-# smallest panel kept, far below its ulp, and fsum returns the double the
-# full range gives.
-_PANEL_SIGMAS = 15.0
 _MAX_PANELS = 2000  # the quadrature's panel budget
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
@@ -305,9 +298,12 @@ def _adaptive_quad(f, lo, hi, seeds=()):
 def q1_quadrature(args: QArgs) -> float:
     """Q1 in the band by adaptive quadrature of the Rice density, absolute error about DEFAULT_TOL.
 
-    It integrates the tail from b up to the first seed >= b + 15, which
-    the seeds always hold, as b + 15 <= a + 16 in the band; the range
-    left out cannot move the result (see _PANEL_SIGMAS).
+    It integrates the tail from b to a + 20, with root panels ending at
+    the seeds a + 1, a + 2, a + 5 and a + 10 that lie inside (b, a + 20).
+    In the band a + 20 is at least 19 past b, and the density falls as
+    e^(-(x - a)^2/2): the tail past a + 20 holds under e^-150 of the
+    smallest panel kept, [a + 10, a + 20], far below its ulp, so fsum
+    returns the double the full tail gives.
 
     Raises DomainError outside the band a <= b <= a + 1, ab < 25.
     """
@@ -315,10 +311,7 @@ def q1_quadrature(args: QArgs) -> float:
     a, b = args.a, args.b
     if b == 0.0:  # a = b = 0: Q1 = 1 exactly, which the tail integral reaches only to within tol
         return 1.0
-    # panel seeds around the integrand peak at x ~ a
-    seeds = [a + d for d in (-30, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30)]
-    hi = min(s for s in seeds if s >= b + _PANEL_SIGMAS)
-    return _adaptive_quad(lambda x: rice_pdf(x, a), b, hi, seeds)
+    return _adaptive_quad(lambda x: rice_pdf(x, a), b, a + 20, (a + 1, a + 2, a + 5, a + 10))
 
 
 def _pmf(mean: float, k: int) -> float:
@@ -326,74 +319,43 @@ def _pmf(mean: float, k: int) -> float:
     return math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
 
 
-def _tail_bounds(mean: float, lo: int, hi: int, pmf_lo: float, pmf_hi: float) -> tuple[float, float]:
-    """Bounds on the Poisson(mean) mass below lo and above hi, from the pmf at lo and hi.
-
-    Past either end each pmf ratio is at most the one at the end (lo/mean
-    below, mean/(hi + 1) above), so the mass beyond is at most a
-    geometric series.
-    """
-    r = mean / (hi + 1)
-    tail_hi = pmf_hi * r / (1.0 - r) if r < 1.0 else math.inf
-    if lo > 0:
-        r = lo / mean
-        tail_lo = pmf_lo * r / (1.0 - r) if r < 1.0 else math.inf
-    else:
-        tail_lo = 0.0
-    return tail_lo, tail_hi
-
-
 def _poisson_window(mean: float):
-    """Poisson(mean) pmf on its mode-centered window, 12 sigma + 40 entries each side.
+    """Poisson(mean) pmf on k = 0 ... m + w, m = int(mean), w = int(12 sqrt(mean)) + 40.
 
-    In the band (ab < 25, so b^2/2 < 15.3) a window holds at most 102 entries.
-    The mode term is seeded through lgamma and neighbors follow from the
-    exact pmf recurrence, so every entry carries the same (tiny) seed
-    error, which cancels when sums are normalized by the window mass.
-    Each side is built from the mode outward by append.
+    Nothing lies below the window, and in the band (ab < 25, so
+    mean <= b^2/2 < 15.3) it holds at most 102 entries.  The mode term is
+    seeded through lgamma and the others follow from it by the exact pmf
+    recurrence, so every entry carries the same (tiny) seed error, which
+    cancels when sums are normalized by the window mass.  The mass is one
+    ``math.fsum``, correctly rounded in any order.
 
-    The mass is summed in that order too, largest entries first.
-    ``math.fsum`` walks its list of partials on every add, and an addend
-    larger than the running sum leaves its rounding error behind as one
-    more partial.  In index order the pmf climbs from its left tail to
-    the mode and the partials pile up; on falling input few stay alive
-    and the cost is linear.  fsum is correctly rounded, so the order
-    leaves the result unchanged.
-
-    Returns (lo, hi, pmf, mass, tail_lo, tail_hi) where the tails are
-    geometric-series bounds on the discarded mass on each side.
+    Returns (pmf, mass, tail): tail bounds the mass past the window by a
+    geometric series, as each pmf ratio there is at most mean/(m + w + 1).
     """
-    w = int(12.0 * math.sqrt(mean)) + 40
     m = int(mean)
-    lo, hi = max(0, m - w), m + w
+    hi = m + int(12.0 * math.sqrt(mean)) + 40
     v = _pmf(mean, m)
-    pmf = [v]  # m, m - 1, ..., lo until reversed
-    for k in range(m, lo, -1):
+    pmf = [v]  # m, m - 1, ..., 0 until reversed
+    for k in range(m, 0, -1):
         v *= k / mean
         pmf.append(v)
-    v = pmf[0]
-    right = []  # m + 1, ..., hi
+    pmf.reverse()
+    v = pmf[m]
     for k in range(m + 1, hi + 1):
         v *= mean / k
-        right.append(v)
-    mass = math.fsum(chain(pmf, right))
-    pmf.reverse()
-    pmf += right
-    return (lo, hi, pmf, mass, *_tail_bounds(mean, lo, hi, pmf[0], pmf[-1]))
+        pmf.append(v)
+    r = mean / (hi + 1)
+    return pmf, math.fsum(pmf), v * r / (1.0 - r)
 
 
 def q1_series(args: QArgs) -> float:
     """Q1 in the band by the noncentral chi-square Poisson mixture, absolute error <= DEFAULT_TOL.
 
-    Both Poisson factors are restricted to mode-centered windows wide
-    enough that the geometric bounds on the discarded mass stay below
-    DEFAULT_TOL/10; a ConvergenceError is raised otherwise.  Since the mixture
-    weights sum to 1 and the inner factor is a CDF in [0, 1], the
-    discarded mass bounds the truncation error directly.
-
-    In the band the two windows always overlap: b^2/2 - a^2/2 <= a + 1/2,
-    while each window reaches 12 sqrt(mean) + 40 past its mode.  Each
-    costs O(sqrt(mean)) time and memory.  At a = 0 the mixture is the
+    Both Poisson factors are windows from k = 0, wide enough that the
+    geometric bounds on the mass past them stay below DEFAULT_TOL/10; a
+    ConvergenceError is raised otherwise.  Since the mixture weights sum
+    to 1 and the inner factor is a CDF in [0, 1], the discarded mass
+    bounds the truncation error directly.  At a = 0 the mixture is the
     closed form e^(-b^2/2).
 
     Raises DomainError outside the band a <= b <= a + 1, ab < 25.
@@ -403,33 +365,20 @@ def q1_series(args: QArgs) -> float:
     y = args.b * args.b / 2.0
     if lam == 0.0:
         return math.exp(-y)
-    klo, khi, p, pmass, ptail_lo, ptail_hi = _poisson_window(lam)
-    jlo, _, q, qmass, qtail_lo, qtail_hi = _poisson_window(y)
-    discarded = ptail_lo + ptail_hi + qtail_lo + qtail_hi
+    p, pmass, ptail = _poisson_window(lam)
+    q, qmass, qtail = _poisson_window(y)
+    discarded = ptail + qtail
     if discarded > 0.1 * DEFAULT_TOL:
         raise ConvergenceError(
             f"series windows too narrow for DEFAULT_TOL (discarded mass bound {discarded:.3e})"
         )
-    # the mixture terms run over klo..khi with the running CDF of
-    # Poisson(y) at k, Neumaier-compensated; that CDF is 0 below its window
-    # (no term).  As y >= lam, the inner window ends at or past the outer
-    # one, so the CDF runs over q[:end], and terms start at q[s], the first
-    # k >= klo.  The sum and the pmf are >= 0, so the Neumaier branch
-    # compares them without abs().  fsum is correctly rounded, so neither
-    # the dropped zeros nor the order change the sum; the terms go in
-    # largest first, where fsum keeps few partials and runs in linear time.
+    # the mixture terms pair p[k] with the running CDF of Poisson(y) at k,
+    # Neumaier-compensated; as y >= lam, q runs at least as far as p, and
+    # zip stops at p's end.  The sum and the pmf are >= 0, so the Neumaier
+    # branch compares them without abs()
     acc = comp = 0.0
-    end = khi + 1 - jlo
-    s = max(klo - jlo, 0)
-    for x in islice(q, s):
-        t = acc + x
-        if acc >= x:
-            comp += (acc - t) + x
-        else:
-            comp += (x - t) + acc
-        acc = t
     terms = []
-    for x, pk in zip(islice(q, s, end), islice(p, max(jlo - klo, 0), None)):
+    for x, pk in zip(q, p):
         t = acc + x
         if acc >= x:
             comp += (acc - t) + x
@@ -437,7 +386,6 @@ def q1_series(args: QArgs) -> float:
             comp += (x - t) + acc
         acc = t
         terms.append(pk * ((acc + comp) / qmass))
-    terms.sort(reverse=True)
     return math.fsum(terms) / pmass
 
 

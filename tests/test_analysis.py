@@ -31,7 +31,7 @@ from marcumq.analysis import (
     scan_shifted_exp_chain,
     two_sided_b_grid,
 )
-from marcumq.bounds import BoundId, evaluate
+from marcumq.bounds import BoundId, compute_zeta, evaluate
 from marcumq.errors import DomainError, UnknownFigureError
 from marcumq.oracle import QArgs, q1_reference, rice_pdf
 
@@ -186,6 +186,13 @@ class TestChainScan:
         with pytest.raises(DomainError, match=f"^the chain requires b > 0, got b={b!r}$"):
             scan_shifted_exp_chain(b, 3.0, [2.0])
 
+    def test_message_and_grid_quote_b_exactly(self):
+        # b = 1000003 reads 1e+06 in :g form, as if the x given were above it
+        with pytest.raises(DomainError, match=r"^all x must exceed b=1000003\.0, got \[1000002\.0\]$"):
+            scan_shifted_exp_chain(1000003.0, 2.0, [1000002.0])
+        rep = scan_shifted_exp_chain(1000003.0, 2.5, [1000003.5, 1000004.0])
+        assert rep.grid == "b=1000003.0, m=2.5, 2 x values in [1000003.5, 1000004.0]"
+
 
 class TestEnvelopeScan:
     def test_reference_window_passes(self):
@@ -219,9 +226,10 @@ class TestEnvelopeScan:
         assert rep.witness[0] < 0.5
 
     def test_zeta_computed_once_per_scan(self, monkeypatch):
+        # zeta enters the exp-rate envelope as its rate below a, eta = a - zeta
         calls = []
-        zeta = analysis.compute_zeta
-        monkeypatch.setattr(analysis, "compute_zeta", lambda args: calls.append(args) or zeta(args))
+        eta = analysis._eta
+        monkeypatch.setattr(analysis, "_eta", lambda args: calls.append(args) or eta(args))
         rep = scan_envelope_ordering(10.0, 8.0, 200, x_lo=7.0, x_hi=8.0)
         assert calls == [QArgs(10.0, 8.0)]
         monkeypatch.undo()
@@ -252,6 +260,43 @@ class TestEnvelopeScan:
         assert envelope_exp_rate(0.5, 1e154, 1.0) == 0.0
         with pytest.raises(DomainError, match="cannot be tested on this grid"):
             scan_envelope_ordering(1e154, 1.0, 50)
+
+    @pytest.mark.parametrize(
+        "a,b,rel",
+        [
+            # 50-digit values; the form zeta x - (x^2 + a^2)/2 was off by
+            # 4.8e-5, 3.7e-11 and 3.4e-15 here, and 5.3e-16 is this form's worst
+            (1e6, 999999.5, 6e-16),
+            (1e3, 999.5, 6e-16),
+            (10.0, 8.0, 6e-16),
+        ],
+    )
+    def test_exp_rate_keeps_its_digits_at_large_a(self, a, b, rel):
+        with mp.workdps(50):
+            x, ma = mp.mpf(b), mp.mpf(a)
+            truth = x * mp.exp(mp.log(mp.besseli(0, ma * x)) - (x * x + ma * ma) / 2)
+        assert envelope_exp_rate(b, a, b) == pytest.approx(float(truth), rel=rel, abs=0.0)
+
+    def test_large_a_ordering_passes(self):
+        # all three curves coincide at x = b; the cancelling exponent put
+        # the exp-rate envelope 1.7e-5 under the sinh one there
+        rep = scan_envelope_ordering(1e6, 999999.5, 3)
+        assert rep.passed and rep.worst_violation < 1e-15, rep
+        assert rep.grid == "a=1e+06, b=999999.5, 3 points on [0, 999999.5], margin 1e-12"
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-1.0, 1.0), (1.0, math.nan), (1e160, 1.0), (1, True)]
+    )
+    def test_exp_rate_refuses_what_zeta_refuses(self, a, b):
+        def outcome(call):
+            try:
+                call()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        expected = outcome(lambda: compute_zeta(QArgs(a, b)))
+        assert expected is not None and outcome(lambda: envelope_exp_rate(0.5, a, b)) == expected
 
     def test_a_few_nonzero_samples_are_enough(self):
         # at a = 39.5, b = 1 only the two samples nearest x = b are nonzero

@@ -48,8 +48,8 @@ GOLDEN = {
     "fig01_json": (0, "fc10f3c05de9f91c52ed4805721e1ab0639c767e51c6e906fb049886da1de138"),
     "fig02": (0, "4d60f35c110469307b22788d1cb2ba064c8f55d57541fdafa9c67c3f83dd0ccb"),
     "fig02_json": (0, "176dacd2262f513c6993a4abc06e9e98a0b772805ed581a36d83be67c4b98ec6"),
-    "fig03": (0, "51fd61a06b31ecd9c7c70f0b375ad701128ffb55f80bba842ac2d917c20a6099"),
-    "fig03_json": (0, "d3a5cb8e3211ba60c94d24f5bd7600e5d429c3347d74160acff4a9668f025e79"),
+    "fig03": (0, "723bdfeff0e9566a9255871ce71f560a60d04cbec0e931e387f1b9afd747aae7"),
+    "fig03_json": (0, "612573eb302c7494c964cf24634bb72ad6e1bc9153d82c826b3fdef190a9de39"),
     "fig04": (0, "f1d9c36c1489fc121b0c635fb450d2dc76fff57bb6eee79e049041d2322bd5fd"),
     "fig04_json": (0, "d06b4de3d05106ef838e91987b65cfddc65185cde9e1668b655aad944379301d"),
     "fig05": (0, "f73cb3bff3be4bdec5bc5b25a91fdef85e1f5aa2a0a42d2f253ebfc449f79159"),
@@ -66,9 +66,9 @@ GOLDEN = {
     "fig10_json": (0, "68d6b003d86fa3d27a4cbcb3783b386294aaec57adb9549a1a0a2639f9650f4f"),
     "scan_chain_eq6": (0, "79f97310ec0ba1059ecafd30b8a8c00203a58694941ab0bff7e09852b5cb21df"),
     "scan_chain_eq6_json": (0, "746a4bbb6f456d219adf047304e3e42860fedc467f39d17589b6dd0d9d39f81f"),
-    "scan_envelope": (0, "f02c69b492443236aacc542bb72646cdb97fafa620f512cf5e38310ccc69d238"),
+    "scan_envelope": (0, "ea3be2272067916d2ad98e720becfef8dee7f64d2896d019682dd47bd94539ba"),
     "scan_envelope_a4_b3": (1, "dd5669e80ac79380a57867f6f690ca072aa1107aaf6dc2325a0c9ce059f0d2fb"),
-    "scan_envelope_json": (0, "ff22db53691b5703b1949e83f59c9edb582a402a4326a91dfdd0cad441a723af"),
+    "scan_envelope_json": (0, "db3ee838b11a03efab10cc64f99109c7fae03f0589c1858b8fa3e6d0d9176fd9"),
     "scan_f_dec_eq2": (0, "827bc7755bf816c1bda6c9baa0ca7f897f29fae452fd9f1f3cbc04ec36a1c51c"),
     "scan_f_dec_eq2_json": (0, "477f7095f4566472632ff2157d893e5844a3334583d8b82773b0882dfe335d7c"),
     "scan_f_inc_sinh": (0, "ee39b17c2654f852f58b8978c4cfe3ca9920f08086c48811929fcdbec6076575"),

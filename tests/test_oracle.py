@@ -246,13 +246,13 @@ class TestQuadrature:
     @_with_examples
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_full_range(self, point):
-        # panels past b + 15 are left out
+        # panels past a + 20 are left out
         a, b = point
         assert q1_quadrature(QArgs(a, b)) == _frozen_full_range_quadrature(a, b), (a, b)
 
     @pytest.mark.parametrize("b,panels", [(4.0, 9), (4.5, 9), (5.0, 8)])
     def test_panel_count_in_the_band(self, monkeypatch, b, panels):
-        # the tail ends at a + 20, the first seed past b + 15; the full
+        # the tail ends at a + 20, at least 19 past b; the full
         # range to b + 40 took 11, 11 and 10
         calls = []
         panel = oracle._gk15_panel
@@ -339,8 +339,22 @@ def _frozen_poisson_window(mean: float):
 
 
 def _window_bits(window):
-    lo, hi, pmf, mass, tail_lo, tail_hi = window
-    return lo, hi, [v.hex() for v in pmf], mass.hex(), tail_lo.hex(), tail_hi.hex()
+    pmf, mass, tail = window
+    return [v.hex() for v in pmf], mass.hex(), tail.hex()
+
+
+# the band's largest Poisson mean, b^2/2 at its corner (4.5249..., 5.5249...), ab = 25
+_LARGEST_BAND_MEAN = 5.524937810560444**2 / 2.0
+# band means from 1e-3 up to the largest
+_BAND_MEANS = [1e-3 * 10 ** (i / 4) for i in range(17)] + [_LARGEST_BAND_MEAN]
+
+
+def _frozen_band_window(mean: float):
+    """The frozen window at a band mean, where it starts at k = 0 with no
+    lower tail, as (pmf, mass, upper tail): the form _poisson_window returns."""
+    lo, hi, pmf, mass, tail_lo, tail_hi = _frozen_poisson_window(mean)
+    assert lo == 0 and tail_lo == 0.0 and hi == len(pmf) - 1, (mean, lo, tail_lo)
+    return pmf, mass, tail_hi
 
 
 def _series_closure_form(a: float, b: float) -> float:
@@ -431,10 +445,10 @@ class TestSeries:
             lambda a, b: (_series_closure_form(a, b),), a, b
         )
 
-    @pytest.mark.parametrize("mean", [1e-3 * 10 ** (i / 4) for i in range(26)] + [5e3])
+    @pytest.mark.parametrize("mean", _BAND_MEANS)
     def test_window_bit_identical_to_frozen_form(self, mean):
-        # the mass is summed in another order; fsum rounds it correctly either way
-        assert _window_bits(oracle._poisson_window(mean)) == _window_bits(_frozen_poisson_window(mean))
+        # the window is built in another order; fsum rounds its mass correctly either way
+        assert _window_bits(oracle._poisson_window(mean)) == _window_bits(_frozen_band_window(mean))
 
     @given(_BAND_POINTS)
     @_with_examples
@@ -486,13 +500,16 @@ class TestSeries:
         else:
             _refuses_outside_the_band(q1_series, a, b)
 
-    @pytest.mark.parametrize("mean", [1e-3, 0.5, 12.5, 40.1, 450.0, 5e3])
+    @pytest.mark.parametrize("mean", [1e-3, 0.5, 12.5, _LARGEST_BAND_MEAN])
     def test_exit_tail_bounds_match_the_windows(self, mean):
-        # the bounds from the lgamma-form pmf at the window's ends match those
-        # the window takes from its recurrence
-        lo, hi, _, _, tail_lo, tail_hi = oracle._poisson_window(mean)
-        bounds = oracle._tail_bounds(mean, lo, hi, oracle._pmf(mean, lo), oracle._pmf(mean, hi))
-        assert bounds == pytest.approx((tail_lo, tail_hi), rel=1e-9, abs=0.0)
+        # the bound from the lgamma-form pmf at the window's end matches the
+        # one the window takes from its recurrence; below, the frozen window
+        # starts at k = 0 and has no tail
+        pmf, _, tail = oracle._poisson_window(mean)
+        _frozen_band_window(mean)
+        hi = len(pmf) - 1
+        r = mean / (hi + 1)
+        assert oracle._pmf(mean, hi) * r / (1.0 - r) == pytest.approx(tail, rel=1e-9, abs=0.0)
 
     def test_published_spot_values(self):
         # (20, 20), ab = 400, and (2, 1) are outside the band: the oracle
@@ -536,22 +553,21 @@ class TestSeries:
             assert q1_reference(QArgs(a, b)).value == exit_value
 
     def test_exit_tail_bounds_at_the_largest_mean(self):
-        # the mass check at a large mean, 101^2/2 (a -> 100, b -> 101): each
-        # geometric bound is within 1% of the tail (30-digit
-        # quadrature of the incomplete gamma integrals; 0.63% over here)
-        mean = 101.0**2 / 2.0
-        lo, hi, _, _, tail_lo, tail_hi = oracle._poisson_window(mean)
+        # the mass check at the band's largest mean: the window starts at
+        # k = 0, so nothing lies below it, and the geometric bound is within
+        # 1% of the tail above (30-digit quadrature of the incomplete gamma
+        # integral; 0.20% over here)
+        mean = _LARGEST_BAND_MEAN
+        pmf, _, tail = oracle._poisson_window(mean)
+        _frozen_band_window(mean)
+        hi = len(pmf) - 1
         with mp.workdps(30):
             m = mp.mpf(mean)
-
-            def pmf(k):
-                return mp.exp(-m + k * mp.log(m) - mp.loggamma(k + 1))
-
-            # P[X < lo] = Q(lo, m) and P[X > hi] = P(hi + 1, m), each
-            # substituted about t = m into pmf times a smooth integral
-            below = pmf(lo - 1) * mp.quad(lambda s: mp.exp((lo - 1) * mp.log1p(s / m) - s), [0, 10, 100, 1000, mp.inf])
-            above = pmf(hi) * mp.quad(lambda s: mp.exp(hi * mp.log1p(-s / m) + s), [0, 10, 100, 1000, m])
-        assert (tail_lo, tail_hi) == pytest.approx((float(below), float(above)), rel=0.01)
+            # P[X > hi] = P(hi + 1, m), substituted about t = m into the pmf
+            # at hi times a smooth integral
+            pmf_hi = mp.exp(-m + hi * mp.log(m) - mp.loggamma(hi + 1))
+            above = pmf_hi * mp.quad(lambda s: mp.exp(hi * mp.log1p(-s / m) + s), [0, 1, 5, m])
+        assert tail == pytest.approx(float(above), rel=0.01)
 
 
 class TestAsymptotic:
@@ -983,6 +999,48 @@ def _backward_series(a, b):
         t *= zeta * ratio
         terms.append(t)
     return math.fsum(terms) * math.exp(-oracle._split_exponent(lo, hi)[1]), k
+
+
+def _symmetry_pairs(n: int = 2000):
+    """(a, b), b > a: a log-uniform in [1e-3, 100], b - a log-uniform in [1e-3, 60], seed 1."""
+    rng = random.Random(1)
+    for _ in range(n):
+        a = math.exp(rng.uniform(math.log(1e-3), math.log(100.0)))
+        yield a, a + math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+
+
+def _symmetry_route(method, res, a: float, b: float) -> str:
+    """The route one side of the relation took, for a failure message."""
+    form = "1 - Q1" if res.complement else "Q1"
+    if method is q1_trapezoid and res.complement:
+        form += ", expm1 kernel" if 2.0 * a * b <= oracle._TRAPEZOID_CUT else ", exp kernel"
+    return f"{method.__name__}({a!r}, {b!r}): {form}, {res.nodes} nodes"
+
+
+class TestSymmetryRelation:
+    # Q1(a, b) + Q1(b, a) = 1 + e^(-(b - a)^2/2) i0e(ab): for b > a, in the
+    # (scaled, exponent) form that both sides share, S(a, b) - S_c(b, a) =
+    # i0e(ab) e^-r, r the rounding of the exponent.  No truth is needed.
+    # The bound c eps (S + S_c + i0e) starts at this sample's measured
+    # worst, rounded up: 1.097 for the trapezoid (1,744 of the 2,000 pairs
+    # answer on both sides) and 0.789 for the Bessel series (all 2,000)
+    @pytest.mark.parametrize("method,c", [(q1_trapezoid, 1.1), (q1_bessel_series, 0.8)])
+    def test_scaled_values_meet_the_relation(self, method, c):
+        answered = 0
+        for a, b in _symmetry_pairs():
+            try:
+                s, sc = method(QArgs(a, b)), method(QArgs(b, a))
+            except (DomainError, ConvergenceError):
+                continue
+            answered += 1
+            assert not s.complement and sc.complement and s.exponent == sc.exponent, (a, b)
+            i0e = oracle.bessel_i0_scaled(a * b)
+            miss = (s.scaled - sc.scaled) - i0e * math.exp(-oracle._split_exponent(a, b)[1])
+            assert abs(miss) <= c * oracle._EPSILON * (s.scaled + sc.scaled + i0e), (
+                f"{_symmetry_route(method, s, a, b)} and {_symmetry_route(method, sc, b, a)} "
+                f"miss the symmetry relation by {miss!r}"
+            )
+        assert answered >= {q1_trapezoid: 1744, q1_bessel_series: 2000}[method]
 
 
 class TestDiagonal:

@@ -24,7 +24,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .bounds import BoundId, compute_zeta, eval_all, eval_ids
+from .bounds import BoundId, compute_zeta, eps_pct, eval_all, eval_ids
 from .errors import DomainError, UnknownFigureError, _exact
 from .oracle import QArgs, _new_record, q1_reference, rice_pdf
 from .specfun import _HANKEL_X, _i0e, _i0e_i1e, _i0e_minus_i1e_hankel, bessel_i0_scaled, bessel_i1_scaled
@@ -142,11 +142,6 @@ def _check_two_sided_size(a_values: Sequence[float], b_per_a: int) -> None:
         raise DomainError(
             f"grid needs at most {MAX_GRID_POINTS} points, got {len(a_values)} a x {b_per_a} b = {total}"
         )
-
-
-def eps_pct(raw: float, exact: float) -> float:
-    """Tightness 100 |raw - exact| / exact in percent; inf when exact <= 0."""
-    return 100.0 * abs(raw - exact) / exact if exact > 0.0 else math.inf
 
 
 def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list[ErrorRow]:

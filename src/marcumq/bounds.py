@@ -113,6 +113,11 @@ def regime_of(args: QArgs) -> Regime:
     return _B_GE_A if args.b >= args.a else _B_LT_A
 
 
+def eps_pct(raw: float, exact: float) -> float:
+    """Tightness 100 |raw - exact| / exact in percent; inf when exact <= 0."""
+    return 100.0 * abs(raw - exact) / exact if exact > 0.0 else math.inf
+
+
 def _regime_message(bid: BoundId, args: QArgs) -> str:
     """The message of the RegimeError ``bid`` raises at a point outside its regime."""
     need = "b >= a" if bid.regime is Regime.BGeqA else "b <= a"

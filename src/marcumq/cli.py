@@ -10,7 +10,11 @@ comparison tables, ``_SCANS`` for the scans (flags, defaults and the
 call), ``analysis.figure_data``'s for the figures.  Each format has one
 writer, ``_csv`` and ``_json``; scans print a ``key: value`` report in
 place of csv.  ``eval`` reports ``eval_all`` at one point, the same
-evaluation loop ``bounds.evaluate`` runs for a single id.
+evaluation loop ``bounds.evaluate`` runs for a single id.  ``table``,
+``scan`` and ``figdata`` import ``analysis`` when they run, and ``_json``
+imports ``json``, so importing this module and running ``eval`` load
+neither (compiling them was a quarter of the import without a bytecode
+cache).
 """
 
 from __future__ import annotations
@@ -20,29 +24,17 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    MAX_GRID_POINTS,
-    ErrorRow,
-    ScanReport,
-    eps_pct,
-    error_table,
-    figure_data,
-    scan_envelope_ordering,
-    scan_f_ratio_monotone,
-    scan_g_negative,
-    scan_jp_dominance,
-    scan_sandwich,
-    scan_shifted_exp_chain,
-    log_grid,
-)
-from .bounds import BoundId, Regime, eval_all, regime_of
+from .bounds import BoundId, Regime, eps_pct, eval_all, regime_of
 from .errors import DomainError, RegimeError, SingularityError, UnknownFigureError, _exact
 from .oracle import QArgs, q1_reference
+
+if TYPE_CHECKING:
+    from .analysis import ErrorRow, ScanReport
 
 _PRESETS = {
     "V": (0.1, 0.1, 1.0, 0.1, (BoundId.UB1JP, BoundId.UB1A)),
@@ -54,27 +46,28 @@ _PRESETS = {
 # the scan grid flags, in the order the parser adds them
 _SCAN_FLAGS = ("lo", "hi", "n", "m", "a", "b")
 
-# scan property -> ({grid flag it reads: default}, run(**flags)); --n is the
-# grid's point count, or b values per a.  Each run looks its scan up among
-# this module's globals at call time, so rebinding one here reaches it.
+# scan property -> ({grid flag it reads: default}, run(analysis, **flags)); --n
+# is the grid's point count, or b values per a.  Each run looks its scan up on
+# the ``analysis`` module cmd_scan passes it, at call time, so rebinding one
+# there reaches it.
 _RATIO_GRID = {"lo": 1e-3, "hi": 700.0, "n": 10000}
 _SCANS = {
-    "g_negative": (_RATIO_GRID, lambda lo, hi, n: scan_g_negative(lo, hi, n)),
-    "f_dec_eq2": (_RATIO_GRID, lambda lo, hi, n: scan_f_ratio_monotone("f_dec_eq2", lo, hi, n)),
-    "f_inc_sinh": (_RATIO_GRID, lambda lo, hi, n: scan_f_ratio_monotone("f_inc_sinh", lo, hi, n)),
+    "g_negative": (_RATIO_GRID, lambda an, lo, hi, n: an.scan_g_negative(lo, hi, n)),
+    "f_dec_eq2": (_RATIO_GRID, lambda an, lo, hi, n: an.scan_f_ratio_monotone("f_dec_eq2", lo, hi, n)),
+    "f_inc_sinh": (_RATIO_GRID, lambda an, lo, hi, n: an.scan_f_ratio_monotone("f_inc_sinh", lo, hi, n)),
     "chain_eq6": (
         {"b": 1.0, "m": 3.0, "lo": None, "hi": None, "n": 100},
-        lambda b, m, lo, hi, n: scan_shifted_exp_chain(
-            b, m, log_grid(b + 0.5 if lo is None else lo, b + 50.0 if hi is None else hi, n)
+        lambda an, b, m, lo, hi, n: an.scan_shifted_exp_chain(
+            b, m, an.log_grid(b + 0.5 if lo is None else lo, b + 50.0 if hi is None else hi, n)
         ),
     ),
     # the window defaults to the scan's own
     "envelope": (
         {"a": 10.0, "b": 8.0, "lo": None, "hi": None, "n": 500},
-        lambda a, b, lo, hi, n: scan_envelope_ordering(a, b, n, x_lo=lo, x_hi=hi),
+        lambda an, a, b, lo, hi, n: an.scan_envelope_ordering(a, b, n, x_lo=lo, x_hi=hi),
     ),
-    "sandwich": ({"n": 50}, lambda n: scan_sandwich(b_per_a=n)),
-    "jp_dominance": ({"n": 50}, lambda n: scan_jp_dominance(b_per_a=n)),
+    "sandwich": ({"n": 50}, lambda an, n: an.scan_sandwich(b_per_a=n)),
+    "jp_dominance": ({"n": 50}, lambda an, n: an.scan_jp_dominance(b_per_a=n)),
 }
 SCAN_PROPERTIES = tuple(_SCANS)
 
@@ -96,6 +89,8 @@ def _csv(rows: Iterable[Iterable]) -> str:
 def _json(obj: object) -> str:
     """``obj`` as RFC 8259 json: a non-finite float, such as an infinite
     eps % or a bound singular at b = a, is written as null."""
+    import json
+
     return json.dumps(_finite(obj), indent=2, allow_nan=False) + "\n"
 
 
@@ -119,6 +114,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _b_grid(start: float, end: float, step: float) -> list[float]:
+    from .analysis import MAX_GRID_POINTS
+
     if not 0.0 < step < math.inf:
         raise DomainError(f"--b-step must be positive and finite, got {step!r}")
     if end < start:
@@ -237,6 +234,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
+    from .analysis import error_table
+
     if ns.preset:
         _reject_flags(ns, _TABLE_FLAGS, f"--preset {ns.preset} fixes a, the b grid and the ids")
         a, start, end, step, ids = _PRESETS[ns.preset]
@@ -293,15 +292,19 @@ def _report_json(rep: ScanReport) -> str:
 
 
 def cmd_scan(ns: argparse.Namespace) -> int:
+    from . import analysis
+
     defaults, run = _SCANS[ns.property]
     unread = [f for f in _SCAN_FLAGS if f not in defaults]
     _reject_flags(ns, unread, f"--property {ns.property} reads only {', '.join('--' + f for f in defaults)}")
-    rep = run(**{f: d if getattr(ns, f) is None else getattr(ns, f) for f, d in defaults.items()})
+    rep = run(analysis, **{f: d if getattr(ns, f) is None else getattr(ns, f) for f, d in defaults.items()})
     _emit(_report_json(rep) if ns.format == "json" else _report_text(rep), None)
     return 0 if rep.passed else 1
 
 
 def cmd_figdata(ns: argparse.Namespace) -> int:
+    from .analysis import figure_data
+
     table = figure_data(ns.figure)
     if ns.format == "json":
         _emit(_json([dict(zip(table.columns, row)) for row in table.rows]), ns.out)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import marcumq.cli as cli
+from marcumq import analysis
 from marcumq.analysis import ScanReport
 from marcumq.cli import main
 
@@ -413,7 +414,7 @@ class TestScan:
             property_id="g_negative", grid="stub", worst_violation=1.0,
             witness=(1.0,), passed=False,
         )
-        monkeypatch.setattr(cli, "scan_g_negative", lambda lo, hi, n: rep)
+        monkeypatch.setattr(analysis, "scan_g_negative", lambda lo, hi, n: rep)
         rc, out, _ = run_cli(capsys, "scan", "--property", "g_negative")
         assert rc == 1
         assert "passed: False" in out

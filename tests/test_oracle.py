@@ -1857,6 +1857,92 @@ def test_one_range_memory():
         assert peak < 64 * 1024, (a, b, peak)
 
 
+def _cost_points(seed, n):
+    """n seeded (a, b) over the whole range: a log-uniform in [1e-3, sqrt(DBL_MAX)]
+    and b, in turn, log-uniform on its own, within 40 of a, at a relative
+    distance 10^-u from it, a times u, just past |b - a| = 1, or both below
+    1e3; one point in eight has a subnormal a or b, and one in eight a zero."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
+
+    points = []
+    for i in range(n):
+        a = log_uniform(1e-3, oracle.MAX_ARG)
+        kind = i % 8
+        if kind < 4:
+            b = [log_uniform(1e-3, oracle.MAX_ARG), a + rng.uniform(-40.0, 40.0),
+                 a * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 17.0)), a * rng.uniform(0.0, 4.0)][kind]
+        elif kind == 4:
+            b = a + rng.choice([-1.0, 1.0]) * (1.0 + 10.0 ** -rng.uniform(1.0, 16.0))
+        elif kind == 5:
+            a, b = log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e3)
+        else:
+            b = log_uniform(5e-324, 2.2e-308) if kind == 6 else 0.0
+            if rng.random() < 0.5:
+                a, b = b, a
+        points.append((a, min(max(b, 0.0), oracle.MAX_ARG)))
+    return points
+
+
+# the cost of one q1_reference call outside the band, held to ceilings that do
+# not depend on (a, b): the most trapezoid nodes, the most Bessel-series terms
+# and the most memory traced.  Each ceiling starts at the measured maximum, at
+# the deepest point of its method, which the sample below includes: the
+# trapezoid's just past |b - a| = 1 near a = 1.4e14 (174 nodes; the step
+# between doubles there keeps b - a from coming closer to 1), the Bessel
+# series' just past b = a - 1 below a = 100 (787 terms).  The band's
+# quadrature has no such ceiling (about 138 Rice densities a call, over
+# adaptive panels), so the sample leaves the band out until ROADMAP item 1
+# deletes it.  No time is asserted, so the test cannot flake on a loaded host.
+_COST_CEILINGS = {"q1_trapezoid": 174, "q1_bessel_series": 787}
+# tracemalloc does not see an object CPython hands back from a free list, so a
+# peak depends on what ran before: at the trapezoid's deepest point it is
+# 4,304 B with the float and tuple free lists full and 7,232 B with them empty
+_COST_PEAK_CEILING = 8192
+_COST_EDGES = [
+    (139139970322132.98, 139139970322134.0),
+    (99.99999999999999, 98.99999999999997),
+    (oracle.MAX_ARG, oracle.MAX_ARG),
+    (oracle.MAX_ARG, 0.0),
+    (0.0, oracle.MAX_ARG),
+]
+
+
+def test_cost_has_a_ceiling_outside_the_band(monkeypatch):
+    sample = [p for p in _cost_points("cost ceiling", 20_000) if not in_the_band(*p)]
+    sides = {(b > a) - (b < a) for a, b in sample}
+    assert sides == {-1, 0, 1}
+    assert any(0.0 < min(p) < 2.2250738585072014e-308 for p in sample) and any(0.0 in p for p in sample)
+    # the memory first, on one call in 50, with no spy whose allocations would count
+    peaks = []
+    for a, b in _COST_EDGES + sample[::50]:
+        tracemalloc.start()
+        try:
+            q1_reference(QArgs(a, b))
+            peaks.append((tracemalloc.get_traced_memory()[1], a, b))
+        finally:
+            tracemalloc.stop()
+    worst = max(peaks)
+    assert worst[0] <= _COST_PEAK_CEILING, worst
+    # then the work each method reports, on every call
+    most = dict.fromkeys(_COST_CEILINGS, (0, None))
+    for name in _COST_CEILINGS:
+        method = getattr(oracle, name)
+
+        def spy(args, name=name, method=method):
+            res = method(args)
+            most[name] = max(most[name], (res.nodes, args), key=lambda m: m[0])
+            return res
+
+        monkeypatch.setattr(oracle, name, spy)
+    for a, b in _COST_EDGES + sample:
+        q1_reference(QArgs(a, b))
+    for name, ceiling in _COST_CEILINGS.items():
+        assert 0 < most[name][0] <= ceiling, (name, most[name])
+
+
 # rice_pdf's one message outside [0, sqrt(DBL_MAX)], up to the point it quotes
 _RICE_RANGE = r"^rice_pdf takes x, a in \[0, sqrt\(DBL_MAX\) = 1\.3407807929942596e\+154\], got x="
 

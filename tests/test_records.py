@@ -106,6 +106,15 @@ def test_default_mappings_are_read_only():
             empty["x"] = 1
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports this marcumq."""
+    src = os.path.dirname(os.path.dirname(marcumq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+
+
 def test_cold_import_skips_dataclasses_and_inspect():
     code = (
         "import sys\n"
@@ -113,14 +122,32 @@ def test_cold_import_skips_dataclasses_and_inspect():
         "import marcumq, marcumq.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    src = os.path.dirname(os.path.dirname(marcumq.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-    ).stdout.split()
+    out = _fresh_interpreter(code).split()
     assert "marcumq.cli" in out
     assert "dataclasses" not in out
     assert "inspect" not in out
     # the package imports only the standard library: no new runtime dependency
     top = {m.split(".")[0] for m in out}
     assert top - {"marcumq"} <= sys.stdlib_module_names, sorted(top - {"marcumq"} - sys.stdlib_module_names)
+
+
+def test_eval_loads_neither_analysis_nor_json():
+    # the modules loaded after the import, after an eval, and after a scan
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import marcumq, marcumq.cli\n"
+        "loaded = [set(sys.modules) - before]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    marcumq.cli.main(['eval', '--a', '1', '--b', '2'])\n"
+        "    loaded.append(set(sys.modules) - before)\n"
+        "    marcumq.cli.main(['scan', '--property', 'chain_eq6'])\n"
+        "loaded.append(set(sys.modules) - before)\n"
+        "print('\\n'.join(' '.join(sorted(m)) for m in loaded))\n"
+    )
+    imported, evaluated, scanned = (line.split() for line in _fresh_interpreter(code).splitlines())
+    for loaded in (imported, evaluated):
+        assert "marcumq.cli" in loaded
+        assert "marcumq.analysis" not in loaded
+        assert "json" not in loaded
+    assert "marcumq.analysis" in scanned

@@ -239,9 +239,13 @@ def ratio_exp3(x: float) -> float:
 
 
 def _pref_sinh(a: float, b: float) -> float:
-    """b I0(ab) / (e^ab - e^-ab) in scaled form, stable down to ab -> 0."""
+    """b I0(ab) / (e^ab - e^-ab) in scaled form, stable as ab -> 0; DomainError where it is not finite."""
     ab = a * b
-    return b * bessel_i0_scaled(ab) / (-math.expm1(-2.0 * ab))
+    s = -math.expm1(-2.0 * ab)
+    pref = b * bessel_i0_scaled(ab) / s if s else math.inf
+    if not math.isfinite(pref):  # ab is 0.0, or b/(2ab) = 1/(2a) overflows
+        raise DomainError(f"the sinh envelope needs a finite b I0(ab)/(e^ab - e^-ab), got (a={_exact(a)}, b={_exact(b)})")
+    return pref
 
 
 def ratio_sinh(x: float) -> float:
@@ -334,7 +338,8 @@ def scan_shifted_exp_chain(b: float, m: float, x_values: list[float]) -> ScanRep
 
 
 def envelope_sinh(x: float, a: float, b: float) -> float:
-    """Rice density envelope from the sinh-ratio I0 approximation:
+    """Rice density envelope from the sinh-ratio I0 approximation, refused
+    with DomainError where its prefactor b I0(ab)/(e^ab - e^-ab) is not finite:
 
         b I0(ab)/(e^ab - e^-ab) [e^(-(x-a)^2/2) - e^(-(x+a)^2/2)].
     """

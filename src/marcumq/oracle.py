@@ -31,8 +31,8 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     For b < a it uses Q1(a, b) = 1 + e^(-(a-b)^2/2) i0e(ab) - Q1(b, a),
     with i0e from its own Hankel sum.  erfc(w) and e^-w^2 are taken at
     the true w = (b - a)/sqrt(2): the roundings of b - a, of w and of w^2
-    are carried to first order (Dekker), as a rounded w costs their
-    relative slope 2w^2 times an ulp (1.2e-13 at b - a = 30).  Its
+    are carried to first order (Dekker, in ``specfun``), as a rounded w
+    costs their relative slope 2w^2 times an ulp (1.2e-13 at b - a = 30).  Its
     domain is large xi with (b - a)^2 small against xi; there each sum
     is one straight loop of a few terms, O(1) time and memory.  Outside,
     its terms grow before reaching double precision and ConvergenceError
@@ -57,9 +57,10 @@ Six methods are provided; ``q1_reference`` cross-validates two of them:
     refuses a point needing more than 1e5 recurrence steps; every a < 100
     off b = a needs at most about 1,000.
 
-``q1_reference`` pairs two methods by region.  The two of a pair share
-no code, except that the trapezoid and the Bessel series take the
-exponent from one helper, so that the gate compares it exactly.  In the
+``q1_reference`` pairs two methods by region.  A pair shares only code
+in ``specfun``: the trapezoid, the expansion and the Bessel series take
+the exponent from ``_split_exponent`` (so the gate compares it exactly),
+and the diagonal route and the Bessel series both call i0e.  In the
 band, a <= b <= a + 1 with ab < 25 (so a < 5), it pairs the quadrature
 with the Poisson series, which run at an absolute tolerance of
 DEFAULT_TOL = 1e-12 and answer in the band only, and returns their mean.
@@ -98,7 +99,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, CrossValidationError, DomainError, _brief
-from .specfun import bessel_i0_scaled, bessel_i1_scaled
+from .specfun import _split_exponent, _two_prod, bessel_i0_scaled, bessel_i1_scaled
 
 # from here on q1_reference pairs q1_diagonal or q1_trapezoid with
 # q1_asymptotic at every b; below it, only where _expansion_checks holds
@@ -132,11 +133,8 @@ _BESSEL_MAX_STEPS = 100_000
 _MAX_PANELS = 2000  # the quadrature's panel budget
 _EXP_UNDERFLOW = 745.0  # exp(-x) is 0.0 in double precision past this
 _SQRT_PI = math.sqrt(math.pi)
-# 1/sqrt(2) = _RSQRT2 + _RSQRT2_LO, and the double's Dekker halves _RSQRT2_HI + _RSQRT2_TL
 _RSQRT2 = math.sqrt(0.5)
-_RSQRT2_LO = -4.833646656726457e-17
-_RSQRT2_HI = 134217729.0 * _RSQRT2 - (134217729.0 * _RSQRT2 - _RSQRT2)
-_RSQRT2_TL = _RSQRT2 - _RSQRT2_HI
+_RSQRT2_LO = -4.833646656726457e-17  # 1/sqrt(2) - _RSQRT2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = 1.7976931348623157e308
 _MIN_NORMAL = 2.2250738585072014e-308  # the smallest normal double
@@ -429,16 +427,11 @@ def _q1_large_xi(a: float, b: float) -> float:
     tiny xi = ab makes the second term inf.
     """
     xi, rho = a * b, b / a
-    # w = (b - a)/sqrt(2) as w + w_lo, with the roundings of b - a (Fast2Sum) and
-    # of the product (Dekker's split) carried, and w^2 = (b - a)^2/2 = w2 + r
+    # w = (b - a)/sqrt(2) as w + w_lo: Dekker's product of the double b - a and _RSQRT2,
+    # plus the roundings of 1/sqrt(2) and of b - a (Fast2Sum, exact as b >= a); w^2 = w2 + r
     delta = b - a
-    c = 134217729.0 * delta
-    d_hi = c - (c - delta)
-    d_lo = delta - d_hi
-    w = delta * _RSQRT2
-    w_lo = (
-        (((d_hi * _RSQRT2_HI - w) + d_hi * _RSQRT2_TL) + d_lo * _RSQRT2_HI) + d_lo * _RSQRT2_TL
-    ) + (delta * _RSQRT2_LO + ((b - delta) - a) * _RSQRT2)
+    w, w_lo = _two_prod(delta, _RSQRT2)
+    w_lo += delta * _RSQRT2_LO + ((b - delta) - a) * _RSQRT2
     w2, r = _split_exponent(a, b)
     # erfc and e^-w^2 at the true w, to first order in w_lo and r, from one exp
     e = math.exp(-w2)
@@ -550,27 +543,6 @@ def _simon_terms_dual(
         out.append(g * exp(e))
         out1.append(g * expm1(e))
     return out, out1
-
-
-def _split_exponent(lo: float, hi: float) -> tuple[float, float]:
-    """(d, r): the double d = 0.5 * (hi - lo)^2, and r = the true 0.5 (hi - lo)^2 - d.
-
-    hi - lo = delta + delta_lo and delta^2 = sq + sq_lo exactly (Fast2Sum,
-    Dekker's split), so the true exponent exceeds d by r; a method that
-    returns e^-d times its scaled value multiplies that value by e^-r.
-    From d = 2^52 on, where e^-d underflows whatever r is and e^-r itself
-    can overflow, r is 0.0: the scaled value is then the integral S alone.
-    """
-    delta = hi - lo
-    sq = delta * delta
-    if sq >= 2.0**53:
-        return 0.5 * sq, 0.0
-    delta_lo = (hi - delta) - lo
-    c = 134217729.0 * delta
-    d_hi = c - (c - delta)
-    d_lo = delta - d_hi
-    sq_lo = ((d_hi * d_hi - sq) + 2.0 * d_hi * d_lo) + d_lo * d_lo
-    return 0.5 * sq, 0.5 * (sq_lo + delta_lo * (2.0 * delta + delta_lo))
 
 
 def q1_trapezoid(args: QArgs) -> TrapezoidResult:

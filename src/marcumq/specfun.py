@@ -1,4 +1,4 @@
-"""Overflow-free elementary special functions.
+"""Overflow-free elementary special functions, and Dekker's error-free products.
 
 The exponentially scaled modified Bessel functions i0e(x) = e^-x I0(x)
 and i1e(x) = e^-x I1(x) and log I0(x), and a cancellation-safe
@@ -43,6 +43,7 @@ _LOG_DBL_MAX = 709.782712893384
 # the argument guards take finite x >= 0 as 0.0 <= x <= _DBL_MAX, which
 # also refuses NaN and an int past the double range, without a call
 _DBL_MAX = 1.7976931348623157e308
+_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split of x is c - (c - x) and its rest, c = _SPLITTER * x
 
 
 # --- generated by tests/make_bessel_coeffs.py: do not edit by hand ---
@@ -333,3 +334,34 @@ def erfc_diff_centered(m: float, delta: float) -> float:
     if width < 1e-4:
         return _erfc_diff_midpoint(m, delta)
     return erfc_diff(m - 0.5 * delta, m + 0.5 * delta)
+
+
+def _two_prod(x: float, y: float) -> tuple[float, float]:
+    """(p, e): the double p = x * y and e = x y - p (Dekker's product), exact
+    unless a step overflows (|x| or |y| past about 1.3e300) or e underflows."""
+    p = x * y
+    c, d = _SPLITTER * x, _SPLITTER * y
+    x_hi, y_hi = c - (c - x), d - (d - y)
+    x_lo, y_lo = x - x_hi, y - y_hi
+    return p, (((x_hi * y_hi - p) + x_hi * y_lo) + x_lo * y_hi) + x_lo * y_lo
+
+
+def _split_exponent(lo: float, hi: float) -> tuple[float, float]:
+    """(d, r): the double d = 0.5 * (hi - lo)^2, and r = the true 0.5 (hi - lo)^2 - d.
+
+    hi - lo = delta + delta_lo and delta^2 = sq + sq_lo exactly (Fast2Sum,
+    Dekker's split), so the true exponent exceeds d by r; a method that
+    returns e^-d times its scaled value multiplies that value by e^-r.
+    From d = 2^52 on, where e^-d underflows whatever r is and e^-r itself
+    can overflow, r is 0.0: the scaled value is then the integral S alone.
+    """
+    delta = hi - lo
+    sq = delta * delta
+    if sq >= 2.0**53:
+        return 0.5 * sq, 0.0
+    delta_lo = (hi - delta) - lo  # Fast2Sum, exact as hi >= lo
+    c = _SPLITTER * delta
+    d_hi = c - (c - delta)
+    d_lo = delta - d_hi
+    sq_lo = ((d_hi * d_hi - sq) + 2.0 * d_hi * d_lo) + d_lo * d_lo
+    return 0.5 * sq, 0.5 * (sq_lo + delta_lo * (2.0 * delta + delta_lo))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -32,7 +33,7 @@ from marcumq.analysis import (
     two_sided_b_grid,
 )
 from marcumq.bounds import BoundId, compute_zeta, evaluate
-from marcumq.errors import DomainError, UnknownFigureError
+from marcumq.errors import DomainError, UnknownFigureError, _exact
 from marcumq.oracle import QArgs, q1_reference, rice_pdf
 
 
@@ -260,6 +261,15 @@ class TestEnvelopeScan:
         assert envelope_exp_rate(0.5, 1e154, 1.0) == 0.0
         with pytest.raises(DomainError, match="cannot be tested on this grid"):
             scan_envelope_ordering(1e154, 1.0, 50)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1e-300, 1e-300), (2.0, 0.0), (1e-310, 1.0)])
+    def test_sinh_refuses_where_its_prefactor_is_not_finite(self, a, b):
+        # at ab = 0.0 the prefactor divided by zero (ZeroDivisionError), and at
+        # ab = 1e-310 its b/(2ab) = 1/(2a) overflowed, so the envelope read inf
+        # where the exp-rate one reads 0.441
+        message = f"the sinh envelope needs a finite b I0(ab)/(e^ab - e^-ab), got (a={_exact(a)}, b={_exact(b)})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            envelope_sinh(0.5, a, b)
 
     @pytest.mark.parametrize(
         "a,b,rel",

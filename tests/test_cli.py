@@ -358,6 +358,15 @@ class TestScan:
         assert err.startswith("error: envelope ordering cannot be tested on this grid")
         assert "Traceback" not in err
 
+    def test_envelope_where_ab_underflows_exit_2(self, capsys):
+        # ab = 1e-601 is 0.0, where the sinh envelope's prefactor divided by zero
+        rc, out, err = run_cli(capsys, "scan", "--property", "envelope", "--a", "1e-300", "--b", "1e-301")
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "error: the sinh envelope needs a finite b I0(ab)/(e^ab - e^-ab), got (a=1e-300, b=1e-301)\n"
+        )
+
     @pytest.mark.parametrize("a,b", [("1e200", "1e199"), ("1e160", "1")])
     def test_envelope_past_the_catalog_range_exit_2(self, capsys, a, b):
         # QArgs names the range, not "log_bessel_i0 ... got inf" where ab overflows

@@ -10,7 +10,10 @@ implementation in the cross-check tests.
 """
 
 import math
+import pathlib
+import random
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -426,3 +429,113 @@ class TestErfcDiffCentered:
         got = erfc_diff_centered(3.0, 1e-20)
         assert got > 0.0
         assert got == pytest.approx(ERFC_DIFF_CENTERED_3_1EM20, rel=1e-13, abs=0.0)
+
+
+def _seeded_double(rng, exponent):
+    """A seeded double of either sign with frexp exponent ``exponent`` (subnormal below -1021)."""
+    return rng.choice([-1.0, 1.0]) * math.ldexp(rng.uniform(0.5, 1.0), exponent)
+
+
+def _exact_residual(lo, hi):
+    """(r, slack): the true 0.5 (hi - lo)^2 less the double d, and the size
+    of the terms r is summed from, |r| + |delta_lo (2 delta + delta_lo)|."""
+    delta = hi - lo
+    delta_lo = Fraction(hi) - Fraction(lo) - Fraction(delta)
+    r = (Fraction(hi) - Fraction(lo)) ** 2 / 2 - Fraction(0.5 * (delta * delta))
+    return r, abs(r) + abs(delta_lo * (2 * Fraction(delta) + delta_lo))
+
+
+class TestErrorFreeHelpers:
+    # Dekker's product and the exponent split against exact rational
+    # arithmetic.  A fault in either reaches both methods of the oracle's
+    # trapezoid-expansion and trapezoid-Bessel pairs, so the gate cannot see it
+    EPS = 2.0**-52
+
+    def test_two_prod_is_exact(self):
+        # frexp exponents summing to -968 or more (e_min + p - 1 in IEEE
+        # terms), subnormal factors included, below the splitter's limit
+        rng = random.Random("two_prod exact")
+        for _ in range(4000):
+            ex = rng.randint(-1073, 996)
+            ey = rng.randint(max(-968 - ex, -1073), min(1000 - ex, 996))
+            x, y = _seeded_double(rng, ex), _seeded_double(rng, ey)
+            p, e = specfun._two_prod(x, y)
+            assert p == x * y and Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y), (x, y)
+
+    def test_two_prod_error_term_underflows_below_the_limit(self):
+        # just below that exponent sum the product is still the double x * y,
+        # but its error term can fall under the subnormal range and round
+        rng = random.Random("two_prod underflow")
+        inexact = 0
+        for _ in range(2000):
+            ex = rng.randint(-1073, 0)
+            x, y = _seeded_double(rng, ex), _seeded_double(rng, rng.randint(-990, -969) - ex)
+            p, e = specfun._two_prod(x, y)
+            assert p == x * y, (x, y)
+            inexact += Fraction(p) + Fraction(e) != Fraction(x) * Fraction(y)
+        assert inexact > 1000
+
+    def test_two_prod_overflows_past_the_splitter_limit(self):
+        # |x| from DBL_MAX / (2^27 + 1) ~ 1.34e300 up overflows the splitter's product
+        limit = specfun._DBL_MAX / specfun._SPLITTER
+        below = math.nextafter(limit, 0.0)
+        for x in (below, -below):
+            p, e = specfun._two_prod(x, 0.7)
+            assert Fraction(p) + Fraction(e) == Fraction(x) * Fraction(0.7)
+        for x in (limit, 1.4e300, -1e305):
+            p, e = specfun._two_prod(x, 1e-10)
+            assert math.isfinite(p) and math.isnan(e), x
+
+    def test_split_exponent_residual(self):
+        # r is the true exponent less d to a few roundings of its own terms,
+        # wherever delta >= 2^-480 keeps the square's split exact; lo may be
+        # subnormal.  From lo = 0, where hi - lo is exact, r is the square's
+        # rounding alone, and exact
+        rng = random.Random("split exponent")
+        for i in range(4000):
+            e = rng.randint(-480, 25)
+            lo = abs(_seeded_double(rng, rng.randint(-1073, 60) if i % 2 else e + rng.randint(-5, 5)))
+            hi = lo + math.ldexp(rng.uniform(0.5, 1.0), e)
+            d, r = specfun._split_exponent(lo, hi)
+            delta = hi - lo
+            assert d == 0.5 * (delta * delta), (lo, hi)
+            true_r, slack = _exact_residual(lo, hi)
+            assert abs(Fraction(r) - true_r) <= self.EPS * slack, (lo, hi)
+            d, r = specfun._split_exponent(0.0, delta)
+            assert Fraction(r) == Fraction(delta) ** 2 / 2 - Fraction(d), delta
+
+    def test_split_exponent_at_its_largest_delta(self):
+        # the largest delta with delta^2 < 2^53 is still split; one ulp up, r is 0.0
+        top = 94906265.62425154
+        up = math.nextafter(top, math.inf)
+        assert top * top < 2.0**53 <= up * up
+        for lo in (0.0, 1e-3, 0.3, 7.25):
+            hi = lo + top
+            assert hi - lo == top
+            d, r = specfun._split_exponent(lo, hi)
+            true_r, slack = _exact_residual(lo, hi)
+            assert d == 0.5 * (top * top) and abs(Fraction(r) - true_r) <= self.EPS * slack, lo
+        assert specfun._split_exponent(0.0, up) == (0.5 * (up * up), 0.0)
+
+    def test_split_exponent_in_the_subnormal_range(self):
+        # where delta^2 is subnormal its split is no longer exact and r loses
+        # its relative accuracy, but stays within the least subnormal of the
+        # truth, where e^-r is 1.0 either way
+        rng = random.Random("split exponent subnormal")
+        past_the_claim = 0
+        for _ in range(2000):
+            lo = math.ldexp(rng.random(), rng.randint(-1074, -500))
+            hi = lo + math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, -486))
+            r = specfun._split_exponent(lo, hi)[1]
+            true_r, slack = _exact_residual(lo, hi)
+            assert abs(Fraction(r) - true_r) <= Fraction(5e-324), (lo, hi)
+            past_the_claim += abs(Fraction(r) - true_r) > self.EPS * slack
+        assert past_the_claim > 1000
+
+
+def test_splitter_lives_in_specfun_only():
+    # Dekker's splitter 2^27 + 1 is specfun._SPLITTER: a copy of it elsewhere
+    # is a second hand-written error-free product
+    package = pathlib.Path(specfun.__file__).parent
+    holders = sorted(path.name for path in package.glob("*.py") if "134217729" in path.read_text())
+    assert holders == ["specfun.py"]

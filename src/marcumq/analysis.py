@@ -1,10 +1,10 @@
 """Error tables, figure curve data, and numeric certification scans.
 
 The error tables compare every requested bound against the
-cross-validated oracle and report tightness as a percentage,
-eps = 100 |raw - exact| / exact.  The raw (unclamped) formula value is
-used there so that looseness past 1.0 stays visible; the clamped value
-is reported alongside.
+cross-validated oracle: a row holds Q1 and each id's ``BoundEval`` from
+``eval_ids``; its printer reports eps = 100 |raw - exact| / exact
+(``bounds.eps_pct``) from the raw (unclamped) value, so looseness past
+1.0 stays visible, with the clamped value alongside.
 
 The scan operations certify, on explicit grids, the monotonicity and
 ordering facts the bound derivations rest on: negativity of
@@ -24,7 +24,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .bounds import BoundId, compute_zeta, eps_pct, eval_all, eval_ids
+from .bounds import BoundEval, BoundId, compute_zeta, eval_all, eval_ids
 from .errors import DomainError, UnknownFigureError, _exact
 from .oracle import QArgs, _new_record, q1_reference, rice_pdf
 from .specfun import _HANKEL_X, _i0e, _i0e_i1e, _i0e_minus_i1e_hankel, bessel_i0_scaled, bessel_i1_scaled
@@ -48,18 +48,10 @@ _DOMINANCE_A = (0.1, 0.5, 1.0, 2.0)
 _EMPTY = MappingProxyType({})
 
 
-class BoundCell(NamedTuple):
-    """One bound column of an error-table row."""
-
-    raw: float
-    clamped: float
-    epsilon_pct: float
-
-
 class ErrorRow(NamedTuple):
     b: float
     exact: float
-    cells: dict[BoundId, BoundCell]
+    cells: dict[BoundId, BoundEval]
     skipped: Mapping[BoundId, str] = _EMPTY
 
 
@@ -82,6 +74,8 @@ class CurveTable(NamedTuple):
 
 
 def _check_grid_size(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"grid needs an int n, got {n!r}")
     if n < 2:
         raise DomainError(f"grid needs n >= 2, got {n}")
     if n > MAX_GRID_POINTS:
@@ -155,10 +149,7 @@ def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list
         args = QArgs(a, b)
         exact = q1_reference(args).value
         evals, skipped = eval_ids(ids, args)
-        cells = {
-            bid: _new_record(BoundCell, (raw, clamped, eps_pct(raw, exact))) for bid, raw, clamped, _ in evals
-        }
-        rows.append(_new_record(ErrorRow, (b, exact, cells, skipped)))
+        rows.append(_new_record(ErrorRow, (b, exact, {ev.id: ev for ev in evals}, skipped)))
     return rows
 
 
@@ -576,8 +567,8 @@ def figure_data(figure: int) -> CurveTable:
     Raw (unclamped) bound values are emitted; cells where a formula is
     singular are NaN.  Output is deterministic: fixed 200-point grids.
     """
-    try:
-        build = _FIGURES[figure]
-    except (KeyError, TypeError):  # TypeError: an unhashable id, which no preset equals
-        raise UnknownFigureError(f"no figure preset {figure!r}; valid ids are 1..10") from None
+    # True == 1 and 2.0 == 2 as dict keys, so the id's type is checked first
+    build = None if isinstance(figure, bool) or not isinstance(figure, int) else _FIGURES.get(figure)
+    if build is None:
+        raise UnknownFigureError(f"no figure preset {figure!r}; valid ids are 1..10")
     return build()

@@ -22,12 +22,12 @@ computed at most once per call and builds its record there;
 ``evaluate`` runs it over one id, raising what it would skip.
 ``eval_all`` takes the point's family whole and writes its records out,
 one per slot with its id and side as constants: through a generic loop,
-assembly cost more than the formulas.  Where a slot is singular it
-falls back to ``_records``, one loop over the raws in hand.  A record
-clamps its raw value by two comparisons, the double
-min(1.0, max(0.0, raw)) gives (NaN and -0.0 giving 0.0).  Every
-expression keeps the association order of its formula written out over
-(a, b).
+assembly cost more than the formulas.  Where a slot is singular, which
+happens only at b = a or, for LB2A, at b = 0, it hands the family's raw
+values to ``eval_ids``' loop instead.  A record clamps its raw value
+by two comparisons, the double min(1.0, max(0.0, raw)) gives (NaN and
+-0.0 giving 0.0).  Every expression keeps the association order of its
+formula written out over (a, b).
 
 Every a, b that ``QArgs`` takes, up to sqrt(DBL_MAX) ~ 1.34e154, gives
 finite values: a^2, b^2, ab and (b - a)^2 stay finite there, and a
@@ -264,20 +264,6 @@ _UB1JP, _UB1A, _UB1B, _UB1C, _UB1D, _LB1JP, _LB1A, _LB1B, _LB1C, _LB1D = FAMILY_
 _UB2JP, _UB2A, _UB2D, _LB2JP, _LB2A, _LB2B, _LB2C, _LB2D = FAMILY_B_LT_A
 
 
-def _records(ids: tuple, raws: tuple) -> tuple[list[BoundEval], dict[BoundId, str]]:
-    """``eval_all``'s records and skips where a slot of the family is singular.
-
-    A singular slot holds a SingularityError itself, never a subclass, so
-    its exact type is tested, which is cheaper than isinstance.
-    """
-    evals = [
-        _new_record(BoundEval, (bid, raw, (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0, bid.side))
-        for bid, raw in zip(ids, raws)
-        if type(raw) is not SingularityError
-    ]
-    return evals, {bid: str(raw) for bid, raw in zip(ids, raws) if type(raw) is SingularityError}
-
-
 def evaluate(bid: BoundId, args: QArgs) -> BoundEval:
     """Evaluate any cataloged bound by id.
 
@@ -304,11 +290,15 @@ def eval_ids(ids: Iterable[BoundId], args: QArgs) -> tuple[list[BoundEval], dict
     formulas at their excluded points are skipped, not raised.  Each
     family is computed at most once.
     """
+    return _eval_ids(ids, args, {})
+
+
+def _eval_ids(ids: Iterable[BoundId], args: QArgs, families: dict) -> tuple[list[BoundEval], dict[BoundId, str]]:
+    """``eval_ids`` given ``families``, each family function's raw values at args already in hand."""
     a, b = args
     # the regime whose ids are skipped here: the other one than the
     # point's, or none at the tie b = a, which both admit
     foreign = None if a == b else _B_LT_A if b >= a else _B_GE_A
-    families: dict = {}
     evals: list[BoundEval] = []
     skipped: dict[BoundId, str] = {}
     last = None  # the family of the previous id, whose raw values are ``values``
@@ -338,7 +328,7 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
     raised).  The same records ``eval_ids`` gives over the point's family,
     written out slot by slot from the family's raw values.  A
     SingularityError orders with no float, so a singular slot makes its
-    clamp raise TypeError, and ``_records`` then builds from the raws in hand.
+    clamp raise TypeError, and ``eval_ids``' loop takes the raws in hand.
     """
     a, b = args
     if b >= a:
@@ -358,7 +348,7 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
                 _new_record(BoundEval, (_LB1D, lb1d, (lb1d if lb1d < 1.0 else 1.0) if lb1d > 0.0 else 0.0, "lower")),
             ], {}
         except TypeError:
-            return _records(FAMILY_B_GE_A, raws)
+            return _eval_ids(FAMILY_B_GE_A, args, {_family_ge: raws})
     raws = _family_lt(a, b)
     ub2jp, ub2a, ub2d, lb2jp, lb2a, lb2b, lb2c, lb2d = raws
     try:
@@ -373,4 +363,4 @@ def eval_all(args: QArgs) -> tuple[list[BoundEval], dict[BoundId, str]]:
             _new_record(BoundEval, (_LB2D, lb2d, (lb2d if lb2d < 1.0 else 1.0) if lb2d > 0.0 else 0.0, "lower")),
         ], {}
     except TypeError:
-        return _records(FAMILY_B_LT_A, raws)
+        return _eval_ids(FAMILY_B_LT_A, args, {_family_lt: raws})

@@ -118,6 +118,9 @@ def _b_grid(start: float, end: float, step: float) -> list[float]:
 
     if not 0.0 < step < math.inf:
         raise DomainError(f"--b-step must be positive and finite, got {step!r}")
+    for flag, v in (("--b-start", start), ("--b-end", end)):
+        if not math.isfinite(v):
+            raise DomainError(f"{flag} must be finite, got {v!r}")
     if end < start:
         raise DomainError(f"--b-end {end!r} below --b-start {start!r}")
     span = (end - start) / step + 1e-9
@@ -168,18 +171,19 @@ def _table_records(rows: list[ErrorRow], ids: Sequence[BoundId], echo_rounded: b
     header.append("notes")
     yield header
     for row in rows:
+        eps = {bid: eps_pct(cell.raw, row.exact) for bid, cell in row.cells.items()}
         rec = [_fmt(row.b), _fmt(row.exact)]
         for bid in ids:
             cell = row.cells.get(bid)
             if cell is None:
                 rec += ["", "", ""]
             else:
-                rec += [_fmt(cell.raw), _fmt(cell.clamped), _fmt(cell.epsilon_pct)]
+                rec += [_fmt(cell.raw), _fmt(cell.clamped), _fmt(eps[bid])]
         if echo_rounded:
             rec.append(f"{row.exact:.5f}")
             for bid in ids:
                 cell = row.cells.get(bid)
-                rec += ["", ""] if cell is None else [f"{cell.raw:.5f}", f"{cell.epsilon_pct:.4f}"]
+                rec += ["", ""] if cell is None else [f"{cell.raw:.5f}", f"{eps[bid]:.4f}"]
         rec.append("; ".join(f"{k.value}: {v}" for k, v in row.skipped.items()))
         yield rec
 
@@ -189,7 +193,7 @@ def _row_json(row: ErrorRow, ids: Sequence[BoundId]) -> dict:
     for bid in ids:
         cell = row.cells.get(bid)
         obj[bid.value] = (
-            None if cell is None else {"raw": cell.raw, "clamped": cell.clamped, "eps_pct": cell.epsilon_pct}
+            None if cell is None else {"raw": cell.raw, "clamped": cell.clamped, "eps_pct": eps_pct(cell.raw, row.exact)}
         )
     if row.skipped:
         obj["skipped"] = {k.value: v for k, v in row.skipped.items()}
@@ -249,6 +253,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
         a, start, end, step = ns.a, ns.b_start, ns.b_end, ns.b_step
         ids = _parse_ids(ns.ids)
     bs = _b_grid(start, end, step)
+    QArgs(a, 0.0)  # a's own DomainError, before the regime check below compares with it
     # the grid ascends, so its last point is its largest and its first its smallest
     for bid in ids:
         ge = bid.regime is Regime.BGeqA

@@ -25,7 +25,7 @@ from marcumq.analysis import (
     scan_sandwich,
     two_sided_b_grid,
 )
-from marcumq.bounds import BoundId, eval_all, evaluate, lb1jp_small_ab_limit
+from marcumq.bounds import BoundId, eps_pct, eval_all, evaluate, lb1jp_small_ab_limit
 from marcumq.oracle import QArgs, q1_reference
 
 from frozen_q1 import Q1_FROZEN_ACROSS_TIE
@@ -49,9 +49,9 @@ def _check_table(a, golden, id1, id2):
         for name, got, want, tol in (
             ("exact", row.exact, exact, VALUE_TOL),
             (id1.value, row.cells[id1].raw, v1, VALUE_TOL),
-            (f"{id1.value} eps", row.cells[id1].epsilon_pct, e1, EPS_TOL),
+            (f"{id1.value} eps", eps_pct(row.cells[id1].raw, row.exact), e1, EPS_TOL),
             (id2.value, row.cells[id2].raw, v2, VALUE_TOL),
-            (f"{id2.value} eps", row.cells[id2].epsilon_pct, e2, EPS_TOL),
+            (f"{id2.value} eps", eps_pct(row.cells[id2].raw, row.exact), e2, EPS_TOL),
         ):
             if abs(got - want) > tol:
                 bad.append((b, name, got, want))

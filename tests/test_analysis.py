@@ -32,7 +32,7 @@ from marcumq.analysis import (
     scan_shifted_exp_chain,
     two_sided_b_grid,
 )
-from marcumq.bounds import BoundId, compute_zeta, evaluate
+from marcumq.bounds import BoundId, compute_zeta, eps_pct, evaluate
 from marcumq.errors import DomainError, UnknownFigureError, _exact
 from marcumq.oracle import QArgs, q1_reference, rice_pdf
 
@@ -46,8 +46,8 @@ class TestErrorTable:
         assert cell.raw == pytest.approx(1.02133, abs=1e-4)
         assert cell.clamped == 1.0
         # eps is computed from the raw value, not the clamped one
-        assert cell.epsilon_pct == pytest.approx(2.6423, abs=1e-2)
-        assert row.cells[BoundId.UB1A].epsilon_pct == pytest.approx(11.9718, abs=1e-2)
+        assert eps_pct(cell.raw, row.exact) == pytest.approx(2.6423, abs=1e-2)
+        assert eps_pct(row.cells[BoundId.UB1A].raw, row.exact) == pytest.approx(11.9718, abs=1e-2)
 
     def test_singular_cell_marked_not_fatal(self):
         rows = error_table(1.0, [1.0, 1.5], [BoundId.UB1B, BoundId.UB1JP])
@@ -357,6 +357,24 @@ class TestSandwichScan:
             with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
                 build(MAX_GRID_POINTS + 1)
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: log_grid(1.0, 2.0, n),
+            lambda n: two_sided_b_grid(2.0, n),
+            lambda n: scan_g_negative(1.0, 2.0, n),
+            lambda n: scan_envelope_ordering(10.0, 8.0, n),
+            lambda n: scan_sandwich(n),
+            lambda n: scan_jp_dominance(n),
+        ],
+        ids=["log_grid", "two_sided_b_grid", "g_negative", "envelope", "sandwich", "jp_dominance"],
+    )
+    def test_grid_size_must_be_an_int(self, build, n):
+        # a count must be an int: a float would reach range(), and True would count as 1
+        with pytest.raises(DomainError, match=re.escape(f"grid needs an int n, got {n!r}")):
+            build(n)
+
     @pytest.mark.parametrize("lo,hi", [(1e-3, math.inf), (1e-320, 700.0), (5e-324, 1.0)])
     def test_log_grid_ratio_must_be_finite(self, lo, hi):
         with pytest.raises(DomainError, match=r"log grid .* finite hi/lo"):
@@ -550,7 +568,8 @@ class TestFigureData:
         assert all(0.0 < v < 1.0 for v in exacts)
         assert all(u >= v for u, v in zip(exacts, exacts[1:]))
 
-    @pytest.mark.parametrize("figure", [0, 11, -3])
+    # True and 2.0 equal the keys 1 and 2, but name no figure
+    @pytest.mark.parametrize("figure", [0, 11, -3, True, 2.0, "1", [1]])
     def test_unknown_figure(self, figure):
         with pytest.raises(UnknownFigureError):
             figure_data(figure)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marcumq.bounds as bounds
-from marcumq.analysis import _jp_dominance_pairs, eps_pct, error_table
+from marcumq.analysis import _jp_dominance_pairs, error_table
 from marcumq.bounds import (
     FAMILY_B_GE_A,
     FAMILY_B_LT_A,
@@ -22,6 +22,7 @@ from marcumq.bounds import (
     BoundId,
     Regime,
     compute_zeta,
+    eps_pct,
     eval_all,
     eval_ids,
     evaluate,
@@ -618,9 +619,10 @@ class TestEvalAll:
         assert ([_bits(ev) for ev in evals], skipped) == (ref_evals, ref_skipped)
         (row,) = error_table(a, [b], ids)
         assert list(row.cells) == [bid for bid, *_ in ref_evals] and row.skipped == ref_skipped
-        for (_, raw, clamped, _), cell in zip(ref_evals, row.cells.values()):
-            eps = eps_pct(float.fromhex(raw), row.exact)
-            assert (cell.raw.hex(), cell.clamped.hex(), cell.epsilon_pct.hex()) == (raw, clamped, eps.hex())
+        # each cell is the id's record; the writers take eps % from its raw value
+        for (bid, raw, clamped, side), cell in zip(ref_evals, row.cells.values()):
+            assert _bits(cell) == (bid, raw, clamped, side)
+            assert eps_pct(cell.raw, row.exact).hex() == eps_pct(float.fromhex(raw), row.exact).hex()
 
         def raw_of(bid):
             return evaluate(bid, args).raw

@@ -195,6 +195,23 @@ class TestTable:
         assert (rc, out) == (2, "")
         assert err == "error: --b-end 2.0 below --b-start 3.0\n"
 
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    @pytest.mark.parametrize("ids", ["UB1JP", "LB2JP"])
+    def test_non_finite_a_gets_the_library_message(self, capsys, a, ids):
+        # a is checked before the regime check compares the grid with it
+        argv = ["table", "--a", a, "--b-start", "0", "--b-end", "1", "--b-step", "0.1", "--ids", ids]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: a must be finite, got {a}\n"
+
+    @pytest.mark.parametrize("start,end", [("nan", "1"), ("0", "inf"), ("-inf", "1")])
+    def test_non_finite_b_bound_names_its_flag(self, capsys, start, end):
+        argv = ["table", "--a", "1", f"--b-start={start}", f"--b-end={end}", "--b-step", "0.1", "--ids", "UB1JP"]
+        rc, out, err = run_cli(capsys, *argv)
+        flag, bad = ("--b-end", end) if start == "0" else ("--b-start", start)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {flag} must be finite, got {float(bad)!r}\n"
+
     def test_ids_skip_empty_tokens(self, capsys):
         argv = ["table", "--a", "1", "--b-start", "1", "--b-end", "2", "--b-step", "1"]
         rc, out, _ = run_cli(capsys, *argv, "--ids", ",UB1JP,, lb1jp ,")

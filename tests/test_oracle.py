@@ -1036,6 +1036,18 @@ class TestSymmetryRelation:
         pairs = _symmetry_pairs(a_range=(100.0, 1e15), gap_range=(1.02, 60.0))
         assert self._check(q1_trapezoid, 1.19, pairs) == 2000
 
+    def test_diagonal_route_meets_the_relation(self):
+        # Q1(a, b) + Q1(b, a) = 1 + e^(-(b - a)^2/2) i0e(ab) in plain values,
+        # |b - a| <= 1.  The right side also uses i0e, so a uniform relative
+        # fault in the kernel cancels: this checks the Gauss-Legendre rule,
+        # the offset t and the sign of h, not i0e.  The bound is the worst
+        # over seeds 1-10 of 4,000 pairs each, 2.0 eps absolute.
+        for a, b in _symmetry_pairs(a_range=(1e-3, 1e6), gap_range=(1e-3, 1.0), n=4000):
+            miss = q1_diagonal(QArgs(a, b)) + q1_diagonal(QArgs(b, a)) - (
+                1.0 + math.exp(-0.5 * (b - a) ** 2) * oracle.bessel_i0_scaled(a * b)
+            )
+            assert abs(miss) <= 2.0 * oracle._EPSILON, (a, b, miss)
+
     @staticmethod
     def _check(method, c, pairs) -> int:
         """Assert the relation at every pair where both sides answer; return how many did."""
@@ -1095,6 +1107,12 @@ class TestDiagonal:
     def test_b_zero_is_one(self):
         assert q1_diagonal(QArgs(0.5, 0.0)) == 1.0
         assert q1_diagonal(QArgs(0.0, 0.0)) == 1.0
+
+    def test_a_zero_is_the_gaussian(self):
+        # Q1(0, b) = e^(-b^2/2): i0e(0) = 1, so the rule integrates t e^(-t^2/2);
+        # the worst over b = k/1000 on [0, 1] is 1.0 eps
+        for b in [k / 1000 for k in range(1001)]:
+            assert abs(q1_diagonal(QArgs(0.0, b)) - math.exp(-0.5 * b * b)) <= oracle._EPSILON, b
 
     def test_span_limit_is_inclusive(self):
         for b in (999.0, 1001.0):

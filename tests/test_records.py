@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import marcumq
-from marcumq import BoundEval, BoundId, OracleResult, QArgs
-from marcumq.analysis import BoundCell, CurveTable, ErrorRow, ScanReport, error_table
+from marcumq import BoundEval, BoundId, OracleResult, QArgs, analysis
+from marcumq.analysis import CurveTable, ErrorRow, ScanReport, error_table
+from marcumq.bounds import eval_ids
 from marcumq.oracle import TrapezoidResult, q1_bessel_series, q1_reference, q1_trapezoid
 
 RECORDS = [
@@ -20,7 +21,6 @@ RECORDS = [
         ("value", "method_a_value", "method_b_value", "agreement_gap", "method_b"),
     ),
     (BoundEval(BoundId.UB1A, 0.5, 0.5, "upper"), ("id", "raw", "clamped", "side")),
-    (BoundCell(0.5, 0.5, 1.0), ("raw", "clamped", "epsilon_pct")),
     (ErrorRow(1.0, 0.5, {}), ("b", "exact", "cells", "skipped")),
     (
         ScanReport("g_negative", "stub", -1.0, (1.0,), True),
@@ -82,13 +82,18 @@ def test_oracle_records_are_proper(method, point):
     _assert_proper(method(QArgs(*point)), OracleResult if method is q1_reference else TrapezoidResult)
 
 
-def test_error_table_records_are_proper():
+def test_error_table_records_are_proper(monkeypatch):
+    # each cell is the very record eval_ids returned for its id
+    returned = []
+    monkeypatch.setattr(analysis, "eval_ids", lambda ids, args: returned.append(eval_ids(ids, args)) or returned[-1])
     rows = error_table(1.0, [0.5, 1.0, 2.0], list(BoundId))
-    for row in rows:
+    for row, (evals, skipped) in zip(rows, returned, strict=True):
         _assert_proper(row, ErrorRow)
         assert row.cells
-        for cell in row.cells.values():
-            _assert_proper(cell, BoundCell)
+        assert row.skipped is skipped
+        for (bid, cell), ev in zip(row.cells.items(), evals, strict=True):
+            assert cell is ev and cell.id is bid
+            _assert_proper(cell, BoundEval)
     assert rows[1].skipped  # the tie b = a skips the singular ids
 
 

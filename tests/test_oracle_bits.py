@@ -10,8 +10,9 @@ dual-weight complement, the trapezoid's doubling of N, 2ab on each side
 of ``_TRAPEZOID_CUT``, complements where zeta or ab is 0, a = 0, b = 0,
 subnormal arguments, b = a, a >= 100 on both sides of a, the band, a
 point whose a and b read alike at six digits, the far tail,
-(a - b)^2/2 past the e^-x underflow, and the edges of the expansion's
-route below a = 100.  A change that moves
+(a - b)^2/2 past the e^-x underflow, the Bessel series' forward
+recurrence for Q1 itself, and the edges of the expansion's route below
+a = 100.  A change that moves
 a value on purpose says why, and regenerates the dict from the
 repository root with
 
@@ -84,6 +85,10 @@ POINTS = (
     # (a - b)^2/2 > 745: 1 - Q1 underflows
     (60.0, 10.0),
     (200.0, 150.0),
+    # the Bessel series' forward recurrence for Q1 itself (b > a): K = 9, 5, 3
+    (5.0, 400.0),
+    (99.9, 1e6),
+    (0.5, 1e8),
     # the expansion's route below a = 100 either side of its edges: ab = 25
     # on the diagonal, (b - a)^2 = ab, d = (b - a)^2/2 = 650, and b = a - 1
     # at a = nextafter(100, 0)
@@ -448,6 +453,27 @@ FROZEN = {
         "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=200.0, b=150.0)",
         "q1_asymptotic": "0x1.0000000000000p+0",
         "q1_reference": "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 'asymptotic'",
+    },
+    (5.0, 400.0): {
+        "q1_trapezoid": "0x1.280750e9a4c1dp-7 0x1.30bc800000000p+16 False 15 0x1.17ec5a5975e53p-57",
+        "q1_bessel_series": "0x1.280750e9a4c1cp-7 0x1.30bc800000000p+16 False 10 0x1.effc3b7ba3cebp-71",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=5.0, b=400.0)",
+        "q1_asymptotic": "0x0.0p+0",
+        "q1_reference": "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 'bessel_series'",
+    },
+    (99.9, 1000000.0): {
+        "q1_trapezoid": "0x1.4edc0db76874bp-15 0x1.d191790478052p+38 False 16 0x1.4f19ae52e91bdp-65",
+        "q1_bessel_series": "0x1.4edc0db76874cp-15 0x1.d191790478052p+38 False 6 0x1.92653f766d943p-95",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=99.9, b=1000000.0)",
+        "q1_asymptotic": "0x0.0p+0",
+        "q1_reference": "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 'bessel_series'",
+    },
+    (0.5, 100000000.0): {
+        "q1_trapezoid": "0x1.d946ca9a06e58p-15 0x1.1c37934e58f80p+52 False 16 0x1.d97973e564c26p-65",
+        "q1_bessel_series": "0x1.d946ca9a06e58p-15 0x1.1c37934e58f80p+52 False 4 0x1.7ff7ac748c2b0p-125",
+        "q1_diagonal": "DomainError: the diagonal route covers |b - a| <= 1, got (a=0.5, b=100000000.0)",
+        "q1_asymptotic": "0x0.0p+0",
+        "q1_reference": "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 'bessel_series'",
     },
     (4.999999999999999, 4.999999999999999): {
         "q1_trapezoid": "DomainError: the trapezoid needs b != a, got a = b = 4.999999999999999",

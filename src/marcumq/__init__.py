@@ -24,16 +24,7 @@ from .errors import (
     SingularityError,
     UnknownFigureError,
 )
-from .oracle import (
-    OracleResult,
-    QArgs,
-    TrapezoidResult,
-    q1_bessel_series,
-    q1_diagonal,
-    q1_reference,
-    q1_trapezoid,
-    rice_pdf,
-)
+from .oracle import OracleResult, QArgs, q1_reference
 
 __version__ = "0.1.0"
 
@@ -48,17 +39,12 @@ __all__ = [
     "Regime",
     "RegimeError",
     "SingularityError",
-    "TrapezoidResult",
     "UnknownFigureError",
     "compute_zeta",
     "eval_all",
     "eval_ids",
     "evaluate",
-    "q1_bessel_series",
-    "q1_diagonal",
     "q1_reference",
-    "q1_trapezoid",
     "regime_of",
-    "rice_pdf",
     "__version__",
 ]

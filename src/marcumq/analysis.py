@@ -20,7 +20,7 @@ here is deterministic; point evaluations are independent of each other.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -73,9 +73,13 @@ class CurveTable(NamedTuple):
     rows: list[tuple[float, ...]]
 
 
-def _check_grid_size(n: int) -> None:
+def _check_int(n: int) -> None:
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"grid needs an int n, got {n!r}")
+
+
+def _check_grid_size(n: int) -> None:
+    _check_int(n)
     if n < 2:
         raise DomainError(f"grid needs n >= 2, got {n}")
     if n > MAX_GRID_POINTS:
@@ -128,14 +132,19 @@ def two_sided_b_grid(a: float, n: int) -> list[float]:
     return below + above
 
 
-def _check_two_sided_size(a_values: Sequence[float], b_per_a: int) -> None:
-    """The bound on a two-sided scan's whole grid, at most MAX_GRID_POINTS
-    points, checked before any point is evaluated."""
+def _two_sided_points(a_values: Sequence[float], b_per_a: int) -> Iterator[tuple[float, float]]:
+    """(a, b) over two_sided_b_grid(a, b_per_a) at each a, one a's grid
+    held at a time.  The whole grid, at most MAX_GRID_POINTS points, is
+    checked before the first point is given."""
+    _check_int(b_per_a)
     total = len(a_values) * b_per_a
     if total > MAX_GRID_POINTS:
         raise DomainError(
             f"grid needs at most {MAX_GRID_POINTS} points, got {len(a_values)} a x {b_per_a} b = {total}"
         )
+    for a in a_values:
+        for b in two_sided_b_grid(a, b_per_a):
+            yield a, b
 
 
 def error_table(a: float, b_values: list[float], ids: Sequence[BoundId]) -> list[ErrorRow]:
@@ -435,21 +444,17 @@ def scan_sandwich(b_per_a: int = 50) -> ScanReport:
     """
     margin = 1e-9
     count = 0
-    _check_two_sided_size(_SANDWICH_A, b_per_a)
     # the worst is tracked as _worst does, its witness built only at a new worst
     worst, witness = -math.inf, ()
-    for a in _SANDWICH_A:
-        bs = two_sided_b_grid(a, b_per_a)
-        for b in bs:
-            args = QArgs(a, b)
-            exact = q1_reference(args).value
-            evals, _ = eval_all(args)
-            count += len(evals)
-            for bid, _, clamped, side in evals:
-                v = (exact - clamped) if side == "upper" else (clamped - exact)
-                if v > worst:
-                    worst, witness = v, (bid.value, a, b)
-        del bs  # freed before the next a's grid is built
+    for a, b in _two_sided_points(_SANDWICH_A, b_per_a):
+        args = QArgs(a, b)
+        exact = q1_reference(args).value
+        evals, _ = eval_all(args)
+        count += len(evals)
+        for bid, _, clamped, side in evals:
+            v = (exact - clamped) if side == "upper" else (clamped - exact)
+            if v > worst:
+                worst, witness = v, (bid.value, a, b)
     return ScanReport(
         property_id="sandwich",
         grid=f"a in {_SANDWICH_A}, {b_per_a} b per a (two-sided), margin {margin:g}",
@@ -488,13 +493,11 @@ def scan_jp_dominance(b_per_a: int = 50) -> ScanReport:
 
     def checks():
         nonlocal total, strict
-        _check_two_sided_size(_DOMINANCE_A, b_per_a)
-        for a in _DOMINANCE_A:
-            for b in two_sided_b_grid(a, b_per_a):
-                for label, v in _jp_dominance_pairs(a, b):
-                    total += 1
-                    strict += v < 0.0
-                    yield v, (label, a, b)
+        for a, b in _two_sided_points(_DOMINANCE_A, b_per_a):
+            for label, v in _jp_dominance_pairs(a, b):
+                total += 1
+                strict += v < 0.0
+                yield v, (label, a, b)
 
     worst, witness = _worst(checks())
     frac = strict / total  # the grid holds four a and at least two b per a

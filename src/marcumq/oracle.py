@@ -765,9 +765,10 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
     r_k = x/(2k + x r_(k+1)) started at r_(N+1) = 0 with
     N = floor(sqrt(K^2 + 40x)) + 16; an error in a start contracts by
     r_k^2 per step, e^-40 over the steps down to K (Amos, Math. Comp. 28,
-    1974).  Forward, the terms are i0e(x) times the ratios multiplied up,
-    summed by fsum.  Backward, the sum over i_0 is taken during the
-    recurrence, in Horner form from k = K down to 1,
+    1974).  Forward, term k is term k - 1 times zeta r_k, multiplied up
+    from i0e(x) in the pass that makes the ratios, and fsum adds the
+    terms.  Backward, the sum over i_0 is taken during the recurrence,
+    in Horner form from k = K down to 1,
 
         h <- zeta r_k (1 + h),   Q1 = e^-d i_0 (1 + h),   1 - Q1 = e^-d i_0 h,
 
@@ -816,18 +817,14 @@ def q1_bessel_series(args: QArgs) -> TrapezoidResult:
         raise DomainError(f"the Bessel series needs over {cap} recurrence steps at (a={_brief(a)}, b={_brief(b)})")
     t = bessel_i0_scaled(x)
     if forward:
-        ratio = bessel_i1_scaled(x) / t
-        ratios = [ratio]  # r_1, ..., r_(K+1)
-        for two_j in range(2, 2 * k + 1, 2):
+        summands = [] if complement else [t]  # i_0, then the terms k = 1, ..., K
+        ratio = bessel_i1_scaled(x) / t  # r_1
+        for two_j in range(2, 2 * k + 1, 2):  # term j from r_j, then r_(j+1)
+            t *= zeta * ratio
+            summands.append(t)
             ratio = 1.0 / ratio - two_j / x
-            ratios.append(ratio)
-        past = ratios.pop()  # r_(K+1)
-        if not complement:
-            ratios.append(t)  # i_0
-        for j in range(k):  # each ratio becomes the term it multiplies up to
-            t *= zeta * ratios[j]
-            ratios[j] = t
-        total = math.fsum(ratios)
+        past = ratio  # r_(K+1)
+        total = math.fsum(summands)
     else:
         past = 0.0
         for two_j in range(2 * n, 2 * k, -2):

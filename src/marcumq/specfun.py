@@ -301,8 +301,6 @@ def erfc_diff(x: float, y: float) -> float:
         raise DomainError(
             f"erfc_diff requires arguments in the double range, got x={_brief(x)}, y={_brief(y)}"
         ) from None
-    if x == y:
-        return 0.0
     if delta * (1.0 + abs(m)) < 1e-4:
         return _erfc_diff_midpoint(m, delta)
     d = math.erfc(x) - math.erfc(y)
@@ -329,8 +327,6 @@ def erfc_diff_centered(m: float, delta: float) -> float:
             "erfc_diff_centered requires arguments in the double range, "
             f"got m={_brief(m)}, delta={_brief(delta)}"
         ) from None
-    if delta == 0.0:
-        return 0.0
     if width < 1e-4:
         return _erfc_diff_midpoint(m, delta)
     return erfc_diff(m - 0.5 * delta, m + 0.5 * delta)

@@ -357,7 +357,7 @@ class TestSandwichScan:
             with pytest.raises(DomainError, match=str(MAX_GRID_POINTS)):
                 build(MAX_GRID_POINTS + 1)
 
-    @pytest.mark.parametrize("n", [3.0, 2.5, True])
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3", None])
     @pytest.mark.parametrize(
         "build",
         [
@@ -371,9 +371,16 @@ class TestSandwichScan:
         ids=["log_grid", "two_sided_b_grid", "g_negative", "envelope", "sandwich", "jp_dominance"],
     )
     def test_grid_size_must_be_an_int(self, build, n):
-        # a count must be an int: a float would reach range(), and True would count as 1
+        # a count must be an int: a float would reach range(), True would count as 1, and
+        # the two-sided scans would multiply a str or None into their whole grid's size
         with pytest.raises(DomainError, match=re.escape(f"grid needs an int n, got {n!r}")):
             build(n)
+
+    @pytest.mark.parametrize("scan,n_a", [(scan_sandwich, 7), (scan_jp_dominance, 4)], ids=["sandwich", "jp_dominance"])
+    def test_two_sided_whole_grid_message(self, scan, n_a):
+        msg = f"grid needs at most {MAX_GRID_POINTS} points, got {n_a} a x 2000000 b = {n_a * 2_000_000}"
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            scan(2_000_000)
 
     @pytest.mark.parametrize("lo,hi", [(1e-3, math.inf), (1e-320, 700.0), (5e-324, 1.0)])
     def test_log_grid_ratio_must_be_finite(self, lo, hi):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -517,3 +520,34 @@ class TestFigdata:
             capsys, "figdata", "--figure", "1", "--out", "/nonexistent-dir/f.csv"
         )
         assert rc == 2
+
+
+class TestConsoleEntry:
+    """``python -m marcumq.cli`` and ``run``, the ``marcumq`` script's entry point."""
+
+    @staticmethod
+    def _module(*argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "marcumq.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, timeout=60)
+
+    def test_module_stdout_is_mains(self, capsys):
+        done = self._module("eval", "--a", "1", "--b", "2")
+        assert done.returncode == 0
+        rc, out, _ = run_cli(capsys, "eval", "--a", "1", "--b", "2")
+        assert rc == 0
+        assert done.stdout == out.encode()
+
+    def test_module_refusal_exit_2(self):
+        done = self._module("eval", "--a", "-1", "--b", "2")
+        assert done.returncode == 2
+        assert done.stderr.decode().splitlines() == ["error: a must be nonnegative, got -1.0"]
+
+    @pytest.mark.parametrize("a,code", [("1", 0), ("-1", 2)])
+    def test_run_exits_with_mains_code(self, capsys, monkeypatch, a, code):
+        argv = ["eval", "--a", a, "--b", "2"]
+        monkeypatch.setattr(sys, "argv", ["marcumq", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code == main(argv)

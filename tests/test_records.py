@@ -1,6 +1,7 @@
 """The public result records: field order, immutability, records built
-from their fields by ``tuple.__new__`` that are proper records, and a
-cold import that pulls in neither ``dataclasses`` nor ``inspect``."""
+from their fields by ``tuple.__new__`` that are proper records, the
+names ``marcumq`` exports, and a cold import that pulls in neither
+``dataclasses`` nor ``inspect``."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ import marcumq
 from marcumq import BoundEval, BoundId, OracleResult, QArgs, analysis
 from marcumq.analysis import CurveTable, ErrorRow, ScanReport, error_table
 from marcumq.bounds import eval_ids
+import marcumq.oracle as oracle
 from marcumq.oracle import TrapezoidResult, q1_bessel_series, q1_reference, q1_trapezoid
 
 RECORDS = [
@@ -109,6 +111,43 @@ def test_default_mappings_are_read_only():
         assert len(empty) == 0
         with pytest.raises(TypeError):
             empty["x"] = 1
+
+
+# marcumq.__all__ as README "Library API" documents it
+PUBLIC = [
+    "BoundEval",
+    "BoundId",
+    "ConvergenceError",
+    "CrossValidationError",
+    "DomainError",
+    "OracleResult",
+    "QArgs",
+    "Regime",
+    "RegimeError",
+    "SingularityError",
+    "UnknownFigureError",
+    "compute_zeta",
+    "eval_all",
+    "eval_ids",
+    "evaluate",
+    "q1_reference",
+    "regime_of",
+    "__version__",
+]
+# the oracle's methods and their record: behind q1_reference, in marcumq.oracle only
+ORACLE_ONLY = ("TrapezoidResult", "q1_bessel_series", "q1_diagonal", "q1_trapezoid", "rice_pdf")
+
+
+def test_public_namespace():
+    assert marcumq.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(marcumq, name), name
+
+
+@pytest.mark.parametrize("name", ORACLE_ONLY)
+def test_oracle_methods_live_in_oracle(name):
+    assert callable(getattr(oracle, name))
+    assert not hasattr(marcumq, name)
 
 
 def _fresh_interpreter(code: str) -> str:
